@@ -13,6 +13,7 @@ from .errors import (
     EmptySubset,
     FormatError,
     InternalInvariantError,
+    InvalidArgument,
     InvariantError,
     NotInPMinus,
     NotIntervalOrder,

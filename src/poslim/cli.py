@@ -4,22 +4,17 @@ Machine-readable output (CSV or JSON, chosen by --format) goes to stdout or
 --out; a one-line human summary goes to stderr.  Exit codes: 0 success,
 2 usage/validation error, 1 internal error.  All randomness is derived from
 --seed through the documented counter-based streams, so identical argv
-produce byte-identical outputs.  A POSLIM_THREADS worker count may be set
-but cannot change any result: every worker reads the same stream positions
-it would have read serially.
+produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import measures, poset, recognition, sampling, semiorders
+from . import measures, poset, recognition, sampling, semiorders, textio
 from .densities import density
 from .errors import FormatError, PoslimError
 from .rng import SeededRng
@@ -27,15 +22,15 @@ from .rng import SeededRng
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return textio.parse_rational(text)
+    except FormatError as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
@@ -62,18 +57,9 @@ def _emit(text: str, out: str | None, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _fmt_fraction(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
-
-
-def _dict_output(payload: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(payload.keys())
-    w.writerow([int(v) if isinstance(v, bool) else v for v in payload.values()])
-    return buf.getvalue()
+def _table(fmt: str, header, rows, payload) -> str:
+    """`header` and `rows` as CSV, or `payload` as JSON."""
+    return textio.to_json(payload) if fmt == "json" else textio.to_csv(header, rows)
 
 
 def _kernel_from_args(args) -> object:
@@ -81,19 +67,14 @@ def _kernel_from_args(args) -> object:
         if args.c is None:
             raise FormatError("--kernel gc needs --c")
         return semiorders.gc(args.c)
+    if not args.infile:
+        kind = {"g": "pwl", "rate": "rate", "measure": "measure"}[args.kernel]
+        raise FormatError(f"--kernel {args.kernel} needs --in <{kind} file>")
     if args.kernel == "g":
-        if not getattr(args, "infile", None):
-            raise FormatError("--kernel g needs --in <pwl file>")
         return semiorders.read_g(_read_text(args.infile))
     if args.kernel == "rate":
-        if not getattr(args, "infile", None):
-            raise FormatError("--kernel rate needs --in <rate file>")
         return semiorders.read_rate(_read_text(args.infile))
-    if args.kernel == "measure":
-        if not getattr(args, "infile", None):
-            raise FormatError("--kernel measure needs --in <measure file>")
-        return _load_measure(args.infile)
-    raise FormatError(f"unknown kernel {args.kernel!r}")
+    return _load_measure(args.infile)
 
 
 def _cmd_sample(args) -> int:
@@ -113,7 +94,7 @@ def _cmd_density(args) -> int:
     p = _resolve_poset(args.p)
     value = density(q, p, args.kind)
     _emit(
-        _fmt_fraction(value) + "\n",
+        textio.format_rational(value) + "\n",
         args.out,
         f"{args.kind} density of {args.q} in {args.p}",
     )
@@ -127,7 +108,7 @@ def _cmd_recognize(args) -> int:
         "semiorder": recognition.is_semiorder(p),
     }
     _emit(
-        _dict_output(payload, args.format),
+        _table(args.format, payload.keys(), [payload.values()], payload),
         args.out,
         f"recognized {p.n}-point poset: interval_order={payload['interval_order']}"
         f", semiorder={payload['semiorder']}",
@@ -182,40 +163,19 @@ def _cmd_equiv(args) -> int:
         raise FormatError("exact equiv compares two stepmeasure files")
     same = measures.equivalent(a, b)
     _emit(
-        _dict_output({"equivalent": same}, args.format),
+        _table(args.format, ["equivalent"], [[same]], {"equivalent": same}),
         args.out,
         f"measures are {'equivalent' if same else 'not equivalent'}",
     )
     return 0
 
 
-def _cdf_output(cdf: measures.StepCDF, fmt: str) -> str:
-    if fmt == "json":
-        return (
-            json.dumps(
-                {
-                    "points": [
-                        [_fmt_fraction(x), _fmt_fraction(l), _fmt_fraction(r)]
-                        for x, l, r in cdf.points
-                    ]
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["x", "left", "right"])
-    for x, l, r in cdf.points:
-        w.writerow([_fmt_fraction(x), _fmt_fraction(l), _fmt_fraction(r)])
-    return buf.getvalue()
-
-
 def _cmd_nu(args) -> int:
     p = _resolve_poset(args.infile)
     cdf = sampling.nu_empirical(p, args.sign)
+    payload = {"points": cdf.points}
     _emit(
-        _cdf_output(cdf, args.format),
+        _table(args.format, ["x", "left", "right"], cdf.points, payload),
         args.out,
         f"empirical {args.sign} degree CDF of {p.n} points "
         f"({len(cdf.points)} breakpoints)",
@@ -226,23 +186,10 @@ def _cmd_nu(args) -> int:
 def _cmd_fingerprint(args) -> int:
     p = _resolve_poset(args.infile)
     fp = sampling.fingerprint(p, args.max_q)
-    if args.format == "json":
-        payload = {
-            e.poset_id: {
-                "label": e.label,
-                "value": str(e.value),
-                "half_width": str(e.half_width),
-            }
-            for e in fp.entries
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["poset_id", "label", "value", "half_width"])
-        for e in fp.entries:
-            w.writerow(e.as_row())
-        text = buf.getvalue()
+    header = ["poset_id", "label", "value", "half_width"]
+    rows = [e.as_row() for e in fp.entries]
+    payload = {r[0]: dict(zip(header[1:], r[1:])) for r in rows}
+    text = _table(args.format, header, rows, payload)
     _emit(text, args.out, f"fingerprint over {len(fp.entries)} patterns")
     return 0
 

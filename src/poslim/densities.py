@@ -23,13 +23,6 @@ Kind = Literal["hom", "inj", "ind"]
 _ATOMIC_BUDGET = 10**7
 
 
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 def count_maps(q: FinitePoset, p: FinitePoset, kind: Kind) -> int:
     """Number of maps q -> p of the requested kind, exact."""
     if kind not in ("hom", "inj", "ind"):
@@ -79,7 +72,7 @@ def density(q: FinitePoset, p: FinitePoset, kind: Kind) -> Fraction:
         return Fraction(count, p.n**q.n)
     if q.n > p.n:
         return Fraction(0)
-    return Fraction(count, _falling(p.n, q.n))
+    return Fraction(count, math.perm(p.n, q.n))
 
 
 def automorphism_count(p: FinitePoset) -> int:

@@ -43,3 +43,7 @@ class InternalInvariantError(PoslimError):
 
 class FormatError(PoslimError):
     """A text-format payload could not be parsed."""
+
+
+class InvalidArgument(PoslimError, ValueError):
+    """An argument is outside the range a function accepts."""

@@ -8,11 +8,13 @@ enumeration of poset orientations behind the edge-directing identity.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import FormatError, InvariantError, SizeLimit
+from . import textio
+from .errors import InvariantError, SizeLimit
 from .poset import FinitePoset, _bits, transitive_closure
 
 _PATTERN_MAX = 5
@@ -75,13 +77,6 @@ def incomparability_graph(p: FinitePoset) -> SimpleGraph:
     return complement_graph(comparability_graph(p))
 
 
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 def count_induced_embeddings(f: SimpleGraph, g: SimpleGraph) -> int:
     nf, ng = f.n, g.n
     if nf > ng:
@@ -119,7 +114,7 @@ def graph_t_ind(f: SimpleGraph, g: SimpleGraph) -> Fraction:
         raise SizeLimit(f"pattern size capped at {_PATTERN_MAX}")
     if f.n > g.n:
         return Fraction(0)
-    return Fraction(count_induced_embeddings(f, g), _falling(g.n, f.n))
+    return Fraction(count_induced_embeddings(f, g), math.perm(g.n, f.n))
 
 
 def poset_orientations(f: SimpleGraph) -> list[FinitePoset]:
@@ -183,24 +178,11 @@ def _graph_canonical_key(g: SimpleGraph) -> tuple[int, ...]:
 
 
 def write_graph(g: SimpleGraph) -> str:
-    lines = [f"graph {g.n}"]
-    for i, j in sorted(g.edges()):
-        lines.append(f"{i + 1} {j + 1}")
-    return "\n".join(lines) + "\n"
+    lines = [f"{i + 1} {j + 1}" for i, j in sorted(g.edges())]
+    return textio.write_rows("graph", g.n, lines)
 
 
 def read_graph(text: str) -> SimpleGraph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("graph"):
-        raise FormatError("expected 'graph <n>' header")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise FormatError("bad graph header") from exc
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad edge line: {ln!r}")
-        edges.append((int(parts[0]) - 1, int(parts[1]) - 1))
+    _, n, lines = textio.read_header(text, "graph")
+    edges = [(i - 1, j - 1) for i, j in textio.rows(lines, 2, int)]
     return SimpleGraph.from_edges(n, edges)

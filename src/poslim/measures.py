@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Union
 
-from . import pwl
+from . import pwl, textio
 from .errors import FormatError, InvariantError, NotInPMinus
 from .pwl import ONE, ZERO, Points, as_fraction
 
@@ -401,67 +401,30 @@ def check_p_minus(nu: StepCDF) -> None:
 # -- text formats -------------------------------------------------------------
 
 
-def format_fraction(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
-
-
-def parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad rational: {text!r}") from exc
-
-
 def write_measure(mu: Measure) -> str:
     if isinstance(mu, AtomicMeasure):
-        lines = [f"atoms {len(mu.atoms)}"]
-        for x, y, w in mu.atoms:
-            lines.append(
-                f"{format_fraction(x)} {format_fraction(y)} {format_fraction(w)}"
-            )
-        return "\n".join(lines) + "\n"
+        lines = [textio.fields(*atom) for atom in mu.atoms]
+        return textio.write_rows("atoms", len(lines), lines)
     if isinstance(mu, StepKernelMeasure):
-        cells = mu.cells()
-        lines = [f"stepmeasure {len(cells)}"]
-        for c_lo, c_hi, cond in cells:
-            atoms = " ; ".join(
-                f"{format_fraction(y)} {format_fraction(p)}" for y, p in cond
-            )
-            lines.append(
-                f"{format_fraction(c_lo)} {format_fraction(c_hi)} : {atoms}"
-            )
-        return "\n".join(lines) + "\n"
+        lines = []
+        for c_lo, c_hi, cond in mu.cells():
+            atoms = [token for y, p in cond for token in (";", y, p)]
+            lines.append(textio.fields(c_lo, c_hi, ":", *atoms[1:]))
+        return textio.write_rows("stepmeasure", len(lines), lines)
     raise TypeError(f"not a measure: {mu!r}")
 
 
 def read_measure(text: str) -> Measure:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError("empty measure file")
-    header = lines[0].split()
-    if header[0] == "atoms":
-        atoms = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 3:
-                raise FormatError(f"bad atom line: {ln!r}")
-            atoms.append(tuple(parse_fraction(p) for p in parts))
-        return AtomicMeasure.from_atoms(atoms)
-    if header[0] == "stepmeasure":
-        cells = []
-        for ln in lines[1:]:
-            if ":" not in ln:
-                raise FormatError(f"bad cell line: {ln!r}")
-            bounds, _, conds = ln.partition(":")
-            b = bounds.split()
-            if len(b) != 2:
-                raise FormatError(f"bad cell bounds: {ln!r}")
-            cond = []
-            for chunk in conds.split(";"):
-                parts = chunk.split()
-                if len(parts) != 2:
-                    raise FormatError(f"bad conditional atom: {chunk!r}")
-                cond.append((parse_fraction(parts[0]), parse_fraction(parts[1])))
-            cells.append((parse_fraction(b[0]), parse_fraction(b[1]), cond))
-        return StepKernelMeasure.from_cells(cells)
-    raise FormatError(f"unknown measure header: {lines[0]!r}")
+    """`atoms <k>` then `x y w` rows, or `stepmeasure <m>` then cell rows
+    `c_lo c_hi : y1 p1 ; y2 p2 ; ...`."""
+    kind, _, lines = textio.read_header(text, "atoms", "stepmeasure")
+    if kind == "atoms":
+        return AtomicMeasure.from_atoms(textio.rows(lines, 3))
+    cells = []
+    for ln in lines:
+        bounds, colon, conds = ln.partition(":")
+        if not colon:
+            raise FormatError(f"bad cell line: {ln!r}")
+        c_lo, c_hi = textio.rows([bounds], 2)[0]
+        cells.append((c_lo, c_hi, textio.rows(conds.split(";"), 2)))
+    return StepKernelMeasure.from_cells(cells)

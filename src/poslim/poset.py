@@ -19,6 +19,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
+from . import textio
 from .errors import CycleError, EmptySubset, FormatError, InvariantError, SizeLimit
 
 Sign = Literal["minus", "plus"]
@@ -402,30 +403,13 @@ def cached_catalog(max_size: int) -> PosetCatalog:
 
 def write_poset(p: FinitePoset) -> str:
     """Poset text format: header, then transitive-reduction pairs, 1-based."""
-    lines = [f"poset {p.n}"]
-    for i, j in sorted(p.cover_pairs()):
-        lines.append(f"{i + 1} {j + 1}")
-    return "\n".join(lines) + "\n"
+    lines = [f"{i + 1} {j + 1}" for i, j in sorted(p.cover_pairs())]
+    return textio.write_rows("poset", p.n, lines)
 
 
 def read_poset(text: str) -> FinitePoset:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("poset"):
-        raise FormatError("expected 'poset <n>' header")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise FormatError("bad poset header") from exc
-    pairs = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad pair line: {ln!r}")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise FormatError(f"bad pair line: {ln!r}") from exc
-    return from_relations(n, pairs)
+    _, n, lines = textio.read_header(text, "poset")
+    return from_relations(n, textio.rows(lines, 2, int))
 
 
 _NAMED = {

@@ -13,6 +13,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import textio
 from .errors import InvariantError
 
 Points = tuple[tuple[Fraction, Fraction, Fraction], ...]
@@ -24,12 +25,10 @@ ONE = Fraction(1)
 def as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, (int, float)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
+        return textio.parse_rational(value)
     raise InvariantError(f"not an exact coordinate: {value!r}")
 
 
@@ -55,6 +54,8 @@ def check_monotone(points: Points) -> None:
 def normalize(points: Iterable[Sequence]) -> Points:
     """Canonical form: drop breakpoints that carry no jump and no slope change."""
     pts = [tuple(as_fraction(v) for v in p) for p in points]
+    if not pts:
+        raise InvariantError("need at least one breakpoint")
     pts.sort(key=lambda p: p[0])
     out = []
     for p in pts:

@@ -10,11 +10,10 @@ that the test suite cross-checks against.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import textio
 from .errors import FormatError, InternalInvariantError, NotIntervalOrder
 from .measures import AtomicMeasure
 from .poset import FinitePoset, _bits
@@ -148,38 +147,23 @@ def empirical_measure(rep: IntervalRepresentation) -> AtomicMeasure:
 
 # -- CSV serialization --------------------------------------------------------
 
+_COLUMNS = ("index", "rank", "a", "b")
+
 
 def write_representation(rep: IntervalRepresentation) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "rank", "a", "b"])
-    for i in range(rep.n):
-        writer.writerow(
-            [
-                i + 1,
-                rep.rank[i],
-                f"{rep.a[i].numerator}/{rep.a[i].denominator}",
-                f"{rep.b[i].numerator}/{rep.b[i].denominator}",
-            ]
-        )
-    return buf.getvalue()
+    return textio.to_csv(
+        _COLUMNS, [(i + 1, rep.rank[i], rep.a[i], rep.b[i]) for i in range(rep.n)]
+    )
 
 
 def read_representation(text: str) -> IntervalRepresentation:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["index", "rank", "a", "b"]:
-        raise FormatError("expected representation header index,rank,a,b")
-    n = len(rows) - 1
-    rank = [0] * n
-    a = [Fraction(0)] * n
-    b = [Fraction(0)] * n
-    for row in rows[1:]:
-        if len(row) != 4:
-            raise FormatError(f"bad representation row: {row!r}")
-        idx = int(row[0]) - 1
-        if not 0 <= idx < n:
-            raise FormatError(f"index out of range: {row[0]}")
-        rank[idx] = int(row[1])
-        a[idx] = Fraction(row[2])
-        b[idx] = Fraction(row[3])
-    return IntervalRepresentation(n, tuple(rank), tuple(a), tuple(b))
+    table = textio.read_csv(text, _COLUMNS)
+    n = len(table)
+    by_index = {textio.parse_int(r[0]): r for r in table}
+    if sorted(by_index) != list(range(1, n + 1)):
+        raise FormatError(f"index column is not 1..{n}, each once")
+    ordered = [by_index[i] for i in range(1, n + 1)]
+    rank = tuple(textio.parse_int(r[1]) for r in ordered)
+    a = tuple(textio.parse_rational(r[2]) for r in ordered)
+    b = tuple(textio.parse_rational(r[3]) for r in ordered)
+    return IntervalRepresentation(n, rank, a, b)

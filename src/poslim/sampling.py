@@ -14,9 +14,6 @@ kernel uses them and gets its output validated.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import warnings
 from bisect import bisect_left, bisect_right
@@ -27,8 +24,9 @@ from typing import Iterable, Literal, Sequence, Union
 
 import numpy as np
 
+from . import textio
 from .densities import automorphism_count, density
-from .errors import NotTransitive, SizeLimit
+from .errors import InvalidArgument, NotTransitive, SizeLimit
 from .measures import AtomicMeasure, StepCDF, StepKernelMeasure
 from .poset import (
     FinitePoset,
@@ -165,7 +163,7 @@ def sample_kernel_poset(
     pair (i, j) and has its output checked (NotTransitive on failure).
     """
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise InvalidArgument("n must be at least 1")
     if callable(kernel) and not isinstance(
         kernel, (MonotoneRC, RateFunction, StepKernelMeasure, AtomicMeasure)
     ):
@@ -283,9 +281,6 @@ class Fingerprint:
             if e.poset_id == poset_id:
                 return e.value
         raise KeyError(poset_id)
-
-    def as_dict(self) -> dict:
-        return {e.poset_id: (e.value, e.half_width) for e in self.entries}
 
 
 def _class_label(q: FinitePoset) -> str:
@@ -408,7 +403,9 @@ def c_parameter(n: int, p) -> float:
     """The limit shift parameter min(log(1/p) / (p n), 1)."""
     pf = float(p)
     if not 0 < pf <= 1:
-        raise ValueError("p must be in (0, 1]")
+        raise InvalidArgument("p must be in (0, 1]")
+    if n < 1:
+        raise InvalidArgument("n must be at least 1")
     return min(math.log(1.0 / pf) / (pf * n), 1.0)
 
 
@@ -435,7 +432,9 @@ def random_graph_order(n: int, p, rng: SeededRng) -> FinitePoset:
     """
     pf = float(p)
     if not 0 < pf <= 1:
-        raise ValueError("p must be in (0, 1]")
+        raise InvalidArgument("p must be in (0, 1]")
+    if n < 1:
+        raise InvalidArgument("n must be at least 1")
     if n > _RGO_CAP:
         raise SizeLimit(f"random graph orders capped at {_RGO_CAP} points")
     direct = []
@@ -469,51 +468,17 @@ class ConvergenceRow:
 
 
 @dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(textio.RowReport):
     rows: tuple[ConvergenceRow, ...]
     verdict: str
     threshold: float
     notes: tuple[str, ...] = field(default_factory=tuple)
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(
-            ["index", "n", "semiorder", "ks_prev", "ks_minus_target", "ks_plus_target"]
-        )
-        for r in self.rows:
-            w.writerow(
-                [
-                    r.index,
-                    r.n,
-                    int(r.semiorder),
-                    "" if r.ks_prev is None else repr(r.ks_prev),
-                    "" if r.ks_minus_target is None else repr(r.ks_minus_target),
-                    "" if r.ks_plus_target is None else repr(r.ks_plus_target),
-                ]
-            )
-        return buf.getvalue()
+    row_type = ConvergenceRow
 
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "threshold": self.threshold,
-            "notes": list(self.notes),
-            "rows": [
-                {
-                    "index": r.index,
-                    "n": r.n,
-                    "semiorder": r.semiorder,
-                    "ks_prev": r.ks_prev,
-                    "ks_minus_target": r.ks_minus_target,
-                    "ks_plus_target": r.ks_plus_target,
-                }
-                for r in self.rows
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+    def meta(self) -> dict:
+        notes = list(self.notes)
+        return {"verdict": self.verdict, "threshold": self.threshold, "notes": notes}
 
 
 def _trend_verdict(series: list[float], threshold: float) -> str:
@@ -596,10 +561,12 @@ class EquivalenceRow:
 
 
 @dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(textio.RowReport):
     rows: tuple[EquivalenceRow, ...]
     n: int
     trials: int
+
+    row_type = EquivalenceRow
 
     def flagged_ids(self) -> list[str]:
         return [r.poset_id for r in self.rows if r.flagged]
@@ -607,45 +574,8 @@ class EquivalenceReport:
     def any_flagged(self) -> bool:
         return any(r.flagged for r in self.rows)
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["poset_id", "label", "mean_a", "se_a", "mean_b", "se_b", "flagged"])
-        for r in self.rows:
-            w.writerow(
-                [
-                    r.poset_id,
-                    r.label,
-                    repr(r.mean_a),
-                    repr(r.se_a),
-                    repr(r.mean_b),
-                    repr(r.se_b),
-                    int(r.flagged),
-                ]
-            )
-        return buf.getvalue()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "flagged": self.flagged_ids(),
-            "rows": [
-                {
-                    "poset_id": r.poset_id,
-                    "label": r.label,
-                    "mean_a": r.mean_a,
-                    "se_a": r.se_a,
-                    "mean_b": r.mean_b,
-                    "se_b": r.se_b,
-                    "flagged": r.flagged,
-                }
-                for r in self.rows
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+    def meta(self) -> dict:
+        return {"n": self.n, "trials": self.trials, "flagged": self.flagged_ids()}
 
 
 def equivalence_test_statistical(
@@ -665,7 +595,7 @@ def equivalence_test_statistical(
     trial means are disjoint.
     """
     if trials < 30:
-        raise ValueError("at least 30 trials are required")
+        raise InvalidArgument("at least 30 trials are required")
     acc_a: dict[str, list[float]] = {}
     acc_b: dict[str, list[float]] = {}
     labels: dict[str, str] = {}

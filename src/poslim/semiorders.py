@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from . import pwl
+from . import pwl, textio
 from .errors import FormatError, InvariantError, NotInPMinus
 from .measures import StepCDF, check_p_minus
 from .pwl import ONE, ZERO, Points, as_fraction
@@ -246,36 +246,24 @@ def kernel_wg(g: MonotoneRC, x, y) -> int:
 # -- text formats -------------------------------------------------------------
 
 
-def _fmt(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
-
-
 def write_g(g: MonotoneRC) -> str:
     """g text format: 'pwl <k>' then rows 'x left right slope_to_next'."""
     pts = g.points
-    lines = [f"pwl {len(pts)}"]
+    lines = []
     for i, (x, left, right) in enumerate(pts):
         if i + 1 < len(pts):
             nx, nleft, _ = pts[i + 1]
             slope = (nleft - right) / (nx - x)
         else:
             slope = ZERO
-        lines.append(f"{_fmt(x)} {_fmt(left)} {_fmt(right)} {_fmt(slope)}")
-    return "\n".join(lines) + "\n"
+        lines.append(textio.fields(x, left, right, slope))
+    return textio.write_rows("pwl", len(pts), lines)
 
 
 def read_g(text: str) -> MonotoneRC:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("pwl"):
-        raise FormatError("expected 'pwl <k>' header")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 4:
-            raise FormatError(f"bad pwl row: {ln!r}")
-        rows.append(tuple(Fraction(p) for p in parts))
-    pts = [(x, left, right) for x, left, right, _ in rows]
-    g = MonotoneRC.from_points(pts)
+    _, _, lines = textio.read_header(text, "pwl")
+    rows = textio.rows(lines, 4)
+    g = MonotoneRC.from_points([(x, left, right) for x, left, right, _ in rows])
     # verify declared slopes against the parsed geometry
     for i in range(len(rows) - 1):
         x, _, right, slope = rows[i]
@@ -286,20 +274,12 @@ def read_g(text: str) -> MonotoneRC:
 
 
 def write_rate(r: RateFunction) -> str:
-    lines = [f"rate {len(r.values)}"]
-    for i, v in enumerate(r.values):
-        lines.append(f"{_fmt(r.breaks[i])} {_fmt(r.breaks[i + 1])} {_fmt(v)}")
-    return "\n".join(lines) + "\n"
+    lines = [
+        textio.fields(r.breaks[i], r.breaks[i + 1], v) for i, v in enumerate(r.values)
+    ]
+    return textio.write_rows("rate", len(lines), lines)
 
 
 def read_rate(text: str) -> RateFunction:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("rate"):
-        raise FormatError("expected 'rate <k>' header")
-    pieces = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise FormatError(f"bad rate row: {ln!r}")
-        pieces.append(tuple(Fraction(p) for p in parts))
-    return RateFunction.from_pieces(pieces)
+    _, _, lines = textio.read_header(text, "rate")
+    return RateFunction.from_pieces(textio.rows(lines, 3))

@@ -1,0 +1,252 @@
+"""The shared text layer: format rules, malformed input, reader fuzz, round trips."""
+
+from fractions import Fraction as F
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from poslim import cli, graphs, measures, poset, recognition, sampling, semiorders
+from poslim import textio
+from poslim.errors import FormatError, InvalidArgument, PoslimError
+from poslim.rng import SeededRng
+
+from conftest import posets, step_measures
+
+READERS = {
+    "poset": poset.read_poset,
+    "graph": graphs.read_graph,
+    "measure": measures.read_measure,
+    "pwl": semiorders.read_g,
+    "rate": semiorders.read_rate,
+    "representation": recognition.read_representation,
+}
+
+# -- format rules -------------------------------------------------------------
+
+
+def test_rationals_and_cells():
+    assert textio.format_rational(F(0)) == "0/1"
+    assert textio.format_rational(F(-6, 4)) == "-3/2"
+    assert textio.parse_rational("3/6") == F(1, 2)
+    assert textio.parse_rational("0.25") == F(1, 4)
+    assert textio.to_csv(["a", "b", "c", "d"], [[True, None, F(2), 0.5]]) == (
+        "a,b,c,d\n1,,2/1,0.5\n"
+    )
+    assert textio.to_json({"x": [F(1, 3)]}) == '{\n  "x": [\n    "1/3"\n  ]\n}\n'
+    assert textio.write_rows("rate", 1, [textio.fields(F(0), F(1), 2)]) == (
+        "rate 1\n0/1 1/1 2\n"
+    )
+
+
+def test_blank_lines_ignored():
+    assert poset.read_poset("\n  \nposet 3\n\n1 2\n  \n2 3\n\n") == poset.chain(3)
+    rep = recognition.interval_representation(poset.chain(3))
+    text = recognition.write_representation(rep).replace("\n", "\n\n")
+    assert recognition.read_representation(text) == rep
+
+
+# -- readers reject malformed files ---------------------------------------------
+
+BAD_FILES = [
+    ("poset", "posets 2\n1 2\n"),  # keyword matched by prefix before
+    ("poset", "poset\n"),
+    ("poset", "poset two\n"),
+    ("poset", "poset 2 3\n"),
+    ("poset", "poset -1\n"),
+    ("poset", "poset 3\n1 2 3\n"),
+    ("poset", "poset 3\n1 x\n"),
+    ("poset", "poset 2\n1 2\n2 1\n"),
+    ("graph", "graphs 2\n1 2\n"),
+    ("graph", "graph 3\n1 x\n"),
+    ("graph", "graph -1\n"),
+    ("measure", ""),
+    ("measure", "atomz 1\n0 1 1\n"),
+    ("measure", "atoms 2\n0 1 1\n"),  # declared count never checked before
+    ("measure", "atoms 1\n0 1 1/0\n"),
+    ("measure", "atoms 1\n0 1e5000 1\n"),  # exited 1: too long to print
+    ("measure", "stepmeasure 2\n0 1 : 1 1\n"),
+    ("measure", "stepmeasure 1\n0 1 1 1\n"),
+    ("measure", "stepmeasure 1\n0 1 : 1\n"),
+    ("pwl", "pwl 3\n0 1 1 0\n1 1 1 0\n"),
+    ("pwl", "pwl 2\n0 1/0 1 0\n1 1 1 0\n"),  # ZeroDivisionError before
+    ("pwl", "pwl 2\n0 a 1 0\n1 1 1 0\n"),
+    ("pwl", "pwl 0\n"),
+    ("pwl", "pwlx 2\n0 1 1 0\n1 1 1 0\n"),
+    ("rate", "rate 2\n0 1 1\n"),
+    ("rate", "rate 1\n0 1 one\n"),
+    ("rate", "rated 1\n0 1 1\n"),
+    ("representation", "index,rank,a,b\n1,1,1/2,1/1\n1,2,1/1,1/1\n"),  # repeated
+    ("representation", "index,rank,a,b\n1,1,1/2,1/1\n3,2,1/1,1/1\n"),  # missing 2
+    ("representation", "index,rank,a,b\n1,1,1/2\n"),
+    ("representation", "index,rank,a,b\nx,1,1/2,1/1\n"),
+    ("representation", "index,rank,a,b\n1,1,1/0,1/1\n"),
+    ("representation", "rank,index,a,b\n"),
+    ("representation", "index,rank,a,b\n1,1,\0,1\n"),
+]
+
+
+@pytest.mark.parametrize("kind,text", BAD_FILES)
+def test_reader_rejects(kind, text):
+    with pytest.raises(PoslimError):
+        READERS[kind](text)
+
+
+def test_representation_index_faults_are_format_errors():
+    for _, text in [f for f in BAD_FILES if f[0] == "representation"][:2]:
+        with pytest.raises(FormatError, match="index"):
+            recognition.read_representation(text)
+
+
+# -- every malformed input exits 2 from the CLI ----------------------------------
+
+# (file name, file text, argv with {f} for the file's path and {good} for a
+# well-formed poset file)
+CLI_FAULTS = [
+    ("p.poset", "posets 2\n1 2\n", ["recognize", "--in", "{f}"]),
+    ("p.poset", "poset 2\n1 x\n", ["nu", "--in", "{f}", "--sign", "minus"]),
+    ("p.poset", "poset 2\n1 2\n2 1\n", ["converge", "--in", "{f}"]),
+    ("a.measure", "atoms 2\n0 1 1\n", ["sample", "--kernel", "measure", "--in", "{f}",
+                                      "--n", "5", "--seed", "1"]),
+    ("s.measure", "stepmeasure 2\n0 1 : 1 1\n", ["project", "--in", "{f}"]),
+    ("s.measure", "stepmeasure 1\n0 1 : 1 x\n", ["equiv", "--a", "{f}", "--b", "{f}"]),
+    ("g.pwl", "pwl 2\n0 1/0 1 0\n1 1 1 0\n", ["sample", "--kernel", "g", "--in", "{f}",
+                                             "--n", "5", "--seed", "1"]),
+    ("g.pwl", "pwl 3\n0 1 1 0\n1 1 1 0\n",
+     ["converge", "--in", "{good}", "--g", "{f}"]),
+    ("g.pwl", "pwl 0\n", ["sample", "--kernel", "g", "--in", "{f}", "--n", "5",
+                          "--seed", "1"]),
+    ("r.rate", "rate 1\n0 1 x\n", ["sample", "--kernel", "rate", "--in", "{f}",
+                                   "--n", "5", "--seed", "1"]),
+    ("r.rate", "rate 2\n0 1 1\n", ["converge", "--in", "{good}", "--rate", "{f}"]),
+    ("b.poset", b"\xff\xfe\x00poset", ["recognize", "--in", "{f}"]),
+    ("e.measure", "atoms 1\n0 1e5000 1\n", ["sample", "--kernel", "measure", "--in",
+                                            "{f}", "--n", "5", "--seed", "1"]),
+]
+
+ARGUMENT_FAULTS = [
+    ["sample", "--kernel", "gc", "--c", "1/4", "--n", "0", "--seed", "1"],
+    ["sample", "--kernel", "gc", "--c", "1/4", "--n", "-5", "--seed", "1"],
+    ["rgo", "--n", "10", "--p", "0", "--seed", "1"],
+    ["rgo", "--n", "0", "--p", "1/2", "--seed", "1"],
+    ["rgo", "--n", "-3", "--p", "1/2", "--seed", "1"],
+    ["sample", "--kernel", "gc", "--c", "1/0", "--n", "5", "--seed", "1"],
+]
+
+
+def _exit_code(capsys, argv):
+    code = cli.main(argv)
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,content,argv", CLI_FAULTS)
+def test_cli_malformed_file_exits_2(tmp_path, capsys, name, content, argv):
+    path = tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    good = tmp_path / "good.poset"
+    good.write_text("poset 3\n1 2\n")
+    code, err = _exit_code(capsys, [a.format(f=path, good=good) for a in argv])
+    assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("argv", ARGUMENT_FAULTS)
+def test_cli_bad_argument_exits_2(capsys, argv):
+    code, err = _exit_code(capsys, argv)
+    assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("extra", [["--n", "0"], ["--trials", "10"]])
+def test_cli_bad_statistical_argument_exits_2(tmp_path, capsys, extra):
+    path = tmp_path / "m.measure"
+    path.write_text("atoms 1\n0 1 1\n")
+    argv = ["equiv", "--a", str(path), "--b", str(path), "--statistical",
+            "--seed", "1", *extra]
+    code, err = _exit_code(capsys, argv)
+    assert code == 2 and "error:" in err
+
+
+def test_c_parameter_rejects_empty():
+    with pytest.raises(InvalidArgument):
+        sampling.c_parameter(0, 0.5)
+
+
+# -- fuzz: any text parses or raises a PoslimError -----------------------------
+
+_KEYWORDS = ["poset", "graph", "atoms", "stepmeasure", "pwl", "rate", "posets", "x"]
+# header counts and every integer token stay <= 64, so no input asks for a
+# large allocation
+_token = st.one_of(
+    st.sampled_from([":", ";", "1/0", "0/0", "x", "", "-", "1.5", "nan", "index",
+                     "1e5000", "-1E-5000"]),
+    st.integers(-2, 64).map(str),
+    st.fractions(-1, 2, max_denominator=8).map(str),
+    st.fractions(0, 1, max_denominator=8).map(textio.format_rational),
+)
+_line = st.builds(
+    lambda sep, tokens: sep.join(tokens),
+    st.sampled_from([" ", ",", " : ", " ; ", "\t"]),
+    st.lists(_token, max_size=6),
+)
+_header = st.one_of(
+    st.builds("{} {}".format, st.sampled_from(_KEYWORDS), st.integers(-1, 64)),
+    st.just("index,rank,a,b"),
+    _line,
+)
+_text = st.one_of(
+    st.builds(
+        lambda h, body: "\n".join([h, *body]), _header, st.lists(_line, max_size=8)
+    ),
+    st.text(alphabet="0123456789 /-:;,.\n\tx", max_size=40),
+)
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@given(text=_text)
+@settings(max_examples=150, deadline=None)
+def test_reader_fuzz(kind, text):
+    try:
+        READERS[kind](text)
+    except PoslimError:
+        pass
+
+
+# -- fuzz: writer output round-trips ------------------------------------------
+
+
+@given(posets(max_n=7))
+@settings(max_examples=40, deadline=None)
+def test_graph_roundtrip(p):
+    g = graphs.comparability_graph(p)
+    assert graphs.read_graph(graphs.write_graph(g)) == g
+
+
+@given(step_measures())
+@settings(max_examples=40, deadline=None)
+def test_atoms_roundtrip(mu):
+    atoms = measures.push_h(mu, "minus")
+    assert measures.read_measure(measures.write_measure(atoms)) == atoms
+
+
+@given(st.lists(st.tuples(st.integers(1, 8), st.fractions(0, 5, max_denominator=9)),
+                min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_rate_roundtrip(pieces):
+    total = sum(w for w, _ in pieces)
+    cuts = [F(sum(w for w, _ in pieces[:i]), total) for i in range(len(pieces) + 1)]
+    r = semiorders.RateFunction.from_pieces(
+        [(cuts[i], cuts[i + 1], v) for i, (_, v) in enumerate(pieces)]
+    )
+    assert semiorders.read_rate(semiorders.write_rate(r)) == r
+
+
+@given(
+    st.integers(1, 40), st.integers(0, 2**32), st.fractions(0, 1, max_denominator=10)
+)
+@settings(max_examples=30, deadline=None)
+def test_representation_roundtrip(n, seed, c):
+    p = sampling.sample_kernel_poset(semiorders.gc(c), n, SeededRng(seed))
+    rep = recognition.interval_representation(p)
+    assert recognition.read_representation(recognition.write_representation(rep)) == rep
