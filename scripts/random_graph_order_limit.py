@@ -9,13 +9,14 @@ distance of the predecessor distribution to the limit CDF of max(U - c, 0).
 """
 
 import argparse
-import csv
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 from poslim import sampling as sa
 from poslim import semiorders as so
+from poslim import textio
 from poslim.rng import SeededRng
 
 
@@ -30,17 +31,17 @@ class StudyConfig:
 
 def run(config: StudyConfig) -> None:
     rng = SeededRng(config.seed)
-    with open(config.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["c", "p_edge", "n", "trial", "ks_minus"])
-        for ci, c in enumerate(config.cs):
-            p_edge = sa.p_for_c(config.n, c)
-            target = so.f_minus(so.gc(Fraction(c).limit_denominator(1000)))
-            for t in range(config.trials):
-                r = sa.random_graph_order(config.n, p_edge, rng.spawn(ci * 1000 + t))
-                d = float(sa.ks_for_target(sa.nu_empirical(r, "minus"), target))
-                writer.writerow([c, f"{p_edge:.8f}", config.n, t, f"{d:.6f}"])
-                print(f"c={c} trial={t}: ks={d:.4f}", file=sys.stderr)
+    rows = []
+    for ci, c in enumerate(config.cs):
+        p_edge = sa.p_for_c(config.n, c)
+        target = so.f_minus(so.gc(Fraction(c).limit_denominator(1000)))
+        for t in range(config.trials):
+            r = sa.random_graph_order(config.n, p_edge, rng.spawn(ci * 1000 + t))
+            d = float(sa.ks_for_target(sa.nu_empirical(r, "minus"), target))
+            rows.append([c, f"{p_edge:.8f}", config.n, t, f"{d:.6f}"])
+            print(f"c={c} trial={t}: ks={d:.4f}", file=sys.stderr)
+    header = ["c", "p_edge", "n", "trial", "ks_minus"]
+    Path(config.out).write_text(textio.to_csv(header, rows))
 
 
 def main() -> int:

@@ -8,13 +8,14 @@ Writes one CSV row per (kernel, n, trial) with both Kolmogorov distances.
 """
 
 import argparse
-import csv
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 from poslim import sampling as sa
 from poslim import semiorders as so
+from poslim import textio
 from poslim.rng import SeededRng
 
 
@@ -42,19 +43,19 @@ KERNELS = {
 
 def run(config: StudyConfig) -> None:
     rng = SeededRng(config.seed)
-    with open(config.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kernel", "n", "trial", "ks_minus", "ks_plus"])
-        for ki, (name, g) in enumerate(KERNELS.items()):
-            fm, fp = so.f_minus(g), so.f_plus(g)
-            for ni, n in enumerate(config.sizes):
-                for t in range(config.trials):
-                    child = rng.spawn(ki * 100_000 + ni * 1000 + t)
-                    p = sa.sample_kernel_poset(g, n, child)
-                    dm = float(sa.ks_for_target(sa.nu_empirical(p, "minus"), fm))
-                    dp = float(sa.ks_for_target(sa.nu_empirical(p, "plus"), fp))
-                    writer.writerow([name, n, t, f"{dm:.6f}", f"{dp:.6f}"])
-                    print(f"{name} n={n} trial={t}: {dm:.4f} / {dp:.4f}", file=sys.stderr)
+    rows = []
+    for ki, (name, g) in enumerate(KERNELS.items()):
+        fm, fp = so.f_minus(g), so.f_plus(g)
+        for ni, n in enumerate(config.sizes):
+            for t in range(config.trials):
+                child = rng.spawn(ki * 100_000 + ni * 1000 + t)
+                p = sa.sample_kernel_poset(g, n, child)
+                dm = float(sa.ks_for_target(sa.nu_empirical(p, "minus"), fm))
+                dp = float(sa.ks_for_target(sa.nu_empirical(p, "plus"), fp))
+                rows.append([name, n, t, f"{dm:.6f}", f"{dp:.6f}"])
+                print(f"{name} n={n} trial={t}: {dm:.4f} / {dp:.4f}", file=sys.stderr)
+    header = ["kernel", "n", "trial", "ks_minus", "ks_plus"]
+    Path(config.out).write_text(textio.to_csv(header, rows))
 
 
 def main() -> int:

@@ -207,7 +207,7 @@ def _cmd_rgo(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    posets = [poset.read_poset(_read_text(path)) for path in args.infiles]
+    posets = [_resolve_poset(spec) for spec in args.infiles]
     target = None
     if args.gc is not None:
         target = semiorders.gc(args.gc)

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Literal
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvalidArgument
 from .measures import AtomicMeasure, StepKernelMeasure
 from .poset import FinitePoset, _bits, in_star, out_star
 from .rng import MC_TUPLES, SeededRng
@@ -26,7 +26,7 @@ _ATOMIC_BUDGET = 10**7
 def count_maps(q: FinitePoset, p: FinitePoset, kind: Kind) -> int:
     """Number of maps q -> p of the requested kind, exact."""
     if kind not in ("hom", "inj", "ind"):
-        raise ValueError(f"kind must be hom/inj/ind, got {kind!r}")
+        raise InvalidArgument(f"kind must be hom/inj/ind, got {kind!r}")
     nq, np_ = q.n, p.n
     if kind != "hom" and nq > np_:
         return 0
@@ -87,7 +87,7 @@ def moment_identity_check(
     The two components agree for every poset; tests assert the equality.
     """
     if not 1 <= k <= 4:
-        raise ValueError("k must be in 1..4")
+        raise InvalidArgument("k must be in 1..4")
     masks = p.pred if sign == "minus" else p.succ
     n = p.n
     moment = Fraction(sum(m.bit_count() ** k for m in masks), n ** (k + 1))
@@ -115,7 +115,7 @@ def kernel_density_mc(
     from .sampling import interval_model  # deferred; no cycle at call time
 
     if samples < 100:
-        raise ValueError("samples must be at least 100")
+        raise InvalidArgument("samples must be at least 100")
     rng = seed if isinstance(seed, SeededRng) else SeededRng(seed)
     nq = q.n
     pairs = q.relation_pairs()

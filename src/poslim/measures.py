@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Literal, Union
 
 from . import pwl, textio
-from .errors import FormatError, InvariantError, NotInPMinus
+from .errors import FormatError, InvalidArgument, InvariantError, NotInPMinus
 from .pwl import ONE, ZERO, Points, as_fraction
 
 HVariant = Literal["minus", "plus", "bar_plus"]
@@ -167,7 +167,7 @@ def h_map(nu: StepCDF, x, variant: HVariant) -> Fraction:
         if variant == "bar_plus" and a < x <= b:
             return b
     if variant not in ("minus", "plus", "bar_plus"):
-        raise ValueError(f"unknown variant {variant!r}")
+        raise InvalidArgument(f"unknown variant {variant!r}")
     return x
 
 
@@ -307,7 +307,7 @@ def push_h(mu: Measure, variant: PushVariant) -> AtomicMeasure:
     measure zero and cannot retain mass.
     """
     if variant not in ("minus", "bar_plus"):
-        raise ValueError(f"push variant must be minus or bar_plus, got {variant!r}")
+        raise InvalidArgument(f"push variant must be minus or bar_plus, got {variant!r}")
     nu = right_marginal(mu)
     _, gaps = support_and_gaps(nu)
 

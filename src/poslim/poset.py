@@ -20,7 +20,14 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 from . import textio
-from .errors import CycleError, EmptySubset, FormatError, InvariantError, SizeLimit
+from .errors import (
+    CycleError,
+    EmptySubset,
+    FormatError,
+    InvalidArgument,
+    InvariantError,
+    SizeLimit,
+)
 
 Sign = Literal["minus", "plus"]
 
@@ -176,7 +183,7 @@ def degree(p: FinitePoset, i: int, sign: Sign) -> int:
         return p.pred[i].bit_count()
     if sign == "plus":
         return p.succ[i].bit_count()
-    raise ValueError(f"sign must be 'minus' or 'plus', got {sign!r}")
+    raise InvalidArgument(f"sign must be 'minus' or 'plus', got {sign!r}")
 
 
 # -- named posets -----------------------------------------------------------

@@ -5,18 +5,25 @@ a tuple of breakpoints ``(x, left, right)`` with x strictly increasing,
 x[0] = 0 and x[-1] = 1.  The function value at a breakpoint is `right`, the
 left limit is `left`, and the function is linear between `right[i]` at x[i]
 and `left[i+1]` at x[i+1].  All coordinates are exact rationals.
+
+Evaluation at one point is a binary search, O(log m) for m breakpoints.
+`sup_distance` walks both breakpoint lists in one merge sweep, O(m + k) for
+lists of m and k breakpoints.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import textio
 from .errors import InvariantError
 
 Points = tuple[tuple[Fraction, Fraction, Fraction], ...]
+
+_X = itemgetter(0)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -80,30 +87,30 @@ def normalize(points: Iterable[Sequence]) -> Points:
 
 
 def value_at(points: Points, t: Fraction) -> Fraction:
-    t = as_fraction(t)
-    if not ZERO <= t <= ONE:
-        raise InvariantError(f"argument {t} outside [0,1]")
-    xs = [p[0] for p in points]
-    i = bisect_right(xs, t) - 1
-    x, _, right = points[i]
-    if t == x:
-        return right
-    x1, l1, _ = points[i + 1]
-    return right + (l1 - right) * (t - x) / (x1 - x)
+    return _at(points, t, 2)
 
 
 def left_limit_at(points: Points, t: Fraction) -> Fraction:
     """Limit from the left; at t = 0 returns the stored pre-jump value."""
+    return _at(points, t, 1)
+
+
+def _at(points: Points, t: Fraction, side: int) -> Fraction:
+    """points[i][side] at a breakpoint x[i] = t, the linear segment elsewhere."""
     t = as_fraction(t)
     if not ZERO <= t <= ONE:
         raise InvariantError(f"argument {t} outside [0,1]")
-    xs = [p[0] for p in points]
-    i = bisect_right(xs, t) - 1
-    x, left, right = points[i]
-    if t == x:
-        return left
-    x1, l1, _ = points[i + 1]
-    return right + (l1 - right) * (t - x) / (x1 - x)
+    i = bisect_right(points, t, key=_X) - 1
+    if t == points[i][0]:
+        return points[i][side]
+    return _interpolate(points, i + 1, t)
+
+
+def _interpolate(points: Points, i: int, t: Fraction) -> Fraction:
+    """Value at t strictly inside the segment that ends at breakpoint i."""
+    x0, _, r0 = points[i - 1]
+    x1, l1, _ = points[i]
+    return r0 + (l1 - r0) * (t - x0) / (x1 - x0)
 
 
 def vertices(points: Points) -> list[tuple[Fraction, Fraction]]:
@@ -140,10 +147,39 @@ def reflect_vertices(
 
 
 def sup_distance(f: Points, g: Points) -> Fraction:
-    """Exact sup-norm distance; extrema occur at breakpoints or their left limits."""
+    """Exact sup-norm distance in one merge sweep over both breakpoint lists.
+
+    Between consecutive breakpoints of either list both functions are linear,
+    so the sup is attained at a breakpoint, as a value or a left limit.
+    """
     best = ZERO
-    for t in sorted({p[0] for p in f} | {p[0] for p in g}):
-        d = abs(value_at(f, t) - value_at(g, t))
-        dl = abs(left_limit_at(f, t) - left_limit_at(g, t))
-        best = max(best, d, dl)
+    for fl, fv, gl, gv in _merged(f, g):
+        best = max(best, abs(fv - gv), abs(fl - gl))
     return best
+
+
+def _merged(f: Points, g: Points):
+    """(f(t-), f(t), g(t-), g(t)) at each breakpoint t of f or g, in order.
+
+    One cursor per list points at its first breakpoint >= t; both lists start
+    at 0 and end at 1, so the cursors reach the end together.
+    """
+    i = j = 0
+    while i < len(f):
+        t = min(f[i][0], g[j][0])
+        fl, fv = _limits(f, i, t)
+        gl, gv = _limits(g, j, t)
+        yield fl, fv, gl, gv
+        if f[i][0] == t:
+            i += 1
+        if g[j][0] == t:
+            j += 1
+
+
+def _limits(points: Points, i: int, t: Fraction) -> tuple[Fraction, Fraction]:
+    """(left limit, value) at t, where points[i] is the first breakpoint >= t."""
+    x, left, right = points[i]
+    if x == t:
+        return left, right
+    v = _interpolate(points, i, t)
+    return v, v

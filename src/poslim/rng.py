@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidArgument
+
 _MASK64 = (1 << 64) - 1
 _MAX_INDEX = 1 << 48
 
@@ -53,7 +55,7 @@ class SeededRng:
 
     def _key(self, kind: int, index: int) -> list:
         if not 0 <= index < _MAX_INDEX:
-            raise ValueError(f"stream index out of range: {index}")
+            raise InvalidArgument(f"stream index out of range: {index}")
         return [self.seed & _MASK64, ((kind & 0xFFFF) << 48) | index]
 
     def raw(self, kind: int, count: int, index: int = 0) -> np.ndarray:

@@ -39,7 +39,7 @@ from .poset import (
     three_plus_one,
     two_plus_two,
 )
-from .pwl import ZERO, sup_distance
+from .pwl import ONE, ZERO, sup_distance
 from .recognition import is_semiorder
 from .rng import CONDITIONALS, EDGES, PAIRS, POINTS, SUBSETS, SeededRng
 from .semiorders import MonotoneRC, RateFunction, f_minus, f_plus, g_from_rate
@@ -214,16 +214,29 @@ def sample_interval_poset(
 
 
 def nu_empirical(p: FinitePoset, sign: Sign) -> StepCDF:
-    """Empirical CDF of normalised predecessor (minus) or successor counts."""
-    masks = p.pred if sign == "minus" else p.succ
-    counts: dict[int, int] = {}
-    for m in masks:
-        d = m.bit_count()
-        counts[d] = counts.get(d, 0) + 1
+    """Empirical CDF of normalised predecessor (minus) or successor counts.
+
+    Degrees are counted as integers and accumulated once; the CDF jumps by
+    count/n at each degree/n.
+    """
+    if sign == "minus":
+        masks = p.pred
+    elif sign == "plus":
+        masks = p.succ
+    else:
+        raise InvalidArgument(f"sign must be 'minus' or 'plus', got {sign!r}")
     n = p.n
-    return StepCDF.from_jumps(
-        [(Fraction(d, n), Fraction(c, n)) for d, c in counts.items()]
-    )
+    counts = [0] * n
+    for m in masks:
+        counts[m.bit_count()] += 1
+    pts = [] if counts[0] else [(ZERO, ZERO, ZERO)]
+    cum = 0
+    for d, c in enumerate(counts):
+        if c:
+            pts.append((Fraction(d, n), Fraction(cum, n), Fraction(cum + c, n)))
+            cum += c
+    pts.append((ONE, ONE, ONE))
+    return StepCDF.from_points(pts)
 
 
 def ks_distance(f: StepCDF, g: StepCDF) -> Fraction:

@@ -141,6 +141,13 @@ def test_rgo_and_converge(tmp_path, capsys):
     poset.read_poset(rf.read_text()).check_valid()
 
 
+def test_converge_takes_builtin_names(tmp_path, capsys):
+    code, out, _ = run(capsys, "converge", "--in", "chain3", "antichain4")
+    assert code == 0 and len(json.loads(out)["rows"]) == 2
+    code, _, err = run(capsys, "converge", "--in", "chain3", str(tmp_path / "missing.poset"))
+    assert code == 2 and "error" in err
+
+
 def test_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "density", "--q", "nosuch", "--p", "chain2", "--kind", "hom")
     assert code == 2 and "error" in err

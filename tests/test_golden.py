@@ -1,9 +1,10 @@
 """Byte-for-byte outputs of every writer and every CLI command on fixed inputs.
 
 `golden.json` next to this file holds the expected bytes: the text each
-writer returns, and for each CLI call its exit code, its stdout (or the file
+writer returns; for each CLI call its exit code, its stdout (or the file
 written with --out) and its stderr summary, with the temporary directory
-replaced by `<tmp>`.  Regenerate it only for an intended output change:
+replaced by `<tmp>`; and the exact Kolmogorov distances of acceptance
+criterion 4's three targets at n=4000.  Regenerate it only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -18,6 +19,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from poslim import cli, graphs, measures, poset, recognition, sampling, semiorders
+from poslim import textio
 from poslim.rng import SeededRng
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -36,6 +38,14 @@ ATOMS = measures.AtomicMeasure.from_atoms(
     [(0, F(1, 3), F(1, 4)), (F(1, 5), F(1, 2), F(1, 4)), (F(1, 2), 1, F(1, 2))]
 )
 RATE = semiorders.RateFunction.from_pieces([(0, F(1, 2), 4), (F(1, 2), 1, 1)])
+STAIRCASE = semiorders.MonotoneRC.from_points(
+    [
+        (0, F(2, 5), F(2, 5)),
+        (F(2, 5), F(2, 5), F(4, 5)),
+        (F(4, 5), F(4, 5), 1),
+        (1, 1, 1),
+    ]
+)
 
 
 def writer_outputs() -> dict[str, str]:
@@ -153,9 +163,30 @@ def cli_outputs(tmp: Path) -> dict[str, dict]:
     return {name: _cli(tmp, argv) for name, argv in calls.items()}
 
 
+def ks_outputs() -> dict[str, str]:
+    """`ks_for_target` of both degree CDFs for trial 0 of each criterion-4
+    target: one n=4000 sample from SeededRng(444).spawn(100 * target)."""
+    targets = {
+        "gc3/10": semiorders.gc(F(3, 10)),
+        "identity": semiorders.MonotoneRC.identity(),
+        "staircase": STAIRCASE,
+    }
+    out = {}
+    for gi, (name, g) in enumerate(targets.items()):
+        p = sampling.sample_kernel_poset(g, 4000, SeededRng(444).spawn(gi * 100))
+        for sign, f in (("minus", semiorders.f_minus(g)), ("plus", semiorders.f_plus(g))):
+            ks = sampling.ks_for_target(sampling.nu_empirical(p, sign), f)
+            out[f"{name}.{sign}"] = textio.format_rational(ks)
+    return out
+
+
 def all_outputs() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        return {"writers": writer_outputs(), "cli": cli_outputs(Path(tmp))}
+        return {
+            "writers": writer_outputs(),
+            "cli": cli_outputs(Path(tmp)),
+            "ks": ks_outputs(),
+        }
 
 
 def test_outputs_byte_identical():
@@ -167,6 +198,7 @@ def test_outputs_byte_identical():
     assert got["cli"].keys() == expected["cli"].keys()
     for name, result in expected["cli"].items():
         assert got["cli"][name] == result, name
+    assert got["ks"] == expected["ks"]
 
 
 if __name__ == "__main__":

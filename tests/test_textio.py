@@ -6,7 +6,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from poslim import cli, graphs, measures, poset, recognition, sampling, semiorders
+from poslim import cli, densities, graphs, measures, poset, recognition, sampling
+from poslim import semiorders
 from poslim import textio
 from poslim.errors import FormatError, InvalidArgument, PoslimError
 from poslim.rng import SeededRng
@@ -171,6 +172,32 @@ def test_cli_bad_statistical_argument_exits_2(tmp_path, capsys, extra):
 def test_c_parameter_rejects_empty():
     with pytest.raises(InvalidArgument):
         sampling.c_parameter(0, 0.5)
+
+
+_CHAIN = poset.chain(3)
+_NU = measures.StepCDF.from_jumps([(F(1, 2), 1)])
+_ATOMS = measures.AtomicMeasure.dirac(0, 1)
+
+LIBRARY_ARGUMENT_FAULTS = {
+    "degree.sign": lambda: poset.degree(_CHAIN, 0, "up"),
+    "count_maps.kind": lambda: densities.count_maps(_CHAIN, _CHAIN, "iso"),
+    "moment_identity_check.k": lambda: densities.moment_identity_check(_CHAIN, 0, "minus"),
+    "kernel_density_mc.samples": lambda: densities.kernel_density_mc(
+        _CHAIN, semiorders.MonotoneRC.identity(), 99, 1
+    ),
+    "h_map.variant": lambda: measures.h_map(_NU, F(1, 4), "bar_minus"),
+    "push_h.variant": lambda: measures.push_h(_ATOMS, "plus"),
+    "SeededRng._key.index": lambda: SeededRng(1).uniforms(1, 3, index=-1),
+    "nu_empirical.sign": lambda: sampling.nu_empirical(_CHAIN, "both"),
+}
+
+
+@pytest.mark.parametrize(
+    "call", LIBRARY_ARGUMENT_FAULTS.values(), ids=LIBRARY_ARGUMENT_FAULTS.keys()
+)
+def test_library_argument_check_raises_invalid_argument(call):
+    with pytest.raises(InvalidArgument):
+        call()
 
 
 # -- fuzz: any text parses or raises a PoslimError -----------------------------
