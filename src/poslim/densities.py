@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Literal
+from typing import Literal, Sequence
 
 from .errors import BudgetExceeded, InvalidArgument
 from .measures import AtomicMeasure, StepKernelMeasure
 from .poset import FinitePoset, _bits, in_star, out_star
 from .rng import MC_TUPLES, SeededRng
+from .sampling import interval_model, poset_from_intervals
 from .semiorders import MonotoneRC, RateFunction
 
 Kind = Literal["hom", "inj", "ind"]
@@ -23,46 +24,65 @@ Kind = Literal["hom", "inj", "ind"]
 _ATOMIC_BUDGET = 10**7
 
 
-def count_maps(q: FinitePoset, p: FinitePoset, kind: Kind) -> int:
-    """Number of maps q -> p of the requested kind, exact."""
-    if kind not in ("hom", "inj", "ind"):
-        raise InvalidArgument(f"kind must be hom/inj/ind, got {kind!r}")
-    nq, np_ = q.n, p.n
-    if kind != "hom" and nq > np_:
-        return 0
-    full = (1 << np_) - 1
-    incomp_p = [full & ~(p.succ[i] | p.pred[i] | (1 << i)) for i in range(np_)]
-    # place the most constrained pattern points first
-    order = sorted(
-        range(nq),
-        key=lambda v: -(q.succ[v].bit_count() + q.pred[v].bit_count()),
-    )
-    image = [0] * nq
-    injective = kind != "hom"
+def _count_maps(
+    less: Sequence[int],
+    greater: Sequence[int],
+    above: Sequence[int],
+    below: Sequence[int],
+    apart: Sequence[int] | None,
+    injective: bool,
+    weights: Sequence | None = None,
+):
+    """Weighted number of maps phi from pattern points to target points.
 
-    def rec(idx: int, used: int) -> int:
+    Pattern point u is below v iff bit v of ``less[u]`` is set, above v iff
+    bit v of ``greater[u]`` is set; phi(v) must then lie in ``above[phi(u)]``
+    or ``below[phi(u)]``.  Any other pair must land in ``apart[phi(u)]``
+    unless `apart` is None, and images must be distinct when `injective`.
+    Each map counts the product of ``weights`` over its images (1 when
+    `weights` is None).  Points are placed most constrained first, each
+    narrowing a candidate bitmask by the rows of its placed neighbours.
+    """
+    nq = len(less)
+    full = (1 << len(above)) - 1
+    w = weights if weights is not None else [1] * len(above)
+    order = sorted(range(nq), key=lambda v: -(less[v].bit_count() + greater[v].bit_count()))
+    image = [0] * nq
+
+    def rec(idx: int, used: int):
         if idx == nq:
             return 1
         v = order[idx]
         cand = full & ~used if injective else full
-        for k_idx in range(idx):
-            u = order[k_idx]
-            target = image[u]
-            if q.less(u, v):
-                cand &= p.succ[target]
-            elif q.less(v, u):
-                cand &= p.pred[target]
-            elif kind == "ind":
-                cand &= incomp_p[target]
+        for u in order[:idx]:
+            if (less[u] >> v) & 1:
+                cand &= above[image[u]]
+            elif (greater[u] >> v) & 1:
+                cand &= below[image[u]]
+            elif apart is not None:
+                cand &= apart[image[u]]
             if not cand:
                 return 0
         total = 0
         for j in _bits(cand):
             image[v] = j
-            total += rec(idx + 1, used | (1 << j))
+            total += w[j] * rec(idx + 1, used | (1 << j))
         return total
 
     return rec(0, 0)
+
+
+def count_maps(q: FinitePoset, p: FinitePoset, kind: Kind) -> int:
+    """Number of maps q -> p of the requested kind, exact."""
+    if kind not in ("hom", "inj", "ind"):
+        raise InvalidArgument(f"kind must be hom/inj/ind, got {kind!r}")
+    if kind != "hom" and q.n > p.n:
+        return 0
+    apart = None
+    if kind == "ind":
+        full = (1 << p.n) - 1
+        apart = [full & ~(p.succ[i] | p.pred[i] | (1 << i)) for i in range(p.n)]
+    return _count_maps(q.succ, q.pred, p.succ, p.pred, apart, kind != "hom")
 
 
 def density(q: FinitePoset, p: FinitePoset, kind: Kind) -> Fraction:
@@ -88,10 +108,13 @@ def moment_identity_check(
     """
     if not 1 <= k <= 4:
         raise InvalidArgument("k must be in 1..4")
-    masks = p.pred if sign == "minus" else p.succ
-    n = p.n
-    moment = Fraction(sum(m.bit_count() ** k for m in masks), n ** (k + 1))
-    star = in_star(k) if sign == "minus" else out_star(k)
+    if sign == "minus":
+        masks, star = p.pred, in_star(k)
+    elif sign == "plus":
+        masks, star = p.succ, out_star(k)
+    else:
+        raise InvalidArgument(f"sign must be 'minus' or 'plus', got {sign!r}")
+    moment = Fraction(sum(m.bit_count() ** k for m in masks), p.n ** (k + 1))
     return moment, density(star, p, "hom")
 
 
@@ -112,8 +135,6 @@ def kernel_density_mc(
     Sample t uses positions t*|q| .. t*|q|+|q|-1 of the tuple stream, so the
     estimate is independent of how samples are split across workers.
     """
-    from .sampling import interval_model  # deferred; no cycle at call time
-
     if samples < 100:
         raise InvalidArgument("samples must be at least 100")
     rng = seed if isinstance(seed, SeededRng) else SeededRng(seed)
@@ -160,35 +181,9 @@ def kernel_density_mc(
 def kernel_density_atomic(q: FinitePoset, mu: AtomicMeasure) -> Fraction:
     """Exact homomorphism density of q against a finitely supported measure."""
     atoms = mu.atoms
-    m = len(atoms)
-    if m**q.n > _ATOMIC_BUDGET:
-        raise BudgetExceeded(f"{m}^{q.n} support tuples exceed the budget")
-    nq = q.n
-    order = sorted(
-        range(nq),
-        key=lambda v: -(q.succ[v].bit_count() + q.pred[v].bit_count()),
-    )
-    choice = [0] * nq
-
-    def rec(idx: int, weight: Fraction) -> Fraction:
-        if idx == nq:
-            return weight
-        v = order[idx]
-        total = Fraction(0)
-        for a in range(m):
-            ok = True
-            for k_idx in range(idx):
-                u = order[k_idx]
-                b = choice[u]
-                if q.less(u, v) and not atoms[b][1] < atoms[a][0]:
-                    ok = False
-                    break
-                if q.less(v, u) and not atoms[a][1] < atoms[b][0]:
-                    ok = False
-                    break
-            if ok:
-                choice[v] = a
-                total += rec(idx + 1, weight * atoms[a][2])
-        return total
-
-    return rec(0, Fraction(1))
+    if len(atoms) ** q.n > _ATOMIC_BUDGET:
+        raise BudgetExceeded(f"{len(atoms)}^{q.n} support tuples exceed the budget")
+    # atom a precedes atom b iff its interval ends before b's begins
+    p = poset_from_intervals([(x, y) for x, y, _ in atoms])
+    weights = [w for _, _, w in atoms]
+    return Fraction(_count_maps(q.succ, q.pred, p.succ, p.pred, None, False, weights))

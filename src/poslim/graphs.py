@@ -15,7 +15,8 @@ from typing import Iterable
 
 from . import textio
 from .errors import InvariantError, SizeLimit
-from .poset import FinitePoset, _bits, transitive_closure
+from .densities import _count_maps
+from .poset import FinitePoset, _bits, _canonical_rows, transitive_closure
 
 _PATTERN_MAX = 5
 
@@ -78,34 +79,11 @@ def incomparability_graph(p: FinitePoset) -> SimpleGraph:
 
 
 def count_induced_embeddings(f: SimpleGraph, g: SimpleGraph) -> int:
-    nf, ng = f.n, g.n
-    if nf > ng:
+    if f.n > g.n:
         return 0
-    full = (1 << ng) - 1
-    order = sorted(range(nf), key=lambda v: -f.adj[v].bit_count())
-    image = [0] * nf
-
-    def rec(idx: int, used: int) -> int:
-        if idx == nf:
-            return 1
-        v = order[idx]
-        cand = full & ~used
-        for k_idx in range(idx):
-            u = order[k_idx]
-            t = image[u]
-            if f.has_edge(u, v):
-                cand &= g.adj[t]
-            else:
-                cand &= ~g.adj[t]
-            if not cand:
-                return 0
-        total = 0
-        for j in _bits(cand):
-            image[v] = j
-            total += rec(idx + 1, used | (1 << j))
-        return total
-
-    return rec(0, 0)
+    full = (1 << g.n) - 1
+    apart = [full & ~(g.adj[i] | (1 << i)) for i in range(g.n)]
+    return _count_maps(f.adj, f.adj, g.adj, g.adj, apart, True)
 
 
 def graph_t_ind(f: SimpleGraph, g: SimpleGraph) -> Fraction:
@@ -160,18 +138,7 @@ def enumerate_graphs(max_size: int) -> list[SimpleGraph]:
 
 
 def _graph_canonical_key(g: SimpleGraph) -> tuple[int, ...]:
-    best = None
-    for perm in itertools.permutations(range(g.n)):
-        pos = [0] * g.n
-        for new_idx, old_idx in enumerate(perm):
-            pos[old_idx] = new_idx
-        key = tuple(
-            sum(1 << pos[j] for j in _bits(g.adj[old])) for old in perm
-        )
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best
+    return _canonical_rows(g.n, g.adj, g.adj)
 
 
 # -- text format --------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -275,22 +275,22 @@ def is_isomorphic(p: FinitePoset, q: FinitePoset) -> bool:
 # -- canonical form and enumeration -----------------------------------------
 
 
-def _refined_colors(p: FinitePoset) -> list:
-    colors: list = _profiles(p)
-    for _ in range(p.n):
+def _refined_colors(n: int, succ: Sequence[int], pred: Sequence[int]) -> list:
+    colors: list = [(pred[i].bit_count(), succ[i].bit_count()) for i in range(n)]
+    for _ in range(n):
         new = [
             (
                 colors[i],
-                tuple(sorted(colors[j] for j in _bits(p.succ[i]))),
-                tuple(sorted(colors[j] for j in _bits(p.pred[i]))),
+                tuple(sorted(colors[j] for j in _bits(succ[i]))),
+                tuple(sorted(colors[j] for j in _bits(pred[i]))),
             )
-            for i in range(p.n)
+            for i in range(n)
         ]
         ranks = {c: r for r, c in enumerate(sorted(set(new)))}
         new_ranked = [ranks[c] for c in new]
         if all(
             (new_ranked[i] == new_ranked[j]) == (colors[i] == colors[j])
-            for i in range(p.n)
+            for i in range(n)
             for j in range(i)
         ):
             return colors
@@ -298,13 +298,10 @@ def _refined_colors(p: FinitePoset) -> list:
     return colors
 
 
-def canonical_key(p: FinitePoset) -> tuple[int, tuple[int, ...]]:
-    """Minimum relation-matrix encoding over colour-respecting relabelings.
-
-    Complete invariant: two posets have equal keys iff isomorphic.
-    """
-    n = p.n
-    colors = _refined_colors(p)
+def _canonical_rows(n: int, succ: Sequence[int], pred: Sequence[int]) -> tuple[int, ...]:
+    """Minimum relabelled `succ` rows over relabelings that respect the
+    colour refinement of the relation (`pred` is its transpose)."""
+    colors = _refined_colors(n, succ, pred)
     blocks: dict = {}
     for i in range(n):
         blocks.setdefault(colors[i], []).append(i)
@@ -318,12 +315,20 @@ def canonical_key(p: FinitePoset) -> tuple[int, tuple[int, ...]]:
         for new_idx, old_idx in enumerate(old_order):
             pos[old_idx] = new_idx
         key = tuple(
-            sum(1 << pos[j] for j in _bits(p.succ[old_order[i]])) for i in range(n)
+            sum(1 << pos[j] for j in _bits(succ[old_order[i]])) for i in range(n)
         )
         if best is None or key < best:
             best = key
     assert best is not None
-    return (n, best)
+    return best
+
+
+def canonical_key(p: FinitePoset) -> tuple[int, tuple[int, ...]]:
+    """Minimum relation-matrix encoding over colour-respecting relabelings.
+
+    Complete invariant: two posets have equal keys iff isomorphic.
+    """
+    return (p.n, _canonical_rows(p.n, p.succ, p.pred))
 
 
 @dataclass(frozen=True)
@@ -344,12 +349,15 @@ class PosetCatalog:
     def ids(self) -> list[str]:
         return [self.class_id(i) for i in range(len(self.classes))]
 
+    @cached_property
+    def _index(self) -> dict:
+        return {canonical_key(q): i for i, q in enumerate(self.classes)}
+
     def index_of(self, p: FinitePoset) -> int:
-        key = canonical_key(p)
-        for i, q in enumerate(self.classes):
-            if q.n == p.n and canonical_key(q) == key:
-                return i
-        raise KeyError("poset not in catalog")
+        idx = self._index.get(canonical_key(p))
+        if idx is None:
+            raise KeyError("poset not in catalog")
+        return idx
 
 
 def _downclosed_subsets(p: FinitePoset) -> list[int]:

@@ -14,6 +14,7 @@ kernel uses them and gets its output validated.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from bisect import bisect_left, bisect_right
@@ -25,12 +26,10 @@ from typing import Iterable, Literal, Sequence, Union
 import numpy as np
 
 from . import textio
-from .densities import automorphism_count, density
-from .errors import InvalidArgument, NotTransitive, SizeLimit
+from .errors import InvalidArgument, InvariantError, NotTransitive, SizeLimit
 from .measures import AtomicMeasure, StepCDF, StepKernelMeasure
 from .poset import (
     FinitePoset,
-    PosetCatalog,
     _bits,
     _transpose_masks,
     cached_catalog,
@@ -177,7 +176,10 @@ def sample_kernel_poset(
                     m |= 1 << j
             masks.append(m)
         out = FinitePoset(n, tuple(masks), _transpose_masks(masks, n))
-        _check_strict_order(out)
+        try:
+            out.check_valid()
+        except InvariantError as e:
+            raise NotTransitive(f"sampled relation is not a strict order: {e}") from e
         return out
     mdl = interval_model(kernel)
     u1 = rng.uniforms(POINTS, n)
@@ -190,15 +192,6 @@ def sample_kernel_poset(
     if validate:
         out.check_valid()
     return out
-
-
-def _check_strict_order(p: FinitePoset) -> None:
-    for i in range(p.n):
-        if (p.succ[i] >> i) & 1 or (p.succ[i] & p.pred[i]):
-            raise NotTransitive(f"relation not antisymmetric at point {i}")
-        for j in _bits(p.succ[i]):
-            if p.succ[j] & ~p.succ[i]:
-                raise NotTransitive(f"relation not transitive through ({i},{j})")
 
 
 def sample_interval_poset(
@@ -308,52 +301,59 @@ def _class_label(q: FinitePoset) -> str:
     return ""
 
 
-@lru_cache(maxsize=8)
-def _catalog_with_labels(max_q: int) -> tuple[PosetCatalog, tuple[str, ...]]:
-    cat = cached_catalog(max_q)
-    labels = tuple(_class_label(q) for q in cat.classes)
-    return cat, labels
-
-
 def fingerprint(p: FinitePoset, max_q: int) -> Fingerprint:
-    """Exact induced densities of every catalog pattern up to size max_q."""
+    """Exact induced densities of every catalog pattern up to size max_q.
+
+    Every s-subset of points is classified by its labelled pattern; a class
+    met by c subsets has c * |Aut| induced embeddings out of (n)_s maps.
+    """
     if max_q > _FINGERPRINT_MAX:
         raise SizeLimit(f"fingerprint patterns capped at size {_FINGERPRINT_MAX}")
-    cat, labels = _catalog_with_labels(max_q)
     entries = []
-    for idx, q in enumerate(cat.classes):
-        entries.append(
-            FingerprintEntry(
-                cat.class_id(idx), labels[idx], density(q, p, "ind"), Fraction(0)
-            )
-        )
+    for s in range(1, max_q + 1):
+        table, auts, ids, labs = _pattern_key_table(s)
+        counts = [0] * len(auts)
+        for idx in itertools.combinations(range(p.n), s):
+            counts[table[_pattern_key(p.succ, idx)]] += 1
+        maps = math.perm(p.n, s)  # 0 when s > n, and then every count is 0
+        for pos, c in enumerate(counts):
+            value = Fraction(c * auts[pos], maps) if c else Fraction(0)
+            entries.append(FingerprintEntry(ids[pos], labs[pos], value, Fraction(0)))
     return Fingerprint(max_q, tuple(entries))
+
+
+def _pattern_key(succ: Sequence[int], idx: Sequence[int]) -> int:
+    """Labelled pattern of the point tuple idx: bit u*s+v iff idx[u] < idx[v]."""
+    key = 0
+    bit = 1
+    for a in idx:
+        row = succ[a]
+        for b in idx:
+            if (row >> b) & 1:
+                key |= bit
+            bit <<= 1
+    return key
 
 
 @lru_cache(maxsize=8)
 def _pattern_key_table(s: int) -> tuple[dict[int, int], list[int], list[str], list[str]]:
-    """key -> class position among size-s catalog classes, plus Aut counts."""
-    cat, labels = _catalog_with_labels(s)
-    classes = [
-        (i, q) for i, q in enumerate(cat.classes) if q.n == s
-    ]
+    """key -> class position among size-s catalog classes, plus Aut counts.
+
+    A class with k distinct labelled keys has s!/k automorphisms.
+    """
+    cat = cached_catalog(s)
     table: dict[int, int] = {}
     auts: list[int] = []
     ids: list[str] = []
     labs: list[str] = []
-    import itertools as _it
-
-    for pos, (idx, q) in enumerate(classes):
-        auts.append(automorphism_count(q))
+    for idx, q in enumerate(cat.classes):
+        if q.n != s:
+            continue
+        keys = {_pattern_key(q.succ, perm) for perm in itertools.permutations(range(s))}
+        table.update(dict.fromkeys(keys, len(auts)))
+        auts.append(math.factorial(s) // len(keys))
         ids.append(cat.class_id(idx))
-        labs.append(labels[idx])
-        for perm in _it.permutations(range(s)):
-            key = 0
-            for u in range(s):
-                for v in range(s):
-                    if u != v and q.less(perm[u], perm[v]):
-                        key |= 1 << (u * s + v)
-            table[key] = pos
+        labs.append(_class_label(q))
     return table, auts, ids, labs
 
 
@@ -390,13 +390,7 @@ def fingerprint_estimate(
             cursor += s
             if len(set(idx)) != s:
                 continue
-            key = 0
-            for u in range(s):
-                su = p.succ[idx[u]]
-                for v in range(s):
-                    if u != v and (su >> idx[v]) & 1:
-                        key |= 1 << (u * s + v)
-            counts[table[key]] += 1
+            counts[table[_pattern_key(p.succ, idx)]] += 1
             drawn += 1
         fact = math.factorial(s)
         for pos in range(len(auts)):

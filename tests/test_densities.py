@@ -1,6 +1,8 @@
 import itertools
+import math
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -147,6 +149,33 @@ def test_kernel_density_atomic_examples():
     )
     assert de.kernel_density_atomic(c2, mu) == Fraction(1, 4)
     assert de.kernel_density_atomic(ps.antichain(2), mu) == 1
+
+
+@st.composite
+def atomic_measures(draw):
+    """Random AtomicMeasure; small denominators make shared endpoints likely."""
+    ends = st.fractions(min_value=0, max_value=1, max_denominator=4)
+    atoms = []
+    for _ in range(draw(st.integers(1, 4))):
+        x, y = sorted((draw(ends), draw(ends)))
+        atoms.append((x, y, draw(st.integers(1, 5))))
+    total = sum(w for _, _, w in atoms)
+    return AtomicMeasure.from_atoms([(x, y, Fraction(w, total)) for x, y, w in atoms])
+
+
+def ref_atomic_density(q, mu):
+    """Weighted sum over all atom tuples whose intervals realise q's relations."""
+    total = Fraction(0)
+    for phi in itertools.product(mu.atoms, repeat=q.n):
+        if all(phi[a][1] < phi[b][0] for a, b in q.relation_pairs()):
+            total += math.prod(atom[2] for atom in phi)
+    return total
+
+
+@given(posets(max_n=4), atomic_measures())
+@settings(max_examples=60, deadline=None)
+def test_kernel_density_atomic_matches_bruteforce(q, mu):
+    assert de.kernel_density_atomic(q, mu) == ref_atomic_density(q, mu)
 
 
 def test_kernel_density_atomic_budget():

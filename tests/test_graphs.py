@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -39,8 +40,32 @@ def test_graph_t_ind_examples():
 
 
 def test_enumerate_graphs_counts():
-    allg = gr.enumerate_graphs(4)
-    assert [sum(1 for g in allg if g.n == k) for k in range(1, 5)] == [1, 2, 4, 11]
+    allg = gr.enumerate_graphs(5)
+    assert [sum(1 for g in allg if g.n == k) for k in range(1, 6)] == [1, 2, 4, 11, 34]
+
+
+@st.composite
+def graphs(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return gr.SimpleGraph.from_edges(n, [e for e in pairs if draw(st.booleans())])
+
+
+def ref_induced_embeddings(f, g):
+    """Brute force over all injective maps f -> g that keep edges and non-edges."""
+    return sum(
+        all(
+            f.has_edge(a, b) == g.has_edge(phi[a], phi[b])
+            for a, b in itertools.combinations(range(f.n), 2)
+        )
+        for phi in itertools.permutations(range(g.n), f.n)
+    )
+
+
+@given(graphs(max_n=4), graphs(max_n=6))
+@settings(max_examples=60, deadline=None)
+def test_induced_embeddings_match_bruteforce(f, g):
+    assert gr.count_induced_embeddings(f, g) == ref_induced_embeddings(f, g)
 
 
 def test_complement_identity_small():

@@ -119,6 +119,14 @@ def test_catalog_no_duplicates(catalog5):
         assert not ps.is_isomorphic(a, b)
 
 
+def test_index_of(catalog5):
+    for i, p in enumerate(catalog5.classes):
+        assert catalog5.index_of(p) == i
+        assert catalog5.index_of(ps.induced(p, reversed(range(p.n)))) == i
+    with pytest.raises(KeyError):
+        catalog5.index_of(ps.chain(6))
+
+
 def test_catalog_size_limit():
     with pytest.raises(SizeLimit):
         ps.enumerate_posets(8)

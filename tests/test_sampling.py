@@ -2,6 +2,7 @@ import math
 import warnings
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -14,7 +15,7 @@ from poslim.errors import NotTransitive, SizeLimit
 from poslim.measures import AtomicMeasure, StepCDF, StepKernelMeasure
 from poslim.rng import SeededRng
 
-from conftest import monotone_gs
+from conftest import monotone_gs, posets
 
 TWO_CELL = StepKernelMeasure.from_cells(
     [(0, F(1, 2), [(F(1, 2), 1)]), (F(1, 2), 1, [(1, 1)])]
@@ -138,6 +139,25 @@ def test_fingerprint_exact(catalog4):
     assert {e.label: e.value for e in fc.entries}["chain2"] == F(1, 2)
     with pytest.raises(SizeLimit):
         sa.fingerprint(h, 6)
+
+
+def assert_fingerprint_matches_density(p, max_q):
+    cat = ps.cached_catalog(max_q)
+    fp = sa.fingerprint(p, max_q)
+    assert [e.poset_id for e in fp.entries] == cat.ids()
+    for q, e in zip(cat.classes, fp.entries):
+        assert e.value == de.density(q, p, "ind"), (e.poset_id, p)
+
+
+@given(posets(), st.integers(1, 5))
+@settings(max_examples=40, deadline=None)
+def test_fingerprint_matches_density(p, max_q):
+    assert_fingerprint_matches_density(p, max_q)
+
+
+def test_fingerprint_matches_density_sampled():
+    p = sa.sample_kernel_poset(so.gc(F(3, 10)), 40, SeededRng(31))
+    assert_fingerprint_matches_density(p, 4)
 
 
 def test_fingerprint_estimate_matches_exact():

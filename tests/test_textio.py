@@ -182,6 +182,7 @@ LIBRARY_ARGUMENT_FAULTS = {
     "degree.sign": lambda: poset.degree(_CHAIN, 0, "up"),
     "count_maps.kind": lambda: densities.count_maps(_CHAIN, _CHAIN, "iso"),
     "moment_identity_check.k": lambda: densities.moment_identity_check(_CHAIN, 0, "minus"),
+    "moment_identity_check.sign": lambda: densities.moment_identity_check(_CHAIN, 1, "both"),
     "kernel_density_mc.samples": lambda: densities.kernel_density_mc(
         _CHAIN, semiorders.MonotoneRC.identity(), 99, 1
     ),
