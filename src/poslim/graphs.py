@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import textio
-from .errors import InvariantError, SizeLimit
+from .errors import CycleError, InvariantError, SizeLimit
 from .densities import _count_maps
 from .poset import FinitePoset, _bits, _canonical_rows, transitive_closure
 
@@ -110,10 +110,11 @@ def poset_orientations(f: SimpleGraph) -> list[FinitePoset]:
                 masks[i] |= 1 << j
             else:
                 masks[j] |= 1 << i
-        closed = transitive_closure(masks)
-        if closed != masks:
+        try:
+            closed = transitive_closure([list(_bits(m)) for m in masks])
+        except CycleError:
             continue
-        if any((closed[i] >> i) & 1 for i in range(f.n)):
+        if closed != masks:
             continue
         out.append(FinitePoset.from_succ_masks(masks, validate=False))
     return out

@@ -2,10 +2,14 @@
 
 The forbidden patterns are 2+2 (two disjoint comparable pairs with all cross
 pairs incomparable) for interval orders, plus 3+1 (a 3-chain with a point
-incomparable to all of it) for semiorders.  `is_interval_order` and
-`is_semiorder` search for the pattern directly; `downset_chain_check` is the
-independent classical route (predecessor sets totally ordered by inclusion)
-that the test suite cross-checks against.
+incomparable to all of it) for semiorders.  The tests use the Fishburn and
+Scott-Suppes view instead of a pattern search: an order is an interval
+order iff its down-sets form a chain under inclusion, and such an order is a
+semiorder iff no point has both a strictly larger down-set and a strictly
+larger up-set than another.  Each test is a sort and a scan, O(n log n)
+steps of at most n/64 words.  `find_two_plus_two` and `find_three_plus_one`
+scan all O(n^2) point pairs; they build the witness of `NotIntervalOrder`
+and serve the test suite as oracles.
 """
 
 from __future__ import annotations
@@ -58,21 +62,39 @@ def find_three_plus_one(p: FinitePoset) -> tuple[int, int, int, int] | None:
 
 
 def is_interval_order(p: FinitePoset) -> bool:
-    """True iff the induced 2+2 density is zero."""
-    return find_two_plus_two(p) is None
-
-
-def is_semiorder(p: FinitePoset) -> bool:
-    """True iff both induced 2+2 and induced 3+1 densities are zero."""
-    return find_two_plus_two(p) is None and find_three_plus_one(p) is None
-
-
-def downset_chain_check(p: FinitePoset) -> bool:
-    """Classical interval-order test: {D(x)} is a chain under inclusion."""
+    """True iff the down-sets form a chain under inclusion (no induced 2+2)."""
     rows = sorted(set(p.pred), key=lambda m: (m.bit_count(), m))
     for a, b in zip(rows, rows[1:]):
         if a & ~b:
             return False
+    return True
+
+
+# the classical name of the same test
+downset_chain_check = is_interval_order
+
+
+def is_semiorder(p: FinitePoset) -> bool:
+    """True iff p is an interval order without an induced 3+1.
+
+    In an interval order the down-sets and the up-sets each form an
+    inclusion chain, so a strictly larger set is one of strictly larger
+    size.  A point x with D(x) < D(y) and U(x) < U(y) gives the 3+1
+    a < y < b, x, for any a in D(y) - D(x) and b in U(y) - U(x), and a 3+1
+    x < y < z, w gives such a pair (w, y).  Points sorted by (|D|, -|U|)
+    contain such a pair iff some |U| exceeds the least |U| before it.
+    """
+    if not is_interval_order(p):
+        return False
+    points = sorted(
+        zip(map(int.bit_count, p.pred), map(int.bit_count, p.succ)),
+        key=lambda du: (du[0], -du[1]),
+    )
+    least_up = p.n
+    for _, up in points:
+        if up > least_up:
+            return False
+        least_up = up
     return True
 
 
@@ -98,36 +120,36 @@ def interval_representation(p: FinitePoset) -> IntervalRepresentation:
     index); for interval orders every successor set is then a rank suffix,
     which makes the realization biconditional hold.  For semiorders the
     right endpoints come out nondecreasing in rank order; both facts are
-    re-checked at runtime.
+    re-checked at runtime, the first as one mask comparison per point.
     """
-    witness = find_two_plus_two(p)
-    if witness is not None:
-        raise NotIntervalOrder(f"induced 2+2 on points {witness}")
+    if not is_interval_order(p):
+        raise NotIntervalOrder(f"induced 2+2 on points {find_two_plus_two(p)}")
     n = p.n
-    order = sorted(
-        range(n),
-        key=lambda i: (p.pred[i].bit_count(), -p.succ[i].bit_count(), i),
-    )
+    downs = [m.bit_count() for m in p.pred]
+    ups = [m.bit_count() for m in p.succ]
+    order = sorted(range(n), key=lambda i: (downs[i], -ups[i], i))
     rank = [0] * n
     for pos, i in enumerate(order):
         rank[i] = pos + 1
     a = [Fraction(rank[i], n) for i in range(n)]
-    b: list[Fraction] = []
-    for i in range(n):
-        if p.succ[i]:
-            m = min(rank[j] for j in _bits(p.succ[i]))
-            b.append(Fraction(m - 1, n))
-        else:
-            b.append(Fraction(1))
+    # succ(i) is the rank suffix above n - |succ(i)|, so b[i] sits one grid
+    # step below its smallest rank (b = 1 if succ(i) is empty)
+    b = [Fraction(n - ups[i], n) for i in range(n)]
     rep = IntervalRepresentation(n, tuple(rank), tuple(a), tuple(b))
+    # b[i] < a[j] iff j is in suffix[n - |succ(i)|], so the realization
+    # biconditional of row i is one mask comparison
+    suffix = [0] * (n + 1)
+    for pos in reversed(range(n)):
+        suffix[pos] = suffix[pos + 1] | (1 << order[pos])
     for i in range(n):
-        if a[i] > b[i]:
+        if rank[i] > n - ups[i]:  # a[i] > b[i]
             raise InternalInvariantError(f"interval {i} is empty")
-        for j in range(n):
-            if i != j and (b[i] < a[j]) != p.less(i, j):
-                raise InternalInvariantError(
-                    f"representation does not realize the pair ({i},{j})"
-                )
+        wrong = p.succ[i] ^ suffix[n - ups[i]]
+        if wrong:
+            j = (wrong & -wrong).bit_length() - 1
+            raise InternalInvariantError(
+                f"representation does not realize the pair ({i},{j})"
+            )
     if is_semiorder(p):
         ordered_b = [b[i] for i in order]
         if any(x > y for x, y in zip(ordered_b, ordered_b[1:])):

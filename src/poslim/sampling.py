@@ -26,7 +26,13 @@ from typing import Iterable, Literal, Sequence, Union
 import numpy as np
 
 from . import textio
-from .errors import InvalidArgument, InvariantError, NotTransitive, SizeLimit
+from .errors import (
+    BudgetExceeded,
+    InvalidArgument,
+    InvariantError,
+    NotTransitive,
+    SizeLimit,
+)
 from .measures import AtomicMeasure, StepCDF, StepKernelMeasure
 from .poset import (
     FinitePoset,
@@ -46,7 +52,6 @@ from .semiorders import MonotoneRC, RateFunction, f_minus, f_plus, g_from_rate
 Sign = Literal["minus", "plus"]
 SamplerModel = Union[MonotoneRC, RateFunction, StepKernelMeasure, AtomicMeasure]
 
-_RGO_CAP = 5000
 _FINGERPRINT_MAX = 5
 
 
@@ -160,9 +165,12 @@ def sample_kernel_poset(
     CONDITIONALS when the model needs two uniforms).  A raw callable kernel
     W(x, y) -> [0,1] additionally reads position j of PAIRS stream i for the
     pair (i, j) and has its output checked (NotTransitive on failure).
+    n above `textio.MAX_POINTS` raises SizeLimit before anything is drawn.
     """
     if n < 1:
         raise InvalidArgument("n must be at least 1")
+    if n > textio.MAX_POINTS:
+        raise SizeLimit(f"sampled posets capped at {textio.MAX_POINTS} points")
     if callable(kernel) and not isinstance(
         kernel, (MonotoneRC, RateFunction, StepKernelMeasure, AtomicMeasure)
     ):
@@ -369,7 +377,9 @@ def fingerprint_estimate(
     For each pattern size s, `subsets` ordered s-tuples of distinct points
     are drawn; the frequency of each labelled pattern class, scaled by
     |Aut| / s!, estimates the induced density.  Intended for posets too large
-    for exact counting.
+    for exact counting.  Each size draws from 4 * subsets tuples; if fewer
+    than `subsets` of them have distinct points (n small next to s), it
+    raises BudgetExceeded.
     """
     if max_q > _FINGERPRINT_MAX:
         raise SizeLimit(f"fingerprint patterns capped at size {_FINGERPRINT_MAX}")
@@ -385,7 +395,10 @@ def fingerprint_estimate(
         drawn = 0
         while drawn < subsets:
             if cursor + s > len(us):
-                raise RuntimeError("subset draw budget exhausted")
+                raise BudgetExceeded(
+                    f"{len(us) // s} random {s}-tuples of {n} points gave fewer "
+                    f"than subsets={subsets} with {s} distinct points"
+                )
             idx = [min(int(u * n), n - 1) for u in us[cursor : cursor + s]]
             cursor += s
             if len(set(idx)) != s:
@@ -442,8 +455,8 @@ def random_graph_order(n: int, p, rng: SeededRng) -> FinitePoset:
         raise InvalidArgument("p must be in (0, 1]")
     if n < 1:
         raise InvalidArgument("n must be at least 1")
-    if n > _RGO_CAP:
-        raise SizeLimit(f"random graph orders capped at {_RGO_CAP} points")
+    if n > textio.MAX_POINTS:
+        raise SizeLimit(f"random graph orders capped at {textio.MAX_POINTS} points")
     direct = []
     for i in range(n):
         row = rng.uniforms(EDGES, n, index=i)

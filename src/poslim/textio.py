@@ -16,7 +16,12 @@ import json
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
-from .errors import FormatError
+from .errors import FormatError, SizeLimit
+
+# The most points a poset or graph may have, checked on a file's header count
+# before its rows are read and on a sampler's n before anything is drawn:
+# each point costs an n-bit mask row, so an uncapped count is O(n^2) memory.
+MAX_POINTS = 5000
 
 
 def format_rational(x: Fraction) -> str:
@@ -45,7 +50,7 @@ def read_header(text: str, *keywords: str) -> tuple[str, int, list[str]]:
     """(keyword, count, non-blank lines after the header) of a keyword file.
 
     The count must equal the number of rows, except that in the poset and
-    graph formats it is the number of points.
+    graph formats it is the number of points, at most `MAX_POINTS`.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     head = lines[0].split() if lines else []
@@ -54,7 +59,10 @@ def read_header(text: str, *keywords: str) -> tuple[str, int, list[str]]:
     count = parse_int(head[1])
     if count < 0:
         raise FormatError(f"negative count in header: {lines[0]!r}")
-    if head[0] not in ("poset", "graph") and count != len(lines) - 1:
+    if head[0] in ("poset", "graph"):
+        if count > MAX_POINTS:
+            raise SizeLimit(f"{head[0]} has {count} points, the cap is {MAX_POINTS}")
+    elif count != len(lines) - 1:
         raise FormatError(f"header declares {count} rows, found {len(lines) - 1}")
     return head[0], count, lines[1:]
 

@@ -10,6 +10,26 @@ from poslim.measures import StepKernelMeasure
 from poslim.semiorders import MonotoneRC
 
 
+def fixpoint_closure(masks):
+    """Transitive closure by repeated squaring until nothing changes: the
+    reference `poset.transitive_closure` is tested against.  A cycle shows
+    as a row holding its own bit."""
+    rows = list(masks)
+    while True:
+        changed = False
+        for i, row in enumerate(rows):
+            acc, rest = row, row
+            while rest:
+                low = rest & -rest
+                acc |= rows[low.bit_length() - 1]
+                rest ^= low
+            if acc != row:
+                rows[i] = acc
+                changed = True
+        if not changed:
+            return rows
+
+
 @st.composite
 def posets(draw, min_n=1, max_n=6):
     """Random poset: close a randomly oriented acyclic edge set."""
@@ -20,7 +40,7 @@ def posets(draw, min_n=1, max_n=6):
         for j in range(i + 1, n):
             if draw(st.booleans()):
                 masks[perm[i]] |= 1 << perm[j]
-    closed = ps.transitive_closure(masks)
+    closed = fixpoint_closure(masks)
     return ps.FinitePoset.from_succ_masks(closed, validate=False)
 
 

@@ -16,6 +16,8 @@ from poslim import semiorders as so
 from poslim.measures import StepCDF, StepKernelMeasure
 from poslim.rng import SeededRng
 
+from conftest import fixpoint_closure
+
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
     line = f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'}"
@@ -35,7 +37,7 @@ def _random_poset(size: int, rng: SeededRng) -> ps.FinitePoset:
             if us[k] < 0.3:
                 masks[i] |= 1 << j
             k += 1
-    closed = ps.transitive_closure(masks)
+    closed = fixpoint_closure(masks)
     return ps.FinitePoset.from_succ_masks(closed, validate=False)
 
 
@@ -167,17 +169,20 @@ def test_criterion_1_exact_identities(catalog5, catalog6):
             ok_proj = False
     _report("1d projection idempotent, marginal preserved (>=10 fixtures)", ok_proj)
 
-    # 1e: recognition routes agree on the full catalog and 1000 random posets
-    ok_rec = all(
-        rec.is_interval_order(p) == rec.downset_chain_check(p)
-        for p in catalog6.classes
-    )
+    # 1e: recognition routes agree on the full catalog and 1000 random posets:
+    # the down-set tests against the 2+2 and 3+1 pattern searches
+    def routes_agree(p):
+        io = rec.find_two_plus_two(p) is None
+        so_ = io and rec.find_three_plus_one(p) is None
+        return rec.is_interval_order(p) == io and rec.is_semiorder(p) == so_
+
+    ok_rec = all(routes_agree(p) for p in catalog6.classes)
     rng = SeededRng(20260810)
     sizes = rng.uniforms(2, 1000)
     for t in range(1000):
         size = 7 + int(sizes[t] * 34)  # 7..40
         p = _random_poset(size, rng.spawn(t))
-        if rec.is_interval_order(p) != rec.downset_chain_check(p):
+        if not routes_agree(p):
             ok_rec = False
     _report("1e recognition cross-check (405 catalog + 1000 random)", ok_rec)
 

@@ -1,7 +1,7 @@
 import json
 from fractions import Fraction as F
 
-from poslim import cli, measures, poset, recognition, semiorders
+from poslim import cli, measures, poset, recognition, semiorders, textio
 from poslim.measures import StepKernelMeasure
 
 
@@ -161,3 +161,26 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2  # cycle
     code, _, _ = run(capsys, "represent", "--in", "h")
     assert code == 2  # 2+2 has no interval representation
+
+
+def test_statistical_equiv_on_too_few_points_exits_2(tmp_path, capsys):
+    # at n=5 too few random 4-tuples have distinct points for the draw budget
+    a = tmp_path / "a.atoms"
+    a.write_text(measures.write_measure(measures.AtomicMeasure.from_atoms([(0, 1, 1)])))
+    code, _, err = run(
+        capsys, "equiv", "--a", str(a), "--b", str(a), "--statistical",
+        "--seed", "1", "--n", "5", "--trials", "30",
+    )
+    assert code == 2 and "distinct points" in err
+
+
+def test_point_cap_applies_before_allocation(tmp_path, capsys):
+    huge = tmp_path / "huge.poset"
+    huge.write_text("poset 1000000000\n")
+    code, _, err = run(capsys, "recognize", "--in", str(huge))
+    assert code == 2 and "cap" in err
+    over = str(textio.MAX_POINTS + 1)
+    code, _, err = run(capsys, "sample", "--kernel", "gc", "--c", "3/10", "--n", over, "--seed", "1")
+    assert code == 2 and "capped" in err
+    code, _, _ = run(capsys, "rgo", "--n", over, "--p", "1/2", "--seed", "1")
+    assert code == 2

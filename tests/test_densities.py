@@ -13,7 +13,7 @@ from poslim.measures import AtomicMeasure, StepKernelMeasure
 from poslim.rng import SeededRng
 from poslim.semiorders import MonotoneRC, gc
 
-from conftest import posets
+from conftest import fixpoint_closure, posets
 
 
 def ref_count(q, p, kind):
@@ -89,7 +89,7 @@ def test_inj_equals_sum_of_ind_over_labelled_supersets(catalog4):
             for k, (i, j) in enumerate(free):
                 if (bits >> k) & 1:
                     masks[i] |= 1 << j
-            if ps.transitive_closure(list(masks)) != list(masks):
+            if fixpoint_closure(list(masks)) != list(masks):
                 continue
             if any(masks[i] & (1 << i) for i in range(q.n)):
                 continue

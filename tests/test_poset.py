@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from poslim import poset as ps
 from poslim.errors import CycleError, EmptySubset, InvariantError, SizeLimit
 
-from conftest import posets
+from conftest import fixpoint_closure, posets
 
 
 def test_from_relations_closure():
@@ -26,6 +26,56 @@ def test_from_relations_cycle():
         ps.from_relations(2, [(1, 2), (2, 1)])
     with pytest.raises(CycleError):
         ps.from_relations(3, [(1, 2), (2, 3), (3, 1)])
+
+
+def _closure_masks(n, pairs):
+    masks = [0] * n
+    for a, b in pairs:
+        masks[a - 1] |= 1 << (b - 1)
+    return fixpoint_closure(masks)
+
+
+@given(st.data())
+@settings(max_examples=120)
+def test_from_relations_matches_fixpoint_closure(data):
+    """Acyclic pairs, up a hidden order under shuffled labels, with
+    transitively redundant and repeated pairs, in shuffled order."""
+    n = data.draw(st.integers(1, 10))
+    label = data.draw(st.permutations(range(1, n + 1)))
+    up = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda t: t[0] < t[1]
+    )
+    pairs = [(label[i], label[j]) for i, j in data.draw(st.lists(up, max_size=3 * n))]
+    pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    pairs = data.draw(st.permutations(pairs))
+    p = ps.from_relations(n, pairs)
+    assert list(p.succ) == _closure_masks(n, pairs)
+    p.check_valid()
+
+
+@given(st.data())
+@settings(max_examples=120)
+def test_from_relations_cycles_match_fixpoint_closure(data):
+    """Arbitrary pairs, self-pairs included: CycleError exactly when the
+    reference closure relates a point to itself, naming a point on a cycle
+    or above one."""
+    n = data.draw(st.integers(1, 8))
+    point = st.integers(1, n)
+    pairs = data.draw(st.lists(st.tuples(point, point), max_size=2 * n))
+    expected = _closure_masks(n, pairs)
+    on_cycle = [i for i in range(n) if (expected[i] >> i) & 1]
+    if not on_cycle:
+        assert list(ps.from_relations(n, pairs).succ) == expected
+        return
+    with pytest.raises(CycleError) as err:
+        ps.from_relations(n, pairs)
+    k = int(str(err.value).rsplit(" ", 1)[1]) - 1
+    assert any((expected[j] >> k) & 1 for j in on_cycle)
+
+
+def test_from_relations_self_pair():
+    with pytest.raises(CycleError, match="point 2$"):
+        ps.from_relations(3, [(1, 3), (2, 2)])
 
 
 def test_from_relations_bad_index():

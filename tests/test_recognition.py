@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,10 @@ from poslim import densities as de
 from poslim import poset as ps
 from poslim import recognition as rec
 from poslim.errors import NotIntervalOrder
-from poslim.measures import AtomicMeasure
+from poslim.measures import AtomicMeasure, StepKernelMeasure
+from poslim.rng import SeededRng
+from poslim.sampling import sample_kernel_poset
+from poslim.semiorders import gc
 
 from conftest import posets
 
@@ -40,21 +44,28 @@ def test_downset_chain_examples():
     assert rec.downset_chain_check(ps.antichain(5))
 
 
+def assert_tests_match_pattern_search(p):
+    """The down-set tests against the 2+2 and 3+1 searches they replaced."""
+    io = rec.find_two_plus_two(p) is None
+    assert rec.is_interval_order(p) == rec.downset_chain_check(p) == io
+    assert rec.is_semiorder(p) == (io and rec.find_three_plus_one(p) is None)
+
+
 def test_routes_agree_on_catalog(catalog6):
     h, l = ps.two_plus_two(), ps.three_plus_one()
     for p in catalog6.classes:
+        assert_tests_match_pattern_search(p)
         io = rec.is_interval_order(p)
-        assert io == rec.downset_chain_check(p)
         assert io == (de.density(h, p, "ind") == 0)
         assert rec.is_semiorder(p) == (
             io and de.density(l, p, "ind") == 0
         )
 
 
-@given(posets(max_n=6))
-@settings(max_examples=80)
+@given(posets(max_n=12))
+@settings(max_examples=150)
 def test_routes_agree_random(p):
-    assert rec.is_interval_order(p) == rec.downset_chain_check(p)
+    assert_tests_match_pattern_search(p)
 
 
 def test_representation_examples():
@@ -67,24 +78,51 @@ def test_representation_examples():
 
 
 def test_representation_rejects_two_plus_two():
-    with pytest.raises(NotIntervalOrder):
-        rec.interval_representation(ps.two_plus_two())
+    h = ps.two_plus_two()
+    with pytest.raises(NotIntervalOrder, match=re.escape(str(rec.find_two_plus_two(h)))):
+        rec.interval_representation(h)
+
+
+def assert_realizes_pairwise(p, rep):
+    """The O(n^2) realization biconditional, pair by pair, in Fractions."""
+    assert all(rep.a[i] <= rep.b[i] for i in range(p.n))
+    for i in range(p.n):
+        for j in range(p.n):
+            if i != j:
+                assert (rep.b[i] < rep.a[j]) == p.less(i, j)
+    if rec.is_semiorder(p):
+        by_rank = sorted(range(p.n), key=lambda i: rep.rank[i])
+        bs = [rep.b[i] for i in by_rank]
+        assert all(x <= y for x, y in zip(bs, bs[1:]))
+
+
+_RICH = StepKernelMeasure.from_cells(
+    [
+        (0, Fraction(1, 4), [(Fraction(1, 4), Fraction(1, 2)), (Fraction(3, 4), Fraction(1, 2))]),
+        (Fraction(1, 4), Fraction(1, 2), [(Fraction(1, 2), Fraction(1, 3)), (1, Fraction(2, 3))]),
+        (Fraction(1, 2), Fraction(3, 4), [(Fraction(3, 4), Fraction(1, 2)), (1, Fraction(1, 2))]),
+        (Fraction(3, 4), 1, [(1, 1)]),
+    ]
+)
+
+
+@pytest.mark.parametrize("kernel", ["gc", "measure"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_representation_matches_pairwise_check_sampled(kernel, seed):
+    model = gc(Fraction(3, 10)) if kernel == "gc" else _RICH
+    p = sample_kernel_poset(model, 300, SeededRng(seed))
+    assert_tests_match_pattern_search(p)
+    assert_realizes_pairwise(p, rec.interval_representation(p))
 
 
 def test_representation_realizes_catalog(catalog6):
     for p in catalog6.classes:
         if not rec.is_interval_order(p):
+            with pytest.raises(NotIntervalOrder):
+                rec.interval_representation(p)
             continue
-        rep = rec.interval_representation(p)
         # the constructor re-checks realization internally; re-verify here
-        for i in range(p.n):
-            for j in range(p.n):
-                if i != j:
-                    assert (rep.b[i] < rep.a[j]) == p.less(i, j)
-        if rec.is_semiorder(p):
-            by_rank = sorted(range(p.n), key=lambda i: rep.rank[i])
-            bs = [rep.b[i] for i in by_rank]
-            assert all(x <= y for x, y in zip(bs, bs[1:]))
+        assert_realizes_pairwise(p, rec.interval_representation(p))
 
 
 def test_empirical_measure_examples():

@@ -11,7 +11,7 @@ from poslim import poset as ps
 from poslim import recognition as rec
 from poslim import sampling as sa
 from poslim import semiorders as so
-from poslim.errors import NotTransitive, SizeLimit
+from poslim.errors import BudgetExceeded, NotTransitive, SizeLimit
 from poslim.measures import AtomicMeasure, StepCDF, StepKernelMeasure
 from poslim.rng import SeededRng
 
@@ -168,6 +168,13 @@ def test_fingerprint_estimate_matches_exact():
         assert abs(e.value - float(exact.value(e.poset_id))) < max(
             4 * e.half_width, 0.02
         )
+
+
+def test_fingerprint_estimate_budget():
+    # 5-tuples of 5 points are distinct with probability 5!/5^5, so 4x the
+    # wanted draws come up short
+    with pytest.raises(BudgetExceeded, match="of 5 points.*subsets=200"):
+        sa.fingerprint_estimate(ps.chain(5), 5, 200, SeededRng(1))
 
 
 def test_random_graph_order_examples():

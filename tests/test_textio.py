@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from poslim import cli, densities, graphs, measures, poset, recognition, sampling
 from poslim import semiorders
 from poslim import textio
-from poslim.errors import FormatError, InvalidArgument, PoslimError
+from poslim.errors import FormatError, InvalidArgument, PoslimError, SizeLimit
 from poslim.rng import SeededRng
 
 from conftest import posets, step_measures
@@ -61,6 +61,8 @@ BAD_FILES = [
     ("graph", "graphs 2\n1 2\n"),
     ("graph", "graph 3\n1 x\n"),
     ("graph", "graph -1\n"),
+    ("poset", "poset 1000000000\n"),  # tried to allocate a mask row per point
+    ("graph", "graph 1000000000\n"),
     ("measure", ""),
     ("measure", "atomz 1\n0 1 1\n"),
     ("measure", "atoms 2\n0 1 1\n"),  # declared count never checked before
@@ -91,6 +93,12 @@ BAD_FILES = [
 def test_reader_rejects(kind, text):
     with pytest.raises(PoslimError):
         READERS[kind](text)
+
+
+def test_point_cap_is_inclusive():
+    assert poset.read_poset(f"poset {textio.MAX_POINTS}\n").n == textio.MAX_POINTS
+    with pytest.raises(SizeLimit):
+        poset.read_poset(f"poset {textio.MAX_POINTS + 1}\n")
 
 
 def test_representation_index_faults_are_format_errors():
