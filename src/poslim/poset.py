@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Literal, Sequence
 
@@ -88,13 +88,25 @@ def transitive_closure(adj: Sequence[Sequence[int]]) -> list[int]:
     return [reach[i] ^ (1 << i) for i in range(n)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinitePoset:
-    """Strict partial order on points 0..n-1."""
+    """Strict partial order on points 0..n-1.
+
+    Two posets are equal when their `succ` rows are, whatever their class:
+    a subclass that builds its masks lazily compares like any other poset.
+    """
 
     n: int
     succ: tuple[int, ...]
-    pred: tuple[int, ...] = field(compare=False)
+    pred: tuple[int, ...]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FinitePoset):
+            return NotImplemented
+        return self.n == other.n and self.succ == other.succ
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.succ))
 
     @classmethod
     def from_succ_masks(
@@ -105,11 +117,6 @@ class FinitePoset:
         if validate:
             p.check_valid()
         return p
-
-    @classmethod
-    def from_matrix(cls, matrix: Sequence[Sequence[bool]]) -> "FinitePoset":
-        masks = [sum(1 << j for j, v in enumerate(row) if v) for row in matrix]
-        return cls.from_succ_masks(masks)
 
     def check_valid(self) -> None:
         """Raise InvariantError unless irreflexive, antisymmetric, transitive."""
@@ -146,18 +153,13 @@ class FinitePoset:
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Pairs of the transitive reduction."""
+        succ, pred = self.succ, self.pred
         covers = []
         for i in range(self.n):
-            for j in _bits(self.succ[i]):
-                if not (self.succ[i] & self.pred[j]):
+            for j in _bits(succ[i]):
+                if not (succ[i] & pred[j]):
                     covers.append((i, j))
         return covers
-
-    def downset(self, i: int) -> int:
-        return self.pred[i]
-
-    def upset(self, i: int) -> int:
-        return self.succ[i]
 
 
 def from_relations(n: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:

@@ -10,6 +10,13 @@ triangle draws intervals directly, and in both cases i < j holds iff
 interval i ends strictly before interval j begins.  The pairwise coin flips
 of the general construction are skipped for these 0/1 kernels; a raw callable
 kernel uses them and gets its output validated.
+
+A sample from an interval model is an `IntervalSample`: its exact endpoints
+plus, computed once on first use, one exact order of all 2n endpoints.  The
+degree path (`nu_empirical`) and the tuple patterns of `fingerprint_estimate`
+read endpoint ranks, in O(n log n) time and O(n) memory.  The n x n bitmask
+rows are built lazily, by `poset_from_intervals`, when a caller reads `succ`
+or `pred`: exact fingerprints, recognition, the text format, `==`.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Literal, Sequence, Union
 
 import numpy as np
@@ -39,8 +46,8 @@ from .poset import (
     _bits,
     _transpose_masks,
     cached_catalog,
+    canonical_key,
     chain,
-    is_isomorphic,
     three_plus_one,
     two_plus_two,
 )
@@ -58,17 +65,51 @@ _FINGERPRINT_MAX = 5
 # -- interval models ----------------------------------------------------------
 
 
+def _float_thresholds(xs: Iterable[Fraction]) -> list[float]:
+    """The least float >= x for each x: a float u satisfies u >= x exactly
+    when u >= that float, so bisecting floats gives the exact answer."""
+    out = []
+    for x in xs:
+        t = float(x)
+        out.append(t if t >= x else math.nextafter(t, math.inf))
+    return out
+
+
 class _ThresholdModel:
-    """Point x becomes the interval [x, g(x)]; one uniform per point."""
+    """Point x becomes the interval [x, g(x)]; one uniform per point.
+
+    A float u is num / den with den a power of two.  On the piece of g that
+    starts at breakpoint x_k, g(u) = (A_k num + B_k den) / (C_k den) with
+    integers A_k, B_k, C_k, so g is evaluated exactly in integers, and the
+    piece is found by bisecting float thresholds: a draw makes no `Fraction`
+    arithmetic or comparison, only the two endpoint values.
+    """
 
     per_point = 1
 
     def __init__(self, g: MonotoneRC):
-        self.g = g
+        pts = g.points
+        self.starts = _float_thresholds(x for x, _, _ in pts)
+        self.lines: list[tuple[int, int, int]] = []  # (A_k, B_k, C_k)
+        for k, (x, _, right) in enumerate(pts):
+            if k + 1 < len(pts):
+                x1, left1, _ = pts[k + 1]
+                slope = (left1 - right) / (x1 - x)
+            else:
+                slope = ZERO  # the piece at x = 1 is the value g(1)
+            icpt = right - slope * x
+            self.lines.append(
+                (
+                    slope.numerator * icpt.denominator,
+                    icpt.numerator * slope.denominator,
+                    slope.denominator * icpt.denominator,
+                )
+            )
 
     def interval_at(self, u: float) -> tuple[Fraction, Fraction]:
-        x = Fraction(u)
-        return x, self.g.value(x)
+        num, den = u.as_integer_ratio()
+        a, b, c = self.lines[bisect_right(self.starts, u) - 1]
+        return Fraction(u), Fraction(a * num + b * den, c * den)
 
 
 class _StepMeasureModel:
@@ -78,24 +119,19 @@ class _StepMeasureModel:
     per_point = 2
 
     def __init__(self, mu: StepKernelMeasure):
-        self.mu = mu
-        self.cum: list[list[Fraction]] = []
+        self.conditionals = mu.conditionals
+        self.breaks = _float_thresholds(mu.breaks)
+        self.cum: list[list[float]] = []
         for cond in mu.conditionals:
-            acc, out = ZERO, []
-            for _, p in cond:
-                acc += p
-                out.append(acc)
-            self.cum.append(out)
+            self.cum.append(_float_thresholds(itertools.accumulate(p for _, p in cond)))
 
     def interval_at(self, u1: float, u2: float) -> tuple[Fraction, Fraction]:
-        x = Fraction(u1)
-        cell = bisect_right(self.mu.breaks, x) - 1
-        cell = min(cell, len(self.mu.conditionals) - 1)
-        r = Fraction(u2)
+        cell = bisect_right(self.breaks, u1) - 1
+        cell = min(cell, len(self.conditionals) - 1)
         cum = self.cum[cell]
-        k = bisect_right(cum, r)
+        k = bisect_right(cum, u2)
         k = min(k, len(cum) - 1)
-        return x, self.mu.conditionals[cell][k][0]
+        return Fraction(u1), self.conditionals[cell][k][0]
 
 
 class _AtomicModel:
@@ -105,14 +141,10 @@ class _AtomicModel:
 
     def __init__(self, mu: AtomicMeasure):
         self.atoms = mu.atoms
-        acc = ZERO
-        self.cum: list[Fraction] = []
-        for _, _, w in mu.atoms:
-            acc += w
-            self.cum.append(acc)
+        self.cum = _float_thresholds(itertools.accumulate(w for _, _, w in mu.atoms))
 
     def interval_at(self, u: float) -> tuple[Fraction, Fraction]:
-        k = bisect_right(self.cum, Fraction(u))
+        k = bisect_right(self.cum, u)
         k = min(k, len(self.atoms) - 1)
         x, y, _ = self.atoms[k]
         return x, y
@@ -156,12 +188,91 @@ def poset_from_intervals(
     return FinitePoset(n, succ, pred)
 
 
+def endpoint_order(a: Sequence[Fraction], b: Sequence[Fraction]) -> np.ndarray:
+    """Exact increasing order of the endpoints a + b, as indices into a + b.
+
+    At equal values a left endpoint (index below len(a)) comes first, so
+    b_i < a_j iff b_i comes before a_j.  The floats are sorted first;
+    `float()` of a `Fraction` is correctly rounded, hence monotone, so only
+    runs of equal floats can be out of exact order, and those runs are
+    re-sorted by their exact values.
+    """
+    values = [*a, *b]
+    n_left = len(a)
+    floats = np.fromiter(map(float, values), dtype=np.float64, count=len(values))
+    order = np.lexsort((np.arange(len(values)) >= n_left, floats))
+    tied = np.flatnonzero(floats[order[1:]] == floats[order[:-1]])
+    if tied.size:
+        gap = np.diff(tied) > 1
+        starts = tied[np.r_[True, gap]].tolist()
+        ends = (tied[np.r_[gap, True]] + 2).tolist()
+        ordered = order.tolist()
+        for lo, hi in zip(starts, ends):
+            run = ordered[lo:hi]
+            first = values[run[0]]
+            if any(values[k] != first for k in run[1:]):  # equal runs are in order
+                run.sort(key=lambda k: (values[k], k >= n_left))
+                order[lo:hi] = run
+    return order
+
+
+class IntervalSample(FinitePoset):
+    """An interval order kept as its closed intervals: i < j iff b_i < a_j.
+
+    On first use the 2n endpoints are put in one exact order
+    (`endpoint_order`, O(n log n)), and `ranks` holds each endpoint's
+    position in it, so i < j iff rank_b[i] < rank_a[j], and the degrees of
+    every point are counts of ranks, found by binary search.  The bitmask
+    rows `succ` and `pred` (Θ(n²) bits) are built by `poset_from_intervals`
+    only when first read, so every `FinitePoset` method, `==` and the text
+    format work as for any other poset.
+    """
+
+    def __init__(self, intervals: Sequence[tuple[Fraction, Fraction]]):
+        object.__setattr__(self, "n", len(intervals))
+        object.__setattr__(self, "intervals", tuple(intervals))
+
+    @cached_property
+    def _masks(self) -> FinitePoset:
+        return poset_from_intervals(self.intervals)
+
+    @cached_property
+    def succ(self) -> tuple[int, ...]:
+        return self._masks.succ
+
+    @cached_property
+    def pred(self) -> tuple[int, ...]:
+        return self._masks.pred
+
+    @cached_property
+    def ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rank_a, rank_b): positions of a_i and b_i in the exact order."""
+        n = self.n
+        order = endpoint_order(
+            [iv[0] for iv in self.intervals], [iv[1] for iv in self.intervals]
+        )
+        rank = np.empty(2 * n, dtype=np.int64)
+        rank[order] = np.arange(2 * n)
+        return rank[:n], rank[n:]
+
+    def degrees(self, sign: Sign) -> np.ndarray:
+        """Predecessor (minus) or successor (plus) count of every point."""
+        rank_a, rank_b = self.ranks
+        if sign == "minus":  # right endpoints before a_j
+            return np.searchsorted(np.sort(rank_b), rank_a)
+        if sign == "plus":  # left endpoints after b_i
+            return self.n - np.searchsorted(np.sort(rank_a), rank_b)
+        raise InvalidArgument(f"sign must be 'minus' or 'plus', got {sign!r}")
+
+
 def sample_kernel_poset(
     kernel, n: int, rng: SeededRng, *, validate: bool = False
 ) -> FinitePoset:
     """Random n-point poset from a kernel model.
 
-    Point i uses position i of the POINTS stream (plus position i of
+    The four interval models (threshold g, rate function, step and atomic
+    measures) return an `IntervalSample`, whose bitmasks are built only when
+    read.  Point i uses position i of the POINTS stream (plus position i of
     CONDITIONALS when the model needs two uniforms).  A raw callable kernel
     W(x, y) -> [0,1] additionally reads position j of PAIRS stream i for the
     pair (i, j) and has its output checked (NotTransitive on failure).
@@ -190,13 +301,13 @@ def sample_kernel_poset(
             raise NotTransitive(f"sampled relation is not a strict order: {e}") from e
         return out
     mdl = interval_model(kernel)
-    u1 = rng.uniforms(POINTS, n)
+    u1 = rng.uniforms(POINTS, n).tolist()
     if mdl.per_point == 2:
-        u2 = rng.uniforms(CONDITIONALS, n)
-        intervals = [mdl.interval_at(float(u1[i]), float(u2[i])) for i in range(n)]
+        u2 = rng.uniforms(CONDITIONALS, n).tolist()
+        intervals = [mdl.interval_at(x, y) for x, y in zip(u1, u2)]
     else:
-        intervals = [mdl.interval_at(float(u1[i])) for i in range(n)]
-    out = poset_from_intervals(intervals)
+        intervals = [mdl.interval_at(x) for x in u1]
+    out = IntervalSample(intervals)
     if validate:
         out.check_valid()
     return out
@@ -218,18 +329,19 @@ def nu_empirical(p: FinitePoset, sign: Sign) -> StepCDF:
     """Empirical CDF of normalised predecessor (minus) or successor counts.
 
     Degrees are counted as integers and accumulated once; the CDF jumps by
-    count/n at each degree/n.
+    count/n at each degree/n.  An `IntervalSample` gives its degrees from
+    its exact endpoint ranks, in O(n log n) and without building bitmasks;
+    any other poset has its mask rows counted.
     """
-    if sign == "minus":
-        masks = p.pred
-    elif sign == "plus":
-        masks = p.succ
+    n = p.n
+    if isinstance(p, IntervalSample):
+        counts = np.bincount(p.degrees(sign), minlength=n).tolist()
+    elif sign in ("minus", "plus"):
+        counts = [0] * n
+        for m in p.pred if sign == "minus" else p.succ:
+            counts[m.bit_count()] += 1
     else:
         raise InvalidArgument(f"sign must be 'minus' or 'plus', got {sign!r}")
-    n = p.n
-    counts = [0] * n
-    for m in masks:
-        counts[m.bit_count()] += 1
     pts = [] if counts[0] else [(ZERO, ZERO, ZERO)]
     cum = 0
     for d, c in enumerate(counts):
@@ -300,11 +412,12 @@ class Fingerprint:
 def _class_label(q: FinitePoset) -> str:
     if q.pair_count() == 0:
         return f"antichain{q.n}"
-    if is_isomorphic(q, chain(q.n)):
+    key = canonical_key(q)
+    if key == canonical_key(chain(q.n)):
         return f"chain{q.n}"
-    if q.n == 4 and is_isomorphic(q, two_plus_two()):
+    if q.n == 4 and key == canonical_key(two_plus_two()):
         return "2+2"
-    if q.n == 4 and is_isomorphic(q, three_plus_one()):
+    if q.n == 4 and key == canonical_key(three_plus_one()):
         return "3+1"
     return ""
 
@@ -341,6 +454,20 @@ def _pattern_key(succ: Sequence[int], idx: Sequence[int]) -> int:
                 key |= bit
             bit <<= 1
     return key
+
+
+def _tuple_keys(p: FinitePoset, tuples: np.ndarray) -> list[int]:
+    """`_pattern_key` of every row of an (m, s) array of point tuples.
+
+    An `IntervalSample` compares endpoint ranks for all rows at once: bit
+    u*s+v iff rank_b[idx[u]] < rank_a[idx[v]].  Other posets read succ rows.
+    """
+    if not isinstance(p, IntervalSample):
+        return [_pattern_key(p.succ, idx) for idx in tuples.tolist()]
+    rank_a, rank_b = p.ranks
+    m, s = tuples.shape
+    less = rank_b[tuples][:, :, None] < rank_a[tuples][:, None, :]
+    return (less.reshape(m, s * s) @ (1 << np.arange(s * s, dtype=np.int64))).tolist()
 
 
 @lru_cache(maxsize=8)
@@ -391,20 +518,16 @@ def fingerprint_estimate(
         table, auts, ids, labs = _pattern_key_table(s)
         counts = [0] * len(auts)
         us = rng.uniforms(SUBSETS, subsets * s * 4, index=(stream_index << 3) | s)
-        cursor = 0
-        drawn = 0
-        while drawn < subsets:
-            if cursor + s > len(us):
-                raise BudgetExceeded(
-                    f"{len(us) // s} random {s}-tuples of {n} points gave fewer "
-                    f"than subsets={subsets} with {s} distinct points"
-                )
-            idx = [min(int(u * n), n - 1) for u in us[cursor : cursor + s]]
-            cursor += s
-            if len(set(idx)) != s:
-                continue
-            counts[table[_pattern_key(p.succ, idx)]] += 1
-            drawn += 1
+        tuples = np.minimum((us * n).astype(np.int64), n - 1).reshape(-1, s)
+        ordered = np.sort(tuples, axis=1)
+        tuples = tuples[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
+        if len(tuples) < subsets:
+            raise BudgetExceeded(
+                f"{len(us) // s} random {s}-tuples of {n} points gave fewer "
+                f"than subsets={subsets} with {s} distinct points"
+            )
+        for key in _tuple_keys(p, tuples[:subsets]):
+            counts[table[key]] += 1
         fact = math.factorial(s)
         for pos in range(len(auts)):
             freq = counts[pos] / subsets

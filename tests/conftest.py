@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 
 from poslim import poset as ps
-from poslim.measures import StepKernelMeasure
+from poslim.measures import AtomicMeasure, StepKernelMeasure
 from poslim.semiorders import MonotoneRC
 
 
@@ -84,6 +84,18 @@ def step_measures(draw):
         total = sum(weights)
         cells.append((lo, hi, [(y, Fraction(w, total)) for y, w in zip(ys, weights)]))
     return StepKernelMeasure.from_cells(cells)
+
+
+@st.composite
+def atomic_measures(draw):
+    """Random AtomicMeasure on a coarse grid, so atoms often share endpoints."""
+    grid = st.fractions(min_value=0, max_value=1, max_denominator=4)
+    ends = draw(st.lists(st.tuples(grid, grid), min_size=1, max_size=5))
+    weights = [draw(st.integers(1, 5)) for _ in ends]
+    total = sum(weights)
+    return AtomicMeasure.from_atoms(
+        [(min(x, y), max(x, y), Fraction(w, total)) for (x, y), w in zip(ends, weights)]
+    )
 
 
 @pytest.fixture(scope="session")

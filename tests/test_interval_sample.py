@@ -1,0 +1,227 @@
+"""Interval-native samples: exact endpoint ranks against the bitmask path."""
+
+import itertools
+import math
+from bisect import bisect_right
+from fractions import Fraction as F
+
+import hypothesis.strategies as st
+import numpy as np
+from hypothesis import given, settings
+
+from poslim import poset as ps
+from poslim import sampling as sa
+from poslim import semiorders as so
+from poslim.measures import AtomicMeasure, StepKernelMeasure
+from poslim.rng import POINTS, SeededRng
+
+from conftest import atomic_measures, monotone_gs, step_measures
+
+STAIRCASE = so.MonotoneRC.from_points(
+    [(0, F(2, 5), F(2, 5)), (F(2, 5), F(2, 5), F(4, 5)), (F(4, 5), F(4, 5), 1), (1, 1, 1)]
+)
+SHARED_ENDS = AtomicMeasure.from_atoms(
+    [(0, F(1, 2), F(1, 2)), (F(1, 2), 1, F(1, 4)), (F(1, 2), F(1, 2), F(1, 4))]
+)
+ATOMS_ON_BREAKS = StepKernelMeasure.from_cells(
+    [(0, F(1, 4), [(F(1, 4), F(1, 2)), (F(1, 2), F(1, 2))]), (F(1, 4), F(1, 2), [(F(1, 2), 1)]),
+     (F(1, 2), 1, [(1, 1)])]
+)
+THIRD = F(1, 3)
+NEAR_THIRD = THIRD + F(1, 2**80)  # the same float64 as 1/3
+
+
+@st.composite
+def rate_functions(draw):
+    k = draw(st.integers(1, 3))
+    inner = sorted(set(draw(st.lists(st.fractions(0, 1, max_denominator=8), min_size=k))))
+    breaks = [F(0)] + [x for x in inner if 0 < x < 1] + [F(1)]
+    return so.RateFunction.from_pieces(
+        (lo, hi, draw(st.fractions(0, 8, max_denominator=4)))
+        for lo, hi in zip(breaks, breaks[1:])
+    )
+
+
+def models():
+    return st.one_of(
+        monotone_gs(),
+        st.just(so.MonotoneRC.identity()),
+        st.just(ATOMS_ON_BREAKS),
+        rate_functions(),
+        step_measures(),
+        atomic_measures(),
+    )
+
+
+def assert_matches_masks(p):
+    """Degrees, nu, ranks and the lazy masks of p against poset_from_intervals."""
+    q = sa.poset_from_intervals(p.intervals)
+    for sign, masks in (("minus", q.pred), ("plus", q.succ)):
+        assert p.degrees(sign).tolist() == [m.bit_count() for m in masks]
+        assert sa.nu_empirical(p, sign).points == sa.nu_empirical(q, sign).points
+    rank_a, rank_b = (r.tolist() for r in p.ranks)
+    assert sorted(rank_a + rank_b) == list(range(2 * p.n))
+    for i, j in itertools.product(range(p.n), repeat=2):
+        assert (rank_b[i] < rank_a[j]) == q.less(i, j)
+    assert "succ" not in vars(p) and "pred" not in vars(p)  # still unbuilt
+    assert p.succ == q.succ and p.pred == q.pred
+    assert p == q and q == p and hash(p) == hash(q)
+
+
+@given(models(), st.integers(1, 40), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_sample_ranks_match_masks(model, n, seed):
+    p = sa.sample_kernel_poset(model, n, SeededRng(seed))
+    assert isinstance(p, sa.IntervalSample)
+    assert_matches_masks(p)
+
+
+_ENDPOINTS = st.sampled_from(
+    [F(0), F(1, 4), THIRD, NEAR_THIRD, F(1, 2), F(1, 2) - F(1, 2**70), F(1)]
+)
+
+
+@given(st.lists(st.tuples(_ENDPOINTS, _ENDPOINTS), min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_ranks_with_ties_and_float_collisions(pairs):
+    p = sa.IntervalSample([(min(x, y), max(x, y)) for x, y in pairs])
+    assert_matches_masks(p)
+
+
+def test_identity_sample_every_self_pair_ties():
+    p = sa.sample_kernel_poset(so.MonotoneRC.identity(), 200, SeededRng(3))
+    assert all(a == b for a, b in p.intervals)
+    assert sorted(p.degrees("minus").tolist()) == list(range(200))
+    assert_matches_masks(p)
+
+
+def test_endpoint_order_separates_colliding_floats():
+    assert float(THIRD) == float(NEAR_THIRD)
+    # index order and float order both put the larger value first
+    a = [NEAR_THIRD, F(0), THIRD]
+    b = [F(1, 2), THIRD, THIRD]
+    order = sa.endpoint_order(a, b).tolist()
+    values = a + b
+    assert [values[k] for k in order] == sorted(values)
+    # at equal values left endpoints come first: a_2 before b_1, b_2
+    assert order == [1, 2, 4, 5, 0, 3]
+    p = sa.IntervalSample(list(zip(a, b)))
+    assert_matches_masks(p)
+    assert p.less(1, 0) and p.less(2, 0) and not p.less(1, 2) and not p.less(2, 1)
+
+
+def _floats_near(x):
+    """The float nearest x and its two neighbours, inside [0, 1]."""
+    u = float(x)
+    return [v for v in (u, math.nextafter(u, 0.0), math.nextafter(u, 1.0)) if 0 <= v <= 1]
+
+
+RATE_G = so.g_from_rate(
+    so.RateFunction.from_pieces([(0, F(1, 2), 8), (F(1, 2), F(3, 4), 0), (F(3, 4), 1, 8)])
+)
+
+
+def assert_integer_g(g):
+    model = sa.interval_model(g)
+    us = [0.0, 2.0**-60, 1.0] + SeededRng(17).uniforms(POINTS, 300).tolist()
+    for x, _, _ in g.points:
+        us += _floats_near(x)
+    for u in us:
+        assert model.interval_at(u) == (F(u), g.value(F(u))), (g, u)
+
+
+def test_integer_g_evaluation_named():
+    on_break = 0
+    for g in (so.gc(F(3, 10)), so.gc(F(1, 4)), so.MonotoneRC.identity(), STAIRCASE, RATE_G):
+        assert_integer_g(g)
+        on_break += sum(float(x) == x for x, _, _ in g.points[1:-1])
+    assert on_break >= 3  # gc(1/4) and the rate g have dyadic inner breakpoints
+
+
+@given(monotone_gs())
+@settings(max_examples=60, deadline=None)
+def test_integer_g_evaluation_random(g):
+    assert_integer_g(g)
+
+
+def _cumulative(weights):
+    return list(itertools.accumulate(weights))
+
+
+def _step_reference(mu, u1, u2):
+    """The exact draw by `Fraction` bisection."""
+    cell = min(bisect_right(mu.breaks, F(u1)) - 1, len(mu.conditionals) - 1)
+    cum = _cumulative(p for _, p in mu.conditionals[cell])
+    return F(u1), mu.conditionals[cell][min(bisect_right(cum, F(u2)), len(cum) - 1)][0]
+
+
+def _atomic_reference(mu, u):
+    k = min(bisect_right(_cumulative(w for _, _, w in mu.atoms), F(u)), len(mu.atoms) - 1)
+    return mu.atoms[k][:2]
+
+
+@given(step_measures())
+@settings(max_examples=40, deadline=None)
+def test_step_measure_draws_match_fraction_bisection(mu):
+    model = sa.interval_model(mu)
+    edges = [*mu.breaks]
+    for cond in mu.conditionals:
+        edges += _cumulative(p for _, p in cond)
+    us = [0.0, 1.0] + SeededRng(5).uniforms(POINTS, 20).tolist()
+    us += [v for x in edges for v in _floats_near(x)]
+    for u1, u2 in itertools.product(us, repeat=2):
+        assert model.interval_at(u1, u2) == _step_reference(mu, u1, u2)
+
+
+@given(atomic_measures())
+@settings(max_examples=60, deadline=None)
+def test_atomic_draws_match_fraction_bisection(mu):
+    model = sa.interval_model(mu)
+    us = [0.0, 1.0] + SeededRng(6).uniforms(POINTS, 50).tolist()
+    us += [v for x in _cumulative(w for _, _, w in mu.atoms) for v in _floats_near(x)]
+    for u in us:
+        assert model.interval_at(u) == _atomic_reference(mu, u)
+
+
+def test_rank_pattern_key_on_every_drawn_tuple(monkeypatch):
+    tuple_keys = sa._tuple_keys
+    for model, seed in (
+        (so.MonotoneRC.identity(), 1),
+        (so.gc(F(3, 10)), 2),
+        (STAIRCASE, 3),
+        (SHARED_ENDS, 4),
+    ):
+        p = sa.sample_kernel_poset(model, 30, SeededRng(seed))
+        succ = sa.poset_from_intervals(p.intervals).succ
+        drawn = []
+
+        def checked(q, tuples):
+            keys = tuple_keys(q, tuples)
+            assert keys == [sa._pattern_key(succ, idx) for idx in tuples.tolist()]
+            drawn.extend(tuples.tolist())
+            return keys
+
+        monkeypatch.setattr(sa, "_tuple_keys", checked)
+        sa.fingerprint_estimate(p, 5, 400, SeededRng(seed))
+        assert len(drawn) == 4 * 400 and all(len(set(idx)) == len(idx) for idx in drawn)
+        assert "succ" not in vars(p)
+
+
+@given(atomic_measures(), st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_fingerprints_agree_with_mask_poset(mu, seed):
+    p = sa.sample_kernel_poset(mu, 12, SeededRng(seed))
+    q = ps.FinitePoset(p.n, p.succ, p.pred)
+    assert sa.fingerprint(p, 4) == sa.fingerprint(q, 4)
+    fresh = sa.sample_kernel_poset(mu, 12, SeededRng(seed))
+    est = sa.fingerprint_estimate(fresh, 4, 300, SeededRng(seed + 1))
+    assert "succ" not in vars(fresh)
+    assert est == sa.fingerprint_estimate(q, 4, 300, SeededRng(seed + 1))
+
+
+def test_degree_path_leaves_masks_unbuilt():
+    p = sa.sample_kernel_poset(so.gc(F(3, 10)), 500, SeededRng(9))
+    sa.nu_empirical(p, "minus")
+    sa.nu_empirical(p, "plus")
+    assert "succ" not in vars(p) and "pred" not in vars(p)
+    assert isinstance(p.degrees("plus"), np.ndarray)
