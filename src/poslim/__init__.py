@@ -51,7 +51,6 @@ from .poset import (
     from_relations,
     in_star,
     induced,
-    is_isomorphic,
     named_poset,
     out_star,
     reflect,

@@ -247,51 +247,6 @@ def out_star(k: int) -> FinitePoset:
     return reflect(in_star(k))
 
 
-# -- isomorphism ------------------------------------------------------------
-
-
-def _profiles(p: FinitePoset) -> list[tuple[int, int]]:
-    return [(p.pred[i].bit_count(), p.succ[i].bit_count()) for i in range(p.n)]
-
-
-def is_isomorphic(p: FinitePoset, q: FinitePoset) -> bool:
-    """Order-preserving-and-reflecting bijection test, by backtracking."""
-    if p.n != q.n or p.pair_count() != q.pair_count():
-        return False
-    pp, qp = _profiles(p), _profiles(q)
-    if sorted(pp) != sorted(qp):
-        return False
-    n = p.n
-    # map rarest profiles first
-    freq: dict[tuple[int, int], int] = {}
-    for t in pp:
-        freq[t] = freq.get(t, 0) + 1
-    order = sorted(range(n), key=lambda i: (freq[pp[i]], pp[i]))
-    image = [-1] * n
-
-    def extend(idx: int, used: int) -> bool:
-        if idx == n:
-            return True
-        i = order[idx]
-        for j in range(n):
-            if (used >> j) & 1 or qp[j] != pp[i]:
-                continue
-            ok = True
-            for k_idx in range(idx):
-                k = order[k_idx]
-                m = image[k]
-                if p.less(i, k) != q.less(j, m) or p.less(k, i) != q.less(m, j):
-                    ok = False
-                    break
-            if ok:
-                image[i] = j
-                if extend(idx + 1, used | (1 << j)):
-                    return True
-        return False
-
-    return extend(0, 0)
-
-
 # -- canonical form and enumeration -----------------------------------------
 
 

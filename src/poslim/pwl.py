@@ -8,7 +8,10 @@ and `left[i+1]` at x[i+1].  All coordinates are exact rationals.
 
 Evaluation at one point is a binary search, O(log m) for m breakpoints.
 `sup_distance` walks both breakpoint lists in one merge sweep, O(m + k) for
-lists of m and k breakpoints.
+lists of m and k breakpoints.  The sweep and the checks of `normalize` and
+`check_monotone` run on the numerators and denominators of the coordinates:
+a rational a/b (b > 0) is compared with c/d as a*d with c*b, so every test
+stays exact without building a `Fraction` per step.
 """
 
 from __future__ import annotations
@@ -39,51 +42,68 @@ def as_fraction(value) -> Fraction:
     raise InvariantError(f"not an exact coordinate: {value!r}")
 
 
+def _ints(points: Sequence) -> list[tuple[int, int, int, int, int, int]]:
+    """Each breakpoint as (x, left, right) numerators and denominators."""
+    return [
+        x.as_integer_ratio() + lt.as_integer_ratio() + rt.as_integer_ratio()
+        for x, lt, rt in points
+    ]
+
+
+def _steps(q: list) -> list[int]:
+    """Sign of x[k+1] - x[k] for each k, as a cross-multiplication."""
+    return [b[0] * a[1] - a[0] * b[1] for a, b in zip(q, q[1:])]
+
+
 def check_monotone(points: Points) -> None:
     if not points:
         raise InvariantError("need at least one breakpoint")
     if points[0][0] != ZERO or points[-1][0] != ONE:
         raise InvariantError("breakpoints must start at 0 and end at 1")
-    prev_x = None
-    prev_right = None
-    for x, left, right in points:
-        if prev_x is not None and x <= prev_x:
+    # x[0] = 0 > -1, and a left value below the sentinel 0 fails [0,1] first
+    pxn, pxd, prn, prd = -1, 1, 0, 1
+    for xn, xd, ln, ld, rn, rd in _ints(points):
+        if xn * pxd <= pxn * xd:
             raise InvariantError("breakpoints must be strictly increasing")
-        if not (ZERO <= left <= ONE and ZERO <= right <= ONE):
+        if not (0 <= ln <= ld and 0 <= rn <= rd):
             raise InvariantError("values must lie in [0,1]")
-        if left > right:
+        if ln * rd > rn * ld:
             raise InvariantError("jumps must be upward")
-        if prev_right is not None and left < prev_right:
+        if ln * prd < prn * ld:
             raise InvariantError("segments must be nondecreasing")
-        prev_x, prev_right = x, right
+        pxn, pxd, prn, prd = xn, xd, rn, rd
 
 
 def normalize(points: Iterable[Sequence]) -> Points:
     """Canonical form: drop breakpoints that carry no jump and no slope change."""
-    pts = [tuple(as_fraction(v) for v in p) for p in points]
+    pts = [(as_fraction(x), as_fraction(lt), as_fraction(rt)) for x, lt, rt in points]
     if not pts:
         raise InvariantError("need at least one breakpoint")
-    pts.sort(key=lambda p: p[0])
-    out = []
-    for p in pts:
-        if out and out[-1][0] == p[0]:
-            raise InvariantError(f"duplicate breakpoint at {p[0]}")
-        out.append(p)
-    kept = [out[0]]
-    for i in range(1, len(out) - 1):
-        x, left, right = out[i]
-        if left != right:
-            kept.append(out[i])
+    q = _ints(pts)
+    steps = _steps(q)
+    if steps and min(steps) < 0:
+        pts.sort(key=_X)
+        q = _ints(pts)
+        steps = _steps(q)
+    if 0 in steps:
+        raise InvariantError(f"duplicate breakpoint at {pts[steps.index(0)][0]}")
+    kept = [0]
+    for i in range(1, len(q) - 1):
+        xn, xd, ln, ld, rn, rd = q[i]
+        if ln != rn or ld != rd:
+            kept.append(i)
             continue
-        x0, _, r0 = kept[-1]
-        x1, l1, _ = out[i + 1]
-        # collinear with neighbours?
-        if (left - r0) * (x1 - x0) == (l1 - r0) * (x - x0):
+        x0n, x0d, _, _, r0n, r0d = q[kept[-1]]
+        x1n, x1d, l1n, l1d, _, _ = q[i + 1]
+        # collinear with neighbours: (left - r0)(x1 - x0) == (l1 - r0)(x - x0)
+        # times the positive l1d*ld*r0d*xd*x1d*x0d, with r0d*x0d cancelled
+        if ((ln * r0d - r0n * ld) * (x1n * x0d - x0n * x1d) * l1d * xd
+                == (l1n * r0d - r0n * l1d) * (xn * x0d - x0n * xd) * ld * x1d):
             continue
-        kept.append(out[i])
-    if len(out) > 1:
-        kept.append(out[-1])
-    return tuple(kept)
+        kept.append(i)
+    if len(q) > 1:
+        kept.append(len(q) - 1)
+    return tuple(pts[i] for i in kept)
 
 
 def value_at(points: Points, t: Fraction) -> Fraction:
@@ -150,36 +170,49 @@ def sup_distance(f: Points, g: Points) -> Fraction:
     """Exact sup-norm distance in one merge sweep over both breakpoint lists.
 
     Between consecutive breakpoints of either list both functions are linear,
-    so the sup is attained at a breakpoint, as a value or a left limit.
+    so the sup is attained at a breakpoint, as a value or a left limit.  One
+    cursor per list points at its first breakpoint >= t; both lists start at
+    0 and end at 1, so the cursors reach the end together.  Values are kept
+    as unreduced pairs (num, den > 0); the result is one `Fraction`.
     """
-    best = ZERO
-    for fl, fv, gl, gv in _merged(f, g):
-        best = max(best, abs(fv - gv), abs(fl - gl))
-    return best
-
-
-def _merged(f: Points, g: Points):
-    """(f(t-), f(t), g(t-), g(t)) at each breakpoint t of f or g, in order.
-
-    One cursor per list points at its first breakpoint >= t; both lists start
-    at 0 and end at 1, so the cursors reach the end together.
-    """
+    fs, gs = _ints(f), _ints(g)
+    bn, bd = 0, 1
     i = j = 0
-    while i < len(f):
-        t = min(f[i][0], g[j][0])
-        fl, fv = _limits(f, i, t)
-        gl, gv = _limits(g, j, t)
-        yield fl, fv, gl, gv
-        if f[i][0] == t:
+    fseg = gseg = 0  # the breakpoint whose incoming segment is fline / gline
+    while i < len(fs):
+        fxn, fxd, fln, fld, frn, frd = fs[i]
+        gxn, gxd, gln, gld, grn, grd = gs[j]
+        c = fxn * gxd - gxn * fxd
+        if c > 0:  # t = x of g[j], strictly inside the segment of f ending at i
+            if fseg != i:
+                fseg, fline = i, _line(fs[i - 1], fs[i])
+            p, q, d = fline
+            fln = frn = p * gxn + q * gxd
+            fld = frd = d * gxd
+        elif c < 0:
+            if gseg != j:
+                gseg, gline = j, _line(gs[j - 1], gs[j])
+            p, q, d = gline
+            gln = grn = p * fxn + q * fxd
+            gld = grd = d * fxd
+        num, den = abs(fln * gld - gln * fld), fld * gld
+        if num * bd > bn * den:
+            bn, bd = num, den
+        num, den = abs(frn * grd - grn * frd), frd * grd
+        if num * bd > bn * den:
+            bn, bd = num, den
+        if c <= 0:
             i += 1
-        if g[j][0] == t:
+        if c >= 0:
             j += 1
+    return Fraction(bn, bd)
 
 
-def _limits(points: Points, i: int, t: Fraction) -> tuple[Fraction, Fraction]:
-    """(left limit, value) at t, where points[i] is the first breakpoint >= t."""
-    x, left, right = points[i]
-    if x == t:
-        return left, right
-    v = _interpolate(points, i, t)
-    return v, v
+def _line(a: tuple, b: tuple) -> tuple[int, int, int]:
+    """(p, q, d) with d > 0 such that the segment from a's right value to b's
+    left value is y = (p*t + q)/d; at t = tn/td, y = (p*tn + q*td)/(d*td)."""
+    x0n, x0d, _, _, r0n, r0d = a
+    x1n, x1d, l1n, l1d, _, _ = b
+    dy = l1n * r0d - r0n * l1d
+    dx = x1n * x0d - x0n * x1d
+    return dy * x1d * x0d, r0n * l1d * dx - dy * x1d * x0n, l1d * r0d * dx

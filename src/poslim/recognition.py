@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from . import textio
 from .errors import FormatError, InternalInvariantError, NotIntervalOrder
@@ -75,7 +76,17 @@ downset_chain_check = is_interval_order
 
 
 def is_semiorder(p: FinitePoset) -> bool:
-    """True iff p is an interval order without an induced 3+1.
+    """True iff p is an interval order without an induced 3+1."""
+    if not is_interval_order(p):
+        return False
+    return semiorder_by_degrees(
+        map(int.bit_count, p.pred), map(int.bit_count, p.succ)
+    )
+
+
+def semiorder_by_degrees(downs: Iterable[int], ups: Iterable[int]) -> bool:
+    """True iff an interval order with down-set sizes `downs` and up-set
+    sizes `ups` (in the same point order) has no induced 3+1.
 
     In an interval order the down-sets and the up-sets each form an
     inclusion chain, so a strictly larger set is one of strictly larger
@@ -84,18 +95,8 @@ def is_semiorder(p: FinitePoset) -> bool:
     x < y < z, w gives such a pair (w, y).  Points sorted by (|D|, -|U|)
     contain such a pair iff some |U| exceeds the least |U| before it.
     """
-    if not is_interval_order(p):
-        return False
-    points = sorted(
-        zip(map(int.bit_count, p.pred), map(int.bit_count, p.succ)),
-        key=lambda du: (du[0], -du[1]),
-    )
-    least_up = p.n
-    for _, up in points:
-        if up > least_up:
-            return False
-        least_up = up
-    return True
+    points = sorted(zip(downs, (-u for u in ups)))
+    return all(a[1] <= b[1] for a, b in zip(points, points[1:]))
 
 
 @dataclass(frozen=True)

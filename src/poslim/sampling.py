@@ -52,7 +52,7 @@ from .poset import (
     two_plus_two,
 )
 from .pwl import ONE, ZERO, sup_distance
-from .recognition import is_semiorder
+from .recognition import is_semiorder, semiorder_by_degrees
 from .rng import CONDITIONALS, EDGES, PAIRS, POINTS, SUBSETS, SeededRng
 from .semiorders import MonotoneRC, RateFunction, f_minus, f_plus, g_from_rate
 
@@ -329,7 +329,8 @@ def nu_empirical(p: FinitePoset, sign: Sign) -> StepCDF:
     """Empirical CDF of normalised predecessor (minus) or successor counts.
 
     Degrees are counted as integers and accumulated once; the CDF jumps by
-    count/n at each degree/n.  An `IntervalSample` gives its degrees from
+    count/n at each degree/n, and every coordinate is one of the n + 1
+    fractions k/n, each built once.  An `IntervalSample` gives its degrees from
     its exact endpoint ranks, in O(n log n) and without building bitmasks;
     any other poset has its mask rows counted.
     """
@@ -342,11 +343,12 @@ def nu_empirical(p: FinitePoset, sign: Sign) -> StepCDF:
             counts[m.bit_count()] += 1
     else:
         raise InvalidArgument(f"sign must be 'minus' or 'plus', got {sign!r}")
+    grid = [Fraction(k, n) for k in range(n + 1)]
     pts = [] if counts[0] else [(ZERO, ZERO, ZERO)]
     cum = 0
     for d, c in enumerate(counts):
         if c:
-            pts.append((Fraction(d, n), Fraction(cum, n), Fraction(cum + c, n)))
+            pts.append((grid[d], grid[cum], grid[cum + c]))
             cum += c
     pts.append((ONE, ONE, ONE))
     return StepCDF.from_points(pts)
@@ -654,7 +656,11 @@ def converge_diagnostic(
     target_plus = f_plus(target_g) if target_g is not None else None
     rows = []
     for k, p in enumerate(ps):
-        semi = is_semiorder(p)
+        if isinstance(p, IntervalSample):  # an interval order: test its ranks
+            downs, ups = p.degrees("minus").tolist(), p.degrees("plus").tolist()
+            semi = semiorder_by_degrees(downs, ups)
+        else:
+            semi = is_semiorder(p)
         if not semi:
             msg = (
                 f"input {k} is not a semiorder; the degree-distribution "

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from bisect import bisect_right
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 
 from poslim import poset as ps
+from poslim import recognition as rec
 from poslim import sampling as sa
 from poslim import semiorders as so
 from poslim.measures import AtomicMeasure, StepKernelMeasure
@@ -225,3 +227,47 @@ def test_degree_path_leaves_masks_unbuilt():
     sa.nu_empirical(p, "plus")
     assert "succ" not in vars(p) and "pred" not in vars(p)
     assert isinstance(p.degrees("plus"), np.ndarray)
+
+
+def _diagnosed_semiorder(p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return sa.converge_diagnostic([p]).rows[0].semiorder
+
+
+@given(models(), st.integers(1, 40), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_semiorder_flag_from_ranks_matches_masks(model, n, seed):
+    p = sa.sample_kernel_poset(model, n, SeededRng(seed))
+    q = sa.poset_from_intervals(p.intervals)
+    assert _diagnosed_semiorder(p) == rec.is_semiorder(q)
+    assert "succ" not in vars(p) and "pred" not in vars(p)
+
+
+# a long interval [x, 1] from the first cell next to a chain of short ones: 3+1
+LONG_AND_SHORT = StepKernelMeasure.from_cells(
+    [(0, F(1, 4), [(F(1, 4), F(1, 2)), (1, F(1, 2))]), (F(1, 4), F(1, 2), [(F(1, 2), 1)]),
+     (F(1, 2), F(3, 4), [(F(3, 4), 1)]), (F(3, 4), 1, [(1, 1)])]
+)
+
+
+def test_semiorder_flag_from_ranks_all_four_models():
+    models = (
+        so.gc(F(3, 10)),
+        so.RateFunction.from_pieces([(0, F(1, 2), 8), (F(1, 2), 1, 2)]),
+        LONG_AND_SHORT,
+        ATOMS_ON_BREAKS,
+        SHARED_ENDS,
+    )
+    seen = set()
+    for model, seed in itertools.product(models, range(6)):
+        p = sa.sample_kernel_poset(model, 60, SeededRng(seed))
+        q = sa.poset_from_intervals(p.intervals)
+        semi = rec.is_semiorder(q)
+        downs, ups = p.degrees("minus").tolist(), p.degrees("plus").tolist()
+        assert rec.semiorder_by_degrees(downs, ups) == semi
+        assert _diagnosed_semiorder(p) == semi
+        assert "succ" not in vars(p) and "pred" not in vars(p)
+        seen.add((type(model).__name__, semi))
+    assert ("StepKernelMeasure", False) in seen and ("StepKernelMeasure", True) in seen
+    assert {("MonotoneRC", True), ("RateFunction", True), ("AtomicMeasure", True)} <= seen

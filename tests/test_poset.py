@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from poslim import poset as ps
 from poslim.errors import CycleError, EmptySubset, InvariantError, SizeLimit
 
-from conftest import fixpoint_closure, posets
+from conftest import fixpoint_closure, is_isomorphic, posets
 
 
 def test_from_relations_closure():
@@ -88,14 +88,14 @@ def test_named_posets():
     l = ps.three_plus_one()
     assert h.pair_count() == 2
     assert l.pair_count() == 3
-    assert ps.is_isomorphic(ps.named_poset("h"), h)
-    assert ps.is_isomorphic(ps.named_poset("L"), l)
+    assert is_isomorphic(ps.named_poset("h"), h)
+    assert is_isomorphic(ps.named_poset("L"), l)
     assert ps.named_poset("chain5").pair_count() == 10
     assert ps.named_poset("antichain4").pair_count() == 0
     q3m = ps.named_poset("q3-")
     assert q3m.n == 4 and ps.degree(q3m, 3, "minus") == 3
     q3p = ps.named_poset("q3+")
-    assert ps.is_isomorphic(q3p, ps.reflect(q3m))
+    assert is_isomorphic(q3p, ps.reflect(q3m))
 
 
 def test_reflect_involution_named():
@@ -103,8 +103,8 @@ def test_reflect_involution_named():
         assert ps.reflect(ps.reflect(p)) == p
     assert ps.reflect(ps.antichain(3)) == ps.antichain(3)
     # 2+2 and 3+1 are self-dual
-    assert ps.is_isomorphic(ps.reflect(ps.two_plus_two()), ps.two_plus_two())
-    assert ps.is_isomorphic(ps.reflect(ps.three_plus_one()), ps.three_plus_one())
+    assert is_isomorphic(ps.reflect(ps.two_plus_two()), ps.two_plus_two())
+    assert is_isomorphic(ps.reflect(ps.three_plus_one()), ps.three_plus_one())
 
 
 def test_induced():
@@ -130,11 +130,11 @@ def test_degree():
 
 def test_is_isomorphic_basic():
     h, l = ps.two_plus_two(), ps.three_plus_one()
-    assert ps.is_isomorphic(h, h)
-    assert not ps.is_isomorphic(h, l)
-    assert ps.is_isomorphic(ps.from_relations(4, [(4, 3), (3, 2)]), l)
+    assert is_isomorphic(h, h)
+    assert not is_isomorphic(h, l)
+    assert is_isomorphic(ps.from_relations(4, [(4, 3), (3, 2)]), l)
     # relabelled 2+2
-    assert ps.is_isomorphic(ps.from_relations(4, [(1, 3), (2, 4)]), h)
+    assert is_isomorphic(ps.from_relations(4, [(1, 3), (2, 4)]), h)
 
 
 def test_catalog_counts():
@@ -159,14 +159,14 @@ def test_catalog_counts_against_labelled_bruteforce():
             p = ps.FinitePoset.from_succ_masks(masks)
         except InvariantError:
             continue
-        if not any(ps.is_isomorphic(p, q) for q in reps):
+        if not any(is_isomorphic(p, q) for q in reps):
             reps.append(p)
     assert len(reps) == 5
 
 
 def test_catalog_no_duplicates(catalog5):
     for a, b in itertools.combinations(catalog5.of_size(4), 2):
-        assert not ps.is_isomorphic(a, b)
+        assert not is_isomorphic(a, b)
 
 
 def test_index_of(catalog5):
@@ -213,8 +213,8 @@ def test_degree_sums(p):
 @given(posets(), posets())
 @settings(max_examples=40)
 def test_isomorphism_symmetry(p, q):
-    assert ps.is_isomorphic(p, q) == ps.is_isomorphic(q, p)
-    assert ps.is_isomorphic(p, p)
+    assert is_isomorphic(p, q) == is_isomorphic(q, p)
+    assert is_isomorphic(p, p)
 
 
 @given(posets(min_n=3), st.permutations(range(6)))
@@ -224,8 +224,8 @@ def test_isomorphism_transitive_on_relabellings(p, perm):
     order = [i for i in perm if i < p.n]
     b = ps.induced(p, order)
     c = ps.induced(b, list(reversed(range(p.n))))
-    assert ps.is_isomorphic(p, b) and ps.is_isomorphic(b, c)
-    assert ps.is_isomorphic(p, c)
+    assert is_isomorphic(p, b) and is_isomorphic(b, c)
+    assert is_isomorphic(p, c)
 
 
 @given(posets(min_n=2))

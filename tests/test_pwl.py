@@ -1,17 +1,23 @@
 """Exact evaluation and sup-norm distance of piecewise-linear functions,
-checked against linear-scan references written here."""
+checked against linear-scan references written here, and the integer
+kernels of `normalize` and `check_monotone` against their `Fraction`
+references in conftest."""
 
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
-from hypothesis import example, given
+import pytest
+from hypothesis import example, given, settings
 
 from poslim import poset as ps
 from poslim import pwl
 from poslim import sampling as sa
+from poslim import semiorders as so
+from poslim.errors import InvariantError
 from poslim.measures import StepCDF
+from poslim.rng import SeededRng
 
-from conftest import monotone_gs, posets
+from conftest import monotone_gs, posets, ref_check_monotone, ref_normalize
 
 _grid = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
@@ -109,3 +115,126 @@ def test_nu_empirical_matches_from_jumps(p):
         degrees = [ps.degree(p, i, sign) for i in range(p.n)]
         jumps = [(F(d, p.n), F(1, p.n)) for d in degrees]
         assert sa.nu_empirical(p, sign).points == StepCDF.from_jumps(jumps).points
+
+
+def test_ks_identity_sample_is_one_over_n():
+    n = 4000
+    p = sa.sample_kernel_poset(so.MonotoneRC.identity(), n, SeededRng(11))
+    identity = so.MonotoneRC.identity()
+    for sign in ("minus", "plus"):
+        nu = sa.nu_empirical(p, sign)
+        assert len(nu.points) == n + 1
+        assert sa.ks_for_target(nu, so.f_minus(identity)) == F(1, n)
+        assert sa.ks_for_target(nu, so.f_plus(identity)) == F(1, n)
+
+
+# -- integer kernels against the Fraction references --------------------------
+
+
+def outcome(fn, points):
+    """The result of fn(points), or the message of its InvariantError."""
+    try:
+        return "ok", fn(points)
+    except InvariantError as e:
+        return "error", str(e)
+
+
+def mixed(value, how):
+    """`value` as a Fraction, an int, a float or a string, when exact."""
+    if how == 1 and value.denominator == 1:
+        return int(value)
+    if how == 2 and float(value) == value:
+        return float(value)
+    if how == 3:
+        return f"{value.numerator}/{value.denominator}"
+    return value
+
+
+def _corrupt(kind, pts, k):
+    """pts with one defect of the given kind at or after breakpoint k."""
+    pts = [list(p) for p in pts]
+    m = len(pts)
+    k = min(max(k, 1), m - 1)
+    x, left, right = pts[k]
+    if kind == "unsorted":
+        pts[k - 1], pts[k] = pts[k], pts[k - 1]
+    elif kind == "duplicate":
+        pts.insert(k, [x, left, left])
+    elif kind == "outside":
+        pts[k][1 + k % 2] = F(5, 4) if k % 3 else F(-1, 8)
+    elif kind == "downward":
+        pts[k][1:] = [max(left, right) + F(1, 16), min(left, right)]
+    elif kind == "decreasing":
+        pts[k][1] = pts[k - 1][2] - F(1, 16)
+    elif kind == "collinear":
+        (x0, _, r0), (x1, l1, _) = pts[k - 1], pts[k]
+        mid = (r0 + l1) / 2
+        pts.insert(k, [(x0 + x1) / 2, mid, mid])
+    elif kind == "float-tenth":
+        tenth = F(0.1)  # the float 0.1 exactly: a 2^55 denominator
+        pts.insert(k, [tenth, tenth, tenth])
+    return pts
+
+
+_KINDS = ("none", "unsorted", "duplicate", "outside", "downward", "decreasing",
+          "collinear", "float-tenth")
+
+
+@st.composite
+def raw_points(draw):
+    """CDF breakpoints with at most one defect, each coordinate given as a
+    Fraction, an int, a float or a string."""
+    pool = draw(st.lists(_grid, min_size=1, max_size=4))
+    pts = draw(cdf_points(pool))
+    kind = draw(st.sampled_from(_KINDS))
+    if kind != "none":
+        pts = _corrupt(kind, pts, draw(st.integers(0, len(pts))))
+    if draw(st.booleans()):
+        pts = draw(st.permutations(pts))
+    return [tuple(mixed(v, draw(st.integers(0, 3))) for v in p) for p in pts]
+
+
+@given(raw_points())
+@settings(max_examples=400, deadline=None)
+def test_integer_kernels_match_fraction_references(raw):
+    got, want = outcome(pwl.normalize, raw), outcome(ref_normalize, raw)
+    assert got == want
+    exact = [tuple(map(F, p)) for p in raw]
+    assert outcome(pwl.check_monotone, exact) == outcome(ref_check_monotone, exact)
+    if got[0] == "ok":
+        pts = got[1]
+        assert all(type(v) is F for p in pts for v in p)
+        assert outcome(pwl.check_monotone, pts) == outcome(ref_check_monotone, pts)
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([(0, 0, 0), (F(1, 2), F(1, 2), F(1, 4)), (1, 1, 1)], "jumps must be upward"),
+        ([(0, 0, F(1, 2)), (F(1, 2), F(1, 4), F(1, 4)), (1, 1, 1)],
+         "segments must be nondecreasing"),
+        ([(0, 0, 0), (F(1, 2), F(1, 2), F(5, 4)), (1, 1, 1)], "values must lie in [0,1]"),
+        ([(0, -1, 0), (1, 1, 1)], "values must lie in [0,1]"),
+        ([(0, 0, 0), (F(1, 2), 0, 0), (F(1, 4), 0, 0), (1, 1, 1)],
+         "breakpoints must be strictly increasing"),
+        ([(0, 0, 0), (F(1, 2), 0, 0), (F(1, 2), 0, 0), (1, 1, 1)],
+         "breakpoints must be strictly increasing"),
+        ([(F(1, 8), 0, 0), (1, 1, 1)], "breakpoints must start at 0 and end at 1"),
+        ([], "need at least one breakpoint"),
+    ],
+)
+def test_check_monotone_messages(points, message):
+    exact = [tuple(map(F, p)) for p in points]
+    assert outcome(pwl.check_monotone, exact) == ("error", message)
+    assert outcome(ref_check_monotone, exact) == ("error", message)
+
+
+def test_normalize_messages_and_collinear_drop():
+    assert outcome(pwl.normalize, [("1/2", 0, 0), (0.5, 0, 0), (0, 0, 0)]) == (
+        "error", "duplicate breakpoint at 1/2")
+    assert outcome(pwl.normalize, []) == ("error", "need at least one breakpoint")
+    line = [(1, 1, 1), ("1/3", "1/3", "1/3"), (0, 0, 0), (0.5, 0.5, 0.5)]
+    assert pwl.normalize(line) == ((0, 0, 0), (1, 1, 1)) == ref_normalize(line)
+    bent = [(0, 0, 0), ("1/3", "1/2", "1/2"), (0.5, 0.75, 0.75), (1, 1, 1)]
+    assert pwl.normalize(bent) == ref_normalize(bent)
+    assert len(pwl.normalize(bent)) == 3
