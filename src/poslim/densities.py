@@ -14,9 +14,9 @@ from typing import Literal, Sequence
 
 from .errors import BudgetExceeded, InvalidArgument
 from .measures import AtomicMeasure, StepKernelMeasure
-from .poset import FinitePoset, _bits, in_star, out_star
+from .poset import FinitePoset, _bits, in_star, out_star, poset_from_intervals
 from .rng import MC_TUPLES, SeededRng
-from .sampling import interval_model, poset_from_intervals
+from .sampling import interval_model
 from .semiorders import MonotoneRC, RateFunction
 
 Kind = Literal["hom", "inj", "ind"]
@@ -108,13 +108,9 @@ def moment_identity_check(
     """
     if not 1 <= k <= 4:
         raise InvalidArgument("k must be in 1..4")
-    if sign == "minus":
-        masks, star = p.pred, in_star(k)
-    elif sign == "plus":
-        masks, star = p.succ, out_star(k)
-    else:
-        raise InvalidArgument(f"sign must be 'minus' or 'plus', got {sign!r}")
-    moment = Fraction(sum(m.bit_count() ** k for m in masks), p.n ** (k + 1))
+    degrees = p.degrees(sign).tolist()
+    star = in_star(k) if sign == "minus" else out_star(k)
+    moment = Fraction(sum(d**k for d in degrees), p.n ** (k + 1))
     return moment, density(star, p, "hom")
 
 

@@ -5,6 +5,11 @@ A poset on n points is stored as two tuples of Python-int bitmasks:
 rows give O(1) comparability tests, O(n/64)-word set operations for the
 recognition and density machinery, and cheap immutability/hashing.
 
+Bulk consumers ask two queries: `degrees` (every down- or up-set size) and
+`precedes` (i < j over numpy index arrays).  An `IntervalSample`, an interval
+order kept as its closed intervals, answers both from its endpoint ranks and
+builds its bitmask rows only when `succ` or `pred` is read.
+
 Point indices are 0-based everywhere in the Python API.  The text format and
 ``from_relations`` use 1-based labels, matching the on-disk convention;
 conversion happens only at that boundary.
@@ -14,7 +19,9 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Literal, Sequence
 
@@ -35,15 +42,20 @@ Sign = Literal["minus", "plus"]
 _CATALOG_MAX = 7
 
 
+def _pack_rows(masks: Sequence[int], n: int) -> np.ndarray:
+    """n bitmask rows as an (n, ceil(n/8)) uint8 array: bit j of masks[i] is
+    bit j % 8 of byte j // 8 of row i."""
+    nbytes = (n + 7) // 8
+    return np.frombuffer(
+        b"".join(m.to_bytes(nbytes, "little") for m in masks), dtype=np.uint8
+    ).reshape(n, nbytes)
+
+
 def _transpose_masks(masks: Sequence[int], n: int) -> tuple[int, ...]:
     """Transpose an n x n bitmask matrix (bit j of masks[i] -> bit i of out[j])."""
     if n == 0:
         return ()
-    nbytes = (n + 7) // 8
-    buf = np.frombuffer(
-        b"".join(m.to_bytes(nbytes, "little") for m in masks), dtype=np.uint8
-    ).reshape(n, nbytes)
-    bits = np.unpackbits(buf, axis=1, bitorder="little", count=n)
+    bits = np.unpackbits(_pack_rows(masks, n), axis=1, bitorder="little", count=n)
     packed = np.packbits(bits.T, axis=1, bitorder="little")
     return tuple(int.from_bytes(packed[i].tobytes(), "little") for i in range(n))
 
@@ -142,6 +154,25 @@ class FinitePoset:
     def less(self, i: int, j: int) -> bool:
         return bool((self.succ[i] >> j) & 1)
 
+    def degrees(self, sign: Sign) -> np.ndarray:
+        """Predecessor (minus) or successor (plus) count of every point."""
+        if sign not in ("minus", "plus"):
+            raise InvalidArgument(f"sign must be 'minus' or 'plus', got {sign!r}")
+        return self._degrees(sign == "minus")
+
+    def _degrees(self, minus: bool) -> np.ndarray:
+        rows = self.pred if minus else self.succ
+        return np.fromiter(map(int.bit_count, rows), dtype=np.int64, count=self.n)
+
+    @cached_property
+    def _packed(self) -> np.ndarray:
+        return _pack_rows(self.succ, self.n)
+
+    def precedes(self, u, v) -> np.ndarray:
+        """Boolean array of u < v over broadcastable arrays of point indices."""
+        u, v = np.asarray(u), np.asarray(v)
+        return ((self._packed[u, v >> 3] >> (v & 7)) & 1).astype(bool)
+
     def comparable(self, i: int, j: int) -> bool:
         return bool(((self.succ[i] | self.pred[i]) >> j) & 1)
 
@@ -199,11 +230,102 @@ def induced(p: FinitePoset, points: Iterable[int]) -> FinitePoset:
 def degree(p: FinitePoset, i: int, sign: Sign) -> int:
     if not 0 <= i < p.n:
         raise InvariantError(f"index {i} out of range")
-    if sign == "minus":
-        return p.pred[i].bit_count()
-    if sign == "plus":
-        return p.succ[i].bit_count()
-    raise InvalidArgument(f"sign must be 'minus' or 'plus', got {sign!r}")
+    return int(p.degrees(sign)[i])
+
+
+# -- interval orders kept as intervals ----------------------------------------
+
+
+def poset_from_intervals(
+    intervals: Sequence[tuple[Fraction, Fraction]]
+) -> FinitePoset:
+    """Interval order of closed intervals: i < j iff b_i < a_j, exact."""
+    n = len(intervals)
+    a = [iv[0] for iv in intervals]
+    b = [iv[1] for iv in intervals]
+    order_a = sorted(range(n), key=lambda i: a[i])
+    a_sorted = [a[i] for i in order_a]
+    suffix = [0] * (n + 1)
+    for pos in reversed(range(n)):
+        suffix[pos] = suffix[pos + 1] | (1 << order_a[pos])
+    succ = tuple(suffix[bisect_right(a_sorted, b[i])] for i in range(n))
+    order_b = sorted(range(n), key=lambda i: b[i])
+    b_sorted = [b[i] for i in order_b]
+    prefix = [0] * (n + 1)
+    for pos in range(n):
+        prefix[pos + 1] = prefix[pos] | (1 << order_b[pos])
+    pred = tuple(prefix[bisect_left(b_sorted, a[j])] for j in range(n))
+    return FinitePoset(n, succ, pred)
+
+
+def endpoint_order(a: Sequence[Fraction], b: Sequence[Fraction]) -> np.ndarray:
+    """Exact increasing order of the endpoints a + b, as indices into a + b.
+
+    At equal values a left endpoint (index below len(a)) comes first, so
+    b_i < a_j iff b_i comes before a_j.  The floats are sorted first;
+    `float()` of a `Fraction` is correctly rounded, hence monotone, so only
+    runs of equal floats can be out of exact order, and those runs are
+    re-sorted by their exact values.
+    """
+    values = [*a, *b]
+    n_left = len(a)
+    floats = np.fromiter(map(float, values), dtype=np.float64, count=len(values))
+    order = np.lexsort((np.arange(len(values)) >= n_left, floats))
+    tied = np.flatnonzero(floats[order[1:]] == floats[order[:-1]])
+    if tied.size:
+        gap = np.diff(tied) > 1
+        starts = tied[np.r_[True, gap]].tolist()
+        ends = (tied[np.r_[gap, True]] + 2).tolist()
+        ordered = order.tolist()
+        for lo, hi in zip(starts, ends):
+            run = ordered[lo:hi]
+            first = values[run[0]]
+            if any(values[k] != first for k in run[1:]):  # equal runs are in order
+                run.sort(key=lambda k: (values[k], k >= n_left))
+                order[lo:hi] = run
+    return order
+
+
+class IntervalSample(FinitePoset):
+    """An interval order kept as its closed intervals: i < j iff b_i < a_j.
+
+    On first use the 2n endpoints are put in one exact order
+    (`endpoint_order`, O(n log n)), and `ranks` holds each endpoint's
+    position in it, so `precedes` compares ranks and `degrees` counts them
+    by binary search.  The bitmask rows `succ` and `pred` (Θ(n²) bits) are
+    built by `poset_from_intervals` only when first read, so every
+    `FinitePoset` method, `==` and the text format work as for any other
+    poset.
+    """
+
+    def __init__(self, intervals: Sequence[tuple[Fraction, Fraction]]):
+        object.__setattr__(self, "n", len(intervals))
+        object.__setattr__(self, "intervals", tuple(intervals))
+
+    @cached_property
+    def _masks(self) -> FinitePoset:
+        return poset_from_intervals(self.intervals)
+
+    succ = cached_property(lambda self: self._masks.succ)
+    pred = cached_property(lambda self: self._masks.pred)
+
+    @cached_property
+    def ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rank_a, rank_b): positions of a_i and b_i in the exact order."""
+        n = self.n
+        rank = np.empty(2 * n, dtype=np.int64)
+        rank[endpoint_order(*zip(*self.intervals))] = np.arange(2 * n)
+        return rank[:n], rank[n:]
+
+    def _degrees(self, minus: bool) -> np.ndarray:
+        rank_a, rank_b = self.ranks
+        if minus:  # right endpoints before a_j
+            return np.searchsorted(np.sort(rank_b), rank_a)
+        return self.n - np.searchsorted(np.sort(rank_a), rank_b)  # left ends after b_i
+
+    def precedes(self, u, v) -> np.ndarray:
+        rank_a, rank_b = self.ranks
+        return rank_b[u] < rank_a[v]
 
 
 # -- named posets -----------------------------------------------------------

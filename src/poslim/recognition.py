@@ -7,7 +7,8 @@ Scott-Suppes view instead of a pattern search: an order is an interval
 order iff its down-sets form a chain under inclusion, and such an order is a
 semiorder iff no point has both a strictly larger down-set and a strictly
 larger up-set than another.  Each test is a sort and a scan, O(n log n)
-steps of at most n/64 words.  `find_two_plus_two` and `find_three_plus_one`
+steps of at most n/64 words; the semiorder test reads only set sizes
+(`degrees`), so an `IntervalSample` is recognized from its endpoint ranks.  `find_two_plus_two` and `find_three_plus_one`
 scan all O(n^2) point pairs; they build the witness of `NotIntervalOrder`
 and serve the test suite as oracles.
 """
@@ -21,7 +22,7 @@ from typing import Iterable
 from . import textio
 from .errors import FormatError, InternalInvariantError, NotIntervalOrder
 from .measures import AtomicMeasure
-from .poset import FinitePoset, _bits
+from .poset import FinitePoset, IntervalSample, _bits
 
 
 def find_two_plus_two(p: FinitePoset) -> tuple[int, int, int, int] | None:
@@ -64,6 +65,8 @@ def find_three_plus_one(p: FinitePoset) -> tuple[int, int, int, int] | None:
 
 def is_interval_order(p: FinitePoset) -> bool:
     """True iff the down-sets form a chain under inclusion (no induced 2+2)."""
+    if isinstance(p, IntervalSample):
+        return True
     rows = sorted(set(p.pred), key=lambda m: (m.bit_count(), m))
     for a, b in zip(rows, rows[1:]):
         if a & ~b:
@@ -79,9 +82,7 @@ def is_semiorder(p: FinitePoset) -> bool:
     """True iff p is an interval order without an induced 3+1."""
     if not is_interval_order(p):
         return False
-    return semiorder_by_degrees(
-        map(int.bit_count, p.pred), map(int.bit_count, p.succ)
-    )
+    return semiorder_by_degrees(p.degrees("minus").tolist(), p.degrees("plus").tolist())
 
 
 def semiorder_by_degrees(downs: Iterable[int], ups: Iterable[int]) -> bool:
@@ -121,13 +122,13 @@ def interval_representation(p: FinitePoset) -> IntervalRepresentation:
     index); for interval orders every successor set is then a rank suffix,
     which makes the realization biconditional hold.  For semiorders the
     right endpoints come out nondecreasing in rank order; both facts are
-    re-checked at runtime, the first as one mask comparison per point.
+    re-checked at runtime, the first as one mask comparison per point (so
+    an `IntervalSample` builds its mask rows here).
     """
     if not is_interval_order(p):
         raise NotIntervalOrder(f"induced 2+2 on points {find_two_plus_two(p)}")
     n = p.n
-    downs = [m.bit_count() for m in p.pred]
-    ups = [m.bit_count() for m in p.succ]
+    downs, ups = p.degrees("minus").tolist(), p.degrees("plus").tolist()
     order = sorted(range(n), key=lambda i: (downs[i], -ups[i], i))
     rank = [0] * n
     for pos, i in enumerate(order):
@@ -151,7 +152,7 @@ def interval_representation(p: FinitePoset) -> IntervalRepresentation:
             raise InternalInvariantError(
                 f"representation does not realize the pair ({i},{j})"
             )
-    if is_semiorder(p):
+    if semiorder_by_degrees(downs, ups):
         ordered_b = [b[i] for i in order]
         if any(x > y for x, y in zip(ordered_b, ordered_b[1:])):
             raise InternalInvariantError(

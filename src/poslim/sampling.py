@@ -11,12 +11,10 @@ interval i ends strictly before interval j begins.  The pairwise coin flips
 of the general construction are skipped for these 0/1 kernels; a raw callable
 kernel uses them and gets its output validated.
 
-A sample from an interval model is an `IntervalSample`: its exact endpoints
-plus, computed once on first use, one exact order of all 2n endpoints.  The
-degree path (`nu_empirical`) and the tuple patterns of `fingerprint_estimate`
-read endpoint ranks, in O(n log n) time and O(n) memory.  The n x n bitmask
-rows are built lazily, by `poset_from_intervals`, when a caller reads `succ`
-or `pred`: exact fingerprints, recognition, the text format, `==`.
+A sample from an interval model is a `poset.IntervalSample`.  Nothing here
+asks which class a poset is: degree statistics read `degrees`, and both
+fingerprints classify numpy blocks of point tuples with one `precedes` call,
+so a sample answers from its endpoint ranks and never builds its bitmasks.
 """
 
 from __future__ import annotations
@@ -24,11 +22,11 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Iterable, Literal, Sequence, Union
+from functools import lru_cache
+from typing import Iterable, Literal, Union
 
 import numpy as np
 
@@ -43,8 +41,8 @@ from .errors import (
 from .measures import AtomicMeasure, StepCDF, StepKernelMeasure
 from .poset import (
     FinitePoset,
+    IntervalSample,
     _bits,
-    _transpose_masks,
     cached_catalog,
     canonical_key,
     chain,
@@ -52,7 +50,7 @@ from .poset import (
     two_plus_two,
 )
 from .pwl import ONE, ZERO, sup_distance
-from .recognition import is_semiorder, semiorder_by_degrees
+from .recognition import is_semiorder
 from .rng import CONDITIONALS, EDGES, PAIRS, POINTS, SUBSETS, SeededRng
 from .semiorders import MonotoneRC, RateFunction, f_minus, f_plus, g_from_rate
 
@@ -60,6 +58,9 @@ Sign = Literal["minus", "plus"]
 SamplerModel = Union[MonotoneRC, RateFunction, StepKernelMeasure, AtomicMeasure]
 
 _FINGERPRINT_MAX = 5
+_FINGERPRINT_BLOCK = 1 << 10  # point tuples classified per numpy step
+_GRID_DENOMINATOR = 64  # the continuity grid of ks_distance_at_continuity
+_ATOM_MARGIN = Fraction(1, 32)  # ks_for_target's distance kept from atoms
 
 
 # -- interval models ----------------------------------------------------------
@@ -166,108 +167,7 @@ def interval_model(model: SamplerModel):
 # -- poset construction -------------------------------------------------------
 
 
-def poset_from_intervals(
-    intervals: Sequence[tuple[Fraction, Fraction]]
-) -> FinitePoset:
-    """Interval order of closed intervals: i < j iff b_i < a_j, exact."""
-    n = len(intervals)
-    a = [iv[0] for iv in intervals]
-    b = [iv[1] for iv in intervals]
-    order_a = sorted(range(n), key=lambda i: a[i])
-    a_sorted = [a[i] for i in order_a]
-    suffix = [0] * (n + 1)
-    for pos in reversed(range(n)):
-        suffix[pos] = suffix[pos + 1] | (1 << order_a[pos])
-    succ = tuple(suffix[bisect_right(a_sorted, b[i])] for i in range(n))
-    order_b = sorted(range(n), key=lambda i: b[i])
-    b_sorted = [b[i] for i in order_b]
-    prefix = [0] * (n + 1)
-    for pos in range(n):
-        prefix[pos + 1] = prefix[pos] | (1 << order_b[pos])
-    pred = tuple(prefix[bisect_left(b_sorted, a[j])] for j in range(n))
-    return FinitePoset(n, succ, pred)
-
-
-def endpoint_order(a: Sequence[Fraction], b: Sequence[Fraction]) -> np.ndarray:
-    """Exact increasing order of the endpoints a + b, as indices into a + b.
-
-    At equal values a left endpoint (index below len(a)) comes first, so
-    b_i < a_j iff b_i comes before a_j.  The floats are sorted first;
-    `float()` of a `Fraction` is correctly rounded, hence monotone, so only
-    runs of equal floats can be out of exact order, and those runs are
-    re-sorted by their exact values.
-    """
-    values = [*a, *b]
-    n_left = len(a)
-    floats = np.fromiter(map(float, values), dtype=np.float64, count=len(values))
-    order = np.lexsort((np.arange(len(values)) >= n_left, floats))
-    tied = np.flatnonzero(floats[order[1:]] == floats[order[:-1]])
-    if tied.size:
-        gap = np.diff(tied) > 1
-        starts = tied[np.r_[True, gap]].tolist()
-        ends = (tied[np.r_[gap, True]] + 2).tolist()
-        ordered = order.tolist()
-        for lo, hi in zip(starts, ends):
-            run = ordered[lo:hi]
-            first = values[run[0]]
-            if any(values[k] != first for k in run[1:]):  # equal runs are in order
-                run.sort(key=lambda k: (values[k], k >= n_left))
-                order[lo:hi] = run
-    return order
-
-
-class IntervalSample(FinitePoset):
-    """An interval order kept as its closed intervals: i < j iff b_i < a_j.
-
-    On first use the 2n endpoints are put in one exact order
-    (`endpoint_order`, O(n log n)), and `ranks` holds each endpoint's
-    position in it, so i < j iff rank_b[i] < rank_a[j], and the degrees of
-    every point are counts of ranks, found by binary search.  The bitmask
-    rows `succ` and `pred` (Θ(n²) bits) are built by `poset_from_intervals`
-    only when first read, so every `FinitePoset` method, `==` and the text
-    format work as for any other poset.
-    """
-
-    def __init__(self, intervals: Sequence[tuple[Fraction, Fraction]]):
-        object.__setattr__(self, "n", len(intervals))
-        object.__setattr__(self, "intervals", tuple(intervals))
-
-    @cached_property
-    def _masks(self) -> FinitePoset:
-        return poset_from_intervals(self.intervals)
-
-    @cached_property
-    def succ(self) -> tuple[int, ...]:
-        return self._masks.succ
-
-    @cached_property
-    def pred(self) -> tuple[int, ...]:
-        return self._masks.pred
-
-    @cached_property
-    def ranks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rank_a, rank_b): positions of a_i and b_i in the exact order."""
-        n = self.n
-        order = endpoint_order(
-            [iv[0] for iv in self.intervals], [iv[1] for iv in self.intervals]
-        )
-        rank = np.empty(2 * n, dtype=np.int64)
-        rank[order] = np.arange(2 * n)
-        return rank[:n], rank[n:]
-
-    def degrees(self, sign: Sign) -> np.ndarray:
-        """Predecessor (minus) or successor (plus) count of every point."""
-        rank_a, rank_b = self.ranks
-        if sign == "minus":  # right endpoints before a_j
-            return np.searchsorted(np.sort(rank_b), rank_a)
-        if sign == "plus":  # left endpoints after b_i
-            return self.n - np.searchsorted(np.sort(rank_a), rank_b)
-        raise InvalidArgument(f"sign must be 'minus' or 'plus', got {sign!r}")
-
-
-def sample_kernel_poset(
-    kernel, n: int, rng: SeededRng, *, validate: bool = False
-) -> FinitePoset:
+def sample_kernel_poset(kernel, n: int, rng: SeededRng) -> FinitePoset:
     """Random n-point poset from a kernel model.
 
     The four interval models (threshold g, rate function, step and atomic
@@ -294,12 +194,10 @@ def sample_kernel_poset(
                 if i != j and row[j] < float(kernel(float(xs[i]), float(xs[j]))):
                     m |= 1 << j
             masks.append(m)
-        out = FinitePoset(n, tuple(masks), _transpose_masks(masks, n))
         try:
-            out.check_valid()
+            return FinitePoset.from_succ_masks(masks)
         except InvariantError as e:
             raise NotTransitive(f"sampled relation is not a strict order: {e}") from e
-        return out
     mdl = interval_model(kernel)
     u1 = rng.uniforms(POINTS, n).tolist()
     if mdl.per_point == 2:
@@ -307,10 +205,7 @@ def sample_kernel_poset(
         intervals = [mdl.interval_at(x, y) for x, y in zip(u1, u2)]
     else:
         intervals = [mdl.interval_at(x) for x in u1]
-    out = IntervalSample(intervals)
-    if validate:
-        out.check_valid()
-    return out
+    return IntervalSample(intervals)
 
 
 def sample_interval_poset(
@@ -330,19 +225,10 @@ def nu_empirical(p: FinitePoset, sign: Sign) -> StepCDF:
 
     Degrees are counted as integers and accumulated once; the CDF jumps by
     count/n at each degree/n, and every coordinate is one of the n + 1
-    fractions k/n, each built once.  An `IntervalSample` gives its degrees from
-    its exact endpoint ranks, in O(n log n) and without building bitmasks;
-    any other poset has its mask rows counted.
+    fractions k/n, each built once.
     """
     n = p.n
-    if isinstance(p, IntervalSample):
-        counts = np.bincount(p.degrees(sign), minlength=n).tolist()
-    elif sign in ("minus", "plus"):
-        counts = [0] * n
-        for m in p.pred if sign == "minus" else p.succ:
-            counts[m.bit_count()] += 1
-    else:
-        raise InvalidArgument(f"sign must be 'minus' or 'plus', got {sign!r}")
+    counts = np.bincount(p.degrees(sign), minlength=n).tolist()
     grid = [Fraction(k, n) for k in range(n + 1)]
     pts = [] if counts[0] else [(ZERO, ZERO, ZERO)]
     cum = 0
@@ -360,12 +246,9 @@ def ks_distance(f: StepCDF, g: StepCDF) -> Fraction:
 
 
 def ks_distance_at_continuity(
-    f: StepCDF,
-    g: StepCDF,
-    grid_denominator: int = 64,
-    margin: Fraction = ZERO,
+    f: StepCDF, g: StepCDF, margin: Fraction = ZERO
 ) -> Fraction:
-    """Sup of |f - g| over a fixed grid of continuity points of g.
+    """Sup of |f - g| over the grid k/64 and the breakpoints of g.
 
     The plain sup-norm does not metrize convergence in distribution at atoms
     of the target: an empirical atom lands a random O(n^-1/2) offset away and
@@ -375,7 +258,7 @@ def ks_distance_at_continuity(
     the sampling fluctuation scale, a few n^-1/2).
     """
     jumps = g.jump_locations()
-    candidates = {Fraction(k, grid_denominator) for k in range(grid_denominator + 1)}
+    candidates = {Fraction(k, _GRID_DENOMINATOR) for k in range(_GRID_DENOMINATOR + 1)}
     candidates |= set(g.breakpoints())
     best = ZERO
     for t in sorted(candidates):
@@ -424,52 +307,38 @@ def _class_label(q: FinitePoset) -> str:
     return ""
 
 
-def fingerprint(p: FinitePoset, max_q: int) -> Fingerprint:
-    """Exact induced densities of every catalog pattern up to size max_q.
-
-    Every s-subset of points is classified by its labelled pattern; a class
-    met by c subsets has c * |Aut| induced embeddings out of (n)_s maps.
-    """
+def _check_fingerprint_size(max_q: int) -> None:
+    if max_q < 1:
+        raise InvalidArgument(f"max_q must be at least 1, got {max_q}")
     if max_q > _FINGERPRINT_MAX:
         raise SizeLimit(f"fingerprint patterns capped at size {_FINGERPRINT_MAX}")
-    entries = []
-    for s in range(1, max_q + 1):
-        table, auts, ids, labs = _pattern_key_table(s)
-        counts = [0] * len(auts)
-        for idx in itertools.combinations(range(p.n), s):
-            counts[table[_pattern_key(p.succ, idx)]] += 1
-        maps = math.perm(p.n, s)  # 0 when s > n, and then every count is 0
-        for pos, c in enumerate(counts):
-            value = Fraction(c * auts[pos], maps) if c else Fraction(0)
-            entries.append(FingerprintEntry(ids[pos], labs[pos], value, Fraction(0)))
-    return Fingerprint(max_q, tuple(entries))
 
 
-def _pattern_key(succ: Sequence[int], idx: Sequence[int]) -> int:
-    """Labelled pattern of the point tuple idx: bit u*s+v iff idx[u] < idx[v]."""
-    key = 0
-    bit = 1
-    for a in idx:
-        row = succ[a]
-        for b in idx:
-            if (row >> b) & 1:
-                key |= bit
-            bit <<= 1
-    return key
-
-
-def _tuple_keys(p: FinitePoset, tuples: np.ndarray) -> list[int]:
-    """`_pattern_key` of every row of an (m, s) array of point tuples.
-
-    An `IntervalSample` compares endpoint ranks for all rows at once: bit
-    u*s+v iff rank_b[idx[u]] < rank_a[idx[v]].  Other posets read succ rows.
-    """
-    if not isinstance(p, IntervalSample):
-        return [_pattern_key(p.succ, idx) for idx in tuples.tolist()]
-    rank_a, rank_b = p.ranks
+def _pattern_keys(p: FinitePoset, tuples: np.ndarray) -> np.ndarray:
+    """Labelled pattern of every row of an (m, s) array of point tuples:
+    bit u*s+v of a row's key is set iff its point u is below its point v."""
     m, s = tuples.shape
-    less = rank_b[tuples][:, :, None] < rank_a[tuples][:, None, :]
-    return (less.reshape(m, s * s) @ (1 << np.arange(s * s, dtype=np.int64))).tolist()
+    less = p.precedes(tuples[:, :, None], tuples[:, None, :])
+    return less.reshape(m, s * s) @ (1 << np.arange(s * s, dtype=np.int64))
+
+
+def _class_counts(p: FinitePoset, blocks, table: dict[int, int], classes: int) -> list[int]:
+    """How many point tuples of each pattern class `blocks`, an iterable of
+    (m, s) tuple arrays, holds."""
+    counts = [0] * classes
+    for tuples in blocks:
+        uniq, tally = np.unique(_pattern_keys(p, tuples), return_counts=True)
+        for key, c in zip(uniq.tolist(), tally.tolist()):
+            counts[table[key]] += c
+    return counts
+
+
+def _subset_blocks(n: int, s: int):
+    """Every s-subset of 0..n-1, in (m, s) blocks of at most _FINGERPRINT_BLOCK."""
+    combos = itertools.combinations(range(n), s)
+    row = np.dtype((np.int64, s))
+    while len(block := np.fromiter(itertools.islice(combos, _FINGERPRINT_BLOCK), row)):
+        yield block
 
 
 @lru_cache(maxsize=8)
@@ -479,6 +348,7 @@ def _pattern_key_table(s: int) -> tuple[dict[int, int], list[int], list[str], li
     A class with k distinct labelled keys has s!/k automorphisms.
     """
     cat = cached_catalog(s)
+    perms = np.array(list(itertools.permutations(range(s))), dtype=np.int64)
     table: dict[int, int] = {}
     auts: list[int] = []
     ids: list[str] = []
@@ -486,7 +356,7 @@ def _pattern_key_table(s: int) -> tuple[dict[int, int], list[int], list[str], li
     for idx, q in enumerate(cat.classes):
         if q.n != s:
             continue
-        keys = {_pattern_key(q.succ, perm) for perm in itertools.permutations(range(s))}
+        keys = set(_pattern_keys(q, perms).tolist())
         table.update(dict.fromkeys(keys, len(auts)))
         auts.append(math.factorial(s) // len(keys))
         ids.append(cat.class_id(idx))
@@ -494,32 +364,48 @@ def _pattern_key_table(s: int) -> tuple[dict[int, int], list[int], list[str], li
     return table, auts, ids, labs
 
 
+def fingerprint(p: FinitePoset, max_q: int) -> Fingerprint:
+    """Exact induced densities of every catalog pattern up to size max_q.
+
+    Every s-subset of points is classified by its labelled pattern, a block
+    of subsets per numpy step, so memory stays bounded whatever C(n, s) is;
+    a class met by c subsets has c * |Aut| induced embeddings out of (n)_s
+    maps.
+    """
+    _check_fingerprint_size(max_q)
+    entries = []
+    for s in range(1, max_q + 1):
+        table, auts, ids, labs = _pattern_key_table(s)
+        counts = _class_counts(p, _subset_blocks(p.n, s), table, len(auts))
+        maps = math.perm(p.n, s)  # 0 when s > n, and then every count is 0
+        for pos, c in enumerate(counts):
+            value = Fraction(c * auts[pos], maps) if c else Fraction(0)
+            entries.append(FingerprintEntry(ids[pos], labs[pos], value, Fraction(0)))
+    return Fingerprint(max_q, tuple(entries))
+
+
 def fingerprint_estimate(
-    p: FinitePoset,
-    max_q: int,
-    subsets: int,
-    rng: SeededRng,
-    stream_index: int = 0,
+    p: FinitePoset, max_q: int, subsets: int, rng: SeededRng
 ) -> Fingerprint:
     """Unbiased estimate of the induced-density fingerprint by random tuples.
 
     For each pattern size s, `subsets` ordered s-tuples of distinct points
-    are drawn; the frequency of each labelled pattern class, scaled by
-    |Aut| / s!, estimates the induced density.  Intended for posets too large
-    for exact counting.  Each size draws from 4 * subsets tuples; if fewer
-    than `subsets` of them have distinct points (n small next to s), it
-    raises BudgetExceeded.
+    are drawn from position 0 on of SUBSETS stream s; the frequency of each
+    labelled pattern class, scaled by |Aut| / s!, estimates the induced
+    density.  Intended for posets too large for exact counting.  Each size
+    draws from 4 * subsets tuples; if fewer than `subsets` of them have
+    distinct points (n small next to s), it raises BudgetExceeded.
     """
-    if max_q > _FINGERPRINT_MAX:
-        raise SizeLimit(f"fingerprint patterns capped at size {_FINGERPRINT_MAX}")
+    _check_fingerprint_size(max_q)
+    if subsets < 1:
+        raise InvalidArgument(f"subsets must be at least 1, got {subsets}")
     n = p.n
     entries = [FingerprintEntry("1-0", "antichain1", 1.0, 0.0)]
     for s in range(2, max_q + 1):
         if s > n:
             break
         table, auts, ids, labs = _pattern_key_table(s)
-        counts = [0] * len(auts)
-        us = rng.uniforms(SUBSETS, subsets * s * 4, index=(stream_index << 3) | s)
+        us = rng.uniforms(SUBSETS, subsets * s * 4, index=s)
         tuples = np.minimum((us * n).astype(np.int64), n - 1).reshape(-1, s)
         ordered = np.sort(tuples, axis=1)
         tuples = tuples[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
@@ -528,8 +414,7 @@ def fingerprint_estimate(
                 f"{len(us) // s} random {s}-tuples of {n} points gave fewer "
                 f"than subsets={subsets} with {s} distinct points"
             )
-        for key in _tuple_keys(p, tuples[:subsets]):
-            counts[table[key]] += 1
+        counts = _class_counts(p, [tuples[:subsets]], table, len(auts))
         fact = math.factorial(s)
         for pos in range(len(auts)):
             freq = counts[pos] / subsets
@@ -596,7 +481,7 @@ def random_graph_order(n: int, p, rng: SeededRng) -> FinitePoset:
         for j in _bits(direct[i]):
             acc |= succ[j]
         succ[i] = acc
-    return FinitePoset(n, tuple(succ), _transpose_masks(succ, n))
+    return FinitePoset.from_succ_masks(succ, validate=False)
 
 
 # -- convergence diagnostics --------------------------------------------------
@@ -656,11 +541,7 @@ def converge_diagnostic(
     target_plus = f_plus(target_g) if target_g is not None else None
     rows = []
     for k, p in enumerate(ps):
-        if isinstance(p, IntervalSample):  # an interval order: test its ranks
-            downs, ups = p.degrees("minus").tolist(), p.degrees("plus").tolist()
-            semi = semiorder_by_degrees(downs, ups)
-        else:
-            semi = is_semiorder(p)
+        semi = is_semiorder(p)
         if not semi:
             msg = (
                 f"input {k} is not a semiorder; the degree-distribution "
@@ -684,14 +565,12 @@ def converge_diagnostic(
     return ConvergenceReport(tuple(rows), verdict, threshold, tuple(notes))
 
 
-def ks_for_target(
-    empirical: StepCDF, target: StepCDF, margin: Fraction = Fraction(1, 32)
-) -> Fraction:
-    """Full sup-norm for continuous targets; the fixed continuity grid with a
-    safety margin around atoms otherwise (the sup does not metrize weak
+def ks_for_target(empirical: StepCDF, target: StepCDF) -> Fraction:
+    """Full sup-norm for continuous targets; the fixed continuity grid kept
+    1/32 away from atoms otherwise (the sup does not metrize weak
     convergence at atoms of the target)."""
     if target.jump_locations():
-        return ks_distance_at_continuity(empirical, target, margin=margin)
+        return ks_distance_at_continuity(empirical, target, margin=_ATOM_MARGIN)
     return ks_distance(empirical, target)
 
 

@@ -75,6 +75,21 @@ def is_isomorphic(p, q):
     return extend(0, 0)
 
 
+def pattern_key(succ, idx):
+    """Labelled pattern of the point tuple idx, one pair at a time: bit
+    u*s+v iff idx[u] < idx[v].  The reference the numpy tuple classifier of
+    the fingerprints is tested against."""
+    key = 0
+    bit = 1
+    for a in idx:
+        row = succ[a]
+        for b in idx:
+            if (row >> b) & 1:
+                key |= bit
+            bit <<= 1
+    return key
+
+
 def ref_check_monotone(points):
     """`pwl.check_monotone` in `Fraction` arithmetic: the reference for the
     integer kernel (same checks, same order, same messages)."""

@@ -123,6 +123,12 @@ def test_nu_and_fingerprint(tmp_path, capsys):
     assert two_two and two_two[0][2] == "1/12"
 
 
+def test_fingerprint_max_q_below_one_exits_2(capsys):
+    for max_q in ("0", "-1"):
+        code, out, err = run(capsys, "fingerprint", "--in", "h", "--max-q", max_q)
+        assert code == 2 and out == "" and "max_q must be at least 1" in err
+
+
 def test_rgo_and_converge(tmp_path, capsys):
     files = []
     for i, n in enumerate((100, 200)):

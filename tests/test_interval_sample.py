@@ -8,16 +8,18 @@ from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from poslim import poset as ps
 from poslim import recognition as rec
 from poslim import sampling as sa
 from poslim import semiorders as so
+from poslim.errors import InvalidArgument
 from poslim.measures import AtomicMeasure, StepKernelMeasure
 from poslim.rng import POINTS, SeededRng
 
-from conftest import atomic_measures, monotone_gs, step_measures
+from conftest import atomic_measures, monotone_gs, pattern_key, posets, step_measures
 
 STAIRCASE = so.MonotoneRC.from_points(
     [(0, F(2, 5), F(2, 5)), (F(2, 5), F(2, 5), F(4, 5)), (F(4, 5), F(4, 5), 1), (1, 1, 1)]
@@ -57,7 +59,7 @@ def models():
 
 def assert_matches_masks(p):
     """Degrees, nu, ranks and the lazy masks of p against poset_from_intervals."""
-    q = sa.poset_from_intervals(p.intervals)
+    q = ps.poset_from_intervals(p.intervals)
     for sign, masks in (("minus", q.pred), ("plus", q.succ)):
         assert p.degrees(sign).tolist() == [m.bit_count() for m in masks]
         assert sa.nu_empirical(p, sign).points == sa.nu_empirical(q, sign).points
@@ -74,7 +76,7 @@ def assert_matches_masks(p):
 @settings(max_examples=150, deadline=None)
 def test_sample_ranks_match_masks(model, n, seed):
     p = sa.sample_kernel_poset(model, n, SeededRng(seed))
-    assert isinstance(p, sa.IntervalSample)
+    assert isinstance(p, ps.IntervalSample)
     assert_matches_masks(p)
 
 
@@ -86,7 +88,7 @@ _ENDPOINTS = st.sampled_from(
 @given(st.lists(st.tuples(_ENDPOINTS, _ENDPOINTS), min_size=1, max_size=12))
 @settings(max_examples=200, deadline=None)
 def test_ranks_with_ties_and_float_collisions(pairs):
-    p = sa.IntervalSample([(min(x, y), max(x, y)) for x, y in pairs])
+    p = ps.IntervalSample([(min(x, y), max(x, y)) for x, y in pairs])
     assert_matches_masks(p)
 
 
@@ -102,12 +104,12 @@ def test_endpoint_order_separates_colliding_floats():
     # index order and float order both put the larger value first
     a = [NEAR_THIRD, F(0), THIRD]
     b = [F(1, 2), THIRD, THIRD]
-    order = sa.endpoint_order(a, b).tolist()
+    order = ps.endpoint_order(a, b).tolist()
     values = a + b
     assert [values[k] for k in order] == sorted(values)
     # at equal values left endpoints come first: a_2 before b_1, b_2
     assert order == [1, 2, 4, 5, 0, 3]
-    p = sa.IntervalSample(list(zip(a, b)))
+    p = ps.IntervalSample(list(zip(a, b)))
     assert_matches_masks(p)
     assert p.less(1, 0) and p.less(2, 0) and not p.less(1, 2) and not p.less(2, 1)
 
@@ -186,7 +188,7 @@ def test_atomic_draws_match_fraction_bisection(mu):
 
 
 def test_rank_pattern_key_on_every_drawn_tuple(monkeypatch):
-    tuple_keys = sa._tuple_keys
+    pattern_keys = sa._pattern_keys
     for model, seed in (
         (so.MonotoneRC.identity(), 1),
         (so.gc(F(3, 10)), 2),
@@ -194,16 +196,17 @@ def test_rank_pattern_key_on_every_drawn_tuple(monkeypatch):
         (SHARED_ENDS, 4),
     ):
         p = sa.sample_kernel_poset(model, 30, SeededRng(seed))
-        succ = sa.poset_from_intervals(p.intervals).succ
+        succ = ps.poset_from_intervals(p.intervals).succ
         drawn = []
 
         def checked(q, tuples):
-            keys = tuple_keys(q, tuples)
-            assert keys == [sa._pattern_key(succ, idx) for idx in tuples.tolist()]
-            drawn.extend(tuples.tolist())
+            keys = pattern_keys(q, tuples)
+            if q is p:  # not a catalog pattern's table being built
+                assert keys.tolist() == [pattern_key(succ, idx) for idx in tuples.tolist()]
+                drawn.extend(tuples.tolist())
             return keys
 
-        monkeypatch.setattr(sa, "_tuple_keys", checked)
+        monkeypatch.setattr(sa, "_pattern_keys", checked)
         sa.fingerprint_estimate(p, 5, 400, SeededRng(seed))
         assert len(drawn) == 4 * 400 and all(len(set(idx)) == len(idx) for idx in drawn)
         assert "succ" not in vars(p)
@@ -239,7 +242,7 @@ def _diagnosed_semiorder(p):
 @settings(max_examples=100, deadline=None)
 def test_semiorder_flag_from_ranks_matches_masks(model, n, seed):
     p = sa.sample_kernel_poset(model, n, SeededRng(seed))
-    q = sa.poset_from_intervals(p.intervals)
+    q = ps.poset_from_intervals(p.intervals)
     assert _diagnosed_semiorder(p) == rec.is_semiorder(q)
     assert "succ" not in vars(p) and "pred" not in vars(p)
 
@@ -262,7 +265,7 @@ def test_semiorder_flag_from_ranks_all_four_models():
     seen = set()
     for model, seed in itertools.product(models, range(6)):
         p = sa.sample_kernel_poset(model, 60, SeededRng(seed))
-        q = sa.poset_from_intervals(p.intervals)
+        q = ps.poset_from_intervals(p.intervals)
         semi = rec.is_semiorder(q)
         downs, ups = p.degrees("minus").tolist(), p.degrees("plus").tolist()
         assert rec.semiorder_by_degrees(downs, ups) == semi
@@ -271,3 +274,47 @@ def test_semiorder_flag_from_ranks_all_four_models():
         seen.add((type(model).__name__, semi))
     assert ("StepKernelMeasure", False) in seen and ("StepKernelMeasure", True) in seen
     assert {("MonotoneRC", True), ("RateFunction", True), ("AtomicMeasure", True)} <= seen
+
+
+def assert_precedes_is_less(p, oracle):
+    idx = np.arange(p.n)
+    table = p.precedes(idx[:, None], idx[None, :])
+    assert table.dtype == bool and table.shape == (p.n, p.n)
+    assert table.tolist() == [[oracle.less(i, j) for j in range(p.n)] for i in range(p.n)]
+    assert bool(p.precedes(0, p.n - 1)) == oracle.less(0, p.n - 1)
+
+
+@given(posets(max_n=12))
+@settings(max_examples=60, deadline=None)
+def test_precedes_of_mask_poset_is_less(p):
+    assert_precedes_is_less(p, p)
+
+
+@given(models(), st.integers(1, 30), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_precedes_of_interval_sample_is_less(model, n, seed):
+    p = sa.sample_kernel_poset(model, n, SeededRng(seed))
+    assert_precedes_is_less(p, ps.poset_from_intervals(p.intervals))
+    assert "succ" not in vars(p)
+
+
+def test_bad_sign_raises_from_both_classes():
+    p = sa.sample_kernel_poset(so.gc(F(3, 10)), 20, SeededRng(1))
+    for q in (p, ps.FinitePoset(p.n, p.succ, p.pred)):
+        with pytest.raises(InvalidArgument, match="sign"):
+            q.degrees("up")
+        with pytest.raises(InvalidArgument, match="sign"):
+            sa.nu_empirical(q, "up")
+
+
+def test_sample_consumers_leave_masks_unbuilt():
+    p = sa.sample_kernel_poset(so.gc(F(3, 10)), 40, SeededRng(12))
+    assert rec.is_interval_order(p) and rec.is_semiorder(p)
+    sa.nu_empirical(p, "minus")
+    sa.converge_diagnostic([p, p])
+    exact = sa.fingerprint(p, 4)
+    est = sa.fingerprint_estimate(p, 4, 200, SeededRng(13))
+    assert "succ" not in vars(p) and "pred" not in vars(p)
+    plain = ps.FinitePoset(p.n, p.succ, p.pred)
+    assert exact == sa.fingerprint(plain, 4)
+    assert est == sa.fingerprint_estimate(plain, 4, 200, SeededRng(13))

@@ -1,21 +1,22 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from poslim import densities as de
 from poslim import poset as ps
 from poslim import recognition as rec
 from poslim import sampling as sa
 from poslim import semiorders as so
-from poslim.errors import BudgetExceeded, NotTransitive, SizeLimit
+from poslim.errors import BudgetExceeded, InvalidArgument, NotTransitive, SizeLimit
 from poslim.measures import AtomicMeasure, StepCDF, StepKernelMeasure
 from poslim.rng import SeededRng
 
-from conftest import is_isomorphic, monotone_gs, posets
+from conftest import is_isomorphic, monotone_gs, pattern_key, posets
 
 TWO_CELL = StepKernelMeasure.from_cells(
     [(0, F(1, 2), [(F(1, 2), 1)]), (F(1, 2), 1, [(1, 1)])]
@@ -168,6 +169,86 @@ def test_fingerprint_estimate_matches_exact():
         assert abs(e.value - float(exact.value(e.poset_id))) < max(
             4 * e.half_width, 0.02
         )
+
+
+def oracle_classes(max_q):
+    """(class id, size, labelled keys, |Aut|) of every catalog class, by the
+    one-pair-at-a-time `pattern_key`."""
+    cat = ps.cached_catalog(max_q)
+    out = []
+    for idx, q in enumerate(cat.classes):
+        keys = {pattern_key(q.succ, perm) for perm in itertools.permutations(range(q.n))}
+        out.append((cat.class_id(idx), q.n, keys, math.factorial(q.n) // len(keys)))
+    return out
+
+
+@given(posets(max_n=12), st.integers(1, 5), st.integers(0, 2**32))
+@example(ps.antichain(3), 5, 0)  # n < s: every size-4 and size-5 density is 0
+@example(ps.two_plus_two(), 5, 1)
+@example(ps.chain(9), 4, 2)
+@settings(max_examples=40, deadline=None)
+def test_fingerprints_match_pattern_key_oracle(p, max_q, seed):
+    classes = oracle_classes(max_q)
+    expected = {}
+    for pid, s, keys, aut in classes:
+        c = sum(pattern_key(p.succ, t) in keys for t in itertools.combinations(range(p.n), s))
+        expected[pid] = F(c * aut, math.perm(p.n, s)) if c else F(0)
+    fp = sa.fingerprint(p, max_q)
+    assert {e.poset_id: e.value for e in fp.entries} == expected
+    assert [e.poset_id for e in fp.entries] == [pid for pid, *_ in classes]
+
+    drawn = {}
+    pattern_keys = sa._pattern_keys
+
+    def checked(q, tuples):
+        keys = pattern_keys(q, tuples)
+        if q is p:
+            assert keys.tolist() == [pattern_key(p.succ, t) for t in tuples.tolist()]
+            drawn[tuples.shape[1]] = tuples.tolist()
+        return keys
+
+    subsets = 60
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sa, "_pattern_keys", checked)
+        try:
+            est = sa.fingerprint_estimate(p, max_q, subsets, SeededRng(seed))
+        except BudgetExceeded:  # n small next to s: the sizes drawn were checked
+            return
+    assert sorted(drawn) == list(range(2, min(max_q, p.n) + 1))
+    values = {e.poset_id: e.value for e in est.entries}
+    for pid, s, keys, aut in classes:
+        if s == 1:
+            assert values[pid] == 1.0
+        elif s <= p.n:
+            c = sum(pattern_key(p.succ, t) in keys for t in drawn[s])
+            assert values[pid] == c / subsets * (aut / math.factorial(s))
+        else:
+            assert pid not in values
+
+
+def test_exact_fingerprint_block_size_does_not_matter(monkeypatch):
+    sampled = sa.sample_kernel_poset(so.gc(F(1, 4)), 17, SeededRng(8))
+    plain = ps.FinitePoset(sampled.n, sampled.succ, sampled.pred)
+    fresh = sa.sample_kernel_poset(so.gc(F(1, 4)), 17, SeededRng(8))
+    expected = [sa.fingerprint(plain, 5), sa.fingerprint(fresh, 5)]
+    monkeypatch.setattr(sa, "_FINGERPRINT_BLOCK", 7)
+    assert [sa.fingerprint(plain, 5), sa.fingerprint(fresh, 5)] == expected
+    assert expected[0] == expected[1]
+
+
+@pytest.mark.parametrize("max_q", [0, -1])
+def test_fingerprints_reject_max_q_below_one(max_q):
+    h = ps.two_plus_two()
+    with pytest.raises(InvalidArgument, match="max_q"):
+        sa.fingerprint(h, max_q)
+    with pytest.raises(InvalidArgument, match="max_q"):
+        sa.fingerprint_estimate(h, max_q, 10, SeededRng(1))
+
+
+@pytest.mark.parametrize("subsets", [0, -5])
+def test_fingerprint_estimate_rejects_subsets_below_one(subsets):
+    with pytest.raises(InvalidArgument, match="subsets"):
+        sa.fingerprint_estimate(ps.two_plus_two(), 3, subsets, SeededRng(1))
 
 
 def test_fingerprint_estimate_budget():
