@@ -46,7 +46,6 @@ from .poset import (
     PosetCatalog,
     antichain,
     chain,
-    degree,
     enumerate_posets,
     from_relations,
     in_star,
@@ -59,7 +58,6 @@ from .poset import (
 )
 from .recognition import (
     IntervalRepresentation,
-    downset_chain_check,
     empirical_measure,
     interval_representation,
     is_interval_order,

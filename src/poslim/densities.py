@@ -13,11 +13,10 @@ from fractions import Fraction
 from typing import Literal, Sequence
 
 from .errors import BudgetExceeded, InvalidArgument
-from .measures import AtomicMeasure, StepKernelMeasure
+from .measures import AtomicMeasure
 from .poset import FinitePoset, _bits, in_star, out_star, poset_from_intervals
 from .rng import MC_TUPLES, SeededRng
-from .sampling import interval_model
-from .semiorders import MonotoneRC, RateFunction
+from .sampling import INTERVAL_MODELS, interval_model
 
 Kind = Literal["hom", "inj", "ind"]
 
@@ -137,9 +136,7 @@ def kernel_density_mc(
     nq = q.n
     pairs = q.relation_pairs()
 
-    if callable(model) and not isinstance(
-        model, (MonotoneRC, RateFunction, StepKernelMeasure, AtomicMeasure)
-    ):
+    if callable(model) and not isinstance(model, INTERVAL_MODELS):
         w = model
         us = rng.uniforms(MC_TUPLES, samples * nq).reshape(samples, nq)
 

@@ -11,11 +11,13 @@ Two measure classes are exact-rational and closed under every operation here:
                           the right endpoint constant on each cell of a finite
                           partition of [0,1] (a finite atom list per cell).
 
-`StepCDF` holds one-dimensional marginals and degree distributions, and
-`SupportSet` the support of such a CDF as closed components.  The snap maps
-(`h_map`), the pushforwards that collapse support gaps (`push_h`), the
-gap-averaging canonical projection (`project_star`) and the exact equivalence
-test (`equivalent`) implement the canonical-representation calculus.
+`StepCDF` (a `pwl.Curve`) holds one-dimensional marginals and degree
+distributions, and `SupportSet` the support of such a CDF as closed
+components.  The snap maps (`h_map`), the pushforwards that collapse support
+gaps (`push_h`, which moves atoms by the same snap rule), the gap-averaging
+canonical projection (`project_star`) and the exact equivalence test
+(`equivalent`) implement the canonical-representation calculus.  Cells and
+support gaps are checked to tile [0,1] by `pwl.tiling`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Iterable, Literal, Union
 
 from . import pwl, textio
 from .errors import FormatError, InvalidArgument, InvariantError, NotInPMinus
-from .pwl import ONE, ZERO, Points, as_fraction
+from .pwl import ONE, ZERO, as_fraction
 
 HVariant = Literal["minus", "plus", "bar_plus"]
 PushVariant = Literal["minus", "bar_plus"]
@@ -36,10 +38,10 @@ PushVariant = Literal["minus", "bar_plus"]
 
 
 @dataclass(frozen=True)
-class StepCDF:
+class StepCDF(pwl.Curve):
     """Piecewise-linear right-continuous CDF on [0,1] with upward jumps."""
 
-    points: Points
+    value, left_limit = pwl.Curve.value, pwl.Curve.left_limit
 
     @classmethod
     def from_points(cls, raw: Iterable) -> "StepCDF":
@@ -82,12 +84,6 @@ class StepCDF:
     @classmethod
     def dirac(cls, v) -> "StepCDF":
         return cls.from_jumps([(as_fraction(v), ONE)])
-
-    def value(self, t) -> Fraction:
-        return pwl.value_at(self.points, as_fraction(t))
-
-    def left_limit(self, t) -> Fraction:
-        return pwl.left_limit_at(self.points, as_fraction(t))
 
     def jump_locations(self) -> list[Fraction]:
         return [x for x, left, right in self.points if left != right]
@@ -158,16 +154,17 @@ def h_map(nu: StepCDF, x, variant: HVariant) -> Fraction:
     x = as_fraction(x)
     if not ZERO <= x <= ONE:
         raise InvariantError(f"argument {x} outside [0,1]")
-    _, gaps = support_and_gaps(nu)
-    for a, b in gaps:
-        if variant == "minus" and a < x <= b:
-            return a
-        if variant == "plus" and a <= x < b:
-            return b
-        if variant == "bar_plus" and a < x <= b:
-            return b
     if variant not in ("minus", "plus", "bar_plus"):
         raise InvalidArgument(f"unknown variant {variant!r}")
+    return _snap(support_and_gaps(nu)[1], x, variant)
+
+
+def _snap(gaps: list[tuple[Fraction, Fraction]], x: Fraction, variant: HVariant) -> Fraction:
+    """h_map's rule given the gaps: x in a gap goes to the gap's end that
+    `variant` names, x on the support stays."""
+    for a, b in gaps:
+        if a <= x < b if variant == "plus" else a < x <= b:
+            return a if variant == "minus" else b
     return x
 
 
@@ -218,18 +215,10 @@ class StepKernelMeasure:
     @classmethod
     def from_cells(cls, cells: Iterable) -> "StepKernelMeasure":
         """Cells as (c_lo, c_hi, [(y, p), ...]); must tile [0,1] in order."""
-        breaks: list[Fraction] = []
+        cells = list(cells)
+        breaks = pwl.tiling(cells, "cells")
         conds: list[tuple[tuple[Fraction, Fraction], ...]] = []
-        for c_lo, c_hi, cond in cells:
-            c_lo, c_hi = as_fraction(c_lo), as_fraction(c_hi)
-            if not breaks:
-                if c_lo != ZERO:
-                    raise InvariantError("cells must start at 0")
-                breaks.append(c_lo)
-            elif breaks[-1] != c_lo:
-                raise InvariantError("cells must tile [0,1] without holes")
-            if c_hi <= c_lo:
-                raise InvariantError("cells must have positive length")
+        for c_hi, (_, _, cond) in zip(breaks[1:], cells):
             acc: dict[Fraction, Fraction] = {}
             for y, p in cond:
                 y, p = as_fraction(y), as_fraction(p)
@@ -244,11 +233,8 @@ class StepKernelMeasure:
                 acc[y] = acc.get(y, ZERO) + p
             if sum(acc.values()) != ONE:
                 raise InvariantError("conditional weights must sum to 1")
-            breaks.append(c_hi)
             conds.append(tuple((y, acc[y]) for y in sorted(acc)))
-        if not breaks or breaks[-1] != ONE:
-            raise InvariantError("cells must end at 1")
-        return cls(tuple(breaks), tuple(conds))
+        return cls(breaks, tuple(conds))
 
     def cells(self) -> list[tuple[Fraction, Fraction, tuple[tuple[Fraction, Fraction], ...]]]:
         return [
@@ -272,26 +258,18 @@ Measure = Union[AtomicMeasure, StepKernelMeasure]
 
 def right_marginal(mu: Measure) -> StepCDF:
     """Exact CDF of the right endpoint of a random interval from mu."""
-    acc: dict[Fraction, Fraction] = {}
     if isinstance(mu, AtomicMeasure):
-        for _, y, w in mu.atoms:
-            acc[y] = acc.get(y, ZERO) + w
-    elif isinstance(mu, StepKernelMeasure):
-        for c_lo, c_hi, cond in mu.cells():
-            length = c_hi - c_lo
-            for y, p in cond:
-                acc[y] = acc.get(y, ZERO) + length * p
-    else:
-        raise TypeError(f"not a measure: {mu!r}")
-    return StepCDF.from_jumps(acc.items())
+        return StepCDF.from_jumps((y, w) for _, y, w in mu.atoms)
+    if isinstance(mu, StepKernelMeasure):
+        return StepCDF.from_jumps(
+            (y, (c_hi - c_lo) * p) for c_lo, c_hi, cond in mu.cells() for y, p in cond
+        )
+    raise TypeError(f"not a measure: {mu!r}")
 
 
 def left_marginal(mu: Measure) -> StepCDF:
     if isinstance(mu, AtomicMeasure):
-        acc: dict[Fraction, Fraction] = {}
-        for x, _, w in mu.atoms:
-            acc[x] = acc.get(x, ZERO) + w
-        return StepCDF.from_jumps(acc.items())
+        return StepCDF.from_jumps((x, w) for x, _, w in mu.atoms)
     if isinstance(mu, StepKernelMeasure):
         return StepCDF.uniform()
     raise TypeError(f"not a measure: {mu!r}")
@@ -308,19 +286,10 @@ def push_h(mu: Measure, variant: PushVariant) -> AtomicMeasure:
     """
     if variant not in ("minus", "bar_plus"):
         raise InvalidArgument(f"push variant must be minus or bar_plus, got {variant!r}")
-    nu = right_marginal(mu)
-    _, gaps = support_and_gaps(nu)
-
-    def snap(x: Fraction) -> Fraction:
-        for a, b in gaps:
-            if a < x <= b:
-                return a if variant == "minus" else b
-        return x
-
+    _, gaps = support_and_gaps(right_marginal(mu))
     out: list[tuple[Fraction, Fraction, Fraction]] = []
     if isinstance(mu, AtomicMeasure):
-        for x, y, w in mu.atoms:
-            out.append((snap(x), y, w))
+        out = [(_snap(gaps, x, variant), y, w) for x, y, w in mu.atoms]
     else:
         for c_lo, c_hi, cond in mu.cells():
             remaining = c_hi - c_lo
@@ -349,8 +318,8 @@ def project_star(mu: StepKernelMeasure) -> StepKernelMeasure:
     The result is the canonical representative of mu's equivalence class:
     idempotent, same right marginal, same snapped pushforwards.
     """
-    nu = right_marginal(mu)
-    _, gaps = support_and_gaps(nu)
+    _, gaps = support_and_gaps(right_marginal(mu))
+    pwl.tiling(gaps, "support gaps")
     new_cells = []
     for a, b in gaps:
         acc: dict[Fraction, Fraction] = {}
@@ -365,10 +334,6 @@ def project_star(mu: StepKernelMeasure) -> StepKernelMeasure:
             raise InvariantError("gap mass mismatch; support is not finite")
         length = b - a
         new_cells.append((a, b, tuple((y, w / length) for y, w in sorted(acc.items()))))
-    if not gaps or gaps[0][0] != ZERO or gaps[-1][1] != ONE or any(
-        gaps[i][1] != gaps[i + 1][0] for i in range(len(gaps) - 1)
-    ):
-        raise InvariantError("gaps do not tile (0,1); support is not finite")
     return StepKernelMeasure.from_cells(new_cells)
 
 

@@ -227,12 +227,6 @@ def induced(p: FinitePoset, points: Iterable[int]) -> FinitePoset:
     return FinitePoset.from_succ_masks(succ, validate=False)
 
 
-def degree(p: FinitePoset, i: int, sign: Sign) -> int:
-    if not 0 <= i < p.n:
-        raise InvariantError(f"index {i} out of range")
-    return int(p.degrees(sign)[i])
-
-
 # -- interval orders kept as intervals ----------------------------------------
 
 

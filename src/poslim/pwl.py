@@ -12,11 +12,17 @@ lists of m and k breakpoints.  The sweep and the checks of `normalize` and
 `check_monotone` run on the numerators and denominators of the coordinates:
 a rational a/b (b > 0) is compared with c/d as a*d with c*b, so every test
 stays exact without building a `Fraction` per step.
+
+Each geometric rule of the representation calculus lives here once:
+evaluation (`Curve`, the base of CDFs and threshold functions), the
+reflection across x + y = 1 (`reflect`), pieces tiling [0,1] (`tiling`) and
+each piece's integer line (`segment_lines`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -133,37 +139,59 @@ def _interpolate(points: Points, i: int, t: Fraction) -> Fraction:
     return r0 + (l1 - r0) * (t - x0) / (x1 - x0)
 
 
-def vertices(points: Points) -> list[tuple[Fraction, Fraction]]:
-    """The completed graph as a polyline (jumps become vertical segments)."""
-    verts: list[tuple[Fraction, Fraction]] = []
-    for x, left, right in points:
-        for y in (left, right):
-            if not verts or verts[-1] != (x, y):
-                verts.append((x, y))
-    return verts
+@dataclass(frozen=True)
+class Curve:
+    """A function held as its breakpoints, evaluated exactly.
+
+    Subclasses bind `value` and `left_limit` in their own class body, so a
+    wrapper installed on one class (as perfbench's tracer does) sees only
+    that class's calls.
+    """
+
+    points: Points
+
+    def value(self, t) -> Fraction:
+        return value_at(self.points, as_fraction(t))
+
+    def left_limit(self, t) -> Fraction:
+        return left_limit_at(self.points, as_fraction(t))
 
 
-def from_vertices(verts: Sequence[tuple[Fraction, Fraction]]) -> Points:
-    """Re-read a monotone polyline covering [0,1] as breakpoint triples."""
-    if not verts:
-        raise InvariantError("empty polyline")
+def reflect(points: Points) -> Points:
+    """The completed graph reflected across x + y = 1, re-read as breakpoints.
+
+    Jumps become flat pieces and flat pieces jumps; a reflected graph that
+    stops short of x = 1 is extended flat at height 1.  The stored left value
+    at 0 is whatever the reflection gives; callers set their own.
+    """
     groups: list[tuple[Fraction, Fraction, Fraction]] = []
-    for x, y in verts:
-        if groups and groups[-1][0] == x:
-            gx, gl, _ = groups[-1]
-            groups[-1] = (gx, gl, y)
-        else:
-            groups.append((x, y, y))
-    if groups[0][0] != ZERO or groups[-1][0] != ONE:
-        raise InvariantError("polyline must cover [0,1]")
+    for x, left, right in reversed(points):
+        for y in (right, left):  # the polyline walked backwards
+            rx, ry = ONE - y, ONE - x
+            if groups and groups[-1][0] == rx:
+                groups[-1] = (rx, groups[-1][1], ry)
+            else:
+                groups.append((rx, ry, ry))
+    if groups[-1][0] != ONE:
+        groups.append((ONE, ONE, ONE))
     return normalize(groups)
 
 
-def reflect_vertices(
-    verts: Sequence[tuple[Fraction, Fraction]]
-) -> list[tuple[Fraction, Fraction]]:
-    """Reflect a monotone polyline across the line x + y = 1."""
-    return [(ONE - y, ONE - x) for x, y in reversed(verts)]
+def tiling(pieces: Iterable[Sequence], what: str) -> tuple[Fraction, ...]:
+    """Breakpoints 0 = c_0 < ... < c_m = 1 of pieces (lo, hi, ...) that tile
+    [0,1] in order; InvariantError naming `what` otherwise."""
+    breaks = [ZERO]
+    for lo, hi, *_ in pieces:
+        lo, hi = as_fraction(lo), as_fraction(hi)
+        if lo != breaks[-1]:
+            where = "start at 0" if len(breaks) == 1 else "tile [0,1] without holes"
+            raise InvariantError(f"{what} must {where}")
+        if hi <= lo:
+            raise InvariantError(f"{what} must have positive length")
+        breaks.append(hi)
+    if breaks[-1] != ONE:
+        raise InvariantError(f"{what} must end at 1")
+    return tuple(breaks)
 
 
 def sup_distance(f: Points, g: Points) -> Fraction:
@@ -216,3 +244,10 @@ def _line(a: tuple, b: tuple) -> tuple[int, int, int]:
     dy = l1n * r0d - r0n * l1d
     dx = x1n * x0d - x0n * x1d
     return dy * x1d * x0d, r0n * l1d * dx - dy * x1d * x0n, l1d * r0d * dx
+
+
+def segment_lines(points: Points) -> list[tuple[int, int, int]]:
+    """`_line` of the piece that starts at each breakpoint; the piece at
+    x = 1 is the constant value there, (0, num, den)."""
+    q = _ints(points)
+    return [_line(a, b) for a, b in zip(q, q[1:])] + [(0, q[-1][4], q[-1][5])]

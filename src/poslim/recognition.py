@@ -74,10 +74,6 @@ def is_interval_order(p: FinitePoset) -> bool:
     return True
 
 
-# the classical name of the same test
-downset_chain_check = is_interval_order
-
-
 def is_semiorder(p: FinitePoset) -> bool:
     """True iff p is an interval order without an induced 3+1."""
     if not is_interval_order(p):

@@ -42,25 +42,26 @@ from .measures import AtomicMeasure, StepCDF, StepKernelMeasure
 from .poset import (
     FinitePoset,
     IntervalSample,
-    _bits,
     cached_catalog,
     canonical_key,
     chain,
     three_plus_one,
+    transitive_closure,
     two_plus_two,
 )
-from .pwl import ONE, ZERO, sup_distance
+from .pwl import ONE, ZERO, segment_lines, sup_distance
 from .recognition import is_semiorder
 from .rng import CONDITIONALS, EDGES, PAIRS, POINTS, SUBSETS, SeededRng
 from .semiorders import MonotoneRC, RateFunction, f_minus, f_plus, g_from_rate
 
 Sign = Literal["minus", "plus"]
-SamplerModel = Union[MonotoneRC, RateFunction, StepKernelMeasure, AtomicMeasure]
+INTERVAL_MODELS = (MonotoneRC, RateFunction, StepKernelMeasure, AtomicMeasure)
+SamplerModel = Union[INTERVAL_MODELS]
 
 _FINGERPRINT_MAX = 5
 _FINGERPRINT_BLOCK = 1 << 10  # point tuples classified per numpy step
 _GRID_DENOMINATOR = 64  # the continuity grid of ks_distance_at_continuity
-_ATOM_MARGIN = Fraction(1, 32)  # ks_for_target's distance kept from atoms
+_ATOM_MARGIN = Fraction(1, 32)  # ks_distance_at_continuity's distance kept from atoms
 
 
 # -- interval models ----------------------------------------------------------
@@ -80,37 +81,22 @@ class _ThresholdModel:
     """Point x becomes the interval [x, g(x)]; one uniform per point.
 
     A float u is num / den with den a power of two.  On the piece of g that
-    starts at breakpoint x_k, g(u) = (A_k num + B_k den) / (C_k den) with
-    integers A_k, B_k, C_k, so g is evaluated exactly in integers, and the
-    piece is found by bisecting float thresholds: a draw makes no `Fraction`
-    arithmetic or comparison, only the two endpoint values.
+    starts at breakpoint x_k, g(u) = (p_k num + q_k den) / (d_k den) with the
+    integers of `pwl.segment_lines`, so g is evaluated exactly in integers,
+    and the piece is found by bisecting float thresholds: a draw makes no
+    `Fraction` arithmetic or comparison, only the two endpoint values.
     """
 
     per_point = 1
 
     def __init__(self, g: MonotoneRC):
-        pts = g.points
-        self.starts = _float_thresholds(x for x, _, _ in pts)
-        self.lines: list[tuple[int, int, int]] = []  # (A_k, B_k, C_k)
-        for k, (x, _, right) in enumerate(pts):
-            if k + 1 < len(pts):
-                x1, left1, _ = pts[k + 1]
-                slope = (left1 - right) / (x1 - x)
-            else:
-                slope = ZERO  # the piece at x = 1 is the value g(1)
-            icpt = right - slope * x
-            self.lines.append(
-                (
-                    slope.numerator * icpt.denominator,
-                    icpt.numerator * slope.denominator,
-                    slope.denominator * icpt.denominator,
-                )
-            )
+        self.starts = _float_thresholds(x for x, _, _ in g.points)
+        self.lines = segment_lines(g.points)
 
     def interval_at(self, u: float) -> tuple[Fraction, Fraction]:
         num, den = u.as_integer_ratio()
-        a, b, c = self.lines[bisect_right(self.starts, u) - 1]
-        return Fraction(u), Fraction(a * num + b * den, c * den)
+        p, q, d = self.lines[bisect_right(self.starts, u) - 1]
+        return Fraction(u), Fraction(p * num + q * den, d * den)
 
 
 class _StepMeasureModel:
@@ -182,9 +168,7 @@ def sample_kernel_poset(kernel, n: int, rng: SeededRng) -> FinitePoset:
         raise InvalidArgument("n must be at least 1")
     if n > textio.MAX_POINTS:
         raise SizeLimit(f"sampled posets capped at {textio.MAX_POINTS} points")
-    if callable(kernel) and not isinstance(
-        kernel, (MonotoneRC, RateFunction, StepKernelMeasure, AtomicMeasure)
-    ):
+    if callable(kernel) and not isinstance(kernel, INTERVAL_MODELS):
         xs = rng.uniforms(POINTS, n)
         masks = []
         for i in range(n):
@@ -245,24 +229,23 @@ def ks_distance(f: StepCDF, g: StepCDF) -> Fraction:
     return sup_distance(f.points, g.points)
 
 
-def ks_distance_at_continuity(
-    f: StepCDF, g: StepCDF, margin: Fraction = ZERO
-) -> Fraction:
-    """Sup of |f - g| over the grid k/64 and the breakpoints of g.
+def ks_distance_at_continuity(f: StepCDF, g: StepCDF) -> Fraction:
+    """Sup of |f - g| over the grid k/64 and the breakpoints of g, leaving
+    out points within 1/32 of a jump of g.
 
     The plain sup-norm does not metrize convergence in distribution at atoms
     of the target: an empirical atom lands a random O(n^-1/2) offset away and
     the adaptive sup picks the discrepancy up as the full atom mass.  A fixed
-    grid that stays `margin` away from the target's jump points is the
-    documented comparison for atom-carrying targets (margin should dominate
-    the sampling fluctuation scale, a few n^-1/2).
+    grid that stays `_ATOM_MARGIN` away from the target's jump points is the
+    documented comparison for atom-carrying targets (the margin should
+    dominate the sampling fluctuation scale, a few n^-1/2).
     """
     jumps = g.jump_locations()
     candidates = {Fraction(k, _GRID_DENOMINATOR) for k in range(_GRID_DENOMINATOR + 1)}
     candidates |= set(g.breakpoints())
     best = ZERO
     for t in sorted(candidates):
-        if any(abs(t - j) <= margin for j in jumps):
+        if any(abs(t - j) <= _ATOM_MARGIN for j in jumps):
             continue
         best = max(best, abs(f.value(t) - g.value(t)))
     return best
@@ -394,7 +377,9 @@ def fingerprint_estimate(
     labelled pattern class, scaled by |Aut| / s!, estimates the induced
     density.  Intended for posets too large for exact counting.  Each size
     draws from 4 * subsets tuples; if fewer than `subsets` of them have
-    distinct points (n small next to s), it raises BudgetExceeded.
+    distinct points (n small next to s), it raises BudgetExceeded.  Sizes
+    above n draw nothing and report 0, so the entries list the same patterns
+    as `fingerprint`.
     """
     _check_fingerprint_size(max_q)
     if subsets < 1:
@@ -402,9 +387,10 @@ def fingerprint_estimate(
     n = p.n
     entries = [FingerprintEntry("1-0", "antichain1", 1.0, 0.0)]
     for s in range(2, max_q + 1):
-        if s > n:
-            break
         table, auts, ids, labs = _pattern_key_table(s)
+        if s > n:  # no s distinct points: every density is 0, nothing drawn
+            entries += [FingerprintEntry(i, lab, 0.0, 0.0) for i, lab in zip(ids, labs)]
+            continue
         us = rng.uniforms(SUBSETS, subsets * s * 4, index=s)
         tuples = np.minimum((us * n).astype(np.int64), n - 1).reshape(-1, s)
         ordered = np.sort(tuples, axis=1)
@@ -457,8 +443,7 @@ def random_graph_order(n: int, p, rng: SeededRng) -> FinitePoset:
     """Transitive closure of a random directed graph on the labelled chain.
 
     Edge (i, j), i < j, is present with probability p and read from position
-    j of EDGES stream i.  Every edge points up the labelling, so one reverse
-    sweep over bitmask rows computes the exact closure.
+    j of EDGES stream i; `poset.transitive_closure` closes the edges.
     """
     pf = float(p)
     if not 0 < pf <= 1:
@@ -467,21 +452,12 @@ def random_graph_order(n: int, p, rng: SeededRng) -> FinitePoset:
         raise InvalidArgument("n must be at least 1")
     if n > textio.MAX_POINTS:
         raise SizeLimit(f"random graph orders capped at {textio.MAX_POINTS} points")
-    direct = []
+    heads = []
     for i in range(n):
-        row = rng.uniforms(EDGES, n, index=i)
-        bits = row < pf
+        bits = rng.uniforms(EDGES, n, index=i) < pf
         bits[: i + 1] = False
-        packed = np.packbits(bits, bitorder="little")
-        direct.append(int.from_bytes(packed.tobytes(), "little"))
-    # edges all point up the labelling, so one reverse sweep closes the order
-    succ = [0] * n
-    for i in reversed(range(n)):
-        acc = direct[i]
-        for j in _bits(direct[i]):
-            acc |= succ[j]
-        succ[i] = acc
-    return FinitePoset.from_succ_masks(succ, validate=False)
+        heads.append(np.flatnonzero(bits).tolist())
+    return FinitePoset.from_succ_masks(transitive_closure(heads), validate=False)
 
 
 # -- convergence diagnostics --------------------------------------------------
@@ -570,7 +546,7 @@ def ks_for_target(empirical: StepCDF, target: StepCDF) -> Fraction:
     1/32 away from atoms otherwise (the sup does not metrize weak
     convergence at atoms of the target)."""
     if target.jump_locations():
-        return ks_distance_at_continuity(empirical, target, margin=_ATOM_MARGIN)
+        return ks_distance_at_continuity(empirical, target)
     return ks_distance(empirical, target)
 
 

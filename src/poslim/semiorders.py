@@ -7,7 +7,9 @@ intervals [X_i, g(X_i)], which is a semiorder because g is monotone.
 
 The calculus here converts between g and the two degree distributions:
 the predecessor CDF *is* g, the successor CDF is g reflected across the
-line x + y = 1, and both maps invert exactly on piecewise-linear data.
+line x + y = 1 (`pwl.reflect`, in both directions), and both maps invert
+exactly on piecewise-linear data.  One check (`_check_g`) decides what a
+valid g is, for `MonotoneRC.from_points` and `validate_g` alike.
 """
 
 from __future__ import annotations
@@ -23,32 +25,23 @@ from .pwl import ONE, ZERO, Points, as_fraction
 
 
 @dataclass(frozen=True)
-class MonotoneRC:
+class MonotoneRC(pwl.Curve):
     """Piecewise-linear right-continuous g on [0,1] with g(x) >= x, g(1) = 1."""
 
-    points: Points
+    value, left_limit = pwl.Curve.value, pwl.Curve.left_limit
 
     @classmethod
     def from_points(cls, raw: Iterable) -> "MonotoneRC":
         pts = pwl.normalize(raw)
         # no left limit exists at 0; canonicalize the stored pre-value
         x0, _, r0 = pts[0]
-        pts = pwl.normalize(((x0, r0, r0),) + pts[1:])
-        pwl.check_monotone(pts)
-        g = cls(pts)
-        if not validate_g(g):
-            raise InvariantError("not weakly increasing with g(x) >= x")
-        return g
+        pts = ((x0, r0, r0),) + pts[1:]
+        _check_g(pts)
+        return cls(pts)
 
     @classmethod
     def identity(cls) -> "MonotoneRC":
         return cls.from_points([(ZERO, ZERO, ZERO), (ONE, ONE, ONE)])
-
-    def value(self, x) -> Fraction:
-        return pwl.value_at(self.points, as_fraction(x))
-
-    def left_limit(self, x) -> Fraction:
-        return pwl.left_limit_at(self.points, as_fraction(x))
 
 
 def gc(c) -> MonotoneRC:
@@ -66,17 +59,21 @@ def gc(c) -> MonotoneRC:
 
 
 def validate_g(g: MonotoneRC) -> bool:
-    """True iff nondecreasing with g(x) >= x; piecewise-linear, so checking
-    values and left limits at breakpoints suffices."""
+    """True iff nondecreasing with g(x) >= x (see `_check_g`)."""
     try:
-        pwl.check_monotone(g.points)
+        _check_g(g.points)
     except InvariantError:
         return False
-    for x, left, right in g.points:
-        if right < x or left < x:
-            return False
-    # g(1) = 1 is forced by g(x) >= x; reject representations that break it
-    return g.points[-1][2] == ONE
+    return True
+
+
+def _check_g(points: Points) -> None:
+    """Raise InvariantError unless nondecreasing with g(x) >= x;
+    piecewise-linear, so checking values and left limits at breakpoints
+    suffices.  g(1) = 1 is forced by g(x) >= x and checked with it."""
+    pwl.check_monotone(points)
+    if any(right < x or left < x for x, left, right in points) or points[-1][2] != ONE:
+        raise InvariantError("not weakly increasing with g(x) >= x")
 
 
 @dataclass(frozen=True)
@@ -89,25 +86,11 @@ class RateFunction:
     @classmethod
     def from_pieces(cls, pieces: Iterable[tuple]) -> "RateFunction":
         """Pieces as (x_lo, x_hi, value), tiling [0,1] in order."""
-        breaks: list[Fraction] = []
-        values: list[Fraction] = []
-        for lo, hi, v in pieces:
-            lo, hi, v = as_fraction(lo), as_fraction(hi), as_fraction(v)
-            if v < ZERO:
-                raise InvariantError("rate values must be nonnegative")
-            if not breaks:
-                if lo != ZERO:
-                    raise InvariantError("rate pieces must start at 0")
-                breaks.append(lo)
-            elif breaks[-1] != lo:
-                raise InvariantError("rate pieces must tile [0,1]")
-            if hi <= lo:
-                raise InvariantError("rate pieces must have positive length")
-            breaks.append(hi)
-            values.append(v)
-        if not breaks or breaks[-1] != ONE:
-            raise InvariantError("rate pieces must end at 1")
-        return cls(tuple(breaks), tuple(values))
+        pieces = list(pieces)
+        values = tuple(as_fraction(v) for _, _, v in pieces)
+        if any(v < ZERO for v in values):
+            raise InvariantError("rate values must be nonnegative")
+        return cls(pwl.tiling(pieces, "rate pieces"), values)
 
     @classmethod
     def constant(cls, v) -> "RateFunction":
@@ -126,23 +109,20 @@ class RateFunction:
 # -- the F-/F+ calculus -------------------------------------------------------
 
 
+def _cdf(points: Points) -> StepCDF:
+    """The CDF with these breakpoints and F(0-) = 0."""
+    x0, _, r0 = points[0]
+    return StepCDF.from_points(((x0, ZERO, r0),) + points[1:])
+
+
 def f_minus(g: MonotoneRC) -> StepCDF:
     """Predecessor-share CDF of the limit: equals g pointwise, F(0-) = 0."""
-    x0, _, r0 = g.points[0]
-    pts = ((x0, ZERO, r0),) + g.points[1:]
-    return StepCDF.from_points(pts)
+    return _cdf(g.points)
 
 
 def f_plus(g: MonotoneRC) -> StepCDF:
-    """Successor-share CDF: reflect g's completed graph across x + y = 1,
-    re-read right-continuously, and extend the trailing flat at height 1."""
-    verts = pwl.reflect_vertices(pwl.vertices(g.points))
-    if verts[-1][0] != ONE:
-        verts.append((ONE, ONE))
-    pts = pwl.from_vertices(verts)
-    x0, _, r0 = pts[0]
-    pts = ((x0, ZERO, r0),) + pts[1:]
-    return StepCDF.from_points(pts)
+    """Successor-share CDF: g's completed graph reflected across x + y = 1."""
+    return _cdf(pwl.reflect(g.points))
 
 
 def g_from_nu_minus(nu: StepCDF) -> MonotoneRC:
@@ -152,9 +132,7 @@ def g_from_nu_minus(nu: StepCDF) -> MonotoneRC:
     (F(t) >= t); raises NotInPMinus otherwise.
     """
     check_p_minus(nu)
-    x0, _, r0 = nu.points[0]
-    pts = ((x0, r0, r0),) + nu.points[1:]
-    return MonotoneRC.from_points(pts)
+    return MonotoneRC.from_points(nu.points)
 
 
 def g_from_f_plus(fp: StepCDF) -> MonotoneRC:
@@ -163,14 +141,8 @@ def g_from_f_plus(fp: StepCDF) -> MonotoneRC:
     The reflected graph lies in the valid class exactly when F(t) >= t.
     """
     check_p_minus(fp)
-    verts = pwl.reflect_vertices(pwl.vertices(fp.points))
-    if verts[-1][0] != ONE:
-        verts.append((ONE, ONE))
-    pts = pwl.from_vertices(verts)
-    x0, _, r0 = pts[0]
-    pts = ((x0, r0, r0),) + pts[1:]
     try:
-        return MonotoneRC.from_points(pts)
+        return MonotoneRC.from_points(pwl.reflect(fp.points))
     except InvariantError as exc:
         raise NotInPMinus(str(exc)) from exc
 

@@ -1,13 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from poslim import measures as me
 from poslim.errors import InvariantError, NotInPMinus
 from poslim.measures import AtomicMeasure, StepCDF, StepKernelMeasure
 
-from conftest import step_measures
+from conftest import atomic_measures, step_measures
 
 
 def cells(*specs):
@@ -144,6 +145,24 @@ def test_push_h_atomic_fixed_points():
         (F(0), F(3, 10), F(1, 2)),
         (F(3, 10), F(7, 10), F(1, 2)),
     )
+
+
+@given(atomic_measures(), st.sampled_from(["minus", "bar_plus"]))
+@settings(max_examples=80, deadline=None)
+def test_push_h_atoms_follow_h_map(mu, variant):
+    # push_h and h_map snap by one rule: each atom (x, y, w) moves to
+    # (h_map(right marginal, x), y, w)
+    nu = me.right_marginal(mu)
+    moved = [(me.h_map(nu, x, variant), y, w) for x, y, w in mu.atoms]
+    assert me.push_h(mu, variant) == AtomicMeasure.from_atoms(moved)
+
+
+def test_project_star_checks_that_gaps_tile(monkeypatch):
+    mu = cells((0, 1, [(1, 1)]))
+    support, _ = me.support_and_gaps(me.right_marginal(mu))
+    monkeypatch.setattr(me, "support_and_gaps", lambda nu: (support, [(0, F(1, 2))]))
+    with pytest.raises(InvariantError, match="support gaps must end at 1"):
+        me.project_star(mu)
 
 
 @given(step_measures())

@@ -93,7 +93,7 @@ def test_named_posets():
     assert ps.named_poset("chain5").pair_count() == 10
     assert ps.named_poset("antichain4").pair_count() == 0
     q3m = ps.named_poset("q3-")
-    assert q3m.n == 4 and ps.degree(q3m, 3, "minus") == 3
+    assert q3m.n == 4 and q3m.degrees("minus")[3] == 3
     q3p = ps.named_poset("q3+")
     assert is_isomorphic(q3p, ps.reflect(q3m))
 
@@ -121,11 +121,11 @@ def test_induced():
 
 
 def test_degree():
-    assert ps.degree(ps.chain(3), 1, "minus") == 1
-    assert ps.degree(ps.chain(3), 1, "plus") == 1
-    assert ps.degree(ps.antichain(4), 2, "plus") == 0
+    assert ps.chain(3).degrees("minus").tolist() == [0, 1, 2]
+    assert ps.chain(3).degrees("plus").tolist() == [2, 1, 0]
+    assert ps.antichain(4).degrees("plus").tolist() == [0, 0, 0, 0]
     l = ps.three_plus_one()
-    assert ps.degree(l, 2, "minus") == 2  # top of the 3-chain
+    assert l.degrees("minus")[2] == 2  # top of the 3-chain
 
 
 def test_is_isomorphic_basic():
@@ -205,8 +205,8 @@ def test_reflect_involution(p):
 @given(posets())
 @settings(max_examples=60)
 def test_degree_sums(p):
-    total_minus = sum(ps.degree(p, i, "minus") for i in range(p.n))
-    total_plus = sum(ps.degree(p, i, "plus") for i in range(p.n))
+    total_minus = int(p.degrees("minus").sum())
+    total_plus = int(p.degrees("plus").sum())
     assert total_minus == total_plus == p.pair_count()
 
 

@@ -9,12 +9,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from poslim import poset as ps
 from poslim import pwl
 from poslim import sampling as sa
 from poslim import semiorders as so
 from poslim.errors import InvariantError
-from poslim.measures import StepCDF
+from poslim.measures import StepCDF, StepKernelMeasure
 from poslim.rng import SeededRng
 
 from conftest import monotone_gs, posets, ref_check_monotone, ref_normalize
@@ -112,7 +111,7 @@ def test_value_and_left_limit_match_reference(pair):
 @given(posets(max_n=8))
 def test_nu_empirical_matches_from_jumps(p):
     for sign in ("minus", "plus"):
-        degrees = [ps.degree(p, i, sign) for i in range(p.n)]
+        degrees = p.degrees(sign).tolist()
         jumps = [(F(d, p.n), F(1, p.n)) for d in degrees]
         assert sa.nu_empirical(p, sign).points == StepCDF.from_jumps(jumps).points
 
@@ -238,3 +237,34 @@ def test_normalize_messages_and_collinear_drop():
     bent = [(0, 0, 0), ("1/3", "1/2", "1/2"), (0.5, 0.75, 0.75), (1, 1, 1)]
     assert pwl.normalize(bent) == ref_normalize(bent)
     assert len(pwl.normalize(bent)) == 3
+
+
+TILING_FAULTS = [
+    ([(F(1, 4), 1)], "must start at 0"),
+    ([(0, F(1, 4)), (F(1, 2), 1)], r"must tile \[0,1\] without holes"),
+    ([(0, F(1, 2)), (F(1, 2), F(1, 2)), (F(1, 2), 1)], "must have positive length"),
+    ([(0, F(1, 2))], "must end at 1"),
+    ([], "must end at 1"),
+]
+
+
+@pytest.mark.parametrize("spans, message", TILING_FAULTS)
+def test_tiling_faults_name_their_pieces(spans, message):
+    """Cells, rate pieces and support gaps share one tiling check; the
+    cell and rate constructors take generators."""
+    with pytest.raises(InvariantError, match=f"support gaps {message}"):
+        pwl.tiling(spans, "support gaps")
+    with pytest.raises(InvariantError, match=f"cells {message}"):
+        StepKernelMeasure.from_cells((lo, hi, [(1, 1)]) for lo, hi in spans)
+    with pytest.raises(InvariantError, match=f"rate pieces {message}"):
+        so.RateFunction.from_pieces((lo, hi, 1) for lo, hi in spans)
+
+
+def test_tiling_returns_breakpoints_from_generators():
+    spans = [(0, "1/3"), ("1/3", 1)]
+    assert pwl.tiling(iter(spans), "pieces") == (0, F(1, 3), 1)
+    mu = StepKernelMeasure.from_cells((lo, hi, [(1, 1)]) for lo, hi in spans)
+    assert mu.breaks == (0, F(1, 3), 1) and mu.conditionals == (((1, 1),), ((1, 1),))
+    r = so.RateFunction.from_pieces((lo, hi, 2) for lo, hi in spans)
+    assert r.breaks == (0, F(1, 3), 1) and r.values == (2, 2)
+

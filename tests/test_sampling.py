@@ -223,7 +223,21 @@ def test_fingerprints_match_pattern_key_oracle(p, max_q, seed):
             c = sum(pattern_key(p.succ, t) in keys for t in drawn[s])
             assert values[pid] == c / subsets * (aut / math.factorial(s))
         else:
-            assert pid not in values
+            assert values[pid] == 0.0
+
+
+@pytest.mark.parametrize(
+    "p, max_q", [(ps.chain(2), 4), (ps.chain(1), 5), (ps.two_plus_two(), 3)]
+)
+def test_estimated_and_exact_fingerprints_list_the_same_patterns(p, max_q):
+    exact = sa.fingerprint(p, max_q)
+    est = sa.fingerprint_estimate(p, max_q, 5, SeededRng(1))
+    assert [(e.poset_id, e.label) for e in est.entries] == [
+        (e.poset_id, e.label) for e in exact.entries
+    ]
+    for e in est.entries:
+        if exact.value(e.poset_id) == 0 and int(e.poset_id.split("-")[0]) > p.n:
+            assert (e.value, e.half_width) == (0.0, 0.0)
 
 
 def test_exact_fingerprint_block_size_does_not_matter(monkeypatch):

@@ -187,7 +187,7 @@ _NU = measures.StepCDF.from_jumps([(F(1, 2), 1)])
 _ATOMS = measures.AtomicMeasure.dirac(0, 1)
 
 LIBRARY_ARGUMENT_FAULTS = {
-    "degree.sign": lambda: poset.degree(_CHAIN, 0, "up"),
+    "degree.sign": lambda: _CHAIN.degrees("up"),
     "count_maps.kind": lambda: densities.count_maps(_CHAIN, _CHAIN, "iso"),
     "moment_identity_check.k": lambda: densities.moment_identity_check(_CHAIN, 0, "minus"),
     "moment_identity_check.sign": lambda: densities.moment_identity_check(_CHAIN, 1, "both"),
