@@ -298,9 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("converge", help="degree-distribution convergence table")
     sp.add_argument("--in", dest="infiles", nargs="+", required=True)
-    sp.add_argument("--gc", type=_fraction, default=None)
-    sp.add_argument("--g", default=None)
-    sp.add_argument("--rate", default=None)
+    target = sp.add_mutually_exclusive_group()  # at most one target g
+    target.add_argument("--gc", type=_fraction, default=None)
+    target.add_argument("--g", default=None)
+    target.add_argument("--rate", default=None)
     sp.add_argument("--threshold", type=float, default=0.05)
     add_common(sp)
     sp.set_defaults(func=_cmd_converge)

@@ -98,16 +98,6 @@ class SupportSet:
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
 
-    def contains(self, x) -> bool:
-        x = as_fraction(x)
-        return any(lo <= x <= hi for lo, hi in self.intervals)
-
-    def min(self) -> Fraction:
-        return self.intervals[0][0]
-
-    def max(self) -> Fraction:
-        return self.intervals[-1][1]
-
 
 def support_and_gaps(
     nu: StepCDF,
@@ -173,18 +163,14 @@ def _snap(gaps: list[tuple[Fraction, Fraction]], x: Fraction, variant: HVariant)
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """Finitely many weighted atoms ((x, y), w) inside the closed triangle."""
+    """Finitely many weighted atoms (x, y, w) inside the closed triangle."""
 
     atoms: tuple[tuple[Fraction, Fraction, Fraction], ...]
 
     @classmethod
     def from_atoms(cls, raw: Iterable) -> "AtomicMeasure":
         acc: dict[tuple[Fraction, Fraction], Fraction] = {}
-        for item in raw:
-            if len(item) == 2:
-                (x, y), w = item
-            else:
-                x, y, w = item
+        for x, y, w in raw:
             x, y, w = as_fraction(x), as_fraction(y), as_fraction(w)
             if not ZERO <= x <= y <= ONE:
                 raise InvariantError(f"atom ({x},{y}) outside the triangle")
@@ -322,18 +308,12 @@ def project_star(mu: StepKernelMeasure) -> StepKernelMeasure:
     pwl.tiling(gaps, "support gaps")
     new_cells = []
     for a, b in gaps:
-        acc: dict[Fraction, Fraction] = {}
+        shares = []  # from_cells merges equal y and checks that they sum to 1
         for c_lo, c_hi, cond in mu.cells():
-            lo, hi = max(c_lo, a), min(c_hi, b)
-            if hi <= lo:
-                continue
-            for y, p in cond:
-                acc[y] = acc.get(y, ZERO) + (hi - lo) * p
-        total = sum(acc.values())
-        if total != b - a:
-            raise InvariantError("gap mass mismatch; support is not finite")
-        length = b - a
-        new_cells.append((a, b, tuple((y, w / length) for y, w in sorted(acc.items()))))
+            overlap = min(c_hi, b) - max(c_lo, a)
+            if overlap > 0:
+                shares += [(y, overlap * p / (b - a)) for y, p in cond]
+        new_cells.append((a, b, shares))
     return StepKernelMeasure.from_cells(new_cells)
 
 

@@ -18,6 +18,7 @@ conversion happens only at that boundary.
 from __future__ import annotations
 
 import itertools
+import re
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -378,14 +379,11 @@ def _refined_colors(n: int, succ: Sequence[int], pred: Sequence[int]) -> list:
             for i in range(n)
         ]
         ranks = {c: r for r, c in enumerate(sorted(set(new)))}
-        new_ranked = [ranks[c] for c in new]
-        if all(
-            (new_ranked[i] == new_ranked[j]) == (colors[i] == colors[j])
-            for i in range(n)
-            for j in range(i)
-        ):
+        # each new colour contains the old one, so the partition is stable
+        # exactly when the number of colours did not grow
+        if len(ranks) == len(set(colors)):
             return colors
-        colors = new_ranked
+        colors = [ranks[c] for c in new]
     return colors
 
 
@@ -522,17 +520,24 @@ _NAMED = {
     "h": two_plus_two,
     "l": three_plus_one,
 }
+_SIZED = re.compile(r"(anti)?chain(\d+)|q(\d+)([+-])")
 
 
 def named_poset(name: str) -> FinitePoset:
-    """Resolve built-in poset names: h, l, chain<k>, antichain<k>, q<k>-, q<k>+."""
+    """Resolve built-in poset names: h, l, chain<k>, antichain<k>, q<k>-, q<k>+.
+
+    A name with more than `textio.MAX_POINTS` points raises SizeLimit before
+    anything is built."""
     key = name.strip().lower()
     if key in _NAMED:
         return _NAMED[key]()
-    for prefix, builder in (("chain", chain), ("antichain", antichain)):
-        if key.startswith(prefix) and key[len(prefix):].isdigit():
-            return builder(int(key[len(prefix):]))
-    if key.startswith("q") and key[-1] in "+-" and key[1:-1].isdigit():
-        k = int(key[1:-1])
-        return in_star(k) if key[-1] == "-" else out_star(k)
-    raise FormatError(f"unknown poset name: {name!r}")
+    m = _SIZED.fullmatch(key)
+    if not m:
+        raise FormatError(f"unknown poset name: {name!r}")
+    k = int(m[2] or m[3])
+    points = k if m[2] else k + 1  # a star has k leaves and a centre
+    if points > textio.MAX_POINTS:
+        raise SizeLimit(f"{name!r} has {points} points, the cap is {textio.MAX_POINTS}")
+    if m[2]:
+        return (antichain if m[1] else chain)(k)
+    return in_star(k) if m[4] == "-" else out_star(k)

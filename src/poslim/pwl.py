@@ -99,12 +99,8 @@ def normalize(points: Iterable[Sequence]) -> Points:
         if ln != rn or ld != rd:
             kept.append(i)
             continue
-        x0n, x0d, _, _, r0n, r0d = q[kept[-1]]
-        x1n, x1d, l1n, l1d, _, _ = q[i + 1]
-        # collinear with neighbours: (left - r0)(x1 - x0) == (l1 - r0)(x - x0)
-        # times the positive l1d*ld*r0d*xd*x1d*x0d, with r0d*x0d cancelled
-        if ((ln * r0d - r0n * ld) * (x1n * x0d - x0n * x1d) * l1d * xd
-                == (l1n * r0d - r0n * l1d) * (xn * x0d - x0n * xd) * ld * x1d):
+        p, c, d = _line(q[kept[-1]], q[i + 1])
+        if ln * d * xd == (p * xn + c * xd) * ld:  # on its neighbours' line
             continue
         kept.append(i)
     if len(q) > 1:

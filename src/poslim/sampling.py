@@ -385,7 +385,8 @@ def fingerprint_estimate(
     if subsets < 1:
         raise InvalidArgument(f"subsets must be at least 1, got {subsets}")
     n = p.n
-    entries = [FingerprintEntry("1-0", "antichain1", 1.0, 0.0)]
+    _, _, ids, labs = _pattern_key_table(1)  # one point: density 1, drawn from nothing
+    entries = [FingerprintEntry(ids[0], labs[0], 1.0, 0.0)]
     for s in range(2, max_q + 1):
         table, auts, ids, labs = _pattern_key_table(s)
         if s > n:  # no s distinct points: every density is 0, nothing drawn
@@ -512,9 +513,9 @@ def converge_diagnostic(
     ps = list(posets)
     notes = []
     minus_cdfs = [nu_empirical(p, "minus") for p in ps]
-    plus_cdfs = [nu_empirical(p, "plus") for p in ps]
-    target_minus = f_minus(target_g) if target_g is not None else None
-    target_plus = f_plus(target_g) if target_g is not None else None
+    if target_g is not None:
+        plus_cdfs = [nu_empirical(p, "plus") for p in ps]
+        target_minus, target_plus = f_minus(target_g), f_plus(target_g)
     rows = []
     for k, p in enumerate(ps):
         semi = is_semiorder(p)
@@ -529,14 +530,11 @@ def converge_diagnostic(
             float(ks_distance(minus_cdfs[k - 1], minus_cdfs[k])) if k else None
         )
         km = kp = None
-        if target_minus is not None:
+        if target_g is not None:
             km = float(ks_for_target(minus_cdfs[k], target_minus))
             kp = float(ks_for_target(plus_cdfs[k], target_plus))
         rows.append(ConvergenceRow(k, p.n, semi, ks_prev, km, kp))
-    if target_minus is not None:
-        series = [r.ks_minus_target for r in rows]
-    else:
-        series = [r.ks_prev for r in rows if r.ks_prev is not None]
+    series = [r.ks_prev if target_g is None else r.ks_minus_target for r in rows]
     verdict = _trend_verdict([s for s in series if s is not None], threshold)
     return ConvergenceReport(tuple(rows), verdict, threshold, tuple(notes))
 
@@ -600,17 +598,13 @@ def equivalence_test_statistical(
     """
     if trials < 30:
         raise InvalidArgument("at least 30 trials are required")
-    acc_a: dict[str, list[float]] = {}
-    acc_b: dict[str, list[float]] = {}
-    labels: dict[str, str] = {}
+    # every estimate lists the catalog in the same order
+    estimates: dict[str, list[tuple[FingerprintEntry, ...]]] = {"a": [], "b": []}
     for t in range(trials):
-        for side, model, acc in (("a", a, acc_a), ("b", b, acc_b)):
+        for side, model in (("a", a), ("b", b)):
             child = rng.spawn(2 * t if side == "a" else 2 * t + 1)
             p = sample_kernel_poset(model, n, child)
-            fp = fingerprint_estimate(p, max_q, subsets, child)
-            for e in fp.entries:
-                acc.setdefault(e.poset_id, []).append(float(e.value))
-                labels[e.poset_id] = e.label
+            estimates[side].append(fingerprint_estimate(p, max_q, subsets, child).entries)
 
     def stats(values: list[float]) -> tuple[float, float]:
         m = sum(values) / len(values)
@@ -621,9 +615,9 @@ def equivalence_test_statistical(
         return m, math.sqrt(var / len(values))
 
     rows = []
-    for pid in sorted(acc_a, key=lambda s: (int(s.split("-")[0]), int(s.split("-")[1]))):
-        ma, sa = stats(acc_a[pid])
-        mb, sb = stats(acc_b[pid])
+    for pos, e in enumerate(estimates["a"][0]):
+        ma, sa = stats([float(es[pos].value) for es in estimates["a"]])
+        mb, sb = stats([float(es[pos].value) for es in estimates["b"]])
         flagged = abs(ma - mb) > 4.0 * (sa + sb)
-        rows.append(EquivalenceRow(pid, labels[pid], ma, sa, mb, sb, flagged))
+        rows.append(EquivalenceRow(e.poset_id, e.label, ma, sa, mb, sb, flagged))
     return EquivalenceReport(tuple(rows), n, trials)

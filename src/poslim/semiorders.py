@@ -14,6 +14,7 @@ valid g is, for `MonotoneRC.from_points` and `validate_g` alike.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -96,15 +97,6 @@ class RateFunction:
     def constant(cls, v) -> "RateFunction":
         return cls.from_pieces([(ZERO, ONE, v)])
 
-    def cumulative_at(self, t: Fraction) -> Fraction:
-        total = ZERO
-        for i, v in enumerate(self.values):
-            lo, hi = self.breaks[i], self.breaks[i + 1]
-            if t <= lo:
-                break
-            total += v * (min(t, hi) - lo)
-        return total
-
 
 # -- the F-/F+ calculus -------------------------------------------------------
 
@@ -152,58 +144,35 @@ def g_from_rate(r: RateFunction) -> MonotoneRC:
 
     g(x) is the largest y <= 1 whose accumulated rate from x stays within 1;
     exact and piecewise-linear for piecewise-constant rates.
+
+    The cumulative rate R is accumulated at the m + 1 breaks once, and g(x)
+    is the largest y <= 1 with R(y) <= R(x) + 1, found by one bisect over
+    those values.  g can only bend or jump at a break or where R(x) + 1
+    crosses a break value, that is at the largest y with R(y) = R(b) - 1 for
+    a break b (the other end of a flat stretch of R is itself a break).  R
+    and g are linear on the piece before each such point, so R at its
+    midpoint is the mean of R at its ends, and g's left limit at the point
+    is 2 g(midpoint) - g(previous point).  O(m log m) in all.
     """
-    cum_end = r.cumulative_at(ONE)
+    b, v = r.breaks, r.values
+    cum = [ZERO]
+    for i, vi in enumerate(v):
+        cum.append(cum[-1] + vi * (b[i + 1] - b[i]))
 
-    def solve(level: Fraction) -> Fraction:
-        # rightmost y with cumulative(y) <= level
-        if level >= cum_end:
+    def solve(level: Fraction) -> Fraction:  # largest y <= 1 with R(y) <= level
+        if level >= cum[-1]:
             return ONE
-        for i in reversed(range(len(r.values))):
-            lo, hi = r.breaks[i], r.breaks[i + 1]
-            c_lo = r.cumulative_at(lo)
-            if c_lo > level:
-                continue
-            v = r.values[i]
-            if v == ZERO:
-                return hi
-            return min(hi, lo + (level - c_lo) / v)
-        return ZERO
+        i = bisect_right(cum, level) - 1  # cum[i] <= level < cum[i + 1]
+        return b[i] + (level - cum[i]) / v[i]
 
-    candidates = {ZERO, ONE}
-    for b in r.breaks:
-        candidates.add(b)
-        # x at which the solution segment switches at breakpoint b
-        target = r.cumulative_at(b) - 1
-        if target >= ZERO:
-            for i in range(len(r.values)):
-                lo, hi = r.breaks[i], r.breaks[i + 1]
-                c_lo = r.cumulative_at(lo)
-                c_hi = r.cumulative_at(hi)
-                if c_lo <= target <= c_hi:
-                    v = r.values[i]
-                    if v > ZERO:
-                        candidates.add(min(hi, lo + (target - c_lo) / v))
-                    else:
-                        candidates.add(lo)
-                        candidates.add(hi)
-    xs = sorted(x for x in candidates if ZERO <= x <= ONE)
-    pts = []
-    for i, x in enumerate(xs):
-        gx = solve(r.cumulative_at(x) + 1)
-        if i == 0:
-            pts.append([x, gx, gx])
-        else:
-            # left limit along the previous linear piece
-            prev_x = xs[i - 1]
-            mid = (prev_x + x) / 2
-            g_mid = solve(r.cumulative_at(mid) + 1)
-            g_prev = pts[-1][2]
-            if mid == prev_x:
-                left = gx
-            else:
-                left = g_prev + (g_mid - g_prev) * (x - prev_x) / (mid - prev_x)
-            pts.append([x, min(left, gx), gx])
+    at = dict(zip(b, cum))  # R at every point where g may bend or jump
+    at.update((solve(c - 1), c - 1) for c in cum if c >= ONE)
+    xs = sorted(at)
+    gs = [solve(at[x] + 1) for x in xs]
+    pts = [(xs[0], gs[0], gs[0])]
+    for i in range(1, len(xs)):
+        left = 2 * solve((at[xs[i - 1]] + at[xs[i]]) / 2 + 1) - gs[i - 1]
+        pts.append((xs[i], min(left, gs[i]), gs[i]))
     return MonotoneRC.from_points(pts)
 
 

@@ -19,8 +19,9 @@ from typing import Any, Callable, Iterable, Sequence
 from .errors import FormatError, SizeLimit
 
 # The most points a poset or graph may have, checked on a file's header count
-# before its rows are read and on a sampler's n before anything is drawn:
-# each point costs an n-bit mask row, so an uncapped count is O(n^2) memory.
+# before its rows are read, on a sampler's n before anything is drawn and on
+# a named poset's size before it is built: each point costs an n-bit mask
+# row, so an uncapped count is O(n^2) memory.
 MAX_POINTS = 5000
 
 

@@ -139,6 +139,23 @@ def ref_normalize(points):
     return tuple(kept)
 
 
+def ref_rate_g(pieces, x):
+    """The largest y <= 1 with R(y) <= R(x) + 1, where R integrates the rate
+    given by `pieces` (lo, hi, value), solved piece by piece: the reference
+    for `g_from_rate`."""
+
+    def cumulative(t):
+        return sum(v * (min(t, hi) - lo) for lo, hi, v in pieces if t > lo)
+
+    level = cumulative(x) + 1
+    best = ZERO
+    for lo, hi, v in pieces:
+        c_lo = cumulative(lo)
+        if c_lo <= level:  # R(y) = c_lo + v (y - lo) on this piece
+            best = hi if c_lo + v * (hi - lo) <= level else lo + (level - c_lo) / v
+    return best
+
+
 @st.composite
 def posets(draw, min_n=1, max_n=6):
     """Random poset: close a randomly oriented acyclic edge set."""
@@ -172,6 +189,19 @@ def monotone_gs(draw):
         pts.append((x, left, right))
         prev = right
     return MonotoneRC.from_points(pts)
+
+
+@st.composite
+def rate_pieces(draw):
+    """Pieces (lo, hi, value) tiling [0,1] of a random rate; zero-rate pieces
+    are drawn often, so R has flat stretches."""
+    k = draw(st.integers(0, 5))
+    inner = sorted(set(draw(st.lists(_frac, min_size=k, max_size=k))))
+    xs = [Fraction(0)] + [x for x in inner if 0 < x < 1] + [Fraction(1)]
+    rate = st.one_of(
+        st.just(Fraction(0)), st.fractions(min_value=0, max_value=12, max_denominator=4)
+    )
+    return [(lo, hi, draw(rate)) for lo, hi in zip(xs, xs[1:])]
 
 
 @st.composite

@@ -154,6 +154,14 @@ def test_converge_takes_builtin_names(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+def test_converge_takes_at_most_one_target(tmp_path, capsys):
+    missing = str(tmp_path / "missing.rate")
+    code, _, err = run(capsys, "converge", "--in", "chain3", "--gc", "3/10", "--rate", missing)
+    assert code == 2 and "not allowed with" in err
+    code, _, _ = run(capsys, "converge", "--in", "chain3", "--g", missing, "--rate", missing)
+    assert code == 2
+
+
 def test_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "density", "--q", "nosuch", "--p", "chain2", "--kind", "hom")
     assert code == 2 and "error" in err
@@ -190,3 +198,5 @@ def test_point_cap_applies_before_allocation(tmp_path, capsys):
     assert code == 2 and "capped" in err
     code, _, _ = run(capsys, "rgo", "--n", over, "--p", "1/2", "--seed", "1")
     assert code == 2
+    code, _, err = run(capsys, "density", "--q", "h", "--p", f"antichain{over}", "--kind", "ind")
+    assert code == 2 and "cap" in err

@@ -177,6 +177,15 @@ def test_index_of(catalog5):
         catalog5.index_of(ps.chain(6))
 
 
+def test_named_posets_respect_the_point_cap():
+    # checked before building; nothing above cap + 1 is tried, so a broken
+    # check cannot allocate much
+    assert ps.named_poset("chain5000").n == 5000
+    for name in ("chain5001", "antichain5001", "q5000-", "q5000+"):  # a star has k + 1 points
+        with pytest.raises(SizeLimit, match="cap"):
+            ps.named_poset(name)
+
+
 def test_catalog_size_limit():
     with pytest.raises(SizeLimit):
         ps.enumerate_posets(8)

@@ -2,12 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poslim import semiorders as so
 from poslim.errors import InvariantError, NotInPMinus
 from poslim.measures import StepCDF
 
-from conftest import monotone_gs
+from conftest import monotone_gs, rate_pieces, ref_rate_g
 
 
 def test_validate_g():
@@ -123,6 +124,26 @@ def test_rate_outputs_always_valid_concrete():
     ):
         g = so.g_from_rate(so.RateFunction.from_pieces(pieces))
         assert so.validate_g(g)
+
+
+@given(
+    rate_pieces(),
+    st.lists(st.fractions(min_value=0, max_value=1, max_denominator=60), max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_g_from_rate_matches_oracle(pieces, extra):
+    g = so.g_from_rate(so.RateFunction.from_pieces(pieces))
+    assert so.validate_g(g)
+    breaks = [lo for lo, _, _ in pieces] + [F(1)]
+    mids = [(a + b) / 2 for a, b in zip(breaks, breaks[1:])]
+    for x in breaks + mids + extra:
+        assert g.value(x) == ref_rate_g(pieces, x)
+    # g is linear between its own breakpoints: the oracle at both ends and
+    # the midpoint of each piece fixes the stored left limit
+    for (x0, _, _), (x1, left, right) in zip(g.points, g.points[1:]):
+        mid = ref_rate_g(pieces, (x0 + x1) / 2)
+        assert left == 2 * mid - ref_rate_g(pieces, x0)
+        assert right == ref_rate_g(pieces, x1)
 
 
 def test_kernel_wg():
