@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import or_
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -68,37 +68,74 @@ def _bits(mask: int):
         mask ^= lsb
 
 
-def transitive_closure(adj: Sequence[Sequence[int]]) -> list[int]:
-    """Successor masks of the transitive closure of a digraph on 0..n-1.
+def _windows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The ranges lo[k]..hi[k]-1, concatenated."""
+    counts = hi - lo
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)
 
-    `adj[i]` lists the heads of the arcs out of i; repeats are allowed.
-    Kahn's algorithm orders the points topologically, and one sweep in
-    reverse order sets each row to its heads and their closed rows:
-    O(n + arcs) steps of at most n/64 words each.  A cycle (a self-arc
-    included) raises CycleError.
+
+def transitive_closure(n: int, tails: np.ndarray, heads: np.ndarray) -> list[int]:
+    """Successor masks of the transitive closure of the digraph on 0..n-1
+    with arcs tails[k] -> heads[k] (int64 arrays); repeats are allowed.
+
+    Kahn's algorithm orders the points, and one sweep in reverse order sets
+    each row to its heads' closed rows.  Below 32 arcs a point both steps
+    run on Python ints, one step per arc; denser relations run in numpy,
+    which costs more per point and per layer but less per arc (32 is where
+    the two cross on random digraphs at n=3000 and on interval-order
+    covers; BENCH_poset_text.json).  A cycle (a self-arc included) raises
+    CycleError.
     """
-    n = len(adj)
-    indeg = [0] * n
-    for heads in adj:
-        for j in heads:
-            indeg[j] += 1
+    heads = heads[np.argsort(tails, kind="stable")]
+    counts = np.bincount(tails, minlength=n)
+    ends = np.cumsum(counts)
+    close = _close_sparse if len(heads) < 32 * n else _close_dense
+    return close(n, heads, ends - counts, ends, np.bincount(heads, minlength=n))
+
+
+def _no_cycle(indeg) -> None:
+    # the points Kahn's algorithm never reaches lie on a cycle or above one
+    stuck = next((i for i, d in enumerate(indeg) if d), None)
+    if stuck is not None:
+        raise CycleError(f"relation has a cycle at or below point {stuck + 1}")
+
+
+def _close_sparse(n, heads, starts, ends, indeg) -> list[int]:
+    arcs = heads.tolist()
+    adj = [arcs[lo:hi] for lo, hi in zip(starts.tolist(), ends.tolist())]
+    indeg = indeg.tolist()
     order = [i for i in range(n) if not indeg[i]]
     for i in order:  # the list grows while it is walked: Kahn's queue
         for j in adj[i]:
             indeg[j] -= 1
             if not indeg[j]:
                 order.append(j)
-    if len(order) < n:
-        # the points Kahn's algorithm never reaches lie on a cycle or above one
-        stuck = next(i for i in range(n) if indeg[i])
-        raise CycleError(f"relation has a cycle at or below point {stuck + 1}")
+    _no_cycle(indeg)
     reach = [0] * n  # closed rows with each point's own bit set
     for i in reversed(order):
-        acc = 1 << i
-        for j in adj[i]:
-            acc |= reach[j]
-        reach[i] = acc
+        reach[i] = reduce(or_, map(reach.__getitem__, adj[i]), 1 << i)
     return [reach[i] ^ (1 << i) for i in range(n)]
+
+
+def _close_dense(n, heads, starts, ends, indeg) -> list[int]:
+    """Kahn's algorithm by whole layers, then OR of packed n/8-byte rows:
+    O(n · layers + arcs · n/8) in numpy."""
+    layers = [np.flatnonzero(indeg == 0)]
+    while layers[-1].size:
+        hits = np.bincount(heads[_windows(starts[layers[-1]], ends[layers[-1]])], minlength=n)
+        indeg -= hits
+        layers.append(np.flatnonzero((indeg == 0) & (hits > 0)))
+    _no_cycle(indeg)
+    order = np.concatenate(layers)[::-1]
+    order = order[starts[order] < ends[order]]  # later layers first: heads are closed
+    own = np.arange(n)
+    bit = (1 << (own & 7)).astype(np.uint8)
+    reach = np.zeros((n, (n + 7) // 8), dtype=np.uint8)  # closed rows, own bit set
+    reach[own, own >> 3] = bit
+    for i, lo, hi in zip(order.tolist(), starts[order].tolist(), ends[order].tolist()):
+        reach[i] |= np.bitwise_or.reduce(reach.take(heads[lo:hi], axis=0), axis=0)
+    reach[own, own >> 3] ^= bit
+    return [int.from_bytes(row.tobytes(), "little") for row in reach]
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,34 +218,34 @@ class FinitePoset:
         return [(i, j) for i in range(self.n) for j in _bits(self.succ[i])]
 
     def pair_count(self) -> int:
-        return sum(m.bit_count() for m in self.succ)
+        return int(self.degrees("plus").sum())
 
-    def cover_pairs(self) -> list[tuple[int, int]]:
-        """Pairs of the transitive reduction."""
+    def cover_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(tails, heads) of the transitive reduction, sorted by (i, j)."""
         succ, pred = self.succ, self.pred
-        covers = []
-        for i in range(self.n):
-            for j in _bits(succ[i]):
-                if not (succ[i] & pred[j]):
-                    covers.append((i, j))
-        return covers
+        covers = [
+            (i, j) for i in range(self.n) for j in _bits(succ[i]) if not succ[i] & pred[j]
+        ]
+        table = np.array(covers, dtype=np.int64).reshape(-1, 2)
+        return table[:, 0], table[:, 1]
 
 
 def from_relations(n: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
-    """Build the transitive closure of 1-based `pairs` as a poset.
+    """Build the transitive closure of 1-based `pairs` as a poset."""
+    table = np.array(list(pairs), dtype=object).reshape(-1, 2)
+    return from_columns(n, table[:, 0], table[:, 1])
 
-    The pairs are stored as one `array('i')` of heads per point and closed
-    by `transitive_closure` in O(n + pairs * n/64) time; a cycle, a pair
-    (i, i) included, raises CycleError.
-    """
+
+def from_columns(n: int, tails: np.ndarray, heads: np.ndarray) -> FinitePoset:
+    """The transitive closure of the 1-based pairs (tails[k], heads[k]), by
+    `transitive_closure`; a cycle, a pair (i, i) included, raises CycleError."""
     if n <= 0:
         raise InvariantError("n must be positive")
-    adj = [array("i") for _ in range(n)]
-    for a, b in pairs:
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise InvariantError(f"pair ({a},{b}) out of range 1..{n}")
-        adj[a - 1].append(b - 1)
-    return FinitePoset.from_succ_masks(transitive_closure(adj), validate=False)
+    if tails.size and (min(tails.min(), heads.min()) < 1 or max(tails.max(), heads.max()) > n):
+        k = np.flatnonzero((tails < 1) | (tails > n) | (heads < 1) | (heads > n))[0]
+        raise InvariantError(f"pair ({tails[k]},{heads[k]}) out of range 1..{n}")
+    closed = transitive_closure(n, tails.astype(np.int64) - 1, heads.astype(np.int64) - 1)
+    return FinitePoset.from_succ_masks(closed, validate=False)
 
 
 def reflect(p: FinitePoset) -> FinitePoset:
@@ -286,11 +323,11 @@ class IntervalSample(FinitePoset):
 
     On first use the 2n endpoints are put in one exact order
     (`endpoint_order`, O(n log n)), and `ranks` holds each endpoint's
-    position in it, so `precedes` compares ranks and `degrees` counts them
-    by binary search.  The bitmask rows `succ` and `pred` (Θ(n²) bits) are
-    built by `poset_from_intervals` only when first read, so every
-    `FinitePoset` method, `==` and the text format work as for any other
-    poset.
+    position in it, so `precedes` compares ranks, `degrees` counts them
+    by binary search and `cover_pairs`, which the text format writes, reads
+    one window of them per point.  The bitmask rows `succ` and `pred` (Θ(n²)
+    bits) are built by `poset_from_intervals` only when first read, so every
+    `FinitePoset` method and `==` work as for any other poset.
     """
 
     def __init__(self, intervals: Sequence[tuple[Fraction, Fraction]]):
@@ -322,6 +359,19 @@ class IntervalSample(FinitePoset):
         rank_a, rank_b = self.ranks
         return rank_b[u] < rank_a[v]
 
+    def cover_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        # j covers i iff rank_b[i] < rank_a[j] < m_i, the least rank_b of a
+        # successor of i: in a-order, the covers of i are one window
+        rank_a, rank_b = self.ranks
+        by_a = np.argsort(rank_a)
+        a_sorted = rank_a[by_a]
+        least_b = np.append(np.minimum.accumulate(rank_b[by_a][::-1])[::-1], 2 * self.n)
+        lo = np.searchsorted(a_sorted, rank_b)
+        hi = np.searchsorted(a_sorted, least_b[lo])
+        key = np.repeat(np.arange(self.n) * self.n, hi - lo) + by_a[_windows(lo, hi)]
+        key.sort()
+        return np.divmod(key, self.n)
+
 
 # -- named posets -----------------------------------------------------------
 
@@ -343,12 +393,12 @@ def antichain(n: int) -> FinitePoset:
 
 def two_plus_two() -> FinitePoset:
     """Two disjoint 2-chains: the pattern forbidden in interval orders."""
-    return from_relations(4, [(1, 2), (3, 4)])
+    return FinitePoset.from_succ_masks([0b0010, 0, 0b1000, 0], validate=False)
 
 
 def three_plus_one() -> FinitePoset:
     """A 3-chain plus an isolated point: additionally forbidden in semiorders."""
-    return from_relations(4, [(1, 2), (2, 3)])
+    return FinitePoset.from_succ_masks([0b0110, 0b0100, 0, 0], validate=False)
 
 
 def in_star(k: int) -> FinitePoset:
@@ -506,14 +556,23 @@ def cached_catalog(max_size: int) -> PosetCatalog:
 
 
 def write_poset(p: FinitePoset) -> str:
-    """Poset text format: header, then transitive-reduction pairs, 1-based."""
-    lines = [f"{i + 1} {j + 1}" for i, j in sorted(p.cover_pairs())]
-    return textio.write_rows("poset", p.n, lines)
+    """Poset text format: header, then transitive-reduction pairs, 1-based.
+
+    Each point's pairs are one `join` over the point names."""
+    tails, heads = p.cover_pairs()
+    names = np.array([str(k) for k in range(1, p.n + 1)], dtype=object)
+    heads = names[heads]  # shared name strings, no int object per pair
+    ends = np.cumsum(np.bincount(tails, minlength=p.n)).tolist()
+    lines = [f"poset {p.n}"]
+    for i, (lo, hi) in enumerate(zip([0, *ends], ends)):
+        if lo < hi:
+            lines.append(f"{names[i]} " + f"\n{names[i]} ".join(heads[lo:hi]))
+    return "\n".join(lines) + "\n"
 
 
 def read_poset(text: str) -> FinitePoset:
-    _, n, lines = textio.read_header(text, "poset")
-    return from_relations(n, textio.rows(lines, 2, int))
+    _, n, body = textio.read_header(text, "poset")
+    return from_columns(n, *textio.int_pairs(body))
 
 
 _NAMED = {
@@ -534,7 +593,10 @@ def named_poset(name: str) -> FinitePoset:
     m = _SIZED.fullmatch(key)
     if not m:
         raise FormatError(f"unknown poset name: {name!r}")
-    k = int(m[2] or m[3])
+    digits = (m[2] or m[3]).lstrip("0")
+    if len(digits) > len(str(textio.MAX_POINTS)):  # before `int` meets its digit limit
+        raise SizeLimit(f"a {len(digits)}-digit size is over the cap of {textio.MAX_POINTS} points")
+    k = int(digits or "0")  # `int` counts leading zeros against its limit
     points = k if m[2] else k + 1  # a star has k leaves and a centre
     if points > textio.MAX_POINTS:
         raise SizeLimit(f"{name!r} has {points} points, the cap is {textio.MAX_POINTS}")

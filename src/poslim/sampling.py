@@ -457,8 +457,10 @@ def random_graph_order(n: int, p, rng: SeededRng) -> FinitePoset:
     for i in range(n):
         bits = rng.uniforms(EDGES, n, index=i) < pf
         bits[: i + 1] = False
-        heads.append(np.flatnonzero(bits).tolist())
-    return FinitePoset.from_succ_masks(transitive_closure(heads), validate=False)
+        heads.append(np.flatnonzero(bits))
+    tails = np.repeat(np.arange(n), [len(h) for h in heads])
+    closed = transitive_closure(n, tails, np.concatenate(heads))
+    return FinitePoset.from_succ_masks(closed, validate=False)
 
 
 # -- convergence diagnostics --------------------------------------------------

@@ -202,7 +202,8 @@ def write_g(g: MonotoneRC) -> str:
 
 
 def read_g(text: str) -> MonotoneRC:
-    _, _, lines = textio.read_header(text, "pwl")
+    _, count, body = textio.read_header(text, "pwl")
+    lines = textio.row_lines(body, count)
     rows = textio.rows(lines, 4)
     g = MonotoneRC.from_points([(x, left, right) for x, left, right, _ in rows])
     # verify declared slopes against the parsed geometry
@@ -222,5 +223,6 @@ def write_rate(r: RateFunction) -> str:
 
 
 def read_rate(text: str) -> RateFunction:
-    _, _, lines = textio.read_header(text, "rate")
+    _, count, body = textio.read_header(text, "rate")
+    lines = textio.row_lines(body, count)
     return RateFunction.from_pieces(textio.rows(lines, 3))

@@ -13,16 +13,28 @@ import csv
 import dataclasses
 import io
 import json
+import re
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import FormatError, SizeLimit
 
 # The most points a poset or graph may have, checked on a file's header count
 # before its rows are read, on a sampler's n before anything is drawn and on
-# a named poset's size before it is built: each point costs an n-bit mask
-# row, so an uncapped count is O(n^2) memory.
+# a named poset's digits before they are converted: each point costs an n-bit
+# mask row, so an uncapped count is O(n^2) memory.  At the cap a sampled
+# semiorder writes about 4 million cover pairs (40 MB), which `write_poset`
+# and `read_poset` handle in time linear in the file's length.
 MAX_POINTS = 5000
+
+# the line breaks of `str.splitlines`, so that the header line ends where it
+# did when the whole text was split into lines
+_LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+# `int_pairs` parses a body in blocks of whole lines of about this many bytes
+_BLOCK = 1 << 16
+_PAIR_BYTES = b"0123456789 \t\r\n"  # the bytes `int_pairs` parses itself
 
 
 def format_rational(x: Fraction) -> str:
@@ -47,25 +59,35 @@ def parse_int(token: str) -> int:
         raise FormatError(f"bad integer: {token!r}") from exc
 
 
-def read_header(text: str, *keywords: str) -> tuple[str, int, list[str]]:
-    """(keyword, count, non-blank lines after the header) of a keyword file.
+def read_header(text: str, *keywords: str) -> tuple[str, int, str]:
+    """(keyword, count, body) of a keyword file; the body is the text after
+    the header line.
 
-    The count must equal the number of rows, except that in the poset and
-    graph formats it is the number of points, at most `MAX_POINTS`.
+    In the poset and graph formats the count is the number of points, at
+    most `MAX_POINTS`; in every other format `row_lines` checks it against
+    the number of rows.
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split() if lines else []
+    # the first non-blank line starts at the first non-space character
+    rest = text.lstrip()
+    end = _LINE_BREAK.search(rest)
+    header, body = (rest[: end.start()], rest[end.start() :]) if end else (rest, "")
+    head = header.split()
     if len(head) != 2 or head[0] not in keywords:
         raise FormatError(f"expected a '{' or '.join(keywords)} <count>' header")
     count = parse_int(head[1])
     if count < 0:
-        raise FormatError(f"negative count in header: {lines[0]!r}")
-    if head[0] in ("poset", "graph"):
-        if count > MAX_POINTS:
-            raise SizeLimit(f"{head[0]} has {count} points, the cap is {MAX_POINTS}")
-    elif count != len(lines) - 1:
-        raise FormatError(f"header declares {count} rows, found {len(lines) - 1}")
-    return head[0], count, lines[1:]
+        raise FormatError(f"negative count in header: {header.strip()!r}")
+    if head[0] in ("poset", "graph") and count > MAX_POINTS:
+        raise SizeLimit(f"{head[0]} has {count} points, the cap is {MAX_POINTS}")
+    return head[0], count, body
+
+
+def row_lines(body: str, count: int | None = None) -> list[str]:
+    """The non-blank lines of a body, stripped; `count` of them if given."""
+    lines = [ln.strip() for ln in body.splitlines() if ln.strip()]
+    if count is not None and count != len(lines):
+        raise FormatError(f"header declares {count} rows, found {len(lines)}")
+    return lines
 
 
 def rows(
@@ -86,6 +108,64 @@ def rows(
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad field: {exc}") from exc
     return out
+
+
+def int_pairs(body: str) -> tuple[np.ndarray, np.ndarray]:
+    """The two columns of a body of 2-field integer rows, in file order.
+
+    Blank lines are ignored; any other line without exactly 2 fields raises
+    FormatError.  A well-formed body of ASCII digits, spaces, tabs and line
+    breaks is parsed by numpy in blocks of whole lines, in time linear in its
+    length and with small work arrays; the columns are int64.  Any other
+    body goes to `rows`, which accepts what `int` accepts and names the
+    first bad line; its columns hold Python ints.
+    """
+    if body.isascii():
+        blocks = [np.empty(0, dtype=np.int64)]
+        start = 0
+        while start < len(body):
+            end = body.find("\n", start + _BLOCK) + 1 or len(body)
+            values = _pair_block(body[start:end])
+            if values is None:
+                break
+            blocks.append(values)
+            start = end
+        else:
+            values = np.concatenate(blocks)
+            return values[0::2], values[1::2]
+    table = np.array(rows(row_lines(body), 2, int), dtype=object).reshape(-1, 2)
+    return table[:, 0], table[:, 1]
+
+
+def _pair_block(text: str) -> np.ndarray | None:
+    """The integer tokens of whole ASCII lines, in order; None unless every
+    byte is one `int_pairs` parses, no token is over 18 digits and every
+    non-blank line has 2 tokens."""
+    raw = text.encode("ascii")
+    if raw.translate(None, _PAIR_BYTES):
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    digit = np.zeros(len(buf) + 2, dtype=np.int8)
+    np.greater_equal(buf, ord("0"), out=digit[1:-1].view(bool))
+    starts, ends = np.flatnonzero(digit[1:] != digit[:-1]).reshape(-1, 2).T
+    lengths = ends - starts
+    if not lengths.size:
+        return np.empty(0, dtype=np.int64)
+    if lengths.max() > 18:  # 10**18 - 1 < 2**63
+        return None
+    # every non-blank line has 2 tokens iff no line break follows each even
+    # token before the next token, and one follows each odd token
+    breaks = (buf == 10) | (buf == 13)  # "\r\n" ends a line and a blank one
+    seen = np.cumsum(breaks, dtype=np.int32)
+    gaps = np.append(seen[starts[1:]] - seen[ends[:-1] - 1], 1)
+    if len(gaps) % 2 or gaps[0::2].any() or not gaps[1::2].all():
+        return None  # `rows` names the first bad line
+    # the k-th digit from the right of every token at least k long; ends - k
+    # stays a valid (maybe negative) index, since k <= len(buf)
+    values = buf[ends - 1] - np.int64(48)
+    for k in range(2, lengths.max() + 1):
+        values += (lengths >= k) * (buf[ends - k] - np.int64(48)) * 10 ** (k - 1)
+    return values
 
 
 def fields(*values) -> str:

@@ -67,6 +67,9 @@ def assert_matches_masks(p):
     assert sorted(rank_a + rank_b) == list(range(2 * p.n))
     for i, j in itertools.product(range(p.n), repeat=2):
         assert (rank_b[i] < rank_a[j]) == q.less(i, j)
+    assert [c.tolist() for c in p.cover_pairs()] == [c.tolist() for c in q.cover_pairs()]
+    assert ps.write_poset(p) == ps.write_poset(q)
+    assert p.pair_count() == q.pair_count()
     assert "succ" not in vars(p) and "pred" not in vars(p)  # still unbuilt
     assert p.succ == q.succ and p.pred == q.pred
     assert p == q and q == p and hash(p) == hash(q)
@@ -78,6 +81,25 @@ def test_sample_ranks_match_masks(model, n, seed):
     p = sa.sample_kernel_poset(model, n, SeededRng(seed))
     assert isinstance(p, ps.IntervalSample)
     assert_matches_masks(p)
+
+
+TIED_MODELS = [
+    so.MonotoneRC.identity(),  # a_i = b_i
+    so.gc(0),  # the identity again: every interval a point
+    so.gc(1),  # every b_i = 1, an antichain
+    SHARED_ENDS,
+    ATOMS_ON_BREAKS,
+]
+
+
+@given(st.sampled_from(TIED_MODELS), st.integers(1, 60), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_cover_pairs_from_ranks_with_tied_endpoints(model, n, seed):
+    """The windows of ranks give the mask reduction, and the writer's bytes,
+    where many endpoints tie."""
+    p = sa.sample_kernel_poset(model, n, SeededRng(seed))
+    assert_matches_masks(p)
+    assert ps.read_poset(ps.write_poset(p)) == p
 
 
 _ENDPOINTS = st.sampled_from(

@@ -1,18 +1,27 @@
 """The shared text layer: format rules, malformed input, reader fuzz, round trips."""
 
 from fractions import Fraction as F
+from unittest import mock
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from poslim import cli, densities, graphs, measures, poset, recognition, sampling
 from poslim import semiorders
 from poslim import textio
-from poslim.errors import FormatError, InvalidArgument, PoslimError, SizeLimit
+from poslim.errors import (
+    CycleError,
+    FormatError,
+    InvalidArgument,
+    InvariantError,
+    PoslimError,
+    SizeLimit,
+)
 from poslim.rng import SeededRng
 
-from conftest import posets, step_measures
+from conftest import fixpoint_closure, posets, step_measures
 
 READERS = {
     "poset": poset.read_poset,
@@ -140,6 +149,9 @@ ARGUMENT_FAULTS = [
     ["rgo", "--n", "0", "--p", "1/2", "--seed", "1"],
     ["rgo", "--n", "-3", "--p", "1/2", "--seed", "1"],
     ["sample", "--kernel", "gc", "--c", "1/0", "--n", "5", "--seed", "1"],
+    ["density", "--kind", "hom", "--q", "h", "--p", "chain" + "9" * 5000],  # exited 1
+    ["density", "--kind", "hom", "--q", "q" + "9" * 5000 + "+", "--p", "h"],
+    ["density", "--kind", "hom", "--q", "h", "--p", "chain" + "0" * 5000 + "9999"],
 ]
 
 
@@ -257,6 +269,7 @@ def test_reader_fuzz(kind, text):
 def test_graph_roundtrip(p):
     g = graphs.comparability_graph(p)
     assert graphs.read_graph(graphs.write_graph(g)) == g
+    assert graphs.read_graph(graphs.write_graph(g).replace("\n", "\r\n")) == g
 
 
 @given(step_measures())
@@ -286,3 +299,122 @@ def test_representation_roundtrip(n, seed, c):
     p = sampling.sample_kernel_poset(semiorders.gc(c), n, SeededRng(seed))
     rep = recognition.interval_representation(p)
     assert recognition.read_representation(recognition.write_representation(rep)) == rep
+
+
+# -- the integer-row parser against the `rows` reference ------------------------
+
+
+def _outcome(call):
+    """A call's value, or the class and message of the PoslimError it raised."""
+    try:
+        return call()
+    except PoslimError as exc:
+        return type(exc), str(exc)
+
+
+def _reference_rows(body):
+    return textio.rows([ln.strip() for ln in body.splitlines() if ln.strip()], 2, int)
+
+
+def _reference_poset(n, body):
+    """`read_poset` of a body one row at a time: range checks in file order,
+    then the fixpoint closure; a cycle names the least point Kahn's
+    algorithm cannot reach."""
+    pairs = _reference_rows(body)
+    for a, b in pairs:
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise InvariantError(f"pair ({a},{b}) out of range 1..{n}")
+    masks = [0] * n
+    for a, b in pairs:
+        masks[a - 1] |= 1 << (b - 1)
+    closed = fixpoint_closure(masks)
+    cyclic = [j for j in range(n) if (closed[j] >> j) & 1]
+    if cyclic:
+        stuck = min(i for i in range(n) for j in cyclic if (closed[j] >> i) & 1)
+        raise CycleError(f"relation has a cycle at or below point {stuck + 1}")
+    return poset.FinitePoset.from_succ_masks(closed)
+
+
+def _reference_graph(n, body):
+    return graphs.SimpleGraph.from_edges(n, [(a - 1, b - 1) for a, b in _reference_rows(body)])
+
+
+def assert_parsers_agree(body, n=3):
+    fast = _outcome(lambda: textio.int_pairs(body))
+    if isinstance(fast, tuple) and isinstance(fast[0], np.ndarray):
+        fast = list(zip(*(c.tolist() for c in fast)))
+    assert fast == _outcome(lambda: _reference_rows(body))
+    for keyword, read, reference in (
+        ("poset", poset.read_poset, _reference_poset),
+        ("graph", graphs.read_graph, _reference_graph),
+    ):
+        got = _outcome(lambda: read(f"{keyword} {n}{body}"))
+        assert got == _outcome(lambda: reference(n, body))
+
+
+PAIR_BODIES = [
+    "\n1 2\n2 3\n",
+    "\r\n1 2\r\n2 3\r\n",  # CRLF
+    "\r1 2\r2 3",  # CR only, no final newline
+    "\n1\t2\n \t2 \t 3\t\n",  # tabs and padding
+    "\n001 0002\n",  # leading zeros
+    "\n\n  \n\t\n1 2\n\n",  # blank and whitespace-only lines
+    "\n1 2\n2 3",  # no final newline
+    "\n1\n",  # one field
+    "\n1 2 3\n",  # three fields
+    "\n1 2\n1 2 3\n3\n",  # the first bad line is named
+    "\n1 x\n",
+    "\n+1 2\n",  # `int` accepts a sign
+    "\n1_0 2\n",  # and underscores
+    "\n\u0661 2\n",  # and non-ASCII digits
+    "\n1 " + "1" * 30 + "\n",  # a token past int64
+    "\n1 " + "9" * 18 + "\n",  # the longest token parsed in numpy
+    "\n1 0\n",  # out of range
+    "\n3 1\n1 4\n",  # the first pair out of range is named
+    "\n1 2\n2 1\n",  # a cycle
+    "\n2 2\n",  # a self-pair
+    "\x0c1 2\x0b2 3\x1c",  # other `splitlines` breaks
+    "\u20281 2\x852 3\u2029",
+    "",
+    "\n",
+]
+
+
+@pytest.mark.parametrize("body", PAIR_BODIES)
+@pytest.mark.parametrize("block", [4, 1 << 16])
+def test_int_pairs_matches_rows(body, block):
+    with mock.patch.object(textio, "_BLOCK", block):
+        assert_parsers_agree(body)
+
+
+def test_int_pairs_parses_plain_bodies_in_numpy():
+    tails, heads = textio.int_pairs("\r\n1 2\r\n\t3  4")
+    assert tails.dtype == np.int64 and tails.tolist() == [1, 3] and heads.tolist() == [2, 4]
+    assert textio.int_pairs("\n+1 2")[0].dtype == object  # left to `rows`
+
+
+_pair_token = st.sampled_from(
+    ["1", "2", "3", "4", "0", "03", "x", "+1", "-2", "\u0661", "1_0", "1" * 30, "9" * 19]
+)
+_pair_line = st.builds(
+    lambda pad, sep, tokens, end: pad + sep.join(tokens) + end,
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from([" ", "\t", " \t "]),
+    st.lists(st.one_of(st.sampled_from(["1", "2", "3"]), _pair_token), max_size=3),
+    st.sampled_from(["", " ", "\t"]),
+)
+_pair_body = st.builds(
+    lambda br, lines, last: br + br.join(lines) + last,
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.lists(_pair_line, max_size=8),
+    st.sampled_from(["", "\n"]),
+)
+
+
+@given(_pair_body, st.sampled_from([4, 16, 1 << 16]))
+@settings(max_examples=300, deadline=None)
+def test_int_pairs_matches_rows_generated(body, block):
+    """Same columns, poset and graph, or the same error class and message,
+    whatever the block size."""
+    with mock.patch.object(textio, "_BLOCK", block):
+        assert_parsers_agree(body)
