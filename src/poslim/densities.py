@@ -16,7 +16,7 @@ from .errors import BudgetExceeded, InvalidArgument
 from .measures import AtomicMeasure
 from .poset import FinitePoset, _bits, in_star, out_star, poset_from_intervals
 from .rng import MC_TUPLES, SeededRng
-from .sampling import INTERVAL_MODELS, interval_model
+from .sampling import INTERVAL_MODELS, draw_intervals
 
 Kind = Literal["hom", "inj", "ind"]
 
@@ -124,11 +124,11 @@ def kernel_density_mc(
 ) -> tuple[float, float]:
     """Monte Carlo homomorphism density t(q, W) with a 95% half-width.
 
-    `model` is anything `sampling.interval_model` understands (a threshold
+    `model` is an interval model of `sampling.draw_intervals` (a threshold
     function, rate function or interval measure) or a raw callable
     W(x, y) -> [0,1] on the unit square with the uniform distribution.
-    Sample t uses positions t*|q| .. t*|q|+|q|-1 of the tuple stream, so the
-    estimate is independent of how samples are split across workers.
+    Sample t uses positions t*|q|*k .. (t+1)*|q|*k - 1 of the tuple stream
+    (k as in `rng`), whatever the split of samples across workers.
     """
     if samples < 100:
         raise InvalidArgument("samples must be at least 100")
@@ -138,7 +138,7 @@ def kernel_density_mc(
 
     if callable(model) and not isinstance(model, INTERVAL_MODELS):
         w = model
-        us = rng.uniforms(MC_TUPLES, samples * nq).reshape(samples, nq)
+        rows = rng.uniforms(MC_TUPLES, samples * nq).reshape(samples, nq)
 
         def product(row) -> float:
             prod = 1.0
@@ -149,20 +149,20 @@ def kernel_density_mc(
             return prod
 
     else:
-        mdl = interval_model(model)
-        k = mdl.per_point
-        us = rng.uniforms(MC_TUPLES, samples * nq * k).reshape(samples, nq, k)
+        drawn = draw_intervals(
+            model, lambda k: rng.uniforms(MC_TUPLES, samples * nq * k).reshape(-1, k).T
+        )
+        rows = [drawn[t : t + nq] for t in range(0, samples * nq, nq)]
 
         def product(row) -> float:
-            intervals = [mdl.interval_at(*(float(u) for u in row[i])) for i in range(nq)]
             for i, j in pairs:
-                if not intervals[i][1] < intervals[j][0]:
+                if not row[i][1] < row[j][0]:
                     return 0.0
             return 1.0
 
     total = 0.0
     total_sq = 0.0
-    for row in us:
+    for row in rows:
         prod = product(row)
         total += prod
         total_sq += prod * prod

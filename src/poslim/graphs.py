@@ -114,7 +114,7 @@ def poset_orientations(f: SimpleGraph) -> list[FinitePoset]:
         # both ways
         if any(masks[j] & ~masks[i] for i in range(f.n) for j in _bits(masks[i])):
             continue
-        out.append(FinitePoset.from_succ_masks(masks, validate=False))
+        out.append(FinitePoset.from_succ_masks(masks))
     return out
 
 

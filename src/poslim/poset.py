@@ -159,14 +159,11 @@ class FinitePoset:
         return hash((self.n, self.succ))
 
     @classmethod
-    def from_succ_masks(
-        cls, succ: Sequence[int], *, validate: bool = True
-    ) -> "FinitePoset":
+    def from_succ_masks(cls, succ: Sequence[int]) -> "FinitePoset":
+        """The poset with these successor rows, taken as given: a caller
+        that cannot vouch for them calls `check_valid`."""
         succ = tuple(succ)
-        p = cls(len(succ), succ, _transpose_masks(succ, len(succ)))
-        if validate:
-            p.check_valid()
-        return p
+        return cls(len(succ), succ, _transpose_masks(succ, len(succ)))
 
     def check_valid(self) -> None:
         """Raise InvariantError unless irreflexive, antisymmetric, transitive."""
@@ -245,7 +242,7 @@ def from_columns(n: int, tails: np.ndarray, heads: np.ndarray) -> FinitePoset:
         k = np.flatnonzero((tails < 1) | (tails > n) | (heads < 1) | (heads > n))[0]
         raise InvariantError(f"pair ({tails[k]},{heads[k]}) out of range 1..{n}")
     closed = transitive_closure(n, tails.astype(np.int64) - 1, heads.astype(np.int64) - 1)
-    return FinitePoset.from_succ_masks(closed, validate=False)
+    return FinitePoset.from_succ_masks(closed)
 
 
 def reflect(p: FinitePoset) -> FinitePoset:
@@ -262,7 +259,7 @@ def induced(p: FinitePoset, points: Iterable[int]) -> FinitePoset:
     succ = [
         sum(1 << b for b, j in enumerate(pts) if (p.succ[i] >> j) & 1) for i in pts
     ]
-    return FinitePoset.from_succ_masks(succ, validate=False)
+    return FinitePoset.from_succ_masks(succ)
 
 
 # -- interval orders kept as intervals ----------------------------------------
@@ -380,25 +377,23 @@ def chain(n: int) -> FinitePoset:
     if n < 1:
         raise InvariantError("posets are non-empty")
     full = (1 << n) - 1
-    return FinitePoset.from_succ_masks(
-        [(full >> (i + 1)) << (i + 1) for i in range(n)], validate=False
-    )
+    return FinitePoset.from_succ_masks([(full >> (i + 1)) << (i + 1) for i in range(n)])
 
 
 def antichain(n: int) -> FinitePoset:
     if n < 1:
         raise InvariantError("posets are non-empty")
-    return FinitePoset.from_succ_masks([0] * n, validate=False)
+    return FinitePoset.from_succ_masks([0] * n)
 
 
 def two_plus_two() -> FinitePoset:
     """Two disjoint 2-chains: the pattern forbidden in interval orders."""
-    return FinitePoset.from_succ_masks([0b0010, 0, 0b1000, 0], validate=False)
+    return FinitePoset.from_succ_masks([0b0010, 0, 0b1000, 0])
 
 
 def three_plus_one() -> FinitePoset:
     """A 3-chain plus an isolated point: additionally forbidden in semiorders."""
-    return FinitePoset.from_succ_masks([0b0110, 0b0100, 0, 0], validate=False)
+    return FinitePoset.from_succ_masks([0b0110, 0b0100, 0, 0])
 
 
 def in_star(k: int) -> FinitePoset:
@@ -406,7 +401,7 @@ def in_star(k: int) -> FinitePoset:
     if k < 0:
         raise InvariantError("k must be nonnegative")
     succ = [1 << k] * k + [0]
-    return FinitePoset.from_succ_masks(succ, validate=False)
+    return FinitePoset.from_succ_masks(succ)
 
 
 def out_star(k: int) -> FinitePoset:
@@ -528,7 +523,7 @@ def _enumerate_size(k: int) -> tuple[FinitePoset, ...]:
                     for i in range(k - 1)
                 ]
                 succ.append(up)
-                cand = FinitePoset.from_succ_masks(succ, validate=False)
+                cand = FinitePoset.from_succ_masks(succ)
                 key = canonical_key(cand)
                 if key not in reps:
                     reps[key] = cand

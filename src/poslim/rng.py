@@ -22,7 +22,8 @@ Stream kinds used by the samplers:
                     stream index i;
 * ``EDGES``       - random graph order edge (i, j): position j of stream
                     index i;
-* ``MC_TUPLES``   - Monte Carlo density tuple t: positions t*q .. t*q+q-1;
+* ``MC_TUPLES``   - Monte Carlo density tuple t: positions t*q*k ..
+                    t*q*k+q*k-1, k = 2 for a step measure, else 1;
 * ``SUBSETS``     - random subset draws for fingerprint estimation;
 * ``SPAWN``       - child-seed derivation for independent trials.
 """

@@ -7,8 +7,10 @@ and parameters produce bit-identical posets regardless of how work is split.
 The built-in kernels are all indicators of interval precedence: a threshold
 function g turns point x into the interval [x, g(x)], a measure on the
 triangle draws intervals directly, and in both cases i < j holds iff
-interval i ends strictly before interval j begins.  The pairwise coin flips
-of the general construction are skipped for these 0/1 kernels; a raw callable
+interval i ends strictly before interval j begins.  `draw_intervals` turns
+uniforms into exact intervals for all four interval models, for the sampler
+and `densities.kernel_density_mc` alike.  The pairwise coin flips of the
+general construction are skipped for these 0/1 kernels; a raw callable
 kernel uses them and gets its output validated.
 
 A sample from an interval model is a `poset.IntervalSample`.  Nothing here
@@ -22,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -67,86 +68,56 @@ _ATOM_MARGIN = Fraction(1, 32)  # ks_distance_at_continuity's distance kept from
 # -- interval models ----------------------------------------------------------
 
 
-def _float_thresholds(xs: Iterable[Fraction]) -> list[float]:
-    """The least float >= x for each x: a float u satisfies u >= x exactly
-    when u >= that float, so bisecting floats gives the exact answer."""
-    out = []
+def _bisect_right(xs: Iterable[Fraction], u: np.ndarray) -> np.ndarray:
+    """`bisect_right(xs, u)` for each float u, exact: each x of the
+    nondecreasing xs becomes the least float >= x, which u reaches iff it
+    reaches x."""
+    ts = []
     for x in xs:
         t = float(x)
-        out.append(t if t >= x else math.nextafter(t, math.inf))
-    return out
+        ts.append(t if t >= x else math.nextafter(t, math.inf))
+    return np.searchsorted(ts, u, side="right")
 
 
-class _ThresholdModel:
-    """Point x becomes the interval [x, g(x)]; one uniform per point.
-
-    A float u is num / den with den a power of two.  On the piece of g that
-    starts at breakpoint x_k, g(u) = (p_k num + q_k den) / (d_k den) with the
-    integers of `pwl.segment_lines`, so g is evaluated exactly in integers,
-    and the piece is found by bisecting float thresholds: a draw makes no
-    `Fraction` arithmetic or comparison, only the two endpoint values.
-    """
-
-    per_point = 1
-
-    def __init__(self, g: MonotoneRC):
-        self.starts = _float_thresholds(x for x, _, _ in g.points)
-        self.lines = segment_lines(g.points)
-
-    def interval_at(self, u: float) -> tuple[Fraction, Fraction]:
-        num, den = u.as_integer_ratio()
-        p, q, d = self.lines[bisect_right(self.starts, u) - 1]
-        return Fraction(u), Fraction(p * num + q * den, d * den)
-
-
-class _StepMeasureModel:
-    """Uniform left endpoint locates the cell; a second uniform picks the
-    conditional atom for the right endpoint."""
-
-    per_point = 2
-
-    def __init__(self, mu: StepKernelMeasure):
-        self.conditionals = mu.conditionals
-        self.breaks = _float_thresholds(mu.breaks)
-        self.cum: list[list[float]] = []
-        for cond in mu.conditionals:
-            self.cum.append(_float_thresholds(itertools.accumulate(p for _, p in cond)))
-
-    def interval_at(self, u1: float, u2: float) -> tuple[Fraction, Fraction]:
-        cell = bisect_right(self.breaks, u1) - 1
-        cell = min(cell, len(self.conditionals) - 1)
-        cum = self.cum[cell]
-        k = bisect_right(cum, u2)
-        k = min(k, len(cum) - 1)
-        return Fraction(u1), self.conditionals[cell][k][0]
-
-
-class _AtomicModel:
-    """One uniform picks an interval atom by cumulative weight."""
-
-    per_point = 1
-
-    def __init__(self, mu: AtomicMeasure):
-        self.atoms = mu.atoms
-        self.cum = _float_thresholds(itertools.accumulate(w for _, _, w in mu.atoms))
-
-    def interval_at(self, u: float) -> tuple[Fraction, Fraction]:
-        k = bisect_right(self.cum, u)
-        k = min(k, len(self.atoms) - 1)
-        x, y, _ = self.atoms[k]
-        return x, y
-
-
-def interval_model(model: SamplerModel):
-    """Adapt any supported sampler model to interval draws."""
-    if isinstance(model, MonotoneRC):
-        return _ThresholdModel(model)
+def draw_intervals(model: SamplerModel, columns) -> list[tuple[Fraction, Fraction]]:
+    """Exact intervals of i.i.d. draws from an interval model, one per entry
+    of the k equal-length uniform arrays `columns(k)` returns (k = 2 for a
+    step measure, 1 otherwise).  A threshold g, or a rate function's g, turns
+    u = num/den into [u, g(u)] with g(u) = (p num + q den)/(d den) on u's
+    piece (`pwl.segment_lines`).  A step measure puts u in its cell and picks
+    the right end among the cell's conditional atoms by the second uniform;
+    an atomic measure picks an atom by cumulative weight.  No draw compares
+    `Fraction`s: pieces, cells and atoms are found by `_bisect_right`."""
     if isinstance(model, RateFunction):
-        return _ThresholdModel(g_from_rate(model))
+        model = g_from_rate(model)
+    if isinstance(model, MonotoneRC):
+        (u,) = columns(1)
+        lines = segment_lines(model.points)
+        pieces = _bisect_right((x for x, _, _ in model.points), u) - 1
+        out = []
+        for x, k in zip(u.tolist(), pieces.tolist()):
+            num, den = x.as_integer_ratio()
+            p, q, d = lines[k]
+            out.append((Fraction(x), Fraction(p * num + q * den, d * den)))
+        return out
     if isinstance(model, StepKernelMeasure):
-        return _StepMeasureModel(model)
+        u1, u2 = columns(2)
+        conds = model.conditionals
+        cells = np.minimum(_bisect_right(model.breaks, u1) - 1, len(conds) - 1)
+        atoms = np.empty_like(cells)
+        for c, cond in enumerate(conds):
+            here = cells == c
+            cum = itertools.accumulate(p for _, p in cond)
+            atoms[here] = np.minimum(_bisect_right(cum, u2[here]), len(cond) - 1)
+        return [
+            (Fraction(x), conds[c][k][0])
+            for x, c, k in zip(u1.tolist(), cells.tolist(), atoms.tolist())
+        ]
     if isinstance(model, AtomicMeasure):
-        return _AtomicModel(model)
+        (u,) = columns(1)
+        cum = itertools.accumulate(w for _, _, w in model.atoms)
+        ks = np.minimum(_bisect_right(cum, u), len(model.atoms) - 1)
+        return [model.atoms[k][:2] for k in ks.tolist()]
     raise TypeError(f"unsupported sampler model: {model!r}")
 
 
@@ -158,8 +129,9 @@ def sample_kernel_poset(kernel, n: int, rng: SeededRng) -> FinitePoset:
 
     The four interval models (threshold g, rate function, step and atomic
     measures) return an `IntervalSample`, whose bitmasks are built only when
-    read.  Point i uses position i of the POINTS stream (plus position i of
-    CONDITIONALS when the model needs two uniforms).  A raw callable kernel
+    read.  Point i is drawn by `draw_intervals` from position i of the
+    POINTS stream (and position i of CONDITIONALS for a step measure).  A
+    raw callable kernel
     W(x, y) -> [0,1] additionally reads position j of PAIRS stream i for the
     pair (i, j) and has its output checked (NotTransitive on failure).
     n above `textio.MAX_POINTS` raises SizeLimit before anything is drawn.
@@ -178,17 +150,14 @@ def sample_kernel_poset(kernel, n: int, rng: SeededRng) -> FinitePoset:
                 if i != j and row[j] < float(kernel(float(xs[i]), float(xs[j]))):
                     m |= 1 << j
             masks.append(m)
+        p = FinitePoset.from_succ_masks(masks)
         try:
-            return FinitePoset.from_succ_masks(masks)
+            p.check_valid()
         except InvariantError as e:
             raise NotTransitive(f"sampled relation is not a strict order: {e}") from e
-    mdl = interval_model(kernel)
-    u1 = rng.uniforms(POINTS, n).tolist()
-    if mdl.per_point == 2:
-        u2 = rng.uniforms(CONDITIONALS, n).tolist()
-        intervals = [mdl.interval_at(x, y) for x, y in zip(u1, u2)]
-    else:
-        intervals = [mdl.interval_at(x) for x in u1]
+        return p
+    streams = (POINTS, CONDITIONALS)
+    intervals = draw_intervals(kernel, lambda k: [rng.uniforms(s, n) for s in streams[:k]])
     return IntervalSample(intervals)
 
 
@@ -428,7 +397,9 @@ def c_parameter(n: int, p) -> float:
 
 def p_for_c(n: int, c: float) -> float:
     """Inverse of c_parameter in p, by bisection (c in [0, 1))."""
-    if c <= 0:
+    if not 0 <= c < 1:  # NaN fails too
+        raise InvalidArgument(f"c must be in [0, 1), got {c}")
+    if c == 0:
         return 1.0
     lo, hi = 1e-12, 1.0
     for _ in range(200):
@@ -460,7 +431,7 @@ def random_graph_order(n: int, p, rng: SeededRng) -> FinitePoset:
         heads.append(np.flatnonzero(bits))
     tails = np.repeat(np.arange(n), [len(h) for h in heads])
     closed = transitive_closure(n, tails, np.concatenate(heads))
-    return FinitePoset.from_succ_masks(closed, validate=False)
+    return FinitePoset.from_succ_masks(closed)
 
 
 # -- convergence diagnostics --------------------------------------------------

@@ -167,7 +167,7 @@ def posets(draw, min_n=1, max_n=6):
             if draw(st.booleans()):
                 masks[perm[i]] |= 1 << perm[j]
     closed = fixpoint_closure(masks)
-    return ps.FinitePoset.from_succ_masks(closed, validate=False)
+    return ps.FinitePoset.from_succ_masks(closed)
 
 
 _frac = st.fractions(min_value=0, max_value=1, max_denominator=16)

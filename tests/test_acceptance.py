@@ -38,7 +38,7 @@ def _random_poset(size: int, rng: SeededRng) -> ps.FinitePoset:
                 masks[i] |= 1 << j
             k += 1
     closed = fixpoint_closure(masks)
-    return ps.FinitePoset.from_succ_masks(closed, validate=False)
+    return ps.FinitePoset.from_succ_masks(closed)
 
 
 STAIRCASE = so.MonotoneRC.from_points(

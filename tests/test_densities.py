@@ -95,7 +95,7 @@ def test_inj_equals_sum_of_ind_over_labelled_supersets(catalog4):
                 continue
             if any(masks[i] & masks_t(masks, q.n)[i] for i in range(q.n)):
                 continue
-            supersets.append(ps.FinitePoset.from_succ_masks(masks, validate=False))
+            supersets.append(ps.FinitePoset.from_succ_masks(masks))
         for p in list(catalog4.of_size(4)) + [ps.chain(7), ps.in_star(5)]:
             total = sum(de.density(s, p, "ind") for s in supersets)
             assert total == de.density(q, p, "inj"), (q, p)

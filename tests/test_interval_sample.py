@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from poslim import densities as de
 from poslim import poset as ps
 from poslim import recognition as rec
 from poslim import sampling as sa
 from poslim import semiorders as so
 from poslim.errors import InvalidArgument
 from poslim.measures import AtomicMeasure, StepKernelMeasure
-from poslim.rng import POINTS, SeededRng
+from poslim.rng import CONDITIONALS, MC_TUPLES, POINTS, SeededRng
 
 from conftest import atomic_measures, monotone_gs, pattern_key, posets, step_measures
 
@@ -142,18 +143,25 @@ def _floats_near(x):
     return [v for v in (u, math.nextafter(u, 0.0), math.nextafter(u, 1.0)) if 0 <= v <= 1]
 
 
-RATE_G = so.g_from_rate(
-    so.RateFunction.from_pieces([(0, F(1, 2), 8), (F(1, 2), F(3, 4), 0), (F(3, 4), 1, 8)])
-)
+RATE = so.RateFunction.from_pieces([(0, F(1, 2), 8), (F(1, 2), F(3, 4), 0), (F(3, 4), 1, 8)])
+RATE_G = so.g_from_rate(RATE)
+
+
+def columns(*arrays):
+    """A `draw_intervals` source of exactly these uniform columns."""
+
+    def take(k):
+        assert k == len(arrays)
+        return [np.array(a, dtype=float) for a in arrays]
+
+    return take
 
 
 def assert_integer_g(g):
-    model = sa.interval_model(g)
     us = [0.0, 2.0**-60, 1.0] + SeededRng(17).uniforms(POINTS, 300).tolist()
     for x, _, _ in g.points:
         us += _floats_near(x)
-    for u in us:
-        assert model.interval_at(u) == (F(u), g.value(F(u))), (g, u)
+    assert sa.draw_intervals(g, columns(us)) == [(F(u), g.value(F(u))) for u in us], g
 
 
 def test_integer_g_evaluation_named():
@@ -189,24 +197,77 @@ def _atomic_reference(mu, u):
 @given(step_measures())
 @settings(max_examples=40, deadline=None)
 def test_step_measure_draws_match_fraction_bisection(mu):
-    model = sa.interval_model(mu)
     edges = [*mu.breaks]
     for cond in mu.conditionals:
         edges += _cumulative(p for _, p in cond)
     us = [0.0, 1.0] + SeededRng(5).uniforms(POINTS, 20).tolist()
     us += [v for x in edges for v in _floats_near(x)]
-    for u1, u2 in itertools.product(us, repeat=2):
-        assert model.interval_at(u1, u2) == _step_reference(mu, u1, u2)
+    pairs = list(itertools.product(us, repeat=2))
+    expected = [_step_reference(mu, u1, u2) for u1, u2 in pairs]
+    assert sa.draw_intervals(mu, columns(*zip(*pairs))) == expected
 
 
 @given(atomic_measures())
 @settings(max_examples=60, deadline=None)
 def test_atomic_draws_match_fraction_bisection(mu):
-    model = sa.interval_model(mu)
     us = [0.0, 1.0] + SeededRng(6).uniforms(POINTS, 50).tolist()
     us += [v for x in _cumulative(w for _, _, w in mu.atoms) for v in _floats_near(x)]
-    for u in us:
-        assert model.interval_at(u) == _atomic_reference(mu, u)
+    assert sa.draw_intervals(mu, columns(us)) == [_atomic_reference(mu, u) for u in us]
+
+
+CHAINED_ATOMS = AtomicMeasure.from_atoms(  # shared ends, and chains of three
+    [(0, F(1, 4), F(1, 4)), (0, F(1, 2), F(1, 8)), (F(1, 2), F(1, 2), F(1, 4)),
+     (F(1, 2), 1, F(1, 8)), (F(3, 4), 1, F(1, 4))]
+)
+LAYOUT_MODELS = (so.gc(F(3, 10)), RATE, ATOMS_ON_BREAKS, CHAINED_ATOMS)
+
+
+def _reference_draw(model, u1, u2=None):
+    """One exact interval by `Fraction` bisection, from its uniforms."""
+    if isinstance(model, StepKernelMeasure):
+        return _step_reference(model, u1, u2)
+    if isinstance(model, AtomicMeasure):
+        return _atomic_reference(model, u1)
+    g = so.g_from_rate(model) if isinstance(model, so.RateFunction) else model
+    return F(u1), g.value(F(u1))
+
+
+def _name(model):
+    return type(model).__name__
+
+
+@pytest.mark.parametrize("model", LAYOUT_MODELS, ids=_name)
+def test_sampler_stream_layout(model):
+    """Point i is drawn from position i of POINTS, and of CONDITIONALS for a
+    step measure only, as the `rng` docstring says."""
+    n = 300
+    rng = SeededRng(11)
+    u1 = rng.uniforms(POINTS, n).tolist()
+    u2 = rng.uniforms(CONDITIONALS, n).tolist()
+    p = sa.sample_kernel_poset(model, n, rng)
+    assert list(p.intervals) == [_reference_draw(model, a, b) for a, b in zip(u1, u2)]
+
+
+@pytest.mark.parametrize("model", LAYOUT_MODELS, ids=_name)
+@pytest.mark.parametrize(
+    "q", [ps.chain(3), ps.two_plus_two(), ps.antichain(3)], ids=["chain3", "2+2", "antichain3"]
+)
+def test_monte_carlo_stream_layout(model, q):
+    """Sample t reads positions t*|q|*k .. (t+1)*|q|*k - 1 of MC_TUPLES, k = 2
+    for a step measure and 1 otherwise, and counts 1 iff its intervals
+    realise every relation of q."""
+    samples, seed = 400, 12
+    k = 2 if isinstance(model, StepKernelMeasure) else 1
+    us = SeededRng(seed).uniforms(MC_TUPLES, samples * q.n * k).tolist()
+    pairs = [(i, j) for i in range(q.n) for j in range(q.n) if q.less(i, j)]
+    hits = 0
+    for t in range(samples):
+        starts = [(t * q.n + i) * k for i in range(q.n)]
+        iv = [_reference_draw(model, *us[s : s + k]) for s in starts]
+        hits += all(iv[i][1] < iv[j][0] for i, j in pairs)
+    est = hits / samples
+    half = 1.96 * math.sqrt(max(est - est * est, 0.0) / samples)
+    assert de.kernel_density_mc(q, model, samples, seed) == (est, half)
 
 
 def test_rank_pattern_key_on_every_drawn_tuple(monkeypatch):

@@ -288,6 +288,10 @@ def test_c_parameter():
     assert sa.c_parameter(10, 1e-9) == 1.0
     p = sa.p_for_c(2000, 0.3)
     assert abs(sa.c_parameter(2000, p) - 0.3) < 1e-9
+    assert sa.p_for_c(3000, 0.0) == 1.0
+    for c in (1.5, 1.0, math.nan, -0.1, -math.inf, math.inf):
+        with pytest.raises(InvalidArgument):
+            sa.p_for_c(3000, c)
 
 
 def test_converge_constant_sequence():

@@ -332,7 +332,9 @@ def _reference_poset(n, body):
     if cyclic:
         stuck = min(i for i in range(n) for j in cyclic if (closed[j] >> i) & 1)
         raise CycleError(f"relation has a cycle at or below point {stuck + 1}")
-    return poset.FinitePoset.from_succ_masks(closed)
+    p = poset.FinitePoset.from_succ_masks(closed)
+    p.check_valid()
+    return p
 
 
 def _reference_graph(n, body):
