@@ -12,9 +12,11 @@ import math
 from fractions import Fraction
 from typing import Literal, Sequence
 
+import numpy as np
+
 from .errors import BudgetExceeded, InvalidArgument
 from .measures import AtomicMeasure
-from .poset import FinitePoset, _bits, in_star, out_star, poset_from_intervals
+from .poset import FinitePoset, IntervalSample, _bits, in_star, out_star
 from .rng import MC_TUPLES, SeededRng
 from .sampling import INTERVAL_MODELS, draw_intervals
 
@@ -148,24 +150,23 @@ def kernel_density_mc(
                     break
             return prod
 
+        total = total_sq = 0.0
+        for row in rows:
+            prod = product(row)
+            total += prod
+            total_sq += prod * prod
     else:
         drawn = draw_intervals(
             model, lambda k: rng.uniforms(MC_TUPLES, samples * nq * k).reshape(-1, k).T
         )
-        rows = [drawn[t : t + nq] for t in range(0, samples * nq, nq)]
-
-        def product(row) -> float:
-            for i, j in pairs:
-                if not row[i][1] < row[j][0]:
-                    return 0.0
-            return 1.0
-
-    total = 0.0
-    total_sq = 0.0
-    for row in rows:
-        prod = product(row)
-        total += prod
-        total_sq += prod * prod
+        a, b = (ends.take(np.arange(samples * nq).reshape(samples, nq)) for ends in drawn)
+        hit = np.ones(samples, dtype=bool)
+        for i, j in pairs:  # the floats decide unless they tie and one is not exact
+            below = b.floats[:, i] < a.floats[:, j]
+            t = (b.floats[:, i] == a.floats[:, j]) & ~(b.exact[:, i] & a.exact[:, j])
+            below[t] = b.num[t, i] * a.den[t, j] < a.num[t, j] * b.den[t, i]
+            hit &= below
+        total = total_sq = float(np.count_nonzero(hit))
     est = total / samples
     var = max(total_sq / samples - est * est, 0.0)
     return est, 1.96 * math.sqrt(var / samples)
@@ -177,6 +178,6 @@ def kernel_density_atomic(q: FinitePoset, mu: AtomicMeasure) -> Fraction:
     if len(atoms) ** q.n > _ATOMIC_BUDGET:
         raise BudgetExceeded(f"{len(atoms)}^{q.n} support tuples exceed the budget")
     # atom a precedes atom b iff its interval ends before b's begins
-    p = poset_from_intervals([(x, y) for x, y, _ in atoms])
+    p = IntervalSample([(x, y) for x, y, _ in atoms])
     weights = [w for _, _, w in atoms]
     return Fraction(_count_maps(q.succ, q.pred, p.succ, p.pred, None, False, weights))

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
-from operator import or_
-from typing import Iterable, Literal, Sequence
+from functools import cached_property, cmp_to_key, lru_cache, reduce
+from operator import methodcaller, or_
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -218,13 +217,21 @@ class FinitePoset:
         return int(self.degrees("plus").sum())
 
     def cover_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(tails, heads) of the transitive reduction, sorted by (i, j)."""
-        succ, pred = self.succ, self.pred
-        covers = [
-            (i, j) for i in range(self.n) for j in _bits(succ[i]) if not succ[i] & pred[j]
-        ]
-        table = np.array(covers, dtype=np.int64).reshape(-1, 2)
-        return table[:, 0], table[:, 1]
+        """(tails, heads) of the transitive reduction, sorted by (i, j): in a
+        linear extension (by down-set size) the lowest bit left in a row is a
+        cover, cleared with its up-set to find the next, O(n² + covers·n/64)."""
+        n = self.n
+        order = np.argsort(self.degrees("minus"), kind="stable")
+        bits = np.unpackbits(self._packed, axis=1, bitorder="little", count=n)
+        rows = np.packbits(bits[order][:, order], axis=1, bitorder="little")
+        succ = [int.from_bytes(row.tobytes(), "little") for row in rows]
+        label, keys = order.tolist(), []
+        for i, rest in enumerate(succ):
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                keys.append(label[i] * n + label[j])
+                rest &= ~(succ[j] | 1 << j)
+        return np.divmod(np.sort(np.array(keys, dtype=np.int64)), n)
 
 
 def from_relations(n: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
@@ -264,76 +271,101 @@ def induced(p: FinitePoset, points: Iterable[int]) -> FinitePoset:
 
 # -- interval orders kept as intervals ----------------------------------------
 
-
-def poset_from_intervals(
-    intervals: Sequence[tuple[Fraction, Fraction]]
-) -> FinitePoset:
-    """Interval order of closed intervals: i < j iff b_i < a_j, exact."""
-    n = len(intervals)
-    a = [iv[0] for iv in intervals]
-    b = [iv[1] for iv in intervals]
-    order_a = sorted(range(n), key=lambda i: a[i])
-    a_sorted = [a[i] for i in order_a]
-    suffix = [0] * (n + 1)
-    for pos in reversed(range(n)):
-        suffix[pos] = suffix[pos + 1] | (1 << order_a[pos])
-    succ = tuple(suffix[bisect_right(a_sorted, b[i])] for i in range(n))
-    order_b = sorted(range(n), key=lambda i: b[i])
-    b_sorted = [b[i] for i in order_b]
-    prefix = [0] * (n + 1)
-    for pos in range(n):
-        prefix[pos + 1] = prefix[pos] | (1 << order_b[pos])
-    pred = tuple(prefix[bisect_left(b_sorted, a[j])] for j in range(n))
-    return FinitePoset(n, succ, pred)
+_RATIO = np.frompyfunc(methodcaller("as_integer_ratio"), 1, 2)
 
 
-def endpoint_order(a: Sequence[Fraction], b: Sequence[Fraction]) -> np.ndarray:
-    """Exact increasing order of the endpoints a + b, as indices into a + b.
+class Endpoints(NamedTuple):
+    """Exact rationals num[k]/den[k] (object arrays of ints, den > 0), each
+    with its correctly rounded float64 and whether the two are equal."""
 
-    At equal values a left endpoint (index below len(a)) comes first, so
+    num: np.ndarray
+    den: np.ndarray
+    floats: np.ndarray
+    exact: np.ndarray
+
+    @classmethod
+    def of_floats(cls, x: np.ndarray) -> "Endpoints":
+        m, e = np.frexp(x)  # x = m·2^e, and m·2^53 is an integer
+        num = (m * 2.0**53).astype(np.int64).astype(object)
+        return cls(num, 1 << (53 - e).astype(object), x, np.ones(len(x), dtype=bool))
+
+    @classmethod
+    def of_ratios(cls, num: np.ndarray, den: np.ndarray) -> "Endpoints":
+        floats = (num / den).astype(np.float64)  # int true division rounds correctly
+        fnum, fden = cls.of_floats(floats)[:2]
+        return cls(num, den, floats, (num * fden == fnum * den).astype(bool))
+
+    @classmethod
+    def of_values(cls, values: Sequence) -> "Endpoints":
+        """Of ints, `Fraction`s or floats."""
+        return cls.of_ratios(*_RATIO(np.array(values, dtype=object)))
+
+    def take(self, idx: np.ndarray) -> "Endpoints":
+        return Endpoints(*(column[idx] for column in self))
+
+
+def endpoint_order(left: Endpoints, right: Endpoints) -> np.ndarray:
+    """Exact increasing order of the endpoints left + right, as indices into
+    their concatenation.
+
+    At equal values a left endpoint (index below len(left)) comes first, so
     b_i < a_j iff b_i comes before a_j.  The floats are sorted first;
-    `float()` of a `Fraction` is correctly rounded, hence monotone, so only
-    runs of equal floats can be out of exact order, and those runs are
-    re-sorted by their exact values.
+    rounding is monotone, so only a run of equal floats holding a value that
+    is not its float can be out of order: it is re-sorted whole by
+    cross-multiplying its integer pairs, unless its values are all equal.
     """
-    values = [*a, *b]
-    n_left = len(a)
-    floats = np.fromiter(map(float, values), dtype=np.float64, count=len(values))
-    order = np.lexsort((np.arange(len(values)) >= n_left, floats))
-    tied = np.flatnonzero(floats[order[1:]] == floats[order[:-1]])
-    if tied.size:
-        gap = np.diff(tied) > 1
-        starts = tied[np.r_[True, gap]].tolist()
-        ends = (tied[np.r_[gap, True]] + 2).tolist()
-        ordered = order.tolist()
-        for lo, hi in zip(starts, ends):
-            run = ordered[lo:hi]
-            first = values[run[0]]
-            if any(values[k] != first for k in run[1:]):  # equal runs are in order
-                run.sort(key=lambda k: (values[k], k >= n_left))
-                order[lo:hi] = run
+    num, den, floats, exact = map(np.concatenate, zip(left, right))
+    side = (np.arange(len(floats)) >= len(left.floats)).astype(int)
+    order = np.lexsort((side, floats))
+    starts = np.flatnonzero(np.diff(floats[order], prepend=-1.0))  # runs of equal floats
+    ends = np.r_[starts[1:], len(order)]
+    loose = np.logical_or.reduceat(~exact[order], starts) & (ends - starts > 1)
+    key = cmp_to_key(lambda i, j: num[i] * den[j] - num[j] * den[i] or side[i] - side[j])
+    for lo, hi in zip(starts[loose].tolist(), ends[loose].tolist()):
+        run, k = order[lo:hi], order[lo]
+        if (num[run] * den[k] != num[k] * den[run]).any():
+            order[lo:hi] = sorted(run.tolist(), key=key)
     return order
 
 
 class IntervalSample(FinitePoset):
     """An interval order kept as its closed intervals: i < j iff b_i < a_j.
 
-    On first use the 2n endpoints are put in one exact order
+    It holds `endpoints`, the `Endpoints` of the left ends a and of the right
+    ends b.  On first use the 2n endpoints are put in one exact order
     (`endpoint_order`, O(n log n)), and `ranks` holds each endpoint's
     position in it, so `precedes` compares ranks, `degrees` counts them
     by binary search and `cover_pairs`, which the text format writes, reads
-    one window of them per point.  The bitmask rows `succ` and `pred` (Θ(n²)
-    bits) are built by `poset_from_intervals` only when first read, so every
-    `FinitePoset` method and `==` work as for any other poset.
+    one window of them per point.  The `Fraction`s of `intervals` and the
+    bitmask rows `succ` and `pred` (Θ(n²) bits) are built only when first
+    read, so every `FinitePoset` method and `==` work as for any other poset.
     """
 
     def __init__(self, intervals: Sequence[tuple[Fraction, Fraction]]):
-        object.__setattr__(self, "n", len(intervals))
-        object.__setattr__(self, "intervals", tuple(intervals))
+        ends = tuple(map(Endpoints.of_values, zip(*intervals)))
+        vars(self).update(n=len(intervals), endpoints=ends, intervals=tuple(intervals))
+
+    @classmethod
+    def from_endpoints(cls, left: Endpoints, right: Endpoints) -> "IntervalSample":
+        sample = cls.__new__(cls)
+        vars(sample).update(n=len(left.floats), endpoints=(left, right))
+        return sample
+
+    @cached_property
+    def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple(zip(*(map(Fraction, e.num, e.den) for e in self.endpoints)))
 
     @cached_property
     def _masks(self) -> FinitePoset:
-        return poset_from_intervals(self.intervals)
+        # succ[i] holds the degrees("plus")[i] left ends of greatest rank and
+        # pred[j] the degrees("minus")[j] right ends of least rank
+        rank_a, rank_b = self.ranks
+        up, down = (
+            list(itertools.accumulate((1 << i for i in by.tolist()), or_, initial=0))
+            for by in (np.argsort(-rank_a), np.argsort(rank_b))
+        )
+        succ = tuple(up[d] for d in self._degrees(False).tolist())
+        return FinitePoset(self.n, succ, tuple(down[d] for d in self._degrees(True).tolist()))
 
     succ = cached_property(lambda self: self._masks.succ)
     pred = cached_property(lambda self: self._masks.pred)
@@ -343,7 +375,7 @@ class IntervalSample(FinitePoset):
         """(rank_a, rank_b): positions of a_i and b_i in the exact order."""
         n = self.n
         rank = np.empty(2 * n, dtype=np.int64)
-        rank[endpoint_order(*zip(*self.intervals))] = np.arange(2 * n)
+        rank[endpoint_order(*self.endpoints)] = np.arange(2 * n)
         return rank[:n], rank[n:]
 
     def _degrees(self, minus: bool) -> np.ndarray:

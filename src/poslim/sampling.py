@@ -41,6 +41,7 @@ from .errors import (
 )
 from .measures import AtomicMeasure, StepCDF, StepKernelMeasure
 from .poset import (
+    Endpoints,
     FinitePoset,
     IntervalSample,
     cached_catalog,
@@ -79,45 +80,39 @@ def _bisect_right(xs: Iterable[Fraction], u: np.ndarray) -> np.ndarray:
     return np.searchsorted(ts, u, side="right")
 
 
-def draw_intervals(model: SamplerModel, columns) -> list[tuple[Fraction, Fraction]]:
-    """Exact intervals of i.i.d. draws from an interval model, one per entry
-    of the k equal-length uniform arrays `columns(k)` returns (k = 2 for a
-    step measure, 1 otherwise).  A threshold g, or a rate function's g, turns
-    u = num/den into [u, g(u)] with g(u) = (p num + q den)/(d den) on u's
-    piece (`pwl.segment_lines`).  A step measure puts u in its cell and picks
-    the right end among the cell's conditional atoms by the second uniform;
-    an atomic measure picks an atom by cumulative weight.  No draw compares
-    `Fraction`s: pieces, cells and atoms are found by `_bisect_right`."""
+def draw_intervals(model: SamplerModel, columns) -> tuple[Endpoints, Endpoints]:
+    """The `Endpoints` of the left and of the right ends of i.i.d. draws
+    from an interval model, one per entry of the k equal-length uniform
+    arrays `columns(k)` returns (k = 2 for a step measure, 1 otherwise).  A
+    threshold g, or a rate function's g, turns u = num/den into [u, g(u)]
+    with g(u) = (p num + q den)/(d den) on u's piece (`pwl.segment_lines`).
+    A step measure puts u in its cell and picks the right end among the
+    cell's conditional atoms by the second uniform; an atomic measure picks
+    an atom by cumulative weight.  No `Fraction` is built or compared."""
     if isinstance(model, RateFunction):
         model = g_from_rate(model)
     if isinstance(model, MonotoneRC):
         (u,) = columns(1)
-        lines = segment_lines(model.points)
+        left = Endpoints.of_floats(u)
         pieces = _bisect_right((x for x, _, _ in model.points), u) - 1
-        out = []
-        for x, k in zip(u.tolist(), pieces.tolist()):
-            num, den = x.as_integer_ratio()
-            p, q, d = lines[k]
-            out.append((Fraction(x), Fraction(p * num + q * den, d * den)))
-        return out
+        p, q, d = np.array(segment_lines(model.points), dtype=object)[pieces].T
+        return left, Endpoints.of_ratios(p * left.num + q * left.den, d * left.den)
     if isinstance(model, StepKernelMeasure):
         u1, u2 = columns(2)
         conds = model.conditionals
         cells = np.minimum(_bisect_right(model.breaks, u1) - 1, len(conds) - 1)
-        atoms = np.empty_like(cells)
+        atoms = np.cumsum([0, *map(len, conds)])[cells]  # each cell's first atom
         for c, cond in enumerate(conds):
             here = cells == c
             cum = itertools.accumulate(p for _, p in cond)
-            atoms[here] = np.minimum(_bisect_right(cum, u2[here]), len(cond) - 1)
-        return [
-            (Fraction(x), conds[c][k][0])
-            for x, c, k in zip(u1.tolist(), cells.tolist(), atoms.tolist())
-        ]
+            atoms[here] += np.minimum(_bisect_right(cum, u2[here]), len(cond) - 1)
+        ys = Endpoints.of_values([y for cond in conds for y, _ in cond])
+        return Endpoints.of_floats(u1), ys.take(atoms)
     if isinstance(model, AtomicMeasure):
         (u,) = columns(1)
-        cum = itertools.accumulate(w for _, _, w in model.atoms)
-        ks = np.minimum(_bisect_right(cum, u), len(model.atoms) - 1)
-        return [model.atoms[k][:2] for k in ks.tolist()]
+        xs, ys, ws = zip(*model.atoms)
+        ks = np.minimum(_bisect_right(itertools.accumulate(ws), u), len(ws) - 1)
+        return Endpoints.of_values(xs).take(ks), Endpoints.of_values(ys).take(ks)
     raise TypeError(f"unsupported sampler model: {model!r}")
 
 
@@ -157,8 +152,8 @@ def sample_kernel_poset(kernel, n: int, rng: SeededRng) -> FinitePoset:
             raise NotTransitive(f"sampled relation is not a strict order: {e}") from e
         return p
     streams = (POINTS, CONDITIONALS)
-    intervals = draw_intervals(kernel, lambda k: [rng.uniforms(s, n) for s in streams[:k]])
-    return IntervalSample(intervals)
+    ends = draw_intervals(kernel, lambda k: [rng.uniforms(s, n) for s in streams[:k]])
+    return IntervalSample.from_endpoints(*ends)
 
 
 def sample_interval_poset(

@@ -32,6 +32,13 @@ def fixpoint_closure(masks):
             return rows
 
 
+def interval_poset(intervals):
+    """The interval order i < j iff b_i < a_j, compared pair by pair."""
+    return ps.FinitePoset.from_succ_masks(
+        [sum(1 << j for j, (a, _) in enumerate(intervals) if b < a) for _, b in intervals]
+    )
+
+
 def _profiles(p):
     return [(p.pred[i].bit_count(), p.succ[i].bit_count()) for i in range(p.n)]
 

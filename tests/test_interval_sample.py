@@ -20,7 +20,14 @@ from poslim.errors import InvalidArgument
 from poslim.measures import AtomicMeasure, StepKernelMeasure
 from poslim.rng import CONDITIONALS, MC_TUPLES, POINTS, SeededRng
 
-from conftest import atomic_measures, monotone_gs, pattern_key, posets, step_measures
+from conftest import (
+    atomic_measures,
+    interval_poset,
+    monotone_gs,
+    pattern_key,
+    posets,
+    step_measures,
+)
 
 STAIRCASE = so.MonotoneRC.from_points(
     [(0, F(2, 5), F(2, 5)), (F(2, 5), F(2, 5), F(4, 5)), (F(4, 5), F(4, 5), 1), (1, 1, 1)]
@@ -59,8 +66,8 @@ def models():
 
 
 def assert_matches_masks(p):
-    """Degrees, nu, ranks and the lazy masks of p against poset_from_intervals."""
-    q = ps.poset_from_intervals(p.intervals)
+    """Degrees, nu, ranks and the lazy masks of p against `interval_poset`."""
+    q = interval_poset(p.intervals)
     for sign, masks in (("minus", q.pred), ("plus", q.succ)):
         assert p.degrees(sign).tolist() == [m.bit_count() for m in masks]
         assert sa.nu_empirical(p, sign).points == sa.nu_empirical(q, sign).points
@@ -127,7 +134,7 @@ def test_endpoint_order_separates_colliding_floats():
     # index order and float order both put the larger value first
     a = [NEAR_THIRD, F(0), THIRD]
     b = [F(1, 2), THIRD, THIRD]
-    order = ps.endpoint_order(a, b).tolist()
+    order = ps.endpoint_order(*map(ps.Endpoints.of_values, (a, b))).tolist()
     values = a + b
     assert [values[k] for k in order] == sorted(values)
     # at equal values left endpoints come first: a_2 before b_1, b_2
@@ -135,6 +142,58 @@ def test_endpoint_order_separates_colliding_floats():
     p = ps.IntervalSample(list(zip(a, b)))
     assert_matches_masks(p)
     assert p.less(1, 0) and p.less(2, 0) and not p.less(1, 2) and not p.less(2, 1)
+
+
+def test_inexact_end_sorts_below_a_run_of_exact_ones():
+    """Four endpoints share the float 0.5 and one of them, b_1, lies below
+    it: the whole run is re-sorted, not only b_1's neighbours."""
+    low = F(1, 2) - F(1, 2**70)
+    p = ps.IntervalSample([(F(1, 2), F(1, 2)), (F(0), low), (F(1, 2), F(1))])
+    left, right = p.endpoints
+    assert left.floats.tolist() == [0.5, 0.0, 0.5] and left.exact.all()
+    assert right.floats.tolist() == [0.5, 0.5, 1.0]
+    assert right.exact.tolist() == [True, False, True]
+    assert ps.endpoint_order(left, right).tolist() == [1, 4, 0, 2, 3, 5]
+    assert_matches_masks(p)
+    assert p.less(1, 0) and p.less(1, 2) and not p.less(0, 2)
+
+
+TIE_HEAVY = [
+    so.MonotoneRC.identity(),  # every interval [x, x]
+    so.gc(F(3, 10)),  # a run of b = 1 above x = 7/10
+    so.gc(1),  # every b = 1
+    STAIRCASE,  # runs of b = 2/5 and b = 4/5, inexact
+    ATOMS_ON_BREAKS,  # atoms on cell bounds
+    SHARED_ENDS,  # repeated atoms sharing ends
+    AtomicMeasure.from_atoms([(THIRD, THIRD, F(1, 2)), (F(0), NEAR_THIRD, F(1, 2))]),
+]
+
+
+@given(st.one_of(models(), st.sampled_from(TIE_HEAVY)), st.integers(1, 60), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_integer_record_orders_like_its_fractions(model, n, seed):
+    """A sample drawn on integer pairs has the floats, exactness flags, ranks
+    and intervals of the sample built from its `Fraction`s."""
+    p = sa.sample_kernel_poset(model, n, SeededRng(seed))
+    assert "intervals" not in vars(p)
+    for ends, values in zip(p.endpoints, zip(*p.intervals)):
+        assert ends.floats.tolist() == [float(v) for v in values]
+        assert ends.exact.tolist() == [v == float(v) for v in values]
+    q = ps.IntervalSample(p.intervals)
+    assert [r.tolist() for r in p.ranks] == [r.tolist() for r in q.ranks]
+    assert q.intervals == p.intervals and q == p
+
+
+def test_monte_carlo_settles_float_ties_exactly():
+    """b_1 and a_2 share the float 0.5; b_1 < a_2 holds iff b_1 lies below."""
+    samples, seed = 400, 5
+    us = SeededRng(seed).uniforms(MC_TUPLES, 2 * samples).tolist()
+    for y, linked in ((F(1, 2) - F(1, 2**70), True), (F(1, 2) + F(1, 2**70), False)):
+        mu = AtomicMeasure.from_atoms([(0, y, F(1, 2)), (F(1, 2), 1, F(1, 2))])
+        draws = [_atomic_reference(mu, u) for u in us]
+        hits = sum(draws[2 * t][1] < draws[2 * t + 1][0] for t in range(samples))
+        est, _ = de.kernel_density_mc(ps.chain(2), mu, samples, seed)
+        assert float(y) == 0.5 and est == hits / samples and (hits > 0) == linked
 
 
 def _floats_near(x):
@@ -157,11 +216,16 @@ def columns(*arrays):
     return take
 
 
+def fractions(ends):
+    """The intervals of a `draw_intervals` record, as `Fraction` pairs."""
+    return list(zip(*(map(F, e.num, e.den) for e in ends)))
+
+
 def assert_integer_g(g):
     us = [0.0, 2.0**-60, 1.0] + SeededRng(17).uniforms(POINTS, 300).tolist()
     for x, _, _ in g.points:
         us += _floats_near(x)
-    assert sa.draw_intervals(g, columns(us)) == [(F(u), g.value(F(u))) for u in us], g
+    assert fractions(sa.draw_intervals(g, columns(us))) == [(F(u), g.value(F(u))) for u in us], g
 
 
 def test_integer_g_evaluation_named():
@@ -204,7 +268,7 @@ def test_step_measure_draws_match_fraction_bisection(mu):
     us += [v for x in edges for v in _floats_near(x)]
     pairs = list(itertools.product(us, repeat=2))
     expected = [_step_reference(mu, u1, u2) for u1, u2 in pairs]
-    assert sa.draw_intervals(mu, columns(*zip(*pairs))) == expected
+    assert fractions(sa.draw_intervals(mu, columns(*zip(*pairs)))) == expected
 
 
 @given(atomic_measures())
@@ -212,7 +276,7 @@ def test_step_measure_draws_match_fraction_bisection(mu):
 def test_atomic_draws_match_fraction_bisection(mu):
     us = [0.0, 1.0] + SeededRng(6).uniforms(POINTS, 50).tolist()
     us += [v for x in _cumulative(w for _, _, w in mu.atoms) for v in _floats_near(x)]
-    assert sa.draw_intervals(mu, columns(us)) == [_atomic_reference(mu, u) for u in us]
+    assert fractions(sa.draw_intervals(mu, columns(us))) == [_atomic_reference(mu, u) for u in us]
 
 
 CHAINED_ATOMS = AtomicMeasure.from_atoms(  # shared ends, and chains of three
@@ -279,7 +343,7 @@ def test_rank_pattern_key_on_every_drawn_tuple(monkeypatch):
         (SHARED_ENDS, 4),
     ):
         p = sa.sample_kernel_poset(model, 30, SeededRng(seed))
-        succ = ps.poset_from_intervals(p.intervals).succ
+        succ = interval_poset(p.intervals).succ
         drawn = []
 
         def checked(q, tuples):
@@ -325,7 +389,7 @@ def _diagnosed_semiorder(p):
 @settings(max_examples=100, deadline=None)
 def test_semiorder_flag_from_ranks_matches_masks(model, n, seed):
     p = sa.sample_kernel_poset(model, n, SeededRng(seed))
-    q = ps.poset_from_intervals(p.intervals)
+    q = interval_poset(p.intervals)
     assert _diagnosed_semiorder(p) == rec.is_semiorder(q)
     assert "succ" not in vars(p) and "pred" not in vars(p)
 
@@ -348,7 +412,7 @@ def test_semiorder_flag_from_ranks_all_four_models():
     seen = set()
     for model, seed in itertools.product(models, range(6)):
         p = sa.sample_kernel_poset(model, 60, SeededRng(seed))
-        q = ps.poset_from_intervals(p.intervals)
+        q = interval_poset(p.intervals)
         semi = rec.is_semiorder(q)
         downs, ups = p.degrees("minus").tolist(), p.degrees("plus").tolist()
         assert rec.semiorder_by_degrees(downs, ups) == semi
@@ -377,7 +441,7 @@ def test_precedes_of_mask_poset_is_less(p):
 @settings(max_examples=60, deadline=None)
 def test_precedes_of_interval_sample_is_less(model, n, seed):
     p = sa.sample_kernel_poset(model, n, SeededRng(seed))
-    assert_precedes_is_less(p, ps.poset_from_intervals(p.intervals))
+    assert_precedes_is_less(p, interval_poset(p.intervals))
     assert "succ" not in vars(p)
 
 

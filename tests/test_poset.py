@@ -262,3 +262,24 @@ def test_text_roundtrip(p):
 def test_writer_emits_cover_pairs_only():
     txt = ps.write_poset(ps.chain(3))
     assert txt == "poset 3\n1 2\n2 3\n"
+
+
+@given(posets(max_n=10))
+@settings(max_examples=150, deadline=None)
+def test_cover_pairs_are_the_covering_relation(p):
+    """The lowest-bit walk in a linear extension finds exactly the pairs
+    i < j with no k between them, whatever the labelling."""
+    covers = [
+        (i, j)
+        for i, j in itertools.product(range(p.n), repeat=2)
+        if p.less(i, j) and not any(p.less(i, k) and p.less(k, j) for k in range(p.n))
+    ]
+    tails, heads = p.cover_pairs()
+    assert list(zip(tails.tolist(), heads.tolist())) == covers
+
+
+def test_cover_pairs_of_a_reversed_chain():
+    n = 300
+    p = ps.FinitePoset.from_succ_masks([(1 << i) - 1 for i in range(n)])  # j < i iff i > j
+    tails, heads = p.cover_pairs()
+    assert tails.tolist() == list(range(1, n)) and heads.tolist() == list(range(n - 1))
