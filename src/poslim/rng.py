@@ -7,10 +7,13 @@ index, position).  Splitting work across workers therefore cannot change any
 result, because each worker reads exactly the positions it would have read
 serially.
 
-The concrete rule, which file formats and reports rely on:
+The concrete rule, version `STREAM_RULE`, which file formats and reports
+rely on:
 
 * a stream is a Philox4x64 bit generator keyed with the 128-bit pair
-  ``(seed mod 2**64, kind * 2**48 + index)``;
+  ``(seed mod 2**64, kind * 2**48 + index)``, passed as a uint64 array, so
+  every seed keys its own stream, negative ones and those at or above 2**63
+  included (version 1 sent such keys through float64);
 * position p of the stream is the p-th raw 64-bit output, mapped to a
   float in [0, 1) by taking the top 53 bits (``(raw >> 11) * 2**-53``).
 
@@ -36,6 +39,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 
+STREAM_RULE = 2
 _MASK64 = (1 << 64) - 1
 _MAX_INDEX = 1 << 48
 
@@ -54,10 +58,10 @@ class SeededRng:
 
     seed: int
 
-    def _key(self, kind: int, index: int) -> list:
+    def _key(self, kind: int, index: int) -> np.ndarray:
         if not 0 <= index < _MAX_INDEX:
             raise InvalidArgument(f"stream index out of range: {index}")
-        return [self.seed & _MASK64, ((kind & 0xFFFF) << 48) | index]
+        return np.array([self.seed & _MASK64, ((kind & 0xFFFF) << 48) | index], dtype=np.uint64)
 
     def raw(self, kind: int, count: int, index: int = 0) -> np.ndarray:
         """Raw uint64 outputs at positions 0..count-1 of a stream."""

@@ -1,0 +1,57 @@
+"""The stream rule of `rng`: every seed modulo 2**64 keys its own stream."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from poslim import rng
+from poslim.errors import InvalidArgument
+from poslim.rng import PAIRS, POINTS, SeededRng
+
+EDGE_SEEDS = [2**63 - 1, 2**63, 2**63 + 1, 2**63 + 2, 2**64 - 2, 2**64 - 1, -1, -2, -(2**63)]
+
+
+def raw(seed, kind=POINTS, count=4, index=0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a key cast through float64 warns
+        return SeededRng(seed).raw(kind, count, index).tolist()
+
+
+def test_stream_rule_is_stated():
+    assert rng.STREAM_RULE == 2 and "`STREAM_RULE`" in rng.__doc__
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_key_is_the_seed_modulo_2_64(seed):
+    key = np.array([seed % 2**64, (PAIRS << 48) | 9], dtype=np.uint64)
+    assert raw(seed, PAIRS, 3, 9) == np.random.Philox(key=key).random_raw(3).tolist()
+
+
+def test_seeds_across_2_63_give_distinct_streams():
+    streams = {tuple(raw(seed)) for seed in EDGE_SEEDS}
+    assert len(streams) == len({seed % 2**64 for seed in EDGE_SEEDS}) == 6
+    assert raw(2**63 + 1) != raw(2**63 + 2)
+    assert raw(-1) == raw(2**64 - 1) and raw(-2) == raw(2**64 - 2)
+
+
+def test_seeds_below_2_63_keep_their_streams():
+    # values of stream rule 1, which keyed these seeds exactly too
+    assert raw(7, POINTS, 3) == [16837541480647853296, 4133907819081966339, 2067856820781304966]
+    assert raw(2**63 - 1, PAIRS, 2, 5) == [1647560881189800317, 13994289820892750906]
+    assert SeededRng(7).spawn(0).seed == 16062774549778026414
+
+
+def test_spawned_children_above_2_63_are_keyed_exactly():
+    children = [SeededRng(7).spawn(t) for t in range(200)]
+    high = [c for c in children if c.seed >= 2**63]
+    assert len(high) > 50
+    for c in high[:20]:
+        key = np.array([c.seed, POINTS << 48], dtype=np.uint64)
+        assert raw(c.seed, count=2) == np.random.Philox(key=key).random_raw(2).tolist()
+
+
+@pytest.mark.parametrize("index", [-1, 2**48])
+def test_stream_index_out_of_range(index):
+    with pytest.raises(InvalidArgument, match="stream index"):
+        SeededRng(1).raw(POINTS, 1, index)
