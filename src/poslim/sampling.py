@@ -73,11 +73,10 @@ def _bisect_right(xs: Iterable[Fraction], u: np.ndarray) -> np.ndarray:
     """`bisect_right(xs, u)` for each float u, exact: each x of the
     nondecreasing xs becomes the least float >= x, which u reaches iff it
     reaches x."""
-    ts = []
-    for x in xs:
-        t = float(x)
-        ts.append(t if t >= x else math.nextafter(t, math.inf))
-    return np.searchsorted(ts, u, side="right")
+    x = Endpoints.of_values(list(xs))
+    tn, td = Endpoints.of_floats(x.floats)[:2]
+    up = np.where(tn * x.den < x.num * td, np.nextafter(x.floats, np.inf), x.floats)
+    return np.searchsorted(up, u, side="right")
 
 
 def draw_intervals(model: SamplerModel, columns) -> tuple[Endpoints, Endpoints]:
