@@ -7,13 +7,11 @@ index, position).  Splitting work across workers therefore cannot change any
 result, because each worker reads exactly the positions it would have read
 serially.
 
-The concrete rule, version `STREAM_RULE`, which file formats and reports
+The concrete rule (version `STREAM_RULE`), which file formats and reports
 rely on:
 
-* a stream is a Philox4x64 bit generator keyed with the 128-bit pair
-  ``(seed mod 2**64, kind * 2**48 + index)``, passed as a uint64 array, so
-  every seed keys its own stream, negative ones and those at or above 2**63
-  included (version 1 sent such keys through float64);
+* a stream is a Philox4x64 bit generator keyed with the uint64 pair
+  ``(seed mod 2**64, kind * 2**48 + index)``, exact for every integer seed;
 * position p of the stream is the p-th raw 64-bit output, mapped to a
   float in [0, 1) by taking the top 53 bits (``(raw >> 11) * 2**-53``).
 
