@@ -317,7 +317,7 @@ def endpoint_order(left: Endpoints, right: Endpoints) -> np.ndarray:
     num, den, floats, exact = map(np.concatenate, zip(left, right))
     side = (np.arange(len(floats)) >= len(left.floats)).astype(int)
     order = np.lexsort((side, floats))
-    starts = np.flatnonzero(np.diff(floats[order], prepend=-1.0))  # runs of equal floats
+    starts = np.flatnonzero(np.diff(floats[order], prepend=np.nan))  # runs of equal floats
     ends = np.r_[starts[1:], len(order)]
     loose = np.logical_or.reduceat(~exact[order], starts) & (ends - starts > 1)
     key = cmp_to_key(lambda i, j: num[i] * den[j] - num[j] * den[i] or side[i] - side[j])
