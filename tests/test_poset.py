@@ -280,6 +280,6 @@ def test_cover_pairs_are_the_covering_relation(p):
 
 def test_cover_pairs_of_a_reversed_chain():
     n = 300
-    p = ps.FinitePoset.from_succ_masks([(1 << i) - 1 for i in range(n)])  # j < i iff i > j
+    p = ps.FinitePoset.from_succ_masks([(1 << i) - 1 for i in range(n)])  # i below every j < i
     tails, heads = p.cover_pairs()
     assert tails.tolist() == list(range(1, n)) and heads.tolist() == list(range(n - 1))
