@@ -10,7 +10,6 @@ measure (expect flags), writing both reports as CSV.
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -18,15 +17,6 @@ from poslim import measures as me
 from poslim import sampling as sa
 from poslim.measures import StepKernelMeasure
 from poslim.rng import SeededRng
-
-
-@dataclass(frozen=True)
-class StudyConfig:
-    n: int
-    trials: int
-    seed: int
-    out_equal: str
-    out_diff: str
 
 
 BASE = StepKernelMeasure.from_cells(
@@ -41,19 +31,19 @@ OTHER = StepKernelMeasure.from_cells(
 )
 
 
-def run(config: StudyConfig) -> None:
-    rng = SeededRng(config.seed)
+def run(args: argparse.Namespace) -> None:
+    rng = SeededRng(args.seed)
     pushed = me.push_h(BASE, "bar_plus")
     rep_equal = sa.equivalence_test_statistical(
-        BASE, pushed, config.n, config.trials, rng.spawn(0)
+        BASE, pushed, args.n, args.trials, rng.spawn(0)
     )
-    Path(config.out_equal).write_text(rep_equal.to_csv())
+    Path(args.out_equal).write_text(rep_equal.to_csv())
     print(f"equal-limit pair flags: {rep_equal.flagged_ids()}", file=sys.stderr)
 
     rep_diff = sa.equivalence_test_statistical(
-        BASE, OTHER, config.n, config.trials, rng.spawn(1)
+        BASE, OTHER, args.n, args.trials, rng.spawn(1)
     )
-    Path(config.out_diff).write_text(rep_diff.to_csv())
+    Path(args.out_diff).write_text(rep_diff.to_csv())
     print(f"different pair flags: {rep_diff.flagged_ids()}", file=sys.stderr)
     print(f"exact equivalence of the different pair: {me.equivalent(BASE, OTHER)}",
           file=sys.stderr)
@@ -66,8 +56,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--out-equal", default="equal.csv")
     ap.add_argument("--out-diff", default="diff.csv")
-    args = ap.parse_args()
-    run(StudyConfig(args.n, args.trials, args.seed, args.out_equal, args.out_diff))
+    run(ap.parse_args())
     return 0
 
 

@@ -10,7 +10,6 @@ distance of the predecessor distribution to the limit CDF of max(U - c, 0).
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,28 +19,19 @@ from poslim import textio
 from poslim.rng import SeededRng
 
 
-@dataclass(frozen=True)
-class StudyConfig:
-    n: int
-    cs: tuple[float, ...]
-    trials: int
-    seed: int
-    out: str
-
-
-def run(config: StudyConfig) -> None:
-    rng = SeededRng(config.seed)
+def run(args: argparse.Namespace) -> None:
+    rng = SeededRng(args.seed)
     rows = []
-    for ci, c in enumerate(config.cs):
-        p_edge = sa.p_for_c(config.n, c)
+    for ci, c in enumerate(args.cs):
+        p_edge = sa.p_for_c(args.n, c)
         target = so.f_minus(so.gc(Fraction(c).limit_denominator(1000)))
-        for t in range(config.trials):
-            r = sa.random_graph_order(config.n, p_edge, rng.spawn(ci * 1000 + t))
+        for t in range(args.trials):
+            r = sa.random_graph_order(args.n, p_edge, rng.spawn(ci * 1000 + t))
             d = float(sa.ks_for_target(sa.nu_empirical(r, "minus"), target))
-            rows.append([c, f"{p_edge:.8f}", config.n, t, f"{d:.6f}"])
+            rows.append([c, f"{p_edge:.8f}", args.n, t, f"{d:.6f}"])
             print(f"c={c} trial={t}: ks={d:.4f}", file=sys.stderr)
     header = ["c", "p_edge", "n", "trial", "ks_minus"]
-    Path(config.out).write_text(textio.to_csv(header, rows))
+    Path(args.out).write_text(textio.to_csv(header, rows))
 
 
 def main() -> int:
@@ -51,8 +41,7 @@ def main() -> int:
     ap.add_argument("--trials", type=int, default=10)
     ap.add_argument("--seed", type=int, default=2)
     ap.add_argument("--out", default="rgo.csv")
-    args = ap.parse_args()
-    run(StudyConfig(args.n, tuple(args.cs), args.trials, args.seed, args.out))
+    run(ap.parse_args())
     return 0
 
 

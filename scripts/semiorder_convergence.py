@@ -9,7 +9,6 @@ Writes one CSV row per (kernel, n, trial) with both Kolmogorov distances.
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,14 +16,6 @@ from poslim import sampling as sa
 from poslim import semiorders as so
 from poslim import textio
 from poslim.rng import SeededRng
-
-
-@dataclass(frozen=True)
-class StudyConfig:
-    sizes: tuple[int, ...]
-    trials: int
-    seed: int
-    out: str
 
 
 KERNELS = {
@@ -41,13 +32,13 @@ KERNELS = {
 }
 
 
-def run(config: StudyConfig) -> None:
-    rng = SeededRng(config.seed)
+def run(args: argparse.Namespace) -> None:
+    rng = SeededRng(args.seed)
     rows = []
     for ki, (name, g) in enumerate(KERNELS.items()):
         fm, fp = so.f_minus(g), so.f_plus(g)
-        for ni, n in enumerate(config.sizes):
-            for t in range(config.trials):
+        for ni, n in enumerate(args.sizes):
+            for t in range(args.trials):
                 child = rng.spawn(ki * 100_000 + ni * 1000 + t)
                 p = sa.sample_kernel_poset(g, n, child)
                 dm = float(sa.ks_for_target(sa.nu_empirical(p, "minus"), fm))
@@ -55,7 +46,7 @@ def run(config: StudyConfig) -> None:
                 rows.append([name, n, t, f"{dm:.6f}", f"{dp:.6f}"])
                 print(f"{name} n={n} trial={t}: {dm:.4f} / {dp:.4f}", file=sys.stderr)
     header = ["kernel", "n", "trial", "ks_minus", "ks_plus"]
-    Path(config.out).write_text(textio.to_csv(header, rows))
+    Path(args.out).write_text(textio.to_csv(header, rows))
 
 
 def main() -> int:
@@ -64,8 +55,7 @@ def main() -> int:
     ap.add_argument("--trials", type=int, default=5)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", default="convergence.csv")
-    args = ap.parse_args()
-    run(StudyConfig(tuple(args.sizes), args.trials, args.seed, args.out))
+    run(ap.parse_args())
     return 0
 
 

@@ -342,6 +342,11 @@ class IntervalSample(FinitePoset):
     """
 
     def __init__(self, intervals: Sequence[tuple[Fraction, Fraction]]):
+        if not intervals:
+            raise InvariantError("posets are non-empty")
+        for k, (a, b) in enumerate(intervals):
+            if a > b:
+                raise InvariantError(f"interval {k} is empty: {a} > {b}")
         ends = tuple(map(Endpoints.of_values, zip(*intervals)))
         vars(self).update(n=len(intervals), endpoints=ends, intervals=tuple(intervals))
 

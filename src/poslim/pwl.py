@@ -16,7 +16,9 @@ stays exact without building a `Fraction` per step.
 Each geometric rule of the representation calculus lives here once:
 evaluation (`Curve`, the base of CDFs and threshold functions), the
 reflection across x + y = 1 (`reflect`), pieces tiling [0,1] (`tiling`) and
-each piece's integer line (`segment_lines`).
+the line through a piece (`_line`, per piece in `segment_lines`), which
+evaluation, `normalize`, `sup_distance`, the sampler and the g text format's
+slopes all read.
 """
 
 from __future__ import annotations
@@ -118,21 +120,16 @@ def left_limit_at(points: Points, t: Fraction) -> Fraction:
 
 
 def _at(points: Points, t: Fraction, side: int) -> Fraction:
-    """points[i][side] at a breakpoint x[i] = t, the linear segment elsewhere."""
+    """points[i][side] at a breakpoint x[i] = t, the piece's `_line` elsewhere."""
     t = as_fraction(t)
     if not ZERO <= t <= ONE:
         raise InvariantError(f"argument {t} outside [0,1]")
     i = bisect_right(points, t, key=_X) - 1
     if t == points[i][0]:
         return points[i][side]
-    return _interpolate(points, i + 1, t)
-
-
-def _interpolate(points: Points, i: int, t: Fraction) -> Fraction:
-    """Value at t strictly inside the segment that ends at breakpoint i."""
-    x0, _, r0 = points[i - 1]
-    x1, l1, _ = points[i]
-    return r0 + (l1 - r0) * (t - x0) / (x1 - x0)
+    p, q, d = _line(*_ints(points[i : i + 2]))
+    tn, td = t.as_integer_ratio()
+    return Fraction(p * tn + q * td, d * td)
 
 
 @dataclass(frozen=True)
@@ -158,7 +155,8 @@ def reflect(points: Points) -> Points:
 
     Jumps become flat pieces and flat pieces jumps; a reflected graph that
     stops short of x = 1 is extended flat at height 1.  The stored left value
-    at 0 is whatever the reflection gives; callers set their own.
+    at 0 is whatever the reflection gives; callers set their own.  The
+    breakpoints are not normalized: callers pass them to a `from_points`.
     """
     groups: list[tuple[Fraction, Fraction, Fraction]] = []
     for x, left, right in reversed(points):
@@ -170,7 +168,7 @@ def reflect(points: Points) -> Points:
                 groups.append((rx, ry, ry))
     if groups[-1][0] != ONE:
         groups.append((ONE, ONE, ONE))
-    return normalize(groups)
+    return tuple(groups)
 
 
 def tiling(pieces: Iterable[Sequence], what: str) -> tuple[Fraction, ...]:

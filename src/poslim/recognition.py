@@ -8,9 +8,11 @@ order iff its down-sets form a chain under inclusion, and such an order is a
 semiorder iff no point has both a strictly larger down-set and a strictly
 larger up-set than another.  Each test is a sort and a scan, O(n log n)
 steps of at most n/64 words; the semiorder test reads only set sizes
-(`degrees`), so an `IntervalSample` is recognized from its endpoint ranks.  `find_two_plus_two` and `find_three_plus_one`
-scan all O(n^2) point pairs; they build the witness of `NotIntervalOrder`
-and serve the test suite as oracles.
+(`degrees`), and `interval_representation` checks its realization with one
+`precedes` call, so an `IntervalSample` is recognized and represented from
+its endpoint ranks.  `find_two_plus_two` and `find_three_plus_one` scan all
+O(n^2) point pairs; they build the witness of `NotIntervalOrder` and serve
+the test suite as oracles.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
+
+import numpy as np
 
 from . import textio
 from .errors import FormatError, InternalInvariantError, NotIntervalOrder
@@ -118,42 +122,39 @@ def interval_representation(p: FinitePoset) -> IntervalRepresentation:
     index); for interval orders every successor set is then a rank suffix,
     which makes the realization biconditional hold.  For semiorders the
     right endpoints come out nondecreasing in rank order; both facts are
-    re-checked at runtime, the first as one mask comparison per point (so
-    an `IntervalSample` builds its mask rows here).
+    re-checked at runtime, the first as one `precedes` call over the points
+    with a successor (so an `IntervalSample` answers from its ranks).
     """
     if not is_interval_order(p):
         raise NotIntervalOrder(f"induced 2+2 on points {find_two_plus_two(p)}")
     n = p.n
-    downs, ups = p.degrees("minus").tolist(), p.degrees("plus").tolist()
-    order = sorted(range(n), key=lambda i: (downs[i], -ups[i], i))
-    rank = [0] * n
-    for pos, i in enumerate(order):
-        rank[i] = pos + 1
-    a = [Fraction(rank[i], n) for i in range(n)]
+    downs, ups = p.degrees("minus"), p.degrees("plus")
+    order = np.lexsort((-ups, downs))  # stable, so ties stay in index order
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(1, n + 1)
     # succ(i) is the rank suffix above n - |succ(i)|, so b[i] sits one grid
     # step below its smallest rank (b = 1 if succ(i) is empty)
-    b = [Fraction(n - ups[i], n) for i in range(n)]
-    rep = IntervalRepresentation(n, tuple(rank), tuple(a), tuple(b))
-    # b[i] < a[j] iff j is in suffix[n - |succ(i)|], so the realization
-    # biconditional of row i is one mask comparison
-    suffix = [0] * (n + 1)
-    for pos in reversed(range(n)):
-        suffix[pos] = suffix[pos + 1] | (1 << order[pos])
-    for i in range(n):
-        if rank[i] > n - ups[i]:  # a[i] > b[i]
-            raise InternalInvariantError(f"interval {i} is empty")
-        wrong = p.succ[i] ^ suffix[n - ups[i]]
-        if wrong:
-            j = (wrong & -wrong).bit_length() - 1
-            raise InternalInvariantError(
-                f"representation does not realize the pair ({i},{j})"
-            )
-    if semiorder_by_degrees(downs, ups):
-        ordered_b = [b[i] for i in order]
-        if any(x > y for x, y in zip(ordered_b, ordered_b[1:])):
-            raise InternalInvariantError(
-                "right endpoints not monotone for a semiorder"
-            )
+    rep = IntervalRepresentation(
+        n,
+        tuple(rank.tolist()),
+        tuple(Fraction(r, n) for r in rank.tolist()),
+        tuple(Fraction(n - u, n) for u in ups.tolist()),
+    )
+    empty = np.flatnonzero(rank > n - ups)  # a[i] > b[i]
+    if empty.size:
+        raise InternalInvariantError(f"interval {empty[0]} is empty")
+    # b[i] < a[j] iff j is in that suffix.  The down-sets form a chain, so a
+    # point below the suffix's lowest point is below all of it: succ(i) is
+    # the suffix iff i precedes its lowest point.
+    heads = np.flatnonzero(ups)
+    lowest = order[n - ups[heads]]
+    wrong = np.flatnonzero(~p.precedes(heads, lowest))
+    if wrong.size:
+        i, j = heads[wrong[0]], lowest[wrong[0]]
+        raise InternalInvariantError(f"representation does not realize the pair ({i},{j})")
+    # b = (n - ups)/n is nondecreasing in rank order iff ups is nonincreasing
+    if semiorder_by_degrees(downs.tolist(), ups.tolist()) and (np.diff(ups[order]) > 0).any():
+        raise InternalInvariantError("right endpoints not monotone for a semiorder")
     return rep
 
 

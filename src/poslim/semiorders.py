@@ -9,7 +9,8 @@ The calculus here converts between g and the two degree distributions:
 the predecessor CDF *is* g, the successor CDF is g reflected across the
 line x + y = 1 (`pwl.reflect`, in both directions), and both maps invert
 exactly on piecewise-linear data.  One check (`_check_g`) decides what a
-valid g is, for `MonotoneRC.from_points` and `validate_g` alike.
+valid g is, for `MonotoneRC.from_points` and `validate_g` alike.  The g
+text format's slopes, written and checked, are `pwl.segment_lines`.
 """
 
 from __future__ import annotations
@@ -189,28 +190,22 @@ def kernel_wg(g: MonotoneRC, x, y) -> int:
 
 def write_g(g: MonotoneRC) -> str:
     """g text format: 'pwl <k>' then rows 'x left right slope_to_next'."""
-    pts = g.points
-    lines = []
-    for i, (x, left, right) in enumerate(pts):
-        if i + 1 < len(pts):
-            nx, nleft, _ = pts[i + 1]
-            slope = (nleft - right) / (nx - x)
-        else:
-            slope = ZERO
-        lines.append(textio.fields(x, left, right, slope))
-    return textio.write_rows("pwl", len(pts), lines)
+    lines = [
+        textio.fields(*pt, Fraction(p, d))
+        for pt, (p, _, d) in zip(g.points, pwl.segment_lines(g.points))
+    ]
+    return textio.write_rows("pwl", len(lines), lines)
 
 
 def read_g(text: str) -> MonotoneRC:
     _, count, body = textio.read_header(text, "pwl")
     lines = textio.row_lines(body, count)
     rows = textio.rows(lines, 4)
-    g = MonotoneRC.from_points([(x, left, right) for x, left, right, _ in rows])
-    # verify declared slopes against the parsed geometry
-    for i in range(len(rows) - 1):
-        x, _, right, slope = rows[i]
-        nx, nleft, _, _ = rows[i + 1]
-        if (nleft - right) != slope * (nx - x):
+    pts = [row[:3] for row in rows]
+    g = MonotoneRC.from_points(pts)
+    # verify declared slopes against the pieces as written; the last is free
+    for (x, *_, slope), (p, _, d) in zip(rows, pwl.segment_lines(pts)[:-1]):
+        if Fraction(p, d) != slope:
             raise FormatError(f"slope mismatch at x = {x}")
     return g
 

@@ -61,6 +61,15 @@ def test_sample_g_and_rate_files(tmp_path, capsys):
     assert pa.read_bytes() == pb.read_bytes()
 
 
+def test_sample_g_file_matches_gc(tmp_path, capsys):
+    gfile = tmp_path / "g.pwl"
+    gfile.write_text(semiorders.write_g(semiorders.gc(F(3, 10))))
+    pa, pb = tmp_path / "a.poset", tmp_path / "b.poset"
+    run(capsys, "sample", "--kernel", "g", "--in", str(gfile), "--n", "80", "--seed", "5", "--out", str(pa))
+    run(capsys, "sample", "--kernel", "gc", "--c", "3/10", "--n", "80", "--seed", "5", "--out", str(pb))
+    assert pa.read_bytes() == pb.read_bytes()
+
+
 def test_measure_pipeline(tmp_path, capsys):
     mu = StepKernelMeasure.from_cells(
         [

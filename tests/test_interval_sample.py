@@ -16,7 +16,7 @@ from poslim import poset as ps
 from poslim import recognition as rec
 from poslim import sampling as sa
 from poslim import semiorders as so
-from poslim.errors import InvalidArgument
+from poslim.errors import InvalidArgument, InvariantError
 from poslim.measures import AtomicMeasure, StepKernelMeasure
 from poslim.rng import CONDITIONALS, MC_TUPLES, POINTS, SeededRng
 
@@ -465,3 +465,13 @@ def test_sample_consumers_leave_masks_unbuilt():
     plain = ps.FinitePoset(p.n, p.succ, p.pred)
     assert exact == sa.fingerprint(plain, 4)
     assert est == sa.fingerprint_estimate(plain, 4, 200, SeededRng(13))
+
+
+def test_interval_sample_rejects_no_intervals():
+    with pytest.raises(InvariantError, match="non-empty"):
+        ps.IntervalSample([])
+
+
+def test_interval_sample_rejects_a_reversed_interval():
+    with pytest.raises(InvariantError, match="interval 0 is empty: 1 > 0"):
+        ps.IntervalSample([(1, 0), (F(1, 2), F(1, 2))])

@@ -22,7 +22,8 @@ _grid = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
 
 def ref_limits(points, t):
-    """(left limit, value) at t by a linear scan over the breakpoints."""
+    """(left limit, value) at t by a linear scan over the breakpoints; inside
+    a piece, r0 + (l1 - r0)(t - x0)/(x1 - x0) in `Fraction`s."""
     for k, (x, left, right) in enumerate(points):
         if x == t:
             return left, right
@@ -106,6 +107,21 @@ def test_value_and_left_limit_match_reference(pair):
             left, value = ref_limits(points, t)
             assert pwl.value_at(points, t) == value
             assert pwl.left_limit_at(points, t) == left
+
+
+@given(
+    st.one_of(cdf_points([F(1, 3)]), monotone_gs().map(lambda g: g.points)),
+    st.lists(st.fractions(min_value=0, max_value=1, max_denominator=10**12), max_size=6),
+    st.integers(2, 10**12),
+)
+def test_evaluation_matches_interpolation(points, ts, k):
+    """At breakpoints, next to them (1/k away) and at random rationals."""
+    xs = [x for x, _, _ in points]
+    near = [x + s * F(1, k) for x in xs for s in (-1, 1)]
+    for t in [t for t in xs + near + ts if 0 <= t <= 1]:
+        left, value = ref_limits(points, t)
+        assert pwl.value_at(points, t) == value
+        assert pwl.left_limit_at(points, t) == left
 
 
 @given(posets(max_n=8))

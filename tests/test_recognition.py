@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from poslim import densities as de
 from poslim import poset as ps
 from poslim import recognition as rec
-from poslim.errors import NotIntervalOrder
+from poslim.errors import InternalInvariantError, NotIntervalOrder
 from poslim.measures import AtomicMeasure, StepKernelMeasure
 from poslim.rng import SeededRng
 from poslim.sampling import sample_kernel_poset
@@ -113,6 +113,22 @@ def test_representation_matches_pairwise_check_sampled(kernel, seed):
     p = sample_kernel_poset(model, 300, SeededRng(seed))
     assert_tests_match_pattern_search(p)
     assert_realizes_pairwise(p, rec.interval_representation(p))
+
+
+def test_representing_a_sample_builds_no_masks():
+    p = sample_kernel_poset(gc(Fraction(3, 10)), 200, SeededRng(4))
+    rep = rec.interval_representation(p)
+    assert "succ" not in vars(p) and "pred" not in vars(p)
+    assert rep == rec.interval_representation(ps.FinitePoset(p.n, p.succ, p.pred))
+    assert_realizes_pairwise(p, rep)
+
+
+def test_representation_check_names_an_unrealized_pair(monkeypatch):
+    # past the interval-order test, 2+2 (1 < 2, 3 < 4) ranks as 1, 3, 2, 4:
+    # the suffix of size 1 is {4}, and 1 does not precede 4
+    monkeypatch.setattr(rec, "is_interval_order", lambda p: True)
+    with pytest.raises(InternalInvariantError, match=r"realize the pair \(0,3\)"):
+        rec.interval_representation(ps.from_relations(4, [(1, 2), (3, 4)]))
 
 
 def test_representation_realizes_catalog(catalog6):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poslim import semiorders as so
-from poslim.errors import InvariantError, NotInPMinus
+from poslim.errors import FormatError, InvariantError, NotInPMinus
 from poslim.measures import StepCDF
 
 from conftest import monotone_gs, rate_pieces, ref_rate_g
@@ -170,3 +170,22 @@ def test_g_text_slope_mismatch_rejected():
     bad = txt.replace("1/1\n", "2/1\n", 1)
     with pytest.raises(Exception):
         so.read_g(bad)
+
+
+@given(monotone_gs(), st.fractions(max_denominator=9))
+@settings(max_examples=60, deadline=None)
+def test_read_g_checks_interior_slopes_and_frees_the_last(g, slope):
+    header, *rows = so.write_g(g).splitlines()
+    rows = [row.split() for row in rows]
+
+    def text():
+        return "\n".join([header, *map(" ".join, rows)]) + "\n"
+
+    rows[-1][3] = str(slope)
+    assert so.read_g(text()).points == g.points
+    for row in rows[:-1]:
+        right = row[3]
+        row[3] = str(F(right) + 1)
+        with pytest.raises(FormatError, match=f"slope mismatch at x = {F(row[0])}$"):
+            so.read_g(text())
+        row[3] = right
