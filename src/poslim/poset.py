@@ -345,6 +345,8 @@ class IntervalSample(FinitePoset):
         if not intervals:
             raise InvariantError("posets are non-empty")
         for k, (a, b) in enumerate(intervals):
+            if not (abs(a) < np.inf and abs(b) < np.inf):  # NaN fails too
+                raise InvariantError(f"interval {k} has an end that is not finite: {a}, {b}")
             if a > b:
                 raise InvariantError(f"interval {k} is empty: {a} > {b}")
         ends = tuple(map(Endpoints.of_values, zip(*intervals)))

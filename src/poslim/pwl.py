@@ -6,12 +6,12 @@ x[0] = 0 and x[-1] = 1.  The function value at a breakpoint is `right`, the
 left limit is `left`, and the function is linear between `right[i]` at x[i]
 and `left[i+1]` at x[i+1].  All coordinates are exact rationals.
 
-Evaluation at one point is a binary search, O(log m) for m breakpoints.
-`sup_distance` walks both breakpoint lists in one merge sweep, O(m + k) for
-lists of m and k breakpoints.  The sweep and the checks of `normalize` and
-`check_monotone` run on the numerators and denominators of the coordinates:
-a rational a/b (b > 0) is compared with c/d as a*d with c*b, so every test
-stays exact without building a `Fraction` per step.
+Evaluation at one point is a binary search, O(log m) for m breakpoints, and
+at k sorted points one walk (`values_along`), O(m + k); `sup_distance` merges
+two lists of m and k breakpoints in one sweep, O(m + k).  These and the checks
+of `normalize` and `check_monotone` run on numerators and denominators: a
+rational a/b (b > 0) is compared with c/d as a*d with c*b, so every test stays
+exact without building a `Fraction` per step.
 
 Each geometric rule of the representation calculus lives here once:
 evaluation (`Curve`, the base of CDFs and threshold functions), the
@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import textio
 from .errors import InvariantError
@@ -127,9 +127,7 @@ def _at(points: Points, t: Fraction, side: int) -> Fraction:
     i = bisect_right(points, t, key=_X) - 1
     if t == points[i][0]:
         return points[i][side]
-    p, q, d = _line(*_ints(points[i : i + 2]))
-    tn, td = t.as_integer_ratio()
-    return Fraction(p * tn + q * td, d * td)
+    return Fraction(*next(values_along(points[i : i + 2], [t.as_integer_ratio()])))
 
 
 @dataclass(frozen=True)
@@ -228,6 +226,21 @@ def sup_distance(f: Points, g: Points) -> Fraction:
         if c >= 0:
             j += 1
     return Fraction(bn, bd)
+
+
+def values_along(points: Points, ts: Iterable) -> Iterator[tuple[int, int]]:
+    """Values at the nondecreasing tn/td in [0,1] as unreduced pairs (num,
+    den > 0), from one walk of the integer rows and `_line`: O(m + k)."""
+    rows, i = _ints(points), 0
+    for tn, td in ts:
+        while i + 1 < len(rows) and rows[i + 1][0] * td <= tn * rows[i + 1][1]:
+            i += 1
+        xn, xd, _, _, rn, rd = rows[i]
+        if xn * td == tn * xd:
+            yield rn, rd
+        else:
+            p, q, d = _line(rows[i], rows[i + 1])
+            yield p * tn + q * td, d * td
 
 
 def _line(a: tuple, b: tuple) -> tuple[int, int, int]:

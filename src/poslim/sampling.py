@@ -51,7 +51,7 @@ from .poset import (
     transitive_closure,
     two_plus_two,
 )
-from .pwl import ONE, ZERO, segment_lines, sup_distance
+from .pwl import ONE, segment_lines, sup_distance, values_along
 from .recognition import is_semiorder
 from .rng import CONDITIONALS, EDGES, PAIRS, POINTS, SUBSETS, SeededRng
 from .semiorders import MonotoneRC, RateFunction, f_minus, f_plus, g_from_rate
@@ -171,20 +171,16 @@ def nu_empirical(p: FinitePoset, sign: Sign) -> StepCDF:
     """Empirical CDF of normalised predecessor (minus) or successor counts.
 
     Degrees are counted as integers and accumulated once; the CDF jumps by
-    count/n at each degree/n, and every coordinate is one of the n + 1
-    fractions k/n, each built once.
-    """
-    n = p.n
-    counts = np.bincount(p.degrees(sign), minlength=n).tolist()
-    grid = [Fraction(k, n) for k in range(n + 1)]
-    pts = [] if counts[0] else [(ZERO, ZERO, ZERO)]
-    cum = 0
-    for d, c in enumerate(counts):
-        if c:
-            pts.append((grid[d], grid[cum], grid[cum + c]))
-            cum += c
-    pts.append((ONE, ONE, ONE))
-    return StepCDF.from_points(pts)
+    count/n at each degree d/n, and only its coordinates k/n are built.
+    Every inner breakpoint carries a jump, so the points are canonical."""
+    if (n := p.n) < 1:
+        raise InvariantError("posets are non-empty")
+    counts = np.bincount(p.degrees(sign))
+    ds = np.flatnonzero(counts).tolist()  # from 0: some point is minimal (maximal)
+    ends = [0, *np.cumsum(counts[ds]).tolist()]
+    k_n = {k: Fraction(k, n) for k in {*ds, *ends}}
+    pts = [(k_n[d], k_n[lo], k_n[hi]) for d, lo, hi in zip(ds, ends, ends[1:])]
+    return StepCDF(tuple(pts + [(ONE, ONE, ONE)]))
 
 
 def ks_distance(f: StepCDF, g: StepCDF) -> Fraction:
@@ -201,17 +197,21 @@ def ks_distance_at_continuity(f: StepCDF, g: StepCDF) -> Fraction:
     the adaptive sup picks the discrepancy up as the full atom mass.  A fixed
     grid that stays `_ATOM_MARGIN` away from the target's jump points is the
     documented comparison for atom-carrying targets (the margin should
-    dominate the sampling fluctuation scale, a few n^-1/2).
+    dominate the sampling fluctuation scale, a few n^-1/2).  Both curves are
+    read by `pwl.values_along` at integer candidates over one denominator.
     """
-    jumps = g.jump_locations()
-    candidates = {Fraction(k, _GRID_DENOMINATOR) for k in range(_GRID_DENOMINATOR + 1)}
-    candidates |= set(g.breakpoints())
-    best = ZERO
-    for t in sorted(candidates):
-        if any(abs(t - j) <= _ATOM_MARGIN for j in jumps):
-            continue
-        best = max(best, abs(f.value(t) - g.value(t)))
-    return best
+    td = math.lcm(_GRID_DENOMINATOR, *(x.denominator for x, _, _ in g.points))
+    ks = set(range(0, td + 1, td // _GRID_DENOMINATOR))
+    ks.update(x.numerator * td // x.denominator for x, _, _ in g.points)
+    jumps = [x.numerator * td // x.denominator for x, lt, rt in g.points if lt != rt]
+    margin = int(td * _ATOM_MARGIN)  # exact: 64 divides td
+    ts = [(k, td) for k in sorted(ks) if all(abs(k - j) > margin for j in jumps)]
+    bn, bd = 0, 1
+    for (fn, fd), (gn, gd) in zip(values_along(f.points, ts), values_along(g.points, ts)):
+        num, den = abs(fn * gd - gn * fd), fd * gd
+        if num * bd > bn * den:
+            bn, bd = num, den
+    return Fraction(bn, bd)
 
 
 # -- fingerprints -------------------------------------------------------------

@@ -182,6 +182,9 @@ def test_exit_codes(tmp_path, capsys):
     bad.write_text("poset 2\n1 2\n2 1\n")
     code, _, _ = run(capsys, "recognize", "--in", str(bad))
     assert code == 2  # cycle
+    bad.write_text("poset 0\n")
+    code, _, _ = run(capsys, "nu", "--in", str(bad), "--sign", "minus")
+    assert code == 2  # no points
     code, _, _ = run(capsys, "represent", "--in", "h")
     assert code == 2  # 2+2 has no interval representation
 

@@ -472,6 +472,19 @@ def test_interval_sample_rejects_no_intervals():
         ps.IntervalSample([])
 
 
+@pytest.mark.parametrize(
+    "intervals",
+    [[(math.nan, 1.0)], [(math.inf, math.inf)], [(-math.inf, 0)], [(0, F(1, 2)), (0.5, math.nan)]],
+)
+def test_interval_sample_rejects_non_finite_ends(intervals, monkeypatch):
+    def unbuilt(values):
+        raise AssertionError("Endpoints built before the check")
+
+    monkeypatch.setattr(ps.Endpoints, "of_values", unbuilt)
+    with pytest.raises(InvariantError, match="not finite"):
+        ps.IntervalSample(intervals)
+
+
 def test_interval_sample_rejects_a_reversed_interval():
     with pytest.raises(InvariantError, match="interval 0 is empty: 1 > 0"):
         ps.IntervalSample([(1, 0), (F(1, 2), F(1, 2))])

@@ -124,6 +124,16 @@ def test_evaluation_matches_interpolation(points, ts, k):
         assert pwl.left_limit_at(points, t) == left
 
 
+@given(
+    st.one_of(cdf_points([F(1, 3)]), monotone_gs().map(lambda g: g.points)),
+    st.lists(st.fractions(min_value=0, max_value=1, max_denominator=24), max_size=8),
+)
+def test_values_along_matches_value_at(points, ts):
+    ts = sorted(ts + [p[0] for p in points])  # repeats and every breakpoint
+    got = [F(*v) for v in pwl.values_along(points, [t.as_integer_ratio() for t in ts])]
+    assert got == [pwl.value_at(points, t) for t in ts]
+
+
 @given(posets(max_n=8))
 def test_nu_empirical_matches_from_jumps(p):
     for sign in ("minus", "plus"):

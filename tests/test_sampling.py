@@ -4,6 +4,7 @@ import warnings
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
@@ -12,7 +13,13 @@ from poslim import poset as ps
 from poslim import recognition as rec
 from poslim import sampling as sa
 from poslim import semiorders as so
-from poslim.errors import BudgetExceeded, InvalidArgument, NotTransitive, SizeLimit
+from poslim.errors import (
+    BudgetExceeded,
+    InvalidArgument,
+    InvariantError,
+    NotTransitive,
+    SizeLimit,
+)
 from poslim.measures import AtomicMeasure, StepCDF, StepKernelMeasure
 from poslim.rng import SeededRng
 
@@ -107,6 +114,102 @@ def test_nu_moments_match_star_densities():
         for sign in ("minus", "plus"):
             emp, dens = de.moment_identity_check(p, k, sign)
             assert emp == dens
+
+
+def grid_nu_empirical(p, sign):
+    """Reference: the n + 1 grid values k/n, then `StepCDF.from_points`."""
+    n = p.n
+    counts = np.bincount(p.degrees(sign), minlength=n).tolist()
+    grid = [F(k, n) for k in range(n + 1)]
+    pts = [] if counts[0] else [(F(0), F(0), F(0))]
+    cum = 0
+    for d, c in enumerate(counts):
+        if c:
+            pts.append((grid[d], grid[cum], grid[cum + c]))
+            cum += c
+    pts.append((F(1), F(1), F(1)))
+    return StepCDF.from_points(pts).points
+
+
+def assert_nu_matches_grid(p):
+    for sign in ("minus", "plus"):
+        got = sa.nu_empirical(p, sign).points
+        assert got == grid_nu_empirical(p, sign)
+        assert all(type(v) is F for point in got for v in point)
+
+
+_ends = st.fractions(min_value=0, max_value=1, max_denominator=8)
+
+
+@given(st.lists(st.tuples(_ends, _ends).map(sorted), min_size=1, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_nu_empirical_matches_grid_on_interval_samples(intervals):
+    assert_nu_matches_grid(ps.IntervalSample(intervals))
+
+
+@given(st.integers(1, 40), st.fractions(min_value=F(1, 20), max_value=1), st.integers(0, 99))
+@settings(max_examples=30, deadline=None)
+def test_nu_empirical_matches_grid_on_graph_orders(n, p, seed):
+    assert_nu_matches_grid(sa.random_graph_order(n, p, SeededRng(seed)))
+
+
+@pytest.mark.parametrize("p", [ps.antichain(7), ps.chain(7), ps.chain(1)])
+def test_nu_empirical_matches_grid_at_the_extremes(p):
+    assert_nu_matches_grid(p)
+
+
+def test_nu_empirical_rejects_an_empty_poset():
+    with pytest.raises(InvariantError, match="posets are non-empty"):
+        sa.nu_empirical(ps.FinitePoset.from_succ_masks([]), "minus")
+
+
+def candidate_ks_at_continuity(f, g):
+    """Reference: the candidates as `Fraction`s, each read by `value`."""
+    jumps = g.jump_locations()
+    candidates = {F(k, 64) for k in range(65)} | set(g.breakpoints())
+    best = F(0)
+    for t in sorted(candidates):
+        if any(abs(t - j) <= F(1, 32) for j in jumps):
+            continue
+        best = max(best, abs(f.value(t) - g.value(t)))
+    return best
+
+
+# breakpoints on the grid k/64, off it, and exactly 1/32 from either
+_near_grid = st.builds(
+    lambda x, shift: x + shift,
+    st.one_of(st.integers(0, 64).map(lambda k: F(k, 64)),
+              st.fractions(min_value=0, max_value=1, max_denominator=100)),
+    st.sampled_from((0, F(1, 32), -F(1, 32))),
+)
+
+
+@st.composite
+def continuity_cdfs(draw):
+    """Random CDFs, with jumps at 0, at 1 and inside drawn often."""
+    inner = draw(st.lists(_near_grid, max_size=6))
+    xs = [F(0), *sorted({x for x in inner if 0 < x < 1}), F(1)]
+    m = 2 * len(xs) - 2
+    values = [F(0), *sorted(draw(st.lists(_ends, min_size=m, max_size=m))), F(1)]
+    return StepCDF.from_points([(x, values[2 * k], values[2 * k + 1]) for k, x in enumerate(xs)])
+
+
+_THIRD = F(1, 3)
+_AROUND_A_THIRD = StepCDF.from_points(  # a jump at 1/3, breakpoints 1/32 either side
+    [(0, 0, 0), (_THIRD - F(1, 32), F(1, 4), F(1, 4)), (_THIRD, F(1, 3), F(2, 3)),
+     (_THIRD + F(1, 32), F(3, 4), F(3, 4)), (1, 1, 1)]
+)
+
+
+@given(continuity_cdfs(), continuity_cdfs())
+@example(StepCDF.uniform(), StepCDF.dirac(0))
+@example(StepCDF.uniform(), StepCDF.dirac(1))
+@example(StepCDF.dirac(F(1, 2)), StepCDF.from_jumps([(F(5, 64), F(1, 2)), (F(9, 64), F(1, 2))]))
+@example(StepCDF.uniform(), _AROUND_A_THIRD)
+@example(_AROUND_A_THIRD, StepCDF.from_jumps([(0, F(1, 2)), (1, F(1, 2))]))
+@settings(max_examples=150, deadline=None)
+def test_ks_at_continuity_matches_candidate_loop(f, g):
+    assert sa.ks_distance_at_continuity(f, g) == candidate_ks_at_continuity(f, g)
 
 
 def test_ks_examples():
