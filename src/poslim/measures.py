@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, Union
+from typing import Iterable, Literal
 
 from . import pwl, textio
 from .errors import FormatError, InvalidArgument, InvariantError, NotInPMinus
@@ -239,7 +239,9 @@ class StepKernelMeasure:
         return StepKernelMeasure.from_cells(tuple(tuple(c) for c in merged))
 
 
-Measure = Union[AtomicMeasure, StepKernelMeasure]
+# `|`, not typing.Union: typing caches a Union, and with it these classes,
+# across every re-import of the package
+Measure = AtomicMeasure | StepKernelMeasure
 
 
 def right_marginal(mu: Measure) -> StepCDF:

@@ -272,6 +272,7 @@ def induced(p: FinitePoset, points: Iterable[int]) -> FinitePoset:
 # -- interval orders kept as intervals ----------------------------------------
 
 _RATIO = np.frompyfunc(methodcaller("as_integer_ratio"), 1, 2)
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 class Endpoints(NamedTuple):
@@ -286,8 +287,10 @@ class Endpoints(NamedTuple):
     @classmethod
     def of_floats(cls, x: np.ndarray) -> "Endpoints":
         m, e = np.frexp(x)  # x = m·2^e, and m·2^53 is an integer
-        num = (m * 2.0**53).astype(np.int64).astype(object)
-        return cls(num, 1 << (53 - e).astype(object), x, np.ones(len(x), dtype=bool))
+        num, shift = (m * 2.0**53).astype(np.int64).astype(object), (53 - e).astype(object)
+        if (e > 53).any():  # |x| >= 2^53 is the integer m·2^53 << (e - 53)
+            num, shift = num << np.maximum(-shift, 0), np.maximum(shift, 0)
+        return cls(num, 1 << shift, x, np.ones(len(x), dtype=bool))
 
     @classmethod
     def of_ratios(cls, num: np.ndarray, den: np.ndarray) -> "Endpoints":
@@ -345,8 +348,8 @@ class IntervalSample(FinitePoset):
         if not intervals:
             raise InvariantError("posets are non-empty")
         for k, (a, b) in enumerate(intervals):
-            if not (abs(a) < np.inf and abs(b) < np.inf):  # NaN fails too
-                raise InvariantError(f"interval {k} has an end that is not finite: {a}, {b}")
+            if not (abs(a) <= _FLOAT_MAX and abs(b) <= _FLOAT_MAX):  # NaN fails too
+                raise InvariantError(f"interval {k} has an end not finite as a float: {a}, {b}")
             if a > b:
                 raise InvariantError(f"interval {k} is empty: {a} > {b}")
         ends = tuple(map(Endpoints.of_values, zip(*intervals)))

@@ -6,28 +6,35 @@ x[0] = 0 and x[-1] = 1.  The function value at a breakpoint is `right`, the
 left limit is `left`, and the function is linear between `right[i]` at x[i]
 and `left[i+1]` at x[i+1].  All coordinates are exact rationals.
 
-Evaluation at one point is a binary search, O(log m) for m breakpoints, and
-at k sorted points one walk (`values_along`), O(m + k); `sup_distance` merges
-two lists of m and k breakpoints in one sweep, O(m + k).  These and the checks
-of `normalize` and `check_monotone` run on numerators and denominators: a
-rational a/b (b > 0) is compared with c/d as a*d with c*b, so every test stays
-exact without building a `Fraction` per step.
+Evaluation at one point is a binary search, O(log m) for m breakpoints.  A
+curve's one integer view, `rows`, is its breakpoints as integer arrays over
+one denominator; a curve made `of_rows` (an empirical degree CDF) builds its
+`Fraction` points only when they are read.  `values_along` and
+`sup_distance` read rows alone, through `_along`: one `searchsorted` and one
+numpy pass over each piece's line, in int64 under a stated bound and in
+object ints past it.  The checks of `normalize` and `check_monotone` compare
+a/b (b > 0) with c/d as a*d with c*b, so every test stays exact without a
+`Fraction` per step.
 
 Each geometric rule of the representation calculus lives here once:
 evaluation (`Curve`, the base of CDFs and threshold functions), the
 reflection across x + y = 1 (`reflect`), pieces tiling [0,1] (`tiling`) and
 the line through a piece (`_line`, per piece in `segment_lines`), which
-evaluation, `normalize`, `sup_distance`, the sampler and the g text format's
-slopes all read.
+evaluation, `normalize`, `_along`, the sampler and the g text format's slopes
+all read.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import textio
 from .errors import InvariantError
@@ -127,7 +134,9 @@ def _at(points: Points, t: Fraction, side: int) -> Fraction:
     i = bisect_right(points, t, key=_X) - 1
     if t == points[i][0]:
         return points[i][side]
-    return Fraction(*next(values_along(points[i : i + 2], [t.as_integer_ratio()])))
+    p, q, d = _line(*_ints(points[i : i + 2]))
+    tn, td = t.as_integer_ratio()
+    return Fraction(p * tn + q * td, d * td)
 
 
 @dataclass(frozen=True)
@@ -136,16 +145,43 @@ class Curve:
 
     Subclasses bind `value` and `left_limit` in their own class body, so a
     wrapper installed on one class (as perfbench's tracer does) sees only
-    that class's calls.
+    that class's calls.  A curve made `of_rows` has no points until read.
     """
 
-    points: Points
+    points: Points = cached_property(lambda self: _points(self.rows))
+
+    @cached_property
+    def rows(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """(den, x, left, right): the breakpoints as integer arrays over den."""
+        den = math.lcm(*(v.denominator for pt in self.points for v in pt))
+        cols = ([v.numerator * (den // v.denominator) for v in col] for col in zip(*self.points))
+        return den, *_fit(den, *cols)
+
+    @classmethod
+    def of_rows(cls, den: int, x: np.ndarray, left: np.ndarray, right: np.ndarray):
+        """The curve with breakpoints (x, left, right)/den, integer arrays."""
+        curve = cls.__new__(cls)
+        vars(curve)["rows"] = (den, x, left, right)
+        return curve
 
     def value(self, t) -> Fraction:
         return value_at(self.points, as_fraction(t))
 
     def left_limit(self, t) -> Fraction:
         return left_limit_at(self.points, as_fraction(t))
+
+
+def _points(rows) -> Points:
+    cols = [c.tolist() for c in rows[1:]]
+    k_den = {k: Fraction(k, rows[0]) for col in cols for k in col}
+    return tuple(zip(*([k_den[k] for k in col] for col in cols)))
+
+
+def _fit(bound: int, *columns) -> list[np.ndarray]:
+    """The integer columns as int64 arrays if `bound`, the caller's bound on
+    every value it forms from them, is below 2^63; else as object arrays."""
+    dtype = np.int64 if bound < 1 << 63 else object
+    return [np.asarray(c, dtype=dtype) for c in columns]
 
 
 def reflect(points: Points) -> Points:
@@ -186,61 +222,58 @@ def tiling(pieces: Iterable[Sequence], what: str) -> tuple[Fraction, ...]:
     return tuple(breaks)
 
 
-def sup_distance(f: Points, g: Points) -> Fraction:
-    """Exact sup-norm distance in one merge sweep over both breakpoint lists.
+def sup_distance(f, g) -> Fraction:
+    """Exact sup-norm distance between two curves (or their breakpoints).
 
-    Between consecutive breakpoints of either list both functions are linear,
-    so the sup is attained at a breakpoint, as a value or a left limit.  One
-    cursor per list points at its first breakpoint >= t; both lists start at
-    0 and end at 1, so the cursors reach the end together.  Values are kept
-    as unreduced pairs (num, den > 0); the result is one `Fraction`.
+    Between consecutive breakpoints of either both functions are linear, so
+    the sup is attained at a breakpoint, as a value or a left limit.  Each
+    curve is read at the other's rows by `_along`; the differences on one
+    side share a denominator, so their sup is one integer max.
     """
-    fs, gs = _ints(f), _ints(g)
-    bn, bd = 0, 1
-    i = j = 0
-    fseg = gseg = 0  # the breakpoint whose incoming segment is fline / gline
-    while i < len(fs):
-        fxn, fxd, fln, fld, frn, frd = fs[i]
-        gxn, gxd, gln, gld, grn, grd = gs[j]
-        c = fxn * gxd - gxn * fxd
-        if c > 0:  # t = x of g[j], strictly inside the segment of f ending at i
-            if fseg != i:
-                fseg, fline = i, _line(fs[i - 1], fs[i])
-            p, q, d = fline
-            fln = frn = p * gxn + q * gxd
-            fld = frd = d * gxd
-        elif c < 0:
-            if gseg != j:
-                gseg, gline = j, _line(gs[j - 1], gs[j])
-            p, q, d = gline
-            gln = grn = p * fxn + q * fxd
-            gld = grd = d * fxd
-        num, den = abs(fln * gld - gln * fld), fld * gld
-        if num * bd > bn * den:
-            bn, bd = num, den
-        num, den = abs(frn * grd - grn * frd), frd * grd
-        if num * bd > bn * den:
-            bn, bd = num, den
-        if c <= 0:
-            i += 1
-        if c >= 0:
-            j += 1
-    return Fraction(bn, bd)
+    best, rf, rg = ZERO, *(c.rows if isinstance(c, Curve) else Curve(c).rows for c in (f, g))
+    for (n, x, left, right), other in ((rf, rg), (rg, rf)):
+        for side, ys in (("right", right), ("left", left)):
+            num, den = _along(other, x, n, side)
+            gap = abs(ys.astype(num.dtype) * (den // n) - num).max()
+            best = max(best, Fraction(int(gap), den))
+    return best
 
 
-def values_along(points: Points, ts: Iterable) -> Iterator[tuple[int, int]]:
-    """Values at the nondecreasing tn/td in [0,1] as unreduced pairs (num,
-    den > 0), from one walk of the integer rows and `_line`: O(m + k)."""
-    rows, i = _ints(points), 0
-    for tn, td in ts:
-        while i + 1 < len(rows) and rows[i + 1][0] * td <= tn * rows[i + 1][1]:
-            i += 1
-        xn, xd, _, _, rn, rd = rows[i]
-        if xn * td == tn * xd:
-            yield rn, rd
-        else:
-            p, q, d = _line(rows[i], rows[i + 1])
-            yield p * tn + q * td, d * td
+def values_along(curve, ts: Iterable) -> Iterator[tuple[int, int]]:
+    """Values at the nondecreasing tn/td in [0,1] as pairs (num, den > 0),
+    by `_along` over the least common denominator of the td."""
+    ts = list(ts)
+    td = math.lcm(*(d for _, d in ts))
+    x = _fit(td, [tn * (td // d) for tn, d in ts])[0]
+    num, den = _along(curve.rows if isinstance(curve, Curve) else Curve(curve).rows, x, td, "right")
+    return ((v, den) for v in num.tolist())
+
+
+def _along(rows, x: np.ndarray, n: int, side: str) -> tuple[np.ndarray, int]:
+    """Values (side "right") or left limits ("left") of the curve with these
+    rows at the nondecreasing x/n: numerators over one returned denominator.
+
+    One `searchsorted` finds each point's piece, and each distinct piece's
+    `_line` is reduced and put over the lines' least common denominator D.
+    A flat piece padded on each side gives the left limit at 0 and the value
+    at 1.  With m the rows' denominator, products stay below 5m² + mn, then
+    below (2m + 2)Dn (|slope| <= m, |intercept| <= m + 1): int64 under 2^63,
+    object ints past it.
+    """
+    m, y, lt, rt = rows
+    y, lt, rt, x = _fit(5 * m * m + m * n, y, lt, rt, x)
+    k = np.searchsorted(y * n, x * m, side)
+    new = np.diff(k, prepend=-1) != 0
+    ks = k[new]
+    ys, ls, rs = np.r_[-m, y, 2 * m], np.r_[lt[0], lt, rt[-1]], np.r_[lt[0], rt, rt[-1]]
+    p, q, d = _line((ys[ks], 1, 0, 1, rs[ks], 1), (ys[ks + 1], 1, ls[ks + 1], 1, 0, 1))
+    p, d = p * m, d * m  # the line in t = x/n: (p x + q n)/(d n)
+    g = np.gcd(np.gcd(p, q), d)
+    p, q, d = p // g, q // g, d // g
+    den = math.lcm(*d.tolist())
+    p, q, d, x = _fit((2 * m + 2) * den * n, p, q, d, x)
+    at, scale = np.cumsum(new) - 1, den // d
+    return (p * scale)[at] * x + (q * scale)[at] * n, den * n
 
 
 def _line(a: tuple, b: tuple) -> tuple[int, int, int]:

@@ -32,6 +32,7 @@ Stream kinds used by the samplers:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -70,6 +71,20 @@ class SeededRng:
         """float64 uniforms in [0, 1) at positions 0..count-1 of a stream."""
         raw = self.raw(kind, count, index)
         return (raw >> np.uint64(11)) * 2.0**-53
+
+    def upper_rows(self, kind: int, n: int) -> Iterator[np.ndarray]:
+        """For i in 0..n-1, the uniforms at positions i+1..n-1 of stream i.
+
+        One generator is re-keyed per row by assigning its state, moved on
+        (i + 1) // 4 counter steps of four outputs by `advance`, and the
+        outputs left before position i + 1 in that block are dropped."""
+        bg = np.random.Philox(key=self._key(kind, 0))
+        state = bg.state  # buffer_pos stays 4: nothing is ever buffered
+        for i in range(n):
+            state["state"].update(key=self._key(kind, i), counter=np.zeros(4, np.uint64))
+            bg.state, skip = state, (i + 1) % 4
+            raw = bg.advance((i + 1) // 4).random_raw(skip + n - i - 1)[skip:]
+            yield (raw >> np.uint64(11)) * 2.0**-53
 
     def spawn(self, index: int) -> "SeededRng":
         """Child rng for trial `index`; children are mutually independent."""

@@ -27,7 +27,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Literal, Union
+from typing import Iterable, Literal
 
 import numpy as np
 
@@ -51,14 +51,14 @@ from .poset import (
     transitive_closure,
     two_plus_two,
 )
-from .pwl import ONE, segment_lines, sup_distance, values_along
+from .pwl import segment_lines, sup_distance, values_along
 from .recognition import is_semiorder
 from .rng import CONDITIONALS, EDGES, PAIRS, POINTS, SUBSETS, SeededRng
 from .semiorders import MonotoneRC, RateFunction, f_minus, f_plus, g_from_rate
 
 Sign = Literal["minus", "plus"]
 INTERVAL_MODELS = (MonotoneRC, RateFunction, StepKernelMeasure, AtomicMeasure)
-SamplerModel = Union[INTERVAL_MODELS]
+SamplerModel = MonotoneRC | RateFunction | StepKernelMeasure | AtomicMeasure  # see measures.Measure
 
 _FINGERPRINT_MAX = 5
 _FINGERPRINT_BLOCK = 1 << 10  # point tuples classified per numpy step
@@ -170,22 +170,23 @@ def sample_interval_poset(
 def nu_empirical(p: FinitePoset, sign: Sign) -> StepCDF:
     """Empirical CDF of normalised predecessor (minus) or successor counts.
 
-    Degrees are counted as integers and accumulated once; the CDF jumps by
-    count/n at each degree d/n, and only its coordinates k/n are built.
-    Every inner breakpoint carries a jump, so the points are canonical."""
+    Degrees are counted as integers and accumulated once.  The CDF is held
+    as integer rows over n (`StepCDF.of_rows`): each distinct degree d, the
+    number lo of points of smaller degree and hi of degree at most d, read
+    as (d/n, lo/n, hi/n), then (1, 1, 1).  Every inner breakpoint carries a
+    jump, so the rows are canonical; the `Fraction` points are built only
+    when read."""
     if (n := p.n) < 1:
         raise InvariantError("posets are non-empty")
     counts = np.bincount(p.degrees(sign))
-    ds = np.flatnonzero(counts).tolist()  # from 0: some point is minimal (maximal)
-    ends = [0, *np.cumsum(counts[ds]).tolist()]
-    k_n = {k: Fraction(k, n) for k in {*ds, *ends}}
-    pts = [(k_n[d], k_n[lo], k_n[hi]) for d, lo, hi in zip(ds, ends, ends[1:])]
-    return StepCDF(tuple(pts + [(ONE, ONE, ONE)]))
+    ds = np.flatnonzero(counts)  # from 0: some point is minimal (maximal)
+    hi = np.cumsum(counts[ds])
+    return StepCDF.of_rows(n, np.r_[ds, n], np.r_[hi - counts[ds], n], np.r_[hi, n])
 
 
 def ks_distance(f: StepCDF, g: StepCDF) -> Fraction:
     """Exact sup-norm distance between two piecewise-linear CDFs."""
-    return sup_distance(f.points, g.points)
+    return sup_distance(f, g)
 
 
 def ks_distance_at_continuity(f: StepCDF, g: StepCDF) -> Fraction:
@@ -198,7 +199,8 @@ def ks_distance_at_continuity(f: StepCDF, g: StepCDF) -> Fraction:
     grid that stays `_ATOM_MARGIN` away from the target's jump points is the
     documented comparison for atom-carrying targets (the margin should
     dominate the sampling fluctuation scale, a few n^-1/2).  Both curves are
-    read by `pwl.values_along` at integer candidates over one denominator.
+    read from their rows by `pwl.values_along` at integer candidates over one
+    denominator, so the sup is an integer max.
     """
     td = math.lcm(_GRID_DENOMINATOR, *(x.denominator for x, _, _ in g.points))
     ks = set(range(0, td + 1, td // _GRID_DENOMINATOR))
@@ -206,12 +208,9 @@ def ks_distance_at_continuity(f: StepCDF, g: StepCDF) -> Fraction:
     jumps = [x.numerator * td // x.denominator for x, lt, rt in g.points if lt != rt]
     margin = int(td * _ATOM_MARGIN)  # exact: 64 divides td
     ts = [(k, td) for k in sorted(ks) if all(abs(k - j) > margin for j in jumps)]
-    bn, bd = 0, 1
-    for (fn, fd), (gn, gd) in zip(values_along(f.points, ts), values_along(g.points, ts)):
-        num, den = abs(fn * gd - gn * fd), fd * gd
-        if num * bd > bn * den:
-            bn, bd = num, den
-    return Fraction(bn, bd)
+    pairs = zip(values_along(f, ts), values_along(g, ts))  # one denominator a curve
+    diffs = [(abs(fn * gd - gn * fd), fd * gd) for (fn, fd), (gn, gd) in pairs]
+    return Fraction(*max(diffs, default=(0, 1)))
 
 
 # -- fingerprints -------------------------------------------------------------
@@ -409,7 +408,8 @@ def random_graph_order(n: int, p, rng: SeededRng) -> FinitePoset:
     """Transitive closure of a random directed graph on the labelled chain.
 
     Edge (i, j), i < j, is present with probability p and read from position
-    j of EDGES stream i; `poset.transitive_closure` closes the edges.
+    j of EDGES stream i (`SeededRng.upper_rows`); `poset.transitive_closure`
+    closes the edges.
     """
     pf = float(p)
     if not 0 < pf <= 1:
@@ -418,11 +418,7 @@ def random_graph_order(n: int, p, rng: SeededRng) -> FinitePoset:
         raise InvalidArgument("n must be at least 1")
     if n > textio.MAX_POINTS:
         raise SizeLimit(f"random graph orders capped at {textio.MAX_POINTS} points")
-    heads = []
-    for i in range(n):
-        bits = rng.uniforms(EDGES, n, index=i) < pf
-        bits[: i + 1] = False
-        heads.append(np.flatnonzero(bits))
+    heads = [i + 1 + np.flatnonzero(row < pf) for i, row in enumerate(rng.upper_rows(EDGES, n))]
     tails = np.repeat(np.arange(n), [len(h) for h in heads])
     closed = transitive_closure(n, tails, np.concatenate(heads))
     return FinitePoset.from_succ_masks(closed)

@@ -485,6 +485,23 @@ def test_interval_sample_rejects_non_finite_ends(intervals, monkeypatch):
         ps.IntervalSample(intervals)
 
 
+@pytest.mark.parametrize(
+    "intervals",
+    [[(0.0, 1e300), (1e300, 1e300), (5.0, 1e308), (-1e300, 0.0)],
+     [(0, 2**60), (2**60, 2**60 + 1), (2**60 + 1, 2**61), (2**53 + 1, 2**60)]],
+)
+def test_interval_sample_ranks_large_ends_exactly(intervals):
+    p = ps.IntervalSample(intervals)
+    exact = [[b < c for c, _ in intervals] for _, b in intervals]
+    assert [[bool(p.precedes(i, j)) for j in range(p.n)] for i in range(p.n)] == exact
+    assert p.intervals == tuple((F(a), F(b)) for a, b in intervals)
+
+
+def test_interval_sample_rejects_an_end_beyond_the_floats():
+    with pytest.raises(InvariantError, match="not finite as a float"):
+        ps.IntervalSample([(0, 10**400)])
+
+
 def test_interval_sample_rejects_a_reversed_interval():
     with pytest.raises(InvariantError, match="interval 0 is empty: 1 > 0"):
         ps.IntervalSample([(1, 0), (F(1, 2), F(1, 2))])

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 import hypothesis.strategies as st
@@ -243,3 +247,24 @@ def test_measure_text_roundtrip(mu):
 def test_atomic_text_roundtrip():
     m = AtomicMeasure.from_atoms([(0, F(1, 3), F(2, 5)), (F(1, 3), F(5, 6), F(3, 5))])
     assert me.read_measure(me.write_measure(m)) == m
+
+
+_REIMPORT = """
+import gc, sys
+for _ in range(3):
+    for name in [m for m in sys.modules if m == "poslim" or m.startswith("poslim.")]:
+        del sys.modules[name]
+    import poslim.cli
+gc.collect()
+print(sum(isinstance(o, type) and o.__name__ == "StepCDF" for o in gc.get_objects()))
+"""
+
+
+def test_reimport_frees_the_previous_copy():
+    """No module-level alias (such as a cached typing.Union of the measure
+    classes) keeps an earlier import of the package alive."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _REIMPORT], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == ["1"]

@@ -6,6 +6,7 @@ references in conftest."""
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
@@ -140,6 +141,57 @@ def test_nu_empirical_matches_from_jumps(p):
         degrees = p.degrees(sign).tolist()
         jumps = [(F(d, p.n), F(1, p.n)) for d in degrees]
         assert sa.nu_empirical(p, sign).points == StepCDF.from_jumps(jumps).points
+
+
+_TARGETS = [UNIFORM, AT_0, AT_1, StepCDF.dirac(F(1, 2)).points, so.f_minus(so.gc(F(3, 10))).points,
+            so.f_plus(so.gc(F(2, 7))).points, StepCDF.from_jumps([(0, F(1, 3)), (1, F(2, 3))]).points]
+
+
+@given(posets(max_n=8), st.one_of(st.sampled_from(_TARGETS), cdf_points([F(1, 3), F(1, 2)])))
+@settings(deadline=None)
+def test_sup_distance_on_empirical_rows_matches_reference(p, target):
+    """Empirical CDFs held as rows against targets with jumps at 0, at 1 and
+    inside, both ways round and against each other."""
+    minus, plus = sa.nu_empirical(p, "minus"), sa.nu_empirical(p, "plus")
+    for nu in (minus, plus):
+        assert pwl.sup_distance(nu, StepCDF(target)) == ref_sup(nu.points, target)
+        assert pwl.sup_distance(StepCDF(target), nu) == ref_sup(nu.points, target)
+    assert pwl.sup_distance(minus, plus) == ref_sup(minus.points, plus.points)
+
+
+def test_sup_distance_past_the_int64_bound(monkeypatch):
+    """Denominators whose products pass 2^63 take object ints and stay exact."""
+    dtypes = []
+    fit = pwl._fit
+
+    def spy(bound, *columns):
+        out = fit(bound, *columns)
+        dtypes.extend(c.dtype for c in out)
+        return out
+
+    monkeypatch.setattr(pwl, "_fit", spy)
+    big = 3**41  # above 2^63
+    target = StepCDF.from_points([(0, 0, 0), (F(big // 2, big), F(1, 3), F(2, 3)), (1, 1, 1)])
+    sample = sa.sample_kernel_poset(so.gc(F(1, 5)), 40, SeededRng(2))
+    for sign in ("minus", "plus"):
+        nu = sa.nu_empirical(sample, sign)
+        dtypes.clear()
+        assert pwl.sup_distance(nu, target) == ref_sup(nu.points, target.points)
+        assert object in dtypes
+    m = 2**30 + 1  # rows fit int64; the line ((m - 3)t - 4)/(m - 7) over 40 points does not
+    slope = StepCDF.from_points([(0, 0, 0), (F(7, m), F(3, m), F(3, m)), (1, 1, 1)])
+    dtypes.clear()
+    assert pwl.sup_distance(nu, slope) == ref_sup(nu.points, slope.points)
+    assert object in dtypes and np.dtype(np.int64) in dtypes
+
+
+@given(posets(max_n=8), st.lists(st.fractions(min_value=0, max_value=1, max_denominator=24), max_size=8))
+@settings(deadline=None)
+def test_values_along_rows_matches_value_at(p, ts):
+    nu = sa.nu_empirical(p, "minus")
+    ts = sorted(ts + [x for x, _, _ in nu.points])
+    got = [F(*v) for v in pwl.values_along(nu, [t.as_integer_ratio() for t in ts])]
+    assert got == [nu.value(t) for t in ts]
 
 
 def test_ks_identity_sample_is_one_over_n():

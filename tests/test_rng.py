@@ -55,3 +55,14 @@ def test_spawned_children_above_2_63_are_keyed_exactly():
 def test_stream_index_out_of_range(index):
     with pytest.raises(InvalidArgument, match="stream index"):
         SeededRng(1).raw(POINTS, 1, index)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, *EDGE_SEEDS[:3]])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 13])
+def test_upper_rows_match_raw(seed, n):
+    """Row i starts at position i + 1, at every offset within a 4-wide block."""
+    r = SeededRng(seed)
+    rows = list(r.upper_rows(rng.EDGES, n))
+    assert len(rows) == n
+    for i, row in enumerate(rows):
+        assert row.tolist() == r.uniforms(rng.EDGES, n, i)[i + 1 :].tolist()

@@ -158,6 +158,53 @@ def test_nu_empirical_matches_grid_at_the_extremes(p):
     assert_nu_matches_grid(p)
 
 
+def fraction_nu_empirical(p, sign):
+    """Reference: `Fraction(k, n)` once for each coordinate k, then the
+    points (d/n, lo/n, hi/n) and (1, 1, 1)."""
+    n = p.n
+    counts = np.bincount(p.degrees(sign))
+    ds = np.flatnonzero(counts).tolist()
+    ends = [0, *np.cumsum(counts[ds]).tolist()]
+    k_n = {k: F(k, n) for k in {*ds, *ends}}
+    pts = [(k_n[d], k_n[lo], k_n[hi]) for d, lo, hi in zip(ds, ends, ends[1:])]
+    return tuple(pts + [(F(1), F(1), F(1))])
+
+
+def assert_rows_match_fractions(p):
+    for sign in ("minus", "plus"):
+        nu = sa.nu_empirical(p, sign)
+        den, *cols = nu.rows
+        assert den == p.n and all(c.dtype == np.int64 for c in cols)
+        assert "points" not in vars(nu)
+        assert nu.points == fraction_nu_empirical(p, sign)
+
+
+@given(st.lists(st.tuples(_ends, _ends).map(sorted), min_size=1, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_nu_rows_match_fractions_on_interval_samples(intervals):
+    assert_rows_match_fractions(ps.IntervalSample(intervals))
+
+
+@given(st.integers(1, 40), st.fractions(min_value=F(1, 20), max_value=1), st.integers(0, 99))
+@settings(max_examples=30, deadline=None)
+def test_nu_rows_match_fractions_on_graph_orders(n, p, seed):
+    assert_rows_match_fractions(sa.random_graph_order(n, p, SeededRng(seed)))
+
+
+@pytest.mark.parametrize("p", [ps.antichain(7), ps.chain(7), ps.chain(1)])
+def test_nu_rows_match_fractions_at_the_extremes(p):
+    assert_rows_match_fractions(p)
+
+
+def test_identity_degree_path_builds_no_points():
+    identity = so.MonotoneRC.identity()
+    p = sa.sample_kernel_poset(identity, 500, SeededRng(3))
+    for sign, target in (("minus", so.f_minus(identity)), ("plus", so.f_plus(identity))):
+        cdf = sa.nu_empirical(p, sign)
+        assert sa.ks_for_target(cdf, target) == F(1, 500)
+        assert "points" not in vars(cdf)
+
+
 def test_nu_empirical_rejects_an_empty_poset():
     with pytest.raises(InvariantError, match="posets are non-empty"):
         sa.nu_empirical(ps.FinitePoset.from_succ_masks([]), "minus")
