@@ -3,8 +3,9 @@
 `golden.json` next to this file holds the expected bytes: the text each
 writer returns; for each CLI call its exit code, its stdout (or the file
 written with --out) and its stderr summary, with the temporary directory
-replaced by `<tmp>`; and the exact Kolmogorov distances of acceptance
-criterion 4's three targets at n=4000.  Regenerate it only for an intended output change:
+replaced by `<tmp>`; the exact Kolmogorov distances of acceptance
+criterion 4's three targets at n=4000; and Monte Carlo densities of three
+patterns against five interval models.  Regenerate it only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -18,7 +19,7 @@ import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
-from poslim import cli, graphs, measures, poset, recognition, sampling, semiorders
+from poslim import cli, densities, graphs, measures, poset, recognition, sampling, semiorders
 from poslim import textio
 from poslim.rng import SeededRng
 
@@ -180,12 +181,36 @@ def ks_outputs() -> dict[str, str]:
     return out
 
 
+TIED_ATOMS = measures.AtomicMeasure.from_atoms(  # an end with the float of 1/2
+    [(0, F(1, 2) - F(1, 2**70), F(1, 2)), (F(1, 2), 1, F(1, 2))]
+)
+
+
+def mc_outputs() -> dict[str, str]:
+    """`kernel_density_mc` of chain2, 2+2 and 3+1 at 2,000 samples, seed 8,
+    as the repr of the estimate and of its half-width."""
+    models = {
+        "gc3/10": semiorders.gc(F(3, 10)),
+        "rate": RATE,
+        "step": STEP,
+        "atoms": ATOMS,
+        "tied": TIED_ATOMS,
+    }
+    patterns = {"chain2": poset.chain(2), "2+2": poset.two_plus_two(), "3+1": poset.three_plus_one()}
+    return {
+        f"{name}.{label}": "{!r} {!r}".format(*densities.kernel_density_mc(q, model, 2000, 8))
+        for name, model in models.items()
+        for label, q in patterns.items()
+    }
+
+
 def all_outputs() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         return {
             "writers": writer_outputs(),
             "cli": cli_outputs(Path(tmp)),
             "ks": ks_outputs(),
+            "mc": mc_outputs(),
         }
 
 
@@ -199,6 +224,7 @@ def test_outputs_byte_identical():
     for name, result in expected["cli"].items():
         assert got["cli"][name] == result, name
     assert got["ks"] == expected["ks"]
+    assert got["mc"] == expected["mc"]
 
 
 if __name__ == "__main__":
