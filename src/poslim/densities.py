@@ -3,7 +3,8 @@
 All finite-poset densities are exact rationals (`fractions.Fraction`), counted
 by backtracking with bitmask candidate pruning.  Monte Carlo estimation against
 kernel models lives here too because it shares the tuple-product definition;
-it draws its tuples through the documented counter-based streams.
+it draws its tuples through the documented counter-based streams and, for
+an interval model, tests b_i < a_j on the integer ends of `draw_intervals`.
 """
 
 from __future__ import annotations
@@ -156,16 +157,13 @@ def kernel_density_mc(
             total += prod
             total_sq += prod * prod
     else:
-        drawn = draw_intervals(
-            model, lambda k: rng.uniforms(MC_TUPLES, samples * nq * k).reshape(-1, k).T
+        _, a, b = draw_intervals(
+            model, lambda k: rng.integers(MC_TUPLES, samples * nq * k).reshape(-1, k).T
         )
-        a, b = (ends.take(np.arange(samples * nq).reshape(samples, nq)) for ends in drawn)
+        a, b = a.reshape(samples, nq), b.reshape(samples, nq)
         hit = np.ones(samples, dtype=bool)
-        for i, j in pairs:  # the floats decide unless they tie and one is not exact
-            below = b.floats[:, i] < a.floats[:, j]
-            t = (b.floats[:, i] == a.floats[:, j]) & ~(b.exact[:, i] & a.exact[:, j])
-            below[t] = b.num[t, i] * a.den[t, j] < a.num[t, j] * b.den[t, i]
-            hit &= below
+        for i, j in pairs:
+            hit &= b[:, i] < a[:, j]
         total = total_sq = float(np.count_nonzero(hit))
     est = total / samples
     var = max(total_sq / samples - est * est, 0.0)

@@ -7,8 +7,8 @@ recognition and density machinery, and cheap immutability/hashing.
 
 Bulk consumers ask two queries: `degrees` (every down- or up-set size) and
 `precedes` (i < j over numpy index arrays).  An `IntervalSample`, an interval
-order kept as its closed intervals, answers both from its endpoint ranks and
-builds its bitmask rows only when `succ` or `pred` is read.
+order kept as its ends, integer arrays over one denominator, answers both
+from the ranks of one `lexsort` and builds its bitmask rows only when read.
 
 Point indices are 0-based everywhere in the Python API.  The text format and
 ``from_relations`` use 1-based labels, matching the on-disk convention;
@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Sized
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, lru_cache, reduce
-from operator import methodcaller, or_
-from typing import Iterable, Literal, NamedTuple, Sequence
+from functools import cached_property, lru_cache, reduce
+from numbers import Real
+from operator import or_
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from .errors import (
     InvariantError,
     SizeLimit,
 )
+from .pwl import over_lcm
 
 Sign = Literal["minus", "plus"]
 
@@ -235,8 +238,12 @@ class FinitePoset:
 
 
 def from_relations(n: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
-    """Build the transitive closure of 1-based `pairs` as a poset."""
+    """Build the transitive closure of 1-based `pairs` as a poset; a label
+    that is not an integer raises InvariantError."""
     table = np.array(list(pairs), dtype=object).reshape(-1, 2)
+    for tail, head in table.tolist():
+        if not all(isinstance(v, Real) and v % 1 == 0 for v in (tail, head)):  # NaN fails too
+            raise InvariantError(f"pair {(tail, head)!r} has a label that is not an integer")
     return from_columns(n, table[:, 0], table[:, 1])
 
 
@@ -271,99 +278,48 @@ def induced(p: FinitePoset, points: Iterable[int]) -> FinitePoset:
 
 # -- interval orders kept as intervals ----------------------------------------
 
-_RATIO = np.frompyfunc(methodcaller("as_integer_ratio"), 1, 2)
 _FLOAT_MAX = float(np.finfo(np.float64).max)
-
-
-class Endpoints(NamedTuple):
-    """Exact rationals num[k]/den[k] (object arrays of ints, den > 0), each
-    with its correctly rounded float64 and whether the two are equal."""
-
-    num: np.ndarray
-    den: np.ndarray
-    floats: np.ndarray
-    exact: np.ndarray
-
-    @classmethod
-    def of_floats(cls, x: np.ndarray) -> "Endpoints":
-        m, e = np.frexp(x)  # x = m·2^e, and m·2^53 is an integer
-        num, shift = (m * 2.0**53).astype(np.int64).astype(object), (53 - e).astype(object)
-        if (e > 53).any():  # |x| >= 2^53 is the integer m·2^53 << (e - 53)
-            num, shift = num << np.maximum(-shift, 0), np.maximum(shift, 0)
-        return cls(num, 1 << shift, x, np.ones(len(x), dtype=bool))
-
-    @classmethod
-    def of_ratios(cls, num: np.ndarray, den: np.ndarray) -> "Endpoints":
-        floats = (num / den).astype(np.float64)  # int true division rounds correctly
-        fnum, fden = cls.of_floats(floats)[:2]
-        return cls(num, den, floats, (num * fden == fnum * den).astype(bool))
-
-    @classmethod
-    def of_values(cls, values: Sequence) -> "Endpoints":
-        """Of ints, `Fraction`s or floats."""
-        return cls.of_ratios(*_RATIO(np.array(values, dtype=object)))
-
-    def take(self, idx: np.ndarray) -> "Endpoints":
-        return Endpoints(*(column[idx] for column in self))
-
-
-def endpoint_order(left: Endpoints, right: Endpoints) -> np.ndarray:
-    """Exact increasing order of the endpoints left + right, as indices into
-    their concatenation.
-
-    At equal values a left endpoint (index below len(left)) comes first, so
-    b_i < a_j iff b_i comes before a_j.  The floats are sorted first;
-    rounding is monotone, so only a run of equal floats holding a value that
-    is not its float can be out of order: it is re-sorted whole by
-    cross-multiplying its integer pairs, unless its values are all equal.
-    """
-    num, den, floats, exact = map(np.concatenate, zip(left, right))
-    side = (np.arange(len(floats)) >= len(left.floats)).astype(int)
-    order = np.lexsort((side, floats))
-    starts = np.flatnonzero(np.diff(floats[order], prepend=np.nan))  # runs of equal floats
-    ends = np.r_[starts[1:], len(order)]
-    loose = np.logical_or.reduceat(~exact[order], starts) & (ends - starts > 1)
-    key = cmp_to_key(lambda i, j: num[i] * den[j] - num[j] * den[i] or side[i] - side[j])
-    for lo, hi in zip(starts[loose].tolist(), ends[loose].tolist()):
-        run, k = order[lo:hi], order[lo]
-        if (num[run] * den[k] != num[k] * den[run]).any():
-            order[lo:hi] = sorted(run.tolist(), key=key)
-    return order
 
 
 class IntervalSample(FinitePoset):
     """An interval order kept as its closed intervals: i < j iff b_i < a_j.
 
-    It holds `endpoints`, the `Endpoints` of the left ends a and of the right
-    ends b.  On first use the 2n endpoints are put in one exact order
-    (`endpoint_order`, O(n log n)), and `ranks` holds each endpoint's
-    position in it, so `precedes` compares ranks, `degrees` counts them
-    by binary search and `cover_pairs`, which the text format writes, reads
-    one window of them per point.  The `Fraction`s of `intervals` and the
-    bitmask rows `succ` and `pred` (Θ(n²) bits) are built only when first
-    read, so every `FinitePoset` method and `==` work as for any other poset.
+    It holds `ends`, (den, a, b): the left ends a and the right ends b as
+    integer arrays over one denominator den, int64 while they fit.  On
+    first use the 2n ends are put in one exact order by a single `lexsort`
+    (O(n log n)), and `ranks` holds each end's position in it, so
+    `precedes` compares ranks, `degrees` counts them by binary search and
+    `cover_pairs`, which the text format writes, reads one window of them
+    per point.  The `Fraction`s of `intervals` and the bitmask rows `succ`
+    and `pred` (Θ(n²) bits) are built only when first read, so every
+    `FinitePoset` method and `==` work as for any other poset.
     """
 
     def __init__(self, intervals: Sequence[tuple[Fraction, Fraction]]):
         if not intervals:
             raise InvariantError("posets are non-empty")
-        for k, (a, b) in enumerate(intervals):
+        for k, pair in enumerate(intervals):
+            a, b = pair if isinstance(pair, Sized) and len(pair) == 2 else (None, None)
+            if not (isinstance(a, Real) and isinstance(b, Real)):
+                raise InvariantError(f"interval {k} is not a pair of numbers: {pair!r}")
             if not (abs(a) <= _FLOAT_MAX and abs(b) <= _FLOAT_MAX):  # NaN fails too
                 raise InvariantError(f"interval {k} has an end not finite as a float: {a}, {b}")
             if a > b:
                 raise InvariantError(f"interval {k} is empty: {a} > {b}")
-        ends = tuple(map(Endpoints.of_values, zip(*intervals)))
-        vars(self).update(n=len(intervals), endpoints=ends, intervals=tuple(intervals))
+        den, (a, b) = over_lcm(*zip(*intervals))
+        vars(self).update(n=len(intervals), ends=(den, a, b))
 
     @classmethod
-    def from_endpoints(cls, left: Endpoints, right: Endpoints) -> "IntervalSample":
+    def from_ends(cls, den: int, a: np.ndarray, b: np.ndarray) -> "IntervalSample":
+        """The sample of the intervals [a_i/den, b_i/den], integer arrays."""
         sample = cls.__new__(cls)
-        vars(sample).update(n=len(left.floats), endpoints=(left, right))
+        vars(sample).update(n=len(a), ends=(den, a, b))
         return sample
 
     @cached_property
     def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple(zip(*(map(Fraction, e.num, e.den) for e in self.endpoints)))
+        den, a, b = self.ends
+        return tuple(zip(*(map(Fraction, e.tolist(), itertools.repeat(den)) for e in (a, b))))
 
     @cached_property
     def _masks(self) -> FinitePoset:
@@ -382,10 +338,12 @@ class IntervalSample(FinitePoset):
 
     @cached_property
     def ranks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rank_a, rank_b): positions of a_i and b_i in the exact order."""
-        n = self.n
+        """(rank_a, rank_b): positions of a_i and b_i in the order of the
+        ends a + b by value, a left end first at equal values, so that
+        b_i < a_j iff rank_b[i] < rank_a[j]."""
+        n, (_, a, b) = self.n, self.ends
         rank = np.empty(2 * n, dtype=np.int64)
-        rank[endpoint_order(*self.endpoints)] = np.arange(2 * n)
+        rank[np.lexsort((np.repeat([0, 1], n), np.concatenate([a, b])))] = np.arange(2 * n)
         return rank[:n], rank[n:]
 
     def _degrees(self, minus: bool) -> np.ndarray:

@@ -8,7 +8,8 @@ and `left[i+1]` at x[i+1].  All coordinates are exact rationals.
 
 Evaluation at one point is a binary search, O(log m) for m breakpoints.  A
 curve's one integer view, `rows`, is its breakpoints as integer arrays over
-one denominator; a curve made `of_rows` (an empirical degree CDF) builds its
+one denominator (`over_lcm`, which also holds the ends of an interval
+sample); a curve made `of_rows` (an empirical degree CDF) builds its
 `Fraction` points only when they are read.  `values_along` and
 `sup_distance` read rows alone, through `_along`: one `searchsorted` and one
 numpy pass over each piece's line, in int64 under a stated bound and in
@@ -31,6 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from numbers import Rational, Real
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -153,9 +155,8 @@ class Curve:
     @cached_property
     def rows(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
         """(den, x, left, right): the breakpoints as integer arrays over den."""
-        den = math.lcm(*(v.denominator for pt in self.points for v in pt))
-        cols = ([v.numerator * (den // v.denominator) for v in col] for col in zip(*self.points))
-        return den, *_fit(den, *cols)
+        den, cols = over_lcm(*zip(*self.points))
+        return den, *cols
 
     @classmethod
     def of_rows(cls, den: int, x: np.ndarray, left: np.ndarray, right: np.ndarray):
@@ -182,6 +183,23 @@ def _fit(bound: int, *columns) -> list[np.ndarray]:
     every value it forms from them, is below 2^63; else as object arrays."""
     dtype = np.int64 if bound < 1 << 63 else object
     return [np.asarray(c, dtype=dtype) for c in columns]
+
+
+def over_lcm(*columns: Sequence, den: int = 1) -> tuple[int, list[np.ndarray]]:
+    """(D, arrays): columns of exact rationals (ints, `Fraction`s or floats)
+    as integer arrays over D, the least common multiple of den and of their
+    denominators; int64 when every value and D are below 2^63, object ints
+    otherwise (`_fit`)."""
+    ratios = [[_ratio(v) for v in col] for col in columns]
+    den = math.lcm(den, *(d for col in ratios for _, d in col))
+    ints = [[k * (den // d) for k, d in col] for col in ratios]
+    return den, _fit(max(den, *(abs(k) for col in ints for k in col)), *ints)
+
+
+def _ratio(v: Real) -> tuple[int, int]:
+    """v as Python ints (numerator, denominator > 0), numpy scalars too."""
+    ratio = (v.numerator, v.denominator) if isinstance(v, Rational) else v.as_integer_ratio()
+    return int(ratio[0]), int(ratio[1])
 
 
 def reflect(points: Points) -> Points:

@@ -12,8 +12,8 @@ rely on:
 
 * a stream is a Philox4x64 bit generator keyed with the uint64 pair
   ``(seed mod 2**64, kind * 2**48 + index)``, exact for every integer seed;
-* position p of the stream is the p-th raw 64-bit output, mapped to a
-  float in [0, 1) by taking the top 53 bits (``(raw >> 11) * 2**-53``).
+* position p of the stream is the p-th raw 64-bit output; its top 53 bits
+  are the integer k (`integers`) of the exact uniform k/2**53 (`uniforms`).
 
 Stream kinds used by the samplers:
 
@@ -39,6 +39,7 @@ import numpy as np
 from .errors import InvalidArgument
 
 STREAM_RULE = 2
+UNIT = 1 << 53  # the uniform at a position is k/UNIT
 _MASK64 = (1 << 64) - 1
 _MAX_INDEX = 1 << 48
 
@@ -67,10 +68,13 @@ class SeededRng:
         bg = np.random.Philox(key=self._key(kind, index))
         return bg.random_raw(count)
 
+    def integers(self, kind: int, count: int, index: int = 0) -> np.ndarray:
+        """int64 k in [0, UNIT) at positions 0..count-1 of a stream."""
+        return _top(self.raw(kind, count, index))
+
     def uniforms(self, kind: int, count: int, index: int = 0) -> np.ndarray:
-        """float64 uniforms in [0, 1) at positions 0..count-1 of a stream."""
-        raw = self.raw(kind, count, index)
-        return (raw >> np.uint64(11)) * 2.0**-53
+        """float64 uniforms k/UNIT in [0, 1) at positions 0..count-1 of a stream."""
+        return self.integers(kind, count, index) / UNIT
 
     def upper_rows(self, kind: int, n: int) -> Iterator[np.ndarray]:
         """For i in 0..n-1, the uniforms at positions i+1..n-1 of stream i.
@@ -84,8 +88,13 @@ class SeededRng:
             state["state"].update(key=self._key(kind, i), counter=np.zeros(4, np.uint64))
             bg.state, skip = state, (i + 1) % 4
             raw = bg.advance((i + 1) // 4).random_raw(skip + n - i - 1)[skip:]
-            yield (raw >> np.uint64(11)) * 2.0**-53
+            yield _top(raw) / UNIT
 
     def spawn(self, index: int) -> "SeededRng":
         """Child rng for trial `index`; children are mutually independent."""
         return SeededRng(int(self.raw(SPAWN, 1, index)[0]))
+
+
+def _top(raw: np.ndarray) -> np.ndarray:
+    """The top 53 bits of raw 64-bit outputs, as int64."""
+    return (raw >> np.uint64(64 - 53)).astype(np.int64)

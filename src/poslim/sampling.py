@@ -8,9 +8,10 @@ The built-in kernels are all indicators of interval precedence: a threshold
 function g turns point x into the interval [x, g(x)], a measure on the
 triangle draws intervals directly, and in both cases i < j holds iff
 interval i ends strictly before interval j begins.  `draw_intervals` turns
-uniforms into exact intervals for all four interval models, for the sampler
-and `densities.kernel_density_mc` alike.  The pairwise coin flips of the
-general construction are skipped for these 0/1 kernels; a raw callable
+the stream integers k of the uniforms k/2^53 into exact intervals, integer
+arrays of ends over one denominator, for all four interval models, for the
+sampler and `densities.kernel_density_mc` alike.  The pairwise coin flips of
+the general construction are skipped for these 0/1 kernels; a raw callable
 kernel uses them and gets its output validated.
 
 A sample from an interval model is a `poset.IntervalSample`.  Nothing here
@@ -41,7 +42,6 @@ from .errors import (
 )
 from .measures import AtomicMeasure, StepCDF, StepKernelMeasure
 from .poset import (
-    Endpoints,
     FinitePoset,
     IntervalSample,
     cached_catalog,
@@ -51,9 +51,9 @@ from .poset import (
     transitive_closure,
     two_plus_two,
 )
-from .pwl import segment_lines, sup_distance, values_along
+from .pwl import _fit, over_lcm, segment_lines, sup_distance, values_along
 from .recognition import is_semiorder
-from .rng import CONDITIONALS, EDGES, PAIRS, POINTS, SUBSETS, SeededRng
+from .rng import CONDITIONALS, EDGES, PAIRS, POINTS, SUBSETS, UNIT, SeededRng
 from .semiorders import MonotoneRC, RateFunction, f_minus, f_plus, g_from_rate
 
 Sign = Literal["minus", "plus"]
@@ -69,49 +69,51 @@ _ATOM_MARGIN = Fraction(1, 32)  # ks_distance_at_continuity's distance kept from
 # -- interval models ----------------------------------------------------------
 
 
-def _bisect_right(xs: Iterable[Fraction], u: np.ndarray) -> np.ndarray:
-    """`bisect_right(xs, u)` for each float u, exact: each x of the
-    nondecreasing xs becomes the least float >= x, which u reaches iff it
-    reaches x."""
-    x = Endpoints.of_values(list(xs))
-    tn, td = Endpoints.of_floats(x.floats)[:2]
-    up = np.where(tn * x.den < x.num * td, np.nextafter(x.floats, np.inf), x.floats)
-    return np.searchsorted(up, u, side="right")
+def _bisect_right(xs: Iterable[Fraction], k: np.ndarray) -> np.ndarray:
+    """`bisect_right(xs, k/UNIT)` for each stream integer k, exact: k/UNIT
+    >= x iff k >= ceil(x UNIT), so the nondecreasing xs become integers."""
+    at_or_above = np.array([math.ceil(x * UNIT) for x in xs], dtype=np.int64)
+    return np.searchsorted(at_or_above, k, side="right")
 
 
-def draw_intervals(model: SamplerModel, columns) -> tuple[Endpoints, Endpoints]:
-    """The `Endpoints` of the left and of the right ends of i.i.d. draws
-    from an interval model, one per entry of the k equal-length uniform
-    arrays `columns(k)` returns (k = 2 for a step measure, 1 otherwise).  A
-    threshold g, or a rate function's g, turns u = num/den into [u, g(u)]
-    with g(u) = (p num + q den)/(d den) on u's piece (`pwl.segment_lines`).
-    A step measure puts u in its cell and picks the right end among the
-    cell's conditional atoms by the second uniform; an atomic measure picks
-    an atom by cumulative weight.  No `Fraction` is built or compared."""
+def draw_intervals(model: SamplerModel, columns) -> tuple[int, np.ndarray, np.ndarray]:
+    """(den, a, b): the left and right ends, integer arrays over den, of
+    i.i.d. draws from an interval model, one per entry of the k arrays of
+    stream integers `columns(k)` returns (k = 2 for a step measure, else 1).
+    A threshold g, or a rate function's g, turns u into [u, g(u)]: with L
+    the lcm of the reduced d of the pieces' lines (p t + q)/d, den = L UNIT,
+    a = L k and b = (p L/d) k + q UNIT L/d.  A step measure puts u in its
+    cell and picks the right end among the cell's conditional atoms by the
+    second uniform; an atomic measure picks an atom by cumulative weight.
+    No float is rounded and no `Fraction` is built."""
     if isinstance(model, RateFunction):
         model = g_from_rate(model)
     if isinstance(model, MonotoneRC):
-        (u,) = columns(1)
-        left = Endpoints.of_floats(u)
-        pieces = _bisect_right((x for x, _, _ in model.points), u) - 1
-        p, q, d = np.array(segment_lines(model.points), dtype=object)[pieces].T
-        return left, Endpoints.of_ratios(p * left.num + q * left.den, d * left.den)
+        (k,) = columns(1)
+        pieces = _bisect_right((x for x, _, _ in model.points), k) - 1
+        lines = segment_lines(model.points)
+        lcm = math.lcm(*(d // math.gcd(p, q, d) for p, q, d in lines))
+        slope, level = zip(*((p * lcm // d, q * lcm // d * UNIT) for p, q, d in lines))
+        bound = max(lcm, *map(abs, slope)) * UNIT + max(map(abs, level))
+        slope, level, k = _fit(bound, slope, level, k)
+        return lcm * UNIT, k * lcm, slope[pieces] * k + level[pieces]
     if isinstance(model, StepKernelMeasure):
-        u1, u2 = columns(2)
+        k1, k2 = columns(2)
         conds = model.conditionals
-        cells = np.minimum(_bisect_right(model.breaks, u1) - 1, len(conds) - 1)
+        cells = np.minimum(_bisect_right(model.breaks, k1) - 1, len(conds) - 1)
         atoms = np.cumsum([0, *map(len, conds)])[cells]  # each cell's first atom
         for c, cond in enumerate(conds):
             here = cells == c
             cum = itertools.accumulate(p for _, p in cond)
-            atoms[here] += np.minimum(_bisect_right(cum, u2[here]), len(cond) - 1)
-        ys = Endpoints.of_values([y for cond in conds for y, _ in cond])
-        return Endpoints.of_floats(u1), ys.take(atoms)
+            atoms[here] += np.minimum(_bisect_right(cum, k2[here]), len(cond) - 1)
+        den, (ys,) = over_lcm([y for cond in conds for y, _ in cond], den=UNIT)
+        return den, _fit(den, k1)[0] * (den // UNIT), ys[atoms]
     if isinstance(model, AtomicMeasure):
-        (u,) = columns(1)
+        (k,) = columns(1)
         xs, ys, ws = zip(*model.atoms)
-        ks = np.minimum(_bisect_right(itertools.accumulate(ws), u), len(ws) - 1)
-        return Endpoints.of_values(xs).take(ks), Endpoints.of_values(ys).take(ks)
+        ks = np.minimum(_bisect_right(itertools.accumulate(ws), k), len(ws) - 1)
+        den, (xs, ys) = over_lcm(xs, ys)
+        return den, xs[ks], ys[ks]
     raise TypeError(f"unsupported sampler model: {model!r}")
 
 
@@ -151,8 +153,8 @@ def sample_kernel_poset(kernel, n: int, rng: SeededRng) -> FinitePoset:
             raise NotTransitive(f"sampled relation is not a strict order: {e}") from e
         return p
     streams = (POINTS, CONDITIONALS)
-    ends = draw_intervals(kernel, lambda k: [rng.uniforms(s, n) for s in streams[:k]])
-    return IntervalSample.from_endpoints(*ends)
+    ends = draw_intervals(kernel, lambda k: [rng.integers(s, n) for s in streams[:k]])
+    return IntervalSample.from_ends(*ends)
 
 
 def sample_interval_poset(

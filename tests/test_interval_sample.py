@@ -18,7 +18,7 @@ from poslim import sampling as sa
 from poslim import semiorders as so
 from poslim.errors import InvalidArgument, InvariantError
 from poslim.measures import AtomicMeasure, StepKernelMeasure
-from poslim.rng import CONDITIONALS, MC_TUPLES, POINTS, SeededRng
+from poslim.rng import CONDITIONALS, MC_TUPLES, POINTS, UNIT, SeededRng
 
 from conftest import (
     atomic_measures,
@@ -129,31 +129,35 @@ def test_identity_sample_every_self_pair_ties():
     assert_matches_masks(p)
 
 
+def end_order(p):
+    """The ends a + b of p in rank order, as indices into a + b."""
+    rank = np.concatenate(p.ranks)
+    return np.argsort(rank).tolist()
+
+
 def test_endpoint_order_separates_colliding_floats():
     assert float(THIRD) == float(NEAR_THIRD)
     # index order and float order both put the larger value first
     a = [NEAR_THIRD, F(0), THIRD]
     b = [F(1, 2), THIRD, THIRD]
-    order = ps.endpoint_order(*map(ps.Endpoints.of_values, (a, b))).tolist()
+    p = ps.IntervalSample(list(zip(a, b)))
+    order = end_order(p)
     values = a + b
     assert [values[k] for k in order] == sorted(values)
     # at equal values left endpoints come first: a_2 before b_1, b_2
     assert order == [1, 2, 4, 5, 0, 3]
-    p = ps.IntervalSample(list(zip(a, b)))
     assert_matches_masks(p)
     assert p.less(1, 0) and p.less(2, 0) and not p.less(1, 2) and not p.less(2, 1)
 
 
 def test_inexact_end_sorts_below_a_run_of_exact_ones():
     """Four endpoints share the float 0.5 and one of them, b_1, lies below
-    it: the whole run is re-sorted, not only b_1's neighbours."""
+    it: b_1 ranks below the whole run, not only below its neighbours."""
     low = F(1, 2) - F(1, 2**70)
     p = ps.IntervalSample([(F(1, 2), F(1, 2)), (F(0), low), (F(1, 2), F(1))])
-    left, right = p.endpoints
-    assert left.floats.tolist() == [0.5, 0.0, 0.5] and left.exact.all()
-    assert right.floats.tolist() == [0.5, 0.5, 1.0]
-    assert right.exact.tolist() == [True, False, True]
-    assert ps.endpoint_order(left, right).tolist() == [1, 4, 0, 2, 3, 5]
+    assert [float(v) for v in (low, *p.intervals[0], p.intervals[2][0])] == [0.5] * 4
+    assert end_order(p) == [1, 4, 0, 2, 3, 5]
+    assert [r.tolist() for r in p.ranks] == [[2, 0, 3], [4, 1, 5]]
     assert_matches_masks(p)
     assert p.less(1, 0) and p.less(1, 2) and not p.less(0, 2)
 
@@ -172,13 +176,12 @@ TIE_HEAVY = [
 @given(st.one_of(models(), st.sampled_from(TIE_HEAVY)), st.integers(1, 60), st.integers(0, 2**32))
 @settings(max_examples=150, deadline=None)
 def test_integer_record_orders_like_its_fractions(model, n, seed):
-    """A sample drawn on integer pairs has the floats, exactness flags, ranks
-    and intervals of the sample built from its `Fraction`s."""
+    """A sample drawn as integers over one denominator has the ranks and
+    intervals of the sample built from its `Fraction`s."""
     p = sa.sample_kernel_poset(model, n, SeededRng(seed))
     assert "intervals" not in vars(p)
-    for ends, values in zip(p.endpoints, zip(*p.intervals)):
-        assert ends.floats.tolist() == [float(v) for v in values]
-        assert ends.exact.tolist() == [v == float(v) for v in values]
+    den, a, b = p.ends
+    assert list(zip(*(map(F, e.tolist(), itertools.repeat(den)) for e in (a, b)))) == list(p.intervals)
     q = ps.IntervalSample(p.intervals)
     assert [r.tolist() for r in p.ranks] == [r.tolist() for r in q.ranks]
     assert q.intervals == p.intervals and q == p
@@ -196,10 +199,11 @@ def test_monte_carlo_settles_float_ties_exactly():
         assert float(y) == 0.5 and est == hits / samples and (hits > 0) == linked
 
 
-def _floats_near(x):
-    """The float nearest x and its two neighbours, inside [0, 1]."""
-    u = float(x)
-    return [v for v in (u, math.nextafter(u, 0.0), math.nextafter(u, 1.0)) if 0 <= v <= 1]
+def _grid_near(x):
+    """The stream integers k = ceil(x UNIT) - 1, ceil(x UNIT) and ceil(x UNIT) + 1
+    inside [0, UNIT]: the uniforms k/UNIT on each side of x."""
+    k = math.ceil(x * UNIT)
+    return [v for v in (k - 1, k, k + 1) if 0 <= v <= UNIT]
 
 
 RATE = so.RateFunction.from_pieces([(0, F(1, 2), 8), (F(1, 2), F(3, 4), 0), (F(3, 4), 1, 8)])
@@ -207,33 +211,34 @@ RATE_G = so.g_from_rate(RATE)
 
 
 def columns(*arrays):
-    """A `draw_intervals` source of exactly these uniform columns."""
+    """A `draw_intervals` source of exactly these columns of stream integers."""
 
     def take(k):
         assert k == len(arrays)
-        return [np.array(a, dtype=float) for a in arrays]
+        return [np.array(a, dtype=np.int64) for a in arrays]
 
     return take
 
 
 def fractions(ends):
-    """The intervals of a `draw_intervals` record, as `Fraction` pairs."""
-    return list(zip(*(map(F, e.num, e.den) for e in ends)))
+    """The intervals of a `draw_intervals` record (den, a, b), as `Fraction` pairs."""
+    return list(ps.IntervalSample.from_ends(*ends).intervals)
 
 
 def assert_integer_g(g):
-    us = [0.0, 2.0**-60, 1.0] + SeededRng(17).uniforms(POINTS, 300).tolist()
+    ks = [0, 1, UNIT] + SeededRng(17).integers(POINTS, 300).tolist()
     for x, _, _ in g.points:
-        us += _floats_near(x)
-    assert fractions(sa.draw_intervals(g, columns(us))) == [(F(u), g.value(F(u))) for u in us], g
+        ks += _grid_near(x)
+    us = [F(k, UNIT) for k in ks]
+    assert fractions(sa.draw_intervals(g, columns(ks))) == [(u, g.value(u)) for u in us], g
 
 
 def test_integer_g_evaluation_named():
     on_break = 0
     for g in (so.gc(F(3, 10)), so.gc(F(1, 4)), so.MonotoneRC.identity(), STAIRCASE, RATE_G):
         assert_integer_g(g)
-        on_break += sum(float(x) == x for x, _, _ in g.points[1:-1])
-    assert on_break >= 3  # gc(1/4) and the rate g have dyadic inner breakpoints
+        on_break += sum((x * UNIT).denominator == 1 for x, _, _ in g.points[1:-1])
+    assert on_break >= 3  # gc(1/4) and the rate g have inner breakpoints on the grid
 
 
 @given(monotone_gs())
@@ -264,19 +269,20 @@ def test_step_measure_draws_match_fraction_bisection(mu):
     edges = [*mu.breaks]
     for cond in mu.conditionals:
         edges += _cumulative(p for _, p in cond)
-    us = [0.0, 1.0] + SeededRng(5).uniforms(POINTS, 20).tolist()
-    us += [v for x in edges for v in _floats_near(x)]
-    pairs = list(itertools.product(us, repeat=2))
-    expected = [_step_reference(mu, u1, u2) for u1, u2 in pairs]
+    ks = [0, UNIT] + SeededRng(5).integers(POINTS, 20).tolist()
+    ks += [v for x in edges for v in _grid_near(x)]
+    pairs = list(itertools.product(ks, repeat=2))
+    expected = [_step_reference(mu, F(k1, UNIT), F(k2, UNIT)) for k1, k2 in pairs]
     assert fractions(sa.draw_intervals(mu, columns(*zip(*pairs)))) == expected
 
 
 @given(atomic_measures())
 @settings(max_examples=60, deadline=None)
 def test_atomic_draws_match_fraction_bisection(mu):
-    us = [0.0, 1.0] + SeededRng(6).uniforms(POINTS, 50).tolist()
-    us += [v for x in _cumulative(w for _, _, w in mu.atoms) for v in _floats_near(x)]
-    assert fractions(sa.draw_intervals(mu, columns(us))) == [_atomic_reference(mu, u) for u in us]
+    ks = [0, UNIT] + SeededRng(6).integers(POINTS, 50).tolist()
+    ks += [v for x in _cumulative(w for _, _, w in mu.atoms) for v in _grid_near(x)]
+    expected = [_atomic_reference(mu, F(k, UNIT)) for k in ks]
+    assert fractions(sa.draw_intervals(mu, columns(ks))) == expected
 
 
 CHAINED_ATOMS = AtomicMeasure.from_atoms(  # shared ends, and chains of three
@@ -467,6 +473,34 @@ def test_sample_consumers_leave_masks_unbuilt():
     assert est == sa.fingerprint_estimate(plain, 4, 200, SeededRng(13))
 
 
+WIDE_G = so.MonotoneRC.from_points(  # breakpoints over 1021 and 1031: den >= 2^63
+    [(0, F(1, 1021), F(1, 1021)), (F(300, 1021), F(500, 1031), F(600, 1031)),
+     (F(700, 1031), F(900, 1021), F(900, 1021)), (1, 1, 1)]
+)
+WIDE_ATOMS = AtomicMeasure.from_atoms(
+    [(0, F(1, 1031), F(1, 4)), (F(1, 1031), F(1, 1021), F(1, 4)),
+     (F(1, 1021), F(1, 2) - F(1, 2**70), F(1, 4)), (F(1, 2), 1, F(1, 4))]
+)
+
+
+@pytest.mark.parametrize(
+    "model, wide",
+    [(WIDE_G, True), (WIDE_ATOMS, True), (so.gc(F(3, 10)), False), (CHAINED_ATOMS, False)],
+    ids=["g-object", "atoms-object", "g-int64", "atoms-int64"],
+)
+def test_draw_on_both_sides_of_the_int64_bound(model, wide):
+    """Ends over den >= 2^63 are object ints, below it int64; both rank as
+    the sample of their `Fraction`s and as the mask reference."""
+    for seed in range(3):
+        p = sa.sample_kernel_poset(model, 60, SeededRng(seed))
+        den, a, b = p.ends
+        assert (den >= 2**63) == wide
+        assert a.dtype == b.dtype == (object if wide else np.int64)
+        q = ps.IntervalSample(p.intervals)
+        assert [r.tolist() for r in p.ranks] == [r.tolist() for r in q.ranks]
+        assert_matches_masks(p)
+
+
 def test_interval_sample_rejects_no_intervals():
     with pytest.raises(InvariantError, match="non-empty"):
         ps.IntervalSample([])
@@ -477,11 +511,24 @@ def test_interval_sample_rejects_no_intervals():
     [[(math.nan, 1.0)], [(math.inf, math.inf)], [(-math.inf, 0)], [(0, F(1, 2)), (0.5, math.nan)]],
 )
 def test_interval_sample_rejects_non_finite_ends(intervals, monkeypatch):
-    def unbuilt(values):
-        raise AssertionError("Endpoints built before the check")
+    def unbuilt(*columns, den=1):
+        raise AssertionError("ends built before the check")
 
-    monkeypatch.setattr(ps.Endpoints, "of_values", unbuilt)
+    monkeypatch.setattr(ps, "over_lcm", unbuilt)
     with pytest.raises(InvariantError, match="not finite"):
+        ps.IntervalSample(intervals)
+
+
+@pytest.mark.parametrize(
+    "intervals",
+    [[("0", "1")], [(0, 1, 2)], [(0,)], [5], [(0, F(1, 2)), (None, 1)], [(0, 1j)], ["01"]],
+)
+def test_interval_sample_rejects_an_entry_not_a_pair_of_numbers(intervals, monkeypatch):
+    def unbuilt(*columns, den=1):
+        raise AssertionError("ends built before the check")
+
+    monkeypatch.setattr(ps, "over_lcm", unbuilt)
+    with pytest.raises(InvariantError, match="is not a pair of numbers"):
         ps.IntervalSample(intervals)
 
 
@@ -495,6 +542,12 @@ def test_interval_sample_ranks_large_ends_exactly(intervals):
     exact = [[b < c for c, _ in intervals] for _, b in intervals]
     assert [[bool(p.precedes(i, j)) for j in range(p.n)] for i in range(p.n)] == exact
     assert p.intervals == tuple((F(a), F(b)) for a, b in intervals)
+
+
+def test_interval_sample_takes_numpy_scalars_exactly():
+    p = ps.IntervalSample([(np.int64(2**62 + 1), np.longdouble(2.0**63)), (np.uint8(1), np.float64(2.5))])
+    assert p.intervals == ((2**62 + 1, 2**63), (1, F(5, 2)))
+    assert [r.tolist() for r in p.ranks] == [[2, 0], [3, 1]]
 
 
 def test_interval_sample_rejects_an_end_beyond_the_floats():

@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,12 @@ def test_from_relations_cycles_match_fixpoint_closure(data):
     (message,) = messages
     k = int(message.rsplit(" ", 1)[1]) - 1
     assert any((expected[j] >> k) & 1 for j in on_cycle)
+
+
+@pytest.mark.parametrize("pairs", [[(1, 2.5)], [(F(3, 2), 2)], [(1, math.nan)], [("1", 2)]])
+def test_from_relations_rejects_a_label_not_an_integer(pairs):
+    with pytest.raises(InvariantError, match="not an integer"):
+        ps.from_relations(3, pairs)
 
 
 def test_from_relations_self_pair():

@@ -66,3 +66,12 @@ def test_upper_rows_match_raw(seed, n):
     assert len(rows) == n
     for i, row in enumerate(rows):
         assert row.tolist() == r.uniforms(rng.EDGES, n, i)[i + 1 :].tolist()
+
+
+@pytest.mark.parametrize("seed", [7, 2**63 + 1])
+def test_integers_are_the_top_53_bits_and_uniforms_their_ratio(seed):
+    ks = SeededRng(seed).integers(POINTS, 1000, index=3)
+    assert ks.dtype == np.int64
+    assert ks.tolist() == [r >> 11 for r in raw(seed, POINTS, 1000, 3)]
+    us = SeededRng(seed).uniforms(POINTS, 1000, index=3)
+    assert us.tolist() == [k / 2**53 for k in ks.tolist()] and rng.UNIT == 2**53
