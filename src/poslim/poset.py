@@ -9,6 +9,8 @@ Bulk consumers ask two queries: `degrees` (every down- or up-set size) and
 `precedes` (i < j over numpy index arrays).  An `IntervalSample`, an interval
 order kept as its ends, integer arrays over one denominator, answers both
 from the ranks of one `lexsort` and builds its bitmask rows only when read.
+`read_poset` gives one for a file that is exactly the cover set of an
+interval order, as `write_poset` writes a sample, and closes any other file.
 
 Point indices are 0-based everywhere in the Python API.  The text format and
 ``from_relations`` use 1-based labels, matching the on-disk convention;
@@ -54,13 +56,27 @@ def _pack_rows(masks: Sequence[int], n: int) -> np.ndarray:
     ).reshape(n, nbytes)
 
 
-def _transpose_masks(masks: Sequence[int], n: int) -> tuple[int, ...]:
-    """Transpose an n x n bitmask matrix (bit j of masks[i] -> bit i of out[j])."""
-    if n == 0:
-        return ()
-    bits = np.unpackbits(_pack_rows(masks, n), axis=1, bitorder="little", count=n)
-    packed = np.packbits(bits.T, axis=1, bitorder="little")
-    return tuple(int.from_bytes(packed[i].tobytes(), "little") for i in range(n))
+def _int_rows(packed: np.ndarray) -> tuple[int, ...]:
+    """Rows packed as by `_pack_rows`, as bitmask ints."""
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def _transpose(packed: np.ndarray, n: int) -> tuple[int, ...]:
+    """Transpose n packed bitmask rows (bit j of row i -> bit i of out[j]).
+    From 64 points on, each 8 x 8 block of bits is one uint64, transposed by
+    three swaps across its diagonal (Hacker's Delight 7-3), and block (i, j)
+    goes to (j, i): n²/8 bytes move, not n² unpacked ones."""
+    if n < 64:
+        bits = np.unpackbits(packed, axis=1, bitorder="little", count=n)
+        return _int_rows(np.packbits(bits.T, axis=1, bitorder="little"))
+    nb = packed.shape[1]
+    blocks = np.zeros((nb, 8, nb), dtype=np.uint8)
+    blocks.reshape(8 * nb, nb)[:n] = packed
+    x = np.ascontiguousarray(blocks.transpose(2, 0, 1)).view("<u8")  # x[j, i]: block (i, j)
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0xF0F0F0F0)):
+        swap = (x ^ (x >> shift)) & np.uint64(mask)
+        x ^= swap ^ (swap << shift)
+    return _int_rows(x.view(np.uint8).reshape(nb, nb, 8).transpose(0, 2, 1).reshape(8 * nb, nb)[:n])
 
 
 def _bits(mask: int):
@@ -76,23 +92,19 @@ def _windows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)
 
 
-def transitive_closure(n: int, tails: np.ndarray, heads: np.ndarray) -> list[int]:
-    """Successor masks of the transitive closure of the digraph on 0..n-1
-    with arcs tails[k] -> heads[k] (int64 arrays); repeats are allowed.
+def _key_type(n: int) -> type:  # holds the keys i·n + j of pairs of points
+    return np.int32 if n * n < 2**31 else np.int64
 
-    Kahn's algorithm orders the points, and one sweep in reverse order sets
-    each row to its heads' closed rows.  Below 32 arcs a point both steps
-    run on Python ints, one step per arc; denser relations run in numpy,
-    which costs more per point and per layer but less per arc (32 is where
-    the two cross on random digraphs at n=3000 and on interval-order
-    covers; BENCH_poset_text.json).  A cycle (a self-arc included) raises
-    CycleError.
-    """
+
+def transitive_closure(n: int, tails: np.ndarray, heads: np.ndarray) -> "FinitePoset":
+    """The transitive closure of the digraph on 0..n-1 with arcs
+    tails[k] -> heads[k] (integer arrays); repeats are allowed, and a cycle
+    (a self-arc included) raises CycleError.  After `_kahn`, one sweep in
+    reverse order sets each row to its heads' closed rows: Python ints, or
+    packed numpy rows that `pred` is transposed from."""
     heads = heads[np.argsort(tails, kind="stable")]
     counts = np.bincount(tails, minlength=n)
-    ends = np.cumsum(counts)
-    close = _close_sparse if len(heads) < 32 * n else _close_dense
-    return close(n, heads, ends - counts, ends, np.bincount(heads, minlength=n))
+    return _close(n, heads, counts, *_kahn(n, heads, counts))
 
 
 def _no_cycle(indeg) -> None:
@@ -102,9 +114,26 @@ def _no_cycle(indeg) -> None:
         raise CycleError(f"relation has a cycle at or below point {stuck + 1}")
 
 
-def _close_sparse(n, heads, starts, ends, indeg) -> list[int]:
-    arcs = heads.tolist()
-    adj = [arcs[lo:hi] for lo, hi in zip(starts.tolist(), ends.tolist())]
+def _kahn(n, heads, counts) -> tuple[list, list | None]:
+    """(order, adj): Kahn's order of the points, arcs sorted by tail with
+    counts[i] leaving i; a cycle raises CycleError.  Below 32 arcs a point:
+    a list of points, one Python step per arc, and the heads adj[i] of each
+    i.  From 32 on: the list of whole layers, by numpy rounds that cost more
+    per layer and less per arc, and adj None.  The two cross near 32 on
+    random digraphs and interval-order covers (BENCH_poset_text.json)."""
+    indeg = np.bincount(heads, minlength=n)
+    if len(heads) >= 32 * n:
+        ends = np.cumsum(counts)
+        layers = [np.flatnonzero(indeg == 0)]
+        while layers[-1].size:
+            arcs = _windows((ends - counts)[layers[-1]], ends[layers[-1]])
+            hits = np.bincount(heads[arcs], minlength=n)
+            indeg -= hits
+            layers.append(np.flatnonzero((indeg == 0) & (hits > 0)))
+        _no_cycle(indeg)
+        return layers, None
+    arcs, ends = heads.tolist(), np.cumsum(counts).tolist()
+    adj = [arcs[lo:hi] for lo, hi in zip([0, *ends], ends)]
     indeg = indeg.tolist()
     order = [i for i in range(n) if not indeg[i]]
     for i in order:  # the list grows while it is walked: Kahn's queue
@@ -113,31 +142,57 @@ def _close_sparse(n, heads, starts, ends, indeg) -> list[int]:
             if not indeg[j]:
                 order.append(j)
     _no_cycle(indeg)
-    reach = [0] * n  # closed rows with each point's own bit set
-    for i in reversed(order):
-        reach[i] = reduce(or_, map(reach.__getitem__, adj[i]), 1 << i)
-    return [reach[i] ^ (1 << i) for i in range(n)]
+    return order, adj
 
 
-def _close_dense(n, heads, starts, ends, indeg) -> list[int]:
-    """Kahn's algorithm by whole layers, then OR of packed n/8-byte rows:
-    O(n · layers + arcs · n/8) in numpy."""
-    layers = [np.flatnonzero(indeg == 0)]
-    while layers[-1].size:
-        hits = np.bincount(heads[_windows(starts[layers[-1]], ends[layers[-1]])], minlength=n)
-        indeg -= hits
-        layers.append(np.flatnonzero((indeg == 0) & (hits > 0)))
-    _no_cycle(indeg)
-    order = np.concatenate(layers)[::-1]
-    order = order[starts[order] < ends[order]]  # later layers first: heads are closed
+def _close(n, heads, counts, order, adj) -> "FinitePoset":
+    if adj is not None:
+        reach = [0] * n  # closed rows with each point's own bit set
+        for i in reversed(order):
+            reach[i] = reduce(or_, map(reach.__getitem__, adj[i]), 1 << i)
+        return FinitePoset.from_succ_masks([reach[i] ^ (1 << i) for i in range(n)])
+    # OR of packed n/8-byte rows: O(n · layers + arcs · n/8) in numpy
+    ends = np.cumsum(counts)
+    order = np.concatenate(order)[::-1]
+    order = order[counts[order] > 0]  # later layers first: heads are closed
     own = np.arange(n)
     bit = (1 << (own & 7)).astype(np.uint8)
     reach = np.zeros((n, (n + 7) // 8), dtype=np.uint8)  # closed rows, own bit set
     reach[own, own >> 3] = bit
-    for i, lo, hi in zip(order.tolist(), starts[order].tolist(), ends[order].tolist()):
+    for i, lo, hi in zip(order.tolist(), (ends - counts)[order].tolist(), ends[order].tolist()):
         reach[i] |= np.bitwise_or.reduce(reach.take(heads[lo:hi], axis=0), axis=0)
     reach[own, own >> 3] ^= bit
-    return [int.from_bytes(row.tobytes(), "little") for row in reach]
+    return FinitePoset(n, _int_rows(reach), _transpose(reach, n))
+
+
+def _interval_covers(n, heads, counts, order, adj, keys) -> "IntervalSample | None":
+    """The interval order whose cover pairs are the arcs (as `_kahn` takes
+    them, and as sorted keys i·n + j), or None.  Its down-sets form a chain
+    and no lower cover of x lies below another, so |D(x)| is x's lower
+    covers plus their largest |D|, along Kahn's order; x < y iff
+    m(x) <= |D(y)|, m(x) the least |D| of an upper cover (n + 1 if none).
+    The intervals [|D|, m - 1/2] are returned if each is one and their
+    covers are the arcs: a finite poset is the closure of its covers."""
+    down, starts = np.bincount(heads, minlength=n), np.cumsum(counts) - counts
+    if adj is not None:
+        down, best = down.tolist(), [0] * n
+        for i in order:
+            d = down[i] = down[i] + best[i]
+            for j in adj[i]:
+                best[j] = max(best[j], d)
+        down = np.array(down)
+    else:
+        best = np.zeros(n, dtype=np.int64)
+        for layer in order:
+            down[layer] += best[layer]
+            arcs = _windows(starts[layer], starts[layer] + counts[layer])
+            np.maximum.at(best, heads[arcs], np.repeat(down[layer], counts[layer]))
+    up = np.full(n, n + 1)
+    up[counts > 0] = np.minimum.reduceat(down[heads], starts[counts > 0])
+    if not (down < up).all():
+        return None
+    sample = IntervalSample.from_ends(2, 2 * down, 2 * up - 1)
+    return sample if np.array_equal(sample._cover_keys(), keys) else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +220,7 @@ class FinitePoset:
         """The poset with these successor rows, taken as given: a caller
         that cannot vouch for them calls `check_valid`."""
         succ = tuple(succ)
-        return cls(len(succ), succ, _transpose_masks(succ, len(succ)))
+        return cls(len(succ), succ, _transpose(_pack_rows(succ, len(succ)), len(succ)))
 
     def check_valid(self) -> None:
         """Raise InvariantError unless irreflexive, antisymmetric, transitive."""
@@ -185,7 +240,7 @@ class FinitePoset:
             for j in _bits(self.succ[i]):
                 if self.succ[j] & ~self.succ[i]:
                     raise InvariantError(f"transitivity fails through ({i},{j})")
-        if _transpose_masks(self.succ, n) != self.pred:
+        if _transpose(_pack_rows(self.succ, n), n) != self.pred:
             raise InvariantError("pred is not the transpose of succ")
 
     def less(self, i: int, j: int) -> bool:
@@ -227,7 +282,7 @@ class FinitePoset:
         order = np.argsort(self.degrees("minus"), kind="stable")
         bits = np.unpackbits(self._packed, axis=1, bitorder="little", count=n)
         rows = np.packbits(bits[order][:, order], axis=1, bitorder="little")
-        succ = [int.from_bytes(row.tobytes(), "little") for row in rows]
+        succ = _int_rows(rows)
         label, keys = order.tolist(), []
         for i, rest in enumerate(succ):
             while rest:
@@ -248,15 +303,23 @@ def from_relations(n: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
 
 
 def from_columns(n: int, tails: np.ndarray, heads: np.ndarray) -> FinitePoset:
-    """The transitive closure of the 1-based pairs (tails[k], heads[k]), by
-    `transitive_closure`; a cycle, a pair (i, i) included, raises CycleError."""
+    """The transitive closure of the 1-based pairs (tails[k], heads[k]); a
+    cycle, a pair (i, i) included, raises CycleError.  Pairs sorted by
+    (i, j) that are the covers of an interval order give an `IntervalSample`
+    (`_interval_covers`), with no masks; any others take the closure."""
     if n <= 0:
         raise InvariantError("n must be positive")
     if tails.size and (min(tails.min(), heads.min()) < 1 or max(tails.max(), heads.max()) > n):
         k = np.flatnonzero((tails < 1) | (tails > n) | (heads < 1) | (heads > n))[0]
         raise InvariantError(f"pair ({tails[k]},{heads[k]}) out of range 1..{n}")
-    closed = transitive_closure(n, tails.astype(np.int64) - 1, heads.astype(np.int64) - 1)
-    return FinitePoset.from_succ_masks(closed)
+    tails, heads = (np.subtract(c, 1, dtype=_key_type(n), casting="unsafe") for c in (tails, heads))
+    keys = tails * n + heads
+    if not (keys[1:] > keys[:-1]).all():
+        return transitive_closure(n, tails, heads)
+    counts = np.bincount(tails, minlength=n)
+    del tails  # its memory goes to the attempt
+    kahn = _kahn(n, heads, counts)
+    return _interval_covers(n, heads, counts, *kahn, keys) or _close(n, heads, counts, *kahn)
 
 
 def reflect(p: FinitePoset) -> FinitePoset:
@@ -302,7 +365,9 @@ class IntervalSample(FinitePoset):
             a, b = pair if isinstance(pair, Sized) and len(pair) == 2 else (None, None)
             if not (isinstance(a, Real) and isinstance(b, Real)):
                 raise InvariantError(f"interval {k} is not a pair of numbers: {pair!r}")
-            if not (abs(a) <= _FLOAT_MAX and abs(b) <= _FLOAT_MAX):  # NaN fails too
+            # NaN fails too; numpy ends compare as Python numbers (the bound overflows float32)
+            ends = [x.item() if isinstance(x, np.generic) else x for x in (a, b)]
+            if not all(abs(x) <= _FLOAT_MAX for x in ends):
                 raise InvariantError(f"interval {k} has an end not finite as a float: {a}, {b}")
             if a > b:
                 raise InvariantError(f"interval {k} is empty: {a} > {b}")
@@ -357,17 +422,21 @@ class IntervalSample(FinitePoset):
         return rank_b[u] < rank_a[v]
 
     def cover_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.divmod(self._cover_keys(), self.n)
+
+    def _cover_keys(self) -> np.ndarray:
+        """The cover pairs (i, j) as sorted keys i·n + j of `_key_type`."""
         # j covers i iff rank_b[i] < rank_a[j] < m_i, the least rank_b of a
         # successor of i: in a-order, the covers of i are one window
-        rank_a, rank_b = self.ranks
-        by_a = np.argsort(rank_a)
+        n, (rank_a, rank_b) = self.n, self.ranks
+        by_a = np.argsort(rank_a).astype(_key_type(n))
         a_sorted = rank_a[by_a]
-        least_b = np.append(np.minimum.accumulate(rank_b[by_a][::-1])[::-1], 2 * self.n)
+        least_b = np.append(np.minimum.accumulate(rank_b[by_a][::-1])[::-1], 2 * n)
         lo = np.searchsorted(a_sorted, rank_b)
         hi = np.searchsorted(a_sorted, least_b[lo])
-        key = np.repeat(np.arange(self.n) * self.n, hi - lo) + by_a[_windows(lo, hi)]
+        key = np.repeat(np.arange(n, dtype=by_a.dtype) * n, hi - lo) + by_a[_windows(lo, hi)]
         key.sort()
-        return np.divmod(key, self.n)
+        return key
 
 
 # -- named posets -----------------------------------------------------------
@@ -566,6 +635,8 @@ def write_poset(p: FinitePoset) -> str:
 
 
 def read_poset(text: str) -> FinitePoset:
+    """The poset of a poset file (`from_columns`): an `IntervalSample`, with
+    no masks, if the pairs are the sorted covers of an interval order."""
     _, n, body = textio.read_header(text, "poset")
     return from_columns(n, *textio.int_pairs(body))
 

@@ -422,8 +422,7 @@ def random_graph_order(n: int, p, rng: SeededRng) -> FinitePoset:
         raise SizeLimit(f"random graph orders capped at {textio.MAX_POINTS} points")
     heads = [i + 1 + np.flatnonzero(row < pf) for i, row in enumerate(rng.upper_rows(EDGES, n))]
     tails = np.repeat(np.arange(n), [len(h) for h in heads])
-    closed = transitive_closure(n, tails, np.concatenate(heads))
-    return FinitePoset.from_succ_masks(closed)
+    return transitive_closure(n, tails, np.concatenate(heads))
 
 
 # -- convergence diagnostics --------------------------------------------------

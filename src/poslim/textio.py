@@ -23,10 +23,11 @@ from .errors import FormatError, SizeLimit
 
 # The most points a poset or graph may have, checked on a file's header count
 # before its rows are read, on a sampler's n before anything is drawn and on
-# a named poset's digits before they are converted: each point costs an n-bit
-# mask row, so an uncapped count is O(n^2) memory.  At the cap a sampled
-# semiorder writes about 4 million cover pairs (40 MB), which `write_poset`
-# and `read_poset` handle in time linear in the file's length.
+# a named poset's digits before they are converted: each point of a closed
+# poset costs an n-bit mask row, so an uncapped count is O(n^2) memory.  At
+# the cap a sampled semiorder writes about 4 million cover pairs (40 MB),
+# which `write_poset` and `read_poset` handle in time linear in the file's
+# length; such a file reads back as an interval sample, with no mask rows.
 MAX_POINTS = 5000
 
 # the line breaks of `str.splitlines`, so that the header line ends where it
