@@ -62,21 +62,10 @@ def _int_rows(packed: np.ndarray) -> tuple[int, ...]:
 
 
 def _transpose(packed: np.ndarray, n: int) -> tuple[int, ...]:
-    """Transpose n packed bitmask rows (bit j of row i -> bit i of out[j]).
-    From 64 points on, each 8 x 8 block of bits is one uint64, transposed by
-    three swaps across its diagonal (Hacker's Delight 7-3), and block (i, j)
-    goes to (j, i): n²/8 bytes move, not n² unpacked ones."""
-    if n < 64:
-        bits = np.unpackbits(packed, axis=1, bitorder="little", count=n)
-        return _int_rows(np.packbits(bits.T, axis=1, bitorder="little"))
-    nb = packed.shape[1]
-    blocks = np.zeros((nb, 8, nb), dtype=np.uint8)
-    blocks.reshape(8 * nb, nb)[:n] = packed
-    x = np.ascontiguousarray(blocks.transpose(2, 0, 1)).view("<u8")  # x[j, i]: block (i, j)
-    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0xF0F0F0F0)):
-        swap = (x ^ (x >> shift)) & np.uint64(mask)
-        x ^= swap ^ (swap << shift)
-    return _int_rows(x.view(np.uint8).reshape(nb, nb, 8).transpose(0, 2, 1).reshape(8 * nb, nb)[:n])
+    """Transpose n packed bitmask rows (bit j of row i -> bit i of out[j])."""
+    bits = np.unpackbits(packed, axis=1, bitorder="little", count=n)
+    del packed  # a caller's temporary is freed here
+    return _int_rows(np.packbits(bits.T, axis=1, bitorder="little"))
 
 
 def _bits(mask: int):
@@ -94,6 +83,24 @@ def _windows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _key_type(n: int) -> type:  # holds the keys i·n + j of pairs of points
     return np.int32 if n * n < 2**31 else np.int64
+
+
+def _cover_keys(a: np.ndarray, b: np.ndarray, counts=None) -> np.ndarray | None:
+    """The covers (i, j) of the order i < j iff b_i < a_j, integer ends with
+    no a equal to a b, as sorted keys i·n + j; None, before any key is built,
+    if counts is given and some i has other than counts[i] covers.  j covers
+    i iff b_i < a_j < m_i, the least b of a successor of i: one window in a."""
+    n, kind = len(a), _key_type(len(a))
+    by_a = np.argsort(a).astype(kind)
+    a_sorted = a[by_a]
+    least_b = np.append(np.minimum.accumulate(b[by_a][::-1])[::-1], np.iinfo(b.dtype).max)
+    lo = np.searchsorted(a_sorted, b)
+    hi = np.searchsorted(a_sorted, least_b[lo])
+    if counts is not None and (hi - lo != counts).any():
+        return None
+    key = np.repeat(np.arange(n, dtype=kind) * n, hi - lo) + by_a[_windows(lo, hi)]
+    key.sort()
+    return key
 
 
 def transitive_closure(n: int, tails: np.ndarray, heads: np.ndarray) -> "FinitePoset":
@@ -150,7 +157,9 @@ def _close(n, heads, counts, order, adj) -> "FinitePoset":
         reach = [0] * n  # closed rows with each point's own bit set
         for i in reversed(order):
             reach[i] = reduce(or_, map(reach.__getitem__, adj[i]), 1 << i)
-        return FinitePoset.from_succ_masks([reach[i] ^ (1 << i) for i in range(n)])
+        for i in range(n):  # in place: one set of rows is held while `pred` is built
+            reach[i] ^= 1 << i
+        return FinitePoset.from_succ_masks(reach)
     # OR of packed n/8-byte rows: O(n · layers + arcs · n/8) in numpy
     ends = np.cumsum(counts)
     order = np.concatenate(order)[::-1]
@@ -166,13 +175,13 @@ def _close(n, heads, counts, order, adj) -> "FinitePoset":
 
 
 def _interval_covers(n, heads, counts, order, adj, keys) -> "IntervalSample | None":
-    """The interval order whose cover pairs are the arcs (as `_kahn` takes
-    them, and as sorted keys i·n + j), or None.  Its down-sets form a chain
-    and no lower cover of x lies below another, so |D(x)| is x's lower
-    covers plus their largest |D|, along Kahn's order; x < y iff
-    m(x) <= |D(y)|, m(x) the least |D| of an upper cover (n + 1 if none).
-    The intervals [|D|, m - 1/2] are returned if each is one and their
-    covers are the arcs: a finite poset is the closure of its covers."""
+    """The interval order whose covers are the arcs (as `_kahn` takes them,
+    and as sorted keys i·n + j), or None.  Its down-sets form a chain and no
+    lower cover of x is below another, so along Kahn's order |D(x)| is x's
+    lower covers plus their largest |D|.  With m(x) the least |D| of an upper
+    cover (n + 1 if none), it is the order of the intervals [|D|, m - 1/2]
+    if that order has those covers; then no interval is empty, for a point
+    with |D| >= m has no upper cover and lies in no lower cover's window."""
     down, starts = np.bincount(heads, minlength=n), np.cumsum(counts) - counts
     if adj is not None:
         down, best = down.tolist(), [0] * n
@@ -189,10 +198,9 @@ def _interval_covers(n, heads, counts, order, adj, keys) -> "IntervalSample | No
             np.maximum.at(best, heads[arcs], np.repeat(down[layer], counts[layer]))
     up = np.full(n, n + 1)
     up[counts > 0] = np.minimum.reduceat(down[heads], starts[counts > 0])
-    if not (down < up).all():
-        return None
-    sample = IntervalSample.from_ends(2, 2 * down, 2 * up - 1)
-    return sample if np.array_equal(sample._cover_keys(), keys) else None
+    a, b = 2 * down, 2 * up - 1
+    found = _cover_keys(a, b, counts)
+    return IntervalSample.from_ends(2, a, b) if found is not None and (found == keys).all() else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,21 +430,8 @@ class IntervalSample(FinitePoset):
         return rank_b[u] < rank_a[v]
 
     def cover_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.divmod(self._cover_keys(), self.n)
-
-    def _cover_keys(self) -> np.ndarray:
-        """The cover pairs (i, j) as sorted keys i·n + j of `_key_type`."""
-        # j covers i iff rank_b[i] < rank_a[j] < m_i, the least rank_b of a
-        # successor of i: in a-order, the covers of i are one window
-        n, (rank_a, rank_b) = self.n, self.ranks
-        by_a = np.argsort(rank_a).astype(_key_type(n))
-        a_sorted = rank_a[by_a]
-        least_b = np.append(np.minimum.accumulate(rank_b[by_a][::-1])[::-1], 2 * n)
-        lo = np.searchsorted(a_sorted, rank_b)
-        hi = np.searchsorted(a_sorted, least_b[lo])
-        key = np.repeat(np.arange(n, dtype=by_a.dtype) * n, hi - lo) + by_a[_windows(lo, hi)]
-        key.sort()
-        return key
+        # int64 pairs, as of any poset, from keys of `_key_type`
+        return np.divmod(_cover_keys(*self.ranks), np.int64(self.n))
 
 
 # -- named posets -----------------------------------------------------------

@@ -25,9 +25,8 @@ from .errors import FormatError, SizeLimit
 # before its rows are read, on a sampler's n before anything is drawn and on
 # a named poset's digits before they are converted: each point of a closed
 # poset costs an n-bit mask row, so an uncapped count is O(n^2) memory.  At
-# the cap a sampled semiorder writes about 4 million cover pairs (40 MB),
-# which `write_poset` and `read_poset` handle in time linear in the file's
-# length; such a file reads back as an interval sample, with no mask rows.
+# the cap a sampled semiorder writes about 4 million cover pairs (40 MB), read
+# back in time linear in their length as an interval sample, with no mask rows.
 MAX_POINTS = 5000
 
 # the line breaks of `str.splitlines`, so that the header line ends where it

@@ -82,8 +82,19 @@ def test_the_numpy_path_reads_a_dense_sample():
 
 def test_keys_past_int32_read_as_a_sample():
     p = ps.from_relations(50_000, [(1, 2), (2, 50_000)])
-    assert isinstance(p, ps.IntervalSample) and p._cover_keys().dtype == np.int64
+    assert isinstance(p, ps.IntervalSample)
+    assert ps._cover_keys(*p.ranks).dtype == np.int64
     assert p.degrees("minus")[49_999] == 2 and p.precedes(0, 49_999)
+
+
+def test_cover_pairs_are_int64_for_either_class():
+    """The keys behind a sample's covers are int32 below 2**31, its pairs are not."""
+    text = "poset 4\n1 2\n1 3\n3 4\n"
+    p, q = ps.read_poset(text), closure_reference(text)
+    assert ps._cover_keys(*p.ranks).dtype == np.int32
+    for tails, heads in (p.cover_pairs(), q.cover_pairs()):
+        assert tails.dtype == heads.dtype == np.int64
+        assert (tails.tolist(), heads.tolist()) == ([0, 0, 2], [1, 2, 3])
 
 
 def _lines(text):
@@ -102,6 +113,9 @@ def _declined(sample_seed):
         "poset 3\n1 2\n1 3\n2 3\n",  # a redundant pair
         "poset 5\n" + "".join(f"{i} {j}\n" for i in range(1, 6) for j in range(i + 1, 6)),
         "poset 3\n1 2\n1 2\n2 3\n",  # a repeated line
+        # as many covers at each point as the candidate, not the same ones
+        "poset 5\n1 4\n1 5\n2 5\n3 2\n3 5\n",
+        "poset 5\n1 3\n1 4\n2 4\n3 4\n5 2\n5 4\n",
         "\n".join([head, *rows[:3], rows[2], *rows[3:]]) + "\n",
         "\n".join([head, *shuffled]) + "\n",
     ]
@@ -153,7 +167,6 @@ def test_bad_files_raise_as_before(text, error, message):
 
 @pytest.mark.parametrize("n", [0, 1, 7, 63, 64, 65, 71, 130])
 def test_transpose_of_packed_rows(n):
-    """Both the byte path (below 64 points) and the 8 x 8 block path."""
     rng = random.Random(n)
     masks = [rng.getrandbits(n) if n else 0 for _ in range(n)]
     expected = tuple(sum((masks[i] >> j & 1) << i for i in range(n)) for j in range(n))
