@@ -6,34 +6,30 @@ x[0] = 0 and x[-1] = 1.  The function value at a breakpoint is `right`, the
 left limit is `left`, and the function is linear between `right[i]` at x[i]
 and `left[i+1]` at x[i+1].  All coordinates are exact rationals.
 
-Evaluation at one point is a binary search, O(log m) for m breakpoints.  A
-curve's one integer view, `rows`, is its breakpoints as integer arrays over
-one denominator (`over_lcm`, which also holds the ends of an interval
+A curve's one integer view, `rows`, is its breakpoints as integer arrays
+over one denominator (`over_lcm`, which also holds the ends of an interval
 sample); a curve made `of_rows` (an empirical degree CDF) builds its
-`Fraction` points only when they are read.  `values_along` and
-`sup_distance` read rows alone, through `_along`: one `searchsorted` and one
-numpy pass over each piece's line, in int64 under a stated bound and in
-object ints past it.  The checks of `normalize` and `check_monotone` compare
-a/b (b > 0) with c/d as a*d with c*b, so every test stays exact without a
-`Fraction` per step.
+`Fraction` points only when they are read.  Every reading of a curve's
+numbers goes through its rows: `check_monotone` and `normalize` compare
+integers over one denominator, and `value_at`, `values_along` and
+`sup_distance` evaluate through `_along`: one `searchsorted` and one numpy
+pass over each piece's line, in int64 under a stated bound and in object
+ints past it.
 
 Each geometric rule of the representation calculus lives here once:
 evaluation (`Curve`, the base of CDFs and threshold functions), the
 reflection across x + y = 1 (`reflect`), pieces tiling [0,1] (`tiling`) and
 the line through a piece (`_line`, per piece in `segment_lines`), which
-evaluation, `normalize`, `_along`, the sampler and the g text format's slopes
-all read.
+`_along`, the sampler and the g text format's slopes all read.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from numbers import Rational, Real
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -43,102 +39,82 @@ from .errors import InvariantError
 
 Points = tuple[tuple[Fraction, Fraction, Fraction], ...]
 
-_X = itemgetter(0)
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 def as_fraction(value) -> Fraction:
+    """value as an exact `Fraction`: any `numbers.Rational` (numpy integers
+    too), a finite float or a rational string; InvariantError otherwise."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, float)):
+    if isinstance(value, Rational):
+        return Fraction(*_ratio(value))
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise InvariantError(f"not a finite coordinate: {value!r}")
         return Fraction(value)
     if isinstance(value, str):
         return textio.parse_rational(value)
     raise InvariantError(f"not an exact coordinate: {value!r}")
 
 
-def _ints(points: Sequence) -> list[tuple[int, int, int, int, int, int]]:
-    """Each breakpoint as (x, left, right) numerators and denominators."""
-    return [
-        x.as_integer_ratio() + lt.as_integer_ratio() + rt.as_integer_ratio()
-        for x, lt, rt in points
-    ]
-
-
-def _steps(q: list) -> list[int]:
-    """Sign of x[k+1] - x[k] for each k, as a cross-multiplication."""
-    return [b[0] * a[1] - a[0] * b[1] for a, b in zip(q, q[1:])]
-
-
 def check_monotone(points: Points) -> None:
+    """Raise InvariantError at the first breakpoint that fails a check, with
+    the first check it fails: x increasing, values in [0,1], jump upward,
+    left value at least the previous right value."""
     if not points:
         raise InvariantError("need at least one breakpoint")
     if points[0][0] != ZERO or points[-1][0] != ONE:
         raise InvariantError("breakpoints must start at 0 and end at 1")
-    # x[0] = 0 > -1, and a left value below the sentinel 0 fails [0,1] first
-    pxn, pxd, prn, prd = -1, 1, 0, 1
-    for xn, xd, ln, ld, rn, rd in _ints(points):
-        if xn * pxd <= pxn * xd:
-            raise InvariantError("breakpoints must be strictly increasing")
-        if not (0 <= ln <= ld and 0 <= rn <= rd):
-            raise InvariantError("values must lie in [0,1]")
-        if ln * rd > rn * ld:
-            raise InvariantError("jumps must be upward")
-        if ln * prd < prn * ld:
-            raise InvariantError("segments must be nondecreasing")
-        pxn, pxd, prn, prd = xn, xd, rn, rd
+    m, x, lt, rt = _rows(points)
+    # before x[0] = 0, a sentinel x of -1 and right value of 0 pass
+    prev_x, prev_rt = np.concatenate(([-1], x[:-1])), np.concatenate(([0], rt[:-1]))
+    faults = {
+        "breakpoints must be strictly increasing": x <= prev_x,
+        "values must lie in [0,1]": (np.minimum(lt, rt) < 0) | (np.maximum(lt, rt) > m),
+        "jumps must be upward": lt > rt,
+        "segments must be nondecreasing": lt < prev_rt,
+    }
+    bad = np.array(list(faults.values()))
+    if bad.any():
+        raise InvariantError(list(faults)[bad[:, bad.any(axis=0).argmax()].argmax()])
 
 
 def normalize(points: Iterable[Sequence]) -> Points:
-    """Canonical form: drop breakpoints that carry no jump and no slope change."""
+    """Canonical form: the breakpoints sorted by x, less each one that has no
+    jump and the same slope in as out."""
     pts = [(as_fraction(x), as_fraction(lt), as_fraction(rt)) for x, lt, rt in points]
     if not pts:
         raise InvariantError("need at least one breakpoint")
-    q = _ints(pts)
-    steps = _steps(q)
-    if steps and min(steps) < 0:
-        pts.sort(key=_X)
-        q = _ints(pts)
-        steps = _steps(q)
-    if 0 in steps:
-        raise InvariantError(f"duplicate breakpoint at {pts[steps.index(0)][0]}")
-    kept = [0]
-    for i in range(1, len(q) - 1):
-        xn, xd, ln, ld, rn, rd = q[i]
-        if ln != rn or ld != rd:
-            kept.append(i)
-            continue
-        p, c, d = _line(q[kept[-1]], q[i + 1])
-        if ln * d * xd == (p * xn + c * xd) * ld:  # on its neighbours' line
-            continue
-        kept.append(i)
-    if len(q) > 1:
-        kept.append(len(q) - 1)
-    return tuple(pts[i] for i in kept)
+    m, *cols = _rows(pts)
+    order = np.argsort(cols[0], kind="stable")
+    big = max(m, int(np.abs(np.concatenate(cols)).max()))  # differences below 2 big
+    x, lt, rt = _fit(4 * big * big, *(c[order] for c in cols))
+    dx = np.diff(x)
+    if not dx.all():
+        raise InvariantError(f"duplicate breakpoint at {pts[order[(dx == 0).argmax()]][0]}")
+    keep = np.ones(len(x), dtype=bool)
+    bend = (lt[1:-1] - rt[:-2]) * dx[1:] != (lt[2:] - rt[1:-1]) * dx[:-1]
+    keep[1:-1] = (lt[1:-1] != rt[1:-1]) | bend
+    return tuple(pts[i] for i in order[keep].tolist())
 
 
-def value_at(points: Points, t: Fraction) -> Fraction:
-    return _at(points, t, 2)
+def value_at(curve, t) -> Fraction:
+    """The value at t in [0,1] of a curve or of its points."""
+    return Fraction(*next(values_along(curve, [_unit(t)])))
 
 
-def left_limit_at(points: Points, t: Fraction) -> Fraction:
+def left_limit_at(curve, t) -> Fraction:
     """Limit from the left; at t = 0 returns the stored pre-jump value."""
-    return _at(points, t, 1)
+    return Fraction(*next(values_along(curve, [_unit(t)], "left")))
 
 
-def _at(points: Points, t: Fraction, side: int) -> Fraction:
-    """points[i][side] at a breakpoint x[i] = t, the piece's `_line` elsewhere."""
+def _unit(t) -> tuple[int, int]:
     t = as_fraction(t)
     if not ZERO <= t <= ONE:
         raise InvariantError(f"argument {t} outside [0,1]")
-    i = bisect_right(points, t, key=_X) - 1
-    if t == points[i][0]:
-        return points[i][side]
-    p, q, d = _line(*_ints(points[i : i + 2]))
-    tn, td = t.as_integer_ratio()
-    return Fraction(p * tn + q * td, d * td)
+    return t.as_integer_ratio()
 
 
 @dataclass(frozen=True)
@@ -166,10 +142,15 @@ class Curve:
         return curve
 
     def value(self, t) -> Fraction:
-        return value_at(self.points, as_fraction(t))
+        return value_at(self, t)
 
     def left_limit(self, t) -> Fraction:
-        return left_limit_at(self.points, as_fraction(t))
+        return left_limit_at(self, t)
+
+
+def _rows(curve) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of a curve, or of the curve with these points."""
+    return (curve if isinstance(curve, Curve) else Curve(curve)).rows
 
 
 def _points(rows) -> Points:
@@ -248,7 +229,7 @@ def sup_distance(f, g) -> Fraction:
     curve is read at the other's rows by `_along`; the differences on one
     side share a denominator, so their sup is one integer max.
     """
-    best, rf, rg = ZERO, *(c.rows if isinstance(c, Curve) else Curve(c).rows for c in (f, g))
+    best, rf, rg = ZERO, _rows(f), _rows(g)
     for (n, x, left, right), other in ((rf, rg), (rg, rf)):
         for side, ys in (("right", right), ("left", left)):
             num, den = _along(other, x, n, side)
@@ -257,13 +238,14 @@ def sup_distance(f, g) -> Fraction:
     return best
 
 
-def values_along(curve, ts: Iterable) -> Iterator[tuple[int, int]]:
-    """Values at the nondecreasing tn/td in [0,1] as pairs (num, den > 0),
-    by `_along` over the least common denominator of the td."""
+def values_along(curve, ts: Iterable, side: str = "right") -> Iterator[tuple[int, int]]:
+    """Values (or with side "left", left limits) at the nondecreasing tn/td
+    in [0,1] as pairs (num, den > 0), by `_along` over the least common
+    denominator of the td."""
     ts = list(ts)
     td = math.lcm(*(d for _, d in ts))
     x = _fit(td, [tn * (td // d) for tn, d in ts])[0]
-    num, den = _along(curve.rows if isinstance(curve, Curve) else Curve(curve).rows, x, td, "right")
+    num, den = _along(_rows(curve), x, td, side)
     return ((v, den) for v in num.tolist())
 
 
@@ -273,19 +255,15 @@ def _along(rows, x: np.ndarray, n: int, side: str) -> tuple[np.ndarray, int]:
 
     One `searchsorted` finds each point's piece, and each distinct piece's
     `_line` is reduced and put over the lines' least common denominator D.
-    A flat piece padded on each side gives the left limit at 0 and the value
-    at 1.  With m the rows' denominator, products stay below 5m² + mn, then
-    below (2m + 2)Dn (|slope| <= m, |intercept| <= m + 1): int64 under 2^63,
+    With m the rows' denominator, products stay below 5m² + mn, then below
+    (2m + 2)Dn (|slope| <= m, |intercept| <= m + 1): int64 under 2^63,
     object ints past it.
     """
-    m, y, lt, rt = rows
-    y, lt, rt, x = _fit(5 * m * m + m * n, y, lt, rt, x)
+    m = rows[0]
+    y, x = _fit(5 * m * m + m * n, rows[1], x)
     k = np.searchsorted(y * n, x * m, side)
     new = np.diff(k, prepend=-1) != 0
-    ks = k[new]
-    ys, ls, rs = np.r_[-m, y, 2 * m], np.r_[lt[0], lt, rt[-1]], np.r_[lt[0], rt, rt[-1]]
-    p, q, d = _line((ys[ks], 1, 0, 1, rs[ks], 1), (ys[ks + 1], 1, ls[ks + 1], 1, 0, 1))
-    p, d = p * m, d * m  # the line in t = x/n: (p x + q n)/(d n)
+    p, q, d = _line(rows, k[new])
     g = np.gcd(np.gcd(p, q), d)
     p, q, d = p // g, q // g, d // g
     den = math.lcm(*d.tolist())
@@ -294,18 +272,25 @@ def _along(rows, x: np.ndarray, n: int, side: str) -> tuple[np.ndarray, int]:
     return (p * scale)[at] * x + (q * scale)[at] * n, den * n
 
 
-def _line(a: tuple, b: tuple) -> tuple[int, int, int]:
-    """(p, q, d) with d > 0 such that the segment from a's right value to b's
-    left value is y = (p*t + q)/d; at t = tn/td, y = (p*tn + q*td)/(d*td)."""
-    x0n, x0d, _, _, r0n, r0d = a
-    x1n, x1d, l1n, l1d, _, _ = b
-    dy = l1n * r0d - r0n * l1d
-    dx = x1n * x0d - x0n * x1d
-    return dy * x1d * x0d, r0n * l1d * dx - dy * x1d * x0n, l1d * r0d * dx
+def _line(rows, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, q, d): the line y = (p t + q)/d through each piece ks of the rows
+    padded by a flat piece on each side, so that piece k starts at
+    breakpoint k - 1 and the padding gives the left limit at 0 and the value
+    at 1.  From the ends (x0, r0), (x1, l1) of a piece over the rows'
+    denominator m, it is (m (l1 - r0), r0 x1 - l1 x0, m (x1 - x0)): d > 0 on
+    sorted rows, and every product stays below 5m²."""
+    m, y, lt, rt = rows
+    y, lt, rt = _fit(5 * m * m, y, lt, rt)
+    ys = np.concatenate(([-m], y, [2 * m]))
+    ls, rs = np.concatenate((lt[:1], lt, rt[-1:])), np.concatenate((lt[:1], rt, rt[-1:]))
+    x0, r0, x1, l1 = ys[ks], rs[ks], ys[ks + 1], ls[ks + 1]
+    return m * (l1 - r0), r0 * x1 - l1 * x0, m * (x1 - x0)
 
 
-def segment_lines(points: Points) -> list[tuple[int, int, int]]:
-    """`_line` of the piece that starts at each breakpoint; the piece at
-    x = 1 is the constant value there, (0, num, den)."""
-    q = _ints(points)
-    return [_line(a, b) for a, b in zip(q, q[1:])] + [(0, q[-1][4], q[-1][5])]
+def segment_lines(curve) -> list[tuple[int, int, int]]:
+    """`_line` of the piece that starts at each breakpoint of a curve (or
+    of its points) as Python ints; the piece at x = 1 is the constant value
+    there."""
+    rows = _rows(curve)
+    p, q, d = _line(rows, np.arange(1, len(rows[1]) + 1))
+    return list(zip(p.tolist(), q.tolist(), d.tolist()))

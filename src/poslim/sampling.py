@@ -91,7 +91,7 @@ def draw_intervals(model: SamplerModel, columns) -> tuple[int, np.ndarray, np.nd
     if isinstance(model, MonotoneRC):
         (k,) = columns(1)
         pieces = _bisect_right((x for x, _, _ in model.points), k) - 1
-        lines = segment_lines(model.points)
+        lines = segment_lines(model)
         lcm = math.lcm(*(d // math.gcd(p, q, d) for p, q, d in lines))
         slope, level = zip(*((p * lcm // d, q * lcm // d * UNIT) for p, q, d in lines))
         bound = max(lcm, *map(abs, slope)) * UNIT + max(map(abs, level))

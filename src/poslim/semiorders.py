@@ -192,7 +192,7 @@ def write_g(g: MonotoneRC) -> str:
     """g text format: 'pwl <k>' then rows 'x left right slope_to_next'."""
     lines = [
         textio.fields(*pt, Fraction(p, d))
-        for pt, (p, _, d) in zip(g.points, pwl.segment_lines(g.points))
+        for pt, (p, _, d) in zip(g.points, pwl.segment_lines(g))
     ]
     return textio.write_rows("pwl", len(lines), lines)
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -95,6 +96,59 @@ def test_from_relations_self_pair():
 def test_from_relations_bad_index():
     with pytest.raises(InvariantError):
         ps.from_relations(2, [(0, 1)])
+
+
+def ref_strict_order(succ, pred):
+    """Irreflexive, antisymmetric and transitive pair by pair, with pred the
+    transpose of succ: the reference for `check_valid`."""
+    n = len(succ)
+    less = [[(succ[i] >> j) & 1 for j in range(n)] for i in range(n)]
+    return (
+        all(not less[i][i] for i in range(n))
+        and all(not (less[i][j] and less[j][i]) for i in range(n) for j in range(n))
+        and all(less[i][k] for i, j, k in itertools.product(range(n), repeat=3)
+                if less[i][j] and less[j][k])
+        and all(((pred[j] >> i) & 1) == less[i][j] for i in range(n) for j in range(n))
+    )
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_check_valid_matches_pairwise_reference(data):
+    """Random rows, half of them closed first, some with one pred bit
+    flipped: check_valid raises exactly when the pair-by-pair test fails."""
+    n = data.draw(st.integers(1, 6))
+    succ = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        succ = fixpoint_closure(succ)
+    pred = list(ps.FinitePoset.from_succ_masks(succ).pred)
+    if data.draw(st.booleans()):
+        pred[data.draw(st.integers(0, n - 1))] ^= 1 << data.draw(st.integers(0, n - 1))
+    p = ps.FinitePoset(n, tuple(succ), tuple(pred))
+    try:
+        p.check_valid()
+    except InvariantError:
+        assert not ref_strict_order(succ, pred)
+    else:
+        assert ref_strict_order(succ, pred)
+
+
+@pytest.mark.parametrize(
+    "n, succ, pred, message",
+    [
+        (0, (), (), "poset must be non-empty"),
+        (2, (0b10,), (0, 0b01), "mask length mismatch"),
+        (2, (0b100, 0), (0, 0), "mask has bits outside 0..n-1"),
+        (2, (0b10, 0), (-1, 0b01), "mask has bits outside 0..n-1"),
+        (2, (0b01, 0), (0b01, 0), "relation has a cycle at or below point 1"),
+        (2, (0b10, 0b01), (0b10, 0b01), "relation has a cycle at or below point 1"),
+        (3, (0b010, 0b100, 0), (0, 0b001, 0b010), "relation is not transitive"),
+        (3, (0b110, 0b100, 0), (0, 0b001, 0b001), "pred is not the transpose of succ"),
+    ],
+)
+def test_check_valid_messages(n, succ, pred, message):
+    with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+        ps.FinitePoset(n, succ, pred).check_valid()
 
 
 def test_named_posets():

@@ -14,7 +14,7 @@ from poslim import pwl
 from poslim import sampling as sa
 from poslim import semiorders as so
 from poslim.errors import InvariantError
-from poslim.measures import StepCDF, StepKernelMeasure
+from poslim.measures import AtomicMeasure, StepCDF, StepKernelMeasure
 from poslim.rng import SeededRng
 
 from conftest import monotone_gs, posets, ref_check_monotone, ref_normalize
@@ -159,19 +159,28 @@ def test_sup_distance_on_empirical_rows_matches_reference(p, target):
     assert pwl.sup_distance(minus, plus) == ref_sup(minus.points, plus.points)
 
 
+class _FitSpy:
+    """Records the dtype of every array `pwl._fit` returns."""
+
+    def __init__(self, monkeypatch):
+        self.dtypes, fit = [], pwl._fit
+
+        def spy(bound, *columns):
+            out = fit(bound, *columns)
+            self.dtypes.extend(c.dtype for c in out)
+            return out
+
+        monkeypatch.setattr(pwl, "_fit", spy)
+
+
+_BIG = 3**41  # above 2^63
+_WIDE = 2**35 + 1  # its square, not itself, passes 2^63
+
+
 def test_sup_distance_past_the_int64_bound(monkeypatch):
     """Denominators whose products pass 2^63 take object ints and stay exact."""
-    dtypes = []
-    fit = pwl._fit
-
-    def spy(bound, *columns):
-        out = fit(bound, *columns)
-        dtypes.extend(c.dtype for c in out)
-        return out
-
-    monkeypatch.setattr(pwl, "_fit", spy)
-    big = 3**41  # above 2^63
-    target = StepCDF.from_points([(0, 0, 0), (F(big // 2, big), F(1, 3), F(2, 3)), (1, 1, 1)])
+    dtypes = _FitSpy(monkeypatch).dtypes
+    target = StepCDF.from_points([(0, 0, 0), (F(_BIG // 2, _BIG), F(1, 3), F(2, 3)), (1, 1, 1)])
     sample = sa.sample_kernel_poset(so.gc(F(1, 5)), 40, SeededRng(2))
     for sign in ("minus", "plus"):
         nu = sa.nu_empirical(sample, sign)
@@ -188,10 +197,15 @@ def test_sup_distance_past_the_int64_bound(monkeypatch):
 @given(posets(max_n=8), st.lists(st.fractions(min_value=0, max_value=1, max_denominator=24), max_size=8))
 @settings(deadline=None)
 def test_values_along_rows_matches_value_at(p, ts):
+    """Values and left limits of a curve held as rows, many at once and one
+    at a time, against the linear scan over its points."""
     nu = sa.nu_empirical(p, "minus")
     ts = sorted(ts + [x for x, _, _ in nu.points])
-    got = [F(*v) for v in pwl.values_along(nu, [t.as_integer_ratio() for t in ts])]
-    assert got == [nu.value(t) for t in ts]
+    pairs = [t.as_integer_ratio() for t in ts]
+    want = [ref_limits(nu.points, t) for t in ts]
+    assert [F(*v) for v in pwl.values_along(nu, pairs)] == [v for _, v in want]
+    assert [F(*v) for v in pwl.values_along(nu, pairs, "left")] == [left for left, _ in want]
+    assert [(nu.left_limit(t), nu.value(t)) for t in ts] == want
 
 
 def test_ks_identity_sample_is_one_over_n():
@@ -315,6 +329,86 @@ def test_normalize_messages_and_collinear_drop():
     bent = [(0, 0, 0), ("1/3", "1/2", "1/2"), (0.5, 0.75, 0.75), (1, 1, 1)]
     assert pwl.normalize(bent) == ref_normalize(bent)
     assert len(pwl.normalize(bent)) == 3
+
+
+@pytest.mark.parametrize("den", [_BIG, _WIDE])
+def test_normalize_and_check_monotone_past_the_int64_bound(monkeypatch, den):
+    """Denominators whose lcm squared passes 2^63 take object ints in
+    `normalize`'s slope test and agree with the `Fraction` references, a
+    dropped collinear point, a kept bend and every fault included."""
+    spy = _FitSpy(monkeypatch)
+    a, b = F(den // 3, den), F(den // 2, den)
+    on_line = [(0, 0, 0), (a, a, a), (b, b, b), (1, 1, 1)]
+    bent = [(0, 0, 0), (a, a / 2, a / 2), (b, b, b), (1, 1, 1)]
+    for raw in (on_line, bent, bent[::-1], [*bent, (b, 0, 0)]):
+        spy.dtypes.clear()
+        assert outcome(pwl.normalize, raw) == outcome(ref_normalize, raw)
+        assert object in spy.dtypes
+    assert len(pwl.normalize(on_line)) == 2 and len(pwl.normalize(bent)) == 4
+    for kind in _KINDS:
+        pts = [tuple(map(F, p)) for p in _corrupt(kind, bent, 2)]
+        assert outcome(pwl.check_monotone, pts) == outcome(ref_check_monotone, pts)
+        assert outcome(pwl.normalize, pts) == outcome(ref_normalize, pts)
+
+
+def ref_segment_lines(points):
+    """(slope, intercept) of each piece's line in `Fraction`s, and (0, value)
+    at x = 1."""
+    out = []
+    for (x0, _, r0), (x1, l1, _) in zip(points, points[1:]):
+        slope = (l1 - r0) / (x1 - x0)
+        out.append((slope, r0 - slope * x0))
+    return out + [(F(0), points[-1][2])]
+
+
+@given(st.one_of(cdf_points([F(1, 3)]), monotone_gs().map(lambda g: g.points)))
+def test_segment_lines_match_reference(points):
+    lines = pwl.segment_lines(points)
+    assert all(type(v) is int for line in lines for v in line)
+    assert all(d > 0 for _, _, d in lines)
+    assert [(F(p, d), F(q, d)) for p, q, d in lines] == ref_segment_lines(points)
+    assert pwl.segment_lines(StepCDF(points)) == lines
+
+
+def test_segment_lines_past_the_int64_bound(monkeypatch):
+    spy = _FitSpy(monkeypatch)
+    g = so.MonotoneRC.from_points([(0, F(1, 7), F(1, 7)), (F(_BIG // 2, _BIG), F(2, 3), F(2, 3)),
+                                   (F(5, 6), 1, 1), (1, 1, 1)])
+    lines = pwl.segment_lines(g)
+    assert object in spy.dtypes
+    assert [(F(p, d), F(q, d)) for p, q, d in lines] == ref_segment_lines(g.points)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+def test_non_finite_coordinates_raise_invariant_error(bad):
+    with pytest.raises(InvariantError, match="not a finite coordinate"):
+        pwl.as_fraction(bad)
+    with pytest.raises(InvariantError, match="not a finite coordinate"):
+        StepCDF.from_points([(0, 0, 0), (bad, F(1, 2), F(1, 2)), (1, 1, 1)])
+    with pytest.raises(InvariantError, match="not a finite coordinate"):
+        so.MonotoneRC.from_points([(0, bad, bad), (1, 1, 1)])
+    with pytest.raises(InvariantError, match="not a finite coordinate"):
+        so.gc(bad)
+    with pytest.raises(InvariantError, match="not a finite coordinate"):
+        AtomicMeasure.from_atoms([(0, 1, bad)])
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [(np.int64(1), F(1)), (np.int32(-3), F(-3)), (np.uint8(7), F(7)), (True, F(1)),
+     (np.float64(0.5), F(1, 2)), (F(2, 3), F(2, 3)), (3, F(3)), ("2/4", F(1, 2))],
+)
+def test_rationals_are_taken_exactly(value, want):
+    got = pwl.as_fraction(value)
+    assert got == want and type(got) is F
+    assert type(got.numerator) is int and type(got.denominator) is int
+    assert so.gc(np.int64(0)) == so.MonotoneRC.identity()
+
+
+def test_other_values_are_not_coordinates():
+    for value in (None, 1j, [1]):
+        with pytest.raises(InvariantError, match="not an exact coordinate"):
+            pwl.as_fraction(value)
 
 
 TILING_FAULTS = [
