@@ -16,8 +16,11 @@ distributions, and `SupportSet` the support of such a CDF as closed
 components.  The snap maps (`h_map`), the pushforwards that collapse support
 gaps (`push_h`, which moves atoms by the same snap rule), the gap-averaging
 canonical projection (`project_star`) and the exact equivalence test
-(`equivalent`) implement the canonical-representation calculus.  Cells and
-support gaps are checked to tile [0,1] by `pwl.tiling`.
+(`equivalent`) implement the canonical-representation calculus.  Every list
+of probability weights (jumps, atoms, conditionals) passes one weight rule,
+`_weights`.  `push_h` and `project_star` read one cell-gap walk, `_overlaps`,
+which checks by `pwl.tiling` that the support gaps tile [0,1], as
+`from_cells` does for the cells.
 """
 
 from __future__ import annotations
@@ -32,6 +35,21 @@ from .pwl import ONE, ZERO, as_fraction
 
 HVariant = Literal["minus", "plus", "bar_plus"]
 PushVariant = Literal["minus", "bar_plus"]
+
+
+def _weights(pairs: Iterable) -> list:
+    """(key, weight) pairs as probability weights: summed over equal keys and
+    sorted by key; InvariantError unless each is positive and they sum to 1."""
+    acc: dict = {}
+    for key, w in pairs:
+        w = as_fraction(w)
+        if w <= 0:
+            raise InvariantError(f"weights must be positive, got {w}")
+        acc[key] = acc.get(key, ZERO) + w
+    total = sum(acc.values())
+    if total != ONE:
+        raise InvariantError(f"weights must sum to 1 exactly, got {total}")
+    return sorted(acc.items())
 
 
 # -- CDFs ---------------------------------------------------------------------
@@ -56,24 +74,16 @@ class StepCDF(pwl.Curve):
     @classmethod
     def from_jumps(cls, weighted_values: Iterable[tuple[Fraction, Fraction]]) -> "StepCDF":
         """Pure-jump CDF from (value, weight) pairs; weights must sum to 1."""
-        acc: dict[Fraction, Fraction] = {}
-        for v, w in weighted_values:
-            v, w = as_fraction(v), as_fraction(w)
+        jumps = _weights((as_fraction(v), w) for v, w in weighted_values)
+        for v in (jumps[0][0], jumps[-1][0]):
             if not ZERO <= v <= ONE:
                 raise InvariantError(f"jump location {v} outside [0,1]")
-            if w <= 0:
-                raise InvariantError("weights must be positive")
-            acc[v] = acc.get(v, ZERO) + w
-        if sum(acc.values()) != ONE:
-            raise InvariantError("weights must sum to 1 exactly")
-        pts = []
+        pts = [] if jumps[0][0] == ZERO else [(ZERO, ZERO, ZERO)]
         cum = ZERO
-        if min(acc) > ZERO:
-            pts.append((ZERO, ZERO, ZERO))
-        for v in sorted(acc):
-            pts.append((v, cum, cum + acc[v]))
-            cum += acc[v]
-        if max(acc) < ONE:
+        for v, w in jumps:
+            pts.append((v, cum, cum + w))
+            cum += w
+        if jumps[-1][0] < ONE:
             pts.append((ONE, ONE, ONE))
         return cls.from_points(pts)
 
@@ -108,21 +118,17 @@ def support_and_gaps(
     sup/inf conventions of the snap maps this makes end gaps behave exactly
     like interior gaps.
     """
-    parts: list[tuple[Fraction, Fraction]] = []
+    merged: list[tuple[Fraction, Fraction]] = []
     pts = nu.points
-    for i, (x, left, right) in enumerate(pts):
-        if left != right:
-            parts.append((x, x))
-        if i + 1 < len(pts) and right < pts[i + 1][1]:
-            parts.append((x, pts[i + 1][0]))
-    if not parts:
+    for (x, left, right), nxt in zip(pts, pts[1:] + (None,)):
+        hi = nxt[0] if nxt and right < nxt[1] else x  # x, or the next x if F grows to it
+        if left != right or hi > x:
+            if merged and merged[-1][1] == x:
+                merged[-1] = (merged[-1][0], hi)
+            else:
+                merged.append((x, hi))
+    if not merged:
         raise InvariantError("a CDF must increase somewhere")
-    merged = [parts[0]]
-    for lo, hi in parts[1:]:
-        if lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
     gaps: list[tuple[Fraction, Fraction]] = []
     prev = ZERO
     for lo, hi in merged:
@@ -169,17 +175,11 @@ class AtomicMeasure:
 
     @classmethod
     def from_atoms(cls, raw: Iterable) -> "AtomicMeasure":
-        acc: dict[tuple[Fraction, Fraction], Fraction] = {}
-        for x, y, w in raw:
-            x, y, w = as_fraction(x), as_fraction(y), as_fraction(w)
+        atoms = _weights(((as_fraction(x), as_fraction(y)), w) for x, y, w in raw)
+        for (x, y), _ in atoms:
             if not ZERO <= x <= y <= ONE:
                 raise InvariantError(f"atom ({x},{y}) outside the triangle")
-            if w <= 0:
-                raise InvariantError("atom weights must be positive")
-            acc[(x, y)] = acc.get((x, y), ZERO) + w
-        if sum(acc.values()) != ONE:
-            raise InvariantError("atom weights must sum to 1 exactly")
-        return cls(tuple((x, y, acc[(x, y)]) for x, y in sorted(acc)))
+        return cls(tuple((x, y, w) for (x, y), w in atoms))
 
     @classmethod
     def dirac(cls, x, y) -> "AtomicMeasure":
@@ -203,24 +203,12 @@ class StepKernelMeasure:
         """Cells as (c_lo, c_hi, [(y, p), ...]); must tile [0,1] in order."""
         cells = list(cells)
         breaks = pwl.tiling(cells, "cells")
-        conds: list[tuple[tuple[Fraction, Fraction], ...]] = []
-        for c_hi, (_, _, cond) in zip(breaks[1:], cells):
-            acc: dict[Fraction, Fraction] = {}
-            for y, p in cond:
-                y, p = as_fraction(y), as_fraction(p)
-                if p <= 0:
-                    raise InvariantError("conditional weights must be positive")
-                if y > ONE:
-                    raise InvariantError(f"conditional atom {y} above 1")
-                if y < c_hi:
-                    raise InvariantError(
-                        f"conditional atom {y} below its cell's right endpoint {c_hi}"
-                    )
-                acc[y] = acc.get(y, ZERO) + p
-            if sum(acc.values()) != ONE:
-                raise InvariantError("conditional weights must sum to 1")
-            conds.append(tuple((y, acc[y]) for y in sorted(acc)))
-        return cls(breaks, tuple(conds))
+        conds = tuple(tuple(_weights((as_fraction(y), p) for y, p in c)) for _, _, c in cells)
+        for c_hi, cond in zip(breaks[1:], conds):
+            for y in (cond[0][0], cond[-1][0]):
+                if not c_hi <= y <= ONE:
+                    raise InvariantError(f"conditional atom {y} outside [{c_hi}, 1]")
+        return cls(breaks, conds)
 
     def cells(self) -> list[tuple[Fraction, Fraction, tuple[tuple[Fraction, Fraction], ...]]]:
         return [
@@ -274,30 +262,14 @@ def push_h(mu: Measure, variant: PushVariant) -> AtomicMeasure:
     """
     if variant not in ("minus", "bar_plus"):
         raise InvalidArgument(f"push variant must be minus or bar_plus, got {variant!r}")
-    _, gaps = support_and_gaps(right_marginal(mu))
-    out: list[tuple[Fraction, Fraction, Fraction]] = []
     if isinstance(mu, AtomicMeasure):
-        out = [(_snap(gaps, x, variant), y, w) for x, y, w in mu.atoms]
-    else:
-        for c_lo, c_hi, cond in mu.cells():
-            remaining = c_hi - c_lo
-            for a, b in gaps:
-                lo, hi = max(c_lo, a), min(c_hi, b)
-                if hi <= lo:
-                    continue
-                remaining -= hi - lo
-                target = a if variant == "minus" else b
-                for y, p in cond:
-                    out.append((target, y, (hi - lo) * p))
-            if remaining != ZERO:
-                raise InvariantError(
-                    "cell mass not exhausted by support gaps; "
-                    "right marginal support is not finite"
-                )
-    for x, y, _ in out:
-        if not ZERO <= x <= y <= ONE:
-            raise InvariantError(f"pushed atom ({x},{y}) left the triangle")
-    return AtomicMeasure.from_atoms(out)
+        _, gaps = support_and_gaps(right_marginal(mu))
+        return AtomicMeasure.from_atoms((_snap(gaps, x, variant), y, w) for x, y, w in mu.atoms)
+    return AtomicMeasure.from_atoms(
+        (a if variant == "minus" else b, y, overlap * p)
+        for (a, b), overlap, cond in _overlaps(mu)
+        for y, p in cond
+    )
 
 
 def project_star(mu: StepKernelMeasure) -> StepKernelMeasure:
@@ -306,17 +278,23 @@ def project_star(mu: StepKernelMeasure) -> StepKernelMeasure:
     The result is the canonical representative of mu's equivalence class:
     idempotent, same right marginal, same snapped pushforwards.
     """
+    shares: dict = {}  # from_cells merges equal y
+    for (a, b), overlap, cond in _overlaps(mu):
+        shares.setdefault((a, b), []).extend((y, overlap * p / (b - a)) for y, p in cond)
+    return StepKernelMeasure.from_cells((a, b, s) for (a, b), s in shares.items())
+
+
+def _overlaps(mu: StepKernelMeasure):
+    """(gap, overlap length, conditional) for each support gap of mu's right
+    marginal, in order, and each cell of mu it overlaps by a positive length.
+    The gaps must tile [0,1] (`pwl.tiling`), so each cell's mass is used up."""
     _, gaps = support_and_gaps(right_marginal(mu))
     pwl.tiling(gaps, "support gaps")
-    new_cells = []
     for a, b in gaps:
-        shares = []  # from_cells merges equal y and checks that they sum to 1
         for c_lo, c_hi, cond in mu.cells():
             overlap = min(c_hi, b) - max(c_lo, a)
             if overlap > 0:
-                shares += [(y, overlap * p / (b - a)) for y, p in cond]
-        new_cells.append((a, b, shares))
-    return StepKernelMeasure.from_cells(new_cells)
+                yield (a, b), overlap, cond
 
 
 def equivalent(mu: StepKernelMeasure, mu_prime: StepKernelMeasure) -> bool:

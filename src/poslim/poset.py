@@ -242,6 +242,7 @@ class FinitePoset:
         if any(row >> n for row in (*self.succ, *self.pred)):
             raise InvariantError("mask has bits outside 0..n-1")
         arcs = np.nonzero(np.unpackbits(self._packed, axis=1, bitorder="little", count=n))
+        arcs = [arc.astype(_key_type(n)) for arc in arcs]  # int32 for n <= 46,340
         try:
             closed = transitive_closure(n, *arcs)
         except CycleError as e:

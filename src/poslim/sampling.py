@@ -283,9 +283,9 @@ def _class_counts(p: FinitePoset, blocks, table: dict[int, int], classes: int) -
 def _subset_blocks(n: int, s: int):
     """Every s-subset of 0..n-1, in (m, s) blocks of at most _FINGERPRINT_BLOCK."""
     combos = itertools.combinations(range(n), s)
-    row = np.dtype((np.int64, s))
-    while len(block := np.fromiter(itertools.islice(combos, _FINGERPRINT_BLOCK), row)):
-        yield block
+    flat = itertools.chain.from_iterable  # a block's subsets as one int64 stream
+    while len(block := np.fromiter(flat(itertools.islice(combos, _FINGERPRINT_BLOCK)), np.int64)):
+        yield block.reshape(-1, s)
 
 
 @lru_cache(maxsize=8)

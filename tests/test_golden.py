@@ -68,6 +68,10 @@ def writer_outputs() -> dict[str, str]:
         "stepmeasure": measures.write_measure(STEP),
         "projected": measures.write_measure(measures.project_star(STEP).canonical()),
         "pushed": measures.write_measure(measures.push_h(STEP, "bar_plus")),
+        "pushed.minus": measures.write_measure(measures.push_h(STEP, "minus")),
+        "pushed.atoms.minus": measures.write_measure(measures.push_h(ATOMS, "minus")),
+        "pushed.atoms.bar_plus": measures.write_measure(measures.push_h(ATOMS, "bar_plus")),
+        "projected.other": measures.write_measure(measures.project_star(OTHER).canonical()),
         "pwl": semiorders.write_g(semiorders.g_from_rate(RATE)),
         "pwl.gc": semiorders.write_g(semiorders.gc(F(3, 10))),
         "rate": semiorders.write_rate(RATE),

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -43,6 +44,32 @@ def test_step_measure_validation():
         cells((0, F(1, 2), [(1, 1)]))  # does not reach 1
     with pytest.raises(InvariantError):
         cells((0, F(1, 2), [(1, F(1, 2))]), (F(1, 2), 1, [(1, 1)]))  # cond mass
+
+
+# (build from (key, weight) rows, a view to compare); keys in [1/2, 1] are valid
+WEIGHTED = {
+    "from_jumps": (StepCDF.from_jumps, lambda m: m.points),
+    "from_atoms": (lambda rows: AtomicMeasure.from_atoms((0, y, w) for y, w in rows),
+                   lambda m: m.atoms),
+    "from_cells": (lambda rows: cells((0, F(1, 2), rows), (F(1, 2), 1, [(1, 1)])),
+                   lambda m: m.conditionals),
+}
+
+
+@pytest.mark.parametrize("name", WEIGHTED)
+def test_one_weight_rule(name):
+    build, view = WEIGHTED[name]
+    faults = [
+        ([(F(3, 4), 0), (1, 1)], "weights must be positive, got 0"),
+        ([(F(3, 4), F(-1, 2)), (1, F(3, 2))], "weights must be positive, got -1/2"),
+        ([(F(3, 4), F(1, 2)), (1, F(1, 4))], "weights must sum to 1 exactly, got 3/4"),
+        ([(F(3, 4), F(1, 2)), (F(3, 2), F(1, 2))], "3/2"),  # the key out of range
+    ]
+    for rows, message in faults:
+        with pytest.raises(InvariantError, match=re.escape(message)):
+            build(rows)
+    merged = build([(1, F(1, 4)), (F(3, 4), F(1, 3)), (1, F(1, 4)), (F(3, 4), F(1, 6))])
+    assert view(merged) == view(build([(F(3, 4), F(1, 2)), (1, F(1, 2))]))
 
 
 def test_right_marginal():
@@ -167,6 +194,19 @@ def test_project_star_checks_that_gaps_tile(monkeypatch):
     monkeypatch.setattr(me, "support_and_gaps", lambda nu: (support, [(0, F(1, 2))]))
     with pytest.raises(InvariantError, match="support gaps must end at 1"):
         me.project_star(mu)
+
+
+@pytest.mark.parametrize("variant", ["minus", "bar_plus"])
+@pytest.mark.parametrize(
+    "gaps, message",
+    [([(0, F(1, 2))], "end at 1"), ([(0, F(1, 4)), (F(1, 2), 1)], "tile [0,1] without holes")],
+)
+def test_push_h_checks_that_gaps_tile(monkeypatch, variant, gaps, message):
+    mu = cells((0, 1, [(1, 1)]))
+    support, _ = me.support_and_gaps(me.right_marginal(mu))
+    monkeypatch.setattr(me, "support_and_gaps", lambda nu: (support, gaps))
+    with pytest.raises(InvariantError, match=re.escape(f"support gaps must {message}")):
+        me.push_h(mu, variant)
 
 
 @given(step_measures())
