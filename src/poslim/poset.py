@@ -8,7 +8,8 @@ recognition and density machinery, and cheap immutability/hashing.
 Bulk consumers ask two queries: `degrees` (every down- or up-set size) and
 `precedes` (i < j over numpy index arrays).  An `IntervalSample`, an interval
 order kept as its ends, integer arrays over one denominator, answers both
-from the ranks of one `lexsort` and builds its bitmask rows only when read.
+from one exact order of its ends (an argsort, a re-sort of ties and a
+running count of left ends) and builds its bitmask rows only when read.
 `read_poset` gives one for a file that is exactly the cover set of an
 interval order, as `write_poset` writes a sample, and closes any other file.
 
@@ -358,13 +359,14 @@ class IntervalSample(FinitePoset):
 
     It holds `ends`, (den, a, b): the left ends a and the right ends b as
     integer arrays over one denominator den, int64 while they fit.  On
-    first use the 2n ends are put in one exact order by a single `lexsort`
-    (O(n log n)), and `ranks` holds each end's position in it, so
-    `precedes` compares ranks, `degrees` counts them by binary search and
-    `cover_pairs`, which the text format writes, reads one window of them
-    per point.  The `Fraction`s of `intervals` and the bitmask rows `succ`
-    and `pred` (Θ(n²) bits) are built only when first read, so every
-    `FinitePoset` method and `==` work as for any other poset.
+    first use the 2n ends are put in one exact order, an argsort by value
+    and one re-sort of the ties (O(n log n)), and `ranks` holds each end's
+    position in it, so `precedes` compares ranks, `degrees` reads a running
+    count of left ends along the order and `cover_pairs`, which the text
+    format writes, reads one window of ranks per point; ranks and degrees
+    are cached read-only.  The `Fraction`s of `intervals` and the bitmask
+    rows `succ` and `pred` (Θ(n²) bits) are built only when first read, so
+    every `FinitePoset` method and `==` work as for any other poset.
     """
 
     def __init__(self, intervals: Sequence[tuple[Fraction, Fraction]]):
@@ -411,20 +413,45 @@ class IntervalSample(FinitePoset):
     pred = cached_property(lambda self: self._masks.pred)
 
     @cached_property
+    def _end_order(self) -> tuple[np.ndarray, ...]:
+        """(rank_a, rank_b, degrees minus, degrees plus), read-only.
+
+        The 2n ends a + b are argsorted by value; then one re-sort puts each
+        run of equal values in order of position k = side·n + i (left ends
+        first, then by index), so the order is `lexsort`'s on any host's
+        sort kernel, for int64 and object-int ends alike.  Along it a_upto
+        counts the left ends so far: a_j has rank_a[j] + 1 - a_upto[rank_a[j]]
+        right ends before it and b_i has n - a_upto[rank_b[i]] left ends
+        after it."""
+        n, (_, a, b) = self.n, self.ends
+        v = np.concatenate([a, b])
+        order = np.argsort(v)
+        v = v[order]
+        key = np.cumsum(np.r_[False, v[1:] != v[:-1]])  # the run of equal values
+        del v  # each temporary is freed once read, to keep the peak low
+        key *= 2 * n
+        key += order  # distinct keys, runs already in order: timsort is quick
+        order = order[np.argsort(key, kind="stable")]
+        del key
+        rank = np.empty(2 * n, dtype=np.int64)
+        rank[order] = np.arange(2 * n)
+        a_upto = np.cumsum(order < n)
+        del order
+        rank_a, rank_b = rank[:n], rank[n:]
+        out = (rank_a, rank_b, rank_a + 1 - a_upto[rank_a], n - a_upto[rank_b])
+        for x in out:
+            x.flags.writeable = False
+        return out
+
+    @property
     def ranks(self) -> tuple[np.ndarray, np.ndarray]:
         """(rank_a, rank_b): positions of a_i and b_i in the order of the
         ends a + b by value, a left end first at equal values, so that
-        b_i < a_j iff rank_b[i] < rank_a[j]."""
-        n, (_, a, b) = self.n, self.ends
-        rank = np.empty(2 * n, dtype=np.int64)
-        rank[np.lexsort((np.repeat([0, 1], n), np.concatenate([a, b])))] = np.arange(2 * n)
-        return rank[:n], rank[n:]
+        b_i < a_j iff rank_b[i] < rank_a[j]; read-only."""
+        return self._end_order[:2]
 
     def _degrees(self, minus: bool) -> np.ndarray:
-        rank_a, rank_b = self.ranks
-        if minus:  # right endpoints before a_j
-            return np.searchsorted(np.sort(rank_b), rank_a)
-        return self.n - np.searchsorted(np.sort(rank_a), rank_b)  # left ends after b_i
+        return self._end_order[2 if minus else 3]
 
     def precedes(self, u, v) -> np.ndarray:
         rank_a, rank_b = self.ranks

@@ -62,6 +62,7 @@ SamplerModel = MonotoneRC | RateFunction | StepKernelMeasure | AtomicMeasure  # 
 
 _FINGERPRINT_MAX = 5
 _FINGERPRINT_BLOCK = 1 << 10  # point tuples classified per numpy step
+_FINGERPRINT_BUDGET = 10**7  # subsets the exact fingerprint may classify
 _GRID_DENOMINATOR = 64  # the continuity grid of ks_distance_at_continuity
 _ATOM_MARGIN = Fraction(1, 32)  # ks_distance_at_continuity's distance kept from atoms
 
@@ -317,9 +318,16 @@ def fingerprint(p: FinitePoset, max_q: int) -> Fingerprint:
     Every s-subset of points is classified by its labelled pattern, a block
     of subsets per numpy step, so memory stays bounded whatever C(n, s) is;
     a class met by c subsets has c * |Aut| induced embeddings out of (n)_s
-    maps.
+    maps.  Past _FINGERPRINT_BUDGET subsets in all it raises BudgetExceeded
+    before any block is built.
     """
     _check_fingerprint_size(max_q)
+    subsets = sum(math.comb(p.n, s) for s in range(1, max_q + 1))
+    if subsets > _FINGERPRINT_BUDGET:
+        raise BudgetExceeded(
+            f"{subsets} subsets of {p.n} points up to size {max_q} exceed the "
+            f"exact fingerprint's budget of {_FINGERPRINT_BUDGET}"
+        )
     entries = []
     for s in range(1, max_q + 1):
         table, auts, ids, labs = _pattern_key_table(s)

@@ -1,7 +1,7 @@
 import json
 from fractions import Fraction as F
 
-from poslim import cli, measures, poset, recognition, semiorders, textio
+from poslim import cli, measures, poset, recognition, sampling, semiorders, textio
 from poslim.measures import StepKernelMeasure
 
 
@@ -136,6 +136,15 @@ def test_fingerprint_max_q_below_one_exits_2(capsys):
     for max_q in ("0", "-1"):
         code, out, err = run(capsys, "fingerprint", "--in", "h", "--max-q", max_q)
         assert code == 2 and out == "" and "max_q must be at least 1" in err
+
+
+def test_fingerprint_past_the_budget_exits_2(tmp_path, capsys, monkeypatch):
+    pfile = tmp_path / "p.poset"
+    run(capsys, "sample", "--kernel", "gc", "--c", "3/10", "--n", "40", "--seed", "2", "--out", str(pfile))
+    monkeypatch.setattr(sampling, "_FINGERPRINT_BUDGET", 1000)  # C(40, 3) alone is 9880
+    code, out, err = run(capsys, "fingerprint", "--in", str(pfile), "--max-q", "3")
+    assert code == 2 and out == "" and "10700 subsets of 40 points" in err and "budget of 1000" in err
+    assert run(capsys, "fingerprint", "--in", str(pfile), "--max-q", "2")[0] == 0
 
 
 def test_rgo_and_converge(tmp_path, capsys):

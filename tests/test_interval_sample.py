@@ -501,6 +501,56 @@ def test_draw_on_both_sides_of_the_int64_bound(model, wide):
         assert_matches_masks(p)
 
 
+def lexsort_reference(p):
+    """rank_a, rank_b, degrees minus and plus of an `IntervalSample` as a
+    `lexsort` of the ends (value, then side) and a sort and binary search
+    per degree vector: the reference for the argsort and running count."""
+    n, (_, a, b) = p.n, p.ends
+    rank = np.empty(2 * n, dtype=np.int64)
+    rank[np.lexsort((np.repeat([0, 1], n), np.concatenate([a, b])))] = np.arange(2 * n)
+    rank_a, rank_b = rank[:n], rank[n:]
+    minus = np.searchsorted(np.sort(rank_b), rank_a)
+    return rank_a, rank_b, minus, n - np.searchsorted(np.sort(rank_a), rank_b)
+
+
+def assert_matches_lexsort(p):
+    got = (*p.ranks, p.degrees("minus"), p.degrees("plus"))
+    for x, y in zip(got, lexsort_reference(p), strict=True):
+        assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
+
+
+BOUND_MODELS = [WIDE_G, WIDE_ATOMS, so.gc(F(3, 10)), CHAINED_ATOMS]
+
+
+@given(
+    st.one_of(models(), st.sampled_from(TIE_HEAVY), st.sampled_from(BOUND_MODELS)),
+    st.integers(1, 60),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_end_order_matches_lexsort_reference(model, n, seed):
+    assert_matches_lexsort(sa.sample_kernel_poset(model, n, SeededRng(seed)))
+
+
+def test_end_order_at_scale_with_every_value_tied_across_sides():
+    n = 10**5
+    x = np.random.default_rng(5).integers(0, n, n)  # a_i = b_i, and some points share x
+    p = ps.IntervalSample.from_ends(n, x, x.copy())
+    assert_matches_lexsort(p)
+    by_value = np.sort(x)  # i < j iff x_i < x_j
+    assert np.array_equal(p.degrees("minus"), np.searchsorted(by_value, x, "left"))
+    assert np.array_equal(p.degrees("plus"), n - np.searchsorted(by_value, x, "right"))
+
+
+@pytest.mark.parametrize("model", [so.gc(F(3, 10)), WIDE_G], ids=["int64", "object"])
+def test_cached_ranks_and_degrees_are_read_only(model):
+    p = sa.sample_kernel_poset(model, 30, SeededRng(4))
+    for arr in (*p.ranks, p.degrees("minus"), p.degrees("plus")):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 7
+    assert_matches_masks(p)
+
+
 def test_interval_sample_rejects_no_intervals():
     with pytest.raises(InvariantError, match="non-empty"):
         ps.IntervalSample([])

@@ -422,6 +422,23 @@ def test_fingerprint_estimate_budget():
         sa.fingerprint_estimate(ps.chain(5), 5, 200, SeededRng(1))
 
 
+def test_exact_fingerprint_budget_checked_before_any_block(monkeypatch):
+    def unbuilt(n, s):
+        raise AssertionError("subset blocks built before the budget check")
+
+    big = sa.sample_kernel_poset(so.gc(F(3, 10)), 5000, SeededRng(1))
+    expected = sa.fingerprint(ps.chain(10), 2)
+    monkeypatch.setattr(sa, "_subset_blocks", unbuilt)
+    # C(5000, 1) + C(5000, 2) + C(5000, 3) = 20,833,337,500 subsets
+    with pytest.raises(BudgetExceeded, match="20833337500 subsets .*budget of 10000000"):
+        sa.fingerprint(big, 3)
+    monkeypatch.undo()
+    monkeypatch.setattr(sa, "_FINGERPRINT_BUDGET", 10 + 45)  # C(10, 1) + C(10, 2)
+    assert sa.fingerprint(ps.chain(10), 2) == expected
+    with pytest.raises(BudgetExceeded, match="175 subsets.*budget of 55"):
+        sa.fingerprint(ps.chain(10), 3)
+
+
 def test_random_graph_order_examples():
     p = sa.random_graph_order(40, 1, SeededRng(3))
     assert is_isomorphic(p, ps.chain(40))
