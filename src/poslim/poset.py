@@ -90,7 +90,10 @@ def _cover_keys(a: np.ndarray, b: np.ndarray, counts=None) -> np.ndarray | None:
     """The covers (i, j) of the order i < j iff b_i < a_j, integer ends with
     no a equal to a b, as sorted keys i·n + j; None, before any key is built,
     if counts is given and some i has other than counts[i] covers.  j covers
-    i iff b_i < a_j < m_i, the least b of a successor of i: one window in a."""
+    i iff b_i < a_j < m_i, the least b of a successor of i: one window in a.
+    More covers than ⌊MAX_POINTS²/4⌋ raise SizeLimit before any key is built:
+    a cover graph is triangle-free, so by Mantel's bound no poset within the
+    point cap has more."""
     n, kind = len(a), _key_type(len(a))
     by_a = np.argsort(a).astype(kind)
     a_sorted = a[by_a]
@@ -99,6 +102,9 @@ def _cover_keys(a: np.ndarray, b: np.ndarray, counts=None) -> np.ndarray | None:
     hi = np.searchsorted(a_sorted, least_b[lo])
     if counts is not None and (hi - lo != counts).any():
         return None
+    cap = textio.MAX_POINTS
+    if (covers := int((hi - lo).sum())) > cap * cap // 4:
+        raise SizeLimit(f"{covers} covers: no poset of at most {cap} points has so many")
     key = np.repeat(np.arange(n, dtype=kind) * n, hi - lo) + by_a[_windows(lo, hi)]
     key.sort()
     return key

@@ -16,8 +16,8 @@ kernel uses them and gets its output validated.
 
 A sample from an interval model is a `poset.IntervalSample`.  Nothing here
 asks which class a poset is: degree statistics read `degrees`, and both
-fingerprints classify numpy blocks of point tuples with one `precedes` call,
-so a sample answers from its endpoint ranks and never builds its bitmasks.
+fingerprints classify numpy blocks of point tuples by `precedes` calls, so a
+sample answers from its endpoint ranks and never builds its bitmasks.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ INTERVAL_MODELS = (MonotoneRC, RateFunction, StepKernelMeasure, AtomicMeasure)
 SamplerModel = MonotoneRC | RateFunction | StepKernelMeasure | AtomicMeasure  # see measures.Measure
 
 _FINGERPRINT_MAX = 5
-_FINGERPRINT_BLOCK = 1 << 10  # point tuples classified per numpy step
+_FINGERPRINT_BLOCK = 1 << 11  # most subsets in a block of the exact fingerprint's walk
 _FINGERPRINT_BUDGET = 10**7  # subsets the exact fingerprint may classify
 _GRID_DENOMINATOR = 64  # the continuity grid of ks_distance_at_continuity
 _ATOM_MARGIN = Fraction(1, 32)  # ks_distance_at_continuity's distance kept from atoms
@@ -281,12 +281,31 @@ def _class_counts(p: FinitePoset, blocks, table: dict[int, int], classes: int) -
     return counts
 
 
-def _subset_blocks(n: int, s: int):
-    """Every s-subset of 0..n-1, in (m, s) blocks of at most _FINGERPRINT_BLOCK."""
-    combos = itertools.combinations(range(n), s)
-    flat = itertools.chain.from_iterable  # a block's subsets as one int64 stream
-    while len(block := np.fromiter(flat(itertools.islice(combos, _FINGERPRINT_BLOCK)), np.int64)):
-        yield block.reshape(-1, s)
+def _subset_blocks(p: FinitePoset, max_q: int, points=None, codes=None):
+    """(s, codes) of every s-subset of p's points, s = 1..max_q, in blocks
+    of at most _FINGERPRINT_BLOCK, by one walk down the subset tree: each
+    sorted column of an (s, m) block is extended by every larger point.  A
+    child's code is its parent's times 3^s plus d_u 3^u for each earlier
+    point u, d_u = 0 incomparable, 1 below the new point, 2 above it, so an
+    s-subset's code is below 3^(s(s-1)/2), 3^10 at s = 5, far inside int64.
+    One block a level: O(max_q² _FINGERPRINT_BLOCK) integers whatever n."""
+    if points is None:  # the root: the empty subset, coded 0
+        points, codes = np.empty((0, 1), np.int64), np.zeros(1, np.int64)
+    if s := len(points):
+        yield s, codes
+    if s == max_q:
+        return
+    ends = np.cumsum(p.n - 1 - (points[-1] if s else -1))  # parent i's children end at ends[i]
+    starts, shift, scaled = np.r_[0, ends[:-1]], p.n - ends, codes * 3**s
+    weights = 3 ** np.arange(s)  # of the digits d_u
+    for lo in range(0, int(ends[-1]), _FINGERPRINT_BLOCK):
+        hi = min(lo + _FINGERPRINT_BLOCK, int(ends[-1]))
+        first, last = ends.searchsorted([lo, hi - 1], "right")  # parents of children lo, hi - 1
+        kids = np.minimum(ends[first : last + 1], hi) - np.maximum(starts[first : last + 1], lo)
+        parent = np.repeat(np.arange(first, last + 1), kids)
+        old, new = points.take(parent, axis=1), np.arange(lo, hi) + shift[parent]
+        child = scaled[parent] + weights @ (p.precedes(old, new) + 2 * p.precedes(new, old))
+        yield from _subset_blocks(p, max_q, np.vstack([old, new]), child)
 
 
 @lru_cache(maxsize=8)
@@ -312,14 +331,30 @@ def _pattern_key_table(s: int) -> tuple[dict[int, int], list[int], list[str], li
     return table, auts, ids, labs
 
 
+@lru_cache(maxsize=8)
+def _code_table(s: int) -> np.ndarray:
+    """Class position of each code `_subset_blocks` gives an s-subset, or
+    the number of size-s classes for a code that is no poset's."""
+    keys, auts, _, _ = _pattern_key_table(s)
+    key = np.fromiter(keys, np.int64, len(keys))  # bit u*s+v of a key: u below v
+    code = np.zeros_like(key)
+    for v in range(1, s):
+        code *= 3**v
+        for u in range(v):
+            code += ((key >> (u * s + v) & 1) + 2 * (key >> (v * s + u) & 1)) * 3**u
+    table = np.full(3 ** (s * (s - 1) // 2), len(auts), np.int64)
+    table[code] = list(keys.values())
+    return table
+
+
 def fingerprint(p: FinitePoset, max_q: int) -> Fingerprint:
     """Exact induced densities of every catalog pattern up to size max_q.
 
-    Every s-subset of points is classified by its labelled pattern, a block
-    of subsets per numpy step, so memory stays bounded whatever C(n, s) is;
-    a class met by c subsets has c * |Aut| induced embeddings out of (n)_s
-    maps.  Past _FINGERPRINT_BUDGET subsets in all it raises BudgetExceeded
-    before any block is built.
+    Every s-subset of points is classified by its code from one walk down
+    the subset tree, a bounded block of subsets per numpy step, so memory
+    stays bounded whatever C(n, s) is; a class met by c subsets has c * |Aut|
+    induced embeddings out of (n)_s maps.  Past _FINGERPRINT_BUDGET subsets
+    in all it raises BudgetExceeded before any block is built.
     """
     _check_fingerprint_size(max_q)
     subsets = sum(math.comb(p.n, s) for s in range(1, max_q + 1))
@@ -328,12 +363,18 @@ def fingerprint(p: FinitePoset, max_q: int) -> Fingerprint:
             f"{subsets} subsets of {p.n} points up to size {max_q} exceed the "
             f"exact fingerprint's budget of {_FINGERPRINT_BUDGET}"
         )
+    sizes = range(1, max_q + 1)
+    counts = {s: np.zeros(len(_pattern_key_table(s)[1]) + 1, np.int64) for s in sizes}
+    for s, codes in _subset_blocks(p, max_q):
+        counts[s] += np.bincount(_code_table(s)[codes], minlength=len(counts[s]))
     entries = []
-    for s in range(1, max_q + 1):
-        table, auts, ids, labs = _pattern_key_table(s)
-        counts = _class_counts(p, _subset_blocks(p.n, s), table, len(auts))
+    for s in sizes:
+        _, auts, ids, labs = _pattern_key_table(s)
+        *counted, unknown = counts[s].tolist()
+        if unknown:
+            raise InvariantError(f"{unknown} subsets of {s} points are not partially ordered")
         maps = math.perm(p.n, s)  # 0 when s > n, and then every count is 0
-        for pos, c in enumerate(counts):
+        for pos, c in enumerate(counted):
             value = Fraction(c * auts[pos], maps) if c else Fraction(0)
             entries.append(FingerprintEntry(ids[pos], labs[pos], value, Fraction(0)))
     return Fingerprint(max_q, tuple(entries))

@@ -2,6 +2,7 @@
 gives an `IntervalSample`; any other file takes the closure, unchanged."""
 
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 
@@ -14,7 +15,8 @@ from poslim import poset as ps
 from poslim import recognition as rec
 from poslim import sampling as sa
 from poslim import semiorders as so
-from poslim.errors import CycleError, InvariantError
+from poslim import textio
+from poslim.errors import CycleError, InvariantError, SizeLimit
 from poslim.measures import AtomicMeasure
 from poslim.rng import SeededRng
 
@@ -85,6 +87,38 @@ def test_keys_past_int32_read_as_a_sample():
     assert isinstance(p, ps.IntervalSample)
     assert ps._cover_keys(*p.ranks).dtype == np.int64
     assert p.degrees("minus")[49_999] == 2 and p.precedes(0, 49_999)
+
+
+def test_cover_pairs_past_mantels_bound_raise_size_limit():
+    """A g-like sample of 10^5 points, past the point cap, has about 1.6e9
+    covers; they are refused before any key is built (the keys alone would
+    take 12.3 GiB)."""
+    n, den = 10**5, 2**40
+    x = np.random.default_rng(1).integers(0, den, n)
+    p = ps.IntervalSample.from_ends(den, x, np.minimum(x + 3 * den // 10, den))
+    p.ranks  # noqa: B018 - the ranks are cached before the trace
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit, match="covers: no poset of at most 5000 points"):
+            p.cover_pairs()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_mantels_bound_is_the_cover_cap(monkeypatch):
+    """All of 5 points below all of 5 others: 25 covers, floor(10²/4), the
+    most any 10-point poset has; 5 below 6 have 30, past a cap of 10 points."""
+    monkeypatch.setattr(textio, "MAX_POINTS", 10)
+    for low, high in ((5, 5), (5, 6)):
+        a = np.array([0] * low + [2] * high)
+        p = ps.IntervalSample.from_ends(1, a, a + 1)
+        if low * high <= 25:
+            assert len(p.cover_pairs()[0]) == 25
+        else:
+            with pytest.raises(SizeLimit, match="30 covers: no poset of at most 10 points"):
+                p.cover_pairs()
 
 
 def test_cover_pairs_are_int64_for_either_class():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 
@@ -23,7 +24,15 @@ from poslim.errors import (
 from poslim.measures import AtomicMeasure, StepCDF, StepKernelMeasure
 from poslim.rng import SeededRng
 
-from conftest import is_isomorphic, monotone_gs, pattern_key, posets
+from conftest import (
+    atomic_measures,
+    is_isomorphic,
+    monotone_gs,
+    pattern_key,
+    posets,
+    rate_pieces,
+    step_measures,
+)
 
 TWO_CELL = StepKernelMeasure.from_cells(
     [(0, F(1, 2), [(F(1, 2), 1)]), (F(1, 2), 1, [(1, 1)])]
@@ -398,6 +407,95 @@ def test_exact_fingerprint_block_size_does_not_matter(monkeypatch):
     monkeypatch.setattr(sa, "_FINGERPRINT_BLOCK", 7)
     assert [sa.fingerprint(plain, 5), sa.fingerprint(fresh, 5)] == expected
     assert expected[0] == expected[1]
+
+
+def combinations_reference(p, max_q):
+    """The exact fingerprint counted as it was before the subset walk: every
+    s-subset from `itertools.combinations`, 1,024 at a time, its labelled
+    key from `_pattern_keys` and the keys tallied by `np.unique`."""
+    entries = []
+    for s in range(1, max_q + 1):
+        table, auts, ids, labs = sa._pattern_key_table(s)
+        counts = [0] * len(auts)
+        combos = itertools.combinations(range(p.n), s)
+        while block := list(itertools.islice(combos, 1024)):
+            uniq, tally = np.unique(sa._pattern_keys(p, np.array(block)), return_counts=True)
+            for key, c in zip(uniq.tolist(), tally.tolist()):
+                counts[table[key]] += c
+        maps = math.perm(p.n, s)
+        for pid, lab, c, aut in zip(ids, labs, counts, auts):
+            entries.append(sa.FingerprintEntry(pid, lab, F(c * aut, maps) if c else F(0), F(0)))
+    return sa.Fingerprint(max_q, tuple(entries))
+
+
+ANY_INTERVAL_MODEL = st.one_of(
+    monotone_gs(),
+    rate_pieces().map(so.RateFunction.from_pieces),
+    step_measures(),
+    atomic_measures(),
+)
+FINGERPRINTED = st.one_of(
+    st.builds(
+        lambda model, n, seed: sa.sample_kernel_poset(model, n, SeededRng(seed)),
+        ANY_INTERVAL_MODEL, st.integers(1, 14), st.integers(0, 2**32),
+    ),
+    st.builds(
+        lambda n, edge, seed: sa.random_graph_order(n, edge, SeededRng(seed)),
+        st.integers(1, 14), st.sampled_from([0.1, 0.3, 0.6]), st.integers(0, 2**32),
+    ),
+    posets(max_n=10),
+)
+
+
+@given(FINGERPRINTED, st.integers(1, 5), st.sampled_from([1, 7, None]))
+@example(ps.chain(1), 5, 1)  # n = 1: every size above 1 is empty
+@example(ps.antichain(3), 5, 7)  # s > n
+@example(sa.sample_kernel_poset(so.gc(F(3, 10)), 14, SeededRng(5)), 5, 7)
+@settings(max_examples=80, deadline=None)
+def test_fingerprint_walk_matches_the_combinations_reference(p, max_q, block):
+    """Blocks of 1 and 7 split a parent's children; None keeps the default."""
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(sa, "_FINGERPRINT_BLOCK", block)
+        assert sa.fingerprint(p, max_q) == combinations_reference(p, max_q)
+
+
+@pytest.mark.parametrize("block", [1, 7, 2048])
+def test_subset_walk_visits_every_subset_once_in_bounded_blocks(monkeypatch, block):
+    p = sa.sample_kernel_poset(so.gc(F(3, 10)), 23, SeededRng(4))
+    monkeypatch.setattr(sa, "_FINGERPRINT_BLOCK", block)
+    codes = {s: [] for s in range(1, 5)}
+    for s, block_codes in sa._subset_blocks(p, 4):
+        assert 1 <= len(block_codes) <= block
+        codes[s] += block_codes.tolist()
+    for s, got in codes.items():
+        subsets = itertools.combinations(range(p.n), s)
+        keys = sa._pattern_keys(p, np.array(list(subsets)).reshape(-1, s)).tolist()
+        table, *_ = sa._pattern_key_table(s)
+        classes = sa._code_table(s)
+        assert sorted(classes[got].tolist()) == sorted(table[k] for k in keys)
+
+
+@pytest.mark.parametrize("n, max_q, cap_mib", [(3000, 2, 4), (40, 5, 2)])
+def test_exact_fingerprint_memory_is_bounded(n, max_q, cap_mib):
+    """No n x n relation table and no unbounded block: a fresh sample's
+    exact fingerprint peaks at a few blocks' worth of integers."""
+    sa.fingerprint(ps.chain(max_q), max_q)  # the catalog and code tables, cached
+    p = sa.sample_kernel_poset(so.gc(F(3, 10)), n, SeededRng(1))
+    tracemalloc.start()
+    try:
+        sa.fingerprint(p, max_q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cap_mib * 2**20
+
+
+def test_a_relation_that_is_no_partial_order_is_refused():
+    p = ps.FinitePoset.from_succ_masks([0b010, 0b100, 0])  # 0 < 1 < 2 but not 0 < 2
+    assert sa.fingerprint(p, 2).value("2-1") == F(1, 3)
+    with pytest.raises(InvariantError, match="1 subsets of 3 points are not partially ordered"):
+        sa.fingerprint(p, 3)
 
 
 @pytest.mark.parametrize("max_q", [0, -1])
