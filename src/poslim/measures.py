@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal
 
+import numpy as np
+
 from . import pwl, textio
 from .errors import FormatError, InvalidArgument, InvariantError, NotInPMinus
 from .pwl import ONE, ZERO, as_fraction
@@ -55,7 +57,6 @@ def _weights(pairs: Iterable) -> list:
 # -- CDFs ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class StepCDF(pwl.Curve):
     """Piecewise-linear right-continuous CDF on [0,1] with upward jumps."""
 
@@ -63,13 +64,17 @@ class StepCDF(pwl.Curve):
 
     @classmethod
     def from_points(cls, raw: Iterable) -> "StepCDF":
-        pts = pwl.normalize(raw)
-        pwl.check_monotone(pts)
-        if pts[0][1] != ZERO:
+        return cls.from_rows(pwl.read_points(raw))
+
+    @classmethod
+    def from_rows(cls, rows: pwl.Rows) -> "StepCDF":
+        """The CDF of these rows, normalized and checked: F(0-) = 0, F(1) = 1."""
+        den, _, left, right = rows = pwl.check_monotone(pwl.normalize(rows))
+        if left[0] != 0:
             raise InvariantError("CDF must have F(0-) = 0")
-        if pts[-1][2] != ONE:
+        if right[-1] != den:
             raise InvariantError("CDF must have F(1) = 1")
-        return cls(pts)
+        return cls.of_rows(*rows)
 
     @classmethod
     def from_jumps(cls, weighted_values: Iterable[tuple[Fraction, Fraction]]) -> "StepCDF":
@@ -118,26 +123,20 @@ def support_and_gaps(
     sup/inf conventions of the snap maps this makes end gaps behave exactly
     like interior gaps.
     """
-    merged: list[tuple[Fraction, Fraction]] = []
-    pts = nu.points
-    for (x, left, right), nxt in zip(pts, pts[1:] + (None,)):
-        hi = nxt[0] if nxt and right < nxt[1] else x  # x, or the next x if F grows to it
-        if left != right or hi > x:
-            if merged and merged[-1][1] == x:
-                merged[-1] = (merged[-1][0], hi)
-            else:
-                merged.append((x, hi))
-    if not merged:
+    m, x, left, right = nu.rows
+    grows = np.append(right[:-1] < left[1:], False)  # F grows on the piece after x
+    on = (left != right) | grows
+    if not on.any():
         raise InvariantError("a CDF must increase somewhere")
-    gaps: list[tuple[Fraction, Fraction]] = []
-    prev = ZERO
-    for lo, hi in merged:
-        if lo > prev:
-            gaps.append((prev, lo))
-        prev = hi
-    if prev < ONE:
-        gaps.append((prev, ONE))
-    return SupportSet(tuple(merged)), gaps
+    lo, hi = x[on], np.where(grows, np.append(x[1:], m), x)[on]  # [x, x] or the piece
+    start = np.append(True, lo[1:] != hi[:-1])  # a component starts past the last one's end
+    lo, hi = lo[start], hi[np.append(start[1:], True)]
+    a, b = np.append(0, hi), np.append(lo, m)  # what lies between components, and at the ends
+
+    def spans(ends, stops):
+        return [(Fraction(e, m), Fraction(s, m)) for e, s in zip(ends.tolist(), stops.tolist())]
+
+    return SupportSet(tuple(spans(lo, hi))), spans(a[b > a], b[b > a])
 
 
 def h_map(nu: StepCDF, x, variant: HVariant) -> Fraction:
@@ -314,13 +313,13 @@ def check_p_minus(nu: StepCDF) -> None:
     """Raise NotInPMinus unless F(t) >= t everywhere.
 
     For a piecewise-linear CDF it is enough to check values and left limits
-    at the breakpoints.
+    at the breakpoints: two integer comparisons a row of `nu.rows`.
     """
-    for x, left, right in nu.points:
-        if right < x:
-            raise NotInPMinus(f"F({x}) = {right} < {x}")
-        if left < x:
-            raise NotInPMinus(f"F({x}-) = {left} < {x}")
+    den, x, left, right = nu.rows
+    for i in np.flatnonzero((right < x) | (left < x))[:1]:  # the first fault, if any
+        side, v = ("", right[i]) if right[i] < x[i] else ("-", left[i])
+        t, v = Fraction(int(x[i]), den), Fraction(int(v), den)
+        raise NotInPMinus(f"F({t}{side}) = {v} < {t}")
 
 
 # -- text formats -------------------------------------------------------------

@@ -1,20 +1,20 @@
 """Piecewise-linear right-continuous functions on [0,1] with upward jumps.
 
 The shared representation behind CDFs and monotone threshold functions:
-a tuple of breakpoints ``(x, left, right)`` with x strictly increasing,
-x[0] = 0 and x[-1] = 1.  The function value at a breakpoint is `right`, the
-left limit is `left`, and the function is linear between `right[i]` at x[i]
-and `left[i+1]` at x[i+1].  All coordinates are exact rationals.
+breakpoints ``(x, left, right)`` with x strictly increasing, x[0] = 0 and
+x[-1] = 1.  The function value at a breakpoint is `right`, the left limit is
+`left`, and the function is linear between `right[i]` at x[i] and
+`left[i+1]` at x[i+1].  All coordinates are exact rationals.
 
-A curve's one integer view, `rows`, is its breakpoints as integer arrays
-over one denominator (`over_lcm`, which also holds the ends of an interval
-sample); a curve made `of_rows` (an empirical degree CDF) builds its
-`Fraction` points only when they are read.  Every reading of a curve's
-numbers goes through its rows: `check_monotone` and `normalize` compare
-integers over one denominator, and `value_at`, `values_along` and
-`sup_distance` evaluate through `_along`: one `searchsorted` and one numpy
-pass over each piece's line, in int64 under a stated bound and in object
-ints past it.
+A curve is held as rows (den, x, left, right): its breakpoints as integer
+arrays over one denominator (`over_lcm`, which also holds the ends of an
+interval sample).  Every curve is made `of_rows`, and its `Fraction` points
+are a view built only when read.  Raw breakpoints are read once, by
+`read_points`.  `normalize`, `check_monotone` and `reflect` take rows and
+return rows, comparing integers over one denominator; `value_at`,
+`values_along` and `sup_distance` evaluate through `_along`: one
+`searchsorted` and one numpy pass over each piece's line, in int64 under a
+stated bound and in object ints past it.
 
 Each geometric rule of the representation calculus lives here once:
 evaluation (`Curve`, the base of CDFs and threshold functions), the
@@ -26,7 +26,7 @@ the line through a piece (`_line`, per piece in `segment_lines`), which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from numbers import Rational, Real
@@ -38,6 +38,7 @@ from . import textio
 from .errors import InvariantError
 
 Points = tuple[tuple[Fraction, Fraction, Fraction], ...]
+Rows = tuple[int, np.ndarray, np.ndarray, np.ndarray]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -59,15 +60,23 @@ def as_fraction(value) -> Fraction:
     raise InvariantError(f"not an exact coordinate: {value!r}")
 
 
-def check_monotone(points: Points) -> None:
-    """Raise InvariantError at the first breakpoint that fails a check, with
-    the first check it fails: x increasing, values in [0,1], jump upward,
-    left value at least the previous right value."""
-    if not points:
+def read_points(points: Iterable[Sequence]) -> Rows:
+    """The rows of raw breakpoints (x, left, right), each coordinate read by
+    `as_fraction`, over their least common denominator."""
+    pts = [(as_fraction(x), as_fraction(lt), as_fraction(rt)) for x, lt, rt in points]
+    if not pts:
         raise InvariantError("need at least one breakpoint")
-    if points[0][0] != ZERO or points[-1][0] != ONE:
+    den, cols = over_lcm(*zip(*pts))
+    return den, *cols
+
+
+def check_monotone(rows: Rows) -> Rows:
+    """The rows, or InvariantError at the first breakpoint that fails a check
+    with the first check it fails: x from 0 to 1 and increasing, values in
+    [0,1], jump upward, left value at least the previous right value."""
+    m, x, lt, rt = rows
+    if x[0] != 0 or x[-1] != m:
         raise InvariantError("breakpoints must start at 0 and end at 1")
-    m, x, lt, rt = _rows(points)
     # before x[0] = 0, a sentinel x of -1 and right value of 0 pass
     prev_x, prev_rt = np.concatenate(([-1], x[:-1])), np.concatenate(([0], rt[:-1]))
     faults = {
@@ -79,33 +88,31 @@ def check_monotone(points: Points) -> None:
     bad = np.array(list(faults.values()))
     if bad.any():
         raise InvariantError(list(faults)[bad[:, bad.any(axis=0).argmax()].argmax()])
+    return rows
 
 
-def normalize(points: Iterable[Sequence]) -> Points:
-    """Canonical form: the breakpoints sorted by x, less each one that has no
-    jump and the same slope in as out."""
-    pts = [(as_fraction(x), as_fraction(lt), as_fraction(rt)) for x, lt, rt in points]
-    if not pts:
-        raise InvariantError("need at least one breakpoint")
-    m, *cols = _rows(pts)
+def normalize(rows: Rows) -> Rows:
+    """Canonical form: the rows sorted by x, in new arrays, less each
+    breakpoint that has no jump and the same slope in as out."""
+    m, *cols = rows
     order = np.argsort(cols[0], kind="stable")
     big = max(m, int(np.abs(np.concatenate(cols)).max()))  # differences below 2 big
     x, lt, rt = _fit(4 * big * big, *(c[order] for c in cols))
     dx = np.diff(x)
     if not dx.all():
-        raise InvariantError(f"duplicate breakpoint at {pts[order[(dx == 0).argmax()]][0]}")
+        raise InvariantError(f"duplicate breakpoint at {Fraction(int(x[(dx == 0).argmax()]), m)}")
     keep = np.ones(len(x), dtype=bool)
     bend = (lt[1:-1] - rt[:-2]) * dx[1:] != (lt[2:] - rt[1:-1]) * dx[:-1]
     keep[1:-1] = (lt[1:-1] != rt[1:-1]) | bend
-    return tuple(pts[i] for i in order[keep].tolist())
+    return m, x[keep], lt[keep], rt[keep]
 
 
-def value_at(curve, t) -> Fraction:
-    """The value at t in [0,1] of a curve or of its points."""
+def value_at(curve: Curve, t) -> Fraction:
+    """The value of a curve at t in [0,1]."""
     return Fraction(*next(values_along(curve, [_unit(t)])))
 
 
-def left_limit_at(curve, t) -> Fraction:
+def left_limit_at(curve: Curve, t) -> Fraction:
     """Limit from the left; at t = 0 returns the stored pre-jump value."""
     return Fraction(*next(values_along(curve, [_unit(t)], "left")))
 
@@ -117,22 +124,20 @@ def _unit(t) -> tuple[int, int]:
     return t.as_integer_ratio()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Curve:
-    """A function held as its breakpoints, evaluated exactly.
+    """A function held as its rows, evaluated exactly.
 
-    Subclasses bind `value` and `left_limit` in their own class body, so a
-    wrapper installed on one class (as perfbench's tracer does) sees only
-    that class's calls.  A curve made `of_rows` has no points until read.
+    `rows` is (den, x, left, right): the breakpoints (x, left, right)/den
+    as integer arrays, set once by `of_rows`, the one constructor.
+    `points`, the same breakpoints as `Fraction`s, is built when first read;
+    curves compare, hash and print by it.  Subclasses bind `value` and
+    `left_limit` in their own class body, so a wrapper installed on one
+    class (as perfbench's tracer does) sees only that class's calls.
     """
 
+    rows: Rows = field(compare=False, repr=False)
     points: Points = cached_property(lambda self: _points(self.rows))
-
-    @cached_property
-    def rows(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """(den, x, left, right): the breakpoints as integer arrays over den."""
-        den, cols = over_lcm(*zip(*self.points))
-        return den, *cols
 
     @classmethod
     def of_rows(cls, den: int, x: np.ndarray, left: np.ndarray, right: np.ndarray):
@@ -148,12 +153,7 @@ class Curve:
         return left_limit_at(self, t)
 
 
-def _rows(curve) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of a curve, or of the curve with these points."""
-    return (curve if isinstance(curve, Curve) else Curve(curve)).rows
-
-
-def _points(rows) -> Points:
+def _points(rows: Rows) -> Points:
     cols = [c.tolist() for c in rows[1:]]
     k_den = {k: Fraction(k, rows[0]) for col in cols for k in col}
     return tuple(zip(*([k_den[k] for k in col] for col in cols)))
@@ -183,25 +183,22 @@ def _ratio(v: Real) -> tuple[int, int]:
     return int(ratio[0]), int(ratio[1])
 
 
-def reflect(points: Points) -> Points:
-    """The completed graph reflected across x + y = 1, re-read as breakpoints.
+def reflect(rows: Rows) -> Rows:
+    """The completed graph reflected across x + y = 1, re-read as rows.
 
     Jumps become flat pieces and flat pieces jumps; a reflected graph that
     stops short of x = 1 is extended flat at height 1.  The stored left value
-    at 0 is whatever the reflection gives; callers set their own.  The
-    breakpoints are not normalized: callers pass them to a `from_points`.
+    at 0 is whatever the reflection gives; callers set their own.  The rows
+    are not normalized: callers pass them to a `from_rows`.
     """
-    groups: list[tuple[Fraction, Fraction, Fraction]] = []
-    for x, left, right in reversed(points):
-        for y in (right, left):  # the polyline walked backwards
-            rx, ry = ONE - y, ONE - x
-            if groups and groups[-1][0] == rx:
-                groups[-1] = (rx, groups[-1][1], ry)
-            else:
-                groups.append((rx, ry, ry))
-    if groups[-1][0] != ONE:
-        groups.append((ONE, ONE, ONE))
-    return tuple(groups)
+    m, x, lt, rt = rows
+    # the polyline walked backwards, each breakpoint's right then left value,
+    # and (1, 1): it ends at (1 - left(0), 1), so it merges there or extends
+    rx = np.append(m - np.stack((rt, lt), axis=1)[::-1].ravel(), m)
+    ry = np.append(np.repeat(m - x[::-1], 2), m)
+    first = np.concatenate(([True], rx[1:] != rx[:-1]))  # a new reflected x
+    last = np.concatenate((first[1:], [True]))
+    return m, rx[first], ry[first], ry[last]
 
 
 def tiling(pieces: Iterable[Sequence], what: str) -> tuple[Fraction, ...]:
@@ -221,16 +218,16 @@ def tiling(pieces: Iterable[Sequence], what: str) -> tuple[Fraction, ...]:
     return tuple(breaks)
 
 
-def sup_distance(f, g) -> Fraction:
-    """Exact sup-norm distance between two curves (or their breakpoints).
+def sup_distance(f: Curve, g: Curve) -> Fraction:
+    """Exact sup-norm distance between two curves.
 
     Between consecutive breakpoints of either both functions are linear, so
     the sup is attained at a breakpoint, as a value or a left limit.  Each
     curve is read at the other's rows by `_along`; the differences on one
     side share a denominator, so their sup is one integer max.
     """
-    best, rf, rg = ZERO, _rows(f), _rows(g)
-    for (n, x, left, right), other in ((rf, rg), (rg, rf)):
+    best = ZERO
+    for (n, x, left, right), other in ((f.rows, g.rows), (g.rows, f.rows)):
         for side, ys in (("right", right), ("left", left)):
             num, den = _along(other, x, n, side)
             gap = abs(ys.astype(num.dtype) * (den // n) - num).max()
@@ -238,18 +235,18 @@ def sup_distance(f, g) -> Fraction:
     return best
 
 
-def values_along(curve, ts: Iterable, side: str = "right") -> Iterator[tuple[int, int]]:
+def values_along(curve: Curve, ts: Iterable, side: str = "right") -> Iterator[tuple[int, int]]:
     """Values (or with side "left", left limits) at the nondecreasing tn/td
     in [0,1] as pairs (num, den > 0), by `_along` over the least common
     denominator of the td."""
     ts = list(ts)
     td = math.lcm(*(d for _, d in ts))
     x = _fit(td, [tn * (td // d) for tn, d in ts])[0]
-    num, den = _along(_rows(curve), x, td, side)
+    num, den = _along(curve.rows, x, td, side)
     return ((v, den) for v in num.tolist())
 
 
-def _along(rows, x: np.ndarray, n: int, side: str) -> tuple[np.ndarray, int]:
+def _along(rows: Rows, x: np.ndarray, n: int, side: str) -> tuple[np.ndarray, int]:
     """Values (side "right") or left limits ("left") of the curve with these
     rows at the nondecreasing x/n: numerators over one returned denominator.
 
@@ -272,7 +269,7 @@ def _along(rows, x: np.ndarray, n: int, side: str) -> tuple[np.ndarray, int]:
     return (p * scale)[at] * x + (q * scale)[at] * n, den * n
 
 
-def _line(rows, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _line(rows: Rows, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(p, q, d): the line y = (p t + q)/d through each piece ks of the rows
     padded by a flat piece on each side, so that piece k starts at
     breakpoint k - 1 and the padding gives the left limit at 0 and the value
@@ -287,10 +284,9 @@ def _line(rows, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return m * (l1 - r0), r0 * x1 - l1 * x0, m * (x1 - x0)
 
 
-def segment_lines(curve) -> list[tuple[int, int, int]]:
-    """`_line` of the piece that starts at each breakpoint of a curve (or
-    of its points) as Python ints; the piece at x = 1 is the constant value
-    there."""
-    rows = _rows(curve)
+def segment_lines(curve: Curve) -> list[tuple[int, int, int]]:
+    """`_line` of the piece that starts at each breakpoint of a curve as
+    Python ints; the piece at x = 1 is the constant value there."""
+    rows = curve.rows
     p, q, d = _line(rows, np.arange(1, len(rows[1]) + 1))
     return list(zip(p.tolist(), q.tolist(), d.tolist()))

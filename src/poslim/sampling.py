@@ -407,8 +407,8 @@ def fingerprint_estimate(
             continue
         us = rng.uniforms(SUBSETS, subsets * s * 4, index=s)
         tuples = np.minimum((us * n).astype(np.int64), n - 1).reshape(-1, s)
-        ordered = np.sort(tuples, axis=1)
-        tuples = tuples[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
+        pairs = itertools.combinations(tuples.T, 2)  # distinct: every column pair differs
+        tuples = tuples[np.logical_and.reduce([a != b for a, b in pairs])]
         if len(tuples) < subsets:
             raise BudgetExceeded(
                 f"{len(us) // s} random {s}-tuples of {n} points gave fewer "

@@ -9,7 +9,7 @@ The calculus here converts between g and the two degree distributions:
 the predecessor CDF *is* g, the successor CDF is g reflected across the
 line x + y = 1 (`pwl.reflect`, in both directions), and both maps invert
 exactly on piecewise-linear data.  One check (`_check_g`) decides what a
-valid g is, for `MonotoneRC.from_points` and `validate_g` alike.  The g
+valid g is, for `MonotoneRC.from_rows` and `validate_g` alike.  The g
 text format's slopes, written and checked, are `pwl.segment_lines`.
 """
 
@@ -23,10 +23,9 @@ from typing import Iterable
 from . import pwl, textio
 from .errors import FormatError, InvariantError, NotInPMinus
 from .measures import StepCDF, check_p_minus
-from .pwl import ONE, ZERO, Points, as_fraction
+from .pwl import ONE, ZERO, as_fraction
 
 
-@dataclass(frozen=True)
 class MonotoneRC(pwl.Curve):
     """Piecewise-linear right-continuous g on [0,1] with g(x) >= x, g(1) = 1."""
 
@@ -34,12 +33,15 @@ class MonotoneRC(pwl.Curve):
 
     @classmethod
     def from_points(cls, raw: Iterable) -> "MonotoneRC":
-        pts = pwl.normalize(raw)
-        # no left limit exists at 0; canonicalize the stored pre-value
-        x0, _, r0 = pts[0]
-        pts = ((x0, r0, r0),) + pts[1:]
-        _check_g(pts)
-        return cls(pts)
+        return cls.from_rows(pwl.read_points(raw))
+
+    @classmethod
+    def from_rows(cls, rows: pwl.Rows) -> "MonotoneRC":
+        """The threshold function of these rows, normalized and checked (`_check_g`)."""
+        _, _, left, right = rows = pwl.normalize(rows)  # new arrays
+        left[0] = right[0]  # no left limit exists at 0; canonicalize the stored pre-value
+        _check_g(rows)
+        return cls.of_rows(*rows)
 
     @classmethod
     def identity(cls) -> "MonotoneRC":
@@ -63,18 +65,18 @@ def gc(c) -> MonotoneRC:
 def validate_g(g: MonotoneRC) -> bool:
     """True iff nondecreasing with g(x) >= x (see `_check_g`)."""
     try:
-        _check_g(g.points)
+        _check_g(g.rows)
     except InvariantError:
         return False
     return True
 
 
-def _check_g(points: Points) -> None:
-    """Raise InvariantError unless nondecreasing with g(x) >= x;
-    piecewise-linear, so checking values and left limits at breakpoints
+def _check_g(rows: pwl.Rows) -> None:
+    """Raise InvariantError unless nondecreasing with g(x) >= x; piecewise-
+    linear with upward jumps, so checking left limits at breakpoints
     suffices.  g(1) = 1 is forced by g(x) >= x and checked with it."""
-    pwl.check_monotone(points)
-    if any(right < x or left < x for x, left, right in points) or points[-1][2] != ONE:
+    den, x, left, right = pwl.check_monotone(rows)
+    if (left < x).any() or right[-1] != den:
         raise InvariantError("not weakly increasing with g(x) >= x")
 
 
@@ -102,20 +104,22 @@ class RateFunction:
 # -- the F-/F+ calculus -------------------------------------------------------
 
 
-def _cdf(points: Points) -> StepCDF:
-    """The CDF with these breakpoints and F(0-) = 0."""
-    x0, _, r0 = points[0]
-    return StepCDF.from_points(((x0, ZERO, r0),) + points[1:])
+def _cdf(rows: pwl.Rows) -> StepCDF:
+    """The CDF with these rows and F(0-) = 0."""
+    den, x, left, right = rows
+    left = left.copy()
+    left[0] = 0
+    return StepCDF.from_rows((den, x, left, right))
 
 
 def f_minus(g: MonotoneRC) -> StepCDF:
     """Predecessor-share CDF of the limit: equals g pointwise, F(0-) = 0."""
-    return _cdf(g.points)
+    return _cdf(g.rows)
 
 
 def f_plus(g: MonotoneRC) -> StepCDF:
     """Successor-share CDF: g's completed graph reflected across x + y = 1."""
-    return _cdf(pwl.reflect(g.points))
+    return _cdf(pwl.reflect(g.rows))
 
 
 def g_from_nu_minus(nu: StepCDF) -> MonotoneRC:
@@ -125,7 +129,7 @@ def g_from_nu_minus(nu: StepCDF) -> MonotoneRC:
     (F(t) >= t); raises NotInPMinus otherwise.
     """
     check_p_minus(nu)
-    return MonotoneRC.from_points(nu.points)
+    return MonotoneRC.from_rows(nu.rows)
 
 
 def g_from_f_plus(fp: StepCDF) -> MonotoneRC:
@@ -135,7 +139,7 @@ def g_from_f_plus(fp: StepCDF) -> MonotoneRC:
     """
     check_p_minus(fp)
     try:
-        return MonotoneRC.from_points(pwl.reflect(fp.points))
+        return MonotoneRC.from_rows(pwl.reflect(fp.rows))
     except InvariantError as exc:
         raise NotInPMinus(str(exc)) from exc
 
@@ -199,12 +203,11 @@ def write_g(g: MonotoneRC) -> str:
 
 def read_g(text: str) -> MonotoneRC:
     _, count, body = textio.read_header(text, "pwl")
-    lines = textio.row_lines(body, count)
-    rows = textio.rows(lines, 4)
-    pts = [row[:3] for row in rows]
-    g = MonotoneRC.from_points(pts)
+    table = textio.rows(textio.row_lines(body, count), 4)
+    rows = pwl.read_points(row[:3] for row in table)
+    g = MonotoneRC.from_rows(rows)
     # verify declared slopes against the pieces as written; the last is free
-    for (x, *_, slope), (p, _, d) in zip(rows, pwl.segment_lines(pts)[:-1]):
+    for (x, *_, slope), (p, _, d) in zip(table, pwl.segment_lines(pwl.Curve.of_rows(*rows))[:-1]):
         if Fraction(p, d) != slope:
             raise FormatError(f"slope mismatch at x = {x}")
     return g

@@ -10,10 +10,12 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from poslim import measures as me
+from poslim import sampling as sa
+from poslim import semiorders as so
 from poslim.errors import InvariantError, NotInPMinus
 from poslim.measures import AtomicMeasure, StepCDF, StepKernelMeasure
 
-from conftest import atomic_measures, step_measures
+from conftest import atomic_measures, monotone_gs, posets, step_measures
 
 
 def cells(*specs):
@@ -101,6 +103,35 @@ def test_support_and_gaps_examples():
     supp, gaps = me.support_and_gaps(mix)
     assert supp.intervals == ((F(1, 2), F(1, 2)), (F(3, 4), F(1)))
     assert gaps == [(F(0), F(1, 2)), (F(1, 2), F(3, 4))]
+
+
+def ref_support_and_gaps(points):
+    """Support components and gaps by one walk over the `Fraction` points:
+    the reference for the walk on rows."""
+    merged = []
+    for (x, left, right), nxt in zip(points, points[1:] + (None,)):
+        hi = nxt[0] if nxt and right < nxt[1] else x  # x, or the next x if F grows to it
+        if left != right or hi > x:
+            if merged and merged[-1][1] == x:
+                merged[-1] = (merged[-1][0], hi)
+            else:
+                merged.append((x, hi))
+    gaps, prev = [], F(0)
+    for lo, hi in merged:
+        if lo > prev:
+            gaps.append((prev, lo))
+        prev = hi
+    return tuple(merged), gaps + [(prev, F(1))] * (prev < 1)
+
+
+@given(st.one_of(step_measures().map(me.right_marginal), atomic_measures().map(me.right_marginal),
+                 monotone_gs().map(so.f_minus), monotone_gs().map(so.f_plus),
+                 posets(max_n=6).map(lambda p: sa.nu_empirical(p, "plus"))))
+@settings(max_examples=150, deadline=None)
+def test_support_and_gaps_match_point_walk(nu):
+    supp, gaps = me.support_and_gaps(nu)
+    assert (supp.intervals, gaps) == ref_support_and_gaps(nu.points)
+    assert all(type(v) is F for span in (*supp.intervals, *gaps) for v in span)
 
 
 def test_h_map_examples():

@@ -1,7 +1,7 @@
 """Exact evaluation and sup-norm distance of piecewise-linear functions,
 checked against linear-scan references written here, and the integer
-kernels of `normalize` and `check_monotone` against their `Fraction`
-references in conftest."""
+kernels of `normalize` and `check_monotone`, and the curve constructors
+built on them, against their `Fraction` references in conftest."""
 
 from fractions import Fraction as F
 
@@ -54,27 +54,27 @@ def grid_points(points):
 
 
 @st.composite
-def cdf_points(draw, pool):
-    """Breakpoints of a monotone CDF: inner abscissae partly from a shared
-    pool, values nondecreasing, with jumps allowed at 0 and at 1."""
+def cdfs(draw, pool):
+    """A monotone CDF: inner abscissae partly from a shared pool, values
+    nondecreasing, with jumps allowed at 0 and at 1."""
     inner = draw(st.lists(st.one_of(st.sampled_from(pool), _grid), max_size=5))
     xs = [F(0), *sorted(set(inner) - {0, 1}), F(1)]
     values = sorted(draw(st.lists(_grid, min_size=2 * len(xs) - 2,
                                   max_size=2 * len(xs) - 2)))
     values = [F(0), *values, F(1)]
     pts = [(x, values[2 * k], values[2 * k + 1]) for k, x in enumerate(xs)]
-    return StepCDF.from_points(pts).points
+    return StepCDF.from_points(pts)
 
 
 @st.composite
 def cdf_pairs(draw):
     pool = draw(st.lists(_grid, min_size=1, max_size=4))
-    return draw(cdf_points(pool)), draw(cdf_points(pool))
+    return draw(cdfs(pool)), draw(cdfs(pool))
 
 
-UNIFORM = StepCDF.uniform().points
-AT_0 = StepCDF.dirac(0).points
-AT_1 = StepCDF.dirac(1).points
+UNIFORM = StepCDF.uniform()
+AT_0 = StepCDF.dirac(0)
+AT_1 = StepCDF.dirac(1)
 
 
 @given(cdf_pairs())
@@ -84,12 +84,12 @@ AT_1 = StepCDF.dirac(1).points
 @example((AT_1, AT_1))
 def test_sup_distance_matches_reference(pair):
     f, g = pair
-    assert pwl.sup_distance(f, g) == ref_sup(f, g)
+    assert pwl.sup_distance(f, g) == ref_sup(f.points, g.points)
     assert pwl.sup_distance(g, f) == pwl.sup_distance(f, g)
 
 
 def test_sup_distance_length_two_lists():
-    assert len(UNIFORM) == len(AT_0) == len(AT_1) == 2
+    assert len(UNIFORM.points) == len(AT_0.points) == len(AT_1.points) == 2
     assert pwl.sup_distance(UNIFORM, AT_0) == 1
     assert pwl.sup_distance(UNIFORM, AT_1) == 1
     assert pwl.sup_distance(AT_0, AT_1) == 1
@@ -98,41 +98,41 @@ def test_sup_distance_length_two_lists():
 
 @given(monotone_gs(), monotone_gs())
 def test_sup_distance_threshold_functions(g, h):
-    assert pwl.sup_distance(g.points, h.points) == ref_sup(g.points, h.points)
+    assert pwl.sup_distance(g, h) == ref_sup(g.points, h.points)
 
 
 @given(cdf_pairs())
 def test_value_and_left_limit_match_reference(pair):
-    for points in pair:
-        for t in grid_points(points):
-            left, value = ref_limits(points, t)
-            assert pwl.value_at(points, t) == value
-            assert pwl.left_limit_at(points, t) == left
+    for curve in pair:
+        for t in grid_points(curve.points):
+            left, value = ref_limits(curve.points, t)
+            assert pwl.value_at(curve, t) == value
+            assert pwl.left_limit_at(curve, t) == left
 
 
 @given(
-    st.one_of(cdf_points([F(1, 3)]), monotone_gs().map(lambda g: g.points)),
+    st.one_of(cdfs([F(1, 3)]), monotone_gs()),
     st.lists(st.fractions(min_value=0, max_value=1, max_denominator=10**12), max_size=6),
     st.integers(2, 10**12),
 )
-def test_evaluation_matches_interpolation(points, ts, k):
+def test_evaluation_matches_interpolation(curve, ts, k):
     """At breakpoints, next to them (1/k away) and at random rationals."""
-    xs = [x for x, _, _ in points]
+    xs = [x for x, _, _ in curve.points]
     near = [x + s * F(1, k) for x in xs for s in (-1, 1)]
     for t in [t for t in xs + near + ts if 0 <= t <= 1]:
-        left, value = ref_limits(points, t)
-        assert pwl.value_at(points, t) == value
-        assert pwl.left_limit_at(points, t) == left
+        left, value = ref_limits(curve.points, t)
+        assert pwl.value_at(curve, t) == value
+        assert pwl.left_limit_at(curve, t) == left
 
 
 @given(
-    st.one_of(cdf_points([F(1, 3)]), monotone_gs().map(lambda g: g.points)),
+    st.one_of(cdfs([F(1, 3)]), monotone_gs()),
     st.lists(st.fractions(min_value=0, max_value=1, max_denominator=24), max_size=8),
 )
-def test_values_along_matches_value_at(points, ts):
-    ts = sorted(ts + [p[0] for p in points])  # repeats and every breakpoint
-    got = [F(*v) for v in pwl.values_along(points, [t.as_integer_ratio() for t in ts])]
-    assert got == [pwl.value_at(points, t) for t in ts]
+def test_values_along_matches_value_at(curve, ts):
+    ts = sorted(ts + [p[0] for p in curve.points])  # repeats and every breakpoint
+    got = [F(*v) for v in pwl.values_along(curve, [t.as_integer_ratio() for t in ts])]
+    assert got == [pwl.value_at(curve, t) for t in ts]
 
 
 @given(posets(max_n=8))
@@ -143,19 +143,19 @@ def test_nu_empirical_matches_from_jumps(p):
         assert sa.nu_empirical(p, sign).points == StepCDF.from_jumps(jumps).points
 
 
-_TARGETS = [UNIFORM, AT_0, AT_1, StepCDF.dirac(F(1, 2)).points, so.f_minus(so.gc(F(3, 10))).points,
-            so.f_plus(so.gc(F(2, 7))).points, StepCDF.from_jumps([(0, F(1, 3)), (1, F(2, 3))]).points]
+_TARGETS = [UNIFORM, AT_0, AT_1, StepCDF.dirac(F(1, 2)), so.f_minus(so.gc(F(3, 10))),
+            so.f_plus(so.gc(F(2, 7))), StepCDF.from_jumps([(0, F(1, 3)), (1, F(2, 3))])]
 
 
-@given(posets(max_n=8), st.one_of(st.sampled_from(_TARGETS), cdf_points([F(1, 3), F(1, 2)])))
+@given(posets(max_n=8), st.one_of(st.sampled_from(_TARGETS), cdfs([F(1, 3), F(1, 2)])))
 @settings(deadline=None)
 def test_sup_distance_on_empirical_rows_matches_reference(p, target):
     """Empirical CDFs held as rows against targets with jumps at 0, at 1 and
     inside, both ways round and against each other."""
     minus, plus = sa.nu_empirical(p, "minus"), sa.nu_empirical(p, "plus")
     for nu in (minus, plus):
-        assert pwl.sup_distance(nu, StepCDF(target)) == ref_sup(nu.points, target)
-        assert pwl.sup_distance(StepCDF(target), nu) == ref_sup(nu.points, target)
+        assert pwl.sup_distance(nu, target) == ref_sup(nu.points, target.points)
+        assert pwl.sup_distance(target, nu) == ref_sup(nu.points, target.points)
     assert pwl.sup_distance(minus, plus) == ref_sup(minus.points, plus.points)
 
 
@@ -264,11 +264,16 @@ def _corrupt(kind, pts, k):
     elif kind == "float-tenth":
         tenth = F(0.1)  # the float 0.1 exactly: a 2^55 denominator
         pts.insert(k, [tenth, tenth, tenth])
+    elif kind in ("big", "wide"):  # a point inside a piece, over _BIG or _WIDE
+        t = F(_BIG // 3, _BIG) if kind == "big" else F(_WIDE // 3, _WIDE)
+        (x0, _, r0), (x1, l1, _) = pts[k - 1], pts[k]
+        value = r0 + (l1 - r0) * t * t  # off the piece's line unless it is flat
+        pts.insert(k, [x0 + (x1 - x0) * t, value, value])
     return pts
 
 
 _KINDS = ("none", "unsorted", "duplicate", "outside", "downward", "decreasing",
-          "collinear", "float-tenth")
+          "collinear", "float-tenth", "big", "wide")
 
 
 @st.composite
@@ -276,7 +281,7 @@ def raw_points(draw):
     """CDF breakpoints with at most one defect, each coordinate given as a
     Fraction, an int, a float or a string."""
     pool = draw(st.lists(_grid, min_size=1, max_size=4))
-    pts = draw(cdf_points(pool))
+    pts = draw(cdfs(pool)).points
     kind = draw(st.sampled_from(_KINDS))
     if kind != "none":
         pts = _corrupt(kind, pts, draw(st.integers(0, len(pts))))
@@ -285,17 +290,92 @@ def raw_points(draw):
     return [tuple(mixed(v, draw(st.integers(0, 3))) for v in p) for p in pts]
 
 
+def on_rows(kernel):
+    """`kernel` run on the rows of raw points (`pwl.read_points`), the rows
+    it returns read back as `Fraction` points."""
+    return lambda raw: pwl.Curve.of_rows(*kernel(pwl.read_points(raw))).points
+
+
+def ref_checked(points):
+    """The points, once `ref_check_monotone` passes them."""
+    ref_check_monotone(points)
+    return tuple(points)
+
+
 @given(raw_points())
 @settings(max_examples=400, deadline=None)
 def test_integer_kernels_match_fraction_references(raw):
-    got, want = outcome(pwl.normalize, raw), outcome(ref_normalize, raw)
+    got, want = outcome(on_rows(pwl.normalize), raw), outcome(ref_normalize, raw)
     assert got == want
     exact = [tuple(map(F, p)) for p in raw]
-    assert outcome(pwl.check_monotone, exact) == outcome(ref_check_monotone, exact)
+    assert outcome(on_rows(pwl.check_monotone), exact) == outcome(ref_checked, exact)
     if got[0] == "ok":
         pts = got[1]
         assert all(type(v) is F for p in pts for v in p)
-        assert outcome(pwl.check_monotone, pts) == outcome(ref_check_monotone, pts)
+        assert outcome(on_rows(pwl.check_monotone), pts) == outcome(ref_checked, pts)
+
+
+def ref_cdf(raw):
+    """`StepCDF.from_points` in `Fraction`s: `ref_normalize`, then
+    `ref_check_monotone`, then F(0-) = 0 and F(1) = 1."""
+    pts = ref_checked(ref_normalize(raw))
+    if pts[0][1] != 0:
+        raise InvariantError("CDF must have F(0-) = 0")
+    if pts[-1][2] != 1:
+        raise InvariantError("CDF must have F(1) = 1")
+    return pts
+
+
+def ref_g(raw):
+    """`MonotoneRC.from_points` in `Fraction`s: `ref_normalize`, the stored
+    pre-value at 0 set to g(0), then `ref_check_monotone` and g >= x."""
+    (x0, _, r0), *rest = ref_normalize(raw)
+    pts = ref_checked([(x0, r0, r0), *rest])
+    if any(min(left, right) < x for x, left, right in pts) or pts[-1][2] != 1:
+        raise InvariantError("not weakly increasing with g(x) >= x")
+    return pts
+
+
+def ref_jumps(jumps):
+    """`StepCDF.from_jumps` in `Fraction`s: a jump of the summed weight at
+    each distinct value, then `ref_cdf`."""
+    acc = {}
+    for v, w in jumps:
+        acc[pwl.as_fraction(v)] = acc.get(pwl.as_fraction(v), 0) + w
+    pts, cum = [] if min(acc) == 0 else [(F(0), F(0), F(0))], F(0)
+    for v in sorted(acc):
+        pts.append((v, cum, cum + acc[v]))
+        cum += acc[v]
+    return ref_cdf(pts if max(acc) == 1 else [*pts, (F(1), F(1), F(1))])
+
+
+@given(raw_points(), st.lists(st.integers(1, 5), min_size=12, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_constructors_match_fraction_pipeline(raw, weights):
+    """The curve constructors on raw points (denominators past int64 too)
+    against the `Fraction` pipeline: the same points or the same error."""
+    for build, ref in ((StepCDF.from_points, ref_cdf), (so.MonotoneRC.from_points, ref_g)):
+        got = outcome(build, raw)
+        assert (got[0], got[1].points if got[0] == "ok" else got[1]) == outcome(ref, raw)
+    weights = [F(w, sum(weights[:len(raw)])) for w in weights[:len(raw)]]
+    jumps = [(x, w) for (x, _, _), w in zip(raw, weights)]
+    assert StepCDF.from_jumps(jumps).points == ref_jumps(jumps)
+
+
+def test_constructors_build_rows_once(monkeypatch):
+    """One `over_lcm` a `from_points` call, and the points are only a view."""
+    calls, over_lcm = [], pwl.over_lcm
+    monkeypatch.setattr(pwl, "over_lcm", lambda *a, **k: calls.append(1) or over_lcm(*a, **k))
+    builds = [lambda: StepCDF.from_points([(0, 0, "1/3"), (F(1, 2), 0.5, 0.75), (1, 1, 1)]),
+              lambda: StepCDF.from_jumps([(F(1, 3), F(1, 2)), (1, F(1, 2))]), StepCDF.uniform,
+              lambda: so.MonotoneRC.from_points([(0, F(1, 2), 1), (1, 1, 1)]),
+              so.MonotoneRC.identity, lambda: so.gc(F(3, 10))]
+    for build in builds:
+        calls.clear()
+        curve = build()
+        assert len(calls) == 1 and "points" not in vars(curve)
+        pwl.sup_distance(curve, curve)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -316,19 +396,20 @@ def test_integer_kernels_match_fraction_references(raw):
 )
 def test_check_monotone_messages(points, message):
     exact = [tuple(map(F, p)) for p in points]
-    assert outcome(pwl.check_monotone, exact) == ("error", message)
+    assert outcome(on_rows(pwl.check_monotone), exact) == ("error", message)
     assert outcome(ref_check_monotone, exact) == ("error", message)
 
 
 def test_normalize_messages_and_collinear_drop():
-    assert outcome(pwl.normalize, [("1/2", 0, 0), (0.5, 0, 0), (0, 0, 0)]) == (
+    normalize = on_rows(pwl.normalize)
+    assert outcome(normalize, [("1/2", 0, 0), (0.5, 0, 0), (0, 0, 0)]) == (
         "error", "duplicate breakpoint at 1/2")
-    assert outcome(pwl.normalize, []) == ("error", "need at least one breakpoint")
+    assert outcome(normalize, []) == ("error", "need at least one breakpoint")
     line = [(1, 1, 1), ("1/3", "1/3", "1/3"), (0, 0, 0), (0.5, 0.5, 0.5)]
-    assert pwl.normalize(line) == ((0, 0, 0), (1, 1, 1)) == ref_normalize(line)
+    assert normalize(line) == ((0, 0, 0), (1, 1, 1)) == ref_normalize(line)
     bent = [(0, 0, 0), ("1/3", "1/2", "1/2"), (0.5, 0.75, 0.75), (1, 1, 1)]
-    assert pwl.normalize(bent) == ref_normalize(bent)
-    assert len(pwl.normalize(bent)) == 3
+    assert normalize(bent) == ref_normalize(bent)
+    assert len(normalize(bent)) == 3
 
 
 @pytest.mark.parametrize("den", [_BIG, _WIDE])
@@ -336,19 +417,39 @@ def test_normalize_and_check_monotone_past_the_int64_bound(monkeypatch, den):
     """Denominators whose lcm squared passes 2^63 take object ints in
     `normalize`'s slope test and agree with the `Fraction` references, a
     dropped collinear point, a kept bend and every fault included."""
-    spy = _FitSpy(monkeypatch)
+    spy, normalize = _FitSpy(monkeypatch), on_rows(pwl.normalize)
     a, b = F(den // 3, den), F(den // 2, den)
     on_line = [(0, 0, 0), (a, a, a), (b, b, b), (1, 1, 1)]
     bent = [(0, 0, 0), (a, a / 2, a / 2), (b, b, b), (1, 1, 1)]
     for raw in (on_line, bent, bent[::-1], [*bent, (b, 0, 0)]):
         spy.dtypes.clear()
-        assert outcome(pwl.normalize, raw) == outcome(ref_normalize, raw)
+        assert outcome(normalize, raw) == outcome(ref_normalize, raw)
         assert object in spy.dtypes
-    assert len(pwl.normalize(on_line)) == 2 and len(pwl.normalize(bent)) == 4
+    assert len(normalize(on_line)) == 2 and len(normalize(bent)) == 4
     for kind in _KINDS:
         pts = [tuple(map(F, p)) for p in _corrupt(kind, bent, 2)]
-        assert outcome(pwl.check_monotone, pts) == outcome(ref_check_monotone, pts)
-        assert outcome(pwl.normalize, pts) == outcome(ref_normalize, pts)
+        assert outcome(on_rows(pwl.check_monotone), pts) == outcome(ref_checked, pts)
+        assert outcome(normalize, pts) == outcome(ref_normalize, pts)
+
+
+def ref_reflect(points):
+    """`pwl.reflect` by one walk over the `Fraction` points, merging the
+    polyline's consecutive points of equal reflected x: the reference for
+    the walk on rows."""
+    groups = []
+    for x, left, right in reversed(points):
+        for y in (right, left):  # the polyline walked backwards
+            rx, ry = 1 - y, 1 - x
+            if groups and groups[-1][0] == rx:
+                groups[-1] = (rx, groups[-1][1], ry)
+            else:
+                groups.append((rx, ry, ry))
+    return tuple(groups) if groups[-1][0] == 1 else (*groups, (F(1), F(1), F(1)))
+
+
+@given(st.one_of(cdfs([F(1, 3)]), monotone_gs()))
+def test_reflect_matches_point_walk(curve):
+    assert pwl.Curve.of_rows(*pwl.reflect(curve.rows)).points == ref_reflect(curve.points)
 
 
 def ref_segment_lines(points):
@@ -361,13 +462,16 @@ def ref_segment_lines(points):
     return out + [(F(0), points[-1][2])]
 
 
-@given(st.one_of(cdf_points([F(1, 3)]), monotone_gs().map(lambda g: g.points)))
-def test_segment_lines_match_reference(points):
-    lines = pwl.segment_lines(points)
+@given(st.one_of(cdfs([F(1, 3)]), monotone_gs()))
+def test_segment_lines_match_reference(curve):
+    lines = pwl.segment_lines(curve)
     assert all(type(v) is int for line in lines for v in line)
     assert all(d > 0 for _, _, d in lines)
-    assert [(F(p, d), F(q, d)) for p, q, d in lines] == ref_segment_lines(points)
-    assert pwl.segment_lines(StepCDF(points)) == lines
+    assert [(F(p, d), F(q, d)) for p, q, d in lines] == ref_segment_lines(curve.points)
+    # the same lines from rows over a multiple of the least denominator
+    m, *cols = curve.rows
+    wide = pwl.segment_lines(pwl.Curve.of_rows(6 * m, *(6 * c for c in cols)))
+    assert [(F(p, d), F(q, d)) for p, q, d in wide] == ref_segment_lines(curve.points)
 
 
 def test_segment_lines_past_the_int64_bound(monkeypatch):

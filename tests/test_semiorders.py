@@ -1,12 +1,16 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poslim import pwl
+from poslim import sampling as sa
 from poslim import semiorders as so
 from poslim.errors import FormatError, InvariantError, NotInPMinus
-from poslim.measures import StepCDF
+from poslim.measures import StepCDF, check_p_minus
+from poslim.poset import IntervalSample
 
 from conftest import monotone_gs, rate_pieces, ref_rate_g
 
@@ -47,6 +51,52 @@ def test_g_from_f_plus_rejects_bad_cdf():
         so.g_from_f_plus(
             StepCDF.from_points([(0, 0, 0), (F(1, 2), 0, 0), (1, 1, 1)])
         )
+
+
+_BIG = 3**41  # above 2^63
+_P_MINUS_FAULTS = [
+    ((4, [0, 2, 4], [0, 1, 4], [1, 1, 4]), "F(1/2) = 1/4 < 1/2"),
+    ((4, [0, 2, 4], [0, 1, 4], [1, 3, 4]), "F(1/2-) = 1/4 < 1/2"),
+    ((4, [0, 1, 2, 4], [0, 0, 1, 4], [0, 1, 1, 4]), "F(1/4-) = 0 < 1/4"),
+    ((6, [0, 3, 6], [0, 2, 6], [2, 2, 6]), "F(1/2) = 1/3 < 1/2"),
+]
+
+
+_P_MINUS_BIG = ((_BIG, [0, _BIG // 2, _BIG], [0, _BIG // 3, _BIG], [_BIG // 3] * 2 + [_BIG]),
+                f"F({F(_BIG // 2, _BIG)}) = {F(_BIG // 3, _BIG)} < {F(_BIG // 2, _BIG)}")
+
+
+@pytest.mark.parametrize(
+    "rows, message, dtype",
+    [(*case, dtype) for case in _P_MINUS_FAULTS for dtype in (np.int64, object)]
+    + [(*_P_MINUS_BIG, object)],
+)
+def test_check_p_minus_messages(rows, message, dtype):
+    """The first fault, value before left limit, on int64 and object rows."""
+    den, *cols = rows
+    nu = StepCDF.of_rows(den, *(np.array(c, dtype=dtype) for c in cols))
+    with pytest.raises(NotInPMinus) as fault:
+        check_p_minus(nu)
+    assert str(fault.value) == message and "points" not in vars(nu)
+    with pytest.raises(NotInPMinus) as fault:  # the same curve built from its points
+        check_p_minus(StepCDF.from_points(nu.points))
+    assert str(fault.value) == message
+
+
+def test_nu_rows_pass_through_without_points():
+    """g from an empirical degree CDF at n = 10^4 reads and returns rows:
+    no `Fraction` point is built on either side."""
+    n, rng = 10**4, np.random.default_rng(1)
+    u = rng.integers(0, 1000, n)
+    p = IntervalSample.from_ends(1000, u, np.minimum(u + 300, 1000))  # g_{3/10} on a grid
+    nu, nu_plus = sa.nu_empirical(p, "minus"), sa.nu_empirical(p, "plus")
+    g, h = so.g_from_nu_minus(nu), so.g_from_f_plus(nu_plus)
+    assert not any("points" in vars(c) for c in (nu, nu_plus, g, h))
+    den, x, left, right = nu.rows
+    assert g.rows[0] == den and np.array_equal(g.rows[1], x) and np.array_equal(g.rows[3], right)
+    assert np.array_equal(g.rows[2], np.r_[right[0], left[1:]])
+    assert so.validate_g(g) and so.validate_g(h)
+    assert pwl.sup_distance(so.f_minus(g), nu) == 0 == pwl.sup_distance(so.f_plus(h), nu_plus)
 
 
 @given(monotone_gs())
