@@ -149,6 +149,6 @@ def write_graph(g: SimpleGraph) -> str:
 
 
 def read_graph(text: str) -> SimpleGraph:
-    _, n, body = textio.read_header(text, "graph")
-    tails, heads = textio.int_pairs(body)
+    _, n, start = textio.read_header(text, "graph")
+    tails, heads = textio.int_pairs(text, start)
     return SimpleGraph.from_edges(n, zip((tails - 1).tolist(), (heads - 1).tolist()))

@@ -341,8 +341,8 @@ def write_measure(mu: Measure) -> str:
 def read_measure(text: str) -> Measure:
     """`atoms <k>` then `x y w` rows, or `stepmeasure <m>` then cell rows
     `c_lo c_hi : y1 p1 ; y2 p2 ; ...`."""
-    kind, count, body = textio.read_header(text, "atoms", "stepmeasure")
-    lines = textio.row_lines(body, count)
+    kind, count, start = textio.read_header(text, "atoms", "stepmeasure")
+    lines = textio.row_lines(text[start:], count)
     if kind == "atoms":
         return AtomicMeasure.from_atoms(textio.rows(lines, 3))
     cells = []

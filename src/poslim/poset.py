@@ -86,26 +86,32 @@ def _key_type(n: int) -> type:  # holds the keys i·n + j of pairs of points
     return np.int32 if n * n < 2**31 else np.int64
 
 
-def _cover_keys(a: np.ndarray, b: np.ndarray, counts=None) -> np.ndarray | None:
-    """The covers (i, j) of the order i < j iff b_i < a_j, integer ends with
-    no a equal to a b, as sorted keys i·n + j; None, before any key is built,
-    if counts is given and some i has other than counts[i] covers.  j covers
-    i iff b_i < a_j < m_i, the least b of a successor of i: one window in a.
-    More covers than ⌊MAX_POINTS²/4⌋ raise SizeLimit before any key is built:
-    a cover graph is triangle-free, so by Mantel's bound no poset within the
-    point cap has more."""
-    n, kind = len(a), _key_type(len(a))
-    by_a = np.argsort(a).astype(kind)
+def _cover_windows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(by_a, lo, hi, least) for the order i < j iff b_i < a_j, integer ends
+    with no a equal to a b: j covers i iff b_i < a_j < least_i, the least b
+    of a successor of i, so i's covers are one window by_a[lo_i:hi_i] of the
+    points in order of a."""
+    by_a = np.argsort(a)
     a_sorted = a[by_a]
     least_b = np.append(np.minimum.accumulate(b[by_a][::-1])[::-1], np.iinfo(b.dtype).max)
     lo = np.searchsorted(a_sorted, b)
-    hi = np.searchsorted(a_sorted, least_b[lo])
-    if counts is not None and (hi - lo != counts).any():
-        return None
+    least = least_b[lo]
+    return by_a, lo, np.searchsorted(a_sorted, least), least
+
+
+def _cover_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The covers (i, j) of the order i < j iff b_i < a_j, integer ends with
+    no a equal to a b, as sorted keys i·n + j: the windows of
+    `_cover_windows`, for `IntervalSample.cover_pairs` and so for the text
+    format.  More covers than ⌊MAX_POINTS²/4⌋ raise SizeLimit before any key
+    is built: a cover graph is triangle-free, so by Mantel's bound no poset
+    within the point cap has more."""
+    n, kind = len(a), _key_type(len(a))
+    by_a, lo, hi, _ = _cover_windows(a, b)
     cap = textio.MAX_POINTS
     if (covers := int((hi - lo).sum())) > cap * cap // 4:
         raise SizeLimit(f"{covers} covers: no poset of at most {cap} points has so many")
-    key = np.repeat(np.arange(n, dtype=kind) * n, hi - lo) + by_a[_windows(lo, hi)]
+    key = np.repeat(np.arange(n, dtype=kind) * n, hi - lo) + by_a.astype(kind)[_windows(lo, hi)]
     key.sort()
     return key
 
@@ -181,13 +187,16 @@ def _close(n, heads, counts, order, adj) -> "FinitePoset":
     return FinitePoset(n, _int_rows(reach), _transpose(reach, n))
 
 
-def _interval_covers(n, heads, counts, order, adj, keys) -> "IntervalSample | None":
-    """The interval order whose covers are the arcs (as `_kahn` takes them,
-    and as sorted keys i·n + j), or None.  Its down-sets form a chain and no
-    lower cover of x is below another, so along Kahn's order |D(x)| is x's
-    lower covers plus their largest |D|.  With m(x) the least |D| of an upper
-    cover (n + 1 if none), it is the order of the intervals [|D|, m - 1/2]
-    if that order has those covers; then no interval is empty, for a point
+def _interval_covers(n, heads, counts, order, adj) -> "IntervalSample | None":
+    """The interval order whose covers are the arcs, distinct and sorted by
+    (tail, head) as `_kahn` takes them, or None.  Its down-sets form a chain
+    and no lower cover of x is below another, so along Kahn's order |D(x)|
+    is x's lower covers plus their largest |D|.  With m(x) the least |D| of
+    an upper cover (n + 1 if none), it is the order of the intervals
+    [|D|, m - 1/2] if that order has those covers: if each point has as
+    many arcs as covers (`_cover_windows`) and every arc (i, j) lies in i's
+    window, b_i < a_j < least_i.  The least a_j of i's arcs is b_i + 1, so
+    only the largest is compared.  No interval is then empty, for a point
     with |D| >= m has no upper cover and lies in no lower cover's window."""
     down, starts = np.bincount(heads, minlength=n), np.cumsum(counts) - counts
     if adj is not None:
@@ -203,11 +212,15 @@ def _interval_covers(n, heads, counts, order, adj, keys) -> "IntervalSample | No
             down[layer] += best[layer]
             arcs = _windows(starts[layer], starts[layer] + counts[layer])
             np.maximum.at(best, heads[arcs], np.repeat(down[layer], counts[layer]))
+    above, head_down = counts > 0, down[heads]  # the points with an upper cover
     up = np.full(n, n + 1)
-    up[counts > 0] = np.minimum.reduceat(down[heads], starts[counts > 0])
+    up[above] = np.minimum.reduceat(head_down, starts[above])
     a, b = 2 * down, 2 * up - 1
-    found = _cover_keys(a, b, counts)
-    return IntervalSample.from_ends(2, a, b) if found is not None and (found == keys).all() else None
+    _, lo, hi, least = _cover_windows(a, b)
+    top = np.maximum.reduceat(head_down, starts[above])
+    if (hi - lo != counts).any() or (2 * top >= least[above]).any():
+        return None
+    return IntervalSample.from_ends(2, a, b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,9 +346,9 @@ def from_columns(n: int, tails: np.ndarray, heads: np.ndarray) -> FinitePoset:
     if not (keys[1:] > keys[:-1]).all():
         return transitive_closure(n, tails, heads)
     counts = np.bincount(tails, minlength=n)
-    del tails  # its memory goes to the attempt
+    del tails, keys  # their memory goes to the attempt
     kahn = _kahn(n, heads, counts)
-    return _interval_covers(n, heads, counts, *kahn, keys) or _close(n, heads, counts, *kahn)
+    return _interval_covers(n, heads, counts, *kahn) or _close(n, heads, counts, *kahn)
 
 
 def reflect(p: FinitePoset) -> FinitePoset:
@@ -666,8 +679,8 @@ def write_poset(p: FinitePoset) -> str:
 def read_poset(text: str) -> FinitePoset:
     """The poset of a poset file (`from_columns`): an `IntervalSample`, with
     no masks, if the pairs are the sorted covers of an interval order."""
-    _, n, body = textio.read_header(text, "poset")
-    return from_columns(n, *textio.int_pairs(body))
+    _, n, start = textio.read_header(text, "poset")
+    return from_columns(n, *textio.int_pairs(text, start))
 
 
 _NAMED = {

@@ -178,8 +178,11 @@ def over_lcm(*columns: Sequence, den: int = 1) -> tuple[int, list[np.ndarray]]:
 
 
 def _ratio(v: Real) -> tuple[int, int]:
-    """v as Python ints (numerator, denominator > 0), numpy scalars too."""
-    ratio = (v.numerator, v.denominator) if isinstance(v, Rational) else v.as_integer_ratio()
+    """v as Python ints (numerator, denominator > 0), numpy scalars too; a
+    `Fraction` or an int is known by its exact type, before the slower
+    abstract-class check."""
+    exact = type(v) in (Fraction, int) or isinstance(v, Rational)
+    ratio = (v.numerator, v.denominator) if exact else v.as_integer_ratio()
     return int(ratio[0]), int(ratio[1])
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -205,15 +206,25 @@ def ks_distance_at_continuity(f: StepCDF, g: StepCDF) -> Fraction:
     read from their rows by `pwl.values_along` at integer candidates over one
     denominator, so the sup is an integer max.
     """
-    td = math.lcm(_GRID_DENOMINATOR, *(x.denominator for x, _, _ in g.points))
-    ks = set(range(0, td + 1, td // _GRID_DENOMINATOR))
-    ks.update(x.numerator * td // x.denominator for x, _, _ in g.points)
-    jumps = [x.numerator * td // x.denominator for x, lt, rt in g.points if lt != rt]
-    margin = int(td * _ATOM_MARGIN)  # exact: 64 divides td
-    ts = [(k, td) for k in sorted(ks) if all(abs(k - j) > margin for j in jumps)]
+    td, ks = _continuity_grid(g)
+    ts = [(k, td) for k in ks]
     pairs = zip(values_along(f, ts), values_along(g, ts))  # one denominator a curve
     diffs = [(abs(fn * gd - gn * fd), fd * gd) for (fn, fd), (gn, gd) in pairs]
     return Fraction(*max(diffs, default=(0, 1)))
+
+
+def _continuity_grid(g: StepCDF) -> tuple[int, list[int]]:
+    """(td, ks): the candidates k/td of `ks_distance_at_continuity`, in
+    order, over td, the least multiple of 64 that holds g's breakpoints.
+    A candidate is dropped if the first jump of g at or above k - td/32 is
+    at most k + td/32: one bisect of the jumps, ascending as g's points."""
+    td = math.lcm(_GRID_DENOMINATOR, *(x.denominator for x, _, _ in g.points))
+    ks = set(range(0, td + 1, td // _GRID_DENOMINATOR))
+    ks.update(x.numerator * td // x.denominator for x, _, _ in g.points)
+    margin = int(td * _ATOM_MARGIN)  # exact: 64 divides td
+    jumps = [x.numerator * td // x.denominator for x, lt, rt in g.points if lt != rt]
+    jumps.append(td + margin + 1)  # past the reach of every candidate
+    return td, [k for k in sorted(ks) if jumps[bisect_left(jumps, k - margin)] > k + margin]
 
 
 # -- fingerprints -------------------------------------------------------------

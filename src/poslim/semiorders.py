@@ -202,8 +202,8 @@ def write_g(g: MonotoneRC) -> str:
 
 
 def read_g(text: str) -> MonotoneRC:
-    _, count, body = textio.read_header(text, "pwl")
-    table = textio.rows(textio.row_lines(body, count), 4)
+    _, count, start = textio.read_header(text, "pwl")
+    table = textio.rows(textio.row_lines(text[start:], count), 4)
     rows = pwl.read_points(row[:3] for row in table)
     g = MonotoneRC.from_rows(rows)
     # verify declared slopes against the pieces as written; the last is free
@@ -221,6 +221,6 @@ def write_rate(r: RateFunction) -> str:
 
 
 def read_rate(text: str) -> RateFunction:
-    _, count, body = textio.read_header(text, "rate")
-    lines = textio.row_lines(body, count)
+    _, count, start = textio.read_header(text, "rate")
+    lines = textio.row_lines(text[start:], count)
     return RateFunction.from_pieces(textio.rows(lines, 3))

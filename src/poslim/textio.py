@@ -32,6 +32,7 @@ MAX_POINTS = 5000
 # the line breaks of `str.splitlines`, so that the header line ends where it
 # did when the whole text was split into lines
 _LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+_LEADING_SPACE = re.compile(r"\s*")  # what `str.lstrip` strips
 # `int_pairs` parses a body in blocks of whole lines of about this many bytes
 _BLOCK = 1 << 16
 _PAIR_BYTES = b"0123456789 \t\r\n"  # the bytes `int_pairs` parses itself
@@ -59,18 +60,20 @@ def parse_int(token: str) -> int:
         raise FormatError(f"bad integer: {token!r}") from exc
 
 
-def read_header(text: str, *keywords: str) -> tuple[str, int, str]:
-    """(keyword, count, body) of a keyword file; the body is the text after
-    the header line.
+def read_header(text: str, *keywords: str) -> tuple[str, int, int]:
+    """(keyword, count, start) of a keyword file: the body is text[start:],
+    the text after the header line, left for the caller to slice or to read
+    in place (`int_pairs`).
 
     In the poset and graph formats the count is the number of points, at
     most `MAX_POINTS`; in every other format `row_lines` checks it against
     the number of rows.
     """
     # the first non-blank line starts at the first non-space character
-    rest = text.lstrip()
-    end = _LINE_BREAK.search(rest)
-    header, body = (rest[: end.start()], rest[end.start() :]) if end else (rest, "")
+    begin = _LEADING_SPACE.match(text).end()
+    end = _LINE_BREAK.search(text, begin)
+    start = end.start() if end else len(text)
+    header = text[begin:start]
     head = header.split()
     if len(head) != 2 or head[0] not in keywords:
         raise FormatError(f"expected a '{' or '.join(keywords)} <count>' header")
@@ -79,7 +82,7 @@ def read_header(text: str, *keywords: str) -> tuple[str, int, str]:
         raise FormatError(f"negative count in header: {header.strip()!r}")
     if head[0] in ("poset", "graph") and count > MAX_POINTS:
         raise SizeLimit(f"{head[0]} has {count} points, the cap is {MAX_POINTS}")
-    return head[0], count, body
+    return head[0], count, start
 
 
 def row_lines(body: str, count: int | None = None) -> list[str]:
@@ -110,39 +113,44 @@ def rows(
     return out
 
 
-def int_pairs(body: str) -> tuple[np.ndarray, np.ndarray]:
-    """The two columns of a body of 2-field integer rows, in file order.
+def int_pairs(text: str, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The two columns of the 2-field integer rows of text[start:], in file
+    order; the body is read in place, not copied.
 
     Blank lines are ignored; any other line without exactly 2 fields raises
     FormatError.  A well-formed body of ASCII digits, spaces, tabs and line
-    breaks is parsed by numpy in blocks of whole lines, in time linear in its
-    length and with small work arrays; the columns are int64.  Any other
-    body goes to `rows`, which accepts what `int` accepts and names the
-    first bad line; its columns hold Python ints.
+    breaks is parsed by numpy in blocks of whole lines (`_pair_block`), in
+    time linear in its length and with small work arrays; the columns are
+    int64.  Any other body goes to `rows`, which accepts what `int` accepts
+    and names the first bad line; its columns hold Python ints.
     """
-    if body.isascii():
-        blocks = [np.empty(0, dtype=np.int64)]
-        start = 0
-        while start < len(body):
-            end = body.find("\n", start + _BLOCK) + 1 or len(body)
-            values = _pair_block(body[start:end])
-            if values is None:
-                break
-            blocks.append(values)
-            start = end
-        else:
-            values = np.concatenate(blocks)
-            return values[0::2], values[1::2]
-    table = np.array(rows(row_lines(body), 2, int), dtype=object).reshape(-1, 2)
+    blocks, at = [np.empty(0, dtype=np.int64)], start
+    while at < len(text):
+        end = text.find("\n", at + _BLOCK) + 1 or len(text)
+        values = _pair_block(text[at:end])
+        if values is None:
+            break
+        blocks.append(values)
+        at = end
+    else:
+        values = np.concatenate(blocks)
+        return values[0::2], values[1::2]
+    table = np.array(rows(row_lines(text[start:]), 2, int), dtype=object).reshape(-1, 2)
     return table[:, 0], table[:, 1]
 
 
 def _pair_block(text: str) -> np.ndarray | None:
-    """The integer tokens of whole ASCII lines, in order; None unless every
-    byte is one `int_pairs` parses, no token is over 18 digits and every
-    non-blank line has 2 tokens."""
-    raw = text.encode("ascii")
-    if raw.translate(None, _PAIR_BYTES):
+    """The integer tokens of whole lines, in order; None unless every byte
+    is one `int_pairs` parses, no token is over 18 digits and every
+    non-blank line has 2 tokens.
+
+    Tokens are the runs of digits.  The gap between two tokens holds only
+    blanks and line breaks, so it holds a break iff its first or its last
+    byte is one or, in a gap of 3 bytes or more, a byte in between; only
+    such gaps with no break at either end have their inner bytes read, and
+    a file as `write_poset` writes it has none.
+    """
+    if not text.isascii() or (raw := text.encode("ascii")).translate(None, _PAIR_BYTES):
         return None
     buf = np.frombuffer(raw, dtype=np.uint8)
     digit = np.zeros(len(buf) + 2, dtype=np.int8)
@@ -151,14 +159,21 @@ def _pair_block(text: str) -> np.ndarray | None:
     lengths = ends - starts
     if not lengths.size:
         return np.empty(0, dtype=np.int64)
-    if lengths.max() > 18:  # 10**18 - 1 < 2**63
+    if lengths.max() > 18 or lengths.size % 2:  # 10**18 - 1 < 2**63
         return None
     # every non-blank line has 2 tokens iff no line break follows each even
-    # token before the next token, and one follows each odd token
-    breaks = (buf == 10) | (buf == 13)  # "\r\n" ends a line and a blank one
-    seen = np.cumsum(breaks, dtype=np.int32)
-    gaps = np.append(seen[starts[1:]] - seen[ends[:-1] - 1], 1)
-    if len(gaps) % 2 or gaps[0::2].any() or not gaps[1::2].all():
+    # token before the next token, and one follows each odd token.  Of tab,
+    # line feed, carriage return and space only the breaks have bit 1 or 2
+    # set, so one OR tests both ends of a gap
+    after, before = ends[:-1], starts[1:]  # gap k is buf[after[k]:before[k]]
+    broken, width = ((buf[after] | buf[before - 1]) & 6).astype(bool), before - after
+    if width.max() > 2:
+        inner = np.flatnonzero(~broken & (width > 2))
+        size = width[inner] - 2  # the bytes after[k] + 1 .. before[k] - 2
+        at = np.cumsum(size) - size
+        pos = np.arange(size.sum()) + np.repeat(after[inner] + 1 - at, size)
+        broken[inner] = np.logical_or.reduceat(buf[pos] & 6, at)
+    if broken[0::2].any() or not broken[1::2].all():
         return None  # `rows` names the first bad line
     # the k-th digit from the right of every token at least k long; ends - k
     # stays a valid (maybe negative) index, since k <= len(buf)

@@ -172,6 +172,34 @@ def test_covers_of_other_orders_read_as_samples_only_if_interval_orders(seed):
         assert_reads_as("\n".join([head, *rows[:k], *rows[k + 1 :]]) + "\n")
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_a_cover_swapped_for_a_non_cover_takes_the_closure(seed):
+    """A sample's cover (i, j) replaced by (i, k), k above another cover of
+    i and between j's neighbours in i's row: the order of the pairs and each
+    point's count stay, but (i, k) is not a cover, so the file is declined
+    to the closure of its pairs."""
+    sample = sa.sample_kernel_poset(so.gc(F(3, 10)), 30, SeededRng(seed))
+    head, rows = _lines(ps.write_poset(sample))
+    pairs = [tuple(map(int, row.split())) for row in rows]
+    swaps = 0
+    for t, (i, j) in enumerate(pairs):
+        row = [h for tail, h in pairs if tail == i]
+        at = row.index(j)
+        below, above = [0, *row][at], [*row, sample.n + 1][at + 1]
+        for k in range(below + 1, above):
+            if k == j or not any(sample.less(h - 1, k - 1) for h in row if h != j):
+                continue
+            arcs = [*pairs[:t], (i, k), *pairs[t + 1 :]]
+            masks = [0] * sample.n
+            for tail, h in arcs:
+                masks[tail - 1] |= 1 << (h - 1)
+            p = assert_reads_as("\n".join([head, *(f"{x} {y}" for x, y in arcs)]) + "\n",
+                                ps.FinitePoset)
+            assert list(p.succ) == fixpoint_closure(masks)
+            swaps += 1
+    assert swaps
+
+
 def test_a_dense_file_with_a_cover_left_out_or_reversed():
     text = ps.write_poset(sa.sample_kernel_poset(so.gc(F(3, 10)), 300, SeededRng(3)))
     head, rows = _lines(text)

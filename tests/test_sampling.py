@@ -268,6 +268,32 @@ def test_ks_at_continuity_matches_candidate_loop(f, g):
     assert sa.ks_distance_at_continuity(f, g) == candidate_ks_at_continuity(f, g)
 
 
+def pairwise_continuity_grid(g):
+    """The candidates as they were filtered before the bisect: each one
+    against every jump of g."""
+    td = math.lcm(64, *(x.denominator for x, _, _ in g.points))
+    ks = set(range(0, td + 1, td // 64))
+    ks.update(x.numerator * td // x.denominator for x, _, _ in g.points)
+    jumps = [x.numerator * td // x.denominator for x, lt, rt in g.points if lt != rt]
+    return td, [k for k in sorted(ks) if all(abs(k - j) > td // 32 for j in jumps)]
+
+
+_sample_cdfs = st.builds(  # many jumps, some within 1/32 of each other
+    lambda n, seed, sign: sa.nu_empirical(
+        sa.sample_kernel_poset(so.gc(F(3, 10)), n, SeededRng(seed)), sign
+    ),
+    st.integers(1, 200), st.integers(0, 2**32), st.sampled_from(["minus", "plus"]),
+)
+
+
+@given(st.one_of(continuity_cdfs(), _sample_cdfs))
+@example(_AROUND_A_THIRD)
+@example(StepCDF.from_jumps([(0, F(1, 2)), (1, F(1, 2))]))
+@settings(max_examples=150, deadline=None)
+def test_continuity_grid_matches_the_pairwise_filter(g):
+    assert sa._continuity_grid(g) == pairwise_continuity_grid(g)
+
+
 def test_ks_examples():
     u = StepCDF.uniform()
     assert sa.ks_distance(u, u) == 0

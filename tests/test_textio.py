@@ -379,11 +379,18 @@ PAIR_BODIES = [
     "\u20281 2\x852 3\u2029",
     "",
     "\n",
+    # gaps of 3 bytes or more whose only line breaks are inside
+    "\n1 2 \n 3 4",
+    "\n1 2\t\r\n\t3 4",
+    "\n1 2 \n\n 3 4\n",
+    "\n1 \t \t 2\n",  # and none
+    "\n1 \n 2\n",  # one field either side
+    "\n1 2 \n 3 \r\n\t4 5\n",
 ]
 
 
 @pytest.mark.parametrize("body", PAIR_BODIES)
-@pytest.mark.parametrize("block", [4, 1 << 16])
+@pytest.mark.parametrize("block", [4, 16, 1 << 16])
 def test_int_pairs_matches_rows(body, block):
     with mock.patch.object(textio, "_BLOCK", block):
         assert_parsers_agree(body)
@@ -393,17 +400,24 @@ def test_int_pairs_parses_plain_bodies_in_numpy():
     tails, heads = textio.int_pairs("\r\n1 2\r\n\t3  4")
     assert tails.dtype == np.int64 and tails.tolist() == [1, 3] and heads.tolist() == [2, 4]
     assert textio.int_pairs("\n+1 2")[0].dtype == object  # left to `rows`
+    for body in ("\n1 2 \n 3 4", "\n1 2\t\r\n\t3 4", "\n1 2 \n\n 3 4\n"):  # inner breaks
+        tails, heads = textio.int_pairs(body)
+        assert tails.dtype == np.int64 and (tails.tolist(), heads.tolist()) == ([1, 3], [2, 4])
+    assert textio.int_pairs("poset 4\n1 2\n3 4", 7)[0].tolist() == [1, 3]  # read in place
 
 
 _pair_token = st.sampled_from(
     ["1", "2", "3", "4", "0", "03", "x", "+1", "-2", "\u0661", "1_0", "1" * 30, "9" * 19]
 )
+# padding either side of a line break makes gaps of 3 bytes or more whose
+# breaks are only inside: " \n ", "\t\r\n\t", " \n\n " across a blank line
+_pad = st.sampled_from(["", " ", "\t", " \t", "  "])
 _pair_line = st.builds(
     lambda pad, sep, tokens, end: pad + sep.join(tokens) + end,
-    st.sampled_from(["", " ", "\t"]),
+    _pad,
     st.sampled_from([" ", "\t", " \t "]),
     st.lists(st.one_of(st.sampled_from(["1", "2", "3"]), _pair_token), max_size=3),
-    st.sampled_from(["", " ", "\t"]),
+    _pad,
 )
 _pair_body = st.builds(
     lambda br, lines, last: br + br.join(lines) + last,
