@@ -24,6 +24,7 @@ from .sampling import INTERVAL_MODELS, draw_intervals
 Kind = Literal["hom", "inj", "ind"]
 
 _ATOMIC_BUDGET = 10**7
+_DENSITY_BUDGET = 10**8  # maps count_maps may try, checked before it starts
 
 
 def _count_maps(
@@ -75,10 +76,20 @@ def _count_maps(
 
 
 def count_maps(q: FinitePoset, p: FinitePoset, kind: Kind) -> int:
-    """Number of maps q -> p of the requested kind, exact."""
+    """Number of maps q -> p of the requested kind, exact.
+
+    The search places one point of q at a time, so it may visit every map:
+    p.n^q.n for hom, (p.n)_q.n otherwise.  Past _DENSITY_BUDGET of them it
+    raises BudgetExceeded before any row of p is read."""
     if kind not in ("hom", "inj", "ind"):
         raise InvalidArgument(f"kind must be hom/inj/ind, got {kind!r}")
-    if kind != "hom" and q.n > p.n:
+    leaves = p.n**q.n if kind == "hom" else math.perm(p.n, q.n)
+    if leaves > _DENSITY_BUDGET:
+        raise BudgetExceeded(
+            f"{leaves} maps of {q.n} points into {p.n} exceed the exact density's "
+            f"budget of {_DENSITY_BUDGET}"
+        )
+    if not leaves:  # q.n > p.n: no injective map
         return 0
     apart = None
     if kind == "ind":

@@ -16,7 +16,8 @@ kernel uses them and gets its output validated.
 
 A sample from an interval model is a `poset.IntervalSample`.  Nothing here
 asks which class a poset is: degree statistics read `degrees`, and both
-fingerprints classify numpy blocks of point tuples by `precedes` calls, so a
+fingerprints code numpy blocks of point tuples in base 3 by `precedes` calls,
+one digit per earlier point, and read each code's class from one table, so a
 sample answers from its endpoint ranks and never builds its bitmasks.
 """
 
@@ -273,33 +274,30 @@ def _check_fingerprint_size(max_q: int) -> None:
         raise SizeLimit(f"fingerprint patterns capped at size {_FINGERPRINT_MAX}")
 
 
-def _pattern_keys(p: FinitePoset, tuples: np.ndarray) -> np.ndarray:
-    """Labelled pattern of every row of an (m, s) array of point tuples:
-    bit u*s+v of a row's key is set iff its point u is below its point v."""
-    m, s = tuples.shape
-    less = p.precedes(tuples[:, :, None], tuples[:, None, :])
-    return less.reshape(m, s * s) @ (1 << np.arange(s * s, dtype=np.int64))
+def _digits(p: FinitePoset, old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Sum of d_u 3^u over the rows u of `old`, an (s, m) array of points,
+    for the m points `new`: d_u = 0 incomparable, 1 below the new point, 2
+    above it."""
+    return 3 ** np.arange(len(old)) @ (p.precedes(old, new) + 2 * p.precedes(new, old))
 
 
-def _class_counts(p: FinitePoset, blocks, table: dict[int, int], classes: int) -> list[int]:
-    """How many point tuples of each pattern class `blocks`, an iterable of
-    (m, s) tuple arrays, holds."""
-    counts = [0] * classes
-    for tuples in blocks:
-        uniq, tally = np.unique(_pattern_keys(p, tuples), return_counts=True)
-        for key, c in zip(uniq.tolist(), tally.tolist()):
-            counts[table[key]] += c
-    return counts
+def _tuple_codes(p: FinitePoset, tuples: np.ndarray) -> np.ndarray:
+    """Code of each column of an (s, m) array of distinct points: the code
+    of its first v points times 3^v plus `_digits` of point v, for v = 1..s-1.
+    An s-tuple's code is below 3^(s(s-1)/2), 3^10 at s = 5, far inside int64."""
+    code = np.zeros(tuples.shape[1], np.int64)
+    for v in range(1, len(tuples)):
+        code = code * 3**v + _digits(p, tuples[:v], tuples[v])
+    return code
 
 
 def _subset_blocks(p: FinitePoset, max_q: int, points=None, codes=None):
     """(s, codes) of every s-subset of p's points, s = 1..max_q, in blocks
     of at most _FINGERPRINT_BLOCK, by one walk down the subset tree: each
-    sorted column of an (s, m) block is extended by every larger point.  A
-    child's code is its parent's times 3^s plus d_u 3^u for each earlier
-    point u, d_u = 0 incomparable, 1 below the new point, 2 above it, so an
-    s-subset's code is below 3^(s(s-1)/2), 3^10 at s = 5, far inside int64.
-    One block a level: O(max_q² _FINGERPRINT_BLOCK) integers whatever n."""
+    sorted column of an (s, m) block is extended by every larger point, and
+    a child's code is its parent's times 3^s plus the `_digits` of the new
+    point, as `_tuple_codes` gives the sorted subset.  One block a level:
+    O(max_q² _FINGERPRINT_BLOCK) integers whatever n."""
     if points is None:  # the root: the empty subset, coded 0
         points, codes = np.empty((0, 1), np.int64), np.zeros(1, np.int64)
     if s := len(points):
@@ -308,54 +306,34 @@ def _subset_blocks(p: FinitePoset, max_q: int, points=None, codes=None):
         return
     ends = np.cumsum(p.n - 1 - (points[-1] if s else -1))  # parent i's children end at ends[i]
     starts, shift, scaled = np.r_[0, ends[:-1]], p.n - ends, codes * 3**s
-    weights = 3 ** np.arange(s)  # of the digits d_u
     for lo in range(0, int(ends[-1]), _FINGERPRINT_BLOCK):
         hi = min(lo + _FINGERPRINT_BLOCK, int(ends[-1]))
         first, last = ends.searchsorted([lo, hi - 1], "right")  # parents of children lo, hi - 1
         kids = np.minimum(ends[first : last + 1], hi) - np.maximum(starts[first : last + 1], lo)
         parent = np.repeat(np.arange(first, last + 1), kids)
         old, new = points.take(parent, axis=1), np.arange(lo, hi) + shift[parent]
-        child = scaled[parent] + weights @ (p.precedes(old, new) + 2 * p.precedes(new, old))
+        child = scaled[parent] + _digits(p, old, new)
         yield from _subset_blocks(p, max_q, np.vstack([old, new]), child)
 
 
 @lru_cache(maxsize=8)
-def _pattern_key_table(s: int) -> tuple[dict[int, int], list[int], list[str], list[str]]:
-    """key -> class position among size-s catalog classes, plus Aut counts.
-
-    A class with k distinct labelled keys has s!/k automorphisms.
-    """
+def _pattern_table(s: int) -> tuple[np.ndarray, list[int], list[str], list[str]]:
+    """(table, auts, ids, labels) of the size-s catalog classes: table[code]
+    is the class position of an s-tuple coded by `_tuple_codes`, or the
+    number of classes for a code that is no poset's.  A class whose s!
+    orderings give k distinct codes has s!/k automorphisms."""
     cat = cached_catalog(s)
-    perms = np.array(list(itertools.permutations(range(s))), dtype=np.int64)
-    table: dict[int, int] = {}
-    auts: list[int] = []
-    ids: list[str] = []
-    labs: list[str] = []
-    for idx, q in enumerate(cat.classes):
-        if q.n != s:
-            continue
-        keys = set(_pattern_keys(q, perms).tolist())
-        table.update(dict.fromkeys(keys, len(auts)))
-        auts.append(math.factorial(s) // len(keys))
+    classes = [(idx, q) for idx, q in enumerate(cat.classes) if q.n == s]
+    perms = np.array(list(itertools.permutations(range(s))), np.int64).T
+    table = np.full(3 ** (s * (s - 1) // 2), len(classes), np.int64)
+    auts, ids, labs = [], [], []
+    for pos, (idx, q) in enumerate(classes):
+        codes = list(set(_tuple_codes(q, perms).tolist()))
+        table[codes] = pos
+        auts.append(math.factorial(s) // len(codes))
         ids.append(cat.class_id(idx))
         labs.append(_class_label(q))
     return table, auts, ids, labs
-
-
-@lru_cache(maxsize=8)
-def _code_table(s: int) -> np.ndarray:
-    """Class position of each code `_subset_blocks` gives an s-subset, or
-    the number of size-s classes for a code that is no poset's."""
-    keys, auts, _, _ = _pattern_key_table(s)
-    key = np.fromiter(keys, np.int64, len(keys))  # bit u*s+v of a key: u below v
-    code = np.zeros_like(key)
-    for v in range(1, s):
-        code *= 3**v
-        for u in range(v):
-            code += ((key >> (u * s + v) & 1) + 2 * (key >> (v * s + u) & 1)) * 3**u
-    table = np.full(3 ** (s * (s - 1) // 2), len(auts), np.int64)
-    table[code] = list(keys.values())
-    return table
 
 
 def fingerprint(p: FinitePoset, max_q: int) -> Fingerprint:
@@ -375,12 +353,12 @@ def fingerprint(p: FinitePoset, max_q: int) -> Fingerprint:
             f"exact fingerprint's budget of {_FINGERPRINT_BUDGET}"
         )
     sizes = range(1, max_q + 1)
-    counts = {s: np.zeros(len(_pattern_key_table(s)[1]) + 1, np.int64) for s in sizes}
+    counts = {s: np.zeros(len(_pattern_table(s)[1]) + 1, np.int64) for s in sizes}
     for s, codes in _subset_blocks(p, max_q):
-        counts[s] += np.bincount(_code_table(s)[codes], minlength=len(counts[s]))
+        counts[s] += np.bincount(_pattern_table(s)[0][codes], minlength=len(counts[s]))
     entries = []
     for s in sizes:
-        _, auts, ids, labs = _pattern_key_table(s)
+        _, auts, ids, labs = _pattern_table(s)
         *counted, unknown = counts[s].tolist()
         if unknown:
             raise InvariantError(f"{unknown} subsets of {s} points are not partially ordered")
@@ -409,10 +387,10 @@ def fingerprint_estimate(
     if subsets < 1:
         raise InvalidArgument(f"subsets must be at least 1, got {subsets}")
     n = p.n
-    _, _, ids, labs = _pattern_key_table(1)  # one point: density 1, drawn from nothing
+    _, _, ids, labs = _pattern_table(1)  # one point: density 1, drawn from nothing
     entries = [FingerprintEntry(ids[0], labs[0], 1.0, 0.0)]
     for s in range(2, max_q + 1):
-        table, auts, ids, labs = _pattern_key_table(s)
+        table, auts, ids, labs = _pattern_table(s)
         if s > n:  # no s distinct points: every density is 0, nothing drawn
             entries += [FingerprintEntry(i, lab, 0.0, 0.0) for i, lab in zip(ids, labs)]
             continue
@@ -425,15 +403,16 @@ def fingerprint_estimate(
                 f"{len(us) // s} random {s}-tuples of {n} points gave fewer "
                 f"than subsets={subsets} with {s} distinct points"
             )
-        counts = _class_counts(p, [tuples[:subsets]], table, len(auts))
+        codes = _tuple_codes(p, tuples[:subsets].T)
+        *counts, unknown = np.bincount(table[codes], minlength=len(auts) + 1).tolist()
+        if unknown:
+            raise InvariantError(f"{unknown} of {subsets} {s}-tuples are not partially ordered")
         fact = math.factorial(s)
-        for pos in range(len(auts)):
-            freq = counts[pos] / subsets
-            scale = auts[pos] / fact
+        for c, aut, pid, lab in zip(counts, auts, ids, labs):
+            freq = c / subsets
+            scale = aut / fact
             se = math.sqrt(max(freq * (1 - freq), 0.0) / subsets) * scale
-            entries.append(
-                FingerprintEntry(ids[pos], labs[pos], freq * scale, 1.96 * se)
-            )
+            entries.append(FingerprintEntry(pid, lab, freq * scale, 1.96 * se))
     return Fingerprint(max_q, tuple(entries))
 
 
@@ -566,7 +545,11 @@ def converge_diagnostic(
 def ks_for_target(empirical: StepCDF, target: StepCDF) -> Fraction:
     """Full sup-norm for continuous targets; the fixed continuity grid kept
     1/32 away from atoms otherwise (the sup does not metrize weak
-    convergence at atoms of the target)."""
+    convergence at atoms of the target).
+
+    Against a target whose jumps lie closer than 1/16, such as `f_minus` of
+    a g estimated from a sample, the grid keeps only candidates where both
+    curves are 0 or 1, so the distance reads about 0 (measured in README)."""
     if target.jump_locations():
         return ks_distance_at_continuity(empirical, target)
     return ks_distance(empirical, target)

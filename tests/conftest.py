@@ -82,19 +82,18 @@ def is_isomorphic(p, q):
     return extend(0, 0)
 
 
-def pattern_key(succ, idx):
-    """Labelled pattern of the point tuple idx, one pair at a time: bit
-    u*s+v iff idx[u] < idx[v].  The reference the numpy tuple classifier of
-    the fingerprints is tested against."""
-    key = 0
-    bit = 1
-    for a in idx:
-        row = succ[a]
-        for b in idx:
-            if (row >> b) & 1:
-                key |= bit
-            bit <<= 1
-    return key
+def pattern_code(succ, idx):
+    """Code of the point tuple idx, one pair at a time: for v = 1..s-1, the
+    code of idx[:v] times 3^v plus d_u 3^u for each u < v, d_u = 0 when
+    idx[u] and idx[v] are incomparable, 1 when idx[u] < idx[v], 2 when
+    idx[v] < idx[u].  The reference the numpy tuple codes of the
+    fingerprints are tested against."""
+    code = 0
+    for v, b in enumerate(idx):
+        code *= 3**v
+        for u, a in enumerate(idx[:v]):
+            code += ((succ[a] >> b & 1) + 2 * (succ[b] >> a & 1)) * 3**u
+    return code
 
 
 def ref_check_monotone(points):

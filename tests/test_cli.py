@@ -147,6 +147,13 @@ def test_fingerprint_past_the_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert run(capsys, "fingerprint", "--in", str(pfile), "--max-q", "2")[0] == 0
 
 
+def test_density_past_the_budget_exits_2(capsys):
+    # 40^5 = 102,400,000 maps of antichain5 into 40 points: refused before any is tried
+    code, out, err = run(capsys, "density", "--q", "antichain5", "--p", "antichain40", "--kind", "hom")
+    assert code == 2 and out == "" and "exact density's budget of 100000000" in err
+    assert run(capsys, "density", "--q", "antichain2", "--p", "antichain40", "--kind", "hom")[0] == 0
+
+
 def test_rgo_and_converge(tmp_path, capsys):
     files = []
     for i, n in enumerate((100, 200)):

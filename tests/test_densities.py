@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from poslim import densities as de
 from poslim import poset as ps
+from poslim import sampling as sa
 from poslim.errors import BudgetExceeded
 from poslim.measures import AtomicMeasure, StepKernelMeasure
 from poslim.rng import SeededRng
@@ -183,6 +184,18 @@ def test_kernel_density_atomic_budget():
     mu = AtomicMeasure.from_atoms(atoms)
     with pytest.raises(BudgetExceeded):
         de.kernel_density_atomic(ps.chain(6), mu)
+
+
+def test_density_budget_checked_before_any_row(monkeypatch):
+    p = sa.sample_kernel_poset(gc(Fraction(3, 10)), 100, SeededRng(1))
+    for kind, leaves in (("hom", 100**5), ("inj", math.perm(100, 5)), ("ind", math.perm(100, 5))):
+        with pytest.raises(BudgetExceeded, match=f"^{leaves} maps of 5 points into 100 "):
+            de.density(ps.antichain(5), p, kind)
+    assert "succ" not in vars(p) and "pred" not in vars(p)
+    monkeypatch.setattr(de, "_DENSITY_BUDGET", 100**2)  # at the budget still counts
+    assert de.density(ps.chain(2), p, "hom") == Fraction(p.pair_count(), 100**2)
+    with pytest.raises(BudgetExceeded, match="1000000 maps.*budget of 10000$"):
+        de.density(ps.chain(3), p, "hom")
 
 
 def test_kernel_density_mc_deterministic():

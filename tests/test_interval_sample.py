@@ -24,7 +24,7 @@ from conftest import (
     atomic_measures,
     interval_poset,
     monotone_gs,
-    pattern_key,
+    pattern_code,
     posets,
     step_measures,
 )
@@ -340,8 +340,8 @@ def test_monte_carlo_stream_layout(model, q):
     assert de.kernel_density_mc(q, model, samples, seed) == (est, half)
 
 
-def test_rank_pattern_key_on_every_drawn_tuple(monkeypatch):
-    pattern_keys = sa._pattern_keys
+def test_rank_pattern_code_on_every_drawn_tuple(monkeypatch):
+    tuple_codes = sa._tuple_codes
     for model, seed in (
         (so.MonotoneRC.identity(), 1),
         (so.gc(F(3, 10)), 2),
@@ -353,13 +353,13 @@ def test_rank_pattern_key_on_every_drawn_tuple(monkeypatch):
         drawn = []
 
         def checked(q, tuples):
-            keys = pattern_keys(q, tuples)
+            codes = tuple_codes(q, tuples)
             if q is p:  # not a catalog pattern's table being built
-                assert keys.tolist() == [pattern_key(succ, idx) for idx in tuples.tolist()]
-                drawn.extend(tuples.tolist())
-            return keys
+                assert codes.tolist() == [pattern_code(succ, idx) for idx in tuples.T.tolist()]
+                drawn.extend(tuples.T.tolist())
+            return codes
 
-        monkeypatch.setattr(sa, "_pattern_keys", checked)
+        monkeypatch.setattr(sa, "_tuple_codes", checked)
         sa.fingerprint_estimate(p, 5, 400, SeededRng(seed))
         assert len(drawn) == 4 * 400 and all(len(set(idx)) == len(idx) for idx in drawn)
         assert "succ" not in vars(p)

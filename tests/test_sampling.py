@@ -28,7 +28,7 @@ from conftest import (
     atomic_measures,
     is_isomorphic,
     monotone_gs,
-    pattern_key,
+    pattern_code,
     posets,
     rate_pieces,
     step_measures,
@@ -357,13 +357,13 @@ def test_fingerprint_estimate_matches_exact():
 
 
 def oracle_classes(max_q):
-    """(class id, size, labelled keys, |Aut|) of every catalog class, by the
-    one-pair-at-a-time `pattern_key`."""
+    """(class id, size, codes of its orderings, |Aut|) of every catalog
+    class, by the one-pair-at-a-time `pattern_code`."""
     cat = ps.cached_catalog(max_q)
     out = []
     for idx, q in enumerate(cat.classes):
-        keys = {pattern_key(q.succ, perm) for perm in itertools.permutations(range(q.n))}
-        out.append((cat.class_id(idx), q.n, keys, math.factorial(q.n) // len(keys)))
+        codes = {pattern_code(q.succ, perm) for perm in itertools.permutations(range(q.n))}
+        out.append((cat.class_id(idx), q.n, codes, math.factorial(q.n) // len(codes)))
     return out
 
 
@@ -372,40 +372,40 @@ def oracle_classes(max_q):
 @example(ps.two_plus_two(), 5, 1)
 @example(ps.chain(9), 4, 2)
 @settings(max_examples=40, deadline=None)
-def test_fingerprints_match_pattern_key_oracle(p, max_q, seed):
+def test_fingerprints_match_pattern_code_oracle(p, max_q, seed):
     classes = oracle_classes(max_q)
     expected = {}
-    for pid, s, keys, aut in classes:
-        c = sum(pattern_key(p.succ, t) in keys for t in itertools.combinations(range(p.n), s))
+    for pid, s, codes, aut in classes:
+        c = sum(pattern_code(p.succ, t) in codes for t in itertools.combinations(range(p.n), s))
         expected[pid] = F(c * aut, math.perm(p.n, s)) if c else F(0)
     fp = sa.fingerprint(p, max_q)
     assert {e.poset_id: e.value for e in fp.entries} == expected
     assert [e.poset_id for e in fp.entries] == [pid for pid, *_ in classes]
 
     drawn = {}
-    pattern_keys = sa._pattern_keys
+    tuple_codes = sa._tuple_codes
 
     def checked(q, tuples):
-        keys = pattern_keys(q, tuples)
+        codes = tuple_codes(q, tuples)
         if q is p:
-            assert keys.tolist() == [pattern_key(p.succ, t) for t in tuples.tolist()]
-            drawn[tuples.shape[1]] = tuples.tolist()
-        return keys
+            assert codes.tolist() == [pattern_code(p.succ, t) for t in tuples.T.tolist()]
+            drawn[len(tuples)] = tuples.T.tolist()
+        return codes
 
     subsets = 60
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sa, "_pattern_keys", checked)
+        mp.setattr(sa, "_tuple_codes", checked)
         try:
             est = sa.fingerprint_estimate(p, max_q, subsets, SeededRng(seed))
         except BudgetExceeded:  # n small next to s: the sizes drawn were checked
             return
     assert sorted(drawn) == list(range(2, min(max_q, p.n) + 1))
     values = {e.poset_id: e.value for e in est.entries}
-    for pid, s, keys, aut in classes:
+    for pid, s, codes, aut in classes:
         if s == 1:
             assert values[pid] == 1.0
         elif s <= p.n:
-            c = sum(pattern_key(p.succ, t) in keys for t in drawn[s])
+            c = sum(pattern_code(p.succ, t) in codes for t in drawn[s])
             assert values[pid] == c / subsets * (aut / math.factorial(s))
         else:
             assert values[pid] == 0.0
@@ -436,18 +436,18 @@ def test_exact_fingerprint_block_size_does_not_matter(monkeypatch):
 
 
 def combinations_reference(p, max_q):
-    """The exact fingerprint counted as it was before the subset walk: every
-    s-subset from `itertools.combinations`, 1,024 at a time, its labelled
-    key from `_pattern_keys` and the keys tallied by `np.unique`."""
+    """The exact fingerprint counted without the subset walk: every s-subset
+    from `itertools.combinations`, 1,024 at a time, coded by `_tuple_codes`
+    and classified by `_pattern_table`."""
     entries = []
     for s in range(1, max_q + 1):
-        table, auts, ids, labs = sa._pattern_key_table(s)
-        counts = [0] * len(auts)
+        table, auts, ids, labs = sa._pattern_table(s)
+        counts = [0] * (len(auts) + 1)
         combos = itertools.combinations(range(p.n), s)
         while block := list(itertools.islice(combos, 1024)):
-            uniq, tally = np.unique(sa._pattern_keys(p, np.array(block)), return_counts=True)
-            for key, c in zip(uniq.tolist(), tally.tolist()):
-                counts[table[key]] += c
+            for code in sa._tuple_codes(p, np.array(block).T).tolist():
+                counts[table[code]] += 1
+        assert counts.pop() == 0  # every subset is partially ordered
         maps = math.perm(p.n, s)
         for pid, lab, c, aut in zip(ids, labs, counts, auts):
             entries.append(sa.FingerprintEntry(pid, lab, F(c * aut, maps) if c else F(0), F(0)))
@@ -496,10 +496,7 @@ def test_subset_walk_visits_every_subset_once_in_bounded_blocks(monkeypatch, blo
         codes[s] += block_codes.tolist()
     for s, got in codes.items():
         subsets = itertools.combinations(range(p.n), s)
-        keys = sa._pattern_keys(p, np.array(list(subsets)).reshape(-1, s)).tolist()
-        table, *_ = sa._pattern_key_table(s)
-        classes = sa._code_table(s)
-        assert sorted(classes[got].tolist()) == sorted(table[k] for k in keys)
+        assert sorted(got) == sorted(pattern_code(p.succ, t) for t in subsets)
 
 
 @pytest.mark.parametrize("n, max_q, cap_mib", [(3000, 2, 4), (40, 5, 2)])
@@ -522,6 +519,10 @@ def test_a_relation_that_is_no_partial_order_is_refused():
     assert sa.fingerprint(p, 2).value("2-1") == F(1, 3)
     with pytest.raises(InvariantError, match="1 subsets of 3 points are not partially ordered"):
         sa.fingerprint(p, 3)
+    # each point below the next only: every drawn run i, i + 1, i + 2 is coded as no poset
+    path = ps.FinitePoset.from_succ_masks([1 << (i + 1) if i + 1 < 30 else 0 for i in range(30)])
+    with pytest.raises(InvariantError, match="of 200 3-tuples are not partially ordered"):
+        sa.fingerprint_estimate(path, 3, 200, SeededRng(1))
 
 
 @pytest.mark.parametrize("max_q", [0, -1])
