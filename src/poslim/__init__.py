@@ -17,7 +17,6 @@ from .errors import (
     InvariantError,
     NotInPMinus,
     NotIntervalOrder,
-    NotTransitive,
     PoslimError,
     SizeLimit,
 )

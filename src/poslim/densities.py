@@ -2,9 +2,9 @@
 
 All finite-poset densities are exact rationals (`fractions.Fraction`), counted
 by backtracking with bitmask candidate pruning.  Monte Carlo estimation against
-kernel models lives here too because it shares the tuple-product definition;
-it draws its tuples through the documented counter-based streams and, for
-an interval model, tests b_i < a_j on the integer ends of `draw_intervals`.
+interval models lives here too because it shares the tuple-product
+definition; it draws its tuples through the documented counter-based streams
+and tests b_i < a_j on the integer ends of `draw_intervals`.
 """
 
 from __future__ import annotations
@@ -17,9 +17,11 @@ import numpy as np
 
 from .errors import BudgetExceeded, InvalidArgument
 from .measures import AtomicMeasure
-from .poset import FinitePoset, IntervalSample, _bits, in_star, out_star
+from .poset import (
+    FinitePoset, IntervalSample, _bits, _colour_blocks, _relabelled_rows, in_star, out_star
+)
 from .rng import MC_TUPLES, SeededRng
-from .sampling import INTERVAL_MODELS, draw_intervals
+from .sampling import SamplerModel, draw_intervals
 
 Kind = Literal["hom", "inj", "ind"]
 
@@ -109,7 +111,22 @@ def density(q: FinitePoset, p: FinitePoset, kind: Kind) -> Fraction:
 
 
 def automorphism_count(p: FinitePoset) -> int:
-    return count_maps(p, p, "ind")
+    """|Aut(p)|, exact.  An automorphism keeps each colour block of the
+    refinement behind `poset.canonical_key`, so the relabelings that list
+    the blocks in turn give each of their relabelled rows exactly |Aut|
+    times, and |Aut| is how many give the first one's rows.  Past _DENSITY_BUDGET
+    relabelings (the product of the blocks' factorials) it raises
+    BudgetExceeded before any is tried."""
+    blocks = _colour_blocks(p.n, p.succ, p.pred)
+    walk = math.prod(math.factorial(len(b)) for b in blocks)
+    if walk > _DENSITY_BUDGET:
+        raise BudgetExceeded(
+            f"{walk} colour-respecting relabelings of {p.n} points exceed the "
+            f"automorphism count's budget of {_DENSITY_BUDGET}"
+        )
+    rows = _relabelled_rows(p.succ, blocks)
+    first = next(rows)
+    return 1 + sum(r == first for r in rows)
 
 
 def moment_identity_check(
@@ -132,15 +149,16 @@ def moment_identity_check(
 
 def kernel_density_mc(
     q: FinitePoset,
-    model,
+    model: SamplerModel,
     samples: int,
     seed: int | SeededRng,
 ) -> tuple[float, float]:
     """Monte Carlo homomorphism density t(q, W) with a 95% half-width.
 
     `model` is an interval model of `sampling.draw_intervals` (a threshold
-    function, rate function or interval measure) or a raw callable
-    W(x, y) -> [0,1] on the unit square with the uniform distribution.
+    function, rate function or interval measure); W(x, y) is the indicator
+    that interval x ends strictly before interval y begins, so a sample is
+    a hit iff b_i < a_j on the integer ends for every relation i < j of q.
     Sample t uses positions t*|q|*k .. (t+1)*|q|*k - 1 of the tuple stream
     (k as in `rng`), whatever the split of samples across workers.
     """
@@ -149,33 +167,14 @@ def kernel_density_mc(
     rng = seed if isinstance(seed, SeededRng) else SeededRng(seed)
     nq = q.n
     pairs = q.relation_pairs()
-
-    if callable(model) and not isinstance(model, INTERVAL_MODELS):
-        w = model
-        rows = rng.uniforms(MC_TUPLES, samples * nq).reshape(samples, nq)
-
-        def product(row) -> float:
-            prod = 1.0
-            for i, j in pairs:
-                prod *= float(w(float(row[i]), float(row[j])))
-                if prod == 0.0:
-                    break
-            return prod
-
-        total = total_sq = 0.0
-        for row in rows:
-            prod = product(row)
-            total += prod
-            total_sq += prod * prod
-    else:
-        _, a, b = draw_intervals(
-            model, lambda k: rng.integers(MC_TUPLES, samples * nq * k).reshape(-1, k).T
-        )
-        a, b = a.reshape(samples, nq), b.reshape(samples, nq)
-        hit = np.ones(samples, dtype=bool)
-        for i, j in pairs:
-            hit &= b[:, i] < a[:, j]
-        total = total_sq = float(np.count_nonzero(hit))
+    _, a, b = draw_intervals(
+        model, lambda k: rng.integers(MC_TUPLES, samples * nq * k).reshape(-1, k).T
+    )
+    a, b = a.reshape(samples, nq), b.reshape(samples, nq)
+    hit = np.ones(samples, dtype=bool)
+    for i, j in pairs:
+        hit &= b[:, i] < a[:, j]
+    total = total_sq = float(np.count_nonzero(hit))
     est = total / samples
     var = max(total_sq / samples - est * est, 0.0)
     return est, 1.96 * math.sqrt(var / samples)

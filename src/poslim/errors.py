@@ -29,10 +29,6 @@ class NotInPMinus(PoslimError):
     """The distribution is not stochastically smaller than uniform."""
 
 
-class NotTransitive(PoslimError):
-    """A sampled relation is not a strict partial order."""
-
-
 class InvariantError(PoslimError):
     """A constructed value violates a class invariant."""
 

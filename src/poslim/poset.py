@@ -523,7 +523,10 @@ def out_star(k: int) -> FinitePoset:
 # -- canonical form and enumeration -----------------------------------------
 
 
-def _refined_colors(n: int, succ: Sequence[int], pred: Sequence[int]) -> list:
+def _colour_blocks(n: int, succ: Sequence[int], pred: Sequence[int]) -> list[list[int]]:
+    """The points grouped by colour in the refinement of the relation (`pred`
+    is its transpose), blocks in colour order.  An isomorphism maps each
+    block onto the block of the same colour."""
     colors: list = [(pred[i].bit_count(), succ[i].bit_count()) for i in range(n)]
     for _ in range(n):
         new = [
@@ -538,34 +541,31 @@ def _refined_colors(n: int, succ: Sequence[int], pred: Sequence[int]) -> list:
         # each new colour contains the old one, so the partition is stable
         # exactly when the number of colours did not grow
         if len(ranks) == len(set(colors)):
-            return colors
+            break
         colors = [ranks[c] for c in new]
-    return colors
+    blocks: dict = {}
+    for i, c in enumerate(colors):
+        blocks.setdefault(c, []).append(i)
+    return [blocks[c] for c in sorted(blocks)]
+
+
+def _relabelled_rows(succ: Sequence[int], blocks: list[list[int]]):
+    """`succ` relabelled by each order of the points that lists the blocks
+    in turn, each block in one of its orders.  Two such orders give the same
+    rows iff they differ by an automorphism that keeps every block."""
+    n = len(succ)
+    for perms in itertools.product(*map(itertools.permutations, blocks)):
+        old_order = [i for block in perms for i in block]
+        pos = [0] * n
+        for new_idx, old_idx in enumerate(old_order):
+            pos[old_idx] = new_idx
+        yield tuple(sum(1 << pos[j] for j in _bits(succ[old_order[i]])) for i in range(n))
 
 
 def _canonical_rows(n: int, succ: Sequence[int], pred: Sequence[int]) -> tuple[int, ...]:
     """Minimum relabelled `succ` rows over relabelings that respect the
     colour refinement of the relation (`pred` is its transpose)."""
-    colors = _refined_colors(n, succ, pred)
-    blocks: dict = {}
-    for i in range(n):
-        blocks.setdefault(colors[i], []).append(i)
-    ordered_blocks = [blocks[c] for c in sorted(blocks)]
-    best: tuple[int, ...] | None = None
-    for perms in itertools.product(
-        *[itertools.permutations(b) for b in ordered_blocks]
-    ):
-        old_order = [i for block in perms for i in block]
-        pos = [0] * n
-        for new_idx, old_idx in enumerate(old_order):
-            pos[old_idx] = new_idx
-        key = tuple(
-            sum(1 << pos[j] for j in _bits(succ[old_order[i]])) for i in range(n)
-        )
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best
+    return min(_relabelled_rows(succ, _colour_blocks(n, succ, pred)))
 
 
 def canonical_key(p: FinitePoset) -> tuple[int, tuple[int, ...]]:

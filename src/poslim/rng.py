@@ -19,8 +19,9 @@ Stream kinds used by the samplers:
 
 * ``POINTS``      - X_i is position i (one uniform per point);
 * ``CONDITIONALS``- second per-point uniform (conditional atom selection);
-* ``PAIRS``       - xi_ij for a general [0,1]-valued kernel: position j of
-                    stream index i;
+* ``PAIRS``       - reserved and not read: it held the pair coin flips of
+                    general kernels, and keeps its number so that no other
+                    stream's key moves;
 * ``EDGES``       - random graph order edge (i, j): position j of stream
                     index i;
 * ``MC_TUPLES``   - Monte Carlo density tuple t: positions t*q*k ..
@@ -44,7 +45,7 @@ _MASK64 = (1 << 64) - 1
 _MAX_INDEX = 1 << 48
 
 POINTS = 1
-PAIRS = 2
+PAIRS = 2  # reserved, not read
 CONDITIONALS = 3
 EDGES = 4
 MC_TUPLES = 5

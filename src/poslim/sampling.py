@@ -10,9 +10,8 @@ triangle draws intervals directly, and in both cases i < j holds iff
 interval i ends strictly before interval j begins.  `draw_intervals` turns
 the stream integers k of the uniforms k/2^53 into exact intervals, integer
 arrays of ends over one denominator, for all four interval models, for the
-sampler and `densities.kernel_density_mc` alike.  The pairwise coin flips of
-the general construction are skipped for these 0/1 kernels; a raw callable
-kernel uses them and gets its output validated.
+sampler and `densities.kernel_density_mc` alike; any other model raises
+`TypeError` before anything is drawn.
 
 A sample from an interval model is a `poset.IntervalSample`.  Nothing here
 asks which class a poset is: degree statistics read `degrees`, and both
@@ -39,7 +38,6 @@ from .errors import (
     BudgetExceeded,
     InvalidArgument,
     InvariantError,
-    NotTransitive,
     SizeLimit,
 )
 from .measures import AtomicMeasure, StepCDF, StepKernelMeasure
@@ -55,11 +53,10 @@ from .poset import (
 )
 from .pwl import _fit, over_lcm, segment_lines, sup_distance, values_along
 from .recognition import is_semiorder
-from .rng import CONDITIONALS, EDGES, PAIRS, POINTS, SUBSETS, UNIT, SeededRng
+from .rng import CONDITIONALS, EDGES, POINTS, SUBSETS, UNIT, SeededRng
 from .semiorders import MonotoneRC, RateFunction, f_minus, f_plus, g_from_rate
 
 Sign = Literal["minus", "plus"]
-INTERVAL_MODELS = (MonotoneRC, RateFunction, StepKernelMeasure, AtomicMeasure)
 SamplerModel = MonotoneRC | RateFunction | StepKernelMeasure | AtomicMeasure  # see measures.Measure
 
 _FINGERPRINT_MAX = 5
@@ -123,38 +120,18 @@ def draw_intervals(model: SamplerModel, columns) -> tuple[int, np.ndarray, np.nd
 # -- poset construction -------------------------------------------------------
 
 
-def sample_kernel_poset(kernel, n: int, rng: SeededRng) -> FinitePoset:
-    """Random n-point poset from a kernel model.
-
-    The four interval models (threshold g, rate function, step and atomic
-    measures) return an `IntervalSample`, whose bitmasks are built only when
-    read.  Point i is drawn by `draw_intervals` from position i of the
-    POINTS stream (and position i of CONDITIONALS for a step measure).  A
-    raw callable kernel
-    W(x, y) -> [0,1] additionally reads position j of PAIRS stream i for the
-    pair (i, j) and has its output checked (NotTransitive on failure).
-    n above `textio.MAX_POINTS` raises SizeLimit before anything is drawn.
+def sample_kernel_poset(kernel: SamplerModel, n: int, rng: SeededRng) -> FinitePoset:
+    """Random n-point poset from an interval model (threshold g, rate
+    function, step or atomic measure), as an `IntervalSample`, whose
+    bitmasks are built only when read.  Point i is drawn by `draw_intervals`
+    from position i of the POINTS stream (and position i of CONDITIONALS
+    for a step measure).  n above `textio.MAX_POINTS` raises SizeLimit
+    before anything is drawn.
     """
     if n < 1:
         raise InvalidArgument("n must be at least 1")
     if n > textio.MAX_POINTS:
         raise SizeLimit(f"sampled posets capped at {textio.MAX_POINTS} points")
-    if callable(kernel) and not isinstance(kernel, INTERVAL_MODELS):
-        xs = rng.uniforms(POINTS, n)
-        masks = []
-        for i in range(n):
-            row = rng.uniforms(PAIRS, n, index=i)
-            m = 0
-            for j in range(n):
-                if i != j and row[j] < float(kernel(float(xs[i]), float(xs[j]))):
-                    m |= 1 << j
-            masks.append(m)
-        p = FinitePoset.from_succ_masks(masks)
-        try:
-            p.check_valid()
-        except InvariantError as e:
-            raise NotTransitive(f"sampled relation is not a strict order: {e}") from e
-        return p
     streams = (POINTS, CONDITIONALS)
     ends = draw_intervals(kernel, lambda k: [rng.integers(s, n) for s in streams[:k]])
     return IntervalSample.from_ends(*ends)

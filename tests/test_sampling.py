@@ -18,7 +18,6 @@ from poslim.errors import (
     BudgetExceeded,
     InvalidArgument,
     InvariantError,
-    NotTransitive,
     SizeLimit,
 )
 from poslim.measures import AtomicMeasure, StepCDF, StepKernelMeasure
@@ -81,15 +80,16 @@ def test_rate_kernel_sampling():
     assert p == q  # same threshold function, same stream positions
 
 
-def test_callable_kernel_and_not_transitive():
-    # deterministic comparability-by-threshold as a raw callable
-    p = sa.sample_kernel_poset(lambda x, y: 1.0 if x + 0.3 < y else 0.0, 40, SeededRng(6))
-    assert rec.is_semiorder(p)
-    with pytest.raises(NotTransitive):
-        # intransitive "kernel": relate iff values are close
-        sa.sample_kernel_poset(
-            lambda x, y: 1.0 if 0 < y - x < 0.2 else 0.0, 40, SeededRng(6)
-        )
+def test_raw_callable_kernels_are_refused_before_any_draw():
+    class NoDraws(SeededRng):
+        def raw(self, kind, count, index=0):
+            raise AssertionError("a stream was read for an unsupported model")
+
+    w = lambda x, y: 1.0 if x < y else 0.0  # noqa: E731
+    with pytest.raises(TypeError, match="unsupported sampler model"):
+        sa.sample_kernel_poset(w, 10, NoDraws(1))
+    with pytest.raises(TypeError, match="unsupported sampler model"):
+        de.kernel_density_mc(ps.chain(2), w, 100, NoDraws(1))
 
 
 def test_two_atom_chain_frequency():
