@@ -56,7 +56,6 @@ from .poset import (
     two_plus_two,
 )
 from .recognition import (
-    IntervalRepresentation,
     empirical_measure,
     interval_representation,
     is_interval_order,

@@ -77,6 +77,17 @@ def _count_maps(
     return rec(0, 0)
 
 
+def _check_budget(leaves: int, k: int, n: int) -> int:
+    """`leaves`, the maps of k points into n a search may try, unless they
+    exceed _DENSITY_BUDGET: then BudgetExceeded."""
+    if leaves > _DENSITY_BUDGET:
+        raise BudgetExceeded(
+            f"{leaves} maps of {k} points into {n} exceed the exact density's "
+            f"budget of {_DENSITY_BUDGET}"
+        )
+    return leaves
+
+
 def count_maps(q: FinitePoset, p: FinitePoset, kind: Kind) -> int:
     """Number of maps q -> p of the requested kind, exact.
 
@@ -85,12 +96,7 @@ def count_maps(q: FinitePoset, p: FinitePoset, kind: Kind) -> int:
     raises BudgetExceeded before any row of p is read."""
     if kind not in ("hom", "inj", "ind"):
         raise InvalidArgument(f"kind must be hom/inj/ind, got {kind!r}")
-    leaves = p.n**q.n if kind == "hom" else math.perm(p.n, q.n)
-    if leaves > _DENSITY_BUDGET:
-        raise BudgetExceeded(
-            f"{leaves} maps of {q.n} points into {p.n} exceed the exact density's "
-            f"budget of {_DENSITY_BUDGET}"
-        )
+    leaves = _check_budget(p.n**q.n if kind == "hom" else math.perm(p.n, q.n), q.n, p.n)
     if not leaves:  # q.n > p.n: no injective map
         return 0
     apart = None

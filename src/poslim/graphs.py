@@ -15,7 +15,7 @@ from typing import Iterable
 
 from . import textio
 from .errors import InvariantError, SizeLimit
-from .densities import _count_maps
+from .densities import _check_budget, _count_maps
 from .poset import FinitePoset, _bits, _canonical_rows
 
 _PATTERN_MAX = 5
@@ -79,7 +79,9 @@ def incomparability_graph(p: FinitePoset) -> SimpleGraph:
 
 
 def count_induced_embeddings(f: SimpleGraph, g: SimpleGraph) -> int:
-    if f.n > g.n:
+    """Induced embeddings of f in g, exact.  Past the exact density's budget
+    of (g.n)_f.n maps it raises BudgetExceeded before any row of g is read."""
+    if not _check_budget(math.perm(g.n, f.n), f.n, g.n):  # f.n > g.n
         return 0
     full = (1 << g.n) - 1
     apart = [full & ~(g.adj[i] | (1 << i)) for i in range(g.n)]

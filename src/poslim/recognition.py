@@ -10,14 +10,14 @@ larger up-set than another.  Each test is a sort and a scan, O(n log n)
 steps of at most n/64 words; the semiorder test reads only set sizes
 (`degrees`), and `interval_representation` checks its realization with one
 `precedes` call, so an `IntervalSample` is recognized and represented from
-its endpoint ranks.  `find_two_plus_two` and `find_three_plus_one` scan all
-O(n^2) point pairs; they build the witness of `NotIntervalOrder` and serve
-the test suite as oracles.
+its endpoint ranks; the representation is itself an `IntervalSample`, with
+integer ends over the denominator n.  `find_two_plus_two` and
+`find_three_plus_one` scan all O(n^2) point pairs; they build the witness
+of `NotIntervalOrder` and serve the test suite as oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -100,31 +100,18 @@ def semiorder_by_degrees(downs: Sequence[int], ups: Sequence[int]) -> bool:
     return not (np.diff(ups[np.lexsort((-ups, downs))]) > 0).any()
 
 
-@dataclass(frozen=True)
-class IntervalRepresentation:
-    """Closed intervals realizing an interval order, left endpoints k/n.
-
-    `rank[i]` is the 1-based rank of point i; a[i] = rank[i]/n, and b[i] is
-    one grid step below the smallest rank in i's successor set (1 if none),
-    so that i < j holds exactly when b[i] < a[j].
-    """
-
-    n: int
-    rank: tuple[int, ...]
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
-
-
-def interval_representation(p: FinitePoset) -> IntervalRepresentation:
+def interval_representation(p: FinitePoset) -> IntervalSample:
     """Evenly-spaced-left-endpoint representation of an interval order.
 
     Points are ranked by (predecessor count asc, successor count desc,
-    index); for interval orders every successor set is then a rank suffix,
-    which makes the realization biconditional hold; it is re-checked at
-    runtime as one `precedes` call over the points with a successor (so an
-    `IntervalSample` answers from its ranks).  For semiorders the right
-    endpoints come out nondecreasing in rank order: that is the condition
-    `semiorder_by_degrees` reads from the same sort.
+    index), and point i gets the interval [rank_i/n, (n - |succ(i)|)/n],
+    as an `IntervalSample` over the denominator n.  For interval orders
+    every successor set is then a rank suffix, which makes the realization
+    biconditional hold; it is re-checked at runtime as one `precedes` call
+    over the points with a successor (so an `IntervalSample` answers from
+    its ranks).  For semiorders the right endpoints come out nondecreasing
+    in rank order: that is the condition `semiorder_by_degrees` reads from
+    the same sort.
     """
     if not is_interval_order(p):
         raise NotIntervalOrder(f"induced 2+2 on points {find_two_plus_two(p)}")
@@ -135,12 +122,6 @@ def interval_representation(p: FinitePoset) -> IntervalRepresentation:
     rank[order] = np.arange(1, n + 1)
     # succ(i) is the rank suffix above n - |succ(i)|, so b[i] sits one grid
     # step below its smallest rank (b = 1 if succ(i) is empty)
-    rep = IntervalRepresentation(
-        n,
-        tuple(rank.tolist()),
-        tuple(Fraction(r, n) for r in rank.tolist()),
-        tuple(Fraction(n - u, n) for u in ups.tolist()),
-    )
     empty = np.flatnonzero(rank > n - ups)  # a[i] > b[i]
     if empty.size:
         raise InternalInvariantError(f"interval {empty[0]} is empty")
@@ -153,15 +134,13 @@ def interval_representation(p: FinitePoset) -> IntervalRepresentation:
     if wrong.size:
         i, j = heads[wrong[0]], lowest[wrong[0]]
         raise InternalInvariantError(f"representation does not realize the pair ({i},{j})")
-    return rep
+    return IntervalSample.from_ends(n, rank, n - ups)
 
 
-def empirical_measure(rep: IntervalRepresentation) -> AtomicMeasure:
+def empirical_measure(rep: IntervalSample) -> AtomicMeasure:
     """Atoms (a_i, b_i), weight 1/n each (equal intervals merge)."""
     w = Fraction(1, rep.n)
-    return AtomicMeasure.from_atoms(
-        [(rep.a[i], rep.b[i], w) for i in range(rep.n)]
-    )
+    return AtomicMeasure.from_atoms([(a, b, w) for a, b in rep.intervals])
 
 
 # -- CSV serialization --------------------------------------------------------
@@ -169,20 +148,24 @@ def empirical_measure(rep: IntervalRepresentation) -> AtomicMeasure:
 _COLUMNS = ("index", "rank", "a", "b")
 
 
-def write_representation(rep: IntervalRepresentation) -> str:
-    return textio.to_csv(
-        _COLUMNS, [(i + 1, rep.rank[i], rep.a[i], rep.b[i]) for i in range(rep.n)]
-    )
+def _left_ranks(rep: IntervalSample) -> list[int]:
+    """1-based rank of each left end, ties in index order."""
+    return (np.argsort(np.argsort(rep.ends[1], kind="stable"), kind="stable") + 1).tolist()
 
 
-def read_representation(text: str) -> IntervalRepresentation:
+def write_representation(rep: IntervalSample) -> str:
+    rows = zip(range(1, rep.n + 1), _left_ranks(rep), *zip(*rep.intervals))
+    return textio.to_csv(_COLUMNS, rows)
+
+
+def read_representation(text: str) -> IntervalSample:
     table = textio.read_csv(text, _COLUMNS)
     n = len(table)
     by_index = {textio.parse_int(r[0]): r for r in table}
     if sorted(by_index) != list(range(1, n + 1)):
         raise FormatError(f"index column is not 1..{n}, each once")
     ordered = [by_index[i] for i in range(1, n + 1)]
-    rank = tuple(textio.parse_int(r[1]) for r in ordered)
-    a = tuple(textio.parse_rational(r[2]) for r in ordered)
-    b = tuple(textio.parse_rational(r[3]) for r in ordered)
-    return IntervalRepresentation(n, rank, a, b)
+    rep = IntervalSample([tuple(map(textio.parse_rational, r[2:])) for r in ordered])
+    if [textio.parse_int(r[1]) for r in ordered] != _left_ranks(rep):
+        raise FormatError("rank column is not the rank of each left end, ties in index order")
+    return rep

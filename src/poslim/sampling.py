@@ -45,7 +45,6 @@ from .poset import (
     FinitePoset,
     IntervalSample,
     cached_catalog,
-    canonical_key,
     chain,
     three_plus_one,
     transitive_closure,
@@ -231,19 +230,6 @@ class Fingerprint:
         raise KeyError(poset_id)
 
 
-def _class_label(q: FinitePoset) -> str:
-    if q.pair_count() == 0:
-        return f"antichain{q.n}"
-    key = canonical_key(q)
-    if key == canonical_key(chain(q.n)):
-        return f"chain{q.n}"
-    if q.n == 4 and key == canonical_key(two_plus_two()):
-        return "2+2"
-    if q.n == 4 and key == canonical_key(three_plus_one()):
-        return "3+1"
-    return ""
-
-
 def _check_fingerprint_size(max_q: int) -> None:
     if max_q < 1:
         raise InvalidArgument(f"max_q must be at least 1, got {max_q}")
@@ -298,18 +284,24 @@ def _pattern_table(s: int) -> tuple[np.ndarray, list[int], list[str], list[str]]
     """(table, auts, ids, labels) of the size-s catalog classes: table[code]
     is the class position of an s-tuple coded by `_tuple_codes`, or the
     number of classes for a code that is no poset's.  A class whose s!
-    orderings give k distinct codes has s!/k automorphisms."""
+    orderings give k distinct codes has s!/k automorphisms.  A named class
+    is found by the code of one of its orderings; the antichain, code 0,
+    is named last, so one point is `antichain1`."""
     cat = cached_catalog(s)
     classes = [(idx, q) for idx, q in enumerate(cat.classes) if q.n == s]
     perms = np.array(list(itertools.permutations(range(s))), np.int64).T
     table = np.full(3 ** (s * (s - 1) // 2), len(classes), np.int64)
-    auts, ids, labs = [], [], []
+    auts, ids = [], []
     for pos, (idx, q) in enumerate(classes):
         codes = list(set(_tuple_codes(q, perms).tolist()))
         table[codes] = pos
         auts.append(math.factorial(s) // len(codes))
         ids.append(cat.class_id(idx))
-        labs.append(_class_label(q))
+    labs = [""] * len(classes)
+    for q, lab in [(chain(s), f"chain{s}"), (two_plus_two(), "2+2"), (three_plus_one(), "3+1")]:
+        if q.n == s:
+            labs[table[_tuple_codes(q, perms[:, :1])[0]]] = lab
+    labs[table[0]] = f"antichain{s}"
     return table, auts, ids, labs
 
 

@@ -195,14 +195,15 @@ def test_criterion_2_representation(catalog6):
             continue
         n_io += 1
         rep = rec.interval_representation(p)  # realization re-checked inside
+        a, b = zip(*rep.intervals)
         for i in range(p.n):
             for j in range(p.n):
-                if i != j and (rep.b[i] < rep.a[j]) != p.less(i, j):
+                if i != j and (b[i] < a[j]) != p.less(i, j):
                     ok = False
         if rec.is_semiorder(p):
             n_semi += 1
-            by_rank = sorted(range(p.n), key=lambda i: rep.rank[i])
-            bs = [rep.b[i] for i in by_rank]
+            by_rank = sorted(range(p.n), key=lambda i: a[i])  # left ends k/n, k the rank
+            bs = [b[i] for i in by_rank]
             if any(x > y for x, y in zip(bs, bs[1:])):
                 ok = False
     _report(

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -9,7 +10,7 @@ from poslim import densities as de
 from poslim import graphs as gr
 from poslim import poset as ps
 from poslim import recognition as rec
-from poslim.errors import SizeLimit
+from poslim.errors import BudgetExceeded, SizeLimit
 
 from conftest import posets
 
@@ -66,6 +67,16 @@ def ref_induced_embeddings(f, g):
 @settings(max_examples=60, deadline=None)
 def test_induced_embeddings_match_bruteforce(f, g):
     assert gr.count_induced_embeddings(f, g) == ref_induced_embeddings(f, g)
+
+
+def test_induced_embeddings_budget_checked_before_any_row(monkeypatch):
+    rowless = gr.SimpleGraph(100, None)  # reading a row would raise TypeError
+    with pytest.raises(BudgetExceeded, match=f"^{math.perm(100, 5)} maps of 5 points into 100 "):
+        gr.count_induced_embeddings(gr.empty_graph(5), rowless)
+    monkeypatch.setattr(de, "_DENSITY_BUDGET", math.perm(100, 3))  # at the budget still counts
+    assert gr.graph_t_ind(gr.empty_graph(3), gr.empty_graph(100)) == 1
+    with pytest.raises(BudgetExceeded, match="budget of 970200$"):
+        gr.graph_t_ind(gr.empty_graph(4), gr.empty_graph(100))
 
 
 def test_complement_identity_small():

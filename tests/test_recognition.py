@@ -70,10 +70,10 @@ def test_routes_agree_random(p):
 
 def test_representation_examples():
     r = rec.interval_representation(ps.antichain(2))
-    assert r.a == (Fraction(1, 2), Fraction(1)) and r.b == (Fraction(1), Fraction(1))
+    assert isinstance(r, ps.IntervalSample)
+    assert r.intervals == ((Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(1)))
     r = rec.interval_representation(ps.chain(2))
-    assert r.a == (Fraction(1, 2), Fraction(1))
-    assert r.b == (Fraction(1, 2), Fraction(1))
+    assert r.intervals == ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(1)))
     # realizes 1 < 2: b_1 = 1/2 < a_2 = 1
 
 
@@ -83,17 +83,32 @@ def test_representation_rejects_two_plus_two():
         rec.interval_representation(h)
 
 
+def written_ranks(rep):
+    """The rank column of `write_representation`, in index order."""
+    return [int(line.split(",")[1]) for line in rec.write_representation(rep).splitlines()[1:]]
+
+
 def assert_realizes_pairwise(p, rep):
-    """The O(n^2) realization biconditional, pair by pair, in Fractions."""
-    assert all(rep.a[i] <= rep.b[i] for i in range(p.n))
+    """The O(n^2) realization biconditional, pair by pair, in Fractions;
+    left ends k/n with k the written rank."""
+    a, b = zip(*rep.intervals)
+    assert all(a[i] <= b[i] for i in range(p.n))
     for i in range(p.n):
         for j in range(p.n):
             if i != j:
-                assert (rep.b[i] < rep.a[j]) == p.less(i, j)
+                assert (b[i] < a[j]) == p.less(i, j)
+    rank = written_ranks(rep)
+    assert list(a) == [Fraction(r, p.n) for r in rank]
     if rec.is_semiorder(p):
-        by_rank = sorted(range(p.n), key=lambda i: rep.rank[i])
-        bs = [rep.b[i] for i in by_rank]
+        by_rank = sorted(range(p.n), key=lambda i: rank[i])
+        bs = [b[i] for i in by_rank]
         assert all(x <= y for x, y in zip(bs, bs[1:]))
+
+
+def assert_same_representation(r, s):
+    """Equal as intervals and as written, not only as orders."""
+    assert r == s and r.intervals == s.intervals
+    assert rec.write_representation(r) == rec.write_representation(s)
 
 
 _RICH = StepKernelMeasure.from_cells(
@@ -112,14 +127,17 @@ def test_representation_matches_pairwise_check_sampled(kernel, seed):
     model = gc(Fraction(3, 10)) if kernel == "gc" else _RICH
     p = sample_kernel_poset(model, 300, SeededRng(seed))
     assert_tests_match_pattern_search(p)
-    assert_realizes_pairwise(p, rec.interval_representation(p))
+    rep = rec.interval_representation(p)
+    assert rep == p
+    assert_realizes_pairwise(p, rep)
 
 
 def test_representing_a_sample_builds_no_masks():
     p = sample_kernel_poset(gc(Fraction(3, 10)), 200, SeededRng(4))
     rep = rec.interval_representation(p)
     assert "succ" not in vars(p) and "pred" not in vars(p)
-    assert rep == rec.interval_representation(ps.FinitePoset(p.n, p.succ, p.pred))
+    masks = ps.FinitePoset(p.n, p.succ, p.pred)
+    assert_same_representation(rep, rec.interval_representation(masks))
     assert_realizes_pairwise(p, rep)
 
 
@@ -138,7 +156,9 @@ def test_representation_realizes_catalog(catalog6):
                 rec.interval_representation(p)
             continue
         # the constructor re-checks realization internally; re-verify here
-        assert_realizes_pairwise(p, rec.interval_representation(p))
+        rep = rec.interval_representation(p)
+        assert rep == p
+        assert_realizes_pairwise(p, rep)
 
 
 def test_empirical_measure_examples():
@@ -167,4 +187,21 @@ def test_empirical_measure_total_mass(p):
 
 def test_representation_roundtrip():
     rep = rec.interval_representation(ps.chain(3))
-    assert rec.read_representation(rec.write_representation(rep)) == rep
+    assert_same_representation(rec.read_representation(rec.write_representation(rep)), rep)
+    # any sample is written: tied left ends rank in index order
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    tied = ps.IntervalSample([(half, 1), (0, third), (half, half)])
+    assert written_ranks(tied) == [2, 1, 3]
+    assert_same_representation(rec.read_representation(rec.write_representation(tied)), tied)
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_hom_density_is_the_empirical_measures(seed):
+    """t(q, P) = t(q, mu_P) exactly, mu_P the empirical measure of P's
+    intervals, on samples and on their representations."""
+    classes = ps.cached_catalog(3).classes
+    for model in (gc(Fraction(3, 10)), gc(Fraction(1, 7)), _RICH):
+        p = sample_kernel_poset(model, 9, SeededRng(seed))
+        for mu in (rec.empirical_measure(p), rec.empirical_measure(rec.interval_representation(p))):
+            for q in classes:
+                assert de.kernel_density_atomic(q, mu) == de.density(q, p, "hom")

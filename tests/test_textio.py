@@ -53,7 +53,9 @@ def test_blank_lines_ignored():
     assert poset.read_poset("\n  \nposet 3\n\n1 2\n  \n2 3\n\n") == poset.chain(3)
     rep = recognition.interval_representation(poset.chain(3))
     text = recognition.write_representation(rep).replace("\n", "\n\n")
-    assert recognition.read_representation(text) == rep
+    back = recognition.read_representation(text)
+    assert back == rep and back.intervals == rep.intervals
+    assert recognition.write_representation(back) == text.replace("\n\n", "\n")
 
 
 # -- readers reject malformed files ---------------------------------------------
@@ -95,6 +97,9 @@ BAD_FILES = [
     ("representation", "index,rank,a,b\n1,1,1/0,1/1\n"),
     ("representation", "rank,index,a,b\n"),
     ("representation", "index,rank,a,b\n1,1,\0,1\n"),
+    ("representation", "index,rank,a,b\n1,1,1/1,1/2\n"),  # an empty interval
+    ("representation", "index,rank,a,b\n"),  # no rows: n = 0
+    ("representation", "index,rank,a,b\n1,7,1/2,1/1\n2,7,1/1,1/1\n"),  # ranks not a's
 ]
 
 
@@ -114,6 +119,16 @@ def test_representation_index_faults_are_format_errors():
     for _, text in [f for f in BAD_FILES if f[0] == "representation"][:2]:
         with pytest.raises(FormatError, match="index"):
             recognition.read_representation(text)
+
+
+def test_representation_intervals_and_ranks_are_checked():
+    *_, empty, no_rows, ranks = [t for k, t in BAD_FILES if k == "representation"]
+    with pytest.raises(InvariantError, match="interval 0 is empty"):
+        recognition.read_representation(empty)
+    with pytest.raises(InvariantError, match="non-empty"):
+        recognition.read_representation(no_rows)
+    with pytest.raises(FormatError, match="rank column"):
+        recognition.read_representation(ranks)
 
 
 # -- every malformed input exits 2 from the CLI ----------------------------------
@@ -298,7 +313,10 @@ def test_rate_roundtrip(pieces):
 def test_representation_roundtrip(n, seed, c):
     p = sampling.sample_kernel_poset(semiorders.gc(c), n, SeededRng(seed))
     rep = recognition.interval_representation(p)
-    assert recognition.read_representation(recognition.write_representation(rep)) == rep
+    text = recognition.write_representation(rep)
+    back = recognition.read_representation(text)
+    assert back == rep and back.intervals == rep.intervals
+    assert recognition.write_representation(back) == text
 
 
 # -- the integer-row parser against the `rows` reference ------------------------
