@@ -1,7 +1,10 @@
 """Exact homomorphism / injective / induced density functionals.
 
 All finite-poset densities are exact rationals (`fractions.Fraction`), counted
-by backtracking with bitmask candidate pruning.  Monte Carlo estimation against
+by one backtracking search with bitmask candidate pruning, `_count_maps`.  The
+same search counts automorphisms (induced self-maps that keep each colour
+block) and, since a `graphs.SimpleGraph` reads as a symmetric relation, the
+induced embeddings of graphs.  Monte Carlo estimation against
 interval models lives here too because it shares the tuple-product
 definition; it draws its tuples through the documented counter-based streams
 and tests b_i < a_j on the integer ends of `draw_intervals`.
@@ -18,7 +21,7 @@ import numpy as np
 from .errors import BudgetExceeded, InvalidArgument
 from .measures import AtomicMeasure
 from .poset import (
-    FinitePoset, IntervalSample, _bits, _colour_blocks, _relabelled_rows, in_star, out_star
+    FinitePoset, IntervalSample, _bits, _colour_blocks, _incomparable_rows, in_star, out_star
 )
 from .rng import MC_TUPLES, SeededRng
 from .sampling import SamplerModel, draw_intervals
@@ -37,9 +40,11 @@ def _count_maps(
     apart: Sequence[int] | None,
     injective: bool,
     weights: Sequence | None = None,
+    cands: Sequence[int] | None = None,
 ):
     """Weighted number of maps phi from pattern points to target points.
 
+    phi(v) must lie in ``cands[v]`` (any target point when `cands` is None).
     Pattern point u is below v iff bit v of ``less[u]`` is set, above v iff
     bit v of ``greater[u]`` is set; phi(v) must then lie in ``above[phi(u)]``
     or ``below[phi(u)]``.  Any other pair must land in ``apart[phi(u)]``
@@ -49,7 +54,8 @@ def _count_maps(
     narrowing a candidate bitmask by the rows of its placed neighbours.
     """
     nq = len(less)
-    full = (1 << len(above)) - 1
+    if cands is None:
+        cands = [(1 << len(above)) - 1] * nq
     w = weights if weights is not None else [1] * len(above)
     order = sorted(range(nq), key=lambda v: -(less[v].bit_count() + greater[v].bit_count()))
     image = [0] * nq
@@ -58,7 +64,7 @@ def _count_maps(
         if idx == nq:
             return 1
         v = order[idx]
-        cand = full & ~used if injective else full
+        cand = cands[v] & ~used if injective else cands[v]
         for u in order[:idx]:
             if (less[u] >> v) & 1:
                 cand &= above[image[u]]
@@ -77,32 +83,25 @@ def _count_maps(
     return rec(0, 0)
 
 
-def _check_budget(leaves: int, k: int, n: int) -> int:
-    """`leaves`, the maps of k points into n a search may try, unless they
-    exceed _DENSITY_BUDGET: then BudgetExceeded."""
-    if leaves > _DENSITY_BUDGET:
-        raise BudgetExceeded(
-            f"{leaves} maps of {k} points into {n} exceed the exact density's "
-            f"budget of {_DENSITY_BUDGET}"
-        )
-    return leaves
-
-
 def count_maps(q: FinitePoset, p: FinitePoset, kind: Kind) -> int:
-    """Number of maps q -> p of the requested kind, exact.
+    """Number of maps q -> p of the requested kind, exact.  q and p may also
+    be `graphs.SimpleGraph`s, symmetric relations whose `succ` and `pred` are
+    both the adjacency: then "ind" counts the induced embeddings of q in p.
 
     The search places one point of q at a time, so it may visit every map:
     p.n^q.n for hom, (p.n)_q.n otherwise.  Past _DENSITY_BUDGET of them it
     raises BudgetExceeded before any row of p is read."""
     if kind not in ("hom", "inj", "ind"):
         raise InvalidArgument(f"kind must be hom/inj/ind, got {kind!r}")
-    leaves = _check_budget(p.n**q.n if kind == "hom" else math.perm(p.n, q.n), q.n, p.n)
+    leaves = p.n**q.n if kind == "hom" else math.perm(p.n, q.n)
+    if leaves > _DENSITY_BUDGET:
+        raise BudgetExceeded(
+            f"{leaves} maps of {q.n} points into {p.n} exceed the exact density's "
+            f"budget of {_DENSITY_BUDGET}"
+        )
     if not leaves:  # q.n > p.n: no injective map
         return 0
-    apart = None
-    if kind == "ind":
-        full = (1 << p.n) - 1
-        apart = [full & ~(p.succ[i] | p.pred[i] | (1 << i)) for i in range(p.n)]
+    apart = _incomparable_rows(p) if kind == "ind" else None
     return _count_maps(q.succ, q.pred, p.succ, p.pred, apart, kind != "hom")
 
 
@@ -117,12 +116,12 @@ def density(q: FinitePoset, p: FinitePoset, kind: Kind) -> Fraction:
 
 
 def automorphism_count(p: FinitePoset) -> int:
-    """|Aut(p)|, exact.  An automorphism keeps each colour block of the
-    refinement behind `poset.canonical_key`, so the relabelings that list
-    the blocks in turn give each of their relabelled rows exactly |Aut|
-    times, and |Aut| is how many give the first one's rows.  Past _DENSITY_BUDGET
-    relabelings (the product of the blocks' factorials) it raises
-    BudgetExceeded before any is tried."""
+    """|Aut(p)|, exact: the injective induced maps of p into itself, counted
+    by `_count_maps` with each point's image kept in its colour block of the
+    refinement behind `poset.canonical_key`, as every automorphism keeps
+    the blocks.  The search may try every map that keeps them; past
+    _DENSITY_BUDGET of them (the product of the blocks' factorials) it
+    raises BudgetExceeded before any is tried."""
     blocks = _colour_blocks(p.n, p.succ, p.pred)
     walk = math.prod(math.factorial(len(b)) for b in blocks)
     if walk > _DENSITY_BUDGET:
@@ -130,9 +129,11 @@ def automorphism_count(p: FinitePoset) -> int:
             f"{walk} colour-respecting relabelings of {p.n} points exceed the "
             f"automorphism count's budget of {_DENSITY_BUDGET}"
         )
-    rows = _relabelled_rows(p.succ, blocks)
-    first = next(rows)
-    return 1 + sum(r == first for r in rows)
+    cands = [0] * p.n
+    for block in blocks:
+        for i in block:
+            cands[i] = sum(1 << j for j in block)
+    return _count_maps(p.succ, p.pred, p.succ, p.pred, _incomparable_rows(p), True, cands=cands)
 
 
 def moment_identity_check(

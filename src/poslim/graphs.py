@@ -2,31 +2,36 @@
 
 Connects posets to graphs at finite scale: the comparability functor, its
 complement, exact induced-subgraph densities for small patterns, and the
-enumeration of poset orientations behind the edge-directing identity.
+enumeration of poset orientations behind the edge-directing identity.  A
+graph is a symmetric relation: its `succ` and `pred` are both its adjacency,
+so `densities.count_maps(f, g, "ind")` counts induced embeddings, `density`
+gives their density and `poset.canonical_key` its isomorphism class.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from . import textio
 from .errors import InvariantError, SizeLimit
-from .densities import _check_budget, _count_maps
-from .poset import FinitePoset, _bits, _canonical_rows
+from .densities import density
+from .poset import FinitePoset, _bits, _incomparable_rows, canonical_key
 
 _PATTERN_MAX = 5
 
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """Undirected simple graph as symmetric adjacency bitmask rows."""
+    """Undirected simple graph as symmetric adjacency bitmask rows, read as
+    a symmetric relation: `succ` and `pred` are both `adj`."""
 
     n: int
     adj: tuple[int, ...]
+
+    succ = pred = property(lambda self: self.adj)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
@@ -51,8 +56,7 @@ class SimpleGraph:
 
 
 def complete_graph(n: int) -> SimpleGraph:
-    full = (1 << n) - 1
-    return SimpleGraph(n, tuple(full & ~(1 << i) for i in range(n)))
+    return complement_graph(empty_graph(n))
 
 
 def empty_graph(n: int) -> SimpleGraph:
@@ -68,33 +72,19 @@ def comparability_graph(p: FinitePoset) -> SimpleGraph:
 
 
 def complement_graph(g: SimpleGraph) -> SimpleGraph:
-    full = (1 << g.n) - 1
-    return SimpleGraph(
-        g.n, tuple(full & ~(g.adj[i] | (1 << i)) for i in range(g.n))
-    )
+    return SimpleGraph(g.n, _incomparable_rows(g))
 
 
 def incomparability_graph(p: FinitePoset) -> SimpleGraph:
-    return complement_graph(comparability_graph(p))
-
-
-def count_induced_embeddings(f: SimpleGraph, g: SimpleGraph) -> int:
-    """Induced embeddings of f in g, exact.  Past the exact density's budget
-    of (g.n)_f.n maps it raises BudgetExceeded before any row of g is read."""
-    if not _check_budget(math.perm(g.n, f.n), f.n, g.n):  # f.n > g.n
-        return 0
-    full = (1 << g.n) - 1
-    apart = [full & ~(g.adj[i] | (1 << i)) for i in range(g.n)]
-    return _count_maps(f.adj, f.adj, g.adj, g.adj, apart, True)
+    return SimpleGraph(p.n, _incomparable_rows(p))
 
 
 def graph_t_ind(f: SimpleGraph, g: SimpleGraph) -> Fraction:
-    """Induced-embedding density of pattern f in g, exact."""
+    """Induced-embedding density of pattern f in g, exact: `density(f, g,
+    "ind")`, with its budget of (g.n)_f.n maps."""
     if f.n > _PATTERN_MAX:
         raise SizeLimit(f"pattern size capped at {_PATTERN_MAX}")
-    if f.n > g.n:
-        return Fraction(0)
-    return Fraction(count_induced_embeddings(f, g), math.perm(g.n, f.n))
+    return density(f, g, "ind")
 
 
 def poset_orientations(f: SimpleGraph) -> list[FinitePoset]:
@@ -126,20 +116,16 @@ def enumerate_graphs(max_size: int) -> list[SimpleGraph]:
         raise SizeLimit("graph enumeration capped at size 6")
     reps: list[SimpleGraph] = []
     for n in range(1, max_size + 1):
-        seen: set[tuple[int, ...]] = set()
+        seen: set[tuple] = set()
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         for bits in range(1 << len(pairs)):
             edges = [pairs[k] for k in range(len(pairs)) if (bits >> k) & 1]
             g = SimpleGraph.from_edges(n, edges)
-            key = _graph_canonical_key(g)
+            key = canonical_key(g)
             if key not in seen:
                 seen.add(key)
                 reps.append(g)
     return reps
-
-
-def _graph_canonical_key(g: SimpleGraph) -> tuple[int, ...]:
-    return _canonical_rows(g.n, g.adj, g.adj)
 
 
 # -- text format --------------------------------------------------------------

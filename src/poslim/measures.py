@@ -25,8 +25,10 @@ which checks by `pwl.tiling` that the support gaps tile [0,1], as
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Literal
 
 import numpy as np
@@ -156,10 +158,16 @@ def h_map(nu: StepCDF, x, variant: HVariant) -> Fraction:
 
 def _snap(gaps: list[tuple[Fraction, Fraction]], x: Fraction, variant: HVariant) -> Fraction:
     """h_map's rule given the gaps: x in a gap goes to the gap's end that
-    `variant` names, x on the support stays."""
-    for a, b in gaps:
-        if a <= x < b if variant == "plus" else a < x <= b:
-            return a if variant == "minus" else b
+    `variant` names, x on the support stays.  The gaps are sorted and
+    disjoint, so only one can hold x: for plus, read as [a, b), the last
+    with a <= x; otherwise, read as (a, b], the first with b >= x."""
+    if variant == "plus":
+        k = bisect_right(gaps, x, key=itemgetter(0)) - 1
+    else:
+        k = bisect_left(gaps, x, key=itemgetter(1))
+    a, b = gaps[k] if 0 <= k < len(gaps) else (x, x)  # (x, x) holds no x
+    if a <= x < b if variant == "plus" else a < x <= b:
+        return a if variant == "minus" else b
     return x
 
 

@@ -355,6 +355,14 @@ def reflect(p: FinitePoset) -> FinitePoset:
     return FinitePoset(p.n, p.pred, p.succ)
 
 
+def _incomparable_rows(p) -> tuple[int, ...]:
+    """Row i holds the points other than i neither above nor below i.  `p`
+    is a poset, or a graph read as a symmetric relation (its `succ` and
+    `pred` are both its adjacency), whose rows are then its complement's."""
+    full = (1 << p.n) - 1
+    return tuple(full & ~(p.succ[i] | p.pred[i] | 1 << i) for i in range(p.n))
+
+
 def induced(p: FinitePoset, points: Iterable[int]) -> FinitePoset:
     """Restriction of the order to `points` (0-based), reindexed in given order."""
     pts = list(points)
@@ -549,31 +557,25 @@ def _colour_blocks(n: int, succ: Sequence[int], pred: Sequence[int]) -> list[lis
     return [blocks[c] for c in sorted(blocks)]
 
 
-def _relabelled_rows(succ: Sequence[int], blocks: list[list[int]]):
-    """`succ` relabelled by each order of the points that lists the blocks
-    in turn, each block in one of its orders.  Two such orders give the same
-    rows iff they differ by an automorphism that keeps every block."""
-    n = len(succ)
-    for perms in itertools.product(*map(itertools.permutations, blocks)):
-        old_order = [i for block in perms for i in block]
-        pos = [0] * n
-        for new_idx, old_idx in enumerate(old_order):
-            pos[old_idx] = new_idx
-        yield tuple(sum(1 << pos[j] for j in _bits(succ[old_order[i]])) for i in range(n))
-
-
-def _canonical_rows(n: int, succ: Sequence[int], pred: Sequence[int]) -> tuple[int, ...]:
-    """Minimum relabelled `succ` rows over relabelings that respect the
-    colour refinement of the relation (`pred` is its transpose)."""
-    return min(_relabelled_rows(succ, _colour_blocks(n, succ, pred)))
-
-
 def canonical_key(p: FinitePoset) -> tuple[int, tuple[int, ...]]:
-    """Minimum relation-matrix encoding over colour-respecting relabelings.
+    """Minimum relation-matrix encoding over colour-respecting relabelings:
+    the least `succ` rows relabelled by an order of the points that lists
+    the colour blocks in turn, each block in one of its orders.  Two such
+    orders give the same rows iff they differ by an automorphism that keeps
+    every block.
 
-    Complete invariant: two posets have equal keys iff isomorphic.
+    Complete invariant: two posets have equal keys iff isomorphic.  A
+    `graphs.SimpleGraph`, a symmetric relation, gets its graph class's key.
     """
-    return (p.n, _canonical_rows(p.n, p.succ, p.pred))
+    succ = p.succ
+
+    def relabelled(perms) -> tuple[int, ...]:
+        order = [i for block in perms for i in block]
+        pos = {old: new for new, old in enumerate(order)}
+        return tuple(sum(1 << pos[j] for j in _bits(succ[i])) for i in order)
+
+    blocks = _colour_blocks(p.n, succ, p.pred)
+    return (p.n, min(map(relabelled, itertools.product(*map(itertools.permutations, blocks)))))
 
 
 @dataclass(frozen=True)

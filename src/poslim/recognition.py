@@ -24,9 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from . import textio
-from .errors import FormatError, InternalInvariantError, NotIntervalOrder
+from .errors import FormatError, InternalInvariantError, NotIntervalOrder, SizeLimit
 from .measures import AtomicMeasure
-from .poset import FinitePoset, IntervalSample, _bits
+from .poset import FinitePoset, IntervalSample, _bits, _incomparable_rows
 
 
 def find_two_plus_two(p: FinitePoset) -> tuple[int, int, int, int] | None:
@@ -51,10 +51,7 @@ def find_two_plus_two(p: FinitePoset) -> tuple[int, int, int, int] | None:
 
 def find_three_plus_one(p: FinitePoset) -> tuple[int, int, int, int] | None:
     """An induced 3+1 as (x, y, z, w) with x < y < z all incomparable to w."""
-    n = p.n
-    full = (1 << n) - 1
-    for w in range(n):
-        incomp = full & ~(p.succ[w] | p.pred[w] | (1 << w))
+    for w, incomp in enumerate(_incomparable_rows(p)):
         if incomp.bit_count() < 3:
             continue
         for y in _bits(incomp):
@@ -161,6 +158,8 @@ def write_representation(rep: IntervalSample) -> str:
 def read_representation(text: str) -> IntervalSample:
     table = textio.read_csv(text, _COLUMNS)
     n = len(table)
+    if n > textio.MAX_POINTS:
+        raise SizeLimit(f"representation has {n} points, the cap is {textio.MAX_POINTS}")
     by_index = {textio.parse_int(r[0]): r for r in table}
     if sorted(by_index) != list(range(1, n + 1)):
         raise FormatError(f"index column is not 1..{n}, each once")

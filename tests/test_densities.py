@@ -201,8 +201,11 @@ def test_density_budget_checked_before_any_row(monkeypatch):
 def test_automorphism_count_equals_induced_self_maps():
     for q in ps.cached_catalog(6).classes:
         assert de.automorphism_count(q) == de.count_maps(q, q, "ind")
-    assert de.automorphism_count(ps.chain(12)) == 1  # one relabeling: 12 singleton blocks
+    assert de.automorphism_count(ps.chain(12)) == 1  # one map: 12 singleton blocks
     assert de.automorphism_count(ps.antichain(8)) == math.factorial(8)
+    # five disjoint 3-chains: placing the middles fixes the rest
+    chains = [m << 3 * c for c in range(5) for m in (0b110, 0b100, 0)]
+    assert de.automorphism_count(ps.FinitePoset.from_succ_masks(chains)) == 120
     with pytest.raises(BudgetExceeded, match="^479001600 colour-respecting relabelings of 12 "):
         de.automorphism_count(ps.antichain(12))
 

@@ -155,6 +155,28 @@ def test_h_map_end_gaps():
     assert me.h_map(d, F(0), "minus") == 0
 
 
+def ref_snap(gaps, x, variant):
+    """The snap rule by a scan of every gap: the reference for `_snap`'s bisect."""
+    for a, b in gaps:
+        if a <= x < b if variant == "plus" else a < x <= b:
+            return a if variant == "minus" else b
+    return x
+
+
+@given(
+    st.one_of(atomic_measures().map(me.right_marginal), step_measures().map(me.right_marginal),
+              monotone_gs().map(so.f_minus)),
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+)
+@settings(max_examples=150, deadline=None)
+def test_snap_matches_gap_scan(nu, x):
+    # every gap end, where two gaps may meet at an isolated support point, and one x
+    gaps = me.support_and_gaps(nu)[1]
+    for v in {F(0), F(1), x, *(e for gap in gaps for e in gap)}:
+        for variant in ("minus", "plus", "bar_plus"):
+            assert me._snap(gaps, v, variant) == ref_snap(gaps, v, variant)
+
+
 def isolated_interior_points(nu):
     supp, _ = me.support_and_gaps(nu)
     return {lo for lo, hi in supp.intervals if lo == hi and 0 < lo < 1}

@@ -58,7 +58,7 @@ def test_stream_index_out_of_range(index):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, *EDGE_SEEDS[:3]])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 13])
+@pytest.mark.parametrize("n", [*range(1, 10), 13, 37])
 def test_upper_rows_match_raw(seed, n):
     """Row i starts at position i + 1, at every offset within a 4-wide block."""
     r = SeededRng(seed)
@@ -75,3 +75,14 @@ def test_integers_are_the_top_53_bits_and_uniforms_their_ratio(seed):
     assert ks.tolist() == [r >> 11 for r in raw(seed, POINTS, 1000, 3)]
     us = SeededRng(seed).uniforms(POINTS, 1000, index=3)
     assert us.tolist() == [k / 2**53 for k in ks.tolist()] and rng.UNIT == 2**53
+
+
+@pytest.mark.parametrize("kind", [POINTS, rng.EDGES, rng.MC_TUPLES])
+@pytest.mark.parametrize("index", [0, 5])
+def test_a_short_read_is_the_start_of_a_longer_one(kind, index):
+    """A worker that reads fewer positions of a stream reads the same ones,
+    at every count up to and across 4-output blocks."""
+    r = SeededRng(7)
+    longer = r.integers(kind, 41, index).tolist()
+    for k in range(42):
+        assert r.integers(kind, k, index).tolist() == longer[:k]

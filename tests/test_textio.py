@@ -115,6 +115,15 @@ def test_point_cap_is_inclusive():
         poset.read_poset(f"poset {textio.MAX_POINTS + 1}\n")
 
 
+def test_representation_point_cap_is_inclusive():
+    def rows(n):  # distinct left ends i/n, so rank i
+        return "index,rank,a,b\n" + "".join(f"{i},{i},{i}/{n},{i}/{n}\n" for i in range(1, n + 1))
+
+    assert recognition.read_representation(rows(textio.MAX_POINTS)).n == textio.MAX_POINTS
+    with pytest.raises(SizeLimit, match=f"{textio.MAX_POINTS + 1} points"):
+        recognition.read_representation(rows(textio.MAX_POINTS + 1))
+
+
 def test_representation_index_faults_are_format_errors():
     for _, text in [f for f in BAD_FILES if f[0] == "representation"][:2]:
         with pytest.raises(FormatError, match="index"):
