@@ -10,8 +10,9 @@ Bulk consumers ask two queries: `degrees` (every down- or up-set size) and
 order kept as its ends, integer arrays over one denominator, answers both
 from one exact order of its ends (an argsort, a re-sort of ties and a
 running count of left ends) and builds its bitmask rows only when read.
-`read_poset` gives one for a file that is exactly the cover set of an
-interval order, as `write_poset` writes a sample, and closes any other file.
+`read_poset` gives one for a file that is exactly the sorted cover set of
+an interval order, as `write_poset` writes a sample; one Kahn pass serves the
+cover check and, for any other file, the closure.
 
 Point indices are 0-based everywhere in the Python API.  The text format and
 ``from_relations`` use 1-based labels, matching the on-disk convention;
@@ -46,6 +47,7 @@ from .pwl import over_lcm
 Sign = Literal["minus", "plus"]
 
 _CATALOG_MAX = 7
+_LAYERED = 32  # arcs a point from which `_kahn` runs in numpy layers
 
 
 def _pack_rows(masks: Sequence[int], n: int) -> np.ndarray:
@@ -123,8 +125,8 @@ def transitive_closure(n: int, tails: np.ndarray, heads: np.ndarray) -> "FiniteP
     reverse order sets each row to its heads' closed rows: Python ints, or
     packed numpy rows that `pred` is transposed from."""
     heads = heads[np.argsort(tails, kind="stable")]
-    counts = np.bincount(tails, minlength=n)
-    return _close(n, heads, counts, *_kahn(n, heads, counts))
+    starts = np.append(0, np.cumsum(np.bincount(tails, minlength=n)))
+    return _close(n, heads, starts, *_kahn(n, heads, starts)[:2])
 
 
 def _no_cycle(indeg) -> None:
@@ -134,27 +136,27 @@ def _no_cycle(indeg) -> None:
         raise CycleError(f"relation has a cycle at or below point {stuck + 1}")
 
 
-def _kahn(n, heads, counts) -> tuple[list, list | None]:
-    """(order, adj): Kahn's order of the points, arcs sorted by tail with
-    counts[i] leaving i; a cycle raises CycleError.  Below 32 arcs a point:
-    a list of points, one Python step per arc, and the heads adj[i] of each
-    i.  From 32 on: the list of whole layers, by numpy rounds that cost more
-    per layer and less per arc, and adj None.  The two cross near 32 on
-    random digraphs and interval-order covers (BENCH_poset_text.json)."""
-    indeg = np.bincount(heads, minlength=n)
-    if len(heads) >= 32 * n:
-        ends = np.cumsum(counts)
-        layers = [np.flatnonzero(indeg == 0)]
+def _kahn(n, heads, starts) -> tuple[list, list, np.ndarray]:
+    """(order, adj, below): Kahn's order of the points, with arcs sorted by
+    tail, heads[starts[i]:starts[i + 1]] leaving i, and below[j] arcs into
+    j; a cycle raises CycleError.  Below _LAYERED arcs a point: a list of
+    points, one Python step per arc, and the heads adj[i] of each i.  From it:
+    the list of whole layers, by numpy rounds that cost more per layer and
+    less per arc, and the heads adj[k] of layer k's arcs.  The two cross
+    near 32 on random digraphs and interval-order covers (BENCH_poset_text.json)."""
+    below = np.bincount(heads, minlength=n)
+    if len(heads) >= _LAYERED * n:
+        indeg, layers, adj = below, [np.flatnonzero(below == 0)], []
         while layers[-1].size:
-            arcs = _windows((ends - counts)[layers[-1]], ends[layers[-1]])
-            hits = np.bincount(heads[arcs], minlength=n)
-            indeg -= hits
+            adj.append(heads[_windows(starts[layers[-1]], starts[layers[-1] + 1])])
+            hits = np.bincount(adj[-1], minlength=n)
+            indeg = indeg - hits
             layers.append(np.flatnonzero((indeg == 0) & (hits > 0)))
         _no_cycle(indeg)
-        return layers, None
-    arcs, ends = heads.tolist(), np.cumsum(counts).tolist()
-    adj = [arcs[lo:hi] for lo, hi in zip([0, *ends], ends)]
-    indeg = indeg.tolist()
+        return layers, adj, below
+    arcs, starts = heads.tolist(), starts.tolist()
+    adj = [arcs[lo:hi] for lo, hi in zip(starts, starts[1:])]
+    indeg = below.tolist()
     order = [i for i in range(n) if not indeg[i]]
     for i in order:  # the list grows while it is walked: Kahn's queue
         for j in adj[i]:
@@ -162,11 +164,11 @@ def _kahn(n, heads, counts) -> tuple[list, list | None]:
             if not indeg[j]:
                 order.append(j)
     _no_cycle(indeg)
-    return order, adj
+    return order, adj, below
 
 
-def _close(n, heads, counts, order, adj) -> "FinitePoset":
-    if adj is not None:
+def _close(n, heads, starts, order, adj) -> "FinitePoset":
+    if len(heads) < _LAYERED * n:
         reach = [0] * n  # closed rows with each point's own bit set
         for i in reversed(order):
             reach[i] = reduce(or_, map(reach.__getitem__, adj[i]), 1 << i)
@@ -174,20 +176,19 @@ def _close(n, heads, counts, order, adj) -> "FinitePoset":
             reach[i] ^= 1 << i
         return FinitePoset.from_succ_masks(reach)
     # OR of packed n/8-byte rows: O(n · layers + arcs · n/8) in numpy
-    ends = np.cumsum(counts)
     order = np.concatenate(order)[::-1]
-    order = order[counts[order] > 0]  # later layers first: heads are closed
+    order = order[starts[order + 1] > starts[order]]  # later layers first: heads are closed
     own = np.arange(n)
     bit = (1 << (own & 7)).astype(np.uint8)
     reach = np.zeros((n, (n + 7) // 8), dtype=np.uint8)  # closed rows, own bit set
     reach[own, own >> 3] = bit
-    for i, lo, hi in zip(order.tolist(), (ends - counts)[order].tolist(), ends[order].tolist()):
+    for i, lo, hi in zip(order.tolist(), starts[order].tolist(), starts[order + 1].tolist()):
         reach[i] |= np.bitwise_or.reduce(reach.take(heads[lo:hi], axis=0), axis=0)
     reach[own, own >> 3] ^= bit
     return FinitePoset(n, _int_rows(reach), _transpose(reach, n))
 
 
-def _interval_covers(n, heads, counts, order, adj) -> "IntervalSample | None":
+def _interval_covers(n, heads, starts, order, adj, below) -> "IntervalSample | None":
     """The interval order whose covers are the arcs, distinct and sorted by
     (tail, head) as `_kahn` takes them, or None.  Its down-sets form a chain
     and no lower cover of x is below another, so along Kahn's order |D(x)|
@@ -198,26 +199,25 @@ def _interval_covers(n, heads, counts, order, adj) -> "IntervalSample | None":
     window, b_i < a_j < least_i.  The least a_j of i's arcs is b_i + 1, so
     only the largest is compared.  No interval is then empty, for a point
     with |D| >= m has no upper cover and lies in no lower cover's window."""
-    down, starts = np.bincount(heads, minlength=n), np.cumsum(counts) - counts
-    if adj is not None:
-        down, best = down.tolist(), [0] * n
+    counts = np.diff(starts)
+    if len(heads) < _LAYERED * n:
+        down, best = below.tolist(), [0] * n
         for i in order:
             d = down[i] = down[i] + best[i]
             for j in adj[i]:
                 best[j] = max(best[j], d)
         down = np.array(down)
     else:
-        best = np.zeros(n, dtype=np.int64)
-        for layer in order:
+        down, best = below.copy(), np.zeros(n, dtype=np.int64)
+        for layer, layer_heads in zip(order, adj):
             down[layer] += best[layer]
-            arcs = _windows(starts[layer], starts[layer] + counts[layer])
-            np.maximum.at(best, heads[arcs], np.repeat(down[layer], counts[layer]))
-    above, head_down = counts > 0, down[heads]  # the points with an upper cover
+            np.maximum.at(best, layer_heads, np.repeat(down[layer], counts[layer]))
+    above, head_down = counts > 0, down.astype(heads.dtype)[heads]  # above: an upper cover
     up = np.full(n, n + 1)
-    up[above] = np.minimum.reduceat(head_down, starts[above])
+    up[above] = np.minimum.reduceat(head_down, starts[:-1][above])
     a, b = 2 * down, 2 * up - 1
     _, lo, hi, least = _cover_windows(a, b)
-    top = np.maximum.reduceat(head_down, starts[above])
+    top = np.maximum.reduceat(head_down, starts[:-1][above])
     if (hi - lo != counts).any() or (2 * top >= least[above]).any():
         return None
     return IntervalSample.from_ends(2, a, b)
@@ -345,10 +345,10 @@ def from_columns(n: int, tails: np.ndarray, heads: np.ndarray) -> FinitePoset:
     keys = tails * n + heads
     if not (keys[1:] > keys[:-1]).all():
         return transitive_closure(n, tails, heads)
-    counts = np.bincount(tails, minlength=n)
+    starts = np.searchsorted(tails, np.arange(n + 1, dtype=tails.dtype))  # the tails ascend
     del tails, keys  # their memory goes to the attempt
-    kahn = _kahn(n, heads, counts)
-    return _interval_covers(n, heads, counts, *kahn) or _close(n, heads, counts, *kahn)
+    kahn = _kahn(n, heads, starts)
+    return _interval_covers(n, heads, starts, *kahn) or _close(n, heads, starts, *kahn[:2])
 
 
 def reflect(p: FinitePoset) -> FinitePoset:
@@ -666,15 +666,15 @@ def cached_catalog(max_size: int) -> PosetCatalog:
 def write_poset(p: FinitePoset) -> str:
     """Poset text format: header, then transitive-reduction pairs, 1-based.
 
-    Each point's pairs are one `join` over the point names."""
+    Each point's pairs are one `join` of a list slice of point names."""
     tails, heads = p.cover_pairs()
     names = np.array([str(k) for k in range(1, p.n + 1)], dtype=object)
-    heads = names[heads]  # shared name strings, no int object per pair
-    ends = np.cumsum(np.bincount(tails, minlength=p.n)).tolist()
+    heads = names[heads].tolist()  # shared name strings, no int object per pair
+    starts = np.searchsorted(tails, np.arange(p.n + 1)).tolist()  # tails ascend
     lines = [f"poset {p.n}"]
-    for i, (lo, hi) in enumerate(zip([0, *ends], ends)):
+    for name, lo, hi in zip(names.tolist(), starts, starts[1:]):
         if lo < hi:
-            lines.append(f"{names[i]} " + f"\n{names[i]} ".join(heads[lo:hi]))
+            lines.append(f"{name} " + f"\n{name} ".join(heads[lo:hi]))
     return "\n".join(lines) + "\n"
 
 

@@ -36,6 +36,10 @@ _LEADING_SPACE = re.compile(r"\s*")  # what `str.lstrip` strips
 # `int_pairs` parses a body in blocks of whole lines of about this many bytes
 _BLOCK = 1 << 16
 _PAIR_BYTES = b"0123456789 \t\r\n"  # the bytes `int_pairs` parses itself
+# _KEEP[w][n]: in the word of digits 4w .. 4w + 3 from the right of an
+# n-digit token, the low nibble of each byte that is one of its digits
+_KEEP = np.array([[0x0F0F0F0F << 8 * (4 - min(max(n - 4 * w, 0), 4)) & 0xFFFFFFFF
+                   for n in range(19)] for w in range(5)], dtype=np.uint32)
 
 
 def format_rational(x: Fraction) -> str:
@@ -120,11 +124,12 @@ def int_pairs(text: str, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     Blank lines are ignored; any other line without exactly 2 fields raises
     FormatError.  A well-formed body of ASCII digits, spaces, tabs and line
     breaks is parsed by numpy in blocks of whole lines (`_pair_block`), in
-    time linear in its length and with small work arrays; the columns are
-    int64.  Any other body goes to `rows`, which accepts what `int` accepts
-    and names the first bad line; its columns hold Python ints.
+    time linear in its length; the blocks keep their tokens in 2 to 8 bytes
+    each, and each column is then one contiguous int64 array.  Any other
+    body goes to `rows`, which accepts what `int` accepts and names the first
+    bad line; its columns hold Python ints.
     """
-    blocks, at = [np.empty(0, dtype=np.int64)], start
+    blocks, at = [np.empty(0, dtype=np.uint16)], start
     while at < len(text):
         end = text.find("\n", at + _BLOCK) + 1 or len(text)
         values = _pair_block(text[at:end])
@@ -133,33 +138,38 @@ def int_pairs(text: str, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
         blocks.append(values)
         at = end
     else:
-        values = np.concatenate(blocks)
-        return values[0::2], values[1::2]
+        return tuple(np.concatenate([b[k::2] for b in blocks], dtype=np.int64) for k in (0, 1))
     table = np.array(rows(row_lines(text[start:]), 2, int), dtype=object).reshape(-1, 2)
-    return table[:, 0], table[:, 1]
+    return tuple(np.ascontiguousarray(table.T))
 
 
 def _pair_block(text: str) -> np.ndarray | None:
-    """The integer tokens of whole lines, in order; None unless every byte
-    is one `int_pairs` parses, no token is over 18 digits and every
-    non-blank line has 2 tokens.
+    """The integer tokens of whole lines, in order, as uint16, uint32 or
+    int64, the narrowest that holds every token of their length; None
+    unless every byte is one `int_pairs` parses, no token is over 18 digits
+    and every non-blank line has 2 tokens.
 
     Tokens are the runs of digits.  The gap between two tokens holds only
     blanks and line breaks, so it holds a break iff its first or its last
     byte is one or, in a gap of 3 bytes or more, a byte in between; only
     such gaps with no break at either end have their inner bytes read, and
     a file as `write_poset` writes it has none.
+
+    A token is read 4 digits at a time, as the little-endian word of the 4
+    bytes ending k digits from its right (d0 d1 d2 d3, d0 the low byte):
+    `_KEEP` keeps its digits, ×10 on byte pairs gives d0d1 and d2d3 and
+    ×100 on 16-bit halves the word's value, below 10**4.
     """
     if not text.isascii() or (raw := text.encode("ascii")).translate(None, _PAIR_BYTES):
         return None
-    buf = np.frombuffer(raw, dtype=np.uint8)
+    buf = np.frombuffer(b" " * 20 + raw, dtype=np.uint8)  # no word read starts before it
     digit = np.zeros(len(buf) + 2, dtype=np.int8)
     np.greater_equal(buf, ord("0"), out=digit[1:-1].view(bool))
     starts, ends = np.flatnonzero(digit[1:] != digit[:-1]).reshape(-1, 2).T
     lengths = ends - starts
     if not lengths.size:
-        return np.empty(0, dtype=np.int64)
-    if lengths.max() > 18 or lengths.size % 2:  # 10**18 - 1 < 2**63
+        return np.empty(0, dtype=np.uint16)
+    if (longest := lengths.max()) > 18 or lengths.size % 2:  # 10**18 - 1 < 2**63
         return None
     # every non-blank line has 2 tokens iff no line break follows each even
     # token before the next token, and one follows each odd token.  Of tab,
@@ -175,11 +185,13 @@ def _pair_block(text: str) -> np.ndarray | None:
         broken[inner] = np.logical_or.reduceat(buf[pos] & 6, at)
     if broken[0::2].any() or not broken[1::2].all():
         return None  # `rows` names the first bad line
-    # the k-th digit from the right of every token at least k long; ends - k
-    # stays a valid (maybe negative) index, since k <= len(buf)
-    values = buf[ends - 1] - np.int64(48)
-    for k in range(2, lengths.max() + 1):
-        values += (lengths >= k) * (buf[ends - k] - np.int64(48)) * 10 ** (k - 1)
+    kind = np.uint16 if longest <= 4 else np.uint32 if longest <= 9 else np.int64
+    words = np.ndarray((len(buf) - 3,), dtype="<u4", buffer=buf, strides=(1,))
+    values = np.zeros(lengths.size, dtype=kind)
+    for k in range(0, longest, 4):  # digits k .. k + 3 from the right
+        word = words.take(ends - (k + 4)) & _KEEP[k // 4].take(lengths)
+        word = (word * 0xA01 >> 8) & 0x00FF00FF
+        values += (word * 0x640001 >> 16).astype(kind, copy=False) * kind(10**k)
     return values
 
 

@@ -413,6 +413,12 @@ PAIR_BODIES = [
     "\n1 \t \t 2\n",  # and none
     "\n1 \n 2\n",  # one field either side
     "\n1 2 \n 3 \r\n\t4 5\n",
+    # tokens across the 4-digit word boundaries, with and without leading zeros
+    "\n123 1234\n12345 12345678\n123456789 12345678901234567\n",
+    "\n007 0012\n00012 00000123\n000000123 00000000000000017\n",
+    "\n1 2\n12345678 9\n000000001 12345\n",  # long tokens open blocks of 4 and 16
+    "\n3 0003\n000000000000000003 1\n",  # pairs in range, zeros on the left
+    "\n3 0003\n0000000000000000003 1\n",  # 19 digits: left to `rows`
 ]
 
 
@@ -435,6 +441,9 @@ def test_int_pairs_parses_plain_bodies_in_numpy():
 
 _pair_token = st.sampled_from(
     ["1", "2", "3", "4", "0", "03", "x", "+1", "-2", "\u0661", "1_0", "1" * 30, "9" * 19]
+    # 3, 4, 5, 8, 9 and 17 digits, with and without leading zeros
+    + ["123", "0012", "12345", "00003", "12345678", "00000002", "987654321", "000000001"]
+    + ["12345678901234567", "00000000000000003"]
 )
 # padding either side of a line break makes gaps of 3 bytes or more whose
 # breaks are only inside: " \n ", "\t\r\n\t", " \n\n " across a blank line
@@ -461,3 +470,88 @@ def test_int_pairs_matches_rows_generated(body, block):
     whatever the block size."""
     with mock.patch.object(textio, "_BLOCK", block):
         assert_parsers_agree(body)
+
+
+@pytest.mark.parametrize("block", [4, 16, 1 << 16])
+def test_int_pairs_reads_every_width_as_int_does(block):
+    """Every width from 1 to 18 digits, at the start and the end of a line
+    and of a block, with and without leading zeros, equals `int`."""
+    rng = np.random.default_rng(block)
+    tokens = []
+    for width in range(1, 19):
+        for _ in range(6):
+            digits = "".join(rng.choice(list("0123456789"), width))
+            tokens += [digits, "1" + digits[1:], "0" * (width - 1) + digits[-1]]
+    tokens += ["9" * 18, "1" + "0" * 17]
+    tokens += ["0"] * (len(tokens) % 2)
+    body = "".join(f"{a} {b}\n" for a, b in zip(tokens[0::2], tokens[1::2]))
+    with mock.patch.object(textio, "_BLOCK", block):
+        tails, heads = textio.int_pairs(body)
+    assert tails.dtype == heads.dtype == np.int64
+    assert tails.flags.c_contiguous and heads.flags.c_contiguous
+    assert tails.tolist() == [int(t) for t in tokens[0::2]]
+    assert heads.tolist() == [int(t) for t in tokens[1::2]]
+
+
+def test_int_pairs_returns_contiguous_columns():
+    for body in ("\n1 2\n3 4\n", "\n+1 2\n3 4\n", "\n", ""):  # numpy, `rows`, no rows
+        tails, heads = textio.int_pairs(body)
+        assert tails.flags.c_contiguous and heads.flags.c_contiguous
+
+
+# -- write_poset against a plain-Python writer ---------------------------------
+
+
+def _reference_write(p):
+    """One `f"{i} {j}"` line per cover, in (i, j) order, 1-based."""
+    covers = [(i, j) for i in range(p.n) for j in range(p.n) if p.less(i, j)
+              and not any(p.less(i, k) and p.less(k, j) for k in range(p.n))]
+    return "".join([f"poset {p.n}\n", *(f"{i + 1} {j + 1}\n" for i, j in sorted(covers))])
+
+
+_WRITTEN = {
+    "gc(3/10)": lambda rng: sampling.sample_kernel_poset(semiorders.gc(F(3, 10)), 30, rng),
+    "identity": lambda rng: sampling.sample_kernel_poset(semiorders.MonotoneRC.identity(), 12, rng),
+    "rate": lambda rng: sampling.sample_kernel_poset(
+        semiorders.RateFunction.from_pieces([(0, F(1, 2), 3), (F(1, 2), 1, F(1, 2))]), 25, rng
+    ),
+    "step": lambda rng: sampling.sample_kernel_poset(
+        measures.StepKernelMeasure.from_cells(
+            [(0, F(1, 2), [(F(1, 2), F(1, 3)), (F(3, 4), F(2, 3))]), (F(1, 2), 1, [(1, 1)])]
+        ), 25, rng
+    ),
+    "atoms": lambda rng: sampling.sample_kernel_poset(
+        measures.AtomicMeasure.from_atoms([(0, F(1, 2), F(1, 2)), (F(1, 4), 1, F(1, 2))]), 25, rng
+    ),
+    "2+2": lambda rng: poset.two_plus_two(),
+    "3+1": lambda rng: poset.three_plus_one(),
+    "random graph order": lambda rng: sampling.random_graph_order(20, F(1, 5), rng),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", _WRITTEN)
+def test_write_poset_equals_the_reference_writer(kind, seed):
+    p = _WRITTEN[kind](SeededRng(seed))
+    text = poset.write_poset(p)
+    assert text == _reference_write(p)
+    assert poset.read_poset(text) == p
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "poset 1\n",  # one point, no pairs
+        "poset 4\n2 3\n2 4\n",  # point 1 has no cover either way
+        "poset 4\n1 2\n1 3\n",  # nor has point 4
+        "poset 5\n2 3\n3 4\n",  # nor have points 1 and 5
+        "poset 6\n2 4\n3 4\n4 5\n",
+    ],
+)
+def test_sorted_covers_with_coverless_ends_read_as_their_closure(text):
+    _, n, start = textio.read_header(text, "poset")
+    tails, heads = textio.int_pairs(text, start)
+    closure = poset.transitive_closure(n, tails - 1, heads - 1)
+    p = poset.read_poset(text)
+    assert p == closure and p.pred == closure.pred
+    assert poset.write_poset(p) == _reference_write(closure) == text
