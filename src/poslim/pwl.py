@@ -12,7 +12,8 @@ interval sample).  Every curve is made `of_rows`, and its `Fraction` points
 are a view built only when read.  Raw breakpoints are read once, by
 `read_points`.  `normalize`, `check_monotone` and `reflect` take rows and
 return rows, comparing integers over one denominator; `value_at`,
-`values_along` and `sup_distance` evaluate through `_along`: one
+`left_limit_at` and `sup_distance` evaluate through `_along`, which the
+continuity KS of `sampling` also calls on its integer candidates: one
 `searchsorted` and one numpy pass over each piece's line, in int64 under a
 stated bound and in object ints past it.
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from numbers import Rational, Real
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -109,19 +110,21 @@ def normalize(rows: Rows) -> Rows:
 
 def value_at(curve: Curve, t) -> Fraction:
     """The value of a curve at t in [0,1]."""
-    return Fraction(*next(values_along(curve, [_unit(t)])))
+    return _at(curve, t, "right")
 
 
 def left_limit_at(curve: Curve, t) -> Fraction:
     """Limit from the left; at t = 0 returns the stored pre-jump value."""
-    return Fraction(*next(values_along(curve, [_unit(t)], "left")))
+    return _at(curve, t, "left")
 
 
-def _unit(t) -> tuple[int, int]:
+def _at(curve: Curve, t, side: str) -> Fraction:
+    """`_along` of the curve's rows at the one point t in [0,1]."""
     t = as_fraction(t)
     if not ZERO <= t <= ONE:
         raise InvariantError(f"argument {t} outside [0,1]")
-    return t.as_integer_ratio()
+    num, den = _along(curve.rows, [t.numerator], t.denominator, side)
+    return Fraction(int(num[0]), den)
 
 
 @dataclass(frozen=True, init=False)
@@ -236,17 +239,6 @@ def sup_distance(f: Curve, g: Curve) -> Fraction:
             gap = abs(ys.astype(num.dtype) * (den // n) - num).max()
             best = max(best, Fraction(int(gap), den))
     return best
-
-
-def values_along(curve: Curve, ts: Iterable, side: str = "right") -> Iterator[tuple[int, int]]:
-    """Values (or with side "left", left limits) at the nondecreasing tn/td
-    in [0,1] as pairs (num, den > 0), by `_along` over the least common
-    denominator of the td."""
-    ts = list(ts)
-    td = math.lcm(*(d for _, d in ts))
-    x = _fit(td, [tn * (td // d) for tn, d in ts])[0]
-    num, den = _along(curve.rows, x, td, side)
-    return ((v, den) for v in num.tolist())
 
 
 def _along(rows: Rows, x: np.ndarray, n: int, side: str) -> tuple[np.ndarray, int]:

@@ -146,8 +146,11 @@ _COLUMNS = ("index", "rank", "a", "b")
 
 
 def _left_ranks(rep: IntervalSample) -> list[int]:
-    """1-based rank of each left end, ties in index order."""
-    return (np.argsort(np.argsort(rep.ends[1], kind="stable"), kind="stable") + 1).tolist()
+    """1-based rank of each left end, ties in index order: read from the
+    sample's end order, which lists equal left ends by index and a left end
+    before a right end of equal value, so a_i's rank_a less the right ends
+    before it counts the left ends before it."""
+    return (rep.ranks[0] - rep.degrees("minus") + 1).tolist()
 
 
 def write_representation(rep: IntervalSample) -> str:

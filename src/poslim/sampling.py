@@ -17,7 +17,10 @@ A sample from an interval model is a `poset.IntervalSample`.  Nothing here
 asks which class a poset is: degree statistics read `degrees`, and both
 fingerprints code numpy blocks of point tuples in base 3 by `precedes` calls,
 one digit per earlier point, and read each code's class from one table, so a
-sample answers from its endpoint ranks and never builds its bitmasks.
+sample answers from its endpoint ranks and never builds its bitmasks.  The
+Kolmogorov distances read curves as rows: the continuity KS builds integer
+candidates from the target's rows and reads both curves there by
+`pwl._along`, so no `Fraction` is built per candidate.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -50,7 +52,7 @@ from .poset import (
     transitive_closure,
     two_plus_two,
 )
-from .pwl import _fit, over_lcm, segment_lines, sup_distance, values_along
+from .pwl import _along, _fit, over_lcm, segment_lines, sup_distance
 from .recognition import is_semiorder
 from .rng import CONDITIONALS, EDGES, POINTS, SUBSETS, UNIT, SeededRng
 from .semiorders import MonotoneRC, RateFunction, f_minus, f_plus, g_from_rate
@@ -180,28 +182,31 @@ def ks_distance_at_continuity(f: StepCDF, g: StepCDF) -> Fraction:
     grid that stays `_ATOM_MARGIN` away from the target's jump points is the
     documented comparison for atom-carrying targets (the margin should
     dominate the sampling fluctuation scale, a few n^-1/2).  Both curves are
-    read from their rows by `pwl.values_along` at integer candidates over one
-    denominator, so the sup is an integer max.
+    read from their rows by `pwl._along` at the integer candidates over one
+    denominator, so the sup is one integer max, in object ints past int64.
     """
     td, ks = _continuity_grid(g)
-    ts = [(k, td) for k in ks]
-    pairs = zip(values_along(f, ts), values_along(g, ts))  # one denominator a curve
-    diffs = [(abs(fn * gd - gn * fd), fd * gd) for (fn, fd), (gn, gd) in pairs]
-    return Fraction(*max(diffs, default=(0, 1)))
+    (fn, fd), (gn, gd) = _along(f.rows, ks, td, "right"), _along(g.rows, ks, td, "right")
+    fn, gn = _fit(fd * gd, fn, gn)  # values in [0,1]: every product is at most fd gd
+    return Fraction(int(abs(fn * gd - gn * fd).max(initial=0)), fd * gd)
 
 
-def _continuity_grid(g: StepCDF) -> tuple[int, list[int]]:
+def _continuity_grid(g: StepCDF) -> tuple[int, np.ndarray]:
     """(td, ks): the candidates k/td of `ks_distance_at_continuity`, in
-    order, over td, the least multiple of 64 that holds g's breakpoints.
-    A candidate is dropped if the first jump of g at or above k - td/32 is
-    at most k + td/32: one bisect of the jumps, ascending as g's points."""
-    td = math.lcm(_GRID_DENOMINATOR, *(x.denominator for x, _, _ in g.points))
-    ks = set(range(0, td + 1, td // _GRID_DENOMINATOR))
-    ks.update(x.numerator * td // x.denominator for x, _, _ in g.points)
+    order, over td, the least multiple of 64 that holds g's reduced
+    breakpoints, all read from g's rows.  Grid and breakpoints are merged by
+    one sort; a candidate is dropped if the first jump of g at or above
+    k - td/32 is at most k + td/32: one `searchsorted` of the jumps."""
+    m, x, lt, rt = g.rows
+    unit = int(np.gcd.reduce(x))  # x ends at m, so m/unit is the lcm of the reduced denominators
+    td = math.lcm(_GRID_DENOMINATOR, m // unit)
+    grid, x = _fit(2 * td, range(0, td + 1, td // _GRID_DENOMINATOR), x)
+    xs = x // unit * (td // (m // unit))
+    ks = np.sort(np.concatenate((grid, xs)))
+    ks = ks[np.diff(ks, prepend=-1) != 0]
     margin = int(td * _ATOM_MARGIN)  # exact: 64 divides td
-    jumps = [x.numerator * td // x.denominator for x, lt, rt in g.points if lt != rt]
-    jumps.append(td + margin + 1)  # past the reach of every candidate
-    return td, [k for k in sorted(ks) if jumps[bisect_left(jumps, k - margin)] > k + margin]
+    jumps = np.append(xs[lt != rt], td + margin + 1)  # the last is past every candidate's reach
+    return td, ks[jumps[np.searchsorted(jumps, ks - margin)] > ks + margin]
 
 
 # -- fingerprints -------------------------------------------------------------
@@ -519,7 +524,8 @@ def ks_for_target(empirical: StepCDF, target: StepCDF) -> Fraction:
     Against a target whose jumps lie closer than 1/16, such as `f_minus` of
     a g estimated from a sample, the grid keeps only candidates where both
     curves are 0 or 1, so the distance reads about 0 (measured in README)."""
-    if target.jump_locations():
+    _, _, left, right = target.rows
+    if (left != right).any():
         return ks_distance_at_continuity(empirical, target)
     return ks_distance(empirical, target)
 
@@ -584,10 +590,7 @@ def equivalence_test_statistical(
 
     def stats(values: list[float]) -> tuple[float, float]:
         m = sum(values) / len(values)
-        if len(values) > 1:
-            var = sum((v - m) ** 2 for v in values) / (len(values) - 1)
-        else:
-            var = 0.0
+        var = sum((v - m) ** 2 for v in values) / (len(values) - 1)  # trials >= 30
         return m, math.sqrt(var / len(values))
 
     rows = []

@@ -228,3 +228,34 @@ def test_point_cap_applies_before_allocation(tmp_path, capsys):
     assert code == 2
     code, _, err = run(capsys, "density", "--q", "h", "--p", f"antichain{over}", "--kind", "ind")
     assert code == 2 and "cap" in err
+
+
+def test_sample_from_a_file_kernel_needs_in(capsys):
+    for kernel, kind in (("g", "pwl"), ("rate", "rate"), ("measure", "measure")):
+        code, out, err = run(capsys, "sample", "--kernel", kernel, "--n", "5", "--seed", "1")
+        assert code == 2 and out == "" and f"needs --in <{kind} file>" in err
+
+
+def test_step_measure_commands_refuse_an_atoms_file(tmp_path, capsys):
+    atoms = tmp_path / "a.atoms"
+    atoms.write_text(measures.write_measure(measures.AtomicMeasure.from_atoms([(0, 1, 1)])))
+    code, out, err = run(capsys, "project", "--in", str(atoms))
+    assert code == 2 and out == "" and "project needs a stepmeasure input" in err
+    code, out, err = run(capsys, "equiv", "--a", str(atoms), "--b", str(atoms))
+    assert code == 2 and out == "" and "exact equiv compares two stepmeasure files" in err
+
+
+def test_out_under_a_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "p.json"
+    code, out, err = run(capsys, "recognize", "--in", "h", "--out", str(target))
+    assert code == 2 and out == "" and f"cannot write {target}" in err
+    assert not target.parent.exists()
+
+
+def test_an_unexpected_exception_exits_1(capsys, monkeypatch):
+    def fail(p):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(recognition, "is_interval_order", fail)
+    code, out, err = run(capsys, "recognize", "--in", "h")
+    assert code == 1 and out == "" and "internal error: boom" in err

@@ -123,3 +123,8 @@ def test_graph_text_roundtrip():
     g = gr.cycle_graph(5)
     assert gr.read_graph(gr.write_graph(g)) == g
     assert gr.read_graph(gr.write_graph(gr.empty_graph(3))) == gr.empty_graph(3)
+
+
+def test_enumerate_graphs_is_capped_at_six():
+    with pytest.raises(SizeLimit, match="graph enumeration capped at size 6"):
+        gr.enumerate_graphs(7)

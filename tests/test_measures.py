@@ -361,3 +361,16 @@ def test_reimport_frees_the_previous_copy():
     out = subprocess.run([sys.executable, "-c", _REIMPORT], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.split() == ["1"]
+
+
+def test_step_cdf_from_points_refuses_a_wrong_start_or_end():
+    with pytest.raises(InvariantError, match=r"CDF must have F\(0-\) = 0"):
+        StepCDF.from_points([(0, F(1, 4), F(1, 2)), (1, 1, 1)])
+    with pytest.raises(InvariantError, match=r"CDF must have F\(1\) = 1"):
+        StepCDF.from_points([(0, 0, 0), (1, F(1, 2), F(3, 4))])
+
+
+@pytest.mark.parametrize("x", [F(-1, 3), F(4, 3)])
+def test_h_map_refuses_an_argument_outside_the_unit_interval(x):
+    with pytest.raises(InvariantError, match=f"argument {x} outside"):
+        me.h_map(StepCDF.uniform(), x, "minus")

@@ -345,3 +345,17 @@ def test_cover_pairs_of_a_reversed_chain():
     p = ps.FinitePoset.from_succ_masks([(1 << i) - 1 for i in range(n)])  # i below every j < i
     tails, heads = p.cover_pairs()
     assert tails.tolist() == list(range(1, n)) and heads.tolist() == list(range(n - 1))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ps.chain(0), "posets are non-empty"),
+        (lambda: ps.antichain(0), "posets are non-empty"),
+        (lambda: ps.in_star(-1), "k must be nonnegative"),
+        (lambda: ps.enumerate_posets(0), "max_size must be at least 1"),
+    ],
+)
+def test_constructors_refuse_sizes_below_their_range(build, message):
+    with pytest.raises(InvariantError, match=message):
+        build()

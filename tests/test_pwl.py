@@ -3,6 +3,7 @@ checked against linear-scan references written here, and the integer
 kernels of `normalize` and `check_monotone`, and the curve constructors
 built on them, against their `Fraction` references in conftest."""
 
+import math
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -45,6 +46,14 @@ def ref_sup(f, g):
         (fl, fv), (gl, gv) = ref_limits(f, t), ref_limits(g, t)
         best = max(best, abs(fv - gv), abs(fl - gl))
     return best
+
+
+def along(curve, ts, side="right"):
+    """`pwl._along` of a curve's rows at the sorted rationals ts over their
+    least common denominator, as `Fraction`s."""
+    td = math.lcm(*(t.denominator for t in ts))
+    num, den = pwl._along(curve.rows, [int(t * td) for t in ts], td, side)
+    return [F(int(v), den) for v in num]
 
 
 def grid_points(points):
@@ -129,10 +138,9 @@ def test_evaluation_matches_interpolation(curve, ts, k):
     st.one_of(cdfs([F(1, 3)]), monotone_gs()),
     st.lists(st.fractions(min_value=0, max_value=1, max_denominator=24), max_size=8),
 )
-def test_values_along_matches_value_at(curve, ts):
+def test_along_matches_value_at(curve, ts):
     ts = sorted(ts + [p[0] for p in curve.points])  # repeats and every breakpoint
-    got = [F(*v) for v in pwl.values_along(curve, [t.as_integer_ratio() for t in ts])]
-    assert got == [pwl.value_at(curve, t) for t in ts]
+    assert [pwl.value_at(curve, t) for t in ts] == along(curve, ts)
 
 
 @given(posets(max_n=8))
@@ -196,15 +204,14 @@ def test_sup_distance_past_the_int64_bound(monkeypatch):
 
 @given(posets(max_n=8), st.lists(st.fractions(min_value=0, max_value=1, max_denominator=24), max_size=8))
 @settings(deadline=None)
-def test_values_along_rows_matches_value_at(p, ts):
+def test_along_rows_matches_value_at(p, ts):
     """Values and left limits of a curve held as rows, many at once and one
     at a time, against the linear scan over its points."""
     nu = sa.nu_empirical(p, "minus")
     ts = sorted(ts + [x for x, _, _ in nu.points])
-    pairs = [t.as_integer_ratio() for t in ts]
     want = [ref_limits(nu.points, t) for t in ts]
-    assert [F(*v) for v in pwl.values_along(nu, pairs)] == [v for _, v in want]
-    assert [F(*v) for v in pwl.values_along(nu, pairs, "left")] == [left for left, _ in want]
+    assert along(nu, ts) == [v for _, v in want]
+    assert along(nu, ts, "left") == [left for left, _ in want]
     assert [(nu.left_limit(t), nu.value(t)) for t in ts] == want
 
 

@@ -1,6 +1,7 @@
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -205,3 +206,16 @@ def test_hom_density_is_the_empirical_measures(seed):
         for mu in (rec.empirical_measure(p), rec.empirical_measure(rec.interval_representation(p))):
             for q in classes:
                 assert de.kernel_density_atomic(q, mu) == de.density(q, p, "hom")
+
+
+def test_left_ranks_match_the_double_argsort_on_ties():
+    """The rank column read from the end order equals the stable double
+    argsort of the left ends, on samples with many equal ends."""
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n, den = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+        a = rng.integers(0, den + 1, n)
+        b = np.minimum(a + rng.integers(0, den + 1, n), den)
+        rep = ps.IntervalSample.from_ends(den, a, b)
+        want = np.argsort(np.argsort(a, kind="stable"), kind="stable") + 1
+        assert rec._left_ranks(rep) == want.tolist()

@@ -263,9 +263,28 @@ _AROUND_A_THIRD = StepCDF.from_points(  # a jump at 1/3, breakpoints 1/32 either
 @example(StepCDF.dirac(F(1, 2)), StepCDF.from_jumps([(F(5, 64), F(1, 2)), (F(9, 64), F(1, 2))]))
 @example(StepCDF.uniform(), _AROUND_A_THIRD)
 @example(_AROUND_A_THIRD, StepCDF.from_jumps([(0, F(1, 2)), (1, F(1, 2))]))
+@example(StepCDF.uniform(), StepCDF.from_jumps([(F(k, 32), F(1, 33)) for k in range(33)]))  # no candidate
 @settings(max_examples=150, deadline=None)
 def test_ks_at_continuity_matches_candidate_loop(f, g):
     assert sa.ks_distance_at_continuity(f, g) == candidate_ks_at_continuity(f, g)
+
+
+def test_ks_at_continuity_past_the_int64_bound(monkeypatch):
+    """Breakpoints over 2^35 + 1 and 2^34 + 3: the product fd gd of the two
+    curves' denominators passes 2^63, so `_fit` gives object ints and the
+    distance stays exact."""
+    dtypes, fit = [], sa._fit
+
+    def spy(bound, *columns):
+        out = fit(bound, *columns)
+        dtypes.extend(c.dtype for c in out)
+        return out
+
+    monkeypatch.setattr(sa, "_fit", spy)
+    f = StepCDF.from_points([(0, 0, 0), (F(2**34, 2**35 + 1), F(1, 3), F(1, 3)), (1, 1, 1)])
+    g = StepCDF.from_points([(0, 0, 0), (F(2**33, 2**34 + 3), F(1, 5), F(3, 5)), (1, 1, 1)])
+    assert sa.ks_distance_at_continuity(f, g) == candidate_ks_at_continuity(f, g)
+    assert object in dtypes
 
 
 def pairwise_continuity_grid(g):
@@ -291,7 +310,8 @@ _sample_cdfs = st.builds(  # many jumps, some within 1/32 of each other
 @example(StepCDF.from_jumps([(0, F(1, 2)), (1, F(1, 2))]))
 @settings(max_examples=150, deadline=None)
 def test_continuity_grid_matches_the_pairwise_filter(g):
-    assert sa._continuity_grid(g) == pairwise_continuity_grid(g)
+    td, ks = sa._continuity_grid(g)
+    assert (td, ks.tolist()) == pairwise_continuity_grid(g)
 
 
 def test_ks_examples():
@@ -655,3 +675,13 @@ def test_equivalence_statistical_trial_floor():
         sa.equivalence_test_statistical(
             TWO_CELL, TWO_CELL, n=50, trials=10, rng=SeededRng(1)
         )
+
+
+def test_library_refusals():
+    with pytest.raises(InvalidArgument, match=r"p must be in \(0, 1\]"):
+        sa.c_parameter(10, 0)
+    with pytest.raises(TypeError, match="needs an interval measure"):
+        sa.sample_interval_poset(so.gc(F(3, 10)), 5, SeededRng(1))
+    fp = sa.fingerprint(ps.chain(2), 2)
+    with pytest.raises(KeyError, match="no-such-id"):
+        fp.value("no-such-id")

@@ -239,3 +239,17 @@ def test_read_g_checks_interior_slopes_and_frees_the_last(g, slope):
         with pytest.raises(FormatError, match=f"slope mismatch at x = {F(row[0])}$"):
             so.read_g(text())
         row[3] = right
+
+
+def test_library_refusals():
+    with pytest.raises(InvariantError, match="shift 3/2 outside"):
+        so.gc(F(3, 2))
+    with pytest.raises(InvariantError, match="rate values must be nonnegative"):
+        so.RateFunction.from_pieces([(0, F(1, 2), 1), (F(1, 2), 1, -1)])
+
+
+def test_validate_g_is_false_below_the_diagonal():
+    # x/2 on [0, 1), then a jump to 1: monotone, but g(x) < x inside
+    below = so.MonotoneRC.of_rows(2, np.array([0, 2]), np.array([0, 1]), np.array([0, 2]))
+    assert so.validate_g(below) is False
+    assert so.validate_g(so.gc(F(3, 10))) is True

@@ -1,5 +1,6 @@
 """The shared text layer: format rules, malformed input, reader fuzz, round trips."""
 
+import csv
 from fractions import Fraction as F
 from unittest import mock
 
@@ -555,3 +556,9 @@ def test_sorted_covers_with_coverless_ends_read_as_their_closure(text):
     p = poset.read_poset(text)
     assert p == closure and p.pred == closure.pred
     assert poset.write_poset(p) == _reference_write(closure) == text
+
+
+def test_read_csv_refuses_a_field_past_the_csv_limit():
+    text = "a\n" + "x" * (csv.field_size_limit() + 1) + "\n"
+    with pytest.raises(FormatError, match="bad CSV: field larger than field limit"):
+        textio.read_csv(text, ["a"])
