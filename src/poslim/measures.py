@@ -102,9 +102,6 @@ class StepCDF(pwl.Curve):
     def dirac(cls, v) -> "StepCDF":
         return cls.from_jumps([(as_fraction(v), ONE)])
 
-    def jump_locations(self) -> list[Fraction]:
-        return [x for x, left, right in self.points if left != right]
-
     def breakpoints(self) -> list[Fraction]:
         return [p[0] for p in self.points]
 

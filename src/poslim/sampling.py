@@ -200,8 +200,9 @@ def _continuity_grid(g: StepCDF) -> tuple[int, np.ndarray]:
     m, x, lt, rt = g.rows
     unit = int(np.gcd.reduce(x))  # x ends at m, so m/unit is the lcm of the reduced denominators
     td = math.lcm(_GRID_DENOMINATOR, m // unit)
-    grid, x = _fit(2 * td, range(0, td + 1, td // _GRID_DENOMINATOR), x)
-    xs = x // unit * (td // (m // unit))
+    # reduce on the rows' own dtype first: m may pass 2^63 while td does not
+    grid, xs = _fit(2 * td, range(0, td + 1, td // _GRID_DENOMINATOR), x // unit)
+    xs = xs * (td // (m // unit))
     ks = np.sort(np.concatenate((grid, xs)))
     ks = ks[np.diff(ks, prepend=-1) != 0]
     margin = int(td * _ATOM_MARGIN)  # exact: 64 divides td

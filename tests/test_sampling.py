@@ -221,7 +221,7 @@ def test_nu_empirical_rejects_an_empty_poset():
 
 def candidate_ks_at_continuity(f, g):
     """Reference: the candidates as `Fraction`s, each read by `value`."""
-    jumps = g.jump_locations()
+    jumps = [x for x, left, right in g.points if left != right]
     candidates = {F(k, 64) for k in range(65)} | set(g.breakpoints())
     best = F(0)
     for t in sorted(candidates):
@@ -255,6 +255,9 @@ _AROUND_A_THIRD = StepCDF.from_points(  # a jump at 1/3, breakpoints 1/32 either
     [(0, 0, 0), (_THIRD - F(1, 32), F(1, 4), F(1, 4)), (_THIRD, F(1, 3), F(2, 3)),
      (_THIRD + F(1, 32), F(3, 4), F(3, 4)), (1, 1, 1)]
 )
+_WIDE_VALUES = StepCDF.from_jumps(  # breakpoints over 4, values over 2^64: object rows, td = 64
+    [(F(1, 2), F(1, 2**64)), (F(3, 4), 1 - F(1, 2**64))]
+)
 
 
 @given(continuity_cdfs(), continuity_cdfs())
@@ -264,6 +267,8 @@ _AROUND_A_THIRD = StepCDF.from_points(  # a jump at 1/3, breakpoints 1/32 either
 @example(StepCDF.uniform(), _AROUND_A_THIRD)
 @example(_AROUND_A_THIRD, StepCDF.from_jumps([(0, F(1, 2)), (1, F(1, 2))]))
 @example(StepCDF.uniform(), StepCDF.from_jumps([(F(k, 32), F(1, 33)) for k in range(33)]))  # no candidate
+@example(StepCDF.uniform(), _WIDE_VALUES)
+@example(_WIDE_VALUES, StepCDF.uniform())
 @settings(max_examples=150, deadline=None)
 def test_ks_at_continuity_matches_candidate_loop(f, g):
     assert sa.ks_distance_at_continuity(f, g) == candidate_ks_at_continuity(f, g)
@@ -308,6 +313,7 @@ _sample_cdfs = st.builds(  # many jumps, some within 1/32 of each other
 @given(st.one_of(continuity_cdfs(), _sample_cdfs))
 @example(_AROUND_A_THIRD)
 @example(StepCDF.from_jumps([(0, F(1, 2)), (1, F(1, 2))]))
+@example(_WIDE_VALUES)
 @settings(max_examples=150, deadline=None)
 def test_continuity_grid_matches_the_pairwise_filter(g):
     td, ks = sa._continuity_grid(g)
