@@ -5,11 +5,16 @@ Machine-readable output (CSV or JSON, chosen by --format) goes to stdout or
 2 usage/validation error, 1 internal error.  All randomness is derived from
 --seed through the documented counter-based streams, so identical argv
 produce byte-identical outputs.
+
+`main(argv)` may be called again in one process: it builds its parser once
+and looks up `_cmd_<command>` at call time.  `converge --threshold` must be
+finite and at least 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -221,6 +226,7 @@ def _cmd_converge(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="poslim",
@@ -244,29 +250,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", type=_fraction, default=None)
     sp.add_argument("--in", dest="infile", default=None)
     add_common(sp, seed=True, n=True, fmt=False)
-    sp.set_defaults(func=_cmd_sample)
 
     sp = sub.add_parser("density", help="exact density of one poset in another")
     sp.add_argument("--q", required=True, help="pattern: name or poset file")
     sp.add_argument("--p", required=True, help="host: name or poset file")
     sp.add_argument("--kind", choices=("hom", "inj", "ind"), required=True)
     add_common(sp, fmt=False)
-    sp.set_defaults(func=_cmd_density)
 
     sp = sub.add_parser("recognize", help="interval order / semiorder tests")
     sp.add_argument("--in", dest="infile", required=True)
     add_common(sp)
-    sp.set_defaults(func=_cmd_recognize)
 
     sp = sub.add_parser("represent", help="evenly spaced interval representation")
     sp.add_argument("--in", dest="infile", required=True)
     add_common(sp, fmt=False)
-    sp.set_defaults(func=_cmd_represent)
 
     sp = sub.add_parser("project", help="gap-averaged canonical measure")
     sp.add_argument("--in", dest="infile", required=True)
     add_common(sp, fmt=False)
-    sp.set_defaults(func=_cmd_project)
 
     sp = sub.add_parser("equiv", help="limit equivalence of two measures")
     sp.add_argument("--a", required=True)
@@ -277,24 +278,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--seed", type=int, default=None)
     add_common(sp)
-    sp.set_defaults(func=_cmd_equiv)
 
     sp = sub.add_parser("nu", help="empirical degree distribution CDF")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--sign", choices=("minus", "plus"), required=True)
     add_common(sp)
-    sp.set_defaults(func=_cmd_nu)
 
     sp = sub.add_parser("fingerprint", help="exact induced-density fingerprint")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--max-q", type=int, default=4)
     add_common(sp)
-    sp.set_defaults(func=_cmd_fingerprint)
 
     sp = sub.add_parser("rgo", help="random graph order sample")
     sp.add_argument("--p", type=_fraction, required=True)
     add_common(sp, seed=True, n=True, fmt=False)
-    sp.set_defaults(func=_cmd_rgo)
 
     sp = sub.add_parser("converge", help="degree-distribution convergence table")
     sp.add_argument("--in", dest="infiles", nargs="+", required=True)
@@ -304,19 +301,17 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--rate", default=None)
     sp.add_argument("--threshold", type=float, default=0.05)
     add_common(sp)
-    sp.set_defaults(func=_cmd_converge)
 
     return ap
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except PoslimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

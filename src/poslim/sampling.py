@@ -486,8 +486,11 @@ def converge_diagnostic(
     The verdict rule (last distance at most `threshold` and no successive
     increase beyond threshold/4) is a heuristic, not a theorem.  Inputs that
     are not semiorders are reported in `notes`: the degree-distribution
-    criterion characterises convergence only within semiorders.
+    criterion characterises convergence only within semiorders.  A
+    threshold that is negative, infinite or NaN raises `InvalidArgument`.
     """
+    if not 0 <= threshold < math.inf:
+        raise InvalidArgument(f"threshold must be finite and at least 0, got {threshold}")
     ps = list(posets)
     notes = []
     minus_cdfs = [nu_empirical(p, "minus") for p in ps]

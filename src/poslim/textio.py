@@ -240,8 +240,8 @@ def read_csv(text: str, header: Sequence[str]) -> list[list[str]]:
 
 
 def to_json(payload) -> str:
-    """Two-space-indented JSON plus a newline; Fraction values as num/den."""
-    return json.dumps(payload, indent=2, default=format_rational) + "\n"
+    """Two-space-indented JSON plus a newline; Fractions as num/den; NaN and inf raise ValueError."""
+    return json.dumps(payload, indent=2, default=format_rational, allow_nan=False) + "\n"
 
 
 class RowReport:

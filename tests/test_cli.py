@@ -259,3 +259,51 @@ def test_an_unexpected_exception_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(recognition, "is_interval_order", fail)
     code, out, err = run(capsys, "recognize", "--in", "h")
     assert code == 1 and out == "" and "internal error: boom" in err
+
+
+def test_converge_threshold_must_be_finite_and_nonnegative(capsys):
+    for threshold in ("nan", "inf", "-inf", "-1"):
+        code, out, err = run(capsys, "converge", "--in", "chain3", "--gc", "3/10", f"--threshold={threshold}")
+        assert code == 2 and out == "" and "threshold must be finite and at least 0" in err
+    assert run(capsys, "converge", "--in", "chain3", "--threshold", "0")[0] == 0
+
+
+def test_main_builds_one_parser_for_many_calls(capsys):
+    cli.build_parser.cache_clear()
+    assert run(capsys, "recognize", "--in", "h")[0] == 0
+    assert run(capsys, "nu", "--in", "chain3", "--sign", "minus")[0] == 0
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_a_handler_replaced_after_the_first_call_is_the_one_run(capsys, monkeypatch):
+    # the pattern of a tracer that wraps `cli._cmd_*` once the parser is built
+    assert run(capsys, "recognize", "--in", "h")[0] == 0
+    calls = []
+
+    def spy(args):
+        calls.append(args.infile)
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_recognize", spy)
+    assert run(capsys, "recognize", "--in", "l") == (0, "", "")
+    assert calls == ["l"]
+
+
+def test_no_state_carries_from_one_call_to_the_next(tmp_path, capsys):
+    pfile = str(tmp_path / "p.poset")
+    assert run(capsys, "sample", "--kernel", "gc", "--c", "3/10", "--n", "20", "--seed", "1", "--out", pfile)[0] == 0
+    code, out, err = run(capsys, "sample", "--kernel", "gc", "--n", "20", "--seed", "1")
+    assert code == 2 and out == "" and "needs --c" in err
+    assert run(capsys, "converge", "--in", pfile, "--gc", "3/10")[0] == 0
+    code, _, err = run(capsys, "converge", "--in", pfile, "--gc", "3/10", "--g", pfile)
+    assert code == 2 and "not allowed with" in err
+    for _ in range(2):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0 and "usage: poslim" in out
+
+
+def test_every_command_has_a_handler():
+    (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    assert len(sub.choices) == 10
+    for name in sub.choices:
+        assert callable(getattr(cli, f"_cmd_{name}", None)), name

@@ -660,6 +660,15 @@ def test_converge_report_serialization():
     assert d["verdict"] in ("converging", "not-converging", "insufficient-data")
 
 
+def test_converge_refuses_a_threshold_that_is_not_finite_and_nonnegative():
+    p = sa.sample_kernel_poset(so.gc(F(3, 10)), 50, SeededRng(5))
+    for threshold in (math.nan, math.inf, -math.inf, -1.0, -1e-300):
+        with pytest.raises(InvalidArgument, match="threshold must be finite and at least 0"):
+            sa.converge_diagnostic([p], target_g=so.gc(F(3, 10)), threshold=threshold)
+    for threshold in (0.0, 1e300):  # both ends of the accepted range
+        assert sa.converge_diagnostic([p], threshold=threshold).threshold == threshold
+
+
 def test_equivalence_statistical_same_sampler():
     rep = sa.equivalence_test_statistical(
         TWO_CELL, TWO_CELL, n=100, trials=30, rng=SeededRng(77), subsets=300

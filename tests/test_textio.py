@@ -50,6 +50,12 @@ def test_rationals_and_cells():
     )
 
 
+def test_to_json_refuses_tokens_that_are_not_json():
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            textio.to_json({"threshold": value})
+
+
 def test_blank_lines_ignored():
     assert poset.read_poset("\n  \nposet 3\n\n1 2\n  \n2 3\n\n") == poset.chain(3)
     rep = recognition.interval_representation(poset.chain(3))
