@@ -5,11 +5,14 @@ A poset on n points is stored as two tuples of Python-int bitmasks:
 rows give O(1) comparability tests, O(n/64)-word set operations for the
 recognition and density machinery, and cheap immutability/hashing.
 
-Bulk consumers ask two queries: `degrees` (every down- or up-set size) and
-`precedes` (i < j over numpy index arrays).  An `IntervalSample`, an interval
-order kept as its ends, integer arrays over one denominator, answers both
+Bulk consumers ask three queries: `degrees` (every down- or up-set size),
+`degree_counts` (how many points have each such size) and `precedes` (i < j
+over numpy index arrays).  An `IntervalSample`, an interval order kept as its
+ends, integer arrays over one denominator, answers `degrees` and `precedes`
 from one exact order of its ends (an argsort, a re-sort of ties and a
-running count of left ends) and builds its bitmask rows only when read.
+running count of left ends), `degree_counts` from its sorted left and right
+ends alone (two binary searches, no ranks), and builds its bitmask rows only
+when read.
 `read_poset` gives one for a file that is exactly the sorted cover set of
 an interval order, as `write_poset` writes a sample; one Kahn pass serves the
 cover check and, for any other file, the closure.
@@ -223,6 +226,12 @@ def _interval_covers(n, heads, starts, order, adj, below) -> "IntervalSample | N
     return IntervalSample.from_ends(2, a, b)
 
 
+def _is_minus(sign: Sign) -> bool:
+    if sign not in ("minus", "plus"):
+        raise InvalidArgument(f"sign must be 'minus' or 'plus', got {sign!r}")
+    return sign == "minus"
+
+
 @dataclass(frozen=True, eq=False)
 class FinitePoset:
     """Strict partial order on points 0..n-1.
@@ -277,13 +286,19 @@ class FinitePoset:
 
     def degrees(self, sign: Sign) -> np.ndarray:
         """Predecessor (minus) or successor (plus) count of every point."""
-        if sign not in ("minus", "plus"):
-            raise InvalidArgument(f"sign must be 'minus' or 'plus', got {sign!r}")
-        return self._degrees(sign == "minus")
+        return self._degrees(_is_minus(sign))
 
     def _degrees(self, minus: bool) -> np.ndarray:
         rows = self.pred if minus else self.succ
         return np.fromiter(map(int.bit_count, rows), dtype=np.int64, count=self.n)
+
+    def degree_counts(self, sign: Sign) -> np.ndarray:
+        """Entry d is the number of points with d predecessors (minus) or
+        successors (plus), for d in 0..n-1: `degrees` counted by value."""
+        return self._degree_counts(_is_minus(sign))
+
+    def _degree_counts(self, minus: bool) -> np.ndarray:
+        return np.bincount(self._degrees(minus), minlength=self.n)
 
     @cached_property
     def _packed(self) -> np.ndarray:
@@ -391,7 +406,11 @@ class IntervalSample(FinitePoset):
     position in it, so `precedes` compares ranks, `degrees` reads a running
     count of left ends along the order and `cover_pairs`, which the text
     format writes, reads one window of ranks per point; ranks and degrees
-    are cached read-only.  The `Fraction`s of `intervals` and the bitmask
+    are cached read-only.  `degree_counts` needs no ranks: a_i has the
+    b_j < a_i below it and b_i the a_j > b_i above it, so one `searchsorted`
+    of the sorted a in the sorted b (or back) counts every point, exact on
+    int64 and object ends with no re-sort of ties; the two sorted arrays are
+    cached read-only too.  The `Fraction`s of `intervals` and the bitmask
     rows `succ` and `pred` (Θ(n²) bits) are built only when first read, so
     every `FinitePoset` method and `==` work as for any other poset.
     """
@@ -479,6 +498,21 @@ class IntervalSample(FinitePoset):
 
     def _degrees(self, minus: bool) -> np.ndarray:
         return self._end_order[2 if minus else 3]
+
+    @cached_property
+    def _sorted_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sorted a, sorted b), read-only."""
+        _, a, b = self.ends
+        out = np.sort(a), np.sort(b)
+        for x in out:
+            x.flags.writeable = False
+        return out
+
+    def _degree_counts(self, minus: bool) -> np.ndarray:
+        # the queries are sorted too, so each search walks its table once
+        a, b = self._sorted_ends
+        d = np.searchsorted(b, a, "left") if minus else self.n - np.searchsorted(a, b, "right")
+        return np.bincount(d, minlength=self.n)
 
     def precedes(self, u, v) -> np.ndarray:
         rank_a, rank_b = self.ranks

@@ -153,18 +153,19 @@ def sample_interval_poset(
 def nu_empirical(p: FinitePoset, sign: Sign) -> StepCDF:
     """Empirical CDF of normalised predecessor (minus) or successor counts.
 
-    Degrees are counted as integers and accumulated once.  The CDF is held
-    as integer rows over n (`StepCDF.of_rows`): each distinct degree d, the
-    number lo of points of smaller degree and hi of degree at most d, read
-    as (d/n, lo/n, hi/n), then (1, 1, 1).  Every inner breakpoint carries a
-    jump, so the rows are canonical; the `Fraction` points are built only
-    when read."""
+    The number of points of each degree is read from `degree_counts`, which
+    an `IntervalSample` answers from its sorted ends without their exact
+    order, and accumulated once.  The CDF is held as integer rows over n
+    (`StepCDF.of_rows`): each distinct degree d, the number lo of points of
+    smaller degree and hi of degree at most d, read as (d/n, lo/n, hi/n),
+    then (1, 1, 1).  Every inner breakpoint carries a jump, so the rows are
+    canonical; the `Fraction` points are built only when read."""
     if (n := p.n) < 1:
         raise InvariantError("posets are non-empty")
-    counts = np.bincount(p.degrees(sign))
+    counts = p.degree_counts(sign)
     ds = np.flatnonzero(counts)  # from 0: some point is minimal (maximal)
     hi = np.cumsum(counts[ds])
-    return StepCDF.of_rows(n, np.r_[ds, n], np.r_[hi - counts[ds], n], np.r_[hi, n])
+    return StepCDF.of_rows(n, np.append(ds, n), np.append(hi - counts[ds], n), np.append(hi, n))
 
 
 def ks_distance(f: StepCDF, g: StepCDF) -> Fraction:

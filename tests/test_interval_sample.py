@@ -542,6 +542,67 @@ def test_end_order_at_scale_with_every_value_tied_across_sides():
     assert np.array_equal(p.degrees("plus"), n - np.searchsorted(by_value, x, "right"))
 
 
+def assert_counts_match_lexsort(p):
+    """`degree_counts` of both signs is the reference degrees counted by value."""
+    _, _, minus, plus = lexsort_reference(p)
+    for sign, degrees in (("minus", minus), ("plus", plus)):
+        got = p.degree_counts(sign)
+        assert got.dtype == np.int64 and np.array_equal(got, np.bincount(degrees, minlength=p.n))
+
+
+@given(
+    st.one_of(models(), st.sampled_from(TIE_HEAVY), st.sampled_from(BOUND_MODELS)),
+    st.integers(1, 60),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_degree_counts_match_lexsort_reference(model, n, seed):
+    p = sa.sample_kernel_poset(model, n, SeededRng(seed))
+    assert_counts_match_lexsort(p)
+    assert "_end_order" not in vars(p)  # counted from the sorted ends alone
+
+
+def test_degree_counts_at_scale_with_every_value_tied_across_sides():
+    n = 10**5
+    x = np.random.default_rng(5).integers(0, n, n)  # a_i = b_i, and some points share x
+    assert_counts_match_lexsort(ps.IntervalSample.from_ends(n, x, x.copy()))
+
+
+def test_nu_empirical_leaves_end_order_and_masks_unbuilt():
+    p = sa.sample_kernel_poset(STAIRCASE, 500, SeededRng(9))
+    sa.nu_empirical(p, "minus")
+    sa.nu_empirical(p, "plus")
+    assert not {"_end_order", "succ", "pred"} & set(vars(p))
+
+
+@pytest.mark.parametrize("model", [so.gc(F(3, 10)), so.MonotoneRC.identity(), STAIRCASE, WIDE_G])
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+def test_nu_empirical_rows_match_the_mask_poset(model, sign):
+    p = sa.sample_kernel_poset(model, 200, SeededRng(2))
+    got = sa.nu_empirical(p, sign).rows
+    want = sa.nu_empirical(ps.FinitePoset(p.n, p.succ, p.pred), sign).rows
+    assert got[0] == want[0]
+    for x, y in zip(got[1:], want[1:], strict=True):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_bad_sign_degree_counts_raises_from_both_classes():
+    p = sa.sample_kernel_poset(so.gc(F(3, 10)), 20, SeededRng(1))
+    for q in (p, ps.FinitePoset(p.n, p.succ, p.pred)):
+        with pytest.raises(InvalidArgument, match="sign must be 'minus' or 'plus', got 'up'"):
+            q.degree_counts("up")
+
+
+@pytest.mark.parametrize("model", [so.gc(F(3, 10)), WIDE_G], ids=["int64", "object"])
+def test_cached_sorted_ends_are_read_only(model):
+    p = sa.sample_kernel_poset(model, 30, SeededRng(4))
+    p.degree_counts("minus")
+    for arr in p._sorted_ends:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 7
+    assert_counts_match_lexsort(p)
+
+
 @pytest.mark.parametrize("model", [so.gc(F(3, 10)), WIDE_G], ids=["int64", "object"])
 def test_cached_ranks_and_degrees_are_read_only(model):
     p = sa.sample_kernel_poset(model, 30, SeededRng(4))
