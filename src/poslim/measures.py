@@ -25,8 +25,10 @@ which checks by `pwl.tiling` that the support gaps tile [0,1], as
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Literal
@@ -104,6 +106,29 @@ class StepCDF(pwl.Curve):
 
     def breakpoints(self) -> list[Fraction]:
         return [p[0] for p in self.points]
+
+    @cached_property
+    def continuity_values(self) -> tuple[int, np.ndarray, np.ndarray, int]:
+        """(td, ks, num, den), arrays read-only, built once per CDF: the
+        candidates k/td of `sampling.ks_distance_at_continuity` in order, over
+        td, the least multiple of 64 that holds the reduced breakpoints, and
+        the values num/den there by one `pwl._along`.  Grid and breakpoints
+        are merged by one sort; a candidate is dropped if the first jump at or
+        above k - td/32 is at most k + td/32: one `searchsorted` of the jumps."""
+        m, x, lt, rt = self.rows
+        unit = int(np.gcd.reduce(x))  # x ends at m, so m/unit is the lcm of the reduced denominators
+        td = math.lcm(64, m // unit)
+        # reduce on the rows' own dtype first: m may pass 2^63 while td does not
+        grid, xs = pwl._fit(2 * td, range(0, td + 1, td // 64), x // unit)
+        xs = xs * (td // (m // unit))
+        ks = np.sort(np.concatenate((grid, xs)))
+        ks = ks[np.diff(ks, prepend=-1) != 0]
+        margin = td // 32  # exact: 64 divides td
+        jumps = np.append(xs[lt != rt], td + margin + 1)  # past every candidate's reach
+        ks = ks[jumps[np.searchsorted(jumps, ks - margin)] > ks + margin]
+        num, den = pwl._along(self.rows, ks, td, "right")
+        ks.flags.writeable = num.flags.writeable = False
+        return td, ks, num, den
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,8 @@ Bulk consumers ask three queries: `degrees` (every down- or up-set size),
 over numpy index arrays).  An `IntervalSample`, an interval order kept as its
 ends, integer arrays over one denominator, answers `degrees` and `precedes`
 from one exact order of its ends (an argsort, a re-sort of ties and a
-running count of left ends), `degree_counts` from its sorted left and right
-ends alone (two binary searches, no ranks), and builds its bitmask rows only
-when read.
+running count of left ends), `degree_counts` from one merge of its sorted
+left and right ends (no ranks), and builds its bitmask rows only when read.
 `read_poset` gives one for a file that is exactly the sorted cover set of
 an interval order, as `write_poset` writes a sample; one Kahn pass serves the
 cover check and, for any other file, the closure.
@@ -406,11 +405,9 @@ class IntervalSample(FinitePoset):
     position in it, so `precedes` compares ranks, `degrees` reads a running
     count of left ends along the order and `cover_pairs`, which the text
     format writes, reads one window of ranks per point; ranks and degrees
-    are cached read-only.  `degree_counts` needs no ranks: a_i has the
-    b_j < a_i below it and b_i the a_j > b_i above it, so one `searchsorted`
-    of the sorted a in the sorted b (or back) counts every point, exact on
-    int64 and object ends with no re-sort of ties; the two sorted arrays are
-    cached read-only too.  The `Fraction`s of `intervals` and the bitmask
+    are cached read-only.  `degree_counts` needs no ranks: it reads one
+    merge of the sorted a and b (`_a_upto_b`), or counts the degrees once
+    they are built.  The `Fraction`s of `intervals` and the bitmask
     rows `succ` and `pred` (Θ(n²) bits) are built only when first read, so
     every `FinitePoset` method and `==` work as for any other poset.
     """
@@ -500,19 +497,23 @@ class IntervalSample(FinitePoset):
         return self._end_order[2 if minus else 3]
 
     @cached_property
-    def _sorted_ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sorted a, sorted b), read-only."""
-        _, a, b = self.ends
-        out = np.sort(a), np.sort(b)
-        for x in out:
-            x.flags.writeable = False
-        return out
+    def _a_upto_b(self) -> np.ndarray:
+        """k, read-only: k[j] counts the left ends at or below b_(j), the
+        j-th least right end, by one stable argsort of the sorted a and b (a
+        merge of two runs), a left end first at equal values; exact on int64
+        and object ends.  The k[j] - k[j-1] left ends in (b_(j-1), b_(j)]
+        have j right ends below them and b_(j) has n - k[j] left ends above."""
+        n, (_, a, b) = self.n, self.ends
+        order = np.argsort(np.concatenate([np.sort(a), np.sort(b)]), kind="stable")
+        k = np.flatnonzero(order >= n) - np.arange(n)
+        k.flags.writeable = False
+        return k
 
     def _degree_counts(self, minus: bool) -> np.ndarray:
-        # the queries are sorted too, so each search walks its table once
-        a, b = self._sorted_ends
-        d = np.searchsorted(b, a, "left") if minus else self.n - np.searchsorted(a, b, "right")
-        return np.bincount(d, minlength=self.n)
+        if "_end_order" in vars(self):  # degrees are built: count them
+            return super()._degree_counts(minus)
+        k = self._a_upto_b  # 1 <= k <= n and k[-1] = n, as every a_i <= b_i
+        return np.diff(k, prepend=0) if minus else np.bincount(self.n - k, minlength=self.n)
 
     def precedes(self, u, v) -> np.ndarray:
         rank_a, rank_b = self.ranks

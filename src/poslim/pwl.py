@@ -229,13 +229,16 @@ def sup_distance(f: Curve, g: Curve) -> Fraction:
 
     Between consecutive breakpoints of either both functions are linear, so
     the sup is attained at a breakpoint, as a value or a left limit.  Each
-    curve is read at the other's rows by `_along`; the differences on one
-    side share a denominator, so their sup is one integer max.
+    curve is read at the other's rows by `_along`, once if it has no jump;
+    the differences on one side share a denominator, so their sup is one
+    integer max.
     """
     best = ZERO
     for (n, x, left, right), other in ((f.rows, g.rows), (g.rows, f.rows)):
+        jump_free = np.array_equal(other[2], other[3])  # its left limits are its values
         for side, ys in (("right", right), ("left", left)):
-            num, den = _along(other, x, n, side)
+            if side == "right" or not jump_free:
+                num, den = _along(other, x, n, side)
             gap = abs(ys.astype(num.dtype) * (den // n) - num).max()
             best = max(best, Fraction(int(gap), den))
     return best

@@ -18,9 +18,9 @@ asks which class a poset is: degree statistics read `degrees`, and both
 fingerprints code numpy blocks of point tuples in base 3 by `precedes` calls,
 one digit per earlier point, and read each code's class from one table, so a
 sample answers from its endpoint ranks and never builds its bitmasks.  The
-Kolmogorov distances read curves as rows: the continuity KS builds integer
-candidates from the target's rows and reads both curves there by
-`pwl._along`, so no `Fraction` is built per candidate.
+Kolmogorov distances read curves as rows: the continuity KS reads the
+sample's curve by `pwl._along` at the integer candidates the target caches
+with its values there, so no `Fraction` is built per candidate.
 """
 
 from __future__ import annotations
@@ -36,12 +36,7 @@ from typing import Iterable, Literal
 import numpy as np
 
 from . import textio
-from .errors import (
-    BudgetExceeded,
-    InvalidArgument,
-    InvariantError,
-    SizeLimit,
-)
+from .errors import BudgetExceeded, InvalidArgument, InvariantError, SizeLimit
 from .measures import AtomicMeasure, StepCDF, StepKernelMeasure
 from .poset import (
     FinitePoset,
@@ -63,8 +58,6 @@ SamplerModel = MonotoneRC | RateFunction | StepKernelMeasure | AtomicMeasure  # 
 _FINGERPRINT_MAX = 5
 _FINGERPRINT_BLOCK = 1 << 11  # most subsets in a block of the exact fingerprint's walk
 _FINGERPRINT_BUDGET = 10**7  # subsets the exact fingerprint may classify
-_GRID_DENOMINATOR = 64  # the continuity grid of ks_distance_at_continuity
-_ATOM_MARGIN = Fraction(1, 32)  # ks_distance_at_continuity's distance kept from atoms
 
 
 # -- interval models ----------------------------------------------------------
@@ -180,35 +173,17 @@ def ks_distance_at_continuity(f: StepCDF, g: StepCDF) -> Fraction:
     The plain sup-norm does not metrize convergence in distribution at atoms
     of the target: an empirical atom lands a random O(n^-1/2) offset away and
     the adaptive sup picks the discrepancy up as the full atom mass.  A fixed
-    grid that stays `_ATOM_MARGIN` away from the target's jump points is the
+    grid that stays 1/32 away from the target's jump points is the
     documented comparison for atom-carrying targets (the margin should
-    dominate the sampling fluctuation scale, a few n^-1/2).  Both curves are
-    read from their rows by `pwl._along` at the integer candidates over one
-    denominator, so the sup is one integer max, in object ints past int64.
+    dominate the sampling fluctuation scale, a few n^-1/2).  The integer
+    candidates and g's values there are built once per g and cached
+    (`StepCDF.continuity_values`); f is read at them by `pwl._along`, so the
+    sup is one integer max, in object ints past int64.
     """
-    td, ks = _continuity_grid(g)
-    (fn, fd), (gn, gd) = _along(f.rows, ks, td, "right"), _along(g.rows, ks, td, "right")
+    td, ks, gn, gd = g.continuity_values
+    fn, fd = _along(f.rows, ks, td, "right")
     fn, gn = _fit(fd * gd, fn, gn)  # values in [0,1]: every product is at most fd gd
     return Fraction(int(abs(fn * gd - gn * fd).max(initial=0)), fd * gd)
-
-
-def _continuity_grid(g: StepCDF) -> tuple[int, np.ndarray]:
-    """(td, ks): the candidates k/td of `ks_distance_at_continuity`, in
-    order, over td, the least multiple of 64 that holds g's reduced
-    breakpoints, all read from g's rows.  Grid and breakpoints are merged by
-    one sort; a candidate is dropped if the first jump of g at or above
-    k - td/32 is at most k + td/32: one `searchsorted` of the jumps."""
-    m, x, lt, rt = g.rows
-    unit = int(np.gcd.reduce(x))  # x ends at m, so m/unit is the lcm of the reduced denominators
-    td = math.lcm(_GRID_DENOMINATOR, m // unit)
-    # reduce on the rows' own dtype first: m may pass 2^63 while td does not
-    grid, xs = _fit(2 * td, range(0, td + 1, td // _GRID_DENOMINATOR), x // unit)
-    xs = xs * (td // (m // unit))
-    ks = np.sort(np.concatenate((grid, xs)))
-    ks = ks[np.diff(ks, prepend=-1) != 0]
-    margin = int(td * _ATOM_MARGIN)  # exact: 64 divides td
-    jumps = np.append(xs[lt != rt], td + margin + 1)  # the last is past every candidate's reach
-    return td, ks[jumps[np.searchsorted(jumps, ks - margin)] > ks + margin]
 
 
 # -- fingerprints -------------------------------------------------------------
@@ -493,24 +468,20 @@ def converge_diagnostic(
     if not 0 <= threshold < math.inf:
         raise InvalidArgument(f"threshold must be finite and at least 0, got {threshold}")
     ps = list(posets)
-    notes = []
+    semis = [is_semiorder(p) for p in ps]  # first: a sample's degree counts then read its degrees
+    notes = [
+        f"input {k} is not a semiorder; the degree-distribution convergence criterion "
+        "assumes semiorders" for k, semi in enumerate(semis) if not semi
+    ]
+    for msg in notes:
+        warnings.warn(msg, stacklevel=2)
     minus_cdfs = [nu_empirical(p, "minus") for p in ps]
     if target_g is not None:
         plus_cdfs = [nu_empirical(p, "plus") for p in ps]
         target_minus, target_plus = f_minus(target_g), f_plus(target_g)
     rows = []
-    for k, p in enumerate(ps):
-        semi = is_semiorder(p)
-        if not semi:
-            msg = (
-                f"input {k} is not a semiorder; the degree-distribution "
-                "convergence criterion assumes semiorders"
-            )
-            notes.append(msg)
-            warnings.warn(msg, stacklevel=2)
-        ks_prev = (
-            float(ks_distance(minus_cdfs[k - 1], minus_cdfs[k])) if k else None
-        )
+    for k, (p, semi) in enumerate(zip(ps, semis)):
+        ks_prev = float(ks_distance(minus_cdfs[k - 1], minus_cdfs[k])) if k else None
         km = kp = None
         if target_g is not None:
             km = float(ks_for_target(minus_cdfs[k], target_minus))
@@ -529,8 +500,7 @@ def ks_for_target(empirical: StepCDF, target: StepCDF) -> Fraction:
     Against a target whose jumps lie closer than 1/16, such as `f_minus` of
     a g estimated from a sample, the grid keeps only candidates where both
     curves are 0 or 1, so the distance reads about 0 (measured in README)."""
-    _, _, left, right = target.rows
-    if (left != right).any():
+    if (target.rows[2] != target.rows[3]).any():
         return ks_distance_at_continuity(empirical, target)
     return ks_distance(empirical, target)
 

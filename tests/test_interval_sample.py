@@ -594,13 +594,37 @@ def test_bad_sign_degree_counts_raises_from_both_classes():
 
 
 @pytest.mark.parametrize("model", [so.gc(F(3, 10)), WIDE_G], ids=["int64", "object"])
-def test_cached_sorted_ends_are_read_only(model):
+def test_cached_merge_table_is_read_only(model):
     p = sa.sample_kernel_poset(model, 30, SeededRng(4))
     p.degree_counts("minus")
-    for arr in p._sorted_ends:
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 7
+    assert p.ends[1].dtype == (object if model is WIDE_G else np.int64)
+    with pytest.raises(ValueError, match="read-only"):
+        p._a_upto_b[0] = 7
     assert_counts_match_lexsort(p)
+
+
+def test_degree_counts_of_object_ends_tied_across_points():
+    """Object ends past 2^63 where left ends of some points equal right ends
+    of others (a_i = b_j, i != j), and points that share both ends."""
+    big = 2**70
+    a = np.array([0, big, big, 3 * big, 2 * big, 3 * big, 0], dtype=object)
+    b = np.array([big, big, 2 * big, 3 * big, 4 * big, 4 * big, 0], dtype=object)
+    p = ps.IntervalSample.from_ends(4 * big, a, b)
+    assert_counts_match_lexsort(p)
+    assert "_end_order" not in vars(p)
+    assert p.degree_counts("minus").tolist() == [2, 2, 0, 1, 2, 0, 0]
+
+
+def test_converge_diagnostic_sorts_the_ends_once():
+    """The semiorder test builds the degrees first and the degree counts
+    read them: one end structure is cached, and the rows are those of the
+    same orders held as bitmask posets."""
+    samples = [sa.sample_kernel_poset(so.gc(F(3, 10)), n, SeededRng(n)) for n in (300, 1000)]
+    plain = [interval_poset(p.intervals) for p in samples]
+    got = sa.converge_diagnostic(samples, target_g=so.gc(F(3, 10)))
+    for p in samples:
+        assert "_end_order" in vars(p) and "_a_upto_b" not in vars(p)
+    assert got.rows == sa.converge_diagnostic(plain, target_g=so.gc(F(3, 10))).rows
 
 
 @pytest.mark.parametrize("model", [so.gc(F(3, 10)), WIDE_G], ids=["int64", "object"])

@@ -97,6 +97,45 @@ def test_sup_distance_matches_reference(pair):
     assert pwl.sup_distance(g, f) == pwl.sup_distance(f, g)
 
 
+@st.composite
+def jump_free_cdfs(draw, pool):
+    """A continuous piecewise-linear CDF: left = right at every breakpoint."""
+    inner = draw(st.lists(st.one_of(st.sampled_from(pool), _grid), max_size=5))
+    xs = [F(0), *sorted(set(inner) - {0, 1}), F(1)]
+    values = [F(0), *sorted(draw(st.lists(_grid, min_size=len(xs) - 2, max_size=len(xs) - 2))), F(1)]
+    return StepCDF.from_points([(x, v, v) for x, v in zip(xs, values)])
+
+
+@st.composite
+def pairs_with_a_jump_free_cdf(draw):
+    pool = draw(st.lists(_grid, min_size=1, max_size=4))
+    other = draw(st.one_of(cdfs(pool), jump_free_cdfs(pool), st.just(UNIFORM)))
+    return draw(st.one_of(jump_free_cdfs(pool), st.just(UNIFORM))), other
+
+
+@given(pairs_with_a_jump_free_cdf())
+@example((UNIFORM, AT_0))
+@example((UNIFORM, AT_1))
+@example((UNIFORM, UNIFORM))
+@example((UNIFORM, StepCDF.from_points([(0, 0, 0), (F(1, 2), F(1, 3), F(1, 3)), (1, 1, 1)])))
+def test_sup_distance_reads_a_jump_free_curve_once(pair):
+    """A curve with no jump is read by one `_along` call for both sides, and
+    the distance is the reference's in both argument orders."""
+    f, g = pair
+    calls, along = [], pwl._along
+
+    def spy(rows, *args):
+        calls.append(rows)
+        return along(rows, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pwl, "_along", spy)
+        got = pwl.sup_distance(f, g), pwl.sup_distance(g, f)
+    assert got == (ref_sup(f.points, g.points),) * 2
+    jump_free = [not (c.rows[2] != c.rows[3]).any() for c in (f, g)]
+    assert len(calls) == 2 * (4 - sum(jump_free))
+
+
 def test_sup_distance_length_two_lists():
     assert len(UNIFORM.points) == len(AT_0.points) == len(AT_1.points) == 2
     assert pwl.sup_distance(UNIFORM, AT_0) == 1

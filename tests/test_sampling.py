@@ -292,6 +292,38 @@ def test_ks_at_continuity_past_the_int64_bound(monkeypatch):
     assert object in dtypes
 
 
+_PAST_INT64 = StepCDF.from_points(  # breakpoints over 2^35 + 1 and values over 2^64
+    [(0, 0, 0), (F(2**34, 2**35 + 1), F(1, 2**64), F(1, 3)), (F(3, 4), F(1, 2), F(1, 2)), (1, 1, 1)]
+)
+
+
+@pytest.mark.parametrize(
+    "target",
+    [so.f_minus(so.gc(F(3, 10))), so.f_plus(so.gc(F(3, 10))), _WIDE_VALUES, _PAST_INT64],
+    ids=["gc-minus", "gc-plus", "wide-values", "past-int64"],
+)
+def test_one_target_serves_many_samples_from_its_cached_grid(target):
+    """The candidates and the target's values there are built on first use
+    and kept: 20 samples against one target object each give the candidate
+    loop's distance and that of a freshly built equal target."""
+    first = None
+    for seed in range(20):
+        p = sa.sample_kernel_poset(so.gc(F(3, 10)), 40 + seed, SeededRng(seed))
+        f = sa.nu_empirical(p, ("minus", "plus")[seed % 2])
+        fresh = StepCDF.from_points(target.points)
+        got = sa.ks_distance_at_continuity(f, target)
+        assert "continuity_values" not in vars(fresh) and fresh == target
+        assert got == sa.ks_distance_at_continuity(f, fresh) == candidate_ks_at_continuity(f, target)
+        first = first or target.continuity_values
+        assert target.continuity_values is first
+    td, ks, num, den = first
+    wide = target is _WIDE_VALUES or target is _PAST_INT64
+    assert target.rows[1].dtype == (object if wide else np.int64)
+    for arr in (ks, num):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 7
+
+
 def pairwise_continuity_grid(g):
     """The candidates as they were filtered before the bisect: each one
     against every jump of g."""
@@ -316,7 +348,7 @@ _sample_cdfs = st.builds(  # many jumps, some within 1/32 of each other
 @example(_WIDE_VALUES)
 @settings(max_examples=150, deadline=None)
 def test_continuity_grid_matches_the_pairwise_filter(g):
-    td, ks = sa._continuity_grid(g)
+    td, ks, _, _ = g.continuity_values
     assert (td, ks.tolist()) == pairwise_continuity_grid(g)
 
 
