@@ -33,8 +33,11 @@ def _fraction(text: str) -> Fraction:
 
 
 def _read_text(path: str) -> str:
+    """The file's bytes decoded once as UTF-8, line ends as written: every
+    reader takes LF, CRLF and CR alike.  An unreadable file or one that is
+    not UTF-8 raises FormatError ("cannot read ...")."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_bytes().decode()
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
@@ -178,12 +181,12 @@ def _cmd_equiv(args) -> int:
 def _cmd_nu(args) -> int:
     p = _resolve_poset(args.infile)
     cdf = sampling.nu_empirical(p, args.sign)
-    payload = {"points": cdf.points}
+    den, *cols = cdf.rows
+    points = list(zip(*(textio.format_rationals(c, den) for c in cols)))
     _emit(
-        _table(args.format, ["x", "left", "right"], cdf.points, payload),
+        _table(args.format, ["x", "left", "right"], points, {"points": points}),
         args.out,
-        f"empirical {args.sign} degree CDF of {p.n} points "
-        f"({len(cdf.points)} breakpoints)",
+        f"empirical {args.sign} degree CDF of {p.n} points ({len(cols[0])} breakpoints)",
     )
     return 0
 

@@ -154,8 +154,14 @@ def _left_ranks(rep: IntervalSample) -> list[int]:
 
 
 def write_representation(rep: IntervalSample) -> str:
-    rows = zip(range(1, rep.n + 1), _left_ranks(rep), *zip(*rep.intervals))
-    return textio.to_csv(_COLUMNS, rows)
+    """The CSV of `index,rank,a,b` rows, 1-based index, ends as reduced
+    num/den: joined line by line from the integer ends (`rep.ends`) by
+    `textio.format_rationals`, with no `Fraction` built; the same bytes as
+    `textio.to_csv` of the `intervals`, as no field needs quoting."""
+    den, a, b = rep.ends
+    a, b = (textio.format_rationals(e, den) for e in (a, b))
+    lines = map("{},{},{},{}".format, range(1, rep.n + 1), _left_ranks(rep), a, b)
+    return "\n".join([",".join(_COLUMNS), *lines]) + "\n"
 
 
 def read_representation(text: str) -> IntervalSample:

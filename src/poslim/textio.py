@@ -33,8 +33,10 @@ MAX_POINTS = 5000
 # did when the whole text was split into lines
 _LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 _LEADING_SPACE = re.compile(r"\s*")  # what `str.lstrip` strips
-# `int_pairs` parses a body in blocks of whole lines of about this many bytes
+# `int_pairs` parses a body in blocks of whole lines of about this many bytes,
+# each cut after the first line feed or carriage return past _BLOCK
 _BLOCK = 1 << 16
+_PAIR_BREAK = re.compile("[\n\r]")
 _PAIR_BYTES = b"0123456789 \t\r\n"  # the bytes `int_pairs` parses itself
 # _KEEP[w][n]: in the word of digits 4w .. 4w + 3 from the right of an
 # n-digit token, the low nibble of each byte that is one of its digits
@@ -44,6 +46,15 @@ _KEEP = np.array([[0x0F0F0F0F << 8 * (4 - min(max(n - 4 * w, 0), 4)) & 0xFFFFFFF
 
 def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
+
+
+def format_rationals(num: np.ndarray, den: int) -> list[str]:
+    """`format_rational(Fraction(k, den))` for each integer k of `num`, den
+    > 0, with no `Fraction` built: each k/den is reduced by one vectorised
+    `np.gcd`, in int64 while den fits and in object ints past it."""
+    num = np.asarray(num, dtype=object if num.dtype == object or den >= 1 << 63 else np.int64)
+    g = np.gcd(num, den)
+    return [f"{k}/{d}" for k, d in zip((num // g).tolist(), (den // g).tolist())]
 
 
 def parse_rational(token: str) -> Fraction:
@@ -123,22 +134,27 @@ def int_pairs(text: str, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
     Blank lines are ignored; any other line without exactly 2 fields raises
     FormatError.  A well-formed body of ASCII digits, spaces, tabs and line
-    breaks is parsed by numpy in blocks of whole lines (`_pair_block`), in
-    time linear in its length; the blocks keep their tokens in 2 to 8 bytes
-    each, and each column is then one contiguous int64 array.  Any other
-    body goes to `rows`, which accepts what `int` accepts and names the first
-    bad line; its columns hold Python ints.
+    breaks is parsed by numpy in blocks of whole lines (`_pair_block`), cut
+    at a line feed or a carriage return, so LF, CRLF and CR-only bodies are
+    read in blocks alike, in time linear in their length; the blocks keep
+    their tokens in 2 to 8 bytes each.  Each column is then one contiguous
+    int32 array while every token has at most 9 digits (below 2^31), and
+    int64 if any token is longer.  Any other body goes to `rows`, which
+    accepts what `int` accepts and names the first bad line; its columns
+    hold Python ints.
     """
     blocks, at = [np.empty(0, dtype=np.uint16)], start
     while at < len(text):
-        end = text.find("\n", at + _BLOCK) + 1 or len(text)
+        cut = _PAIR_BREAK.search(text, at + _BLOCK)
+        end = cut.end() if cut else len(text)
         values = _pair_block(text[at:end])
         if values is None:
             break
         blocks.append(values)
         at = end
     else:
-        return tuple(np.concatenate([b[k::2] for b in blocks], dtype=np.int64) for k in (0, 1))
+        kind = np.int64 if any(b.dtype == np.int64 for b in blocks) else np.int32
+        return tuple(np.concatenate([b[k::2] for b in blocks], dtype=kind) for k in (0, 1))
     table = np.array(rows(row_lines(text[start:]), 2, int), dtype=object).reshape(-1, 2)
     return tuple(np.ascontiguousarray(table.T))
 

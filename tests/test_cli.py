@@ -307,3 +307,70 @@ def test_every_command_has_a_handler():
     assert len(sub.choices) == 10
     for name in sub.choices:
         assert callable(getattr(cli, f"_cmd_{name}", None)), name
+
+
+def test_nu_output_equals_the_fraction_points(tmp_path, capsys):
+    """`nu` renders its rows from integers, byte for byte as `to_json` and
+    `to_csv` render the `Fraction` points."""
+    pfile = tmp_path / "p.poset"
+    run(capsys, "sample", "--kernel", "gc", "--c", "3/10", "--n", "300", "--seed", "4", "--out", str(pfile))
+    for spec in (str(pfile), "chain5", "antichain3", "q4+"):
+        p = cli._resolve_poset(spec)
+        for sign in ("minus", "plus"):
+            points = sampling.nu_empirical(p, sign).points
+            code, out, err = run(capsys, "nu", "--in", spec, "--sign", sign)
+            assert code == 0 and out == textio.to_json({"points": points})
+            assert f"({len(points)} breakpoints)" in err
+            code, out, _ = run(capsys, "nu", "--in", spec, "--sign", sign, "--format", "csv")
+            assert code == 0 and out == textio.to_csv(["x", "left", "right"], points)
+
+
+def test_inputs_read_alike_with_lf_crlf_and_cr_line_ends(tmp_path, capsys):
+    """Poset, stepmeasure, atoms and pwl files give the same outputs whatever
+    their line ends: the CLI reads bytes and keeps the ends as written."""
+    mu = StepKernelMeasure.from_cells(
+        [(0, F(1, 2), [(F(1, 2), F(1, 3)), (F(3, 4), F(2, 3))]), (F(1, 2), 1, [(1, 1)])]
+    )
+    sample = tmp_path / "sample.poset"
+    run(capsys, "sample", "--kernel", "gc", "--c", "3/10", "--n", "120", "--seed", "3", "--out", str(sample))
+    texts = {
+        "g.poset": sample.read_text(),
+        "h.poset": poset.write_poset(poset.two_plus_two()),  # the closure path
+        "m.measure": measures.write_measure(mu),
+        "a.measure": measures.write_measure(
+            measures.AtomicMeasure.from_atoms([(0, F(1, 2), F(1, 3)), (F(1, 4), 1, F(2, 3))])
+        ),
+        "g.pwl": semiorders.write_g(semiorders.gc(F(1, 4))),
+    }
+    commands = [
+        ["recognize", "--in", "g.poset"],
+        ["represent", "--in", "g.poset"],
+        ["nu", "--in", "g.poset", "--sign", "plus", "--format", "csv"],
+        ["converge", "--in", "g.poset", "--g", "g.pwl"],
+        ["recognize", "--in", "h.poset"],
+        ["density", "--q", "h.poset", "--p", "h.poset", "--kind", "ind"],
+        ["project", "--in", "m.measure"],
+        ["equiv", "--a", "m.measure", "--b", "m.measure"],
+        ["sample", "--kernel", "measure", "--in", "m.measure", "--n", "30", "--seed", "2"],
+        ["sample", "--kernel", "measure", "--in", "a.measure", "--n", "30", "--seed", "2"],
+        ["sample", "--kernel", "g", "--in", "g.pwl", "--n", "30", "--seed", "2"],
+    ]
+    outputs = {}
+    for end in ("\n", "\r\n", "\r"):
+        folder = tmp_path / repr(end).strip("'\\")
+        folder.mkdir()
+        for name, text in texts.items():
+            (folder / name).write_bytes(text.replace("\n", end).encode())
+        for argv in commands:
+            code, out, err = run(capsys, *[str(folder / a) if a in texts else a for a in argv])
+            assert code == 0, (end, argv, err)
+            outputs.setdefault(" ".join(argv), set()).add((out, err.replace(str(folder), "")))
+    assert all(len(seen) == 1 for seen in outputs.values())
+
+
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.poset"
+    bad.write_bytes(b"poset 2\n1 2\xff\n")
+    for argv in (["recognize", "--in", str(bad)], ["project", "--in", str(bad)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and f"cannot read {bad}" in err and "utf-8" in err

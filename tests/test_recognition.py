@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from poslim import densities as de
 from poslim import poset as ps
 from poslim import recognition as rec
+from poslim import textio
 from poslim.errors import InternalInvariantError, NotIntervalOrder
 from poslim.measures import AtomicMeasure, StepKernelMeasure
 from poslim.rng import SeededRng
@@ -206,6 +207,42 @@ def test_hom_density_is_the_empirical_measures(seed):
         for mu in (rec.empirical_measure(p), rec.empirical_measure(rec.interval_representation(p))):
             for q in classes:
                 assert de.kernel_density_atomic(q, mu) == de.density(q, p, "hom")
+
+
+def reference_write_representation(rep):
+    """The rows of `Fraction` tuples: `textio.to_csv` of each index, left
+    rank and interval of `rep.intervals`."""
+    rows = zip(range(1, rep.n + 1), rec._left_ranks(rep), *zip(*rep.intervals))
+    return textio.to_csv(rec._COLUMNS, rows)
+
+
+def _object_ends(seed):
+    """A sample whose ends are object ints over a denominator past 2^63."""
+    rng = np.random.default_rng(seed)
+    den = (1 << 70) + int(rng.integers(1, 1000))
+    a = [int(k) * (den // 1000) + int(rng.integers(0, 1 << 40)) for k in rng.integers(0, 1000, 30)]
+    b = [min(x + int(rng.integers(0, 1 << 62)) * 300, den) for x in a]
+    a[:3], b[:3] = [0, den, den // 2], [den // 2, den, den]  # 0, 1 and a reduced 1/2
+    return ps.IntervalSample.from_ends(den, np.array(a, dtype=object), np.array(b, dtype=object))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_write_representation_equals_the_fraction_rows(seed):
+    """Byte for byte the `to_csv` of the `Fraction` intervals, on int64 ends
+    (representations of samples, a sample of tied ends) and object ends."""
+    samples = [
+        rec.interval_representation(sample_kernel_poset(gc(Fraction(3, 10)), 200, SeededRng(seed))),
+        rec.interval_representation(sample_kernel_poset(_RICH, 100, SeededRng(seed))),
+        rec.interval_representation(ps.chain(1)),
+        ps.IntervalSample([(Fraction(1, 2), 1), (0, Fraction(1, 3)), (Fraction(1, 2), Fraction(1, 2))]),
+        _object_ends(seed),
+    ]
+    assert samples[0].ends[1].dtype == np.int64 and samples[-1].ends[1].dtype == object
+    for rep in samples:
+        text = rec.write_representation(rep)
+        assert "intervals" not in vars(rep)  # written from the integer ends
+        assert text == reference_write_representation(rep)
+        assert rec.read_representation(text) == rep
 
 
 def test_left_ranks_match_the_double_argsort_on_ties():

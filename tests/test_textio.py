@@ -50,6 +50,33 @@ def test_rationals_and_cells():
     )
 
 
+_den = st.one_of(st.just(1), st.integers(1, 10**6), st.integers(1 << 62, 1 << 70))
+
+
+@given(
+    _den.flatmap(lambda den: st.tuples(st.just(den), st.lists(
+        st.one_of(st.sampled_from([0, den, -den]), st.integers(-den, den),
+                  st.integers(-(1 << 70), 1 << 70)), min_size=1, max_size=20))),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_format_rationals_equals_format_rational(den_num, as_object):
+    """Each k/den as `format_rational(Fraction(k, den))`: 0, ±den, den = 1
+    and values past 2^63, on int64 columns where they fit and object ones."""
+    den, num = den_num
+    fits = all(abs(k) < 1 << 63 for k in num)
+    column = np.array(num, dtype=object if as_object or not fits else np.int64)
+    assert textio.format_rationals(column, den) == [textio.format_rational(F(k, den)) for k in num]
+
+
+def test_format_rationals_on_narrow_columns():
+    for dtype in (np.int32, np.uint16):
+        column = np.array([0, 3, 6, 40000], dtype=dtype)
+        assert textio.format_rationals(column, 6) == ["0/1", "1/2", "1/1", "20000/3"]
+        assert textio.format_rationals(column, 1 << 40)[1] == f"3/{1 << 40}"
+    assert textio.format_rationals(np.array([1 << 62]), 1 << 64) == ["1/4"]
+
+
 def test_to_json_refuses_tokens_that_are_not_json():
     for value in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
@@ -438,12 +465,50 @@ def test_int_pairs_matches_rows(body, block):
 
 def test_int_pairs_parses_plain_bodies_in_numpy():
     tails, heads = textio.int_pairs("\r\n1 2\r\n\t3  4")
-    assert tails.dtype == np.int64 and tails.tolist() == [1, 3] and heads.tolist() == [2, 4]
+    assert tails.dtype == np.int32 and tails.tolist() == [1, 3] and heads.tolist() == [2, 4]
     assert textio.int_pairs("\n+1 2")[0].dtype == object  # left to `rows`
     for body in ("\n1 2 \n 3 4", "\n1 2\t\r\n\t3 4", "\n1 2 \n\n 3 4\n"):  # inner breaks
         tails, heads = textio.int_pairs(body)
-        assert tails.dtype == np.int64 and (tails.tolist(), heads.tolist()) == ([1, 3], [2, 4])
+        assert tails.dtype == np.int32 and (tails.tolist(), heads.tolist()) == ([1, 3], [2, 4])
     assert textio.int_pairs("poset 4\n1 2\n3 4", 7)[0].tolist() == [1, 3]  # read in place
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("width", [10, 13, 18])
+def test_int_pairs_columns_are_int32_up_to_9_digits(where, width):
+    """Bodies of tokens of at most 9 digits give int32 columns; one token of
+    10 to 18 digits, in any block and either column, gives int64 for both."""
+    lines = [f"{k} {999999999 - k}" for k in range(60)]
+    with mock.patch.object(textio, "_BLOCK", 64):
+        tails, heads = textio.int_pairs("\n".join(lines))
+        assert tails.dtype == heads.dtype == np.int32
+        assert tails.tolist() == list(range(60)) and heads[0] == 999999999
+        big = "9" * (width - 1) + "7"
+        at = {"first": 0, "middle": 30, "last": 59}[where]
+        lines[at] = f"{at} {big}" if where == "middle" else f"{big} {999999999 - at}"
+        tails, heads = textio.int_pairs("\n".join(lines))
+    assert tails.dtype == heads.dtype == np.int64
+    assert (tails if where != "middle" else heads)[at] == int(big)
+    assert tails.flags.c_contiguous and heads.flags.c_contiguous
+
+
+@pytest.mark.parametrize("end", ["\r", "\r\n"])
+def test_int_pairs_cuts_a_body_without_line_feeds_into_blocks(end):
+    """A CR-only body (and CRLF) is cut into blocks at its carriage returns,
+    not read as one block, and equals the LF parse."""
+    body = "".join(f"{k} {k + 1}\n" for k in range(1, 400))
+    blocks, pair_block = [], textio._pair_block
+
+    def counted(text):
+        blocks.append(text)
+        return pair_block(text)
+
+    with mock.patch.object(textio, "_BLOCK", 64), mock.patch.object(textio, "_pair_block", counted):
+        want = textio.int_pairs(body)
+        got = textio.int_pairs(body.replace("\n", end))
+    assert len(blocks) > 2 * len(body) // (64 + 16)  # both bodies, each in blocks of one line past 64
+    assert max(map(len, blocks)) < 64 + 16
+    assert all(np.array_equal(g, w) and g.dtype == w.dtype == np.int32 for g, w in zip(got, want))
 
 
 _pair_token = st.sampled_from(
