@@ -126,7 +126,7 @@ class StepCDF(pwl.Curve):
         margin = td // 32  # exact: 64 divides td
         jumps = np.append(xs[lt != rt], td + margin + 1)  # past every candidate's reach
         ks = ks[jumps[np.searchsorted(jumps, ks - margin)] > ks + margin]
-        num, den = pwl._along(self.rows, ks, td, "right")
+        num, den = pwl._along(self, ks, td, "right")
         ks.flags.writeable = num.flags.writeable = False
         return td, ks, num, den
 

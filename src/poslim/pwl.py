@@ -11,17 +11,22 @@ arrays over one denominator (`over_lcm`, which also holds the ends of an
 interval sample).  Every curve is made `of_rows`, and its `Fraction` points
 are a view built only when read.  Raw breakpoints are read once, by
 `read_points`.  `normalize`, `check_monotone` and `reflect` take rows and
-return rows, comparing integers over one denominator; `value_at`,
-`left_limit_at` and `sup_distance` evaluate through `_along`, which the
-continuity KS of `sampling` also calls on its integer candidates: one
-`searchsorted` and one numpy pass over each piece's line, in int64 under a
-stated bound and in object ints past it.
+return rows, comparing integers over one denominator.  Each curve builds its
+line table (`Curve.lines`) once, on first read: the reduced line of every
+piece, and the same lines over one common denominator while they stay in
+int64; a step curve, flat on every piece, takes its values as the table
+with no line computed.  `value_at`, `left_limit_at` and `sup_distance`
+evaluate through `_along`, which the continuity KS of `sampling` also calls
+on its integer candidates: one `searchsorted` and one multiply-add over the
+table's gathered pieces, in int64 under a stated bound and in object ints,
+over the pieces a read hits, past it.
 
 Each geometric rule of the representation calculus lives here once:
 evaluation (`Curve`, the base of CDFs and threshold functions), the
 reflection across x + y = 1 (`reflect`), pieces tiling [0,1] (`tiling`) and
-the line through a piece (`_line`, per piece in `segment_lines`), which
-`_along`, the sampler and the g text format's slopes all read.
+the line through a piece (`_line`, once per curve in its line table), which
+`_along`, `segment_lines`, the sampler and the g text format's slopes all
+read.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from numbers import Rational, Real
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -119,11 +124,11 @@ def left_limit_at(curve: Curve, t) -> Fraction:
 
 
 def _at(curve: Curve, t, side: str) -> Fraction:
-    """`_along` of the curve's rows at the one point t in [0,1]."""
+    """`_along` of the curve at the one point t in [0,1]."""
     t = as_fraction(t)
     if not ZERO <= t <= ONE:
         raise InvariantError(f"argument {t} outside [0,1]")
-    num, den = _along(curve.rows, [t.numerator], t.denominator, side)
+    num, den = _along(curve, [t.numerator], t.denominator, side)
     return Fraction(int(num[0]), den)
 
 
@@ -133,8 +138,9 @@ class Curve:
 
     `rows` is (den, x, left, right): the breakpoints (x, left, right)/den
     as integer arrays, set once by `of_rows`, the one constructor.
-    `points`, the same breakpoints as `Fraction`s, is built when first read;
-    curves compare, hash and print by it.  Subclasses bind `value` and
+    `points`, the same breakpoints as `Fraction`s, and `lines`, the line
+    table every evaluation reads, are built when first read; curves compare,
+    hash and print by `points`.  Subclasses bind `value` and
     `left_limit` in their own class body, so a wrapper installed on one
     class (as perfbench's tracer does) sees only that class's calls.
     """
@@ -148,6 +154,11 @@ class Curve:
         curve = cls.__new__(cls)
         vars(curve)["rows"] = (den, x, left, right)
         return curve
+
+    @cached_property
+    def lines(self) -> Lines:
+        """The line table of the rows (`_lines`), built on first read."""
+        return _lines(self.rows)
 
     def value(self, t) -> Fraction:
         return value_at(self, t)
@@ -229,13 +240,13 @@ def sup_distance(f: Curve, g: Curve) -> Fraction:
 
     Between consecutive breakpoints of either both functions are linear, so
     the sup is attained at a breakpoint, as a value or a left limit.  Each
-    curve is read at the other's rows by `_along`, once if it has no jump;
-    the differences on one side share a denominator, so their sup is one
-    integer max.
+    curve is read through its line table at the other's rows by `_along`,
+    once if it has no jump; the differences on one side share a denominator,
+    so their sup is one integer max.
     """
     best = ZERO
-    for (n, x, left, right), other in ((f.rows, g.rows), (g.rows, f.rows)):
-        jump_free = np.array_equal(other[2], other[3])  # its left limits are its values
+    for (n, x, left, right), other in ((f.rows, g), (g.rows, f)):
+        jump_free = np.array_equal(other.rows[2], other.rows[3])  # its left limits are its values
         for side, ys in (("right", right), ("left", left)):
             if side == "right" or not jump_free:
                 num, den = _along(other, x, n, side)
@@ -244,23 +255,82 @@ def sup_distance(f: Curve, g: Curve) -> Fraction:
     return best
 
 
-def _along(rows: Rows, x: np.ndarray, n: int, side: str) -> tuple[np.ndarray, int]:
-    """Values (side "right") or left limits ("left") of the curve with these
-    rows at the nondecreasing x/n: numerators over one returned denominator.
+class Lines(NamedTuple):
+    """A curve's line table, arrays read-only, over its padded pieces (piece
+    k starts at breakpoint k - 1, as in `_line`).
 
-    One `searchsorted` finds each point's piece, and each distinct piece's
-    `_line` is reduced and put over the lines' least common denominator D.
-    With m the rows' denominator, products stay below 5m² + mn, then below
-    (2m + 2)Dn (|slope| <= m, |intercept| <= m + 1): int64 under 2^63,
-    object ints past it.
+    (p, q, d) is each piece's line (p t + q)/d, reduced; a step curve keeps
+    (0, its value v, m) for the value v/m, unreduced.  slope and level are
+    the same lines over one denominator den, slope = p den/d and level =
+    q den/d, and `reach` bounds a read: at x/n in [0,1] every product stays
+    below reach n.  A general curve with m the rows' denominator takes den,
+    the lcm of every d, and reach (2m + 2) den (|slope| <= m, |intercept| <=
+    m + 1 on values in [0,1]); a step curve takes den = reach = m.  When
+    reach reaches 2^63, no read fits int64: den, slope and level are None
+    and reach is infinite.
     """
-    m = rows[0]
-    y, x = _fit(5 * m * m + m * n, rows[1], x)
+
+    p: np.ndarray
+    q: np.ndarray
+    d: np.ndarray
+    den: int | None
+    slope: np.ndarray | None
+    level: np.ndarray | None
+    reach: float
+
+
+def _lines(rows: Rows) -> Lines:
+    """The line table of the rows: on a step curve (each left value the
+    previous right value) the padded values, with no `_line`; otherwise
+    `_line` of every padded piece, reduced by one gcd, over the pieces' lcm
+    while that stays below 2^63."""
+    m, x, lt, rt = rows
+    size = len(x) + 1
+    if step := (lt[1:] == rt[:-1]).all():  # every piece flat at its start's right value
+        p, q, d = np.zeros(size, np.int64), np.concatenate((lt[:1], rt)), np.full(size, m)
+        den = reach = m
+    else:
+        p, q, d = _line(rows, np.arange(size))
+        g = np.gcd(np.gcd(p, q), d)
+        p, q, d = p // g, q // g, d // g
+        den = 1
+        for v in set(d.tolist()):  # stop past 2^63: many distinct lines may have a vast lcm
+            den = math.lcm(den, v)
+            if den >> 63:
+                break
+        reach = (2 * m + 2) * den
+    slope = level = None
+    if reach >> 63:  # no read fits int64 (and den may not): no common denominator
+        den, reach = None, math.inf
+    else:  # a step curve's lines are over den = m already
+        slope, level = _fit(reach, *((p, q) if step else (p * (den // d), q * (den // d))))
+    for a in (p, q, d, slope, level):
+        if a is not None:
+            a.flags.writeable = False
+    return Lines(p, q, d, den, slope, level, reach)
+
+
+def _along(curve: Curve, x: np.ndarray, n: int, side: str) -> tuple[np.ndarray, int]:
+    """Values (side "right") or left limits ("left") of the curve at the
+    nondecreasing x/n in [0,1]: numerators over one returned denominator.
+
+    One `searchsorted` of x m against the rows' x n (below mn) finds each
+    point's piece in the curve's line table (`Curve.lines`).  When reach n
+    is below 2^63, the value is two gathers and one int64 multiply-add over
+    the table's common denominator den, returned as den n: no line, gcd or
+    lcm is computed per read.  Past it, the lines of the pieces the read
+    hits are put over their least common denominator D, and products stay
+    below (2m + 2)Dn (|slope| <= m, |intercept| <= m + 1): int64 under
+    2^63, object ints past it.
+    """
+    m, y = curve.rows[:2]
+    y, x = _fit(m * n, y, x)
     k = np.searchsorted(y * n, x * m, side)
+    t = curve.lines
+    if t.reach * n < 1 << 63:
+        return t.slope[k] * x + t.level[k] * n, t.den * n
     new = np.diff(k, prepend=-1) != 0
-    p, q, d = _line(rows, k[new])
-    g = np.gcd(np.gcd(p, q), d)
-    p, q, d = p // g, q // g, d // g
+    p, q, d = (c[k[new]] for c in t[:3])
     den = math.lcm(*d.tolist())
     p, q, d, x = _fit((2 * m + 2) * den * n, p, q, d, x)
     at, scale = np.cumsum(new) - 1, den // d
@@ -283,8 +353,7 @@ def _line(rows: Rows, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def segment_lines(curve: Curve) -> list[tuple[int, int, int]]:
-    """`_line` of the piece that starts at each breakpoint of a curve as
-    Python ints; the piece at x = 1 is the constant value there."""
-    rows = curve.rows
-    p, q, d = _line(rows, np.arange(1, len(rows[1]) + 1))
-    return list(zip(p.tolist(), q.tolist(), d.tolist()))
+    """The line (p, q, d) of the piece that starts at each breakpoint of a
+    curve, read from its line table, as Python ints; the piece at x = 1 is
+    the constant value there."""
+    return list(zip(*(c[1:].tolist() for c in curve.lines[:3])))

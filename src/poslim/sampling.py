@@ -18,9 +18,12 @@ asks which class a poset is: degree statistics read `degrees`, and both
 fingerprints code numpy blocks of point tuples in base 3 by `precedes` calls,
 one digit per earlier point, and read each code's class from one table, so a
 sample answers from its endpoint ranks and never builds its bitmasks.  The
-Kolmogorov distances read curves as rows: the continuity KS reads the
-sample's curve by `pwl._along` at the integer candidates the target caches
-with its values there, so no `Fraction` is built per candidate.
+Kolmogorov distances read curves through their line tables: the continuity
+KS reads the sample's curve by `pwl._along` at the integer candidates the
+target caches with its values there, so no `Fraction` is built per
+candidate.  Whatever one g or one target serves many samples builds once on
+that object: g's draw table, a rate's g, a target's line table and its
+continuity candidates.
 """
 
 from __future__ import annotations
@@ -47,10 +50,10 @@ from .poset import (
     transitive_closure,
     two_plus_two,
 )
-from .pwl import _along, _fit, over_lcm, segment_lines, sup_distance
+from .pwl import _along, _fit, over_lcm, sup_distance
 from .recognition import is_semiorder
 from .rng import CONDITIONALS, EDGES, POINTS, SUBSETS, UNIT, SeededRng
-from .semiorders import MonotoneRC, RateFunction, f_minus, f_plus, g_from_rate
+from .semiorders import MonotoneRC, RateFunction, f_minus, f_plus
 
 Sign = Literal["minus", "plus"]
 SamplerModel = MonotoneRC | RateFunction | StepKernelMeasure | AtomicMeasure  # see measures.Measure
@@ -74,22 +77,21 @@ def draw_intervals(model: SamplerModel, columns) -> tuple[int, np.ndarray, np.nd
     """(den, a, b): the left and right ends, integer arrays over den, of
     i.i.d. draws from an interval model, one per entry of the k arrays of
     stream integers `columns(k)` returns (k = 2 for a step measure, else 1).
-    A threshold g, or a rate function's g, turns u into [u, g(u)]: with L
-    the lcm of the reduced d of the pieces' lines (p t + q)/d, den = L UNIT,
-    a = L k and b = (p L/d) k + q UNIT L/d.  A step measure puts u in its
-    cell and picks the right end among the cell's conditional atoms by the
-    second uniform; an atomic measure picks an atom by cumulative weight.
-    No float is rounded and no `Fraction` is built."""
+    A threshold g, or a rate function's g (`RateFunction.g`, derived once),
+    turns u into [u, g(u)]: g's `draw_table`, built once per g, gives the
+    integer starts of its pieces and their lines over den = L UNIT, so the
+    draw is one `searchsorted` of k, a = L k and b = slope k + level.  A
+    step measure puts u in its cell and picks the right end among the
+    cell's conditional atoms by the second uniform; an atomic measure picks
+    an atom by cumulative weight.  No float is rounded and no `Fraction` is
+    built."""
     if isinstance(model, RateFunction):
-        model = g_from_rate(model)
+        model = model.g
     if isinstance(model, MonotoneRC):
+        starts, slope, level, lcm = model.draw_table
         (k,) = columns(1)
-        pieces = _bisect_right((x for x, _, _ in model.points), k) - 1
-        lines = segment_lines(model)
-        lcm = math.lcm(*(d // math.gcd(p, q, d) for p, q, d in lines))
-        slope, level = zip(*((p * lcm // d, q * lcm // d * UNIT) for p, q, d in lines))
-        bound = max(lcm, *map(abs, slope)) * UNIT + max(map(abs, level))
-        slope, level, k = _fit(bound, slope, level, k)
+        pieces = np.searchsorted(starts, k, side="right") - 1
+        k = k.astype(slope.dtype, copy=False)
         return lcm * UNIT, k * lcm, slope[pieces] * k + level[pieces]
     if isinstance(model, StepKernelMeasure):
         k1, k2 = columns(2)
@@ -178,10 +180,12 @@ def ks_distance_at_continuity(f: StepCDF, g: StepCDF) -> Fraction:
     dominate the sampling fluctuation scale, a few n^-1/2).  The integer
     candidates and g's values there are built once per g and cached
     (`StepCDF.continuity_values`); f is read at them by `pwl._along`, so the
-    sup is one integer max, in object ints past int64.
+    sup is one integer max, in object ints past int64.  The read goes
+    through f's line table, which for an empirical CDF is its values over n
+    with no line computed, so it costs no gcd or lcm while it fits int64.
     """
     td, ks, gn, gd = g.continuity_values
-    fn, fd = _along(f.rows, ks, td, "right")
+    fn, fd = _along(f, ks, td, "right")
     fn, gn = _fit(fd * gd, fn, gn)  # values in [0,1]: every product is at most fd gd
     return Fraction(int(abs(fn * gd - gn * fd).max(initial=0)), fd * gd)
 

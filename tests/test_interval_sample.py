@@ -9,10 +9,11 @@ from fractions import Fraction as F
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from poslim import densities as de
 from poslim import poset as ps
+from poslim import pwl
 from poslim import recognition as rec
 from poslim import sampling as sa
 from poslim import semiorders as so
@@ -499,6 +500,78 @@ def test_draw_on_both_sides_of_the_int64_bound(model, wide):
         q = ps.IntervalSample(p.intervals)
         assert [r.tolist() for r in p.ranks] == [r.tolist() for r in q.ranks]
         assert_matches_masks(p)
+
+
+def reference_draw_intervals(g, k):
+    """The threshold draw as it was before g kept a draw table: the pieces
+    by `bisect_right` of k/UNIT on the `Fraction` breakpoints (as
+    thresholds ceil(x UNIT)), then each piece's `_line` reduced, over their
+    lcm, on every draw."""
+    starts = np.array([math.ceil(x * UNIT) for x, _, _ in g.points], dtype=np.int64)
+    pieces = np.searchsorted(starts, k, side="right") - 1
+    p, q, d = (c.tolist() for c in pwl._line(g.rows, np.arange(1, len(g.points) + 1)))
+    lines = list(zip(p, q, d))
+    lcm = math.lcm(*(d // math.gcd(p, q, d) for p, q, d in lines))
+    slope, level = zip(*((p * lcm // d, q * lcm // d * UNIT) for p, q, d in lines))
+    bound = max(lcm, *map(abs, slope)) * UNIT + max(map(abs, level))
+    slope, level, k = pwl._fit(bound, slope, level, k)
+    return lcm * UNIT, k * lcm, slope[pieces] * k + level[pieces]
+
+
+PAST_INT64_G = so.MonotoneRC.from_points(  # g of test_segment_lines_past_the_int64_bound
+    [(0, F(1, 7), F(1, 7)), (F(3**41 // 2, 3**41), F(2, 3), F(2, 3)), (F(5, 6), 1, 1), (1, 1, 1)]
+)
+
+
+@given(monotone_gs())
+@example(so.gc(F(3, 10)))
+@example(so.MonotoneRC.identity())
+@example(STAIRCASE)
+@example(RATE_G)
+@example(WIDE_G)
+@example(PAST_INT64_G)
+@settings(max_examples=60, deadline=None)
+def test_draw_table_matches_the_fraction_threshold_draw(g):
+    """gc, identity, staircase, a rate's g, g over den >= 2^63, g with rows
+    past int64 and random g: the same ends, over the same den, in the same
+    dtype."""
+    ks = [0, 1, UNIT - 1] + SeededRng(21).integers(POINTS, 200).tolist()
+    ks += [v for x, _, _ in g.points for v in _grid_near(x) if v < UNIT]
+    k = np.array(ks, dtype=np.int64)
+    (den, a, b), (wden, wa, wb) = sa.draw_intervals(g, columns(ks)), reference_draw_intervals(g, k)
+    assert den == wden and a.dtype == wa.dtype and b.dtype == wb.dtype
+    assert np.array_equal(a, wa) and np.array_equal(b, wb)
+
+
+def test_draw_table_is_built_once_and_read_only(monkeypatch):
+    """Two draws from one g build its table once, from its line table."""
+    calls, lines = [], pwl.segment_lines
+    monkeypatch.setattr(pwl, "segment_lines", lambda c: calls.append(1) or lines(c))
+    for shared in (so.gc(F(3, 10)), STAIRCASE, PAST_INT64_G):
+        g = so.MonotoneRC.from_points(shared.points)
+        calls.clear()
+        assert "draw_table" not in vars(g)
+        first = sa.sample_kernel_poset(g, 50, SeededRng(1))
+        second = sa.sample_kernel_poset(g, 50, SeededRng(2))
+        assert calls == [1] and first.ends[0] == second.ends[0]
+        for arr in g.draw_table[:3]:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 7
+
+
+def test_a_rate_derives_its_g_once(monkeypatch):
+    """Draws from one rate function derive g once and give the ends of a
+    draw from that g, derived afresh."""
+    calls, derive = [], so.g_from_rate
+    monkeypatch.setattr(so, "g_from_rate", lambda r: calls.append(1) or derive(r))
+    rate = so.RateFunction.from_pieces([(0, F(1, 3), 3), (F(1, 3), 1, F(5, 2))])
+    ks = SeededRng(8).integers(POINTS, 300)
+    draws = [sa.draw_intervals(rate, columns(ks)) for _ in range(2)]
+    assert calls == [1] and rate.g is rate.g
+    want = reference_draw_intervals(derive(rate), ks)
+    for den, a, b in draws:
+        assert den == want[0] and np.array_equal(a, want[1]) and np.array_equal(b, want[2])
+    assert rate == so.RateFunction.from_pieces([(0, F(1, 3), 3), (F(1, 3), 1, F(5, 2))])
 
 
 def lexsort_reference(p):

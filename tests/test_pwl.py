@@ -49,10 +49,10 @@ def ref_sup(f, g):
 
 
 def along(curve, ts, side="right"):
-    """`pwl._along` of a curve's rows at the sorted rationals ts over their
+    """`pwl._along` of a curve at the sorted rationals ts over their
     least common denominator, as `Fraction`s."""
     td = math.lcm(*(t.denominator for t in ts))
-    num, den = pwl._along(curve.rows, [int(t * td) for t in ts], td, side)
+    num, den = pwl._along(curve, [int(t * td) for t in ts], td, side)
     return [F(int(v), den) for v in num]
 
 
@@ -124,9 +124,9 @@ def test_sup_distance_reads_a_jump_free_curve_once(pair):
     f, g = pair
     calls, along = [], pwl._along
 
-    def spy(rows, *args):
-        calls.append(rows)
-        return along(rows, *args)
+    def spy(curve, *args):
+        calls.append(curve)
+        return along(curve, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pwl, "_along", spy)
@@ -252,6 +252,138 @@ def test_along_rows_matches_value_at(p, ts):
     assert along(nu, ts) == [v for _, v in want]
     assert along(nu, ts, "left") == [left for left, _ in want]
     assert [(nu.left_limit(t), nu.value(t)) for t in ts] == want
+
+
+# -- the line table against the per-piece read ----------------------------------
+
+
+def reference_along(rows, x, n, side):
+    """The read `_along` made before curves kept a line table: one
+    `searchsorted`, then each distinct piece's `_line` reduced and put over
+    those lines' least common denominator, at every read."""
+    m = rows[0]
+    y, x = pwl._fit(5 * m * m + m * n, rows[1], x)
+    k = np.searchsorted(y * n, x * m, side)
+    new = np.diff(k, prepend=-1) != 0
+    p, q, d = pwl._line(rows, k[new])
+    g = np.gcd(np.gcd(p, q), d)
+    p, q, d = p // g, q // g, d // g
+    den = math.lcm(*d.tolist())
+    p, q, d, x = pwl._fit((2 * m + 2) * den * n, p, q, d, x)
+    at, scale = np.cumsum(new) - 1, den // d
+    return (p * scale)[at] * x + (q * scale)[at] * n, den * n
+
+
+_M30 = 2**30 + 1
+
+
+def _prime_gaps():
+    """A jump-free CDF over m = 6,922 whose pieces span the 36 primes g from
+    101 to 283, rising 1/m on each but the last: each line fits int64, the
+    lcm of all of them does not."""
+    gaps = [g for g in range(101, 400) if all(g % f for f in range(2, 20))][:36]
+    xs = np.cumsum([0, *gaps])
+    m = int(xs[-1])
+    pts = [(F(int(x), m), F(k, m), F(k, m)) for k, x in enumerate(xs[:-1])]
+    return StepCDF.from_points([*pts, (1, 1, 1)])
+
+
+PRIME_GAPS = _prime_gaps()
+_SPECIAL_CURVES = [
+    UNIFORM, AT_0, AT_1,
+    StepCDF.from_points([(0, 0, 0), (F(_BIG // 2, _BIG), F(1, 3), F(2, 3)), (1, 1, 1)]),
+    StepCDF.from_jumps([(F(_BIG // 2, _BIG), F(1, 3)), (F(3, 4), F(2, 3))]),  # object step rows
+    StepCDF.from_points([(0, 0, 0), (F(_WIDE // 3, _WIDE), F(1, 3), F(1, 3)), (1, 1, 1)]),
+    StepCDF.from_jumps([(F(_WIDE // 3, _WIDE), F(1, 2)), (1, F(1, 2))]),
+    StepCDF.from_points([(0, 0, 0), (F(7, _M30), F(3, _M30), F(3, _M30)), (1, 1, 1)]),
+    so.MonotoneRC.from_points([(0, F(1, 7), F(1, 7)), (F(_BIG // 2, _BIG), F(2, 3), F(2, 3)),
+                               (F(5, 6), 1, 1), (1, 1, 1)]),
+    PRIME_GAPS,
+]
+
+
+@st.composite
+def step_cdfs(draw):
+    """A pure-jump CDF: every piece flat."""
+    xs = draw(st.lists(_grid, min_size=1, max_size=6, unique=True))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(xs), max_size=len(xs)))
+    return StepCDF.from_jumps([(x, F(w, sum(weights))) for x, w in zip(xs, weights)])
+
+
+_pools = st.lists(_grid, min_size=1, max_size=4)
+_any_curves = st.one_of(
+    _pools.flatmap(cdfs), _pools.flatmap(jump_free_cdfs), step_cdfs(), monotone_gs(),
+    st.sampled_from(_SPECIAL_CURVES),
+)
+_read_points = st.lists(
+    st.one_of(st.fractions(min_value=0, max_value=1, max_denominator=24),
+              st.sampled_from([F(_BIG // 3, _BIG), F(_WIDE // 2, _WIDE), F(7, _M30)])),
+    max_size=6,
+)
+
+
+@given(_any_curves, _read_points, st.integers(1, 5))
+@example(PRIME_GAPS, [F(1, 3), F(1, 2)], 1)
+@example(_SPECIAL_CURVES[7], [], 1)
+@settings(deadline=None)
+def test_table_reads_match_the_per_piece_read(curve, ts, rep):
+    """Step, jump-free and general curves, int64 and object rows, read on
+    both sides at repeated points and every breakpoint: the same values as
+    the per-piece read, and int64 wherever it is int64."""
+    ts = sorted(ts * rep + [x for x, _, _ in curve.points])
+    n = math.lcm(*(t.denominator for t in ts))
+    x = [int(t * n) for t in ts]
+    for side in ("right", "left"):
+        (num, den), (want, wden) = pwl._along(curve, x, n, side), reference_along(curve.rows, x, n, side)
+        assert [F(int(v), den) for v in num] == [F(int(v), wden) for v in want]
+        assert want.dtype == object or num.dtype == np.int64
+
+
+def test_a_step_curve_table_computes_no_line(monkeypatch):
+    """Empirical and `from_jumps` CDFs are flat on every piece: their table
+    is their values over m, built with no `_line`; a curve with a slope
+    computes each line once, for all its reads."""
+    p = sa.sample_kernel_poset(so.gc(F(3, 10)), 300, SeededRng(4))
+    calls, line = [], pwl._line
+    monkeypatch.setattr(pwl, "_line", lambda *a: calls.append(1) or line(*a))
+    steps = [sa.nu_empirical(p, "minus"), sa.nu_empirical(p, "plus"), StepCDF.dirac(F(1, 3)),
+             StepCDF.from_jumps([(0, F(1, 4)), (F(1, 2), F(1, 4)), (1, F(1, 2))])]
+    for nu in steps:
+        m, _, _, right = nu.rows
+        assert pwl.sup_distance(nu, steps[0]) == ref_sup(nu.points, steps[0].points)
+        lines = nu.lines
+        assert (lines.p == 0).all() and (lines.d == m).all() and lines.den == m
+        assert lines.q.tolist() == [0, *right.tolist()]
+    assert calls == []
+    target = so.f_minus(so.gc(F(3, 10)))
+    for nu in steps:
+        assert pwl.sup_distance(nu, target) == ref_sup(nu.points, target.points)
+        pwl.value_at(target, F(1, 7))
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("curve", _SPECIAL_CURVES, ids=range(len(_SPECIAL_CURVES)))
+def test_line_table_arrays_are_read_only(curve):
+    lines = curve.lines
+    assert curve.lines is lines
+    for arr in lines[:3] + lines[4:6]:
+        if arr is not None:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 7
+    assert (lines.slope is None) == (lines.den is None) == (lines.reach == math.inf)
+
+
+def test_many_distinct_slopes_read_at_a_few_points_stay_int64(monkeypatch):
+    """The lcm of all 38 padded lines passes 2^63, so the table keeps no
+    common denominator; a read takes the lcm of the lines it hits, in int64."""
+    dtypes = _FitSpy(monkeypatch).dtypes
+    assert PRIME_GAPS.rows[1].dtype == np.int64 and PRIME_GAPS.lines.den is None
+    for t in (F(1, 3), F(1, 2), F(5, 7)):
+        left, value = ref_limits(PRIME_GAPS.points, t)
+        assert pwl.value_at(PRIME_GAPS, t) == value and pwl.left_limit_at(PRIME_GAPS, t) == left
+    assert along(PRIME_GAPS, [F(1, 9), F(2, 9)]) == [ref_limits(PRIME_GAPS.points, t)[1]
+                                                     for t in (F(1, 9), F(2, 9))]
+    assert dtypes and object not in dtypes
 
 
 def test_ks_identity_sample_is_one_over_n():
