@@ -16,7 +16,7 @@ from poslim import semiorders as so
 from poslim.measures import StepCDF, StepKernelMeasure
 from poslim.rng import SeededRng
 
-from conftest import fixpoint_closure
+import reference as ref
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -37,7 +37,7 @@ def _random_poset(size: int, rng: SeededRng) -> ps.FinitePoset:
             if us[k] < 0.3:
                 masks[i] |= 1 << j
             k += 1
-    closed = fixpoint_closure(masks)
+    closed = ref.fixpoint_closure(masks)
     return ps.FinitePoset.from_succ_masks(closed)
 
 

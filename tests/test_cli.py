@@ -1,8 +1,18 @@
 import json
+import tempfile
+import warnings
 from fractions import Fraction as F
+from pathlib import Path
+
+import hypothesis.strategies as st
+from hypothesis import example, given, settings
 
 from poslim import cli, measures, poset, recognition, sampling, semiorders, textio
 from poslim.measures import StepKernelMeasure
+from poslim.rng import CONDITIONALS, POINTS, UNIT, SeededRng
+
+import reference as ref
+from conftest import atomic_measures, monotone_gs, rate_pieces, step_measures
 
 
 def run(capsys, *argv):
@@ -374,3 +384,66 @@ def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     for argv in (["recognize", "--in", str(bad)], ["project", "--in", str(bad)]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and f"cannot read {bad}" in err and "utf-8" in err
+
+
+_MODELS = st.one_of(
+    monotone_gs().map(lambda g: ("g", g, semiorders.write_g(g), ["--g"])),
+    rate_pieces().map(semiorders.RateFunction.from_pieces).map(
+        lambda r: ("rate", r, semiorders.write_rate(r), ["--rate"])),
+    st.one_of(step_measures(), atomic_measures()).map(
+        lambda mu: ("measure", mu, measures.write_measure(mu), [])),
+)
+
+
+def _drawn(model, n, seed):
+    """The order of `sample --n n --seed seed`: point i from position i of
+    POINTS (and of CONDITIONALS, read by a step measure only)."""
+    rng = SeededRng(seed)
+    us = [[F(k, UNIT) for k in rng.integers(s, n).tolist()] for s in (POINTS, CONDITIONALS)]
+    return ref.interval_poset([ref.draw(model, *u) for u in zip(*us)])
+
+
+_GC = semiorders.gc(F(3, 10))
+
+
+@given(_MODELS, st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32),
+       st.integers(1, 3), st.fractions(0, 1, max_denominator=10), st.sampled_from([0.05, 0.2, 0.4, 0.8]))
+@example(("g", _GC, semiorders.write_g(_GC), ["--g"]), 40, 40, 1, 3, F(0), 0.05)
+@example(("g", _GC, semiorders.write_g(_GC), ["--g"]), 40, 8, 1, 1, F(0), 0.4)  # KS rises by 0.18 > 0.4/4
+@settings(max_examples=40, deadline=None)
+def test_cli_pipeline_matches_the_reference_models(model, n, m, seed, max_q, c, threshold):
+    """sample, recognize, represent, nu (both signs), converge and
+    fingerprint on a random g, rate function, step or atomic measure, byte
+    for byte as the reference models render the same draws."""
+    kind, mu, text, target = model
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp)
+        (path / "model").write_text(text)
+
+        def run(name, *argv):
+            assert cli.main([*argv, "--out", str(path / name)]) == 0
+            return (path / name).read_text()
+
+        p, q = _drawn(mu, n, seed), _drawn(mu, m, seed + 1)
+        for name, size, s, want in (("p", n, seed, p), ("q", m, seed + 1, q)):
+            args = ["sample", "--kernel", kind, "--in", str(path / "model"), "--n", str(size)]
+            assert run(name, *args, "--seed", str(s)) == ref.write_poset(want)
+        pfile, qfile = str(path / "p"), str(path / "q")
+        want = {"interval_order": ref.two_plus_two(p) is None, "semiorder": ref.is_semiorder(p)}
+        assert run("r", "recognize", "--in", pfile) == textio.to_json(want)
+        assert run("i", "represent", "--in", pfile) == ref.write_representation(ref.representation(p))
+        for sign in ("minus", "plus"):
+            points = ref.nu(p, sign)
+            assert run("n", "nu", "--in", pfile, "--sign", sign) == textio.to_json({"points": points})
+            csv = textio.to_csv(["x", "left", "right"], points)
+            assert run("c", "nu", "--in", pfile, "--sign", sign, "--format", "csv") == csv
+        g = mu if kind == "g" else semiorders.g_from_rate(mu) if kind == "rate" else semiorders.gc(c)
+        option = [*target, str(path / "model")] if target else ["--gc", str(c)]
+        limits = [semiorders.f_minus(g).points, semiorders.f_plus(g).points]  # tested in test_semiorders
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the notes name the inputs that are no semiorder
+            report = run("v", "converge", "--in", pfile, qfile, *option, "--threshold", str(threshold))
+            assert report == ref.converge_report([p, q], *limits, threshold)
+        payload = {pid: {"label": label, "value": str(value), "half_width": "0"}
+                   for pid, label, value in ref.fingerprint(p, max_q)}
+        assert run("f", "fingerprint", "--in", pfile, "--max-q", str(max_q)) == textio.to_json(payload)

@@ -3,7 +3,6 @@
 import itertools
 import math
 import warnings
-from bisect import bisect_right
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -21,14 +20,8 @@ from poslim.errors import InvalidArgument, InvariantError
 from poslim.measures import AtomicMeasure, StepKernelMeasure
 from poslim.rng import CONDITIONALS, MC_TUPLES, POINTS, UNIT, SeededRng
 
-from conftest import (
-    atomic_measures,
-    interval_poset,
-    monotone_gs,
-    pattern_code,
-    posets,
-    step_measures,
-)
+import reference as ref
+from conftest import atomic_measures, monotone_gs, posets, rate_pieces, step_measures
 
 STAIRCASE = so.MonotoneRC.from_points(
     [(0, F(2, 5), F(2, 5)), (F(2, 5), F(2, 5), F(4, 5)), (F(4, 5), F(4, 5), 1), (1, 1, 1)]
@@ -44,23 +37,12 @@ THIRD = F(1, 3)
 NEAR_THIRD = THIRD + F(1, 2**80)  # the same float64 as 1/3
 
 
-@st.composite
-def rate_functions(draw):
-    k = draw(st.integers(1, 3))
-    inner = sorted(set(draw(st.lists(st.fractions(0, 1, max_denominator=8), min_size=k))))
-    breaks = [F(0)] + [x for x in inner if 0 < x < 1] + [F(1)]
-    return so.RateFunction.from_pieces(
-        (lo, hi, draw(st.fractions(0, 8, max_denominator=4)))
-        for lo, hi in zip(breaks, breaks[1:])
-    )
-
-
 def models():
     return st.one_of(
         monotone_gs(),
         st.just(so.MonotoneRC.identity()),
         st.just(ATOMS_ON_BREAKS),
-        rate_functions(),
+        rate_pieces().map(so.RateFunction.from_pieces),
         step_measures(),
         atomic_measures(),
     )
@@ -68,7 +50,7 @@ def models():
 
 def assert_matches_masks(p):
     """Degrees, nu, ranks and the lazy masks of p against `interval_poset`."""
-    q = interval_poset(p.intervals)
+    q = ref.interval_poset(p.intervals)
     for sign, masks in (("minus", q.pred), ("plus", q.succ)):
         assert p.degrees(sign).tolist() == [m.bit_count() for m in masks]
         assert sa.nu_empirical(p, sign).points == sa.nu_empirical(q, sign).points
@@ -194,7 +176,7 @@ def test_monte_carlo_settles_float_ties_exactly():
     us = SeededRng(seed).uniforms(MC_TUPLES, 2 * samples).tolist()
     for y, linked in ((F(1, 2) - F(1, 2**70), True), (F(1, 2) + F(1, 2**70), False)):
         mu = AtomicMeasure.from_atoms([(0, y, F(1, 2)), (F(1, 2), 1, F(1, 2))])
-        draws = [_atomic_reference(mu, u) for u in us]
+        draws = [ref.draw(mu, u) for u in us]
         hits = sum(draws[2 * t][1] < draws[2 * t + 1][0] for t in range(samples))
         est, _ = de.kernel_density_mc(ps.chain(2), mu, samples, seed)
         assert float(y) == 0.5 and est == hits / samples and (hits > 0) == linked
@@ -227,11 +209,18 @@ def fractions(ends):
 
 
 def assert_integer_g(g):
-    ks = [0, 1, UNIT] + SeededRng(17).integers(POINTS, 300).tolist()
-    for x, _, _ in g.points:
-        ks += _grid_near(x)
-    us = [F(k, UNIT) for k in ks]
-    assert fractions(sa.draw_intervals(g, columns(ks))) == [(u, g.value(u)) for u in us], g
+    """Draws of g at 0, 1, UNIT - 1, UNIT, next to every breakpoint and at
+    random: the reference's intervals, over den = L UNIT for L the lcm of
+    g's line denominators, in int64 while the draw table's rule holds, every
+    L k and slope k + level, k <= UNIT, below 2^63."""
+    ks = [0, 1, UNIT - 1, UNIT] + [v for x, _, _ in g.points for v in _grid_near(x)]
+    ks += SeededRng(17).integers(POINTS, 300).tolist() + SeededRng(21).integers(POINTS, 200).tolist()
+    den, a, b = sa.draw_intervals(g, columns(ks))
+    lines = ref.segment_lines(g.points)
+    lcm = math.lcm(*(math.lcm(s.denominator, c.denominator) for s, c in lines))
+    bound = (max(lcm, *(abs(s) * lcm for s, _ in lines)) + max(abs(c) * lcm for _, c in lines)) * UNIT
+    assert den == lcm * UNIT and a.dtype == b.dtype == (np.int64 if bound < 1 << 63 else object)
+    assert fractions((den, a, b)) == [ref.draw(g, F(k, UNIT)) for k in ks], g
 
 
 def test_integer_g_evaluation_named():
@@ -252,18 +241,6 @@ def _cumulative(weights):
     return list(itertools.accumulate(weights))
 
 
-def _step_reference(mu, u1, u2):
-    """The exact draw by `Fraction` bisection."""
-    cell = min(bisect_right(mu.breaks, F(u1)) - 1, len(mu.conditionals) - 1)
-    cum = _cumulative(p for _, p in mu.conditionals[cell])
-    return F(u1), mu.conditionals[cell][min(bisect_right(cum, F(u2)), len(cum) - 1)][0]
-
-
-def _atomic_reference(mu, u):
-    k = min(bisect_right(_cumulative(w for _, _, w in mu.atoms), F(u)), len(mu.atoms) - 1)
-    return mu.atoms[k][:2]
-
-
 @given(step_measures())
 @settings(max_examples=40, deadline=None)
 def test_step_measure_draws_match_fraction_bisection(mu):
@@ -273,7 +250,7 @@ def test_step_measure_draws_match_fraction_bisection(mu):
     ks = [0, UNIT] + SeededRng(5).integers(POINTS, 20).tolist()
     ks += [v for x in edges for v in _grid_near(x)]
     pairs = list(itertools.product(ks, repeat=2))
-    expected = [_step_reference(mu, F(k1, UNIT), F(k2, UNIT)) for k1, k2 in pairs]
+    expected = [ref.draw(mu, F(k1, UNIT), F(k2, UNIT)) for k1, k2 in pairs]
     assert fractions(sa.draw_intervals(mu, columns(*zip(*pairs)))) == expected
 
 
@@ -282,7 +259,7 @@ def test_step_measure_draws_match_fraction_bisection(mu):
 def test_atomic_draws_match_fraction_bisection(mu):
     ks = [0, UNIT] + SeededRng(6).integers(POINTS, 50).tolist()
     ks += [v for x in _cumulative(w for _, _, w in mu.atoms) for v in _grid_near(x)]
-    expected = [_atomic_reference(mu, F(k, UNIT)) for k in ks]
+    expected = [ref.draw(mu, F(k, UNIT)) for k in ks]
     assert fractions(sa.draw_intervals(mu, columns(ks))) == expected
 
 
@@ -291,16 +268,6 @@ CHAINED_ATOMS = AtomicMeasure.from_atoms(  # shared ends, and chains of three
      (F(1, 2), 1, F(1, 8)), (F(3, 4), 1, F(1, 4))]
 )
 LAYOUT_MODELS = (so.gc(F(3, 10)), RATE, ATOMS_ON_BREAKS, CHAINED_ATOMS)
-
-
-def _reference_draw(model, u1, u2=None):
-    """One exact interval by `Fraction` bisection, from its uniforms."""
-    if isinstance(model, StepKernelMeasure):
-        return _step_reference(model, u1, u2)
-    if isinstance(model, AtomicMeasure):
-        return _atomic_reference(model, u1)
-    g = so.g_from_rate(model) if isinstance(model, so.RateFunction) else model
-    return F(u1), g.value(F(u1))
 
 
 def _name(model):
@@ -316,7 +283,7 @@ def test_sampler_stream_layout(model):
     u1 = rng.uniforms(POINTS, n).tolist()
     u2 = rng.uniforms(CONDITIONALS, n).tolist()
     p = sa.sample_kernel_poset(model, n, rng)
-    assert list(p.intervals) == [_reference_draw(model, a, b) for a, b in zip(u1, u2)]
+    assert list(p.intervals) == [ref.draw(model, a, b) for a, b in zip(u1, u2)]
 
 
 @pytest.mark.parametrize("model", LAYOUT_MODELS, ids=_name)
@@ -334,7 +301,7 @@ def test_monte_carlo_stream_layout(model, q):
     hits = 0
     for t in range(samples):
         starts = [(t * q.n + i) * k for i in range(q.n)]
-        iv = [_reference_draw(model, *us[s : s + k]) for s in starts]
+        iv = [ref.draw(model, *us[s : s + k]) for s in starts]
         hits += all(iv[i][1] < iv[j][0] for i, j in pairs)
     est = hits / samples
     half = 1.96 * math.sqrt(max(est - est * est, 0.0) / samples)
@@ -350,13 +317,13 @@ def test_rank_pattern_code_on_every_drawn_tuple(monkeypatch):
         (SHARED_ENDS, 4),
     ):
         p = sa.sample_kernel_poset(model, 30, SeededRng(seed))
-        succ = interval_poset(p.intervals).succ
+        succ = ref.interval_poset(p.intervals).succ
         drawn = []
 
         def checked(q, tuples):
             codes = tuple_codes(q, tuples)
             if q is p:  # not a catalog pattern's table being built
-                assert codes.tolist() == [pattern_code(succ, idx) for idx in tuples.T.tolist()]
+                assert codes.tolist() == [ref.pattern_code(succ, idx) for idx in tuples.T.tolist()]
                 drawn.extend(tuples.T.tolist())
             return codes
 
@@ -396,7 +363,7 @@ def _diagnosed_semiorder(p):
 @settings(max_examples=100, deadline=None)
 def test_semiorder_flag_from_ranks_matches_masks(model, n, seed):
     p = sa.sample_kernel_poset(model, n, SeededRng(seed))
-    q = interval_poset(p.intervals)
+    q = ref.interval_poset(p.intervals)
     assert _diagnosed_semiorder(p) == rec.is_semiorder(q)
     assert "succ" not in vars(p) and "pred" not in vars(p)
 
@@ -419,7 +386,7 @@ def test_semiorder_flag_from_ranks_all_four_models():
     seen = set()
     for model, seed in itertools.product(models, range(6)):
         p = sa.sample_kernel_poset(model, 60, SeededRng(seed))
-        q = interval_poset(p.intervals)
+        q = ref.interval_poset(p.intervals)
         semi = rec.is_semiorder(q)
         downs, ups = p.degrees("minus").tolist(), p.degrees("plus").tolist()
         assert rec.semiorder_by_degrees(downs, ups) == semi
@@ -448,7 +415,7 @@ def test_precedes_of_mask_poset_is_less(p):
 @settings(max_examples=60, deadline=None)
 def test_precedes_of_interval_sample_is_less(model, n, seed):
     p = sa.sample_kernel_poset(model, n, SeededRng(seed))
-    assert_precedes_is_less(p, interval_poset(p.intervals))
+    assert_precedes_is_less(p, ref.interval_poset(p.intervals))
     assert "succ" not in vars(p)
 
 
@@ -502,22 +469,6 @@ def test_draw_on_both_sides_of_the_int64_bound(model, wide):
         assert_matches_masks(p)
 
 
-def reference_draw_intervals(g, k):
-    """The threshold draw as it was before g kept a draw table: the pieces
-    by `bisect_right` of k/UNIT on the `Fraction` breakpoints (as
-    thresholds ceil(x UNIT)), then each piece's `_line` reduced, over their
-    lcm, on every draw."""
-    starts = np.array([math.ceil(x * UNIT) for x, _, _ in g.points], dtype=np.int64)
-    pieces = np.searchsorted(starts, k, side="right") - 1
-    p, q, d = (c.tolist() for c in pwl._line(g.rows, np.arange(1, len(g.points) + 1)))
-    lines = list(zip(p, q, d))
-    lcm = math.lcm(*(d // math.gcd(p, q, d) for p, q, d in lines))
-    slope, level = zip(*((p * lcm // d, q * lcm // d * UNIT) for p, q, d in lines))
-    bound = max(lcm, *map(abs, slope)) * UNIT + max(map(abs, level))
-    slope, level, k = pwl._fit(bound, slope, level, k)
-    return lcm * UNIT, k * lcm, slope[pieces] * k + level[pieces]
-
-
 PAST_INT64_G = so.MonotoneRC.from_points(  # g of test_segment_lines_past_the_int64_bound
     [(0, F(1, 7), F(1, 7)), (F(3**41 // 2, 3**41), F(2, 3), F(2, 3)), (F(5, 6), 1, 1), (1, 1, 1)]
 )
@@ -533,14 +484,8 @@ PAST_INT64_G = so.MonotoneRC.from_points(  # g of test_segment_lines_past_the_in
 @settings(max_examples=60, deadline=None)
 def test_draw_table_matches_the_fraction_threshold_draw(g):
     """gc, identity, staircase, a rate's g, g over den >= 2^63, g with rows
-    past int64 and random g: the same ends, over the same den, in the same
-    dtype."""
-    ks = [0, 1, UNIT - 1] + SeededRng(21).integers(POINTS, 200).tolist()
-    ks += [v for x, _, _ in g.points for v in _grid_near(x) if v < UNIT]
-    k = np.array(ks, dtype=np.int64)
-    (den, a, b), (wden, wa, wb) = sa.draw_intervals(g, columns(ks)), reference_draw_intervals(g, k)
-    assert den == wden and a.dtype == wa.dtype and b.dtype == wb.dtype
-    assert np.array_equal(a, wa) and np.array_equal(b, wb)
+    past int64 and random g."""
+    assert_integer_g(g)
 
 
 def test_draw_table_is_built_once_and_read_only(monkeypatch):
@@ -568,7 +513,8 @@ def test_a_rate_derives_its_g_once(monkeypatch):
     ks = SeededRng(8).integers(POINTS, 300)
     draws = [sa.draw_intervals(rate, columns(ks)) for _ in range(2)]
     assert calls == [1] and rate.g is rate.g
-    want = reference_draw_intervals(derive(rate), ks)
+    want = sa.draw_intervals(derive(rate), columns(ks))
+    assert fractions(want) == [ref.draw(rate, F(k, UNIT)) for k in ks.tolist()]
     for den, a, b in draws:
         assert den == want[0] and np.array_equal(a, want[1]) and np.array_equal(b, want[2])
     assert rate == so.RateFunction.from_pieces([(0, F(1, 3), 3), (F(1, 3), 1, F(5, 2))])
@@ -577,7 +523,9 @@ def test_a_rate_derives_its_g_once(monkeypatch):
 def lexsort_reference(p):
     """rank_a, rank_b, degrees minus and plus of an `IntervalSample` as a
     `lexsort` of the ends (value, then side) and a sort and binary search
-    per degree vector: the reference for the argsort and running count."""
+    per degree vector: the reference for the argsort and running count.  It
+    stays here, beside the models of `reference`, as the fast reference for
+    samples of 10^5 points, past the reach of the pairwise order."""
     n, (_, a, b) = p.n, p.ends
     rank = np.empty(2 * n, dtype=np.int64)
     rank[np.lexsort((np.repeat([0, 1], n), np.concatenate([a, b])))] = np.arange(2 * n)
@@ -693,7 +641,7 @@ def test_converge_diagnostic_sorts_the_ends_once():
     read them: one end structure is cached, and the rows are those of the
     same orders held as bitmask posets."""
     samples = [sa.sample_kernel_poset(so.gc(F(3, 10)), n, SeededRng(n)) for n in (300, 1000)]
-    plain = [interval_poset(p.intervals) for p in samples]
+    plain = [ref.interval_poset(p.intervals) for p in samples]
     got = sa.converge_diagnostic(samples, target_g=so.gc(F(3, 10)))
     for p in samples:
         assert "_end_order" in vars(p) and "_a_upto_b" not in vars(p)

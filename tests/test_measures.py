@@ -15,6 +15,7 @@ from poslim import semiorders as so
 from poslim.errors import InvariantError, NotInPMinus
 from poslim.measures import AtomicMeasure, StepCDF, StepKernelMeasure
 
+import reference as ref
 from conftest import atomic_measures, monotone_gs, posets, step_measures
 
 
@@ -105,32 +106,13 @@ def test_support_and_gaps_examples():
     assert gaps == [(F(0), F(1, 2)), (F(1, 2), F(3, 4))]
 
 
-def ref_support_and_gaps(points):
-    """Support components and gaps by one walk over the `Fraction` points:
-    the reference for the walk on rows."""
-    merged = []
-    for (x, left, right), nxt in zip(points, points[1:] + (None,)):
-        hi = nxt[0] if nxt and right < nxt[1] else x  # x, or the next x if F grows to it
-        if left != right or hi > x:
-            if merged and merged[-1][1] == x:
-                merged[-1] = (merged[-1][0], hi)
-            else:
-                merged.append((x, hi))
-    gaps, prev = [], F(0)
-    for lo, hi in merged:
-        if lo > prev:
-            gaps.append((prev, lo))
-        prev = hi
-    return tuple(merged), gaps + [(prev, F(1))] * (prev < 1)
-
-
 @given(st.one_of(step_measures().map(me.right_marginal), atomic_measures().map(me.right_marginal),
                  monotone_gs().map(so.f_minus), monotone_gs().map(so.f_plus),
                  posets(max_n=6).map(lambda p: sa.nu_empirical(p, "plus"))))
 @settings(max_examples=150, deadline=None)
 def test_support_and_gaps_match_point_walk(nu):
     supp, gaps = me.support_and_gaps(nu)
-    assert (supp.intervals, gaps) == ref_support_and_gaps(nu.points)
+    assert (supp.intervals, gaps) == ref.support_and_gaps(nu.points)
     assert all(type(v) is F for span in (*supp.intervals, *gaps) for v in span)
 
 
@@ -155,14 +137,6 @@ def test_h_map_end_gaps():
     assert me.h_map(d, F(0), "minus") == 0
 
 
-def ref_snap(gaps, x, variant):
-    """The snap rule by a scan of every gap: the reference for `_snap`'s bisect."""
-    for a, b in gaps:
-        if a <= x < b if variant == "plus" else a < x <= b:
-            return a if variant == "minus" else b
-    return x
-
-
 @given(
     st.one_of(atomic_measures().map(me.right_marginal), step_measures().map(me.right_marginal),
               monotone_gs().map(so.f_minus)),
@@ -174,7 +148,7 @@ def test_snap_matches_gap_scan(nu, x):
     gaps = me.support_and_gaps(nu)[1]
     for v in {F(0), F(1), x, *(e for gap in gaps for e in gap)}:
         for variant in ("minus", "plus", "bar_plus"):
-            assert me._snap(gaps, v, variant) == ref_snap(gaps, v, variant)
+            assert me._snap(gaps, v, variant) == ref.snap(gaps, v, variant)
 
 
 def isolated_interior_points(nu):

@@ -1,9 +1,9 @@
 """Exact evaluation and sup-norm distance of piecewise-linear functions,
-checked against linear-scan references written here, and the integer
-kernels of `normalize` and `check_monotone`, and the curve constructors
-built on them, against their `Fraction` references in conftest."""
+the integer kernels of `normalize` and `check_monotone`, and the curve
+constructors built on them, against the curve models of `reference`."""
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -18,34 +18,10 @@ from poslim.errors import InvariantError
 from poslim.measures import AtomicMeasure, StepCDF, StepKernelMeasure
 from poslim.rng import SeededRng
 
-from conftest import monotone_gs, posets, ref_check_monotone, ref_normalize
+import reference as ref
+from conftest import monotone_gs, outcome, posets
 
 _grid = st.fractions(min_value=0, max_value=1, max_denominator=12)
-
-
-def ref_limits(points, t):
-    """(left limit, value) at t by a linear scan over the breakpoints; inside
-    a piece, r0 + (l1 - r0)(t - x0)/(x1 - x0) in `Fraction`s."""
-    for k, (x, left, right) in enumerate(points):
-        if x == t:
-            return left, right
-        if x > t:
-            x0, _, r0 = points[k - 1]
-            v = r0 + (left - r0) * (t - x0) / (x - x0)
-            return v, v
-    raise AssertionError(f"{t} beyond the last breakpoint")
-
-
-def ref_sup(f, g):
-    """Sup of |f - g| over every breakpoint of either, as value and left
-    limit, and every midpoint between consecutive ones."""
-    ts = sorted({p[0] for p in f} | {p[0] for p in g})
-    ts += [(a + b) / 2 for a, b in zip(ts, ts[1:])]
-    best = F(0)
-    for t in ts:
-        (fl, fv), (gl, gv) = ref_limits(f, t), ref_limits(g, t)
-        best = max(best, abs(fv - gv), abs(fl - gl))
-    return best
 
 
 def along(curve, ts, side="right"):
@@ -93,7 +69,7 @@ AT_1 = StepCDF.dirac(1)
 @example((AT_1, AT_1))
 def test_sup_distance_matches_reference(pair):
     f, g = pair
-    assert pwl.sup_distance(f, g) == ref_sup(f.points, g.points)
+    assert pwl.sup_distance(f, g) == ref.sup(f.points, g.points)
     assert pwl.sup_distance(g, f) == pwl.sup_distance(f, g)
 
 
@@ -131,7 +107,7 @@ def test_sup_distance_reads_a_jump_free_curve_once(pair):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pwl, "_along", spy)
         got = pwl.sup_distance(f, g), pwl.sup_distance(g, f)
-    assert got == (ref_sup(f.points, g.points),) * 2
+    assert got == (ref.sup(f.points, g.points),) * 2
     jump_free = [not (c.rows[2] != c.rows[3]).any() for c in (f, g)]
     assert len(calls) == 2 * (4 - sum(jump_free))
 
@@ -146,14 +122,14 @@ def test_sup_distance_length_two_lists():
 
 @given(monotone_gs(), monotone_gs())
 def test_sup_distance_threshold_functions(g, h):
-    assert pwl.sup_distance(g, h) == ref_sup(g.points, h.points)
+    assert pwl.sup_distance(g, h) == ref.sup(g.points, h.points)
 
 
 @given(cdf_pairs())
 def test_value_and_left_limit_match_reference(pair):
     for curve in pair:
         for t in grid_points(curve.points):
-            left, value = ref_limits(curve.points, t)
+            left, value = ref.limits(curve.points, t)
             assert pwl.value_at(curve, t) == value
             assert pwl.left_limit_at(curve, t) == left
 
@@ -168,7 +144,7 @@ def test_evaluation_matches_interpolation(curve, ts, k):
     xs = [x for x, _, _ in curve.points]
     near = [x + s * F(1, k) for x in xs for s in (-1, 1)]
     for t in [t for t in xs + near + ts if 0 <= t <= 1]:
-        left, value = ref_limits(curve.points, t)
+        left, value = ref.limits(curve.points, t)
         assert pwl.value_at(curve, t) == value
         assert pwl.left_limit_at(curve, t) == left
 
@@ -201,9 +177,9 @@ def test_sup_distance_on_empirical_rows_matches_reference(p, target):
     inside, both ways round and against each other."""
     minus, plus = sa.nu_empirical(p, "minus"), sa.nu_empirical(p, "plus")
     for nu in (minus, plus):
-        assert pwl.sup_distance(nu, target) == ref_sup(nu.points, target.points)
-        assert pwl.sup_distance(target, nu) == ref_sup(nu.points, target.points)
-    assert pwl.sup_distance(minus, plus) == ref_sup(minus.points, plus.points)
+        assert pwl.sup_distance(nu, target) == ref.sup(nu.points, target.points)
+        assert pwl.sup_distance(target, nu) == ref.sup(nu.points, target.points)
+    assert pwl.sup_distance(minus, plus) == ref.sup(minus.points, plus.points)
 
 
 class _FitSpy:
@@ -232,12 +208,12 @@ def test_sup_distance_past_the_int64_bound(monkeypatch):
     for sign in ("minus", "plus"):
         nu = sa.nu_empirical(sample, sign)
         dtypes.clear()
-        assert pwl.sup_distance(nu, target) == ref_sup(nu.points, target.points)
+        assert pwl.sup_distance(nu, target) == ref.sup(nu.points, target.points)
         assert object in dtypes
     m = 2**30 + 1  # rows fit int64; the line ((m - 3)t - 4)/(m - 7) over 40 points does not
     slope = StepCDF.from_points([(0, 0, 0), (F(7, m), F(3, m), F(3, m)), (1, 1, 1)])
     dtypes.clear()
-    assert pwl.sup_distance(nu, slope) == ref_sup(nu.points, slope.points)
+    assert pwl.sup_distance(nu, slope) == ref.sup(nu.points, slope.points)
     assert object in dtypes and np.dtype(np.int64) in dtypes
 
 
@@ -248,30 +224,10 @@ def test_along_rows_matches_value_at(p, ts):
     at a time, against the linear scan over its points."""
     nu = sa.nu_empirical(p, "minus")
     ts = sorted(ts + [x for x, _, _ in nu.points])
-    want = [ref_limits(nu.points, t) for t in ts]
+    want = [ref.limits(nu.points, t) for t in ts]
     assert along(nu, ts) == [v for _, v in want]
     assert along(nu, ts, "left") == [left for left, _ in want]
     assert [(nu.left_limit(t), nu.value(t)) for t in ts] == want
-
-
-# -- the line table against the per-piece read ----------------------------------
-
-
-def reference_along(rows, x, n, side):
-    """The read `_along` made before curves kept a line table: one
-    `searchsorted`, then each distinct piece's `_line` reduced and put over
-    those lines' least common denominator, at every read."""
-    m = rows[0]
-    y, x = pwl._fit(5 * m * m + m * n, rows[1], x)
-    k = np.searchsorted(y * n, x * m, side)
-    new = np.diff(k, prepend=-1) != 0
-    p, q, d = pwl._line(rows, k[new])
-    g = np.gcd(np.gcd(p, q), d)
-    p, q, d = p // g, q // g, d // g
-    den = math.lcm(*d.tolist())
-    p, q, d, x = pwl._fit((2 * m + 2) * den * n, p, q, d, x)
-    at, scale = np.cumsum(new) - 1, den // d
-    return (p * scale)[at] * x + (q * scale)[at] * n, den * n
 
 
 _M30 = 2**30 + 1
@@ -328,15 +284,19 @@ _read_points = st.lists(
 @settings(deadline=None)
 def test_table_reads_match_the_per_piece_read(curve, ts, rep):
     """Step, jump-free and general curves, int64 and object rows, read on
-    both sides at repeated points and every breakpoint: the same values as
-    the per-piece read, and int64 wherever it is int64."""
+    both sides at repeated points and every breakpoint: the reference's
+    values and left limits, in int64 wherever the per-read rule of `_along`
+    allows, (2m + 2) D n below 2^63 with D the lcm of the reduced
+    denominators of the lines the read hits."""
     ts = sorted(ts * rep + [x for x, _, _ in curve.points])
     n = math.lcm(*(t.denominator for t in ts))
-    x = [int(t * n) for t in ts]
-    for side in ("right", "left"):
-        (num, den), (want, wden) = pwl._along(curve, x, n, side), reference_along(curve.rows, x, n, side)
-        assert [F(int(v), den) for v in num] == [F(int(v), wden) for v in want]
-        assert want.dtype == object or num.dtype == np.int64
+    xs = [x for x, _, _ in curve.points]
+    padded = [(F(0), curve.points[0][1]), *ref.segment_lines(curve.points)]  # piece k starts at xs[k - 1]
+    for side, piece in (("right", bisect_right), ("left", bisect_left)):
+        num, den = pwl._along(curve, [int(t * n) for t in ts], n, side)
+        assert [F(int(v), den) for v in num] == [ref.limits(curve.points, t)[side == "right"] for t in ts]
+        d = math.lcm(*(math.lcm(s.denominator, c.denominator) for s, c in (padded[piece(xs, t)] for t in ts)))
+        assert num.dtype == np.int64 or (2 * curve.rows[0] + 2) * d * n >= 1 << 63
 
 
 def test_a_step_curve_table_computes_no_line(monkeypatch):
@@ -350,14 +310,14 @@ def test_a_step_curve_table_computes_no_line(monkeypatch):
              StepCDF.from_jumps([(0, F(1, 4)), (F(1, 2), F(1, 4)), (1, F(1, 2))])]
     for nu in steps:
         m, _, _, right = nu.rows
-        assert pwl.sup_distance(nu, steps[0]) == ref_sup(nu.points, steps[0].points)
+        assert pwl.sup_distance(nu, steps[0]) == ref.sup(nu.points, steps[0].points)
         lines = nu.lines
         assert (lines.p == 0).all() and (lines.d == m).all() and lines.den == m
         assert lines.q.tolist() == [0, *right.tolist()]
     assert calls == []
     target = so.f_minus(so.gc(F(3, 10)))
     for nu in steps:
-        assert pwl.sup_distance(nu, target) == ref_sup(nu.points, target.points)
+        assert pwl.sup_distance(nu, target) == ref.sup(nu.points, target.points)
         pwl.value_at(target, F(1, 7))
     assert calls == [1]
 
@@ -379,9 +339,9 @@ def test_many_distinct_slopes_read_at_a_few_points_stay_int64(monkeypatch):
     dtypes = _FitSpy(monkeypatch).dtypes
     assert PRIME_GAPS.rows[1].dtype == np.int64 and PRIME_GAPS.lines.den is None
     for t in (F(1, 3), F(1, 2), F(5, 7)):
-        left, value = ref_limits(PRIME_GAPS.points, t)
+        left, value = ref.limits(PRIME_GAPS.points, t)
         assert pwl.value_at(PRIME_GAPS, t) == value and pwl.left_limit_at(PRIME_GAPS, t) == left
-    assert along(PRIME_GAPS, [F(1, 9), F(2, 9)]) == [ref_limits(PRIME_GAPS.points, t)[1]
+    assert along(PRIME_GAPS, [F(1, 9), F(2, 9)]) == [ref.limits(PRIME_GAPS.points, t)[1]
                                                      for t in (F(1, 9), F(2, 9))]
     assert dtypes and object not in dtypes
 
@@ -398,14 +358,6 @@ def test_ks_identity_sample_is_one_over_n():
 
 
 # -- integer kernels against the Fraction references --------------------------
-
-
-def outcome(fn, points):
-    """The result of fn(points), or the message of its InvariantError."""
-    try:
-        return "ok", fn(points)
-    except InvariantError as e:
-        return "error", str(e)
 
 
 def mixed(value, how):
@@ -474,57 +426,16 @@ def on_rows(kernel):
     return lambda raw: pwl.Curve.of_rows(*kernel(pwl.read_points(raw))).points
 
 
-def ref_checked(points):
-    """The points, once `ref_check_monotone` passes them."""
-    ref_check_monotone(points)
-    return tuple(points)
-
-
 @given(raw_points())
 @settings(max_examples=400, deadline=None)
 def test_integer_kernels_match_fraction_references(raw):
-    got, want = outcome(on_rows(pwl.normalize), raw), outcome(ref_normalize, raw)
+    got, want = outcome(lambda: on_rows(pwl.normalize)(raw)), outcome(lambda: ref.normalize(raw))
     assert got == want
     exact = [tuple(map(F, p)) for p in raw]
-    assert outcome(on_rows(pwl.check_monotone), exact) == outcome(ref_checked, exact)
-    if got[0] == "ok":
-        pts = got[1]
-        assert all(type(v) is F for p in pts for v in p)
-        assert outcome(on_rows(pwl.check_monotone), pts) == outcome(ref_checked, pts)
-
-
-def ref_cdf(raw):
-    """`StepCDF.from_points` in `Fraction`s: `ref_normalize`, then
-    `ref_check_monotone`, then F(0-) = 0 and F(1) = 1."""
-    pts = ref_checked(ref_normalize(raw))
-    if pts[0][1] != 0:
-        raise InvariantError("CDF must have F(0-) = 0")
-    if pts[-1][2] != 1:
-        raise InvariantError("CDF must have F(1) = 1")
-    return pts
-
-
-def ref_g(raw):
-    """`MonotoneRC.from_points` in `Fraction`s: `ref_normalize`, the stored
-    pre-value at 0 set to g(0), then `ref_check_monotone` and g >= x."""
-    (x0, _, r0), *rest = ref_normalize(raw)
-    pts = ref_checked([(x0, r0, r0), *rest])
-    if any(min(left, right) < x for x, left, right in pts) or pts[-1][2] != 1:
-        raise InvariantError("not weakly increasing with g(x) >= x")
-    return pts
-
-
-def ref_jumps(jumps):
-    """`StepCDF.from_jumps` in `Fraction`s: a jump of the summed weight at
-    each distinct value, then `ref_cdf`."""
-    acc = {}
-    for v, w in jumps:
-        acc[pwl.as_fraction(v)] = acc.get(pwl.as_fraction(v), 0) + w
-    pts, cum = [] if min(acc) == 0 else [(F(0), F(0), F(0))], F(0)
-    for v in sorted(acc):
-        pts.append((v, cum, cum + acc[v]))
-        cum += acc[v]
-    return ref_cdf(pts if max(acc) == 1 else [*pts, (F(1), F(1), F(1))])
+    assert outcome(lambda: on_rows(pwl.check_monotone)(exact)) == outcome(lambda: ref.checked(exact))
+    if got[0] is not InvariantError:
+        assert all(type(v) is F for p in got for v in p)
+        assert outcome(lambda: on_rows(pwl.check_monotone)(got)) == outcome(lambda: ref.checked(got))
 
 
 @given(raw_points(), st.lists(st.integers(1, 5), min_size=12, max_size=12))
@@ -532,12 +443,12 @@ def ref_jumps(jumps):
 def test_constructors_match_fraction_pipeline(raw, weights):
     """The curve constructors on raw points (denominators past int64 too)
     against the `Fraction` pipeline: the same points or the same error."""
-    for build, ref in ((StepCDF.from_points, ref_cdf), (so.MonotoneRC.from_points, ref_g)):
-        got = outcome(build, raw)
-        assert (got[0], got[1].points if got[0] == "ok" else got[1]) == outcome(ref, raw)
+    for build, model in ((StepCDF.from_points, ref.cdf), (so.MonotoneRC.from_points, ref.threshold_g)):
+        got = outcome(lambda: build(raw))
+        assert (got if isinstance(got, tuple) else got.points) == outcome(lambda: model(raw))
     weights = [F(w, sum(weights[:len(raw)])) for w in weights[:len(raw)]]
     jumps = [(x, w) for (x, _, _), w in zip(raw, weights)]
-    assert StepCDF.from_jumps(jumps).points == ref_jumps(jumps)
+    assert StepCDF.from_jumps(jumps).points == ref.jumps_cdf(jumps)
 
 
 def test_constructors_build_rows_once(monkeypatch):
@@ -574,19 +485,19 @@ def test_constructors_build_rows_once(monkeypatch):
 )
 def test_check_monotone_messages(points, message):
     exact = [tuple(map(F, p)) for p in points]
-    assert outcome(on_rows(pwl.check_monotone), exact) == ("error", message)
-    assert outcome(ref_check_monotone, exact) == ("error", message)
+    assert outcome(lambda: on_rows(pwl.check_monotone)(exact)) == (InvariantError, message)
+    assert outcome(lambda: ref.check_monotone(exact)) == (InvariantError, message)
 
 
 def test_normalize_messages_and_collinear_drop():
     normalize = on_rows(pwl.normalize)
-    assert outcome(normalize, [("1/2", 0, 0), (0.5, 0, 0), (0, 0, 0)]) == (
-        "error", "duplicate breakpoint at 1/2")
-    assert outcome(normalize, []) == ("error", "need at least one breakpoint")
+    assert outcome(lambda: normalize([("1/2", 0, 0), (0.5, 0, 0), (0, 0, 0)])) == (
+        InvariantError, "duplicate breakpoint at 1/2")
+    assert outcome(lambda: normalize([])) == (InvariantError, "need at least one breakpoint")
     line = [(1, 1, 1), ("1/3", "1/3", "1/3"), (0, 0, 0), (0.5, 0.5, 0.5)]
-    assert normalize(line) == ((0, 0, 0), (1, 1, 1)) == ref_normalize(line)
+    assert normalize(line) == ((0, 0, 0), (1, 1, 1)) == ref.normalize(line)
     bent = [(0, 0, 0), ("1/3", "1/2", "1/2"), (0.5, 0.75, 0.75), (1, 1, 1)]
-    assert normalize(bent) == ref_normalize(bent)
+    assert normalize(bent) == ref.normalize(bent)
     assert len(normalize(bent)) == 3
 
 
@@ -601,43 +512,18 @@ def test_normalize_and_check_monotone_past_the_int64_bound(monkeypatch, den):
     bent = [(0, 0, 0), (a, a / 2, a / 2), (b, b, b), (1, 1, 1)]
     for raw in (on_line, bent, bent[::-1], [*bent, (b, 0, 0)]):
         spy.dtypes.clear()
-        assert outcome(normalize, raw) == outcome(ref_normalize, raw)
+        assert outcome(lambda: normalize(raw)) == outcome(lambda: ref.normalize(raw))
         assert object in spy.dtypes
     assert len(normalize(on_line)) == 2 and len(normalize(bent)) == 4
     for kind in _KINDS:
         pts = [tuple(map(F, p)) for p in _corrupt(kind, bent, 2)]
-        assert outcome(on_rows(pwl.check_monotone), pts) == outcome(ref_checked, pts)
-        assert outcome(normalize, pts) == outcome(ref_normalize, pts)
-
-
-def ref_reflect(points):
-    """`pwl.reflect` by one walk over the `Fraction` points, merging the
-    polyline's consecutive points of equal reflected x: the reference for
-    the walk on rows."""
-    groups = []
-    for x, left, right in reversed(points):
-        for y in (right, left):  # the polyline walked backwards
-            rx, ry = 1 - y, 1 - x
-            if groups and groups[-1][0] == rx:
-                groups[-1] = (rx, groups[-1][1], ry)
-            else:
-                groups.append((rx, ry, ry))
-    return tuple(groups) if groups[-1][0] == 1 else (*groups, (F(1), F(1), F(1)))
+        assert outcome(lambda: on_rows(pwl.check_monotone)(pts)) == outcome(lambda: ref.checked(pts))
+        assert outcome(lambda: normalize(pts)) == outcome(lambda: ref.normalize(pts))
 
 
 @given(st.one_of(cdfs([F(1, 3)]), monotone_gs()))
 def test_reflect_matches_point_walk(curve):
-    assert pwl.Curve.of_rows(*pwl.reflect(curve.rows)).points == ref_reflect(curve.points)
-
-
-def ref_segment_lines(points):
-    """(slope, intercept) of each piece's line in `Fraction`s, and (0, value)
-    at x = 1."""
-    out = []
-    for (x0, _, r0), (x1, l1, _) in zip(points, points[1:]):
-        slope = (l1 - r0) / (x1 - x0)
-        out.append((slope, r0 - slope * x0))
-    return out + [(F(0), points[-1][2])]
+    assert pwl.Curve.of_rows(*pwl.reflect(curve.rows)).points == ref.reflect(curve.points)
 
 
 @given(st.one_of(cdfs([F(1, 3)]), monotone_gs()))
@@ -645,11 +531,11 @@ def test_segment_lines_match_reference(curve):
     lines = pwl.segment_lines(curve)
     assert all(type(v) is int for line in lines for v in line)
     assert all(d > 0 for _, _, d in lines)
-    assert [(F(p, d), F(q, d)) for p, q, d in lines] == ref_segment_lines(curve.points)
+    assert [(F(p, d), F(q, d)) for p, q, d in lines] == ref.segment_lines(curve.points)
     # the same lines from rows over a multiple of the least denominator
     m, *cols = curve.rows
     wide = pwl.segment_lines(pwl.Curve.of_rows(6 * m, *(6 * c for c in cols)))
-    assert [(F(p, d), F(q, d)) for p, q, d in wide] == ref_segment_lines(curve.points)
+    assert [(F(p, d), F(q, d)) for p, q, d in wide] == ref.segment_lines(curve.points)
 
 
 def test_segment_lines_past_the_int64_bound(monkeypatch):
@@ -658,7 +544,7 @@ def test_segment_lines_past_the_int64_bound(monkeypatch):
                                    (F(5, 6), 1, 1), (1, 1, 1)])
     lines = pwl.segment_lines(g)
     assert object in spy.dtypes
-    assert [(F(p, d), F(q, d)) for p, q, d in lines] == ref_segment_lines(g.points)
+    assert [(F(p, d), F(q, d)) for p, q, d in lines] == ref.segment_lines(g.points)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])

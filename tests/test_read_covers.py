@@ -20,7 +20,8 @@ from poslim.errors import CycleError, InvariantError, SizeLimit
 from poslim.measures import AtomicMeasure
 from poslim.rng import SeededRng
 
-from conftest import atomic_measures, fixpoint_closure, monotone_gs, step_measures
+import reference as ref
+from conftest import atomic_measures, monotone_gs, step_measures
 
 SHARED_ATOMS = AtomicMeasure.from_atoms(
     [(0, F(1, 2), F(1, 2)), (F(1, 2), 1, F(1, 4)), (F(1, 2), F(1, 2), F(1, 4))]
@@ -30,7 +31,10 @@ TIED = [so.MonotoneRC.identity(), so.gc(0), so.gc(1), so.gc(F(3, 10)), SHARED_AT
 
 def closure_reference(text):
     """The poset `read_poset` gave before any cover set was recognized:
-    `transitive_closure` of the pairs in file order."""
+    `transitive_closure` of the pairs in file order.  It stays here, beside
+    the models of `reference`, because it is no model: it holds one `src/`
+    path (the cover recognition) to another (the plain closure), which
+    `assert_reads_as` checks against `fixpoint_closure`."""
     n, *pairs = (int(t) for t in text.split()[1:])
     tails, heads = (np.array(c, dtype=np.int64) - 1 for c in (pairs[0::2], pairs[1::2]))
     return ps.transitive_closure(n, tails, heads)
@@ -44,7 +48,7 @@ def assert_reads_as(text, kind=None):
     interval = rec.is_interval_order(q)
     assert type(p) is (kind or (ps.IntervalSample if interval else ps.FinitePoset))
     assert p.succ == q.succ and p.pred == q.pred
-    assert list(q.succ) == fixpoint_closure(q.succ)  # the reference is closed
+    assert list(q.succ) == ref.fixpoint_closure(q.succ)  # the reference is closed
     return p
 
 
@@ -195,7 +199,7 @@ def test_a_cover_swapped_for_a_non_cover_takes_the_closure(seed):
                 masks[tail - 1] |= 1 << (h - 1)
             p = assert_reads_as("\n".join([head, *(f"{x} {y}" for x, y in arcs)]) + "\n",
                                 ps.FinitePoset)
-            assert list(p.succ) == fixpoint_closure(masks)
+            assert list(p.succ) == ref.fixpoint_closure(masks)
             swaps += 1
     assert swaps
 
@@ -225,6 +229,20 @@ def test_bad_files_raise_as_before(text, error, message):
     with pytest.raises(error) as info:
         ps.read_poset(text)
     assert str(info.value) == message
+
+
+def test_the_deepest_files_at_the_point_cap():
+    """A chain of MAX_POINTS points, two disjoint chains of half as many and
+    the chain's arcs in reverse order: each Kahn layer one point deep."""
+    n, half = textio.MAX_POINTS, textio.MAX_POINTS // 2
+    lines = [f"{i} {i + 1}\n" for i in range(1, n)]
+    p = ps.read_poset(f"poset {n}\n" + "".join(lines))
+    assert type(p) is ps.IntervalSample and p == ps.chain(n)
+    two = ps.read_poset(f"poset {n}\n" + "".join(lines[: half - 1] + lines[half:]))
+    low = [((1 << half) - 1) & -(2 << i) for i in range(half)]  # the points above i, below half
+    assert type(two) is ps.FinitePoset and list(two.succ) == low + [row << half for row in low]
+    tails = np.arange(n - 2, -1, -1)
+    assert ps.transitive_closure(n, tails, tails + 1) == ps.chain(n)
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 63, 64, 65, 71, 130])

@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from poslim import densities as de
 from poslim import poset as ps
 from poslim import recognition as rec
-from poslim import textio
 from poslim.errors import InternalInvariantError, NotIntervalOrder
 from poslim.measures import AtomicMeasure, StepKernelMeasure
 from poslim.rng import SeededRng
 from poslim.sampling import sample_kernel_poset
 from poslim.semiorders import gc
 
-from conftest import is_isomorphic, posets
+import reference as ref
+from conftest import posets
 
 
 def test_pattern_examples():
@@ -34,10 +34,10 @@ def test_witnesses_are_induced_patterns():
     w = rec.find_two_plus_two(h)
     assert w is not None
     sub = ps.induced(h, list(w))
-    assert is_isomorphic(sub, h)
+    assert ref.is_isomorphic(sub, h)
     l = ps.three_plus_one()
     w = rec.find_three_plus_one(l)
-    assert is_isomorphic(ps.induced(l, list(w)), l)
+    assert ref.is_isomorphic(ps.induced(l, list(w)), l)
 
 
 def test_downset_chain_examples():
@@ -47,10 +47,12 @@ def test_downset_chain_examples():
 
 
 def assert_tests_match_pattern_search(p):
-    """The down-set tests against the 2+2 and 3+1 searches they replaced."""
+    """The down-set tests against the 2+2 and 3+1 searches they replaced,
+    and against the reference's searches."""
     io = rec.find_two_plus_two(p) is None
-    assert rec.is_interval_order(p) == io
-    assert rec.is_semiorder(p) == (io and rec.find_three_plus_one(p) is None)
+    assert rec.is_interval_order(p) == io == (ref.two_plus_two(p) is None)
+    semi = io and rec.find_three_plus_one(p) is None
+    assert rec.is_semiorder(p) == semi == (io and ref.three_plus_one(p) is None)
 
 
 def test_routes_agree_on_catalog(catalog6):
@@ -159,7 +161,7 @@ def test_representation_realizes_catalog(catalog6):
             continue
         # the constructor re-checks realization internally; re-verify here
         rep = rec.interval_representation(p)
-        assert rep == p
+        assert rep == p and list(rep.intervals) == ref.representation(p)
         assert_realizes_pairwise(p, rep)
 
 
@@ -209,13 +211,6 @@ def test_hom_density_is_the_empirical_measures(seed):
                 assert de.kernel_density_atomic(q, mu) == de.density(q, p, "hom")
 
 
-def reference_write_representation(rep):
-    """The rows of `Fraction` tuples: `textio.to_csv` of each index, left
-    rank and interval of `rep.intervals`."""
-    rows = zip(range(1, rep.n + 1), rec._left_ranks(rep), *zip(*rep.intervals))
-    return textio.to_csv(rec._COLUMNS, rows)
-
-
 def _object_ends(seed):
     """A sample whose ends are object ints over a denominator past 2^63."""
     rng = np.random.default_rng(seed)
@@ -228,8 +223,9 @@ def _object_ends(seed):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_write_representation_equals_the_fraction_rows(seed):
-    """Byte for byte the `to_csv` of the `Fraction` intervals, on int64 ends
-    (representations of samples, a sample of tied ends) and object ends."""
+    """Byte for byte the reference's CSV of the `Fraction` intervals, on
+    int64 ends (representations of samples, a sample of tied ends) and
+    object ends."""
     samples = [
         rec.interval_representation(sample_kernel_poset(gc(Fraction(3, 10)), 200, SeededRng(seed))),
         rec.interval_representation(sample_kernel_poset(_RICH, 100, SeededRng(seed))),
@@ -241,7 +237,7 @@ def test_write_representation_equals_the_fraction_rows(seed):
     for rep in samples:
         text = rec.write_representation(rep)
         assert "intervals" not in vars(rep)  # written from the integer ends
-        assert text == reference_write_representation(rep)
+        assert text == ref.write_representation(rep.intervals)
         assert rec.read_representation(text) == rep
 
 

@@ -23,15 +23,8 @@ from poslim.errors import (
 from poslim.measures import AtomicMeasure, StepCDF, StepKernelMeasure
 from poslim.rng import SeededRng
 
-from conftest import (
-    atomic_measures,
-    is_isomorphic,
-    monotone_gs,
-    pattern_code,
-    posets,
-    rate_pieces,
-    step_measures,
-)
+import reference as ref
+from conftest import atomic_measures, monotone_gs, posets, rate_pieces, step_measures
 
 TWO_CELL = StepKernelMeasure.from_cells(
     [(0, F(1, 2), [(F(1, 2), 1)]), (F(1, 2), 1, [(1, 1)])]
@@ -41,7 +34,7 @@ TWO_CELL = StepKernelMeasure.from_cells(
 def test_sample_extremes():
     assert sa.sample_kernel_poset(so.gc(1), 50, SeededRng(1)).pair_count() == 0
     p = sa.sample_kernel_poset(so.MonotoneRC.identity(), 7, SeededRng(2))
-    assert is_isomorphic(p, ps.chain(7))
+    assert ref.is_isomorphic(p, ps.chain(7))
     assert sa.sample_interval_poset(AtomicMeasure.dirac(0, 1), 20, SeededRng(3)).pair_count() == 0
     single = sa.sample_interval_poset(TWO_CELL, 1, SeededRng(4))
     assert single.n == 1
@@ -125,25 +118,10 @@ def test_nu_moments_match_star_densities():
             assert emp == dens
 
 
-def grid_nu_empirical(p, sign):
-    """Reference: the n + 1 grid values k/n, then `StepCDF.from_points`."""
-    n = p.n
-    counts = np.bincount(p.degrees(sign), minlength=n).tolist()
-    grid = [F(k, n) for k in range(n + 1)]
-    pts = [] if counts[0] else [(F(0), F(0), F(0))]
-    cum = 0
-    for d, c in enumerate(counts):
-        if c:
-            pts.append((grid[d], grid[cum], grid[cum + c]))
-            cum += c
-    pts.append((F(1), F(1), F(1)))
-    return StepCDF.from_points(pts).points
-
-
 def assert_nu_matches_grid(p):
     for sign in ("minus", "plus"):
         got = sa.nu_empirical(p, sign).points
-        assert got == grid_nu_empirical(p, sign)
+        assert got == ref.nu(p, sign)
         assert all(type(v) is F for point in got for v in point)
 
 
@@ -167,25 +145,14 @@ def test_nu_empirical_matches_grid_at_the_extremes(p):
     assert_nu_matches_grid(p)
 
 
-def fraction_nu_empirical(p, sign):
-    """Reference: `Fraction(k, n)` once for each coordinate k, then the
-    points (d/n, lo/n, hi/n) and (1, 1, 1)."""
-    n = p.n
-    counts = np.bincount(p.degrees(sign))
-    ds = np.flatnonzero(counts).tolist()
-    ends = [0, *np.cumsum(counts[ds]).tolist()]
-    k_n = {k: F(k, n) for k in {*ds, *ends}}
-    pts = [(k_n[d], k_n[lo], k_n[hi]) for d, lo, hi in zip(ds, ends, ends[1:])]
-    return tuple(pts + [(F(1), F(1), F(1))])
-
-
 def assert_rows_match_fractions(p):
     for sign in ("minus", "plus"):
         nu = sa.nu_empirical(p, sign)
         den, *cols = nu.rows
         assert den == p.n and all(c.dtype == np.int64 for c in cols)
         assert "points" not in vars(nu)
-        assert nu.points == fraction_nu_empirical(p, sign)
+        assert list(zip(*(c.tolist() for c in cols))) == [
+            tuple(v * den for v in point) for point in ref.nu(p, sign)]
 
 
 @given(st.lists(st.tuples(_ends, _ends).map(sorted), min_size=1, max_size=12))
@@ -217,18 +184,6 @@ def test_identity_degree_path_builds_no_points():
 def test_nu_empirical_rejects_an_empty_poset():
     with pytest.raises(InvariantError, match="posets are non-empty"):
         sa.nu_empirical(ps.FinitePoset.from_succ_masks([]), "minus")
-
-
-def candidate_ks_at_continuity(f, g):
-    """Reference: the candidates as `Fraction`s, each read by `value`."""
-    jumps = [x for x, left, right in g.points if left != right]
-    candidates = {F(k, 64) for k in range(65)} | set(g.breakpoints())
-    best = F(0)
-    for t in sorted(candidates):
-        if any(abs(t - j) <= F(1, 32) for j in jumps):
-            continue
-        best = max(best, abs(f.value(t) - g.value(t)))
-    return best
 
 
 # breakpoints on the grid k/64, off it, and exactly 1/32 from either
@@ -271,7 +226,7 @@ _WIDE_VALUES = StepCDF.from_jumps(  # breakpoints over 4, values over 2^64: obje
 @example(_WIDE_VALUES, StepCDF.uniform())
 @settings(max_examples=150, deadline=None)
 def test_ks_at_continuity_matches_candidate_loop(f, g):
-    assert sa.ks_distance_at_continuity(f, g) == candidate_ks_at_continuity(f, g)
+    assert sa.ks_distance_at_continuity(f, g) == ref.ks_at_continuity(f.points, g.points)
 
 
 def test_ks_at_continuity_past_the_int64_bound(monkeypatch):
@@ -288,7 +243,7 @@ def test_ks_at_continuity_past_the_int64_bound(monkeypatch):
     monkeypatch.setattr(sa, "_fit", spy)
     f = StepCDF.from_points([(0, 0, 0), (F(2**34, 2**35 + 1), F(1, 3), F(1, 3)), (1, 1, 1)])
     g = StepCDF.from_points([(0, 0, 0), (F(2**33, 2**34 + 3), F(1, 5), F(3, 5)), (1, 1, 1)])
-    assert sa.ks_distance_at_continuity(f, g) == candidate_ks_at_continuity(f, g)
+    assert sa.ks_distance_at_continuity(f, g) == ref.ks_at_continuity(f.points, g.points)
     assert object in dtypes
 
 
@@ -313,7 +268,7 @@ def test_one_target_serves_many_samples_from_its_cached_grid(target):
         fresh = StepCDF.from_points(target.points)
         got = sa.ks_distance_at_continuity(f, target)
         assert "continuity_values" not in vars(fresh) and fresh == target
-        assert got == sa.ks_distance_at_continuity(f, fresh) == candidate_ks_at_continuity(f, target)
+        assert got == sa.ks_distance_at_continuity(f, fresh) == ref.ks_at_continuity(f.points, target.points)
         first = first or target.continuity_values
         assert target.continuity_values is first
     td, ks, num, den = first
@@ -322,16 +277,6 @@ def test_one_target_serves_many_samples_from_its_cached_grid(target):
     for arr in (ks, num):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 7
-
-
-def pairwise_continuity_grid(g):
-    """The candidates as they were filtered before the bisect: each one
-    against every jump of g."""
-    td = math.lcm(64, *(x.denominator for x, _, _ in g.points))
-    ks = set(range(0, td + 1, td // 64))
-    ks.update(x.numerator * td // x.denominator for x, _, _ in g.points)
-    jumps = [x.numerator * td // x.denominator for x, lt, rt in g.points if lt != rt]
-    return td, [k for k in sorted(ks) if all(abs(k - j) > td // 32 for j in jumps)]
 
 
 _sample_cdfs = st.builds(  # many jumps, some within 1/32 of each other
@@ -349,7 +294,8 @@ _sample_cdfs = st.builds(  # many jumps, some within 1/32 of each other
 @settings(max_examples=150, deadline=None)
 def test_continuity_grid_matches_the_pairwise_filter(g):
     td, ks, _, _ = g.continuity_values
-    assert (td, ks.tolist()) == pairwise_continuity_grid(g)
+    assert td == math.lcm(64, *(x.denominator for x, _, _ in g.points))
+    assert ks.tolist() == [int(t * td) for t in ref.continuity_candidates(g.points)]
 
 
 def test_ks_examples():
@@ -420,7 +366,7 @@ def oracle_classes(max_q):
     cat = ps.cached_catalog(max_q)
     out = []
     for idx, q in enumerate(cat.classes):
-        codes = {pattern_code(q.succ, perm) for perm in itertools.permutations(range(q.n))}
+        codes = {ref.pattern_code(q.succ, perm) for perm in itertools.permutations(range(q.n))}
         out.append((cat.class_id(idx), q.n, codes, math.factorial(q.n) // len(codes)))
     return out
 
@@ -434,7 +380,7 @@ def test_fingerprints_match_pattern_code_oracle(p, max_q, seed):
     classes = oracle_classes(max_q)
     expected = {}
     for pid, s, codes, aut in classes:
-        c = sum(pattern_code(p.succ, t) in codes for t in itertools.combinations(range(p.n), s))
+        c = sum(ref.pattern_code(p.succ, t) in codes for t in itertools.combinations(range(p.n), s))
         expected[pid] = F(c * aut, math.perm(p.n, s)) if c else F(0)
     fp = sa.fingerprint(p, max_q)
     assert {e.poset_id: e.value for e in fp.entries} == expected
@@ -446,7 +392,7 @@ def test_fingerprints_match_pattern_code_oracle(p, max_q, seed):
     def checked(q, tuples):
         codes = tuple_codes(q, tuples)
         if q is p:
-            assert codes.tolist() == [pattern_code(p.succ, t) for t in tuples.T.tolist()]
+            assert codes.tolist() == [ref.pattern_code(p.succ, t) for t in tuples.T.tolist()]
             drawn[len(tuples)] = tuples.T.tolist()
         return codes
 
@@ -463,7 +409,7 @@ def test_fingerprints_match_pattern_code_oracle(p, max_q, seed):
         if s == 1:
             assert values[pid] == 1.0
         elif s <= p.n:
-            c = sum(pattern_code(p.succ, t) in codes for t in drawn[s])
+            c = sum(ref.pattern_code(p.succ, t) in codes for t in drawn[s])
             assert values[pid] == c / subsets * (aut / math.factorial(s))
         else:
             assert values[pid] == 0.0
@@ -491,25 +437,6 @@ def test_exact_fingerprint_block_size_does_not_matter(monkeypatch):
     monkeypatch.setattr(sa, "_FINGERPRINT_BLOCK", 7)
     assert [sa.fingerprint(plain, 5), sa.fingerprint(fresh, 5)] == expected
     assert expected[0] == expected[1]
-
-
-def combinations_reference(p, max_q):
-    """The exact fingerprint counted without the subset walk: every s-subset
-    from `itertools.combinations`, 1,024 at a time, coded by `_tuple_codes`
-    and classified by `_pattern_table`."""
-    entries = []
-    for s in range(1, max_q + 1):
-        table, auts, ids, labs = sa._pattern_table(s)
-        counts = [0] * (len(auts) + 1)
-        combos = itertools.combinations(range(p.n), s)
-        while block := list(itertools.islice(combos, 1024)):
-            for code in sa._tuple_codes(p, np.array(block).T).tolist():
-                counts[table[code]] += 1
-        assert counts.pop() == 0  # every subset is partially ordered
-        maps = math.perm(p.n, s)
-        for pid, lab, c, aut in zip(ids, labs, counts, auts):
-            entries.append(sa.FingerprintEntry(pid, lab, F(c * aut, maps) if c else F(0), F(0)))
-    return sa.Fingerprint(max_q, tuple(entries))
 
 
 ANY_INTERVAL_MODEL = st.one_of(
@@ -541,7 +468,9 @@ def test_fingerprint_walk_matches_the_combinations_reference(p, max_q, block):
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(sa, "_FINGERPRINT_BLOCK", block)
-        assert sa.fingerprint(p, max_q) == combinations_reference(p, max_q)
+        fp = sa.fingerprint(p, max_q)
+    assert [(e.poset_id, e.label, e.value) for e in fp.entries] == ref.fingerprint(p, max_q)
+    assert fp.catalog_size == max_q and {e.half_width for e in fp.entries} == {0}
 
 
 @pytest.mark.parametrize("block", [1, 7, 2048])
@@ -554,7 +483,7 @@ def test_subset_walk_visits_every_subset_once_in_bounded_blocks(monkeypatch, blo
         codes[s] += block_codes.tolist()
     for s, got in codes.items():
         subsets = itertools.combinations(range(p.n), s)
-        assert sorted(got) == sorted(pattern_code(p.succ, t) for t in subsets)
+        assert sorted(got) == sorted(ref.pattern_code(p.succ, t) for t in subsets)
 
 
 @pytest.mark.parametrize("n, max_q, cap_mib", [(3000, 2, 4), (40, 5, 2)])
@@ -624,7 +553,7 @@ def test_exact_fingerprint_budget_checked_before_any_block(monkeypatch):
 
 def test_random_graph_order_examples():
     p = sa.random_graph_order(40, 1, SeededRng(3))
-    assert is_isomorphic(p, ps.chain(40))
+    assert ref.is_isomorphic(p, ps.chain(40))
     assert sa.random_graph_order(60, 1e-9, SeededRng(3)).pair_count() == 0
     q = sa.random_graph_order(200, 0.05, SeededRng(5))
     q.check_valid()

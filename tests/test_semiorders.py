@@ -12,7 +12,8 @@ from poslim.errors import FormatError, InvariantError, NotInPMinus
 from poslim.measures import StepCDF, check_p_minus
 from poslim.poset import IntervalSample
 
-from conftest import monotone_gs, rate_pieces, ref_rate_g
+import reference as ref
+from conftest import monotone_gs, rate_pieces
 
 
 def test_validate_g():
@@ -116,32 +117,13 @@ def test_f_minus_in_p_minus(g):
         assert left >= x or x == 0
 
 
-def _f_plus_direct(g, t):
-    """Independent evaluation: F_+(t) = 1 - min{x : 1 - g(x) <= t}.
-
-    The minimum exists for every t in [0,1] because g is right-continuous
-    and g(1) = 1; scan breakpoints and segments left to right for the first
-    x with g(x) >= 1 - t.
-    """
-    v = 1 - t
-    pts = g.points
-    for i, (x, left, right) in enumerate(pts):
-        if i > 0:
-            px, _, pright = pts[i - 1]
-            if pright < v <= left:  # crossing inside the open segment
-                return 1 - (px + (v - pright) * (x - px) / (left - pright))
-        if right >= v:
-            return 1 - x
-    raise AssertionError("unreachable: g(1) = 1")
-
-
 @given(monotone_gs())
 @settings(max_examples=60, deadline=None)
 def test_f_plus_matches_direct_min_evaluation(g):
     fp = so.f_plus(g)
     for k in range(33):
         t = F(k, 32)
-        assert fp.value(t) == _f_plus_direct(g, t), t
+        assert fp.value(t) == ref.f_plus_at(g, t), t
 
 
 def test_g_from_rate_examples():
@@ -187,13 +169,13 @@ def test_g_from_rate_matches_oracle(pieces, extra):
     breaks = [lo for lo, _, _ in pieces] + [F(1)]
     mids = [(a + b) / 2 for a, b in zip(breaks, breaks[1:])]
     for x in breaks + mids + extra:
-        assert g.value(x) == ref_rate_g(pieces, x)
+        assert g.value(x) == ref.rate_g(pieces, x)
     # g is linear between its own breakpoints: the oracle at both ends and
     # the midpoint of each piece fixes the stored left limit
     for (x0, _, _), (x1, left, right) in zip(g.points, g.points[1:]):
-        mid = ref_rate_g(pieces, (x0 + x1) / 2)
-        assert left == 2 * mid - ref_rate_g(pieces, x0)
-        assert right == ref_rate_g(pieces, x1)
+        mid = ref.rate_g(pieces, (x0 + x1) / 2)
+        assert left == 2 * mid - ref.rate_g(pieces, x0)
+        assert right == ref.rate_g(pieces, x1)
 
 
 def test_kernel_wg():

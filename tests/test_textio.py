@@ -13,7 +13,6 @@ from poslim import cli, densities, graphs, measures, poset, recognition, samplin
 from poslim import semiorders
 from poslim import textio
 from poslim.errors import (
-    CycleError,
     FormatError,
     InvalidArgument,
     InvariantError,
@@ -22,7 +21,8 @@ from poslim.errors import (
 )
 from poslim.rng import SeededRng
 
-from conftest import fixpoint_closure, posets, step_measures
+import reference as ref
+from conftest import outcome, posets, step_measures
 
 READERS = {
     "poset": poset.read_poset,
@@ -365,54 +365,25 @@ def test_representation_roundtrip(n, seed, c):
 # -- the integer-row parser against the `rows` reference ------------------------
 
 
-def _outcome(call):
-    """A call's value, or the class and message of the PoslimError it raised."""
-    try:
-        return call()
-    except PoslimError as exc:
-        return type(exc), str(exc)
-
-
-def _reference_rows(body):
-    return textio.rows([ln.strip() for ln in body.splitlines() if ln.strip()], 2, int)
-
-
-def _reference_poset(n, body):
-    """`read_poset` of a body one row at a time: range checks in file order,
-    then the fixpoint closure; a cycle names the least point Kahn's
-    algorithm cannot reach."""
-    pairs = _reference_rows(body)
-    for a, b in pairs:
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise InvariantError(f"pair ({a},{b}) out of range 1..{n}")
-    masks = [0] * n
-    for a, b in pairs:
-        masks[a - 1] |= 1 << (b - 1)
-    closed = fixpoint_closure(masks)
-    cyclic = [j for j in range(n) if (closed[j] >> j) & 1]
-    if cyclic:
-        stuck = min(i for i in range(n) for j in cyclic if (closed[j] >> i) & 1)
-        raise CycleError(f"relation has a cycle at or below point {stuck + 1}")
-    p = poset.FinitePoset.from_succ_masks(closed)
-    p.check_valid()
-    return p
-
-
-def _reference_graph(n, body):
-    return graphs.SimpleGraph.from_edges(n, [(a - 1, b - 1) for a, b in _reference_rows(body)])
+def _graph(n, pairs):
+    return graphs.SimpleGraph.from_edges(n, [(a - 1, b - 1) for a, b in pairs])
 
 
 def assert_parsers_agree(body, n=3):
-    fast = _outcome(lambda: textio.int_pairs(body))
+    """`int_pairs`, `read_poset` and `read_graph` against `ref.read_pairs`
+    and the models built on it: the same values or the same error."""
+    fast = outcome(lambda: textio.int_pairs(body))
     if isinstance(fast, tuple) and isinstance(fast[0], np.ndarray):
         fast = list(zip(*(c.tolist() for c in fast)))
-    assert fast == _outcome(lambda: _reference_rows(body))
-    for keyword, read, reference in (
-        ("poset", poset.read_poset, _reference_poset),
-        ("graph", graphs.read_graph, _reference_graph),
+    assert fast == outcome(lambda: ref.read_pairs(body))
+    for keyword, read, model in (
+        ("poset", poset.read_poset, ref.relation),
+        ("graph", graphs.read_graph, _graph),
     ):
-        got = _outcome(lambda: read(f"{keyword} {n}{body}"))
-        assert got == _outcome(lambda: reference(n, body))
+        got = outcome(lambda: read(f"{keyword} {n}{body}"))
+        assert got == outcome(lambda: model(n, ref.read_pairs(body)))
+        if isinstance(got, poset.FinitePoset):
+            got.check_valid()
 
 
 PAIR_BODIES = [
@@ -571,14 +542,7 @@ def test_int_pairs_returns_contiguous_columns():
         assert tails.flags.c_contiguous and heads.flags.c_contiguous
 
 
-# -- write_poset against a plain-Python writer ---------------------------------
-
-
-def _reference_write(p):
-    """One `f"{i} {j}"` line per cover, in (i, j) order, 1-based."""
-    covers = [(i, j) for i in range(p.n) for j in range(p.n) if p.less(i, j)
-              and not any(p.less(i, k) and p.less(k, j) for k in range(p.n))]
-    return "".join([f"poset {p.n}\n", *(f"{i + 1} {j + 1}\n" for i, j in sorted(covers))])
+# -- write_poset against the reference writer ------------------------------------
 
 
 _WRITTEN = {
@@ -606,7 +570,7 @@ _WRITTEN = {
 def test_write_poset_equals_the_reference_writer(kind, seed):
     p = _WRITTEN[kind](SeededRng(seed))
     text = poset.write_poset(p)
-    assert text == _reference_write(p)
+    assert text == ref.write_poset(p)
     assert poset.read_poset(text) == p
 
 
@@ -626,7 +590,7 @@ def test_sorted_covers_with_coverless_ends_read_as_their_closure(text):
     closure = poset.transitive_closure(n, tails - 1, heads - 1)
     p = poset.read_poset(text)
     assert p == closure and p.pred == closure.pred
-    assert poset.write_poset(p) == _reference_write(closure) == text
+    assert poset.write_poset(p) == ref.write_poset(closure) == text
 
 
 def test_read_csv_refuses_a_field_past_the_csv_limit():
