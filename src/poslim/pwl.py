@@ -15,18 +15,20 @@ return rows, comparing integers over one denominator.  Each curve builds its
 line table (`Curve.lines`) once, on first read: the reduced line of every
 piece, and the same lines over one common denominator while they stay in
 int64; a step curve, flat on every piece, takes its values as the table
-with no line computed.  `value_at`, `left_limit_at` and `sup_distance`
-evaluate through `_along`, which the continuity KS of `sampling` also calls
-on its integer candidates: one `searchsorted` and one multiply-add over the
-table's gathered pieces, in int64 under a stated bound and in object ints,
-over the pieces a read hits, past it.
+with no line computed.  `_along` is the one evaluator of every curve read:
+`value_at`, `left_limit_at`, `sup_distance`, the continuity KS of
+`sampling` at its integer candidates and the threshold draw of
+`sampling.draw_intervals` at its stream integers.  It reads points in any
+order: one `searchsorted` over lcm(m, n) and one multiply-add over the
+table's gathered pieces, in int64 while the table's computed reach allows
+it, and past it over the distinct pieces a read hits, in int64 or object
+ints by their own reach.
 
 Each geometric rule of the representation calculus lives here once:
 evaluation (`Curve`, the base of CDFs and threshold functions), the
 reflection across x + y = 1 (`reflect`), pieces tiling [0,1] (`tiling`) and
 the line through a piece (`_line`, once per curve in its line table), which
-`_along`, `segment_lines`, the sampler and the g text format's slopes all
-read.
+`_along`, `segment_lines` and the g text format's slopes all read.
 """
 
 from __future__ import annotations
@@ -261,13 +263,12 @@ class Lines(NamedTuple):
 
     (p, q, d) is each piece's line (p t + q)/d, reduced; a step curve keeps
     (0, its value v, m) for the value v/m, unreduced.  slope and level are
-    the same lines over one denominator den, slope = p den/d and level =
-    q den/d, and `reach` bounds a read: at x/n in [0,1] every product stays
-    below reach n.  A general curve with m the rows' denominator takes den,
-    the lcm of every d, and reach (2m + 2) den (|slope| <= m, |intercept| <=
-    m + 1 on values in [0,1]); a step curve takes den = reach = m.  When
-    reach reaches 2^63, no read fits int64: den, slope and level are None
-    and reach is infinite.
+    the same lines over one denominator den (`_over`): the lcm of every d,
+    or m on a step curve.  `reach` is computed from them, max(|slope| +
+    |level|), so it is the table's exact bound: at x/n in [0,1] every
+    product of a read, and the value, stays within reach n.  When reach
+    reaches 2^63, no read fits int64: den, slope and level are None and
+    reach is infinite.
     """
 
     p: np.ndarray
@@ -288,7 +289,7 @@ def _lines(rows: Rows) -> Lines:
     size = len(x) + 1
     if step := (lt[1:] == rt[:-1]).all():  # every piece flat at its start's right value
         p, q, d = np.zeros(size, np.int64), np.concatenate((lt[:1], rt)), np.full(size, m)
-        den = reach = m
+        den = m
     else:
         p, q, d = _line(rows, np.arange(size))
         g = np.gcd(np.gcd(p, q), d)
@@ -298,43 +299,56 @@ def _lines(rows: Rows) -> Lines:
             den = math.lcm(den, v)
             if den >> 63:
                 break
-        reach = (2 * m + 2) * den
-    slope = level = None
-    if reach >> 63:  # no read fits int64 (and den may not): no common denominator
-        den, reach = None, math.inf
-    else:  # a step curve's lines are over den = m already
-        slope, level = _fit(reach, *((p, q) if step else (p * (den // d), q * (den // d))))
+    reach = math.inf
+    if not den >> 63:  # a step curve's lines are over den = m already
+        slope, level, reach = (p, q, int(abs(q).max())) if step else _over(den, p, q, d)
+    if reach < 1 << 63:
+        slope, level = _fit(reach, slope, level)
+    else:  # no read fits int64 (and den may not): no common denominator
+        den, slope, level, reach = None, None, None, math.inf
     for a in (p, q, d, slope, level):
         if a is not None:
             a.flags.writeable = False
     return Lines(p, q, d, den, slope, level, reach)
 
 
+def _over(den: int, p, q, d) -> tuple[np.ndarray, np.ndarray, int]:
+    """(slope, level, reach): the lines (p t + q)/d put over den, a multiple
+    of every d, and reach = max(|slope| + |level|).  The products are formed
+    in int64 while (max |p| + max |q|) den, which bounds them (d >= 1), is
+    below 2^63, in object ints past it."""
+    p, q, d = _fit((int(abs(p).max()) + int(abs(q).max())) * den, p, q, d)
+    slope, level = p * (den // d), q * (den // d)
+    return slope, level, int((abs(slope) + abs(level)).max())
+
+
 def _along(curve: Curve, x: np.ndarray, n: int, side: str) -> tuple[np.ndarray, int]:
     """Values (side "right") or left limits ("left") of the curve at the
-    nondecreasing x/n in [0,1]: numerators over one returned denominator.
+    x/n in [0,1], in any order: numerators over one returned denominator.
 
-    One `searchsorted` of x m against the rows' x n (below mn) finds each
-    point's piece in the curve's line table (`Curve.lines`).  When reach n
-    is below 2^63, the value is two gathers and one int64 multiply-add over
-    the table's common denominator den, returned as den n: no line, gcd or
-    lcm is computed per read.  Past it, the lines of the pieces the read
-    hits are put over their least common denominator D, and products stay
-    below (2m + 2)Dn (|slope| <= m, |intercept| <= m + 1): int64 under
-    2^63, object ints past it.
+    One `searchsorted` of x/n against the rows' x/m, both over lcm(m, n),
+    finds each point's piece in the curve's line table (`Curve.lines`).
+    When the table's reach n is below 2^63, the value is two gathers and
+    one int64 multiply-add over the table's common denominator den,
+    returned as den n: no line, gcd or lcm is computed per read.  Past it,
+    the distinct pieces the read hits (`np.unique`) are put over their
+    least common denominator D (`_over`), and the read is int64 while
+    their own reach times n is below 2^63, object ints past it.
     """
     m, y = curve.rows[:2]
-    y, x = _fit(m * n, y, x)
-    k = np.searchsorted(y * n, x * m, side)
+    lcm = math.lcm(m, n)
+    y, xs = _fit(lcm, y, x)
+    k = np.searchsorted(y * (lcm // m), xs * (lcm // n), side)
     t = curve.lines
     if t.reach * n < 1 << 63:
+        (x,) = _fit(t.reach * n, x)
         return t.slope[k] * x + t.level[k] * n, t.den * n
-    new = np.diff(k, prepend=-1) != 0
-    p, q, d = (c[k[new]] for c in t[:3])
+    hit, at = np.unique(k, return_inverse=True)
+    p, q, d = (c[hit] for c in t[:3])
     den = math.lcm(*d.tolist())
-    p, q, d, x = _fit((2 * m + 2) * den * n, p, q, d, x)
-    at, scale = np.cumsum(new) - 1, den // d
-    return (p * scale)[at] * x + (q * scale)[at] * n, den * n
+    slope, level, reach = _over(den, p, q, d)
+    slope, level, x = _fit(max(reach, 1) * n, slope, level, x)  # x itself is up to n
+    return slope[at] * x + (level * n)[at], den * n
 
 
 def _line(rows: Rows, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -165,10 +165,12 @@ def write_representation(rep: IntervalSample) -> str:
 
 
 def read_representation(text: str) -> IntervalSample:
-    table = textio.read_csv(text, _COLUMNS)
-    n = len(table)
+    """The intervals of an `index,rank,a,b` CSV; more than `textio.MAX_POINTS`
+    rows raise SizeLimit before any row is kept or checked."""
+    n = sum(1 for _ in textio.csv_rows(text)) - 1  # the rows under the header, none kept
     if n > textio.MAX_POINTS:
         raise SizeLimit(f"representation has {n} points, the cap is {textio.MAX_POINTS}")
+    table = textio.read_csv(text, _COLUMNS)
     by_index = {textio.parse_int(r[0]): r for r in table}
     if sorted(by_index) != list(range(1, n + 1)):
         raise FormatError(f"index column is not 1..{n}, each once")

@@ -22,7 +22,7 @@ Kolmogorov distances read curves through their line tables: the continuity
 KS reads the sample's curve by `pwl._along` at the integer candidates the
 target caches with its values there, so no `Fraction` is built per
 candidate.  Whatever one g or one target serves many samples builds once on
-that object: g's draw table, a rate's g, a target's line table and its
+that object: a rate's g, the line table of g or of a target, and a target's
 continuity candidates.
 """
 
@@ -78,21 +78,18 @@ def draw_intervals(model: SamplerModel, columns) -> tuple[int, np.ndarray, np.nd
     i.i.d. draws from an interval model, one per entry of the k arrays of
     stream integers `columns(k)` returns (k = 2 for a step measure, else 1).
     A threshold g, or a rate function's g (`RateFunction.g`, derived once),
-    turns u into [u, g(u)]: g's `draw_table`, built once per g, gives the
-    integer starts of its pieces and their lines over den = L UNIT, so the
-    draw is one `searchsorted` of k, a = L k and b = slope k + level.  A
-    step measure puts u in its cell and picks the right end among the
+    turns u into [u, g(u)]: b over den is g read at k/UNIT by `pwl._along`,
+    through g's line table, and a = k den/UNIT, in b's dtype.  A step
+    measure puts u in its cell and picks the right end among the
     cell's conditional atoms by the second uniform; an atomic measure picks
     an atom by cumulative weight.  No float is rounded and no `Fraction` is
     built."""
     if isinstance(model, RateFunction):
         model = model.g
     if isinstance(model, MonotoneRC):
-        starts, slope, level, lcm = model.draw_table
         (k,) = columns(1)
-        pieces = np.searchsorted(starts, k, side="right") - 1
-        k = k.astype(slope.dtype, copy=False)
-        return lcm * UNIT, k * lcm, slope[pieces] * k + level[pieces]
+        b, den = _along(model, k, UNIT, "right")
+        return den, k.astype(b.dtype, copy=False) * (den // UNIT), b
     if isinstance(model, StepKernelMeasure):
         k1, k2 = columns(2)
         conds = model.conditionals

@@ -10,30 +10,22 @@ the predecessor CDF *is* g, the successor CDF is g reflected across the
 line x + y = 1 (`pwl.reflect`, in both directions), and both maps invert
 exactly on piecewise-linear data.  One check (`_check_g`) decides what a
 valid g is, for `MonotoneRC.from_rows` and `validate_g` alike.  The g
-text format's slopes, written and checked, are `pwl.segment_lines`.
-
-Each g builds the table its draws read once, on first draw
-(`MonotoneRC.draw_table`): the stream integers where its pieces start and
-its lines over one denominator, from its line table.  A rate function
-derives its g once (`RateFunction.g`), so its draws reuse that table.
+text format's slopes, written and checked, are `pwl.segment_lines`.  A rate
+function derives its g once (`RateFunction.g`).
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-import numpy as np
-
 from . import pwl, textio
 from .errors import FormatError, InvariantError, NotInPMinus
 from .measures import StepCDF, check_p_minus
 from .pwl import ONE, ZERO, as_fraction
-from .rng import UNIT
 
 
 class MonotoneRC(pwl.Curve):
@@ -56,26 +48,6 @@ class MonotoneRC(pwl.Curve):
     @classmethod
     def identity(cls) -> "MonotoneRC":
         return cls.from_points([(ZERO, ZERO, ZERO), (ONE, ONE, ONE)])
-
-    @cached_property
-    def draw_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """(starts, slope, level, lcm), arrays read-only, built once per g
-        for `sampling.draw_intervals`.  starts[i] = ceil(x_i UNIT) is the
-        least stream integer k with k/UNIT >= x_i, computed from the rows
-        in integers.  The piece from x_i has the line (p t + q)/d of the
-        line table; with lcm the least common multiple of the lines' reduced
-        d, it is (slope k + level)/(lcm UNIT) at t = k/UNIT: slope = p lcm/d
-        and level = q UNIT lcm/d, int64 while below 2^63."""
-        m, x = self.rows[:2]
-        starts = np.array([-(-k * UNIT // m) for k in x.tolist()], dtype=np.int64)
-        lines = pwl.segment_lines(self)
-        lcm = math.lcm(*(d // math.gcd(p, q, d) for p, q, d in lines))
-        slope, level = zip(*((p * lcm // d, q * lcm // d * UNIT) for p, q, d in lines))
-        bound = max(lcm, *map(abs, slope)) * UNIT + max(map(abs, level))
-        slope, level = pwl._fit(bound, slope, level)
-        for a in (starts, slope, level):
-            a.flags.writeable = False
-        return starts, slope, level, lcm
 
 
 def gc(c) -> MonotoneRC:

@@ -15,7 +15,7 @@ import io
 import json
 import re
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -241,12 +241,18 @@ def to_csv(header: Sequence[str], table: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
-def read_csv(text: str, header: Sequence[str]) -> list[list[str]]:
-    """Rows of a CSV file under `header`, each of the header's width."""
+def csv_rows(text: str) -> Iterator[list[str]]:
+    """The non-blank rows of a CSV text, header included, one at a time, so
+    they can be counted with none kept; a csv fault is a FormatError."""
     try:
-        table = [r for r in csv.reader(io.StringIO(text)) if r]
+        yield from filter(None, csv.reader(io.StringIO(text)))
     except csv.Error as exc:
         raise FormatError(f"bad CSV: {exc}") from exc
+
+
+def read_csv(text: str, header: Sequence[str]) -> list[list[str]]:
+    """Rows of a CSV file under `header`, each of the header's width."""
+    table = list(csv_rows(text))
     if not table or table[0] != list(header):
         raise FormatError(f"expected CSV header {','.join(header)}")
     for r in table[1:]:

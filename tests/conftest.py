@@ -1,10 +1,23 @@
 """Shared hypothesis strategies and catalog fixtures; the exact reference
 models are in `reference.py`."""
 
+import warnings
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
+
+# hypothesis imports its failure-report module only when a test fails; that
+# module imports libcst, which warns a DeprecationWarning at import (through
+# mypy_extensions), so under -W error::DeprecationWarning the report itself
+# would abort the run and hide the failure.  Import it once here with that
+# category ignored; every other warning keeps its filter.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from poslim import poset as ps
 from poslim.errors import PoslimError

@@ -1,5 +1,6 @@
 """Interval-native samples: exact endpoint ranks against the bitmask path."""
 
+import bisect
 import itertools
 import math
 import warnings
@@ -210,16 +211,24 @@ def fractions(ends):
 
 def assert_integer_g(g):
     """Draws of g at 0, 1, UNIT - 1, UNIT, next to every breakpoint and at
-    random: the reference's intervals, over den = L UNIT for L the lcm of
-    g's line denominators, in int64 while the draw table's rule holds, every
-    L k and slope k + level, k <= UNIT, below 2^63."""
+    random: the reference's intervals, a and b of one dtype, int64 exactly
+    when g's line table reads int64 at n = UNIT (reach UNIT below 2^63).
+    There den is the table's den times UNIT: the lcm L of g's reduced line
+    denominators, or on a step g (every piece flat, its values kept over
+    the rows' denominator m) m, a multiple of L.  Past it den is the lcm of
+    the lines the draws hit, or m on a step g, times UNIT."""
     ks = [0, 1, UNIT - 1, UNIT] + [v for x, _, _ in g.points for v in _grid_near(x)]
     ks += SeededRng(17).integers(POINTS, 300).tolist() + SeededRng(21).integers(POINTS, 200).tolist()
     den, a, b = sa.draw_intervals(g, columns(ks))
     lines = ref.segment_lines(g.points)
+    xs = [x for x, _, _ in g.points]
+    hit = {bisect.bisect_right(xs, F(k, UNIT)) - 1 for k in ks}
     lcm = math.lcm(*(math.lcm(s.denominator, c.denominator) for s, c in lines))
-    bound = (max(lcm, *(abs(s) * lcm for s, _ in lines)) + max(abs(c) * lcm for _, c in lines)) * UNIT
-    assert den == lcm * UNIT and a.dtype == b.dtype == (np.int64 if bound < 1 << 63 else object)
+    hit_lcm = math.lcm(*(math.lcm(s.denominator, c.denominator) for s, c in map(lines.__getitem__, hit)))
+    int64 = g.lines.reach * UNIT < 1 << 63
+    step = all(s == 0 for s, _ in lines)
+    assert den == (g.rows[0] if step else lcm if int64 else hit_lcm) * UNIT
+    assert a.dtype == b.dtype == (np.int64 if int64 else object)
     assert fractions((den, a, b)) == [ref.draw(g, F(k, UNIT)) for k in ks], g
 
 
@@ -481,27 +490,39 @@ PAST_INT64_G = so.MonotoneRC.from_points(  # g of test_segment_lines_past_the_in
 @example(RATE_G)
 @example(WIDE_G)
 @example(PAST_INT64_G)
+@example(so.MonotoneRC.from_points([(0, 1, 1), (F(1, 2), 1, 1), (1, 1, 1)]))  # g = 1 over m = 2
 @settings(max_examples=60, deadline=None)
-def test_draw_table_matches_the_fraction_threshold_draw(g):
+def test_threshold_draw_matches_the_fraction_threshold_draw(g):
     """gc, identity, staircase, a rate's g, g over den >= 2^63, g with rows
-    past int64 and random g."""
+    past int64, a step g over rows finer than its values, and random g."""
     assert_integer_g(g)
 
 
-def test_draw_table_is_built_once_and_read_only(monkeypatch):
-    """Two draws from one g build its table once, from its line table."""
-    calls, lines = [], pwl.segment_lines
-    monkeypatch.setattr(pwl, "segment_lines", lambda c: calls.append(1) or lines(c))
-    for shared in (so.gc(F(3, 10)), STAIRCASE, PAST_INT64_G):
+def test_threshold_draws_build_the_line_table_once(monkeypatch):
+    """Two draws from one g compute its lines (`_line`) once, in its line
+    table, or never on a step g (STAIRCASE), and give the same den."""
+    calls, line = [], pwl._line
+    monkeypatch.setattr(pwl, "_line", lambda *a: calls.append(1) or line(*a))
+    for shared, built in ((so.gc(F(3, 10)), [1]), (STAIRCASE, []), (PAST_INT64_G, [1])):
         g = so.MonotoneRC.from_points(shared.points)
         calls.clear()
-        assert "draw_table" not in vars(g)
+        assert "lines" not in vars(g)
         first = sa.sample_kernel_poset(g, 50, SeededRng(1))
         second = sa.sample_kernel_poset(g, 50, SeededRng(2))
-        assert calls == [1] and first.ends[0] == second.ends[0]
-        for arr in g.draw_table[:3]:
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 7
+        assert calls == built and first.ends[0] == second.ends[0]
+
+
+@pytest.mark.parametrize("c", [F(7, 100), F(1, 30)])
+def test_draws_stay_int64_under_the_exact_reach(c):
+    """gc(7/100) and gc(1/30) have reach 107 and 31, so 4000 draws stay
+    int64 (reach UNIT below 2^63); (2m + 2) den, 202 * 100 and 62 * 30,
+    would have passed 1024 = 2^63 / UNIT."""
+    g = so.gc(c)
+    ks = SeededRng(3).integers(POINTS, 4000)
+    den, a, b = sa.draw_intervals(g, columns(ks))
+    assert a.dtype == b.dtype == np.int64 and g.lines.reach * UNIT < 1 << 63
+    assert (2 * g.rows[0] + 2) * g.lines.den >= 1024
+    assert fractions((den, a, b)) == [ref.draw(g, F(k, UNIT)) for k in ks.tolist()]
 
 
 def test_a_rate_derives_its_g_once(monkeypatch):

@@ -3,6 +3,7 @@ the integer kernels of `normalize` and `check_monotone`, and the curve
 constructors built on them, against the curve models of `reference`."""
 
 import math
+import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
@@ -210,8 +211,10 @@ def test_sup_distance_past_the_int64_bound(monkeypatch):
         dtypes.clear()
         assert pwl.sup_distance(nu, target) == ref.sup(nu.points, target.points)
         assert object in dtypes
-    m = 2**30 + 1  # rows fit int64; the line ((m - 3)t - 4)/(m - 7) over 40 points does not
-    slope = StepCDF.from_points([(0, 0, 0), (F(7, m), F(3, m), F(3, m)), (1, 1, 1)])
+    # rows and table fit int64 (den a (m - a), reach about 3 den); reach times 40 points does not
+    m, a = 2**30 + 1, 2**29
+    slope = StepCDF.from_points([(0, 0, 0), (F(a, m), F(3, m), F(3, m)), (1, 1, 1)])
+    assert slope.lines.reach < 1 << 63 <= slope.lines.reach * 40
     dtypes.clear()
     assert pwl.sup_distance(nu, slope) == ref.sup(nu.points, slope.points)
     assert object in dtypes and np.dtype(np.int64) in dtypes
@@ -249,8 +252,8 @@ _SPECIAL_CURVES = [
     UNIFORM, AT_0, AT_1,
     StepCDF.from_points([(0, 0, 0), (F(_BIG // 2, _BIG), F(1, 3), F(2, 3)), (1, 1, 1)]),
     StepCDF.from_jumps([(F(_BIG // 2, _BIG), F(1, 3)), (F(3, 4), F(2, 3))]),  # object step rows
-    StepCDF.from_points([(0, 0, 0), (F(_WIDE // 3, _WIDE), F(1, 3), F(1, 3)), (1, 1, 1)]),
-    StepCDF.from_jumps([(F(_WIDE // 3, _WIDE), F(1, 2)), (1, F(1, 2))]),
+    StepCDF.from_points([(0, 0, 0), (F(_WIDE // 2, _WIDE), F(1, 3), F(1, 3)), (1, 1, 1)]),
+    StepCDF.from_jumps([(F(_WIDE // 2, _WIDE), F(1, 2)), (1, F(1, 2))]),
     StepCDF.from_points([(0, 0, 0), (F(7, _M30), F(3, _M30), F(3, _M30)), (1, 1, 1)]),
     so.MonotoneRC.from_points([(0, F(1, 7), F(1, 7)), (F(_BIG // 2, _BIG), F(2, 3), F(2, 3)),
                                (F(5, 6), 1, 1), (1, 1, 1)]),
@@ -273,7 +276,7 @@ _any_curves = st.one_of(
 )
 _read_points = st.lists(
     st.one_of(st.fractions(min_value=0, max_value=1, max_denominator=24),
-              st.sampled_from([F(_BIG // 3, _BIG), F(_WIDE // 2, _WIDE), F(7, _M30)])),
+              st.sampled_from([F(_BIG // 2, _BIG), F(_WIDE // 2, _WIDE), F(7, _M30)])),
     max_size=6,
 )
 
@@ -285,18 +288,81 @@ _read_points = st.lists(
 def test_table_reads_match_the_per_piece_read(curve, ts, rep):
     """Step, jump-free and general curves, int64 and object rows, read on
     both sides at repeated points and every breakpoint: the reference's
-    values and left limits, in int64 wherever the per-read rule of `_along`
-    allows, (2m + 2) D n below 2^63 with D the lcm of the reduced
-    denominators of the lines the read hits."""
+    values and left limits, in int64 exactly where `_along` allows, the
+    table's reach n below 2^63, or past it the reach of the lines the read
+    hits (at least 1) over D times n, with D the lcm of their reduced
+    denominators, or the rows' m on a step curve."""
     ts = sorted(ts * rep + [x for x, _, _ in curve.points])
     n = math.lcm(*(t.denominator for t in ts))
     xs = [x for x, _, _ in curve.points]
     padded = [(F(0), curve.points[0][1]), *ref.segment_lines(curve.points)]  # piece k starts at xs[k - 1]
+    step = all(s == 0 for s, _ in padded)
     for side, piece in (("right", bisect_right), ("left", bisect_left)):
         num, den = pwl._along(curve, [int(t * n) for t in ts], n, side)
         assert [F(int(v), den) for v in num] == [ref.limits(curve.points, t)[side == "right"] for t in ts]
-        d = math.lcm(*(math.lcm(s.denominator, c.denominator) for s, c in (padded[piece(xs, t)] for t in ts)))
-        assert num.dtype == np.int64 or (2 * curve.rows[0] + 2) * d * n >= 1 << 63
+        hit = [padded[piece(xs, t)] for t in ts]
+        d = curve.rows[0] if step else math.lcm(*(math.lcm(s.denominator, c.denominator) for s, c in hit))
+        reach = max(1, *(abs(s * d) + abs(c * d) for s, c in hit))
+        assert (num.dtype == np.int64) == (curve.lines.reach * n < 1 << 63 or reach * n < 1 << 63)
+
+
+_ORDER_CASES = [  # int64 and past-int64 tables, searched over lcm(m, n) below and past 2^63
+    (so.gc(F(3, 10)), [F(9, 10), F(1, 10), 1, F(7, 10), F(3, 10), 0, F(7, 10)]),
+    (_SPECIAL_CURVES[3], [F(3, 4), F(1, 4), 1, F(1, 2), 0]),
+    (PRIME_GAPS, [F(5, 7), F(1, 9), F(1, 2), F(2, 9), F(1, 3)]),
+    (so.gc(F(3, 10)), [F(_BIG // 2, _BIG), F(1, 2), 0, F(1, 5)]),
+]
+
+
+def test_order_cases_read_both_tables_and_a_wide_search():
+    kinds = []
+    for curve, ts in _ORDER_CASES:
+        n = math.lcm(*(t.denominator for t in ts))
+        kinds.append((curve.lines.reach * n < 1 << 63, math.lcm(curve.rows[0], n) >= 1 << 63))
+    assert kinds == [(True, False), (False, True), (False, False), (False, True)]
+
+
+@given(_any_curves, _read_points, st.randoms(use_true_random=False))
+@example(*_ORDER_CASES[0], random.Random(1))
+@example(*_ORDER_CASES[1], random.Random(2))
+@example(*_ORDER_CASES[2], random.Random(3))
+@example(*_ORDER_CASES[3], random.Random(4))
+@settings(deadline=None)
+def test_reads_in_any_order_give_the_permuted_values(curve, ts, rnd):
+    """A read at shuffled points, every breakpoint among them, gives the
+    reference's values and left limits in that order: the sorted read's
+    numerators permuted, over the same denominator."""
+    ts = ts + [x for x, _, _ in curve.points]
+    rnd.shuffle(ts)
+    n = math.lcm(*(t.denominator for t in ts))
+    order = sorted(range(len(ts)), key=ts.__getitem__)
+    for side in ("right", "left"):
+        num, den = pwl._along(curve, [int(t * n) for t in ts], n, side)
+        assert [F(int(v), den) for v in num] == [ref.limits(curve.points, t)[side == "right"] for t in ts]
+        snum, sden = pwl._along(curve, [int(ts[i] * n) for i in order], n, side)
+        assert sden == den and snum.tolist() == num[order].tolist()
+
+
+@given(_any_curves)
+@example(_SPECIAL_CURVES[3])
+@example(_SPECIAL_CURVES[7])
+@example(PRIME_GAPS)
+@settings(deadline=None)
+def test_reach_is_the_tables_exact_bound(curve):
+    """`Lines.reach` is max(|slope| + |level|) over the padded pieces, the
+    reference's lines over the table's den: the lcm of their reduced
+    denominators, or the rows' m on a step curve.  Where either passes
+    2^63 the table keeps no den and its reach is infinite."""
+    padded = [(F(0), curve.points[0][1]), *ref.segment_lines(curve.points)]
+    step = all(s == 0 for s, _ in padded)
+    den = curve.rows[0] if step else math.lcm(*(math.lcm(s.denominator, c.denominator) for s, c in padded))
+    reach = max(abs(s * den) + abs(c * den) for s, c in padded)
+    lines = curve.lines
+    if den < 1 << 63 and reach < 1 << 63:
+        assert (lines.den, lines.reach) == (den, reach)
+        assert lines.reach == max(abs(s) + abs(c) for s, c in zip(lines.slope.tolist(), lines.level.tolist()))
+    else:
+        assert (lines.den, lines.reach) == (None, math.inf)
 
 
 def test_a_step_curve_table_computes_no_line(monkeypatch):

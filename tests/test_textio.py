@@ -158,6 +158,14 @@ def test_representation_point_cap_is_inclusive():
         recognition.read_representation(rows(textio.MAX_POINTS + 1))
 
 
+def test_representation_cap_applies_before_any_row_is_checked():
+    """5,001 rows whose last is short: the cap is the fault, not the row's width."""
+    n = textio.MAX_POINTS + 1
+    text = "index,rank,a,b\n" + "".join(f"{i},{i},{i}/{n},{i}/{n}\n" for i in range(1, n)) + f"{n},{n}\n"
+    with pytest.raises(SizeLimit, match=f"representation has {n} points"):
+        recognition.read_representation(text)
+
+
 def test_representation_index_faults_are_format_errors():
     for _, text in [f for f in BAD_FILES if f[0] == "representation"][:2]:
         with pytest.raises(FormatError, match="index"):
