@@ -14,15 +14,15 @@ are a view built only when read.  Raw breakpoints are read once, by
 return rows, comparing integers over one denominator.  Each curve builds its
 line table (`Curve.lines`) once, on first read: the reduced line of every
 piece, and the same lines over one common denominator while they stay in
-int64; a step curve, flat on every piece, takes its values as the table
-with no line computed.  `_along` is the one evaluator of every curve read:
-`value_at`, `left_limit_at`, `sup_distance`, the continuity KS of
-`sampling` at its integer candidates and the threshold draw of
-`sampling.draw_intervals` at its stream integers.  It reads points in any
-order: one `searchsorted` over lcm(m, n) and one multiply-add over the
-table's gathered pieces, in int64 while the table's computed reach allows
-it, and past it over the distinct pieces a read hits, in int64 or object
-ints by their own reach.
+int64; a step curve, flat on every piece, takes its values over their
+lcm, found by one gcd, as the table with no line computed.  `_along` is
+the one evaluator of every curve read: `value_at`, `left_limit_at`,
+`sup_distance`, the continuity KS of `sampling` at its integer candidates
+and the threshold draw of `sampling.draw_intervals` at its stream
+integers.  It reads points in any order: one `searchsorted` over
+lcm(m, n) and one multiply-add over the table's gathered pieces, in int64
+while the table's computed reach allows it, and past it over the distinct
+pieces a read hits, in int64 or object ints by their own reach.
 
 Each geometric rule of the representation calculus lives here once:
 evaluation (`Curve`, the base of CDFs and threshold functions), the
@@ -262,13 +262,14 @@ class Lines(NamedTuple):
     k starts at breakpoint k - 1, as in `_line`).
 
     (p, q, d) is each piece's line (p t + q)/d, reduced; a step curve keeps
-    (0, its value v, m) for the value v/m, unreduced.  slope and level are
-    the same lines over one denominator den (`_over`): the lcm of every d,
-    or m on a step curve.  `reach` is computed from them, max(|slope| +
-    |level|), so it is the table's exact bound: at x/n in [0,1] every
-    product of a read, and the value, stays within reach n.  When reach
-    reaches 2^63, no read fits int64: den, slope and level are None and
-    reach is infinite.
+    (0, v, L) for each value v/L over L, the lcm of its values' reduced
+    denominators, found by one gcd of the values and the rows' m.  slope and
+    level are the same lines over one denominator den, the lcm of every d
+    (`_over`, on a curve with a slope).  `reach` is computed from them,
+    max(|slope| + |level|), so it is the table's exact bound: at x/n in
+    [0,1] every product of a read, and the value, stays within reach n.
+    When reach reaches 2^63, no read fits int64: den, slope and level are
+    None and reach is infinite.
     """
 
     p: np.ndarray
@@ -282,14 +283,15 @@ class Lines(NamedTuple):
 
 def _lines(rows: Rows) -> Lines:
     """The line table of the rows: on a step curve (each left value the
-    previous right value) the padded values, with no `_line`; otherwise
-    `_line` of every padded piece, reduced by one gcd, over the pieces' lcm
-    while that stays below 2^63."""
+    previous right value) the padded values over L, with no `_line`;
+    otherwise `_line` of every padded piece, reduced by one gcd, over the
+    pieces' lcm while that stays below 2^63."""
     m, x, lt, rt = rows
     size = len(x) + 1
     if step := (lt[1:] == rt[:-1]).all():  # every piece flat at its start's right value
-        p, q, d = np.zeros(size, np.int64), np.concatenate((lt[:1], rt)), np.full(size, m)
-        den = m
+        q = np.concatenate((lt[:1], rt))
+        den = m // math.gcd(m, int(np.gcd.reduce(q)))  # the lcm of the values' reduced denominators
+        p, q, d = np.zeros(size, np.int64), q // (m // den), np.full(size, den)
     else:
         p, q, d = _line(rows, np.arange(size))
         g = np.gcd(np.gcd(p, q), d)
@@ -300,7 +302,7 @@ def _lines(rows: Rows) -> Lines:
             if den >> 63:
                 break
     reach = math.inf
-    if not den >> 63:  # a step curve's lines are over den = m already
+    if not den >> 63:  # a step curve's values are over den already
         slope, level, reach = (p, q, int(abs(q).max())) if step else _over(den, p, q, d)
     if reach < 1 << 63:
         slope, level = _fit(reach, slope, level)
@@ -315,9 +317,11 @@ def _lines(rows: Rows) -> Lines:
 def _over(den: int, p, q, d) -> tuple[np.ndarray, np.ndarray, int]:
     """(slope, level, reach): the lines (p t + q)/d put over den, a multiple
     of every d, and reach = max(|slope| + |level|).  The products are formed
-    in int64 while (max |p| + max |q|) den, which bounds them (d >= 1), is
-    below 2^63, in object ints past it."""
-    p, q, d = _fit((int(abs(p).max()) + int(abs(q).max())) * den, p, q, d)
+    in int64 while (max |p| + max |q| + 1) den, which bounds them and d
+    (1 <= d <= den), is below 2^63, in object ints past it: a step curve's
+    lines keep d = L, not reduced one by one, so a zero line's d may pass
+    2^63."""
+    p, q, d = _fit((int(abs(p).max()) + int(abs(q).max()) + 1) * den, p, q, d)
     slope, level = p * (den // d), q * (den // d)
     return slope, level, int((abs(slope) + abs(level)).max())
 

@@ -178,8 +178,9 @@ def ks_distance_at_continuity(f: StepCDF, g: StepCDF) -> Fraction:
     candidates and g's values there are built once per g and cached
     (`StepCDF.continuity_values`); f is read at them by `pwl._along`, so the
     sup is one integer max, in object ints past int64.  The read goes
-    through f's line table, which for an empirical CDF is its values over n
-    with no line computed, so it costs no gcd or lcm while it fits int64.
+    through f's line table, which for an empirical CDF is its values over
+    their lcm, one gcd per CDF and no line computed, so a read costs no gcd
+    or lcm while it fits int64.
     """
     td, ks, gn, gd = g.continuity_values
     fn, fd = _along(f, ks, td, "right")

@@ -214,9 +214,8 @@ def assert_integer_g(g):
     random: the reference's intervals, a and b of one dtype, int64 exactly
     when g's line table reads int64 at n = UNIT (reach UNIT below 2^63).
     There den is the table's den times UNIT: the lcm L of g's reduced line
-    denominators, or on a step g (every piece flat, its values kept over
-    the rows' denominator m) m, a multiple of L.  Past it den is the lcm of
-    the lines the draws hit, or m on a step g, times UNIT."""
+    denominators, on a step g too.  Past it den is the lcm of the lines the
+    draws hit, or L on a step g (every piece flat), times UNIT."""
     ks = [0, 1, UNIT - 1, UNIT] + [v for x, _, _ in g.points for v in _grid_near(x)]
     ks += SeededRng(17).integers(POINTS, 300).tolist() + SeededRng(21).integers(POINTS, 200).tolist()
     den, a, b = sa.draw_intervals(g, columns(ks))
@@ -227,7 +226,7 @@ def assert_integer_g(g):
     hit_lcm = math.lcm(*(math.lcm(s.denominator, c.denominator) for s, c in map(lines.__getitem__, hit)))
     int64 = g.lines.reach * UNIT < 1 << 63
     step = all(s == 0 for s, _ in lines)
-    assert den == (g.rows[0] if step else lcm if int64 else hit_lcm) * UNIT
+    assert den == (lcm if int64 or step else hit_lcm) * UNIT
     assert a.dtype == b.dtype == (np.int64 if int64 else object)
     assert fractions((den, a, b)) == [ref.draw(g, F(k, UNIT)) for k in ks], g
 
@@ -481,6 +480,9 @@ def test_draw_on_both_sides_of_the_int64_bound(model, wide):
 PAST_INT64_G = so.MonotoneRC.from_points(  # g of test_segment_lines_past_the_int64_bound
     [(0, F(1, 7), F(1, 7)), (F(3**41 // 2, 3**41), F(2, 3), F(2, 3)), (F(5, 6), 1, 1), (1, 1, 1)]
 )
+FINE_STEP_G = so.MonotoneRC.from_points(  # a step g: values over 2, rows over m = 2000
+    [(0, F(1, 2), F(1, 2)), (F(1, 2000), F(1, 2), 1), (1, 1, 1)]
+)
 
 
 @given(monotone_gs())
@@ -491,10 +493,11 @@ PAST_INT64_G = so.MonotoneRC.from_points(  # g of test_segment_lines_past_the_in
 @example(WIDE_G)
 @example(PAST_INT64_G)
 @example(so.MonotoneRC.from_points([(0, 1, 1), (F(1, 2), 1, 1), (1, 1, 1)]))  # g = 1 over m = 2
+@example(FINE_STEP_G)
 @settings(max_examples=60, deadline=None)
 def test_threshold_draw_matches_the_fraction_threshold_draw(g):
     """gc, identity, staircase, a rate's g, g over den >= 2^63, g with rows
-    past int64, a step g over rows finer than its values, and random g."""
+    past int64, two step gs over rows finer than their values, and random g."""
     assert_integer_g(g)
 
 
@@ -512,12 +515,15 @@ def test_threshold_draws_build_the_line_table_once(monkeypatch):
         assert calls == built and first.ends[0] == second.ends[0]
 
 
-@pytest.mark.parametrize("c", [F(7, 100), F(1, 30)])
-def test_draws_stay_int64_under_the_exact_reach(c):
-    """gc(7/100) and gc(1/30) have reach 107 and 31, so 4000 draws stay
-    int64 (reach UNIT below 2^63); (2m + 2) den, 202 * 100 and 62 * 30,
-    would have passed 1024 = 2^63 / UNIT."""
-    g = so.gc(c)
+@pytest.mark.parametrize(
+    "g", [so.gc(F(7, 100)), so.gc(F(1, 30)), FINE_STEP_G], ids=["gc7/100", "gc1/30", "step"]
+)
+def test_draws_stay_int64_under_the_exact_reach(g):
+    """gc(7/100) and gc(1/30) have reach 107 and 31, and FINE_STEP_G,
+    its values over L = 2, reach 2, so 4000 draws stay int64 (reach UNIT
+    below 2^63); (2m + 2) den, 202 * 100, 62 * 30 and 4002 * 2, would have
+    passed 1024 = 2^63 / UNIT, and so would FINE_STEP_G's values over its
+    rows' m = 2000."""
     ks = SeededRng(3).integers(POINTS, 4000)
     den, a, b = sa.draw_intervals(g, columns(ks))
     assert a.dtype == b.dtype == np.int64 and g.lines.reach * UNIT < 1 << 63

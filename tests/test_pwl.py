@@ -258,6 +258,7 @@ _SPECIAL_CURVES = [
     so.MonotoneRC.from_points([(0, F(1, 7), F(1, 7)), (F(_BIG // 2, _BIG), F(2, 3), F(2, 3)),
                                (F(5, 6), 1, 1), (1, 1, 1)]),
     PRIME_GAPS,
+    StepCDF.from_jumps([(F(1, 2), F(1, _BIG)), (F(3, 4), 1 - F(1, _BIG))]),  # values over 3^41
 ]
 
 
@@ -291,48 +292,41 @@ def test_table_reads_match_the_per_piece_read(curve, ts, rep):
     values and left limits, in int64 exactly where `_along` allows, the
     table's reach n below 2^63, or past it the reach of the lines the read
     hits (at least 1) over D times n, with D the lcm of their reduced
-    denominators, or the rows' m on a step curve."""
+    denominators, or on a step curve the table's L, the lcm of all its
+    values' reduced denominators."""
     ts = sorted(ts * rep + [x for x, _, _ in curve.points])
     n = math.lcm(*(t.denominator for t in ts))
     xs = [x for x, _, _ in curve.points]
     padded = [(F(0), curve.points[0][1]), *ref.segment_lines(curve.points)]  # piece k starts at xs[k - 1]
     step = all(s == 0 for s, _ in padded)
+    lcm = math.lcm(*(c.denominator for _, c in padded))
     for side, piece in (("right", bisect_right), ("left", bisect_left)):
         num, den = pwl._along(curve, [int(t * n) for t in ts], n, side)
         assert [F(int(v), den) for v in num] == [ref.limits(curve.points, t)[side == "right"] for t in ts]
         hit = [padded[piece(xs, t)] for t in ts]
-        d = curve.rows[0] if step else math.lcm(*(math.lcm(s.denominator, c.denominator) for s, c in hit))
+        d = lcm if step else math.lcm(*(math.lcm(s.denominator, c.denominator) for s, c in hit))
         reach = max(1, *(abs(s * d) + abs(c * d) for s, c in hit))
         assert (num.dtype == np.int64) == (curve.lines.reach * n < 1 << 63 or reach * n < 1 << 63)
 
 
-_ORDER_CASES = [  # int64 and past-int64 tables, searched over lcm(m, n) below and past 2^63
-    (so.gc(F(3, 10)), [F(9, 10), F(1, 10), 1, F(7, 10), F(3, 10), 0, F(7, 10)]),
-    (_SPECIAL_CURVES[3], [F(3, 4), F(1, 4), 1, F(1, 2), 0]),
-    (PRIME_GAPS, [F(5, 7), F(1, 9), F(1, 2), F(2, 9), F(1, 3)]),
-    (so.gc(F(3, 10)), [F(_BIG // 2, _BIG), F(1, 2), 0, F(1, 5)]),
-]
-
-
-def test_order_cases_read_both_tables_and_a_wide_search():
-    kinds = []
-    for curve, ts in _ORDER_CASES:
-        n = math.lcm(*(t.denominator for t in ts))
-        kinds.append((curve.lines.reach * n < 1 << 63, math.lcm(curve.rows[0], n) >= 1 << 63))
-    assert kinds == [(True, False), (False, True), (False, False), (False, True)]
-
-
-@given(_any_curves, _read_points, st.randoms(use_true_random=False))
-@example(*_ORDER_CASES[0], random.Random(1))
-@example(*_ORDER_CASES[1], random.Random(2))
-@example(*_ORDER_CASES[2], random.Random(3))
-@example(*_ORDER_CASES[3], random.Random(4))
+@given(_any_curves, _read_points, st.randoms(use_true_random=False), st.booleans())
+@example(so.gc(F(3, 10)), [F(9, 10), F(1, 10), 1, F(7, 10), F(3, 10), 0, F(7, 10)],
+         random.Random(1), True)  # the int64 table, searched over lcm(m, n) below 2^63
+@example(_SPECIAL_CURVES[3], [F(3, 4), F(1, 4), 1, F(1, 2), 0],
+         random.Random(2), True)  # past the table's reach, searched over lcm(m, n) past 2^63
+@example(PRIME_GAPS, [F(5, 7), F(1, 9), F(1, 2), F(2, 9), F(1, 3)],
+         random.Random(3), True)  # past the table's reach, searched below 2^63
+@example(so.gc(F(3, 10)), [F(_BIG // 2, _BIG), F(1, 2), 0, F(1, 5)],
+         random.Random(4), True)  # past the table's reach n, searched over lcm(m, n) past 2^63
+@example(_SPECIAL_CURVES[-1], [0, F(1, 4)], random.Random(5), False)  # zero lines, L > 2^63
 @settings(deadline=None)
-def test_reads_in_any_order_give_the_permuted_values(curve, ts, rnd):
-    """A read at shuffled points, every breakpoint among them, gives the
-    reference's values and left limits in that order: the sorted read's
-    numerators permuted, over the same denominator."""
-    ts = ts + [x for x, _, _ in curve.points]
+def test_reads_in_any_order_give_the_permuted_values(curve, ts, rnd, every_break):
+    """A read at shuffled points, with every breakpoint among them or (when
+    points are drawn) only the drawn points, gives the reference's values
+    and left limits in that order: the sorted read's numerators permuted,
+    over the same denominator."""
+    if every_break or not ts:
+        ts = ts + [x for x, _, _ in curve.points]
     rnd.shuffle(ts)
     n = math.lcm(*(t.denominator for t in ts))
     order = sorted(range(len(ts)), key=ts.__getitem__)
@@ -351,11 +345,10 @@ def test_reads_in_any_order_give_the_permuted_values(curve, ts, rnd):
 def test_reach_is_the_tables_exact_bound(curve):
     """`Lines.reach` is max(|slope| + |level|) over the padded pieces, the
     reference's lines over the table's den: the lcm of their reduced
-    denominators, or the rows' m on a step curve.  Where either passes
-    2^63 the table keeps no den and its reach is infinite."""
+    denominators, on a step curve too.  Where either passes 2^63 the table
+    keeps no den and its reach is infinite."""
     padded = [(F(0), curve.points[0][1]), *ref.segment_lines(curve.points)]
-    step = all(s == 0 for s, _ in padded)
-    den = curve.rows[0] if step else math.lcm(*(math.lcm(s.denominator, c.denominator) for s, c in padded))
+    den = math.lcm(*(math.lcm(s.denominator, c.denominator) for s, c in padded))
     reach = max(abs(s * den) + abs(c * den) for s, c in padded)
     lines = curve.lines
     if den < 1 << 63 and reach < 1 << 63:
@@ -367,7 +360,8 @@ def test_reach_is_the_tables_exact_bound(curve):
 
 def test_a_step_curve_table_computes_no_line(monkeypatch):
     """Empirical and `from_jumps` CDFs are flat on every piece: their table
-    is their values over m, built with no `_line`; a curve with a slope
+    is their values over L, the lcm of their reduced denominators (a divisor
+    of the rows' m), built with no `_line`; a curve with a slope
     computes each line once, for all its reads."""
     p = sa.sample_kernel_poset(so.gc(F(3, 10)), 300, SeededRng(4))
     calls, line = [], pwl._line
@@ -378,8 +372,9 @@ def test_a_step_curve_table_computes_no_line(monkeypatch):
         m, _, _, right = nu.rows
         assert pwl.sup_distance(nu, steps[0]) == ref.sup(nu.points, steps[0].points)
         lines = nu.lines
-        assert (lines.p == 0).all() and (lines.d == m).all() and lines.den == m
-        assert lines.q.tolist() == [0, *right.tolist()]
+        lcm = math.lcm(*(F(int(v), m).denominator for v in right.tolist()))
+        assert (lines.p == 0).all() and (lines.d == lcm).all() and lines.den == lcm
+        assert lines.q.tolist() == [0, *(right // (m // lcm)).tolist()]
     assert calls == []
     target = so.f_minus(so.gc(F(3, 10)))
     for nu in steps:
