@@ -9,12 +9,29 @@ produce byte-identical outputs.
 `main(argv)` may be called again in one process: it builds its parser once
 and looks up `_cmd_<command>` at call time.  `converge --threshold` must be
 finite and at least 0.
+
+On glibc, `main` first sets the process's allocator to keep the heap it
+frees (`_keep_freed_heap`): each command's multi-MB numpy buffers are then
+reused by the next command in place of being handed back to the kernel and
+page-faulted in again.  Allocations up to 32 MiB (`M_MMAP_THRESHOLD`, glibc's
+own ceiling for its dynamic threshold on 64-bit) come from the heap, and the
+heap's free top is trimmed only past 256 MiB (`M_TRIM_THRESHOLD`, above the
+largest working set at the point cap).  Both are set, because setting either
+one turns glibc's dynamic threshold off and alone makes more page faults.
+The cost is resident memory, since freed buffers stay mapped: on a
+5000-point file, at the point cap, `recognize` with the policy alone peaked
+at 182-184 MB against 157-167 MB without it, and at 148-149 MB once
+`read_poset` shifted its columns in place.  The library never sets the
+policy: `import poslim` leaves the host process's allocator as it is.
+Elsewhere than glibc, or where `mallopt` is missing or refuses a value,
+nothing is changed.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +40,26 @@ from . import measures, poset, recognition, sampling, semiorders, textio
 from .densities import density
 from .errors import FormatError, PoslimError
 from .rng import SeededRng
+
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
+@functools.cache
+def _keep_freed_heap() -> bool:
+    """Set glibc's allocator to keep freed heap for reuse (module docstring),
+    once per process; whether both values were accepted."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+        import ctypes  # here, where it is used, not at `import poslim`
+
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ImportError, OSError, ValueError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # the trim threshold only if the mmap threshold was accepted: one alone costs faults
+    return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20) and mallopt(_M_TRIM_THRESHOLD, 256 << 20))
 
 
 def _fraction(text: str) -> Fraction:
@@ -309,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -349,13 +349,29 @@ def from_columns(n: int, tails: np.ndarray, heads: np.ndarray) -> FinitePoset:
     """The transitive closure of the 1-based pairs (tails[k], heads[k]); a
     cycle, a pair (i, i) included, raises CycleError.  Pairs sorted by
     (i, j) that are the covers of an interval order give an `IntervalSample`
-    (`_interval_covers`), with no masks; any others take the closure."""
+    (`_interval_covers`), with no masks; any others take the closure.  The
+    caller's columns are not changed."""
+    return _from_columns(n, [tails, heads], in_place=False)
+
+
+def _from_columns(n: int, columns: list, in_place: bool) -> FinitePoset:
+    """`from_columns` of `columns`, [tails, heads], which it empties, so that
+    a column no caller holds is freed once read.  With `in_place`, for
+    columns that no caller reads again, those already of the key type are
+    shifted to 0-based in place."""
+    tails, heads = columns
+    columns.clear()
     if n <= 0:
         raise InvariantError("n must be positive")
     if tails.size and (min(tails.min(), heads.min()) < 1 or max(tails.max(), heads.max()) > n):
         k = np.flatnonzero((tails < 1) | (tails > n) | (heads < 1) | (heads > n))[0]
         raise InvariantError(f"pair ({tails[k]},{heads[k]}) out of range 1..{n}")
-    tails, heads = (np.subtract(c, 1, dtype=_key_type(n), casting="unsafe") for c in (tails, heads))
+    kind = _key_type(n)
+    tails, heads = (
+        np.subtract(c, 1, out=c) if in_place and c.dtype == kind
+        else np.subtract(c, 1, dtype=kind, casting="unsafe")
+        for c in (tails, heads)
+    )
     keys = tails * n + heads
     if not (keys[1:] > keys[:-1]).all():
         return transitive_closure(n, tails, heads)
@@ -715,9 +731,10 @@ def write_poset(p: FinitePoset) -> str:
 
 def read_poset(text: str) -> FinitePoset:
     """The poset of a poset file (`from_columns`): an `IntervalSample`, with
-    no masks, if the pairs are the sorted covers of an interval order."""
+    no masks, if the pairs are the sorted covers of an interval order.  The
+    columns that `int_pairs` builds are shifted in place."""
     _, n, start = textio.read_header(text, "poset")
-    return from_columns(n, *textio.int_pairs(text, start))
+    return _from_columns(n, list(textio.int_pairs(text, start)), in_place=True)
 
 
 _NAMED = {

@@ -332,7 +332,9 @@ def fingerprint_estimate(
     labelled pattern class, scaled by |Aut| / s!, estimates the induced
     density.  Intended for posets too large for exact counting.  Each size
     draws from 4 * subsets tuples; if fewer than `subsets` of them have
-    distinct points (n small next to s), it raises BudgetExceeded.  Sizes
+    distinct points (n small next to s), it raises BudgetExceeded.  The
+    first ceil(1.25 * subsets) tuples, a prefix of the same positions, are
+    read first, and the rest only if the prefix holds too few.  Sizes
     above n draw nothing and report 0, so the entries list the same patterns
     as `fingerprint`.
     """
@@ -347,13 +349,16 @@ def fingerprint_estimate(
         if s > n:  # no s distinct points: every density is 0, nothing drawn
             entries += [FingerprintEntry(i, lab, 0.0, 0.0) for i, lab in zip(ids, labs)]
             continue
-        us = rng.uniforms(SUBSETS, subsets * s * 4, index=s)
-        tuples = np.minimum((us * n).astype(np.int64), n - 1).reshape(-1, s)
-        pairs = itertools.combinations(tuples.T, 2)  # distinct: every column pair differs
-        tuples = tuples[np.logical_and.reduce([a != b for a, b in pairs])]
-        if len(tuples) < subsets:
+        for count in (-(-5 * subsets // 4), 4 * subsets):  # a prefix first, then all
+            us = rng.uniforms(SUBSETS, count * s, index=s)
+            tuples = np.minimum((us * n).astype(np.int64), n - 1).reshape(-1, s)
+            pairs = itertools.combinations(tuples.T, 2)  # distinct: every column pair differs
+            tuples = tuples[np.logical_and.reduce([a != b for a, b in pairs])]
+            if len(tuples) >= subsets:
+                break
+        else:
             raise BudgetExceeded(
-                f"{len(us) // s} random {s}-tuples of {n} points gave fewer "
+                f"{count} random {s}-tuples of {n} points gave fewer "
                 f"than subsets={subsets} with {s} distinct points"
             )
         codes = _tuple_codes(p, tuples[:subsets].T)

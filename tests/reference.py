@@ -19,7 +19,8 @@ against an earlier copy of itself.
 - KS: `sup`, `continuity_candidates`, `ks_at_continuity`, `ks_for_target`,
   and `converge_report`, the verdict rule and JSON of `converge`;
 - fingerprints: `fingerprint` over `itertools.combinations`, classified by
-  the catalog's `index_of`, and `pattern_code` of one tuple;
+  the catalog's `index_of`, `pattern_code` of one tuple, and
+  `distinct_tuples`, the draws of the estimate;
 - densities and classes: `count_maps`, `atomic_density`, `is_isomorphic`.
 """
 
@@ -35,6 +36,7 @@ from poslim import textio
 from poslim.errors import CycleError, InvariantError
 from poslim.measures import AtomicMeasure, StepKernelMeasure
 from poslim.pwl import as_fraction
+from poslim.rng import SUBSETS
 from poslim.semiorders import RateFunction
 
 # -- curves: points (x, left limit, value) in `Fraction`s ---------------------
@@ -478,6 +480,15 @@ def fingerprint(p, max_q):
          F(counts[k] * _automorphisms(q), math.perm(p.n, q.n)) if counts[k] else F(0))
         for k, q in enumerate(cat.classes)
     ]
+
+
+def distinct_tuples(n, s, count, rng):
+    """The tuples of s distinct points among the first `count` s-tuples of
+    SUBSETS stream s, in stream order: point min(floor(u n), n - 1) for
+    each uniform u."""
+    us = rng.uniforms(SUBSETS, count * s, index=s).tolist()
+    tuples = [tuple(min(int(u * n), n - 1) for u in us[k : k + s]) for k in range(0, len(us), s)]
+    return [t for t in tuples if len(set(t)) == s]
 
 
 def pattern_code(succ, idx):

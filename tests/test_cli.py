@@ -1,10 +1,15 @@
+import ctypes
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import example, given, settings
 
 from poslim import cli, measures, poset, recognition, sampling, semiorders, textio
@@ -317,6 +322,102 @@ def test_every_command_has_a_handler():
     assert len(sub.choices) == 10
     for name in sub.choices:
         assert callable(getattr(cli, f"_cmd_{name}", None)), name
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def _python(script: str, *args: str) -> str:
+    """The stdout of `script` run by a fresh interpreter on `src/`."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+_RECOGNIZE_FAULTS = """
+import contextlib, io, resource, sys
+from poslim import cli
+g, out = sys.argv[1:]
+def call(*argv):
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(list(argv)) == 0
+call("sample", "--kernel", "gc", "--c", "3/10", "--n", "1000", "--seed", "5", "--out", g)
+call("recognize", "--in", g, "--out", out)  # warm-up
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(4):
+    call("recognize", "--in", g, "--out", out)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _glibc(), reason="the allocator policy is set on glibc only")
+def test_repeated_commands_reuse_the_heap_they_freed(tmp_path):
+    """Four in-process `recognize` calls on a 1000-point g_{3/10} file, after
+    one warm-up, add few minor page faults: the buffers freed by one call
+    serve the next.  With glibc's default policy each call faults its
+    multi-MB numpy buffers in again, about 700-950 faults a call."""
+    faults = int(_python(_RECOGNIZE_FAULTS, str(tmp_path / "g.poset"), str(tmp_path / "r.json")))
+    assert faults < 400
+
+
+_POLICY_CALLS = """
+import ctypes
+import numpy  # before CDLL is replaced, in case numpy loads a library through it
+calls = []
+
+class Library:
+    def __init__(self, name):
+        self.mallopt = lambda param, value: calls.append((param, value)) or 1
+
+ctypes.CDLL = Library
+import poslim, poslim.cli
+assert calls == [] and poslim.cli._keep_freed_heap.cache_info().misses == 0
+for _ in range(2):
+    assert poslim.cli.main(["recognize", "--in", "h"]) == 0
+print(calls, poslim.cli._keep_freed_heap.cache_info().misses)
+"""
+
+
+@pytest.mark.skipif(not _glibc(), reason="the allocator policy is set on glibc only")
+def test_main_sets_the_allocator_policy_once_and_import_never():
+    out = _python(_POLICY_CALLS).splitlines()[-1]
+    assert out == f"{[(-3, 32 << 20), (-1, 256 << 20)]} 1"  # mmap, then trim threshold
+
+
+def _confstr_raises(name):
+    raise ValueError("unrecognized configuration name")
+
+
+class _RefusingLibrary:
+    def __init__(self, name):
+        self.mallopt = lambda param, value: 0
+
+
+@pytest.mark.parametrize("fault", ["no confstr", "confstr raises", "not glibc", "mallopt refuses"])
+def test_commands_run_alike_where_the_policy_cannot_be_set(fault, capsys, monkeypatch):
+    argv = ["sample", "--kernel", "gc", "--c", "3/10", "--n", "200", "--seed", "3"]
+    want = run(capsys, *argv)
+    assert want[0] == 0
+    if fault == "no confstr":
+        monkeypatch.delattr(os, "confstr", raising=False)
+    elif fault == "confstr raises":
+        monkeypatch.setattr(os, "confstr", _confstr_raises)
+    elif fault == "not glibc":
+        monkeypatch.setattr(os, "confstr", lambda name: None)
+    else:
+        monkeypatch.setattr(ctypes, "CDLL", _RefusingLibrary)
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+    cli._keep_freed_heap.cache_clear()
+    try:
+        assert run(capsys, *argv) == want
+        assert cli._keep_freed_heap() is False
+    finally:
+        cli._keep_freed_heap.cache_clear()
 
 
 def test_nu_output_equals_the_fraction_points(tmp_path, capsys):

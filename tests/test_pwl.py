@@ -456,7 +456,7 @@ def _corrupt(kind, pts, k):
         tenth = F(0.1)  # the float 0.1 exactly: a 2^55 denominator
         pts.insert(k, [tenth, tenth, tenth])
     elif kind in ("big", "wide"):  # a point inside a piece, over _BIG or _WIDE
-        t = F(_BIG // 3, _BIG) if kind == "big" else F(_WIDE // 3, _WIDE)
+        t = F(_BIG // 2, _BIG) if kind == "big" else F(_WIDE // 2, _WIDE)
         (x0, _, r0), (x1, l1, _) = pts[k - 1], pts[k]
         value = r0 + (l1 - r0) * t * t  # off the piece's line unless it is flat
         pts.insert(k, [x0 + (x1 - x0) * t, value, value])

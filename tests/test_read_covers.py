@@ -86,6 +86,23 @@ def test_the_numpy_path_reads_a_dense_sample():
     assert assert_reads_as(text, ps.IntervalSample) == sample
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_from_columns_leaves_the_callers_columns_as_they_are(seed):
+    """`read_poset` shifts the columns that `int_pairs` built for it in place;
+    `from_columns` copies int32 columns of its own key type that a caller
+    hands over, sorted covers and pairs in reverse alike."""
+    sample = sa.sample_kernel_poset(so.gc(F(3, 10)), 40, SeededRng(seed))
+    text = ps.write_poset(sample)
+    _, n, start = textio.read_header(text, "poset")
+    covers = textio.int_pairs(text, start)
+    assert covers[0].dtype == covers[1].dtype == ps._key_type(n) == np.int32
+    for columns, kind in ((covers, ps.IntervalSample), ([c[::-1] for c in covers], ps.FinitePoset)):
+        kept = [c.copy() for c in columns]
+        p = ps.from_columns(n, *columns)
+        assert type(p) is kind and p == sample == ps.read_poset(text)
+        assert all(np.array_equal(c, k) for c, k in zip(columns, kept))
+
+
 def test_keys_past_int32_read_as_a_sample():
     p = ps.from_relations(50_000, [(1, 2), (2, 50_000)])
     assert isinstance(p, ps.IntervalSample)

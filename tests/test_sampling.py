@@ -415,6 +415,51 @@ def test_fingerprints_match_pattern_code_oracle(p, max_q, seed):
             assert values[pid] == 0.0
 
 
+@given(posets(max_n=12), st.integers(2, 5), st.integers(1, 60), st.integers(0, 2**32))
+@example(ps.antichain(10), 3, 40, 0)  # 72 % of 3-tuples distinct: the prefix falls short
+@example(ps.antichain(5), 4, 40, 0)  # 19 % of 4-tuples distinct: over budget
+@example(ps.antichain(2), 2, 1, 3)  # one tuple kept of a prefix of two
+@settings(max_examples=60, deadline=None)
+def test_fingerprint_estimate_keeps_the_tuples_of_the_full_read(p, max_q, subsets, seed):
+    """Each size reads ceil(1.25 subsets) tuples first, and all 4 subsets
+    only if fewer than `subsets` of the prefix are distinct; the tuples kept,
+    and the BudgetExceeded condition and message, are those of reading all
+    4 subsets, the first `subsets` distinct tuples of the stream."""
+    prefix = -(-5 * subsets // 4)
+    want_reads, want_kept, failed = [], {}, None
+    for s in range(2, min(max_q, p.n) + 1):
+        first = ref.distinct_tuples(p.n, s, prefix, SeededRng(seed))
+        full = ref.distinct_tuples(p.n, s, 4 * subsets, SeededRng(seed))
+        assert first == full[: len(first)]  # the prefix's positions come first
+        want_reads += [(s, prefix * s)] + ([] if len(first) >= subsets else [(s, 4 * subsets * s)])
+        if len(full) < subsets:
+            failed = (f"^{4 * subsets} random {s}-tuples of {p.n} points gave fewer than "
+                      f"subsets={subsets} with {s} distinct points$")
+            break
+        want_kept[s] = full[:subsets]
+
+    reads, kept = [], {}
+    uniforms, tuple_codes = SeededRng.uniforms, sa._tuple_codes
+
+    def counted(rng, kind, count, index=0):
+        reads.append((index, count))
+        return uniforms(rng, kind, count, index)
+
+    def recorded(q, tuples):
+        kept[len(tuples)] = [tuple(t) for t in tuples.T.tolist()]
+        return tuple_codes(q, tuples)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SeededRng, "uniforms", counted)
+        mp.setattr(sa, "_tuple_codes", recorded)
+        if failed:
+            with pytest.raises(BudgetExceeded, match=failed):
+                sa.fingerprint_estimate(p, max_q, subsets, SeededRng(seed))
+        else:
+            sa.fingerprint_estimate(p, max_q, subsets, SeededRng(seed))
+    assert reads == want_reads and kept == want_kept
+
+
 @pytest.mark.parametrize(
     "p, max_q", [(ps.chain(2), 4), (ps.chain(1), 5), (ps.two_plus_two(), 3)]
 )
