@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import textio
-from .errors import InvariantError, SizeLimit
+from .errors import InvalidArgument, InvariantError, SizeLimit
 from .densities import density
 from .poset import FinitePoset, _bits, _incomparable_rows, canonical_key
 
@@ -60,10 +60,14 @@ def complete_graph(n: int) -> SimpleGraph:
 
 
 def empty_graph(n: int) -> SimpleGraph:
+    if n < 0:
+        raise InvalidArgument(f"a graph has at least 0 points, got {n}")
     return SimpleGraph(n, (0,) * n)
 
 
 def cycle_graph(n: int) -> SimpleGraph:
+    if n < 3:
+        raise InvalidArgument(f"a cycle has at least 3 points, got {n}")
     return SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -91,8 +95,11 @@ def poset_orientations(f: SimpleGraph) -> list[FinitePoset]:
     """All labelled edge orientations of f that are strict partial orders.
 
     Orienting must not force a comparability outside f's edge set, so the
-    oriented relation has to be transitively closed already.
+    oriented relation has to be transitively closed already.  All 2^|E|
+    orientations are tried, so f has at most `_PATTERN_MAX` points.
     """
+    if f.n > _PATTERN_MAX:
+        raise InvalidArgument(f"orientations are capped at {_PATTERN_MAX} points, got {f.n}")
     out = []
     edges = f.edges()
     for choice in itertools.product((0, 1), repeat=len(edges)):
@@ -112,19 +119,19 @@ def poset_orientations(f: SimpleGraph) -> list[FinitePoset]:
 
 def enumerate_graphs(max_size: int) -> list[SimpleGraph]:
     """One representative per isomorphism class, sizes 1..max_size."""
+    if max_size < 1:
+        raise InvalidArgument(f"max_size must be at least 1, got {max_size}")
     if max_size > 6:
         raise SizeLimit("graph enumeration capped at size 6")
     reps: list[SimpleGraph] = []
     for n in range(1, max_size + 1):
-        seen: set[tuple] = set()
+        first: dict[tuple, SimpleGraph] = {}  # by canonical key, the first graph met
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         for bits in range(1 << len(pairs)):
             edges = [pairs[k] for k in range(len(pairs)) if (bits >> k) & 1]
             g = SimpleGraph.from_edges(n, edges)
-            key = canonical_key(g)
-            if key not in seen:
-                seen.add(key)
-                reps.append(g)
+            first.setdefault(canonical_key(g), g)
+        reps.extend(first.values())
     return reps
 
 

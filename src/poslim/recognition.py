@@ -2,18 +2,16 @@
 
 The forbidden patterns are 2+2 (two disjoint comparable pairs with all cross
 pairs incomparable) for interval orders, plus 3+1 (a 3-chain with a point
-incomparable to all of it) for semiorders.  The tests use the Fishburn and
-Scott-Suppes view instead of a pattern search: an order is an interval
-order iff its down-sets form a chain under inclusion, and such an order is a
-semiorder iff no point has both a strictly larger down-set and a strictly
-larger up-set than another.  Each test is a sort and a scan, O(n log n)
-steps of at most n/64 words; the semiorder test reads only set sizes
-(`degrees`), and `interval_representation` checks its realization with one
-`precedes` call, so an `IntervalSample` is recognized and represented from
-its endpoint ranks; the representation is itself an `IntervalSample`, with
-integer ends over the denominator n.  `find_two_plus_two` and
-`find_three_plus_one` scan all O(n^2) point pairs; they build the witness
-of `NotIntervalOrder` and serve the test suite as oracles.
+incomparable to all of it) for semiorders.  Each answer is read from one
+order, the points by (|D|, -|U|, index) for down-set D and up-set U.  An
+order is an interval order iff each D lies inside the next (the down-sets
+form a chain, Fishburn), the first pair that fails giving a 2+2; an interval
+order is a semiorder iff |U| never rises along the order (no point has a
+larger D and a larger U than another, Scott-Suppes), the first rise giving a
+3+1, so `find_three_plus_one` takes interval orders only.  A sort and a
+scan, with witnesses read through `precedes`: an `IntervalSample` is
+recognized and represented from its ranks, the representation an
+`IntervalSample` with integer ends over the denominator n.
 """
 
 from __future__ import annotations
@@ -26,95 +24,94 @@ import numpy as np
 from . import textio
 from .errors import FormatError, InternalInvariantError, NotIntervalOrder, SizeLimit
 from .measures import AtomicMeasure
-from .poset import FinitePoset, IntervalSample, _bits, _incomparable_rows
+from .poset import FinitePoset, IntervalSample
+
+
+def _sort(p: FinitePoset, interval: bool = False) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+    """(order, ups, pair): the points by (|D|, -|U|, index), |U| of each, and
+    the first pair (x, y) adjacent in the order with D(x) not inside D(y) or
+    None (with `interval`, NotIntervalOrder).  A sample is not scanned."""
+    downs, ups = p.degrees("minus"), p.degrees("plus")
+    order = np.lexsort((-ups, downs))
+    pred = () if isinstance(p, IntervalSample) else p.pred
+    seq = order.tolist() if pred else []
+    pair = next(((x, y) for x, y in zip(seq, seq[1:]) if (pred[x] & pred[y]) != pred[x]), None)
+    if interval and pair is not None:
+        raise NotIntervalOrder(f"induced 2+2 on points {_two_plus_two(p, *pair)}")
+    return order, ups, pair
+
+
+def _rise(order: np.ndarray, ups: np.ndarray) -> tuple[int, int] | None:
+    """The first pair (x, y) adjacent in `order` with |U(x)| < |U(y)|, or None."""
+    rise = np.flatnonzero(np.diff(ups[order]) > 0)
+    return (order[rise[0]].item(), order[rise[0] + 1].item()) if rise.size else None
+
+
+def _only(p: FinitePoset, x: int, y: int, up: bool = False) -> int:
+    """The least point below x and not y (or above, with `up`), by `precedes`."""
+    pts = np.arange(p.n)
+    rel = (lambda v: p.precedes(v, pts)) if up else (lambda v: p.precedes(pts, v))
+    return int(np.flatnonzero(rel(x) & ~rel(y))[0])
+
+
+def _two_plus_two(p: FinitePoset, x: int, y: int) -> tuple[int, int, int, int]:
+    """The 2+2 (a, x, c, y) of `_sort`'s pair: |D(x)| <= |D(y)| gives c in
+    D(y) - D(x) as well as a in D(x) - D(y), and any relation among a, x, c,
+    y beyond a < x and c < y would put a in D(y) or c in D(x)."""
+    return _only(p, x, y), x, _only(p, y, x), y
 
 
 def find_two_plus_two(p: FinitePoset) -> tuple[int, int, int, int] | None:
-    """An induced 2+2 as (a, b, c, d) with a < b, c < d, or None.
-
-    A violating quadruple exists iff some two points have inclusion-
-    incomparable predecessor sets; the cross incomparabilities then follow
-    from transitivity.
-    """
-    n = p.n
-    pred = p.pred
-    for b in range(n):
-        for d in range(b + 1, n):
-            only_b = pred[b] & ~pred[d]
-            only_d = pred[d] & ~pred[b]
-            if only_b and only_d:
-                a = (only_b & -only_b).bit_length() - 1
-                c = (only_d & -only_d).bit_length() - 1
-                return (a, b, c, d)
-    return None
+    """An induced 2+2 as (a, b, c, d) with a < b, c < d, or None."""
+    pair = _sort(p)[2]
+    return None if pair is None else _two_plus_two(p, *pair)
 
 
 def find_three_plus_one(p: FinitePoset) -> tuple[int, int, int, int] | None:
-    """An induced 3+1 as (x, y, z, w) with x < y < z all incomparable to w."""
-    for w, incomp in enumerate(_incomparable_rows(p)):
-        if incomp.bit_count() < 3:
-            continue
-        for y in _bits(incomp):
-            below = p.pred[y] & incomp
-            above = p.succ[y] & incomp
-            if below and above:
-                x = (below & -below).bit_length() - 1
-                z = (above & -above).bit_length() - 1
-                return (x, y, z, w)
-    return None
+    """An induced 3+1 of an interval order as (a, y, b, x) with a < y < b
+    all incomparable to x, or None; NotIntervalOrder on any other poset.
+    At `_rise`'s pair |D| rises with |U| (larger |U| comes first at equal
+    |D|), so D(x) < D(y) and U(x) < U(y), as the sets are chains: a is in
+    D(y) - D(x) and b in U(y) - U(x).  A 3+1 puts such a pair in order."""
+    pair = _rise(*_sort(p, interval=True)[:2])
+    if pair is None:
+        return None
+    x, y = pair
+    return _only(p, y, x), y, _only(p, y, x, up=True), x
 
 
 def is_interval_order(p: FinitePoset) -> bool:
     """True iff the down-sets form a chain under inclusion (no induced 2+2)."""
-    if isinstance(p, IntervalSample):
-        return True
-    rows = sorted(set(p.pred), key=lambda m: (m.bit_count(), m))
-    for a, b in zip(rows, rows[1:]):
-        if a & ~b:
-            return False
-    return True
+    return isinstance(p, IntervalSample) or _sort(p)[2] is None
 
 
 def is_semiorder(p: FinitePoset) -> bool:
     """True iff p is an interval order without an induced 3+1."""
-    if not is_interval_order(p):
-        return False
-    return semiorder_by_degrees(p.degrees("minus"), p.degrees("plus"))
+    order, ups, pair = _sort(p)
+    return pair is None and _rise(order, ups) is None
 
 
 def semiorder_by_degrees(downs: Sequence[int], ups: Sequence[int]) -> bool:
     """True iff an interval order with down-set sizes `downs` and up-set
-    sizes `ups` (in the same point order) has no induced 3+1.
-
-    In an interval order the down-sets and the up-sets each form an
-    inclusion chain, so a strictly larger set is one of strictly larger
-    size.  A point x with D(x) < D(y) and U(x) < U(y) gives the 3+1
-    a < y < b, x, for any a in D(y) - D(x) and b in U(y) - U(x), and a 3+1
-    x < y < z, w gives such a pair (w, y).  Points sorted by (|D|, -|U|)
-    contain such a pair iff some |U| exceeds the |U| just before it.
-    """
+    sizes `ups` (in one point order) has no 3+1: no rise of |U| by (|D|, -|U|)."""
     downs, ups = np.asarray(downs, np.int64), np.asarray(ups, np.int64)
-    return not (np.diff(ups[np.lexsort((-ups, downs))]) > 0).any()
+    return _rise(np.lexsort((-ups, downs)), ups) is None
 
 
 def interval_representation(p: FinitePoset) -> IntervalSample:
     """Evenly-spaced-left-endpoint representation of an interval order.
 
-    Points are ranked by (predecessor count asc, successor count desc,
-    index), and point i gets the interval [rank_i/n, (n - |succ(i)|)/n],
-    as an `IntervalSample` over the denominator n.  For interval orders
-    every successor set is then a rank suffix, which makes the realization
-    biconditional hold; it is re-checked at runtime as one `precedes` call
-    over the points with a successor (so an `IntervalSample` answers from
-    its ranks).  For semiorders the right endpoints come out nondecreasing
-    in rank order: that is the condition `semiorder_by_degrees` reads from
-    the same sort.
+    Points are ranked in `_sort`'s order, and point i gets the interval
+    [rank_i/n, (n - |succ(i)|)/n], an `IntervalSample` over the denominator
+    n.  For interval orders every successor set is then a rank suffix, which
+    makes the realization biconditional hold; it is re-checked at runtime as
+    one `precedes` call over the points with a successor (so an
+    `IntervalSample` answers from its ranks).  For semiorders the right
+    endpoints come out nondecreasing in rank order: that is the condition
+    `is_semiorder` reads from the same sort.
     """
-    if not is_interval_order(p):
-        raise NotIntervalOrder(f"induced 2+2 on points {find_two_plus_two(p)}")
+    order, ups, _ = _sort(p, interval=True)  # ties stay in index order
     n = p.n
-    downs, ups = p.degrees("minus"), p.degrees("plus")
-    order = np.lexsort((-ups, downs))  # stable, so ties stay in index order
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(1, n + 1)
     # succ(i) is the rank suffix above n - |succ(i)|, so b[i] sits one grid

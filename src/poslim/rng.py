@@ -66,6 +66,8 @@ class SeededRng:
 
     def raw(self, kind: int, count: int, index: int = 0) -> np.ndarray:
         """Raw uint64 outputs at positions 0..count-1 of a stream."""
+        if count < 0:
+            raise InvalidArgument(f"count must be at least 0, got {count}")
         bg = np.random.Philox(key=self._key(kind, index))
         return bg.random_raw(count)
 

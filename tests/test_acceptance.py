@@ -170,11 +170,16 @@ def test_criterion_1_exact_identities(catalog5, catalog6):
     _report("1d projection idempotent, marginal preserved (>=10 fixtures)", ok_proj)
 
     # 1e: recognition routes agree on the full catalog and 1000 random posets:
-    # the down-set tests against the 2+2 and 3+1 pattern searches
+    # the down-set tests against the reference's 2+2 and 3+1 searches, and
+    # the witness of each pattern found induces that pattern
     def routes_agree(p):
-        io = rec.find_two_plus_two(p) is None
-        so_ = io and rec.find_three_plus_one(p) is None
-        return rec.is_interval_order(p) == io and rec.is_semiorder(p) == so_
+        io = ref.two_plus_two(p) is None
+        so_ = io and ref.three_plus_one(p) is None
+        found = rec.find_three_plus_one(p) if io else rec.find_two_plus_two(p)
+        pattern = ps.three_plus_one() if io else ps.two_plus_two()
+        induced = found is None or ref.is_isomorphic(ps.induced(p, list(found)), pattern)
+        agree = rec.is_interval_order(p) == io and rec.is_semiorder(p) == so_
+        return agree and (found is None) == so_ and induced
 
     ok_rec = all(routes_agree(p) for p in catalog6.classes)
     rng = SeededRng(20260810)

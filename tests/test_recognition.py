@@ -30,14 +30,17 @@ def test_pattern_examples():
 
 
 def test_witnesses_are_induced_patterns():
-    h = ps.two_plus_two()
-    w = rec.find_two_plus_two(h)
-    assert w is not None
-    sub = ps.induced(h, list(w))
-    assert ref.is_isomorphic(sub, h)
-    l = ps.three_plus_one()
-    w = rec.find_three_plus_one(l)
-    assert ref.is_isomorphic(ps.induced(l, list(w)), l)
+    h, l = ps.two_plus_two(), ps.three_plus_one()
+    assert_induces(h, rec.find_two_plus_two(h), h)
+    assert_induces(l, rec.find_three_plus_one(l), l)
+
+
+def assert_induces(p, w, pattern):
+    """The witness's points induce `pattern` by the reference's isomorphism
+    test, and in its labelling: (a, b, c, d) with a < b, c < d for a 2+2,
+    (x, y, z, w) with x < y < z for a 3+1."""
+    sub = ps.induced(p, list(w))
+    assert ref.is_isomorphic(sub, pattern) and sub == pattern
 
 
 def test_downset_chain_examples():
@@ -46,19 +49,28 @@ def test_downset_chain_examples():
     assert rec.is_interval_order(ps.antichain(5))
 
 
-def assert_tests_match_pattern_search(p):
-    """The down-set tests against the 2+2 and 3+1 searches they replaced,
-    and against the reference's searches."""
-    io = rec.find_two_plus_two(p) is None
-    assert rec.is_interval_order(p) == io == (ref.two_plus_two(p) is None)
-    semi = io and rec.find_three_plus_one(p) is None
-    assert rec.is_semiorder(p) == semi == (io and ref.three_plus_one(p) is None)
+def assert_tests_match_reference(p):
+    """The down-set tests and both finders against the reference's pattern
+    searches; each witness induces its pattern, and a poset with a 2+2 has
+    no 3+1 search."""
+    io = ref.two_plus_two(p) is None
+    assert rec.is_interval_order(p) == io == (rec.find_two_plus_two(p) is None)
+    if not io:
+        assert_induces(p, rec.find_two_plus_two(p), ps.two_plus_two())
+        with pytest.raises(NotIntervalOrder, match="induced 2"):
+            rec.find_three_plus_one(p)
+        assert not rec.is_semiorder(p)
+        return
+    w = rec.find_three_plus_one(p)
+    assert rec.is_semiorder(p) == (w is None) == (ref.three_plus_one(p) is None)
+    if w is not None:
+        assert_induces(p, w, ps.three_plus_one())
 
 
 def test_routes_agree_on_catalog(catalog6):
     h, l = ps.two_plus_two(), ps.three_plus_one()
     for p in catalog6.classes:
-        assert_tests_match_pattern_search(p)
+        assert_tests_match_reference(p)
         io = rec.is_interval_order(p)
         assert io == (de.density(h, p, "ind") == 0)
         assert rec.is_semiorder(p) == (
@@ -69,7 +81,7 @@ def test_routes_agree_on_catalog(catalog6):
 @given(posets(max_n=12))
 @settings(max_examples=150)
 def test_routes_agree_random(p):
-    assert_tests_match_pattern_search(p)
+    assert_tests_match_reference(p)
 
 
 def test_representation_examples():
@@ -81,10 +93,37 @@ def test_representation_examples():
     # realizes 1 < 2: b_1 = 1/2 < a_2 = 1
 
 
+def named_points(exc):
+    """The four points that a NotIntervalOrder message names."""
+    points = re.fullmatch(r"induced 2\+2 on points \((.*)\)", str(exc)).group(1)
+    return [int(v) for v in points.split(",")]
+
+
 def test_representation_rejects_two_plus_two():
     h = ps.two_plus_two()
-    with pytest.raises(NotIntervalOrder, match=re.escape(str(rec.find_two_plus_two(h)))):
+    with pytest.raises(NotIntervalOrder) as caught:
         rec.interval_representation(h)
+    assert ref.is_isomorphic(ps.induced(h, named_points(caught.value)), h)
+
+
+def chain_under_two_plus_two(n):
+    """Points 1..n-4 (1-based) form a chain whose top lies below both x < y
+    and u < v, the last four points."""
+    top = [(n - 4, n - 3), (n - 3, n - 2), (n - 4, n - 1), (n - 1, n)]
+    return ps.from_relations(n, [(i, i + 1) for i in range(1, n - 4)] + top)
+
+
+def test_long_chain_under_two_plus_two_names_its_pattern():
+    """The 2+2 above a 4996-point chain, from both finders and from the
+    representation's error, is a 2+2 by the reference's search."""
+    p = chain_under_two_plus_two(5000)
+    with pytest.raises(NotIntervalOrder) as caught:
+        rec.interval_representation(p)
+    with pytest.raises(NotIntervalOrder, match=re.escape(str(caught.value))):
+        rec.find_three_plus_one(p)
+    for w in (rec.find_two_plus_two(p), named_points(caught.value)):
+        assert ref.two_plus_two(ps.induced(p, list(w))) is not None
+    assert not rec.is_interval_order(p) and not rec.is_semiorder(p)
 
 
 def written_ranks(rep):
@@ -130,7 +169,7 @@ _RICH = StepKernelMeasure.from_cells(
 def test_representation_matches_pairwise_check_sampled(kernel, seed):
     model = gc(Fraction(3, 10)) if kernel == "gc" else _RICH
     p = sample_kernel_poset(model, 300, SeededRng(seed))
-    assert_tests_match_pattern_search(p)
+    assert_tests_match_reference(p)
     rep = rec.interval_representation(p)
     assert rep == p
     assert_realizes_pairwise(p, rep)
@@ -145,10 +184,20 @@ def test_representing_a_sample_builds_no_masks():
     assert_realizes_pairwise(p, rep)
 
 
+def test_witnesses_of_a_sample_build_no_masks():
+    p = sample_kernel_poset(_RICH, 300, SeededRng(1))
+    w = rec.find_three_plus_one(p)
+    assert rec.find_two_plus_two(p) is None and w is not None
+    assert "succ" not in vars(p) and "pred" not in vars(p)
+    assert w == rec.find_three_plus_one(ps.FinitePoset(p.n, p.succ, p.pred))
+    assert_induces(p, w, ps.three_plus_one())
+
+
 def test_representation_check_names_an_unrealized_pair(monkeypatch):
     # past the interval-order test, 2+2 (1 < 2, 3 < 4) ranks as 1, 3, 2, 4:
     # the suffix of size 1 is {4}, and 1 does not precede 4
-    monkeypatch.setattr(rec, "is_interval_order", lambda p: True)
+    sort = rec._sort
+    monkeypatch.setattr(rec, "_sort", lambda p, interval=False: sort(p))
     with pytest.raises(InternalInvariantError, match=r"realize the pair \(0,3\)"):
         rec.interval_representation(ps.from_relations(4, [(1, 2), (3, 4)]))
 

@@ -276,6 +276,15 @@ LIBRARY_ARGUMENT_FAULTS = {
     "push_h.variant": lambda: measures.push_h(_ATOMS, "plus"),
     "SeededRng._key.index": lambda: SeededRng(1).uniforms(1, 3, index=-1),
     "nu_empirical.sign": lambda: sampling.nu_empirical(_CHAIN, "both"),
+    "SeededRng.raw.count": lambda: SeededRng(1).raw(1, -1),
+    "enumerate_graphs.0": lambda: graphs.enumerate_graphs(0),
+    "enumerate_graphs.-3": lambda: graphs.enumerate_graphs(-3),
+    "empty_graph.n": lambda: graphs.empty_graph(-2),
+    "complete_graph.n": lambda: graphs.complete_graph(-1),
+    "cycle_graph.2": lambda: graphs.cycle_graph(2),
+    "cycle_graph.0": lambda: graphs.cycle_graph(0),
+    # K7 has 2^21 orientations: refused before the first is tried
+    "poset_orientations.size": lambda: graphs.poset_orientations(graphs.complete_graph(7)),
 }
 
 
