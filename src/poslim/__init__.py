@@ -34,10 +34,8 @@ from .measures import (
     SupportSet,
     equivalent,
     h_map,
-    left_marginal,
     project_star,
     push_h,
-    right_marginal,
     support_and_gaps,
 )
 from .poset import (
@@ -75,7 +73,6 @@ from .sampling import (
     nu_empirical,
     p_for_c,
     random_graph_order,
-    sample_interval_poset,
     sample_kernel_poset,
 )
 from .semiorders import (

@@ -6,8 +6,8 @@ same search counts automorphisms (induced self-maps that keep each colour
 block) and, since a `graphs.SimpleGraph` reads as a symmetric relation, the
 induced embeddings of graphs.  Monte Carlo estimation against
 interval models lives here too because it shares the tuple-product
-definition; it draws its tuples through the documented counter-based streams
-and tests b_i < a_j on the integer ends of `draw_intervals`.
+definition; each model `draw`s its tuples from the documented counter-based
+streams (`sampling.draw_intervals`), and it tests b_i < a_j on their ends.
 """
 
 from __future__ import annotations
@@ -162,10 +162,12 @@ def kernel_density_mc(
 ) -> tuple[float, float]:
     """Monte Carlo homomorphism density t(q, W) with a 95% half-width.
 
-    `model` is an interval model of `sampling.draw_intervals` (a threshold
-    function, rate function or interval measure); W(x, y) is the indicator
-    that interval x ends strictly before interval y begins, so a sample is
-    a hit iff b_i < a_j on the integer ends for every relation i < j of q.
+    `model` is an interval model (a threshold function, rate function or
+    interval measure), drawn by its own `draw` through
+    `sampling.draw_intervals`, which refuses anything else; W(x, y) is the
+    indicator that interval x ends strictly before interval y begins, so a
+    sample is a hit iff b_i < a_j on the integer ends for every relation
+    i < j of q.
     Sample t uses positions t*|q|*k .. (t+1)*|q|*k - 1 of the tuple stream
     (k as in `rng`), whatever the split of samples across workers.
     """

@@ -11,6 +11,9 @@ Two measure classes are exact-rational and closed under every operation here:
                           the right endpoint constant on each cell of a finite
                           partition of [0,1] (a finite atom list per cell).
 
+Each answers its exact end marginals (`left_marginal`, `right_marginal`) and
+`draw`s intervals for `sampling.draw_intervals`; `write_measure` and
+`read_measure` hold their one text format, and `push_h` one algorithm each.
 `StepCDF` (a `pwl.Curve`) holds one-dimensional marginals and degree
 distributions, and `SupportSet` the support of such a CDF as closed
 components.  The snap maps (`h_map`), the pushforwards that collapse support
@@ -25,6 +28,7 @@ which checks by `pwl.tiling` that the support gaps tile [0,1], as
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -37,7 +41,8 @@ import numpy as np
 
 from . import pwl, textio
 from .errors import FormatError, InvalidArgument, InvariantError, NotInPMinus
-from .pwl import ONE, ZERO, as_fraction
+from .pwl import ONE, ZERO, _fit, as_fraction, over_lcm
+from .rng import UNIT
 
 HVariant = Literal["minus", "plus", "bar_plus"]
 PushVariant = Literal["minus", "bar_plus"]
@@ -214,6 +219,21 @@ class AtomicMeasure:
     def dirac(cls, x, y) -> "AtomicMeasure":
         return cls.from_atoms([(x, y, ONE)])
 
+    def left_marginal(self) -> StepCDF:
+        return StepCDF.from_jumps((x, w) for x, _, w in self.atoms)
+
+    def right_marginal(self) -> StepCDF:
+        return StepCDF.from_jumps((y, w) for _, y, w in self.atoms)
+
+    def draw(self, columns) -> tuple[int, np.ndarray, np.ndarray]:
+        """(den, a, b) of the atom each k of `columns(1)` picks by cumulative
+        weight (`_bisect_right`)."""
+        (k,) = columns(1)
+        xs, ys, ws = zip(*self.atoms)
+        ks = np.minimum(_bisect_right(itertools.accumulate(ws), k), len(ws) - 1)
+        den, (xs, ys) = over_lcm(xs, ys)
+        return den, xs[ks], ys[ks]
+
 
 @dataclass(frozen=True)
 class StepKernelMeasure:
@@ -255,29 +275,39 @@ class StepKernelMeasure:
                 merged.append([c_lo, c_hi, cond])
         return StepKernelMeasure.from_cells(tuple(tuple(c) for c in merged))
 
+    def left_marginal(self) -> StepCDF:
+        return StepCDF.uniform()
+
+    def right_marginal(self) -> StepCDF:
+        return StepCDF.from_jumps(
+            (y, (c_hi - c_lo) * p) for c_lo, c_hi, cond in self.cells() for y, p in cond
+        )
+
+    def draw(self, columns) -> tuple[int, np.ndarray, np.ndarray]:
+        """(den, a, b) of [u, y] for each k1, k2 of `columns(2)`: u = k1/UNIT,
+        and k2 picks y from u's cell's conditional by cumulative probability."""
+        k1, k2 = columns(2)
+        conds = self.conditionals
+        cells = np.minimum(_bisect_right(self.breaks, k1) - 1, len(conds) - 1)
+        atoms = np.cumsum([0, *map(len, conds)])[cells]  # each cell's first atom
+        for c, cond in enumerate(conds):
+            here = cells == c
+            cum = itertools.accumulate(p for _, p in cond)
+            atoms[here] += np.minimum(_bisect_right(cum, k2[here]), len(cond) - 1)
+        den, (ys,) = over_lcm([y for cond in conds for y, _ in cond], den=UNIT)
+        return den, _fit(den, k1)[0] * (den // UNIT), ys[atoms]
+
 
 # `|`, not typing.Union: typing caches a Union, and with it these classes,
 # across every re-import of the package
 Measure = AtomicMeasure | StepKernelMeasure
 
 
-def right_marginal(mu: Measure) -> StepCDF:
-    """Exact CDF of the right endpoint of a random interval from mu."""
-    if isinstance(mu, AtomicMeasure):
-        return StepCDF.from_jumps((y, w) for _, y, w in mu.atoms)
-    if isinstance(mu, StepKernelMeasure):
-        return StepCDF.from_jumps(
-            (y, (c_hi - c_lo) * p) for c_lo, c_hi, cond in mu.cells() for y, p in cond
-        )
-    raise TypeError(f"not a measure: {mu!r}")
-
-
-def left_marginal(mu: Measure) -> StepCDF:
-    if isinstance(mu, AtomicMeasure):
-        return StepCDF.from_jumps((x, w) for x, _, w in mu.atoms)
-    if isinstance(mu, StepKernelMeasure):
-        return StepCDF.uniform()
-    raise TypeError(f"not a measure: {mu!r}")
+def _bisect_right(xs: Iterable[Fraction], k: np.ndarray) -> np.ndarray:
+    """`bisect_right(xs, k/UNIT)` for each stream integer k, exact: k/UNIT
+    >= x iff k >= ceil(x UNIT), so the nondecreasing xs become integers."""
+    at_or_above = np.array([math.ceil(x * UNIT) for x in xs], dtype=np.int64)
+    return np.searchsorted(at_or_above, k, side="right")
 
 
 def push_h(mu: Measure, variant: PushVariant) -> AtomicMeasure:
@@ -292,7 +322,7 @@ def push_h(mu: Measure, variant: PushVariant) -> AtomicMeasure:
     if variant not in ("minus", "bar_plus"):
         raise InvalidArgument(f"push variant must be minus or bar_plus, got {variant!r}")
     if isinstance(mu, AtomicMeasure):
-        _, gaps = support_and_gaps(right_marginal(mu))
+        _, gaps = support_and_gaps(mu.right_marginal())
         return AtomicMeasure.from_atoms((_snap(gaps, x, variant), y, w) for x, y, w in mu.atoms)
     return AtomicMeasure.from_atoms(
         (a if variant == "minus" else b, y, overlap * p)
@@ -317,7 +347,7 @@ def _overlaps(mu: StepKernelMeasure):
     """(gap, overlap length, conditional) for each support gap of mu's right
     marginal, in order, and each cell of mu it overlaps by a positive length.
     The gaps must tile [0,1] (`pwl.tiling`), so each cell's mass is used up."""
-    _, gaps = support_and_gaps(right_marginal(mu))
+    _, gaps = support_and_gaps(mu.right_marginal())
     pwl.tiling(gaps, "support gaps")
     for a, b in gaps:
         for c_lo, c_hi, cond in mu.cells():

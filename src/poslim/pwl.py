@@ -18,7 +18,7 @@ int64; a step curve, flat on every piece, takes its values over their
 lcm, found by one gcd, as the table with no line computed.  `_along` is
 the one evaluator of every curve read: `value_at`, `left_limit_at`,
 `sup_distance`, the continuity KS of `sampling` at its integer candidates
-and the threshold draw of `sampling.draw_intervals` at its stream
+and the threshold draw `semiorders.MonotoneRC.draw` at its stream
 integers.  It reads points in any order: one `searchsorted` over
 lcm(m, n) and one multiply-add over the table's gathered pieces, in int64
 while the table's computed reach allows it, and past it over the distinct

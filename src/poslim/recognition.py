@@ -37,7 +37,8 @@ def _sort(p: FinitePoset, interval: bool = False) -> tuple[np.ndarray, np.ndarra
     seq = order.tolist() if pred else []
     pair = next(((x, y) for x, y in zip(seq, seq[1:]) if (pred[x] & pred[y]) != pred[x]), None)
     if interval and pair is not None:
-        raise NotIntervalOrder(f"induced 2+2 on points {_two_plus_two(p, *pair)}")
+        named = tuple(v + 1 for v in _two_plus_two(p, *pair))  # 1-based, as in poset files
+        raise NotIntervalOrder(f"induced 2+2 on points {named}")
     return order, ups, pair
 
 

@@ -7,11 +7,12 @@ and parameters produce bit-identical posets regardless of how work is split.
 The built-in kernels are all indicators of interval precedence: a threshold
 function g turns point x into the interval [x, g(x)], a measure on the
 triangle draws intervals directly, and in both cases i < j holds iff
-interval i ends strictly before interval j begins.  `draw_intervals` turns
-the stream integers k of the uniforms k/2^53 into exact intervals, integer
-arrays of ends over one denominator, for all four interval models, for the
-sampler and `densities.kernel_density_mc` alike; any other model raises
-`TypeError` before anything is drawn.
+interval i ends strictly before interval j begins.  Each interval model's
+`draw` (`MonotoneRC`, `RateFunction` through its g, `StepKernelMeasure`,
+`AtomicMeasure`) turns the stream integers k of the uniforms k/2^53 into
+exact intervals, integer arrays of ends over one denominator.
+`draw_intervals`, the sampler's and `densities.kernel_density_mc`'s one
+entry point, refuses anything else with `TypeError` before anything is drawn.
 
 A sample from an interval model is a `poset.IntervalSample`.  Nothing here
 asks which class a poset is: degree statistics read `degrees`, and both
@@ -50,9 +51,9 @@ from .poset import (
     transitive_closure,
     two_plus_two,
 )
-from .pwl import _along, _fit, over_lcm, sup_distance
+from .pwl import _along, _fit, sup_distance
 from .recognition import is_semiorder
-from .rng import CONDITIONALS, EDGES, POINTS, SUBSETS, UNIT, SeededRng
+from .rng import CONDITIONALS, EDGES, POINTS, SUBSETS, SeededRng
 from .semiorders import MonotoneRC, RateFunction, f_minus, f_plus
 
 Sign = Literal["minus", "plus"]
@@ -66,48 +67,14 @@ _FINGERPRINT_BUDGET = 10**7  # subsets the exact fingerprint may classify
 # -- interval models ----------------------------------------------------------
 
 
-def _bisect_right(xs: Iterable[Fraction], k: np.ndarray) -> np.ndarray:
-    """`bisect_right(xs, k/UNIT)` for each stream integer k, exact: k/UNIT
-    >= x iff k >= ceil(x UNIT), so the nondecreasing xs become integers."""
-    at_or_above = np.array([math.ceil(x * UNIT) for x in xs], dtype=np.int64)
-    return np.searchsorted(at_or_above, k, side="right")
-
-
 def draw_intervals(model: SamplerModel, columns) -> tuple[int, np.ndarray, np.ndarray]:
-    """(den, a, b): the left and right ends, integer arrays over den, of
-    i.i.d. draws from an interval model, one per entry of the k arrays of
-    stream integers `columns(k)` returns (k = 2 for a step measure, else 1).
-    A threshold g, or a rate function's g (`RateFunction.g`, derived once),
-    turns u into [u, g(u)]: b over den is g read at k/UNIT by `pwl._along`,
-    through g's line table, and a = k den/UNIT, in b's dtype.  A step
-    measure puts u in its cell and picks the right end among the
-    cell's conditional atoms by the second uniform; an atomic measure picks
-    an atom by cumulative weight.  No float is rounded and no `Fraction` is
-    built."""
-    if isinstance(model, RateFunction):
-        model = model.g
-    if isinstance(model, MonotoneRC):
-        (k,) = columns(1)
-        b, den = _along(model, k, UNIT, "right")
-        return den, k.astype(b.dtype, copy=False) * (den // UNIT), b
-    if isinstance(model, StepKernelMeasure):
-        k1, k2 = columns(2)
-        conds = model.conditionals
-        cells = np.minimum(_bisect_right(model.breaks, k1) - 1, len(conds) - 1)
-        atoms = np.cumsum([0, *map(len, conds)])[cells]  # each cell's first atom
-        for c, cond in enumerate(conds):
-            here = cells == c
-            cum = itertools.accumulate(p for _, p in cond)
-            atoms[here] += np.minimum(_bisect_right(cum, k2[here]), len(cond) - 1)
-        den, (ys,) = over_lcm([y for cond in conds for y, _ in cond], den=UNIT)
-        return den, _fit(den, k1)[0] * (den // UNIT), ys[atoms]
-    if isinstance(model, AtomicMeasure):
-        (k,) = columns(1)
-        xs, ys, ws = zip(*model.atoms)
-        ks = np.minimum(_bisect_right(itertools.accumulate(ws), k), len(ws) - 1)
-        den, (xs, ys) = over_lcm(xs, ys)
-        return den, xs[ks], ys[ks]
-    raise TypeError(f"unsupported sampler model: {model!r}")
+    """(den, a, b): the left and right ends, integer arrays over den, of the
+    model's own `draw`, one per entry of the k arrays of stream integers
+    `columns(k)` returns (k = 2 for a step measure, else 1).  Anything that
+    is not an interval model raises TypeError before `columns` is called."""
+    if not hasattr(model, "draw"):
+        raise TypeError(f"unsupported sampler model: {model!r}")
+    return model.draw(columns)
 
 
 # -- poset construction -------------------------------------------------------
@@ -128,15 +95,6 @@ def sample_kernel_poset(kernel: SamplerModel, n: int, rng: SeededRng) -> FiniteP
     streams = (POINTS, CONDITIONALS)
     ends = draw_intervals(kernel, lambda k: [rng.integers(s, n) for s in streams[:k]])
     return IntervalSample.from_ends(*ends)
-
-
-def sample_interval_poset(
-    mu: StepKernelMeasure | AtomicMeasure, n: int, rng: SeededRng
-) -> FinitePoset:
-    """Poset of n i.i.d. random intervals drawn from mu."""
-    if not isinstance(mu, (StepKernelMeasure, AtomicMeasure)):
-        raise TypeError("sample_interval_poset needs an interval measure")
-    return sample_kernel_poset(mu, n, rng)
 
 
 # -- empirical degree statistics ----------------------------------------------

@@ -26,6 +26,7 @@ from . import pwl, textio
 from .errors import FormatError, InvariantError, NotInPMinus
 from .measures import StepCDF, check_p_minus
 from .pwl import ONE, ZERO, as_fraction
+from .rng import UNIT
 
 
 class MonotoneRC(pwl.Curve):
@@ -48,6 +49,13 @@ class MonotoneRC(pwl.Curve):
     @classmethod
     def identity(cls) -> "MonotoneRC":
         return cls.from_points([(ZERO, ZERO, ZERO), (ONE, ONE, ONE)])
+
+    def draw(self, columns) -> tuple:
+        """(den, a, b) of [u, g(u)], u = k/UNIT for each k of `columns(1)`: b
+        is g read by `pwl._along`, and a = k den/UNIT in b's dtype."""
+        (k,) = columns(1)
+        b, den = pwl._along(self, k, UNIT, "right")
+        return den, k.astype(b.dtype, copy=False) * (den // UNIT), b
 
 
 def gc(c) -> MonotoneRC:
@@ -106,6 +114,9 @@ class RateFunction:
     def g(self) -> MonotoneRC:
         """The threshold function of this rate (`g_from_rate`), derived once."""
         return g_from_rate(self)
+
+    def draw(self, columns) -> tuple:
+        return self.g.draw(columns)
 
 
 # -- the F-/F+ calculus -------------------------------------------------------

@@ -76,19 +76,19 @@ def test_one_weight_rule(name):
 
 
 def test_right_marginal():
-    r = me.right_marginal(cells((0, 1, [(1, 1)])))
+    r = cells((0, 1, [(1, 1)])).right_marginal()
     assert r.value(1) == 1 and r.left_limit(1) == 0
-    r = me.right_marginal(TWO_CELL)
+    r = TWO_CELL.right_marginal()
     assert r.value(F(1, 2)) == F(1, 2) and r.value(F(3, 4)) == F(1, 2)
     am = AtomicMeasure.from_atoms([(0, F(1, 4), F(1, 3)), (F(1, 2), F(3, 4), F(2, 3))])
-    r = me.right_marginal(am)
+    r = am.right_marginal()
     assert r.value(F(1, 4)) == F(1, 3) and r.value(F(3, 4)) == 1
 
 
 def test_left_marginal():
-    assert me.left_marginal(TWO_CELL).points == StepCDF.uniform().points
+    assert TWO_CELL.left_marginal().points == StepCDF.uniform().points
     am = AtomicMeasure.from_atoms([(0, 1, F(1, 2)), (F(1, 2), 1, F(1, 2))])
-    lm = me.left_marginal(am)
+    lm = am.left_marginal()
     assert lm.value(0) == F(1, 2) and lm.value(F(1, 2)) == 1
 
 
@@ -106,7 +106,8 @@ def test_support_and_gaps_examples():
     assert gaps == [(F(0), F(1, 2)), (F(1, 2), F(3, 4))]
 
 
-@given(st.one_of(step_measures().map(me.right_marginal), atomic_measures().map(me.right_marginal),
+@given(st.one_of(step_measures().map(StepKernelMeasure.right_marginal),
+                 atomic_measures().map(AtomicMeasure.right_marginal),
                  monotone_gs().map(so.f_minus), monotone_gs().map(so.f_plus),
                  posets(max_n=6).map(lambda p: sa.nu_empirical(p, "plus"))))
 @settings(max_examples=150, deadline=None)
@@ -138,7 +139,8 @@ def test_h_map_end_gaps():
 
 
 @given(
-    st.one_of(atomic_measures().map(me.right_marginal), step_measures().map(me.right_marginal),
+    st.one_of(atomic_measures().map(AtomicMeasure.right_marginal),
+              step_measures().map(StepKernelMeasure.right_marginal),
               monotone_gs().map(so.f_minus)),
     st.fractions(min_value=0, max_value=1, max_denominator=12),
 )
@@ -210,14 +212,14 @@ def test_push_h_atomic_fixed_points():
 def test_push_h_atoms_follow_h_map(mu, variant):
     # push_h and h_map snap by one rule: each atom (x, y, w) moves to
     # (h_map(right marginal, x), y, w)
-    nu = me.right_marginal(mu)
+    nu = mu.right_marginal()
     moved = [(me.h_map(nu, x, variant), y, w) for x, y, w in mu.atoms]
     assert me.push_h(mu, variant) == AtomicMeasure.from_atoms(moved)
 
 
 def test_project_star_checks_that_gaps_tile(monkeypatch):
     mu = cells((0, 1, [(1, 1)]))
-    support, _ = me.support_and_gaps(me.right_marginal(mu))
+    support, _ = me.support_and_gaps(mu.right_marginal())
     monkeypatch.setattr(me, "support_and_gaps", lambda nu: (support, [(0, F(1, 2))]))
     with pytest.raises(InvariantError, match="support gaps must end at 1"):
         me.project_star(mu)
@@ -230,7 +232,7 @@ def test_project_star_checks_that_gaps_tile(monkeypatch):
 )
 def test_push_h_checks_that_gaps_tile(monkeypatch, variant, gaps, message):
     mu = cells((0, 1, [(1, 1)]))
-    support, _ = me.support_and_gaps(me.right_marginal(mu))
+    support, _ = me.support_and_gaps(mu.right_marginal())
     monkeypatch.setattr(me, "support_and_gaps", lambda nu: (support, gaps))
     with pytest.raises(InvariantError, match=re.escape(f"support gaps must {message}")):
         me.push_h(mu, variant)
@@ -260,10 +262,10 @@ def test_project_star_properties(mu):
     st = me.project_star(mu)
     # projection: idempotent, marginal-preserving, pushforward-preserving
     assert me.project_star(st).canonical() == st.canonical()
-    assert me.right_marginal(st).points == me.right_marginal(mu).points
+    assert st.right_marginal().points == mu.right_marginal().points
     for variant in ("minus", "bar_plus"):
         assert me.push_h(mu, variant) == me.push_h(st, variant)
-    assert me.left_marginal(st).points == StepCDF.uniform().points
+    assert st.left_marginal().points == StepCDF.uniform().points
 
 
 def test_equivalent_examples():

@@ -94,9 +94,9 @@ def test_representation_examples():
 
 
 def named_points(exc):
-    """The four points that a NotIntervalOrder message names."""
+    """The four points, 0-based, that a NotIntervalOrder message names 1-based."""
     points = re.fullmatch(r"induced 2\+2 on points \((.*)\)", str(exc)).group(1)
-    return [int(v) for v in points.split(",")]
+    return [int(v) - 1 for v in points.split(",")]
 
 
 def test_representation_rejects_two_plus_two():

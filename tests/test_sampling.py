@@ -35,8 +35,8 @@ def test_sample_extremes():
     assert sa.sample_kernel_poset(so.gc(1), 50, SeededRng(1)).pair_count() == 0
     p = sa.sample_kernel_poset(so.MonotoneRC.identity(), 7, SeededRng(2))
     assert ref.is_isomorphic(p, ps.chain(7))
-    assert sa.sample_interval_poset(AtomicMeasure.dirac(0, 1), 20, SeededRng(3)).pair_count() == 0
-    single = sa.sample_interval_poset(TWO_CELL, 1, SeededRng(4))
+    assert sa.sample_kernel_poset(AtomicMeasure.dirac(0, 1), 20, SeededRng(3)).pair_count() == 0
+    single = sa.sample_kernel_poset(TWO_CELL, 1, SeededRng(4))
     assert single.n == 1
 
 
@@ -47,8 +47,8 @@ def test_sample_determinism_and_validity():
     a.check_valid()
     c = sa.sample_kernel_poset(so.gc(F(3, 10)), 300, SeededRng(8))
     assert a != c
-    d = sa.sample_interval_poset(TWO_CELL, 150, SeededRng(9))
-    e = sa.sample_interval_poset(TWO_CELL, 150, SeededRng(9))
+    d = sa.sample_kernel_poset(TWO_CELL, 150, SeededRng(9))
+    e = sa.sample_kernel_poset(TWO_CELL, 150, SeededRng(9))
     assert d == e
     d.check_valid()
 
@@ -62,7 +62,7 @@ def test_threshold_samples_are_semiorders(g):
 
 def test_measure_samples_are_interval_orders():
     for seed in range(5):
-        p = sa.sample_interval_poset(TWO_CELL, 120, SeededRng(100 + seed))
+        p = sa.sample_kernel_poset(TWO_CELL, 120, SeededRng(100 + seed))
         assert rec.is_interval_order(p)
 
 
@@ -90,7 +90,7 @@ def test_two_atom_chain_frequency():
         [(0, F(1, 10), F(1, 2)), (F(1, 2), F(6, 10), F(1, 2))]
     )
     hits = sum(
-        sa.sample_interval_poset(mu, 2, SeededRng(42).spawn(t)).pair_count() > 0
+        sa.sample_kernel_poset(mu, 2, SeededRng(42).spawn(t)).pair_count() > 0
         for t in range(1500)
     )
     assert abs(hits / 1500 - 0.5) < 0.06  # ordered-pair probability 2 * 1/4
@@ -701,8 +701,6 @@ def test_equivalence_statistical_trial_floor():
 def test_library_refusals():
     with pytest.raises(InvalidArgument, match=r"p must be in \(0, 1\]"):
         sa.c_parameter(10, 0)
-    with pytest.raises(TypeError, match="needs an interval measure"):
-        sa.sample_interval_poset(so.gc(F(3, 10)), 5, SeededRng(1))
     fp = sa.fingerprint(ps.chain(2), 2)
     with pytest.raises(KeyError, match="no-such-id"):
         fp.value("no-such-id")
