@@ -1,26 +1,28 @@
 """Run the mutation catalog: each mutant applied alone to a copy of the tree.
 
-    python3 mutants/run.py [--root DIR] [--catalog FILE]
+    python3 mutants/run.py
 
 Each entry of `catalog.json`'s "mutants" list names a file, an `old` text
 that occurs in it exactly once, the `new` text that replaces it, and the
-test files that should kill the mutant.  The tree under --root (default:
-this repository) is copied once to a temporary directory, without `.git` and
-caches; each mutant in turn is written into the copy, `pytest -x -q -p
-no:cacheprovider` runs on its test files there, and the file is restored.
-The work tree is never edited.
+test files that should kill the mutant.  The repository this directory sits
+in is copied once to a temporary directory, without `.git` and caches, and
+the union of every entry's test files must pass there unmutated first, so a
+failing test is one the mutant made fail.  Then each mutant in turn is
+written into the copy, `pytest -x -q -p no:cacheprovider` runs on its test
+files there, and the file is restored.  No bytecode is written in the copy,
+so a restored file is never read from a mutant's stale cache.  The work
+tree is never edited.
 
 A mutant is killed when pytest fails (or runs past TIMEOUT), survived when
-it passes, and stale when its `old` text does not occur exactly once.  Any
-survived or stale entry, or a pytest that could not run the named files,
-makes the exit status 1.  The "equivalent" list holds mutants that no test
+it passes, and stale when its `old` text does not occur exactly once.  A
+failing baseline, or any survived or stale entry, or a pytest that could
+not run the named files, makes the exit status 1.  The "equivalent" list holds mutants that no test
 can kill, each with its reason; they are not run, and `tests/test_mutants.py`
 keeps their text current with the rest.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -31,6 +33,8 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+CATALOG = HERE / "catalog.json"
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info")
 TIMEOUT = 600  # seconds a mutant's test run may take
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
@@ -52,26 +56,32 @@ def run_one(tree: Path, entry: dict, env: dict) -> tuple[str, float]:
         code = 1
     finally:
         path.write_text(text)
-    # pytest exits 1 on a failed test and 2 on a collection error; 0 passed every test
+    # pytest exits 1 on a failed test and 2 on a collection error; as the same files
+    # passed unmutated, either one is the mutant's doing; 0 passed every test
     status = {0: "survived", 1: "killed", 2: "killed"}.get(code, f"error {code}")
     return status, time.perf_counter() - start
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--root", type=Path, default=HERE.parent, help="tree to copy and mutate")
-    ap.add_argument("--catalog", type=Path, default=HERE / "catalog.json")
-    args = ap.parse_args(argv)
-    entries = json.loads(args.catalog.read_text())["mutants"]
+def main() -> int:
+    entries = json.loads(CATALOG.read_text())["mutants"]
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         tree = Path(tmp) / "tree"
-        shutil.copytree(args.root, tree, ignore=IGNORE)
+        shutil.copytree(ROOT, tree, ignore=IGNORE)
         path = [str(tree / "src"), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+                   PYTHONDONTWRITEBYTECODE="1")
         where = subprocess.run([sys.executable, "-c", "import poslim; print(poslim.__file__)"],
                                cwd=tree, env=env, capture_output=True, text=True).stdout.strip()
         if not Path(where).is_relative_to(tree):
             sys.exit(f"poslim imports from {where or 'nowhere'}, not from the copied tree")
+        tests = sorted({test for entry in entries for test in entry["tests"]})
+        start = time.perf_counter()
+        baseline = subprocess.run([*PYTEST, *tests], cwd=tree, env=env, capture_output=True, text=True)
+        if baseline.returncode != 0:
+            print(*baseline.stdout.splitlines()[-20:], sep="\n")
+            sys.exit(f"the unmutated tree fails its named tests (pytest exit {baseline.returncode})")
+        print(f"baseline: {len(tests)} test files pass unmutated in {time.perf_counter() - start:.1f} s\n",
+              flush=True)
         print("| mutant | file | killed by | status | time |")
         print("| --- | --- | --- | --- | --- |")
         failed = 0
