@@ -1,9 +1,9 @@
 """Finite strict partial orders as immutable first-class values.
 
-A poset on n points is stored as two tuples of Python-int bitmasks:
-``succ[i]`` has bit j set iff i < j, and ``pred`` is its transpose.  Bitmask
-rows give O(1) comparability tests, O(n/64)-word set operations for the
-recognition and density machinery, and cheap immutability/hashing.
+A poset on n points is stored as one tuple of Python-int bitmasks: ``succ[i]``
+has bit j set iff i < j; ``pred``, its transpose, is built when first read.
+Bitmask rows give O(1) comparability tests, O(n/64)-word set operations for
+the recognition and density machinery, and cheap immutability/hashing.
 
 Bulk consumers ask three queries: `degrees` (every down- or up-set size),
 `degree_counts` (how many points have each such size) and `precedes` (i < j
@@ -66,11 +66,10 @@ def _int_rows(packed: np.ndarray) -> tuple[int, ...]:
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
-def _transpose(packed: np.ndarray, n: int) -> tuple[int, ...]:
-    """Transpose n packed bitmask rows (bit j of row i -> bit i of out[j])."""
-    bits = np.unpackbits(packed, axis=1, bitorder="little", count=n)
-    del packed  # a caller's temporary is freed here
-    return _int_rows(np.packbits(bits.T, axis=1, bitorder="little"))
+def _bit_counts(rows: Sequence[int]) -> np.ndarray:  # each row's bits, read-only
+    out = np.fromiter(map(int.bit_count, rows), dtype=np.int64, count=len(rows))
+    out.flags.writeable = False
+    return out
 
 
 def _bits(mask: int):
@@ -125,7 +124,7 @@ def transitive_closure(n: int, tails: np.ndarray, heads: np.ndarray) -> "FiniteP
     tails[k] -> heads[k] (integer arrays); repeats are allowed, and a cycle
     (a self-arc included) raises CycleError.  After `_kahn`, one sweep in
     reverse order sets each row to its heads' closed rows: Python ints, or
-    packed numpy rows that `pred` is transposed from."""
+    packed numpy rows."""
     heads = heads[np.argsort(tails, kind="stable")]
     starts = np.append(0, np.cumsum(np.bincount(tails, minlength=n)))
     return _close(n, heads, starts, *_kahn(n, heads, starts)[:2])
@@ -174,7 +173,7 @@ def _close(n, heads, starts, order, adj) -> "FinitePoset":
         reach = [0] * n  # closed rows with each point's own bit set
         for i in reversed(order):
             reach[i] = reduce(or_, map(reach.__getitem__, adj[i]), 1 << i)
-        for i in range(n):  # in place: one set of rows is held while `pred` is built
+        for i in range(n):  # in place: one set of rows is held at a time
             reach[i] ^= 1 << i
         return FinitePoset.from_succ_masks(reach)
     # OR of packed n/8-byte rows: O(n · layers + arcs · n/8) in numpy
@@ -187,7 +186,7 @@ def _close(n, heads, starts, order, adj) -> "FinitePoset":
     for i, lo, hi in zip(order.tolist(), starts[order].tolist(), starts[order + 1].tolist()):
         reach[i] |= np.bitwise_or.reduce(reach.take(heads[lo:hi], axis=0), axis=0)
     reach[own, own >> 3] ^= bit
-    return FinitePoset(n, _int_rows(reach), _transpose(reach, n))
+    return FinitePoset(n, _int_rows(reach))
 
 
 def _interval_covers(n, heads, starts, order, adj, below) -> "IntervalSample | None":
@@ -233,7 +232,8 @@ def _is_minus(sign: Sign) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class FinitePoset:
-    """Strict partial order on points 0..n-1.
+    """Strict partial order on points 0..n-1, held as its `succ` rows: `pred`,
+    their transpose, and each degree vector are built when first read.
 
     Two posets are equal when their `succ` rows are, whatever their class:
     a subclass that builds its masks lazily compares like any other poset.
@@ -241,7 +241,6 @@ class FinitePoset:
 
     n: int
     succ: tuple[int, ...]
-    pred: tuple[int, ...]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FinitePoset):
@@ -256,18 +255,24 @@ class FinitePoset:
         """The poset with these successor rows, taken as given: a caller
         that cannot vouch for them calls `check_valid`."""
         succ = tuple(succ)
-        return cls(len(succ), succ, _transpose(_pack_rows(succ, len(succ)), len(succ)))
+        return cls(len(succ), succ)
+
+    @cached_property
+    def pred(self) -> tuple[int, ...]:
+        """The transpose of `succ`, from a packing freed once unpacked (not `_packed`)."""
+        bits = np.unpackbits(_pack_rows(self.succ, self.n), axis=1, bitorder="little", count=self.n)
+        return _int_rows(np.packbits(bits.T, axis=1, bitorder="little"))
 
     def check_valid(self) -> None:
-        """Raise InvariantError unless `succ` is a strict partial order with
-        `pred` its transpose: read as arcs, the rows have no cycle and equal
-        their own `transitive_closure`, `pred` included."""
+        """Raise InvariantError unless `succ` is a strict partial order: read
+        as arcs, its rows have no cycle and equal their own
+        `transitive_closure`."""
         n = self.n
         if n <= 0:
             raise InvariantError("poset must be non-empty")
-        if len(self.succ) != n or len(self.pred) != n:
+        if len(self.succ) != n:
             raise InvariantError("mask length mismatch")
-        if any(row >> n for row in (*self.succ, *self.pred)):
+        if any(row >> n for row in self.succ):
             raise InvariantError("mask has bits outside 0..n-1")
         arcs = np.nonzero(np.unpackbits(self._packed, axis=1, bitorder="little", count=n))
         arcs = [arc.astype(_key_type(n)) for arc in arcs]  # int32 for n <= 46,340
@@ -277,19 +282,19 @@ class FinitePoset:
             raise InvariantError(str(e)) from e
         if closed.succ != self.succ:
             raise InvariantError("relation is not transitive")
-        if closed.pred != self.pred:
-            raise InvariantError("pred is not the transpose of succ")
 
     def less(self, i: int, j: int) -> bool:
         return bool((self.succ[i] >> j) & 1)
 
     def degrees(self, sign: Sign) -> np.ndarray:
-        """Predecessor (minus) or successor (plus) count of every point."""
+        """Predecessor (minus) or successor (plus) count of every point, read-only."""
         return self._degrees(_is_minus(sign))
 
     def _degrees(self, minus: bool) -> np.ndarray:
-        rows = self.pred if minus else self.succ
-        return np.fromiter(map(int.bit_count, rows), dtype=np.int64, count=self.n)
+        return self._minus_degrees if minus else self._plus_degrees
+
+    _minus_degrees = cached_property(lambda self: _bit_counts(self.pred))
+    _plus_degrees = cached_property(lambda self: _bit_counts(self.succ))
 
     def degree_counts(self, sign: Sign) -> np.ndarray:
         """Entry d is the number of points with d predecessors (minus) or
@@ -309,7 +314,7 @@ class FinitePoset:
         return ((self._packed[u, v >> 3] >> (v & 7)) & 1).astype(bool)
 
     def comparable(self, i: int, j: int) -> bool:
-        return bool(((self.succ[i] | self.pred[i]) >> j) & 1)
+        return self.less(i, j) or self.less(j, i)
 
     def relation_pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n) for j in _bits(self.succ[i])]
@@ -319,10 +324,11 @@ class FinitePoset:
 
     def cover_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(tails, heads) of the transitive reduction, sorted by (i, j): in a
-        linear extension (by down-set size) the lowest bit left in a row is a
-        cover, cleared with its up-set to find the next, O(n² + covers·n/64)."""
+        linear extension (by up-set size, largest first: no `pred`) the lowest
+        bit left in a row is a cover, cleared with its up-set to find the next,
+        O(n² + covers·n/64)."""
         n = self.n
-        order = np.argsort(self.degrees("minus"), kind="stable")
+        order = np.argsort(-self.degrees("plus"), kind="stable")
         bits = np.unpackbits(self._packed, axis=1, bitorder="little", count=n)
         rows = np.packbits(bits[order][:, order], axis=1, bitorder="little")
         succ = _int_rows(rows)
@@ -382,7 +388,7 @@ def _from_columns(n: int, columns: list, in_place: bool) -> FinitePoset:
 
 
 def reflect(p: FinitePoset) -> FinitePoset:
-    return FinitePoset(p.n, p.pred, p.succ)
+    return FinitePoset(p.n, p.pred)
 
 
 def _incomparable_rows(p) -> tuple[int, ...]:
@@ -456,20 +462,14 @@ class IntervalSample(FinitePoset):
         den, a, b = self.ends
         return tuple(zip(*(map(Fraction, e.tolist(), itertools.repeat(den)) for e in (a, b))))
 
-    @cached_property
-    def _masks(self) -> FinitePoset:
+    def _rows(self, by: np.ndarray, minus: bool) -> tuple[int, ...]:
         # succ[i] holds the degrees("plus")[i] left ends of greatest rank and
         # pred[j] the degrees("minus")[j] right ends of least rank
-        rank_a, rank_b = self.ranks
-        up, down = (
-            list(itertools.accumulate((1 << i for i in by.tolist()), or_, initial=0))
-            for by in (np.argsort(-rank_a), np.argsort(rank_b))
-        )
-        succ = tuple(up[d] for d in self._degrees(False).tolist())
-        return FinitePoset(self.n, succ, tuple(down[d] for d in self._degrees(True).tolist()))
+        prefix = list(itertools.accumulate((1 << i for i in by.tolist()), or_, initial=0))
+        return tuple(prefix[d] for d in self._degrees(minus).tolist())
 
-    succ = cached_property(lambda self: self._masks.succ)
-    pred = cached_property(lambda self: self._masks.pred)
+    succ = cached_property(lambda self: self._rows(np.argsort(-self.ranks[0]), False))
+    pred = cached_property(lambda self: self._rows(np.argsort(self.ranks[1]), True))
 
     @cached_property
     def _end_order(self) -> tuple[np.ndarray, ...]:

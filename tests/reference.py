@@ -300,9 +300,14 @@ def relation(n, pairs):
     return ps.FinitePoset.from_succ_masks(closed)
 
 
-def is_strict_order(succ, pred):
-    """Irreflexive, antisymmetric and transitive pair by pair, with pred the
-    transpose of succ."""
+def transpose(succ):
+    """The rows of the reversed relation: bit i of out[j] is bit j of succ[i]."""
+    n = len(succ)
+    return tuple(sum((succ[i] >> j & 1) << i for i in range(n)) for j in range(n))
+
+
+def is_strict_order(succ):
+    """Irreflexive, antisymmetric and transitive pair by pair."""
     n = len(succ)
     less = [[(succ[i] >> j) & 1 for j in range(n)] for i in range(n)]
     return (
@@ -310,7 +315,6 @@ def is_strict_order(succ, pred):
         and all(not (less[i][j] and less[j][i]) for i in range(n) for j in range(n))
         and all(less[i][k] for i, j, k in itertools.product(range(n), repeat=3)
                 if less[i][j] and less[j][k])
-        and all(((pred[j] >> i) & 1) == less[i][j] for i in range(n) for j in range(n))
     )
 
 

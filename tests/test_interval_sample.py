@@ -345,7 +345,7 @@ def test_rank_pattern_code_on_every_drawn_tuple(monkeypatch):
 @settings(max_examples=30, deadline=None)
 def test_fingerprints_agree_with_mask_poset(mu, seed):
     p = sa.sample_kernel_poset(mu, 12, SeededRng(seed))
-    q = ps.FinitePoset(p.n, p.succ, p.pred)
+    q = ps.FinitePoset(p.n, p.succ)
     assert sa.fingerprint(p, 4) == sa.fingerprint(q, 4)
     fresh = sa.sample_kernel_poset(mu, 12, SeededRng(seed))
     est = sa.fingerprint_estimate(fresh, 4, 300, SeededRng(seed + 1))
@@ -429,7 +429,7 @@ def test_precedes_of_interval_sample_is_less(model, n, seed):
 
 def test_bad_sign_raises_from_both_classes():
     p = sa.sample_kernel_poset(so.gc(F(3, 10)), 20, SeededRng(1))
-    for q in (p, ps.FinitePoset(p.n, p.succ, p.pred)):
+    for q in (p, ps.FinitePoset(p.n, p.succ)):
         with pytest.raises(InvalidArgument, match="sign"):
             q.degrees("up")
         with pytest.raises(InvalidArgument, match="sign"):
@@ -444,7 +444,8 @@ def test_sample_consumers_leave_masks_unbuilt():
     exact = sa.fingerprint(p, 4)
     est = sa.fingerprint_estimate(p, 4, 200, SeededRng(13))
     assert "succ" not in vars(p) and "pred" not in vars(p)
-    plain = ps.FinitePoset(p.n, p.succ, p.pred)
+    plain = ps.FinitePoset(p.n, p.succ)
+    assert "pred" not in vars(p)  # each row set is built on its own first read
     assert exact == sa.fingerprint(plain, 4)
     assert est == sa.fingerprint_estimate(plain, 4, 200, SeededRng(13))
 
@@ -628,7 +629,7 @@ def test_nu_empirical_leaves_end_order_and_masks_unbuilt():
 def test_nu_empirical_rows_match_the_mask_poset(model, sign):
     p = sa.sample_kernel_poset(model, 200, SeededRng(2))
     got = sa.nu_empirical(p, sign).rows
-    want = sa.nu_empirical(ps.FinitePoset(p.n, p.succ, p.pred), sign).rows
+    want = sa.nu_empirical(ps.FinitePoset(p.n, p.succ), sign).rows
     assert got[0] == want[0]
     for x, y in zip(got[1:], want[1:], strict=True):
         assert x.dtype == y.dtype and np.array_equal(x, y)
@@ -636,7 +637,7 @@ def test_nu_empirical_rows_match_the_mask_poset(model, sign):
 
 def test_bad_sign_degree_counts_raises_from_both_classes():
     p = sa.sample_kernel_poset(so.gc(F(3, 10)), 20, SeededRng(1))
-    for q in (p, ps.FinitePoset(p.n, p.succ, p.pred)):
+    for q in (p, ps.FinitePoset(p.n, p.succ)):
         with pytest.raises(InvalidArgument, match="sign must be 'minus' or 'plus', got 'up'"):
             q.degree_counts("up")
 

@@ -81,8 +81,9 @@ def test_right_marginal():
     r = TWO_CELL.right_marginal()
     assert r.value(F(1, 2)) == F(1, 2) and r.value(F(3, 4)) == F(1, 2)
     am = AtomicMeasure.from_atoms([(0, F(1, 4), F(1, 3)), (F(1, 2), F(3, 4), F(2, 3))])
-    r = am.right_marginal()
-    assert r.value(F(1, 4)) == F(1, 3) and r.value(F(3, 4)) == 1
+    # the jumps at the right ends 1/4 and 3/4, none at the left ends 0 and 1/2
+    want = ((0, 0, 0), (F(1, 4), 0, F(1, 3)), (F(3, 4), F(1, 3), 1), (1, 1, 1))
+    assert am.right_marginal().points == want
 
 
 def test_left_marginal():

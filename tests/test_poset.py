@@ -1,14 +1,18 @@
 import itertools
 import math
+import random
 import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poslim import poset as ps
+from poslim import sampling as sa
 from poslim.errors import CycleError, EmptySubset, InvariantError, SizeLimit
+from poslim.rng import SeededRng
 
 import reference as ref
 from conftest import outcome, posets
@@ -83,40 +87,74 @@ def test_from_relations_bad_index():
 @given(st.data())
 @settings(max_examples=200)
 def test_check_valid_matches_pairwise_reference(data):
-    """Random rows, half of them closed first, some with one pred bit
-    flipped: check_valid raises exactly when the pair-by-pair test fails."""
+    """Random rows, half of them closed first: check_valid raises exactly
+    when the pair-by-pair test fails."""
     n = data.draw(st.integers(1, 6))
     succ = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
     if data.draw(st.booleans()):
         succ = ref.fixpoint_closure(succ)
-    pred = list(ps.FinitePoset.from_succ_masks(succ).pred)
-    if data.draw(st.booleans()):
-        pred[data.draw(st.integers(0, n - 1))] ^= 1 << data.draw(st.integers(0, n - 1))
-    p = ps.FinitePoset(n, tuple(succ), tuple(pred))
     try:
-        p.check_valid()
+        ps.FinitePoset(n, tuple(succ)).check_valid()
     except InvariantError:
-        assert not ref.is_strict_order(succ, pred)
+        assert not ref.is_strict_order(succ)
     else:
-        assert ref.is_strict_order(succ, pred)
+        assert ref.is_strict_order(succ)
+
+
+def _case(n, succ, message, k):
+    # each case keeps the id it had when the rows also listed `pred`
+    return pytest.param(n, succ, message, id=f"{n}-succ{k}-pred{k}-{message}")
 
 
 @pytest.mark.parametrize(
-    "n, succ, pred, message",
+    "n, succ, message",
     [
-        (0, (), (), "poset must be non-empty"),
-        (2, (0b10,), (0, 0b01), "mask length mismatch"),
-        (2, (0b100, 0), (0, 0), "mask has bits outside 0..n-1"),
-        (2, (0b10, 0), (-1, 0b01), "mask has bits outside 0..n-1"),
-        (2, (0b01, 0), (0b01, 0), "relation has a cycle at or below point 1"),
-        (2, (0b10, 0b01), (0b10, 0b01), "relation has a cycle at or below point 1"),
-        (3, (0b010, 0b100, 0), (0, 0b001, 0b010), "relation is not transitive"),
-        (3, (0b110, 0b100, 0), (0, 0b001, 0b001), "pred is not the transpose of succ"),
+        _case(0, (), "poset must be non-empty", 0),
+        _case(2, (0b10,), "mask length mismatch", 1),
+        _case(2, (0b100, 0), "mask has bits outside 0..n-1", 2),
+        pytest.param(2, (-1, 0), "mask has bits outside 0..n-1", id="2-negative-succ-row"),
+        _case(2, (0b01, 0), "relation has a cycle at or below point 1", 4),
+        _case(2, (0b10, 0b01), "relation has a cycle at or below point 1", 5),
+        _case(3, (0b010, 0b100, 0), "relation is not transitive", 6),
     ],
 )
-def test_check_valid_messages(n, succ, pred, message):
+def test_check_valid_messages(n, succ, message):
     with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
-        ps.FinitePoset(n, succ, pred).check_valid()
+        ps.FinitePoset(n, succ).check_valid()
+
+
+@pytest.mark.parametrize("copies", [1, ps._LAYERED])
+def test_pred_is_the_transpose_of_either_closure_reflect_and_out_star(copies):
+    """Each arc `copies` times: below _LAYERED arcs a point `_close` sets
+    Python-int rows, at it packed numpy rows; `pred` is built on first read."""
+    rng = random.Random(copies)
+    n = 50
+    arcs = [sorted(rng.sample(range(n), 2)) for _ in range(2 * n)] * copies
+    p = ps.transitive_closure(n, *np.array(arcs).T)
+    assert "pred" not in vars(p)
+    assert p.pred == ref.transpose(p.succ)
+    q = ps.reflect(p)
+    assert q.succ == p.pred and q.pred == ref.transpose(q.succ) == p.succ
+    star = ps.out_star(copies)
+    assert star.pred == ref.transpose(star.succ)
+
+
+def test_write_poset_of_a_graph_order_and_fingerprint_of_a_closure_build_no_pred():
+    r = sa.random_graph_order(60, 0.1, SeededRng(1))
+    assert ps.read_poset(ps.write_poset(r)) == r and "pred" not in vars(r)
+    p = ps.transitive_closure(8, np.array([0, 1, 2, 5]), np.array([3, 4, 7, 6]))
+    sa.fingerprint(p, 3)
+    assert type(p) is ps.FinitePoset and "pred" not in vars(p)
+
+
+def test_degrees_are_cached_read_only_and_each_sign_reads_its_own_rows():
+    p = ps.FinitePoset.from_succ_masks([0b110, 0b100, 0])
+    plus = p.degrees("plus")
+    assert p.degrees("plus") is plus and not plus.flags.writeable
+    assert plus.tolist() == [2, 1, 0] and "pred" not in vars(p)
+    minus = p.degrees("minus")
+    assert p.degrees("minus") is minus and not minus.flags.writeable
+    assert minus.tolist() == [0, 1, 2]
 
 
 def test_named_posets():

@@ -267,7 +267,7 @@ def test_transpose_of_packed_rows(n):
     rng = random.Random(n)
     masks = [rng.getrandbits(n) if n else 0 for _ in range(n)]
     expected = tuple(sum((masks[i] >> j & 1) << i for i in range(n)) for j in range(n))
-    assert ps._transpose(ps._pack_rows(masks, n), n) == expected
+    assert ps.FinitePoset.from_succ_masks(masks).pred == expected
 
 
 def test_numpy_ends_are_checked_without_a_warning():

@@ -179,7 +179,7 @@ def test_representing_a_sample_builds_no_masks():
     p = sample_kernel_poset(gc(Fraction(3, 10)), 200, SeededRng(4))
     rep = rec.interval_representation(p)
     assert "succ" not in vars(p) and "pred" not in vars(p)
-    masks = ps.FinitePoset(p.n, p.succ, p.pred)
+    masks = ps.FinitePoset(p.n, p.succ)
     assert_same_representation(rep, rec.interval_representation(masks))
     assert_realizes_pairwise(p, rep)
 
@@ -189,7 +189,7 @@ def test_witnesses_of_a_sample_build_no_masks():
     w = rec.find_three_plus_one(p)
     assert rec.find_two_plus_two(p) is None and w is not None
     assert "succ" not in vars(p) and "pred" not in vars(p)
-    assert w == rec.find_three_plus_one(ps.FinitePoset(p.n, p.succ, p.pred))
+    assert w == rec.find_three_plus_one(ps.FinitePoset(p.n, p.succ))
     assert_induces(p, w, ps.three_plus_one())
 
 

@@ -476,7 +476,7 @@ def test_estimated_and_exact_fingerprints_list_the_same_patterns(p, max_q):
 
 def test_exact_fingerprint_block_size_does_not_matter(monkeypatch):
     sampled = sa.sample_kernel_poset(so.gc(F(1, 4)), 17, SeededRng(8))
-    plain = ps.FinitePoset(sampled.n, sampled.succ, sampled.pred)
+    plain = ps.FinitePoset(sampled.n, sampled.succ)
     fresh = sa.sample_kernel_poset(so.gc(F(1, 4)), 17, SeededRng(8))
     expected = [sa.fingerprint(plain, 5), sa.fingerprint(fresh, 5)]
     monkeypatch.setattr(sa, "_FINGERPRINT_BLOCK", 7)
