@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Machine-readable output (CSV or JSON, chosen by --format) goes to stdout or
---out; a one-line human summary goes to stderr.  Exit codes: 0 success,
-2 usage/validation error, 1 internal error.  All randomness is derived from
---seed through the documented counter-based streams, so identical argv
-produce byte-identical outputs.
+--out (a file encoded 1 MiB of text at a time); a one-line human summary goes
+to stderr.  Exit codes: 0 success, 2 usage/validation error, 1 internal
+error.  All randomness is derived from --seed through the documented
+counter-based streams, so identical argv produce byte-identical outputs.
 
 `main(argv)` may be called again in one process: it builds its parser once
 and looks up `_cmd_<command>` at call time.  `converge --threshold` must be
@@ -43,6 +43,7 @@ from .rng import SeededRng
 
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+_SLICE = 1 << 20  # characters of output `_emit` encodes at a time
 
 
 @functools.cache
@@ -93,8 +94,9 @@ def _load_measure(path: str) -> measures.Measure:
 
 def _emit(text: str, out: str | None, summary: str) -> None:
     if out:
-        try:
-            Path(out).write_text(text)
+        try:  # encoded as by `Path.write_text`, a slice at a time: no whole encoded copy
+            with open(out, "w") as f:
+                f.writelines(text[k:k + _SLICE] for k in range(0, len(text), _SLICE))
         except OSError as exc:
             raise FormatError(f"cannot write {out}: {exc}") from exc
     else:

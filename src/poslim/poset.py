@@ -50,6 +50,8 @@ Sign = Literal["minus", "plus"]
 
 _CATALOG_MAX = 7
 _LAYERED = 32  # arcs a point from which `_kahn` runs in numpy layers
+_BLOCK = 1 << 16  # covers a block of `_cover_blocks` holds, about: whole tails
+_ROW_BITS = 1 << 20  # unpacked bits of the rows `check_valid` reads at a time, about
 
 
 def _pack_rows(masks: Sequence[int], n: int) -> np.ndarray:
@@ -93,30 +95,22 @@ def _cover_windows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
     """(by_a, lo, hi, least) for the order i < j iff b_i < a_j, integer ends
     with no a equal to a b: j covers i iff b_i < a_j < least_i, the least b
     of a successor of i, so i's covers are one window by_a[lo_i:hi_i] of the
-    points in order of a."""
+    points in order of a, by_a of `_key_type`."""
     by_a = np.argsort(a)
     a_sorted = a[by_a]
     least_b = np.append(np.minimum.accumulate(b[by_a][::-1])[::-1], np.iinfo(b.dtype).max)
     lo = np.searchsorted(a_sorted, b)
     least = least_b[lo]
-    return by_a, lo, np.searchsorted(a_sorted, least), least
+    return by_a.astype(_key_type(len(a))), lo, np.searchsorted(a_sorted, least), least
 
 
-def _cover_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The covers (i, j) of the order i < j iff b_i < a_j, integer ends with
-    no a equal to a b, as sorted keys i·n + j: the windows of
-    `_cover_windows`, for `IntervalSample.cover_pairs` and so for the text
-    format.  More covers than ⌊MAX_POINTS²/4⌋ raise SizeLimit before any key
-    is built: a cover graph is triangle-free, so by Mantel's bound no poset
-    within the point cap has more."""
-    n, kind = len(a), _key_type(len(a))
-    by_a, lo, hi, _ = _cover_windows(a, b)
-    cap = textio.MAX_POINTS
-    if (covers := int((hi - lo).sum())) > cap * cap // 4:
-        raise SizeLimit(f"{covers} covers: no poset of at most {cap} points has so many")
-    key = np.repeat(np.arange(n, dtype=kind) * n, hi - lo) + by_a.astype(kind)[_windows(lo, hi)]
-    key.sort()
-    return key
+def _tail_blocks(starts: np.ndarray) -> list[tuple[int, int]]:
+    """(t0, t1) of each block of whole tails t0..t1-1 with about _BLOCK
+    covers, at least one, tail i's covers at starts[i]:starts[i + 1]: a
+    block ends after the tail that holds its _BLOCK-th cover."""
+    cuts = np.searchsorted(starts, np.arange(_BLOCK, starts[-1], _BLOCK)).tolist()
+    cuts = [0, *cuts, len(starts) - 1]  # repeats give empty blocks; np.unique keeps heap
+    return [(t0, t1) for t0, t1 in zip(cuts, cuts[1:]) if starts[t1] > starts[t0]]
 
 
 def transitive_closure(n: int, tails: np.ndarray, heads: np.ndarray) -> "FinitePoset":
@@ -265,8 +259,8 @@ class FinitePoset:
 
     def check_valid(self) -> None:
         """Raise InvariantError unless `succ` is a strict partial order: read
-        as arcs, its rows have no cycle and equal their own
-        `transitive_closure`."""
+        as int32 arcs, _ROW_BITS bits of rows at a time, its rows have no
+        cycle and equal their own `transitive_closure`."""
         n = self.n
         if n <= 0:
             raise InvariantError("poset must be non-empty")
@@ -274,10 +268,13 @@ class FinitePoset:
             raise InvariantError("mask length mismatch")
         if any(row >> n for row in self.succ):
             raise InvariantError("mask has bits outside 0..n-1")
-        arcs = np.nonzero(np.unpackbits(self._packed, axis=1, bitorder="little", count=n))
-        arcs = [arc.astype(_key_type(n)) for arc in arcs]  # int32 for n <= 46,340
+        starts, step = np.r_[0, np.cumsum(self.degrees("plus"))], -(-_ROW_BITS // n)
+        heads = np.empty(starts[-1], dtype=np.int32)
+        for i in range(0, n, step):
+            rows = np.unpackbits(self._packed[i:i + step], axis=1, bitorder="little", count=n)
+            heads[starts[i]:starts[min(i + step, n)]] = np.nonzero(rows)[1]
         try:
-            closed = transitive_closure(n, *arcs)
+            closed = _close(n, heads, starts, *_kahn(n, heads, starts)[:2])
         except CycleError as e:
             raise InvariantError(str(e)) from e
         if closed.succ != self.succ:
@@ -339,6 +336,12 @@ class FinitePoset:
                 keys.append(label[i] * n + label[j])
                 rest &= ~(succ[j] | 1 << j)
         return np.divmod(np.sort(np.array(keys, dtype=np.int64)), n)
+
+    def _cover_blocks(self):
+        """`cover_pairs` in blocks of whole tails (`_tail_blocks`), for `write_poset`."""
+        tails, heads = self.cover_pairs()
+        at = np.searchsorted(tails, np.arange(self.n + 1))
+        return ((tails[at[t0]:at[t1]], heads[at[t0]:at[t1]]) for t0, t1 in _tail_blocks(at))
 
 
 def from_relations(n: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
@@ -421,17 +424,17 @@ class IntervalSample(FinitePoset):
     """An interval order kept as its closed intervals: i < j iff b_i < a_j.
 
     It holds `ends`, (den, a, b): the left ends a and the right ends b as
-    integer arrays over one denominator den, int64 while they fit.  On
-    first use the 2n ends are put in one exact order, an argsort by value
-    and one re-sort of the ties (O(n log n)), and `ranks` holds each end's
-    position in it, so `precedes` compares ranks, `degrees` reads a running
-    count of left ends along the order and `cover_pairs`, which the text
-    format writes, reads one window of ranks per point; ranks and degrees
-    are cached read-only.  `degree_counts` needs no ranks: it reads one
-    merge of the sorted a and b (`_a_upto_b`), or counts the degrees once
-    they are built.  The `Fraction`s of `intervals` and the bitmask
-    rows `succ` and `pred` (Θ(n²) bits) are built only when first read, so
-    every `FinitePoset` method and `==` work as for any other poset.
+    integer arrays over one denominator den, int64 while they fit.  On first
+    use the 2n ends are put in one exact order, an argsort by value and one
+    re-sort of the ties (O(n log n)), and `ranks` holds each end's position in
+    it, so `precedes` compares ranks, `degrees` reads a running count of left
+    ends along the order and `cover_pairs`, which the text format writes,
+    reads one window of ranks per point, a block of whole tails at a time;
+    ranks and degrees are cached read-only.  `degree_counts` needs no ranks: it
+    reads one merge of the sorted a and b (`_a_upto_b`), or counts the degrees
+    once they are built.  The `Fraction`s of `intervals` and the bitmask rows
+    `succ` and `pred` (Θ(n²) bits) are built only when first read, so every
+    `FinitePoset` method and `==` work as for any other poset.
     """
 
     def __init__(self, intervals: Sequence[tuple[Fraction, Fraction]]):
@@ -536,8 +539,26 @@ class IntervalSample(FinitePoset):
         return rank_b[u] < rank_a[v]
 
     def cover_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        # int64 pairs, as of any poset, from keys of `_key_type`
-        return np.divmod(_cover_keys(*self.ranks), np.int64(self.n))
+        # the blocks joined: int64 pairs, as of any poset
+        blocks = list(self._cover_blocks()) or [(np.empty(0, np.int64),) * 2]
+        return np.concatenate([t for t, _ in blocks]), np.concatenate([h for _, h in blocks])
+
+    def _cover_blocks(self):
+        """The covers as int64 (tails, heads) blocks of whole tails (`_tail_blocks`)
+        sorted by (i, j): the windows of one `_cover_windows` call on the ranks,
+        sorted as keys i·n + j a block at a time.  More covers than ⌊MAX_POINTS²/4⌋
+        raise SizeLimit before any block is built: a cover graph is triangle-free,
+        so by Mantel's bound no poset within the point cap has more."""
+        n, kind = self.n, _key_type(self.n)
+        by_a, lo, hi, _ = _cover_windows(*self.ranks)
+        starts, cap = np.r_[0, np.cumsum(hi - lo)], textio.MAX_POINTS
+        if (covers := int(starts[-1])) > cap * cap // 4:
+            raise SizeLimit(f"{covers} covers: no poset of at most {cap} points has so many")
+        for t0, t1 in _tail_blocks(starts):
+            key = np.repeat(np.arange(t0, t1, dtype=kind) * n, hi[t0:t1] - lo[t0:t1])
+            key += by_a[_windows(lo[t0:t1], hi[t0:t1])]
+            key.sort()
+            yield np.divmod(key, np.int64(n))
 
 
 # -- named posets -----------------------------------------------------------
@@ -717,16 +738,18 @@ def cached_catalog(max_size: int) -> PosetCatalog:
 def write_poset(p: FinitePoset) -> str:
     """Poset text format: header, then transitive-reduction pairs, 1-based.
 
-    Each point's pairs are one `join` of a list slice of point names."""
-    tails, heads = p.cover_pairs()
+    The pairs are read a block of whole tails at a time (`_cover_blocks`), so
+    only the text and one block are held; each point's pairs are one `join`."""
     names = np.array([str(k) for k in range(1, p.n + 1)], dtype=object)
-    heads = names[heads].tolist()  # shared name strings, no int object per pair
-    starts = np.searchsorted(tails, np.arange(p.n + 1)).tolist()  # tails ascend
-    lines = [f"poset {p.n}"]
-    for name, lo, hi in zip(names.tolist(), starts, starts[1:]):
-        if lo < hi:
-            lines.append(f"{name} " + f"\n{name} ".join(heads[lo:hi]))
-    return "\n".join(lines) + "\n"
+    tail_names, lines = names.tolist(), [f"poset {p.n}"]
+    for tails, heads in p._cover_blocks():
+        heads = names[heads].tolist()  # shared name strings, no int object per pair
+        t0, t1 = int(tails[0]), int(tails[-1]) + 1  # tails ascend
+        starts = np.searchsorted(tails, np.arange(t0, t1 + 1)).tolist()
+        for name, lo, hi in zip(tail_names[t0:t1], starts, starts[1:]):
+            if lo < hi:
+                lines.append(f"{name} " + f"\n{name} ".join(heads[lo:hi]))
+    return "\n".join(lines + [""])  # the last line's end, with no copy of the text to add it
 
 
 def read_poset(text: str) -> FinitePoset:

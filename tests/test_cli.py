@@ -267,6 +267,20 @@ def test_out_under_a_missing_directory_exits_2(tmp_path, capsys):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("size", [1, 3, cli._SLICE])
+def test_out_is_written_a_slice_at_a_time_as_write_text_writes_it(size, tmp_path, capsys, monkeypatch):
+    """Slices of any size, one past the text's end included, give the bytes
+    of one `Path.write_text`, non-ASCII characters and line ends as well."""
+    monkeypatch.setattr(cli, "_SLICE", size)
+    text = "poset 3\n1 2\n2 3\n\u00e9\u20ac\u00b2 a\r\nb\rc\n"
+    want, got = tmp_path / "want", tmp_path / "got"
+    want.write_text(text)
+    cli._emit(text, str(got), "done")
+    assert got.read_bytes() == want.read_bytes() and capsys.readouterr().err == "done\n"
+    cli._emit("", str(got), "empty")
+    assert got.read_bytes() == b""
+
+
 def test_an_unexpected_exception_exits_1(capsys, monkeypatch):
     def fail(p):
         raise RuntimeError("boom")

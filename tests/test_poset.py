@@ -3,6 +3,7 @@ import math
 import random
 import re
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -87,18 +88,25 @@ def test_from_relations_bad_index():
 @given(st.data())
 @settings(max_examples=200)
 def test_check_valid_matches_pairwise_reference(data):
-    """Random rows, half of them closed first: check_valid raises exactly
-    when the pair-by-pair test fails."""
-    n = data.draw(st.integers(1, 6))
+    """Random rows, or rows above the diagonal with one arc turned back or
+    none, half of them closed first, their arcs read at _ROW_BITS or a row a
+    block: check_valid raises exactly when the pair-by-pair test fails."""
+    n = data.draw(st.integers(1, 24))
     succ = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
     if data.draw(st.booleans()):
+        succ = [row >> (i + 1) << (i + 1) for i, row in enumerate(succ)]
+    if data.draw(st.booleans()):
         succ = ref.fixpoint_closure(succ)
-    try:
-        ps.FinitePoset(n, tuple(succ)).check_valid()
-    except InvariantError:
-        assert not ref.is_strict_order(succ)
-    else:
-        assert ref.is_strict_order(succ)
+    if n > 1 and data.draw(st.booleans()):
+        i = data.draw(st.integers(1, n - 1))
+        succ[i] |= 1 << data.draw(st.integers(0, i - 1))
+    with mock.patch.object(ps, "_ROW_BITS", data.draw(st.sampled_from([ps._ROW_BITS, 1]))):
+        try:
+            ps.FinitePoset(n, tuple(succ)).check_valid()
+        except InvariantError:
+            assert not ref.is_strict_order(succ)
+        else:
+            assert ref.is_strict_order(succ)
 
 
 def _case(n, succ, message, k):

@@ -104,16 +104,17 @@ def test_from_columns_leaves_the_callers_columns_as_they_are(seed):
 
 
 def test_keys_past_int32_read_as_a_sample():
-    p = ps.from_relations(50_000, [(1, 2), (2, 50_000)])
+    """The cover (49,999, 50,000) is the key 49,998·50,000 + 49,999, past
+    2**31: int32 keys would wrap it."""
+    p = ps.from_relations(50_000, [(1, 49_999), (49_999, 50_000)])
     assert isinstance(p, ps.IntervalSample)
-    assert ps._cover_keys(*p.ranks).dtype == np.int64
+    assert [c.tolist() for c in p.cover_pairs()] == [[0, 49_998], [49_998, 49_999]]
     assert p.degrees("minus")[49_999] == 2 and p.precedes(0, 49_999)
 
 
-def test_cover_pairs_past_mantels_bound_raise_size_limit():
-    """A g-like sample of 10^5 points, past the point cap, has about 1.6e9
-    covers; they are refused before any key is built (the keys alone would
-    take 12.3 GiB)."""
+def _refused_within(call, cap):
+    """`call` on a g-like sample of 10^5 points, past the point cap, with
+    about 1.6e9 covers, raises SizeLimit and peaks under `cap` bytes."""
     n, den = 10**5, 2**40
     x = np.random.default_rng(1).integers(0, den, n)
     p = ps.IntervalSample.from_ends(den, x, np.minimum(x + 3 * den // 10, den))
@@ -121,11 +122,22 @@ def test_cover_pairs_past_mantels_bound_raise_size_limit():
     tracemalloc.start()
     try:
         with pytest.raises(SizeLimit, match="covers: no poset of at most 5000 points"):
-            p.cover_pairs()
+            call(p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < cap
+
+
+def test_cover_pairs_past_mantels_bound_raise_size_limit():
+    """The covers are refused before any key is built (the keys alone would
+    take 12.3 GiB)."""
+    _refused_within(ps.IntervalSample.cover_pairs, 16 * 2**20)
+
+
+def test_write_poset_past_mantels_bound_raises_size_limit():
+    """The writer meets the same refusal before its first block."""
+    _refused_within(ps.write_poset, 16 * 2**20)
 
 
 def test_mantels_bound_is_the_cover_cap(monkeypatch):
@@ -143,13 +155,85 @@ def test_mantels_bound_is_the_cover_cap(monkeypatch):
 
 
 def test_cover_pairs_are_int64_for_either_class():
-    """The keys behind a sample's covers are int32 below 2**31, its pairs are not."""
+    """A sample's covers, whatever the type of the keys behind them, are
+    int64 pairs, as a closure's are."""
     text = "poset 4\n1 2\n1 3\n3 4\n"
     p, q = ps.read_poset(text), closure_reference(text)
-    assert ps._cover_keys(*p.ranks).dtype == np.int32
+    assert isinstance(p, ps.IntervalSample) and not isinstance(q, ps.IntervalSample)
     for tails, heads in (p.cover_pairs(), q.cover_pairs()):
         assert tails.dtype == heads.dtype == np.int64
         assert (tails.tolist(), heads.tolist()) == ([0, 0, 2], [1, 2, 3])
+
+
+# -- covers a block of whole tails at a time -----------------------------------
+
+
+def _with_isolated(seed):
+    """A sample over [1/10, 9/10] with five points [0, 1] among its own, each
+    comparable to no other point: no cover has them as tail or head."""
+    rng, at = np.random.default_rng(seed), [0, 3, 3, 17, 30]
+    a = rng.integers(1, 10, 30)
+    b = np.minimum(a + rng.integers(0, 3, 30), 9)
+    return ps.IntervalSample.from_ends(10, np.insert(a, at, 0), np.insert(b, at, 10))
+
+
+def _blocked_posets(seed):
+    rng = SeededRng(seed)
+    return [
+        sa.sample_kernel_poset(so.gc(F(3, 10)), 60, rng),
+        sa.sample_kernel_poset(so.MonotoneRC.identity(), 20, rng),
+        _with_isolated(seed),
+        ps.IntervalSample.from_ends(1, np.array([0]), np.array([0])),  # n = 1
+        ps.IntervalSample.from_ends(1, np.zeros(4, dtype=np.int64), np.ones(4, dtype=np.int64)),
+        ps.antichain(1),
+        sa.random_graph_order(40, F(1, 5), rng),  # closures
+        ps.two_plus_two(),
+        ps.chain(9),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("block", [1, 7, ps._BLOCK])
+def test_write_poset_equals_the_reference_writer_at_any_block_size(block, seed, monkeypatch):
+    monkeypatch.setattr(ps, "_BLOCK", block)
+    for p in _blocked_posets(seed):
+        text = ps.write_poset(p)
+        assert text == ref.write_poset(p)
+        assert ps.read_poset(text) == p
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("block", [1, 7, ps._BLOCK])
+def test_cover_pairs_are_the_blocks_joined(block, seed, monkeypatch):
+    """Each block is sorted by (tail, head) and holds whole tails, fewer
+    than _BLOCK covers before its last tail; joined, the blocks are the
+    covers, int64 pairs for either class."""
+    monkeypatch.setattr(ps, "_BLOCK", block)
+    for p in _blocked_posets(seed):
+        blocks, last = list(p._cover_blocks()), -1
+        for tails, heads in blocks:
+            keys = tails * p.n + heads
+            assert (keys[1:] > keys[:-1]).all() and tails[0] > last
+            assert (tails < tails[-1]).sum() < block
+            last = tails[-1]
+        tails, heads = p.cover_pairs()
+        assert tails.dtype == heads.dtype == np.int64
+        assert list(zip(tails.tolist(), heads.tolist())) == ref.covers(p)
+        assert [(t, h) for b in blocks for t, h in zip(*(c.tolist() for c in b))] == ref.covers(p)
+
+
+def test_a_2000_point_write_peaks_under_two_and_a_half_times_its_output():
+    """The whole text and its lines are held at once, beside one block; a
+    build of every cover at once peaked at 4.85 times the output."""
+    p = sa.sample_kernel_poset(so.gc(F(3, 10)), 2000, SeededRng(1))
+    p.ranks  # noqa: B018 - the ranks are cached before the trace
+    tracemalloc.start()
+    try:
+        text = ps.write_poset(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text)
 
 
 def _lines(text):
