@@ -88,8 +88,18 @@ def _resolve_poset(spec: str) -> poset.FinitePoset:
     return poset.read_poset(_read_text(spec))
 
 
-def _load_measure(path: str) -> measures.Measure:
-    return measures.read_measure(_read_text(path))
+def _model(kind: str, value):
+    """The model an argument of `kind` names: for "gc", g_c of the shift
+    `value`; for "g", "rate" or "measure", the file `value` by its reader,
+    a rate read as its g."""
+    if kind == "gc":
+        return semiorders.gc(value)
+    text = _read_text(value)
+    if kind == "g":
+        return semiorders.read_g(text)
+    if kind == "rate":
+        return semiorders.read_rate(text).g
+    return measures.read_measure(text)
 
 
 def _emit(text: str, out: str | None, summary: str) -> None:
@@ -110,18 +120,12 @@ def _table(fmt: str, header, rows, payload) -> str:
 
 
 def _kernel_from_args(args) -> object:
-    if args.kernel == "gc":
-        if args.c is None:
-            raise FormatError("--kernel gc needs --c")
-        return semiorders.gc(args.c)
-    if not args.infile:
+    if args.kernel == "gc" and args.c is None:
+        raise FormatError("--kernel gc needs --c")
+    if args.kernel != "gc" and not args.infile:
         kind = {"g": "pwl", "rate": "rate", "measure": "measure"}[args.kernel]
         raise FormatError(f"--kernel {args.kernel} needs --in <{kind} file>")
-    if args.kernel == "g":
-        return semiorders.read_g(_read_text(args.infile))
-    if args.kernel == "rate":
-        return semiorders.read_rate(_read_text(args.infile))
-    return _load_measure(args.infile)
+    return _model(args.kernel, args.c if args.kernel == "gc" else args.infile)
 
 
 def _cmd_sample(args) -> int:
@@ -175,7 +179,7 @@ def _cmd_represent(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    mu = _load_measure(args.infile)
+    mu = _model("measure", args.infile)
     if not isinstance(mu, measures.StepKernelMeasure):
         raise FormatError("project needs a stepmeasure input")
     star = measures.project_star(mu).canonical()
@@ -188,8 +192,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    a = _load_measure(args.a)
-    b = _load_measure(args.b)
+    a, b = _model("measure", args.a), _model("measure", args.b)
     if args.statistical:
         if args.seed is None:
             raise FormatError("equiv --statistical needs --seed")
@@ -255,13 +258,8 @@ def _cmd_rgo(args) -> int:
 
 def _cmd_converge(args) -> int:
     posets = [_resolve_poset(spec) for spec in args.infiles]
-    target = None
-    if args.gc is not None:
-        target = semiorders.gc(args.gc)
-    elif args.g is not None:
-        target = semiorders.read_g(_read_text(args.g))
-    elif args.rate is not None:
-        target = semiorders.g_from_rate(semiorders.read_rate(_read_text(args.rate)))
+    kind = next((k for k in ("gc", "g", "rate") if getattr(args, k) is not None), None)
+    target = None if kind is None else _model(kind, getattr(args, kind))
     report = sampling.converge_diagnostic(posets, target, threshold=args.threshold)
     text = report.to_json() if args.format == "json" else report.to_csv()
     _emit(text, args.out, f"verdict: {report.verdict}")
@@ -277,15 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, seed=False, n=False, fmt=True, out=True):
+    def add_common(sp, seed=False, n=False, fmt=True):
         if seed:
             sp.add_argument("--seed", type=int, required=True)
         if n:
             sp.add_argument("--n", type=int, required=True)
         if fmt:
             sp.add_argument("--format", choices=("csv", "json"), default="json")
-        if out:
-            sp.add_argument("--out", default=None)
+        sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("sample", help="sample a random poset from a kernel")
     sp.add_argument("--kernel", choices=("gc", "g", "rate", "measure"), required=True)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from . import textio
 from .errors import InvalidArgument, InvariantError, SizeLimit
 from .densities import density
 from .poset import FinitePoset, _bits, _incomparable_rows, canonical_key
@@ -134,16 +133,3 @@ def enumerate_graphs(max_size: int) -> list[SimpleGraph]:
         reps.extend(first.values())
     return reps
 
-
-# -- text format --------------------------------------------------------------
-
-
-def write_graph(g: SimpleGraph) -> str:
-    lines = [f"{i + 1} {j + 1}" for i, j in sorted(g.edges())]
-    return textio.write_rows("graph", g.n, lines)
-
-
-def read_graph(text: str) -> SimpleGraph:
-    _, n, start = textio.read_header(text, "graph")
-    tails, heads = textio.int_pairs(text, start)
-    return SimpleGraph.from_edges(n, zip((tails - 1).tolist(), (heads - 1).tolist()))

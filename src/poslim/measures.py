@@ -109,9 +109,6 @@ class StepCDF(pwl.Curve):
     def dirac(cls, v) -> "StepCDF":
         return cls.from_jumps([(as_fraction(v), ONE)])
 
-    def breakpoints(self) -> list[Fraction]:
-        return [p[0] for p in self.points]
-
     @cached_property
     def continuity_values(self) -> tuple[int, np.ndarray, np.ndarray, int]:
         """(td, ks, num, den), arrays read-only, built once per CDF: the

@@ -118,8 +118,10 @@ def transitive_closure(n: int, tails: np.ndarray, heads: np.ndarray) -> "FiniteP
     tails[k] -> heads[k] (integer arrays); repeats are allowed, and a cycle
     (a self-arc included) raises CycleError.  After `_kahn`, one sweep in
     reverse order sets each row to its heads' closed rows: Python ints, or
-    packed numpy rows."""
-    heads = heads[np.argsort(tails, kind="stable")]
+    packed numpy rows.  The arcs are sorted by tail only if their tails do
+    not already ascend."""
+    if (tails[1:] < tails[:-1]).any():
+        heads = heads[np.argsort(tails, kind="stable")]
     starts = np.append(0, np.cumsum(np.bincount(tails, minlength=n)))
     return _close(n, heads, starts, *_kahn(n, heads, starts)[:2])
 
@@ -351,23 +353,18 @@ def from_relations(n: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
     for tail, head in table.tolist():
         if not all(isinstance(v, Real) and v % 1 == 0 for v in (tail, head)):  # NaN fails too
             raise InvariantError(f"pair {(tail, head)!r} has a label that is not an integer")
-    return from_columns(n, table[:, 0], table[:, 1])
+    return _from_columns(n, [table[:, 0], table[:, 1]])
 
 
-def from_columns(n: int, tails: np.ndarray, heads: np.ndarray) -> FinitePoset:
-    """The transitive closure of the 1-based pairs (tails[k], heads[k]); a
-    cycle, a pair (i, i) included, raises CycleError.  Pairs sorted by
-    (i, j) that are the covers of an interval order give an `IntervalSample`
-    (`_interval_covers`), with no masks; any others take the closure.  The
-    caller's columns are not changed."""
-    return _from_columns(n, [tails, heads], in_place=False)
-
-
-def _from_columns(n: int, columns: list, in_place: bool) -> FinitePoset:
-    """`from_columns` of `columns`, [tails, heads], which it empties, so that
-    a column no caller holds is freed once read.  With `in_place`, for
-    columns that no caller reads again, those already of the key type are
-    shifted to 0-based in place."""
+def _from_columns(n: int, columns: list) -> FinitePoset:
+    """The transitive closure of the 1-based pairs (tails[k], heads[k]) of
+    `columns`, [tails, heads]; a cycle, a pair (i, i) included, raises
+    CycleError.  Pairs sorted by (i, j) that are the covers of an interval
+    order give an `IntervalSample` (`_interval_covers`), with no masks; any
+    others take the closure.  It empties `columns`, so that a column no
+    caller holds is freed once read, and shifts a column to 0-based in place
+    if it already has the key type (only `read_poset`'s own columns do); any
+    other is converted to a new array."""
     tails, heads = columns
     columns.clear()
     if n <= 0:
@@ -377,7 +374,7 @@ def _from_columns(n: int, columns: list, in_place: bool) -> FinitePoset:
         raise InvariantError(f"pair ({tails[k]},{heads[k]}) out of range 1..{n}")
     kind = _key_type(n)
     tails, heads = (
-        np.subtract(c, 1, out=c) if in_place and c.dtype == kind
+        np.subtract(c, 1, out=c) if c.dtype == kind
         else np.subtract(c, 1, dtype=kind, casting="unsafe")
         for c in (tails, heads)
     )
@@ -753,11 +750,11 @@ def write_poset(p: FinitePoset) -> str:
 
 
 def read_poset(text: str) -> FinitePoset:
-    """The poset of a poset file (`from_columns`): an `IntervalSample`, with
+    """The poset of a poset file (`_from_columns`): an `IntervalSample`, with
     no masks, if the pairs are the sorted covers of an interval order.  The
     columns that `int_pairs` builds are shifted in place."""
     _, n, start = textio.read_header(text, "poset")
-    return _from_columns(n, list(textio.int_pairs(text, start)), in_place=True)
+    return _from_columns(n, list(textio.int_pairs(text, start)))
 
 
 _NAMED = {

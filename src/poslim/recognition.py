@@ -17,7 +17,6 @@ recognized and represented from its ranks, the representation an
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -90,13 +89,6 @@ def is_semiorder(p: FinitePoset) -> bool:
     """True iff p is an interval order without an induced 3+1."""
     order, ups, pair = _sort(p)
     return pair is None and _rise(order, ups) is None
-
-
-def semiorder_by_degrees(downs: Sequence[int], ups: Sequence[int]) -> bool:
-    """True iff an interval order with down-set sizes `downs` and up-set
-    sizes `ups` (in one point order) has no 3+1: no rise of |U| by (|D|, -|U|)."""
-    downs, ups = np.asarray(downs, np.int64), np.asarray(ups, np.int64)
-    return _rise(np.lexsort((-ups, downs)), ups) is None
 
 
 def interval_representation(p: FinitePoset) -> IntervalSample:

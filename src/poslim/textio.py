@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import FormatError, SizeLimit
 
-# The most points a poset or graph may have, checked on a file's header count
+# The most points a poset may have, checked on a poset file's header count
 # before its rows are read, on a sampler's n before anything is drawn and on
 # a named poset's digits before they are converted: each point of a closed
 # poset costs an n-bit mask row, so an uncapped count is O(n^2) memory.  At
@@ -80,9 +80,9 @@ def read_header(text: str, *keywords: str) -> tuple[str, int, int]:
     the text after the header line, left for the caller to slice or to read
     in place (`int_pairs`).
 
-    In the poset and graph formats the count is the number of points, at
-    most `MAX_POINTS`; in every other format `row_lines` checks it against
-    the number of rows.
+    In the poset format the count is the number of points, at most
+    `MAX_POINTS`; in every other format `row_lines` checks it against the
+    number of rows.
     """
     # the first non-blank line starts at the first non-space character
     begin = _LEADING_SPACE.match(text).end()
@@ -95,8 +95,8 @@ def read_header(text: str, *keywords: str) -> tuple[str, int, int]:
     count = parse_int(head[1])
     if count < 0:
         raise FormatError(f"negative count in header: {header.strip()!r}")
-    if head[0] in ("poset", "graph") and count > MAX_POINTS:
-        raise SizeLimit(f"{head[0]} has {count} points, the cap is {MAX_POINTS}")
+    if head[0] == "poset" and count > MAX_POINTS:
+        raise SizeLimit(f"poset has {count} points, the cap is {MAX_POINTS}")
     return head[0], count, start
 
 

@@ -19,7 +19,7 @@ import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
-from poslim import cli, densities, graphs, measures, poset, recognition, sampling, semiorders
+from poslim import cli, densities, measures, poset, recognition, sampling, semiorders
 from poslim import textio
 from poslim.rng import SeededRng
 
@@ -75,7 +75,6 @@ def writer_outputs() -> dict[str, str]:
         "pwl": semiorders.write_g(semiorders.g_from_rate(RATE)),
         "pwl.gc": semiorders.write_g(semiorders.gc(F(3, 10))),
         "rate": semiorders.write_rate(RATE),
-        "graph": graphs.write_graph(graphs.comparability_graph(rgo)),
         "representation": recognition.write_representation(
             recognition.interval_representation(p)
         ),

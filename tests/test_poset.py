@@ -147,6 +147,21 @@ def test_pred_is_the_transpose_of_either_closure_reflect_and_out_star(copies):
     assert star.pred == ref.transpose(star.succ)
 
 
+@pytest.mark.parametrize("copies", [1, ps._LAYERED])
+def test_closure_of_arcs_is_the_same_whether_their_tails_ascend_or_not(copies):
+    """Arcs sorted by tail, as `random_graph_order` passes them, are not
+    sorted again; shuffled, they are.  Both close to the reference closure,
+    below _LAYERED arcs a point (Python-int rows) and at it (numpy rows)."""
+    rng = np.random.default_rng(copies)
+    n = 40
+    tails = np.sort(rng.integers(0, n - 1, 3 * n * copies))
+    heads = rng.integers(tails + 1, n)
+    p = ps.transitive_closure(n, tails, heads)
+    assert p == ref.relation(n, list(zip((tails + 1).tolist(), (heads + 1).tolist())))
+    shuffle = rng.permutation(len(tails))
+    assert ps.transitive_closure(n, tails[shuffle], heads[shuffle]) == p
+
+
 def test_write_poset_of_a_graph_order_and_fingerprint_of_a_closure_build_no_pred():
     r = sa.random_graph_order(60, 0.1, SeededRng(1))
     assert ps.read_poset(ps.write_poset(r)) == r and "pred" not in vars(r)

@@ -87,20 +87,20 @@ def test_the_numpy_path_reads_a_dense_sample():
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_from_columns_leaves_the_callers_columns_as_they_are(seed):
-    """`read_poset` shifts the columns that `int_pairs` built for it in place;
-    `from_columns` copies int32 columns of its own key type that a caller
-    hands over, sorted covers and pairs in reverse alike."""
+def test_sorted_covers_read_as_the_sample_and_reversed_pairs_close_to_it(seed):
+    """`read_poset` shifts the int32 columns that `int_pairs` builds for it
+    in place: the sorted covers read back as the sample, and the same pairs
+    in reverse take the closure, which is the sample's order."""
     sample = sa.sample_kernel_poset(so.gc(F(3, 10)), 40, SeededRng(seed))
     text = ps.write_poset(sample)
     _, n, start = textio.read_header(text, "poset")
     covers = textio.int_pairs(text, start)
     assert covers[0].dtype == covers[1].dtype == ps._key_type(n) == np.int32
-    for columns, kind in ((covers, ps.IntervalSample), ([c[::-1] for c in covers], ps.FinitePoset)):
-        kept = [c.copy() for c in columns]
-        p = ps.from_columns(n, *columns)
-        assert type(p) is kind and p == sample == ps.read_poset(text)
-        assert all(np.array_equal(c, k) for c, k in zip(columns, kept))
+    header, *pairs = text.splitlines()
+    backwards = "\n".join([header, *pairs[::-1]]) + "\n"
+    for body, kind in ((text, ps.IntervalSample), (backwards, ps.FinitePoset)):
+        p = ps.read_poset(body)
+        assert type(p) is kind and p == sample
 
 
 def test_keys_past_int32_read_as_a_sample():

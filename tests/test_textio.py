@@ -22,11 +22,10 @@ from poslim.errors import (
 from poslim.rng import SeededRng
 
 import reference as ref
-from conftest import outcome, posets, step_measures
+from conftest import outcome, step_measures
 
 READERS = {
     "poset": poset.read_poset,
-    "graph": graphs.read_graph,
     "measure": measures.read_measure,
     "pwl": semiorders.read_g,
     "rate": semiorders.read_rate,
@@ -103,11 +102,7 @@ BAD_FILES = [
     ("poset", "poset 3\n1 2 3\n"),
     ("poset", "poset 3\n1 x\n"),
     ("poset", "poset 2\n1 2\n2 1\n"),
-    ("graph", "graphs 2\n1 2\n"),
-    ("graph", "graph 3\n1 x\n"),
-    ("graph", "graph -1\n"),
     ("poset", "poset 1000000000\n"),  # tried to allocate a mask row per point
-    ("graph", "graph 1000000000\n"),
     ("measure", ""),
     ("measure", "atomz 1\n0 1 1\n"),
     ("measure", "atoms 2\n0 1 1\n"),  # declared count never checked before
@@ -298,7 +293,7 @@ def test_library_argument_check_raises_invalid_argument(call):
 
 # -- fuzz: any text parses or raises a PoslimError -----------------------------
 
-_KEYWORDS = ["poset", "graph", "atoms", "stepmeasure", "pwl", "rate", "posets", "x"]
+_KEYWORDS = ["poset", "atoms", "stepmeasure", "pwl", "rate", "posets", "x"]
 # header counts and every integer token stay <= 64, so no input asks for a
 # large allocation
 _token = st.one_of(
@@ -339,14 +334,6 @@ def test_reader_fuzz(kind, text):
 # -- fuzz: writer output round-trips ------------------------------------------
 
 
-@given(posets(max_n=7))
-@settings(max_examples=40, deadline=None)
-def test_graph_roundtrip(p):
-    g = graphs.comparability_graph(p)
-    assert graphs.read_graph(graphs.write_graph(g)) == g
-    assert graphs.read_graph(graphs.write_graph(g).replace("\n", "\r\n")) == g
-
-
 @given(step_measures())
 @settings(max_examples=40, deadline=None)
 def test_atoms_roundtrip(mu):
@@ -382,25 +369,17 @@ def test_representation_roundtrip(n, seed, c):
 # -- the integer-row parser against the `rows` reference ------------------------
 
 
-def _graph(n, pairs):
-    return graphs.SimpleGraph.from_edges(n, [(a - 1, b - 1) for a, b in pairs])
-
-
 def assert_parsers_agree(body, n=3):
-    """`int_pairs`, `read_poset` and `read_graph` against `ref.read_pairs`
-    and the models built on it: the same values or the same error."""
+    """`int_pairs` and `read_poset` against `ref.read_pairs` and the
+    relation built on it: the same values or the same error."""
     fast = outcome(lambda: textio.int_pairs(body))
     if isinstance(fast, tuple) and isinstance(fast[0], np.ndarray):
         fast = list(zip(*(c.tolist() for c in fast)))
     assert fast == outcome(lambda: ref.read_pairs(body))
-    for keyword, read, model in (
-        ("poset", poset.read_poset, ref.relation),
-        ("graph", graphs.read_graph, _graph),
-    ):
-        got = outcome(lambda: read(f"{keyword} {n}{body}"))
-        assert got == outcome(lambda: model(n, ref.read_pairs(body)))
-        if isinstance(got, poset.FinitePoset):
-            got.check_valid()
+    got = outcome(lambda: poset.read_poset(f"poset {n}{body}"))
+    assert got == outcome(lambda: ref.relation(n, ref.read_pairs(body)))
+    if isinstance(got, poset.FinitePoset):
+        got.check_valid()
 
 
 PAIR_BODIES = [
@@ -526,7 +505,7 @@ _pair_body = st.builds(
 @given(_pair_body, st.sampled_from([4, 16, 1 << 16]))
 @settings(max_examples=300, deadline=None)
 def test_int_pairs_matches_rows_generated(body, block):
-    """Same columns, poset and graph, or the same error class and message,
+    """Same columns and poset, or the same error class and message,
     whatever the block size."""
     with mock.patch.object(textio, "_BLOCK", block):
         assert_parsers_agree(body)
