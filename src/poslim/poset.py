@@ -209,7 +209,11 @@ def _interval_covers(n, heads, starts, order, adj, below) -> "IntervalSample | N
         for layer, layer_heads in zip(order, adj):
             down[layer] += best[layer]
             np.maximum.at(best, layer_heads, np.repeat(down[layer], counts[layer]))
-    above, head_down = counts > 0, down.astype(heads.dtype)[heads]  # above: an upper cover
+    # above: an upper cover.  The heads are gathered _BLOCK at a time, so that
+    # numpy's cast of the indices to intp copies one block, not the column
+    above, head_down, source = counts > 0, np.empty_like(heads), down.astype(heads.dtype)
+    for at in range(0, len(heads), _BLOCK):
+        source.take(heads[at:at + _BLOCK], out=head_down[at:at + _BLOCK], mode="clip")
     up = np.full(n, n + 1)
     up[above] = np.minimum.reduceat(head_down, starts[:-1][above])
     a, b = 2 * down, 2 * up - 1

@@ -37,6 +37,7 @@ _LEADING_SPACE = re.compile(r"\s*")  # what `str.lstrip` strips
 # each cut after the first line feed or carriage return past _BLOCK
 _BLOCK = 1 << 16
 _PAIR_BREAK = re.compile("[\n\r]")
+_WRITTEN_LINE = re.compile("[0-9]{1,4} [0-9]{1,4}\n")  # a line as `write_poset` writes it
 _PAIR_BYTES = b"0123456789 \t\r\n"  # the bytes `int_pairs` parses itself
 # _KEEP[w][n]: in the word of digits 4w .. 4w + 3 from the right of an
 # n-digit token, the low nibble of each byte that is one of its digits
@@ -133,22 +134,25 @@ def int_pairs(text: str, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     order; the body is read in place, not copied.
 
     Blank lines are ignored; any other line without exactly 2 fields raises
-    FormatError.  A well-formed body of ASCII digits, spaces, tabs and line
-    breaks is parsed by numpy in blocks of whole lines (`_pair_block`), cut
-    at a line feed or a carriage return, so LF, CRLF and CR-only bodies are
-    read in blocks alike, in time linear in their length; the blocks keep
-    their tokens in 2 to 8 bytes each.  Each column is then one contiguous
-    int32 array while every token has at most 9 digits (below 2^31), and
-    int64 if any token is longer.  Any other body goes to `rows`, which
-    accepts what `int` accepts and names the first bad line; its columns
-    hold Python ints.
+    FormatError.  The body is read in blocks of whole lines, each cut at a
+    line feed or a carriage return, in time linear in its length.  A block
+    as `write_poset` writes it, every line `<tail> <head>\\n` with tokens of 1
+    to 4 digits, is read by `_line_block`; any other block of ASCII digits,
+    spaces, tabs and line breaks by `_pair_block`, so LF, CRLF and CR-only
+    bodies are read in blocks alike; both keep their tokens in 2 to 8 bytes
+    each.  Each column is then one contiguous int32 array while every token
+    has at most 9 digits (below 2^31), and int64 if any token is longer.  Any
+    other body goes to `rows`, which accepts what `int` accepts and names the
+    first bad line; its columns hold Python ints.
     """
-    blocks, at = [np.empty(0, dtype=np.uint16)], start
+    # past the header's line feed, a body as `write_poset` writes it starts a line
+    blocks, at = [np.empty(0, dtype=np.uint16)], start + text.startswith("\n", start)
     while at < len(text):
         cut = _PAIR_BREAK.search(text, at + _BLOCK)
         end = cut.end() if cut else len(text)
-        values = _pair_block(text[at:end])
-        if values is None:
+        block = text[at:end]
+        values = _line_block(block)
+        if values is None and (values := _pair_block(block)) is None:
             break
         blocks.append(values)
         at = end
@@ -159,22 +163,44 @@ def int_pairs(text: str, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.ascontiguousarray(table.T))
 
 
+def _line_block(text: str) -> np.ndarray | None:
+    """The tokens of a block of lines each exactly `<tail> <head>\\n`, one
+    space, tokens of 1 to 4 digits and no blank line, in order, as uint16;
+    None for any other block, which `_pair_block` then reads.
+
+    It finds only the bytes below `0`, half as many as the token boundaries:
+    none may be above `9`, those below must be one space and then one line
+    feed a line, and each token they end must have 1 to 4 digits.
+    """
+    if not (text.isascii() and text.endswith("\n") and _WRITTEN_LINE.match(text)):
+        return None  # CR, CRLF, tabbed and padded bodies fail here, before any numpy pass
+    buf = np.frombuffer(b"000" + text.encode("ascii"), dtype=np.uint8)  # no word starts before it
+    ends = np.flatnonzero(buf < ord("0"))  # each token's end: its line's space or line feed
+    if buf.max() > ord("9") or ends.size % 2:
+        return None
+    if (buf.take(ends).view("<u2") != int.from_bytes(b" \n", "little")).any():
+        return None  # not one space, then one line feed, a line
+    lengths = ends - 1  # each token's end less the end before it, less 1
+    lengths[1:] -= ends[:-1]
+    lengths[0] -= 2  # as if a line ended on the pad's last byte
+    if lengths.min() < 1 or lengths.max() > 4:
+        return None
+    return _tokens(buf, ends, lengths, 4)
+
+
 def _pair_block(text: str) -> np.ndarray | None:
     """The integer tokens of whole lines, in order, as uint16, uint32 or
     int64, the narrowest that holds every token of their length; None
     unless every byte is one `int_pairs` parses, no token is over 18 digits
-    and every non-blank line has 2 tokens.
+    and every non-blank line has 2 tokens.  It reads every block that
+    `_line_block` does not: line ends other than a lone line feed, tabs,
+    padding, blank lines, a missing final line feed and tokens of 5 to 18
+    digits.
 
     Tokens are the runs of digits.  The gap between two tokens holds only
     blanks and line breaks, so it holds a break iff its first or its last
     byte is one or, in a gap of 3 bytes or more, a byte in between; only
-    such gaps with no break at either end have their inner bytes read, and
-    a file as `write_poset` writes it has none.
-
-    A token is read 4 digits at a time, as the little-endian word of the 4
-    bytes ending k digits from its right (d0 d1 d2 d3, d0 the low byte):
-    `_KEEP` keeps its digits, ×10 on byte pairs gives d0d1 and d2d3 and
-    ×100 on 16-bit halves the word's value, below 10**4.
+    such gaps with no break at either end have their inner bytes read.
     """
     if not text.isascii() or (raw := text.encode("ascii")).translate(None, _PAIR_BYTES):
         return None
@@ -201,13 +227,34 @@ def _pair_block(text: str) -> np.ndarray | None:
         broken[inner] = np.logical_or.reduceat(buf[pos] & 6, at)
     if broken[0::2].any() or not broken[1::2].all():
         return None  # `rows` names the first bad line
+    return _tokens(buf, ends, lengths, longest)
+
+
+def _tokens(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray, longest: int) -> np.ndarray:
+    """The values of the digit tokens of `buf` that end before ends[k] with
+    lengths[k] digits, at most `longest`, as uint16, uint32 or int64 by
+    `longest`; buf holds 4·ceil(longest / 4) bytes before each end.
+
+    A token is read 4 digits at a time, as the little-endian word of the 4
+    bytes ending k digits from its right (d0 d1 d2 d3, d0 the low byte):
+    `_KEEP` keeps its digits, ×10 on byte pairs gives d0d1 and d2d3 and
+    ×100 on 16-bit halves the word's value, below 10**4, all in place on
+    one uint32 array a word.
+    """
     kind = np.uint16 if longest <= 4 else np.uint32 if longest <= 9 else np.int64
     words = np.ndarray((len(buf) - 3,), dtype="<u4", buffer=buf, strides=(1,))
-    values = np.zeros(lengths.size, dtype=kind)
     for k in range(0, longest, 4):  # digits k .. k + 3 from the right
-        word = words.take(ends - (k + 4)) & _KEEP[k // 4].take(lengths)
-        word = (word * 0xA01 >> 8) & 0x00FF00FF
-        values += (word * 0x640001 >> 16).astype(kind, copy=False) * kind(10**k)
+        word = words.take(ends - (k + 4))
+        word &= _KEEP[k // 4].take(lengths)
+        word *= 0xA01
+        word >>= 8
+        word &= 0x00FF00FF
+        word *= 0x640001
+        word >>= 16
+        if k:
+            values += word.astype(kind, copy=False) * kind(10**k)
+        else:
+            values = word.astype(kind, copy=False)
     return values
 
 

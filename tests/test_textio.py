@@ -1,6 +1,7 @@
 """The shared text layer: format rules, malformed input, reader fuzz, round trips."""
 
 import csv
+import re
 from fractions import Fraction as F
 from unittest import mock
 
@@ -420,6 +421,13 @@ PAIR_BODIES = [
     "\n1 2\n12345678 9\n000000001 12345\n",  # long tokens open blocks of 4 and 16
     "\n3 0003\n000000000000000003 1\n",  # pairs in range, zeros on the left
     "\n3 0003\n0000000000000000003 1\n",  # 19 digits: left to `rows`
+    # as `write_poset` writes them, read by `_line_block`
+    "\n1 2\n3 4\n",
+    "\n0001 0002\n",  # leading zeros
+    "\n1234 5678\n9012 3456\n",  # 4-digit tokens at a block start
+    # after a written line, so that `_line_block` reads past its first line
+    "\n1 2\n3 x\n",
+    "\n1 2\n3 \n 4\n",  # empty tokens either side of a line feed
 ]
 
 
@@ -459,23 +467,76 @@ def test_int_pairs_columns_are_int32_up_to_9_digits(where, width):
     assert tails.flags.c_contiguous and heads.flags.c_contiguous
 
 
+def _readers_of_blocks(body, block):
+    """`int_pairs(body)` at block size `block`, with the blocks that each
+    of the two block readers was given: (columns, line blocks, pair blocks)."""
+    seen = {"_line_block": [], "_pair_block": []}
+    readers = {name: getattr(textio, name) for name in seen}
+
+    def reader(name):
+        return lambda text: seen[name].append(text) or readers[name](text)
+
+    with mock.patch.object(textio, "_BLOCK", block), \
+            mock.patch.object(textio, "_line_block", reader("_line_block")), \
+            mock.patch.object(textio, "_pair_block", reader("_pair_block")):
+        columns = textio.int_pairs(body)
+    return columns, seen["_line_block"], seen["_pair_block"]
+
+
 @pytest.mark.parametrize("end", ["\r", "\r\n"])
 def test_int_pairs_cuts_a_body_without_line_feeds_into_blocks(end):
     """A CR-only body (and CRLF) is cut into blocks at its carriage returns,
-    not read as one block, and equals the LF parse."""
+    not read as one block, and equals the LF parse.  The blocks are counted
+    where `int_pairs` cuts them: each goes to `_line_block` first, whichever
+    reader then reads it."""
     body = "".join(f"{k} {k + 1}\n" for k in range(1, 400))
-    blocks, pair_block = [], textio._pair_block
-
-    def counted(text):
-        blocks.append(text)
-        return pair_block(text)
-
-    with mock.patch.object(textio, "_BLOCK", 64), mock.patch.object(textio, "_pair_block", counted):
-        want = textio.int_pairs(body)
-        got = textio.int_pairs(body.replace("\n", end))
+    want, lf_blocks, _ = _readers_of_blocks(body, 64)
+    got, blocks, _ = _readers_of_blocks(body.replace("\n", end), 64)
+    blocks += lf_blocks
     assert len(blocks) > 2 * len(body) // (64 + 16)  # both bodies, each in blocks of one line past 64
     assert max(map(len, blocks)) < 64 + 16
     assert all(np.array_equal(g, w) and g.dtype == w.dtype == np.int32 for g, w in zip(got, want))
+
+
+# a block exactly as `write_poset` writes its lines
+_WRITTEN_BLOCK = re.compile(r"(?:[0-9]{1,4} [0-9]{1,4}\n)+")
+
+
+@pytest.mark.parametrize("block", [64, 1 << 16])
+def test_line_block_reads_every_block_of_a_written_body(block):
+    """A sample as `write_poset` writes it, 4-digit labels included, is read
+    by `_line_block` in every block, into the columns of its tokens."""
+    text = poset.write_poset(sampling.sample_kernel_poset(semiorders.gc(F(3, 10)), 1100, SeededRng(4)))
+    _, _, start = textio.read_header(text, "poset")
+    (tails, heads), lines, pairs = _readers_of_blocks(text[start:], block)
+    want = np.array(text[start:].split(), dtype=np.int64).reshape(-1, 2)
+    assert tails.dtype == heads.dtype == np.int32 and heads.max() > 999
+    assert np.array_equal(tails, want[:, 0]) and np.array_equal(heads, want[:, 1])
+    assert len(lines) >= len(text) // (block + 16) and not pairs
+    assert "".join(lines) == text[start + 1:]
+
+
+# one line of a written body made other than `write_poset` writes it
+_ODD_LINES = {
+    "tab": "40\t41\n",
+    "two spaces": "40  41\n",
+    "carriage return": "40 41\r",
+    "blank line": "\n40 41\n",
+    "trailing space": "40 41 \n",
+    "5-digit token": "40 00041\n",
+    "no final newline": "79 80",
+}
+
+
+@pytest.mark.parametrize("odd", _ODD_LINES, ids=list(_ODD_LINES))
+def test_a_line_not_as_written_sends_only_its_block_to_pair_block(odd):
+    lines = [f"{k} {k + 1}\n" for k in range(1, 80)]
+    lines[39 if odd != "no final newline" else -1] = _ODD_LINES[odd]
+    body = "\n" + "".join(lines)
+    _, blocks, pairs = _readers_of_blocks(body, 64)
+    assert [b for b in blocks if not _WRITTEN_BLOCK.fullmatch(b)] == pairs and len(pairs) == 1
+    with mock.patch.object(textio, "_BLOCK", 64):
+        assert_parsers_agree(body, n=80)
 
 
 _pair_token = st.sampled_from(
